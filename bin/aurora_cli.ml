@@ -230,18 +230,27 @@ let run_smoke txns pgs seed json =
       st.Simnet.Net.delivered st.Simnet.Net.bytes_sent
   end
 
-let txns_arg =
-  Arg.(value & opt int 1000 & info [ "txns" ] ~doc:"Transactions.")
-
-(* A volume needs at least one protection group; rejecting 0 here keeps
-   [Volume.create]'s invariant from surfacing as an uncaught exception. *)
-let positive_int =
+(* Range-checked integer options: a bad value exits 124 with a message
+   instead of surfacing later as an uncaught exception (a volume needs at
+   least one protection group), a sampler that reschedules at the same
+   instant forever (a zero window), or a vacuous pass (a swarm of zero
+   seeds). *)
+let int_at_least lo =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some _ | None -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
+    | Some n when n >= lo -> Ok n
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1
+let non_negative_int = int_at_least 0
+
+let txns_arg =
+  Arg.(
+    value & opt non_negative_int 1000
+    & info [ "txns" ] ~doc:"Transactions (at least 0).")
 
 let pgs_arg =
   Arg.(value & opt positive_int 2 & info [ "pgs" ] ~doc:"Protection groups (at least 1).")
@@ -267,16 +276,20 @@ let run_obs txns pgs seed json trace_tail pg az series window_ms =
 let window_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "window" ] ~docv:"MS"
-        ~doc:"Sampling window (observability sampler period) in milliseconds.")
+        ~doc:
+          "Sampling window (observability sampler period) in milliseconds \
+           (at least 1).")
 
 let obs_cmd =
   let trace_tail =
     Arg.(
-      value & opt int 0
+      value & opt non_negative_int 0
       & info [ "trace-tail" ] ~docv:"N"
-          ~doc:"Include the last N flight-recorder events, merged across nodes.")
+          ~doc:
+            "Include the last N flight-recorder events, merged across nodes \
+             (0, the default, includes none).")
   in
   let pg =
     Arg.(
@@ -710,8 +723,8 @@ let vopr_repro_cmd =
 let vopr_swarm_cmd =
   let seeds_arg =
     Arg.(
-      value & opt int 100
-      & info [ "seeds" ] ~docv:"N" ~doc:"Number of seeds to sweep.")
+      value & opt positive_int 100
+      & info [ "seeds" ] ~docv:"N" ~doc:"Number of seeds to sweep (at least 1).")
   in
   let seed0_arg =
     Arg.(

@@ -2,10 +2,9 @@
 
     Findings come back as plain {!Finding.t}s, so the baseline, JSON
     output, and exit-code plumbing are shared with the parse tier.  See
-    DESIGN.md §6 for the rule catalogue ([typed-hot-alloc],
-    [typed-sim-global], [typed-describe-coverage], [typed-event-emit],
-    [typed-poly-compare]) and the [@alloc_ok] / [@@sim_global] escape
-    hatches. *)
+    DESIGN.md §6 for the rule catalogue ([typed-sim-global],
+    [typed-describe-coverage], [typed-event-emit], [typed-poly-compare])
+    and the [@@sim_global] annotation. *)
 
 val lint_units :
   ?config:Typed_rules.config -> Typed_loader.unit_info list -> Finding.t list

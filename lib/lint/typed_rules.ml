@@ -1,12 +1,8 @@
 (* The typed-tier rule set: pure functions over {!Typed_summary} unit
-   summaries.  See DESIGN.md §6 for the catalogue and escape hatches. *)
+   summaries.  See DESIGN.md §6 for the catalogue. *)
 
 type config = {
-  hot_roots : string list;
-      (* Qualified names of hot entry points; allocation reachable from any
-         of them (through repo code) is a finding. *)
   sim_scope : string -> bool;  (* logical source path is sim-scoped *)
-  sim_allow : string list;  (* path prefixes exempt from the purity rule *)
   describe_checks : (string * string) list;  (* (type, total function) *)
   emit_checks : (string * string) list;  (* (type, defining-dir prefix) *)
   poly_types : string list;  (* protocol types: no polymorphic compare *)
@@ -18,26 +14,7 @@ let has_prefix ~prefix s =
 
 let default =
   {
-    hot_roots =
-      [
-        "Simcore.Sim.exec";
-        "Simcore.Sim.step";
-        "Simcore.Sim.run";
-        "Simcore.Sim.run_until";
-        "Simcore.Sim.schedule";
-        "Simcore.Sim.schedule_at";
-        "Simnet.Net.send";
-        "Simnet.Net.deliver";
-        "Wal.Hot_log.insert";
-        "Wal.Hot_log.advance";
-        "Wal.Log_record.make";
-        "Wal.Log_record.op_bytes";
-        "Wal.Log_record.lsn_range";
-        "Wal.Log_record.is_commit";
-        "Wal.Log_record.is_abort";
-      ];
     sim_scope = (fun src -> has_prefix ~prefix:"lib/" src);
-    sim_allow = [ "lib/simcore/reset.ml" ];
     describe_checks = [ ("Storage.Protocol.t", "Storage.Protocol.describe") ];
     emit_checks =
       [
@@ -58,12 +35,7 @@ let default =
 
 let catalogue =
   [
-    ( "typed-hot-alloc",
-      "no allocation reachable from a hot entry point ([@alloc_ok] to \
-       exempt)" );
-    ( "typed-sim-global",
-      "top-level mutable state needs a Simcore.Reset.register hook or \
-       [@@sim_global]" );
+    ("typed-sim-global", "top-level mutable state in lib/ needs [@@sim_global]");
     ( "typed-describe-coverage",
       "every Storage.Protocol constructor handled in Protocol.describe" );
     ( "typed-event-emit",
@@ -76,8 +48,8 @@ let catalogue =
 
 open Typed_summary
 
-(* Findings that guard against manifest rot (a renamed root or type would
-   otherwise silently disable a rule) anchor to this pseudo-file. *)
+(* Findings that guard against manifest rot (a renamed type or function
+   would otherwise silently disable a rule) anchor to this pseudo-file. *)
 let manifest_file = "(typed-lint-manifest)"
 
 let index_bindings units =
@@ -88,112 +60,28 @@ let index_bindings units =
     units;
   tbl
 
-(* ---------------- hot-path allocation ---------------- *)
-
-let hot_alloc cfg units =
-  let index = index_bindings units in
-  let findings = ref [] in
-  let add ~file ~line ~col msg =
-    findings :=
-      Finding.make ~rule:"typed-hot-alloc" ~file ~line ~col msg :: !findings
-  in
-  let visited = Hashtbl.create 256 in
-  let rec visit ~root name =
-    if not (Hashtbl.mem visited name) then begin
-      Hashtbl.replace visited name ();
-      match Hashtbl.find_opt index name with
-      | None -> ()
-      | Some (b, u) ->
-        if b.b_is_function then begin
-          List.iter
-            (fun a ->
-              add ~file:u.u_source ~line:a.a_line ~col:a.a_col
-                (Printf.sprintf
-                   "%s allocated in %s, reachable from hot entry %s \
-                    (annotate [@alloc_ok \"reason\"] if deliberate)"
-                   a.a_desc b.b_name root))
-            b.b_allocs;
-          List.iter
-            (fun r ->
-              if Hashtbl.mem index r.r_name then visit ~root r.r_name
-              else if
-                (not r.r_suppressed) && allocating_external r.r_name
-              then
-                add ~file:u.u_source ~line:r.r_line ~col:r.r_col
-                  (Printf.sprintf
-                     "call to allocating %s in %s, reachable from hot entry \
-                      %s"
-                     r.r_name b.b_name root))
-            b.b_refs
-        end
-    end
-  in
-  List.iter
-    (fun root ->
-      if Hashtbl.mem index root then visit ~root root
-      else
-        add ~file:manifest_file ~line:1 ~col:0
-          (Printf.sprintf
-             "hot-path manifest entry %s not found in any analyzed module \
-              (manifest rot?)"
-             root))
-    cfg.hot_roots;
-  !findings
-
 (* ---------------- sim-state purity ---------------- *)
 
 let sim_global cfg units =
-  let findings = ref [] in
-  List.iter
+  List.concat_map
     (fun u ->
-      if
-        cfg.sim_scope u.u_source
-        && not
-             (List.exists
-                (fun p -> has_prefix ~prefix:p u.u_source)
-                cfg.sim_allow)
-      then begin
-        (* Names mentioned by reset hooks in this unit, extended one level
-           through local functions the hooks call. *)
-        let hook_refs = Hashtbl.create 16 in
-        List.iter
-          (fun b ->
-            if
-              List.exists
-                (fun r -> String.equal r.r_name "Simcore.Reset.register")
-                b.b_refs
-            then
-              List.iter
-                (fun r -> Hashtbl.replace hook_refs r.r_name ())
-                b.b_refs)
-          u.u_bindings;
-        List.iter
-          (fun b ->
-            if b.b_is_function && Hashtbl.mem hook_refs b.b_name then
-              List.iter
-                (fun r -> Hashtbl.replace hook_refs r.r_name ())
-                b.b_refs)
-          u.u_bindings;
-        List.iter
+      if not (cfg.sim_scope u.u_source) then []
+      else
+        List.filter_map
           (fun b ->
             match b.b_mutable_evidence with
             | Some (line, col, desc)
               when (not b.b_is_function) && not b.b_sim_global ->
-              if not (Hashtbl.mem hook_refs b.b_name) then
-                findings :=
-                  Finding.make ~rule:"typed-sim-global" ~file:u.u_source
-                    ~line ~col
-                    (Printf.sprintf
-                       "top-level mutable state %s (%s) must be covered by \
-                        a Simcore.Reset.register hook in this module or \
-                        annotated [@@sim_global]"
-                       b.b_name desc)
-                  :: !findings
-            | _ -> ())
-          u.u_bindings
-      end)
-    units;
-  !findings
+              Some
+                (Finding.make ~rule:"typed-sim-global" ~file:u.u_source ~line
+                   ~col
+                   (Printf.sprintf
+                      "top-level mutable state %s (%s) must be annotated \
+                       [@@sim_global]"
+                      b.b_name desc))
+            | _ -> None)
+          u.u_bindings)
+    units
 
 (* ---------------- protocol describe coverage ---------------- *)
 
@@ -333,6 +221,6 @@ let poly_compare cfg units =
   !findings
 
 let run cfg units =
-  hot_alloc cfg units @ sim_global cfg units
+  sim_global cfg units
   @ describe_coverage cfg units
   @ event_emit cfg units @ poly_compare cfg units

@@ -1,27 +1,20 @@
 (** The typed-tier rules: pure functions over {!Typed_summary} summaries.
 
-    - [typed-hot-alloc] — walks the call graph from the hot-entry-point
-      manifest ({!config.hot_roots}); any reachable allocation site or
-      call to a blocklisted allocating external is a finding.  Escape
-      hatch: [@alloc_ok "reason"] on the expression (or [@@alloc_ok] on
-      the binding).  A manifest entry that no longer resolves is itself a
-      finding, so the manifest cannot rot silently.
     - [typed-sim-global] — top-level mutable state in sim-scoped modules
-      must be mentioned by a [Simcore.Reset.register] hook in the same
-      module (directly, or through one level of local helper) or carry
-      [@@sim_global].
+      must carry [@@sim_global].
     - [typed-describe-coverage] — every constructor of each type in
       {!config.describe_checks} must be matched by the paired function.
     - [typed-event-emit] — every constructor of each type in
       {!config.emit_checks} must be built somewhere outside the type's
       defining directory.
     - [typed-poly-compare] — no [Stdlib.compare]/[=]/[<]/... applied at a
-      protocol type ({!config.poly_types}); the defining module is exempt. *)
+      protocol type ({!config.poly_types}); the defining module is exempt.
+
+    A manifest entry (type or function) that no longer resolves is itself
+    a finding, so the manifests cannot rot silently. *)
 
 type config = {
-  hot_roots : string list;
   sim_scope : string -> bool;
-  sim_allow : string list;
   describe_checks : (string * string) list;
   emit_checks : (string * string) list;
   poly_types : string list;

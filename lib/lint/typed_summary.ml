@@ -1,20 +1,9 @@
 (* Per-module summaries extracted from typed trees.
 
-   One walk per top-level binding collects everything the interprocedural
-   rules need: direct allocation sites (with [@alloc_ok] suppression),
-   referenced global names (the call-graph edges), constructors matched in
-   patterns and built in expressions, typed comparison applications, and
-   top-level mutable-state evidence.  The rules in {!Typed_rules} are then
-   pure functions over these summaries. *)
-
-type alloc = { a_line : int; a_col : int; a_desc : string }
-
-type ref_use = {
-  r_name : string;  (* normalized dotted name *)
-  r_line : int;
-  r_col : int;
-  r_suppressed : bool;  (* under an [@alloc_ok] subtree *)
-}
+   One walk per top-level binding collects everything the rules need:
+   constructors matched in patterns and built in expressions, typed
+   comparison applications, and top-level mutable-state evidence.  The
+   rules in {!Typed_rules} are then pure functions over these summaries. *)
 
 type con_use = { cu_ty : string; cu_con : string }
 type poly_hit = { p_line : int; p_col : int; p_op : string; p_ty : string }
@@ -24,8 +13,6 @@ type binding = {
   b_line : int;
   b_col : int;
   b_is_function : bool;
-  b_allocs : alloc list;
-  b_refs : ref_use list;  (* one entry per distinct name *)
   b_pat_cons : con_use list;
   b_exp_cons : con_use list;
   b_poly : poly_hit list;
@@ -62,62 +49,9 @@ let poly_ops =
     "Stdlib.<="; "Stdlib.>="; "Stdlib.min"; "Stdlib.max";
   ]
 
-(* Known-allocating externals.  Scope note (DESIGN.md §6): this is about
-   allocation performed *per call at the call site's request* — list and
-   string builders, boxing conversions, formatting.  Allocation internal to
-   a stdlib structure's amortized growth (Hashtbl.replace resizing,
-   Buffer.add_* doubling) and float boxing are documented out of scope. *)
-let allocating_exact =
-  [
-    "Stdlib.ref"; "Stdlib.@"; "Stdlib.^"; "Stdlib.^^";
-    "Stdlib.string_of_int"; "Stdlib.string_of_float"; "Stdlib.string_of_bool";
-    "Stdlib.int_of_string_opt"; "Stdlib.float_of_string_opt";
-    "Stdlib.bool_of_string_opt";
-    "Stdlib.List.cons";
-  ]
-
-let allocating_prefix =
-  [ "Stdlib.Printf."; "Stdlib.Format."; "Stdlib.Scanf."; "Stdlib.Seq." ]
-
-(* Suffix-matched so functor instances ([Addr.Tbl.find_opt]) are caught,
-   not just the stdlib originals. *)
-let allocating_suffix =
-  [
-    ".create"; ".make"; ".init"; ".copy"; ".map"; ".mapi"; ".filter";
-    ".filteri"; ".filter_map"; ".partition"; ".flatten"; ".concat";
-    ".append"; ".rev"; ".sort"; ".merge"; ".split"; ".combine";
-    ".find_opt"; ".find_all"; ".assoc_opt"; ".assq_opt"; ".nth_opt";
-    ".to_list"; ".of_list"; ".to_seq"; ".of_seq"; ".to_array"; ".of_array";
-    ".elements"; ".bindings"; ".cardinal_opt"; ".min_binding"; ".max_binding";
-    ".min_elt"; ".max_elt"; ".choose"; ".sub"; ".blit_to"; ".escaped";
-    ".uppercase_ascii"; ".lowercase_ascii"; ".trim";
-  ]
-
-(* Int64/Int32/Nativeint results are boxed; only the unboxing/readout
-   operations are allocation-free. *)
-let boxed_int_prefix = [ "Stdlib.Int64."; "Stdlib.Int32."; "Stdlib.Nativeint." ]
-let boxed_int_free_tail = [ "to_int"; "compare"; "equal" ]
-
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
 let has_suffix ~suffix s =
   let ls = String.length s and lx = String.length suffix in
   ls >= lx && String.sub s (ls - lx) lx = suffix
-
-let allocating_external name =
-  List.exists (String.equal name) allocating_exact
-  || List.exists (fun p -> has_prefix ~prefix:p name) allocating_prefix
-  || List.exists (fun s -> has_suffix ~suffix:s name) allocating_suffix
-  ||
-  match List.find_opt (fun p -> has_prefix ~prefix:p name) boxed_int_prefix with
-  | None -> false
-  | Some p ->
-    let tail =
-      String.sub name (String.length p) (String.length name - String.length p)
-    in
-    not (List.exists (String.equal tail) boxed_int_free_tail)
 
 (* Creator applications that make a top-level binding mutable state for the
    sim-state purity rule. *)
@@ -135,35 +69,11 @@ let mutable_creator name =
 
 type ctx = {
   unit_name : string;
-  globals : (string, string) Hashtbl.t;  (* Ident.unique_name -> qualified *)
-  refs : (string, ref_use) Hashtbl.t;
-  mutable allocs : alloc list;
   mutable pat_cons : con_use list;
   mutable exp_cons : con_use list;
   mutable poly : poly_hit list;
   mutable mut_ev : (int * int * string) option;
-  mutable suppressed : bool;
-  mutable heads : Typedtree.expression list;  (* outermost lambda chain *)
 }
-
-let note_alloc ctx desc (loc : Location.t) =
-  if not ctx.suppressed then begin
-    let line, col = line_col loc in
-    ctx.allocs <- { a_line = line; a_col = col; a_desc = desc } :: ctx.allocs
-  end
-
-let note_ref ctx name (loc : Location.t) =
-  let line, col = line_col loc in
-  let use =
-    { r_name = name; r_line = line; r_col = col; r_suppressed = ctx.suppressed }
-  in
-  match Hashtbl.find_opt ctx.refs name with
-  | None -> Hashtbl.replace ctx.refs name use
-  | Some prev ->
-    (* Keep an unsuppressed occurrence if any exists: the blocklist check
-       must not be silenced by a later [@alloc_ok] use of the same name. *)
-    if prev.r_suppressed && not ctx.suppressed then
-      Hashtbl.replace ctx.refs name use
 
 let note_mut ctx desc (loc : Location.t) =
   match ctx.mut_ev with
@@ -183,47 +93,22 @@ let con_of_desc ctx (cd : Types.constructor_description) =
     Some { cu_ty = qualify_ty ctx (normalize_path p); cu_con = cd.cstr_name }
   | _ -> None
 
-let ident_ref ctx path =
-  match path with
-  | Path.Pident id -> Hashtbl.find_opt ctx.globals (Ident.unique_name id)
-  | _ -> Some (normalize_path path)
-
 let iterator ctx =
   let open Tast_iterator in
   let expr it (e : Typedtree.expression) =
-    let was = ctx.suppressed in
-    if has_attr "alloc_ok" e.exp_attributes then ctx.suppressed <- true;
     (match e.exp_desc with
-    | Typedtree.Texp_ident (path, _, _) -> (
-      match ident_ref ctx path with
-      | Some name -> note_ref ctx name e.exp_loc
-      | None -> ())
-    | Typedtree.Texp_function _ ->
-      if not (List.memq e ctx.heads) then note_alloc ctx "closure" e.exp_loc
-    | Typedtree.Texp_tuple _ -> note_alloc ctx "tuple" e.exp_loc
-    | Typedtree.Texp_construct (_, cd, args) -> (
-      (match con_of_desc ctx cd with
+    | Typedtree.Texp_construct (_, cd, _) -> (
+      match con_of_desc ctx cd with
       | Some cu -> ctx.exp_cons <- cu :: ctx.exp_cons
-      | None -> ());
-      match cd.Types.cstr_tag with
-      | Types.Cstr_block _ | Types.Cstr_extension _ ->
-        if args <> [] then
-          note_alloc ctx ("variant block " ^ cd.Types.cstr_name) e.exp_loc
-      | Types.Cstr_constant _ | Types.Cstr_unboxed -> ())
+      | None -> ())
     | Typedtree.Texp_record { fields; _ } ->
-      note_alloc ctx "record" e.exp_loc;
       if
         Array.exists
           (fun ((ld : Types.label_description), _) ->
             ld.lbl_mut = Asttypes.Mutable)
           fields
       then note_mut ctx "mutable record" e.exp_loc
-    | Typedtree.Texp_array _ ->
-      note_alloc ctx "array" e.exp_loc;
-      note_mut ctx "array literal" e.exp_loc
-    | Typedtree.Texp_lazy _ -> note_alloc ctx "lazy" e.exp_loc
-    | Typedtree.Texp_object _ -> note_alloc ctx "object" e.exp_loc
-    | Typedtree.Texp_pack _ -> note_alloc ctx "first-class module" e.exp_loc
+    | Typedtree.Texp_array _ -> note_mut ctx "array literal" e.exp_loc
     | Typedtree.Texp_apply (fn, args) -> (
       match fn.exp_desc with
       | Typedtree.Texp_ident (p, _, _) -> (
@@ -247,8 +132,7 @@ let iterator ctx =
         | _ -> ())
       | _ -> ())
     | _ -> ());
-    default_iterator.expr it e;
-    ctx.suppressed <- was
+    default_iterator.expr it e
   in
   let pat : type k. iterator -> k Typedtree.general_pattern -> unit =
    fun it p ->
@@ -262,24 +146,6 @@ let iterator ctx =
   in
   { default_iterator with expr; pat }
 
-(* The outermost lambda chain of [let f x y = ...] is the function's
-   signature, not a per-call allocation; everything past the first
-   multi-case [function] (or non-lambda body) allocates per call.  The
-   typechecker desugars [?(x = default)] into a ghost [let] between two
-   parameter lambdas — chase through those so optional arguments do not
-   read as nested closures. *)
-let head_chain e =
-  let rec go acc (e : Typedtree.expression) =
-    match e.exp_desc with
-    | Typedtree.Texp_function { cases = [ { c_rhs; c_guard = None; _ } ]; _ }
-      ->
-      go (e :: acc) c_rhs
-    | Typedtree.Texp_function _ -> e :: acc
-    | Typedtree.Texp_let (_, _, body) when e.exp_loc.loc_ghost -> go acc body
-    | _ -> acc
-  in
-  go [] e
-
 let dedup_cons l =
   List.sort_uniq
     (fun a b ->
@@ -288,49 +154,21 @@ let dedup_cons l =
       | c -> c)
     l
 
-let summarize_binding ~unit_name ~globals ~name (vb : Typedtree.value_binding)
-    =
+let summarize_binding ~unit_name ~name (vb : Typedtree.value_binding) =
   let ctx =
-    {
-      unit_name;
-      globals;
-      refs = Hashtbl.create 32;
-      allocs = [];
-      pat_cons = [];
-      exp_cons = [];
-      poly = [];
-      mut_ev = None;
-      suppressed = false;
-      heads = head_chain vb.vb_expr;
-    }
+    { unit_name; pat_cons = []; exp_cons = []; poly = []; mut_ev = None }
   in
   let it = iterator ctx in
   it.expr it vb.vb_expr;
   let line, col = line_col vb.vb_loc in
-  let binding_suppressed = has_attr "alloc_ok" vb.vb_attributes in
-  let refs =
-    Hashtbl.fold (fun _ use acc -> use :: acc) ctx.refs []
-    |> List.sort (fun a b -> String.compare a.r_name b.r_name)
-    |> List.map (fun r ->
-           (* [@@alloc_ok] on the binding blesses its blocklisted calls
-              too, not just its direct allocation sites. *)
-           if binding_suppressed then { r with r_suppressed = true } else r)
-  in
   {
     b_name = name;
     b_line = line;
     b_col = col;
-    b_is_function = ctx.heads <> [];
-    b_allocs =
-      (if binding_suppressed then []
-       else
-         List.sort
-           (fun a b ->
-             match Int.compare a.a_line b.a_line with
-             | 0 -> Int.compare a.a_col b.a_col
-             | c -> c)
-           ctx.allocs);
-    b_refs = refs;
+    b_is_function =
+      (match vb.vb_expr.exp_desc with
+      | Typedtree.Texp_function _ -> true
+      | _ -> false);
     b_pat_cons = dedup_cons ctx.pat_cons;
     b_exp_cons = dedup_cons ctx.exp_cons;
     b_poly = List.rev ctx.poly;
@@ -339,9 +177,8 @@ let summarize_binding ~unit_name ~globals ~name (vb : Typedtree.value_binding)
   }
 
 (* ------------------------------------------------------------------ *)
-(* Structure walk: collect the global ident table first (so unqualified
-   references resolve to qualified names), then summarize each binding,
-   descending into nested modules with a dotted prefix.                 *)
+(* Structure walk: summarize each binding, descending into nested modules
+   with a dotted prefix.                                                *)
 
 let pattern_idents (p : Typedtree.pattern) =
   let acc = ref [] in
@@ -357,42 +194,14 @@ let pattern_idents (p : Typedtree.pattern) =
   go p;
   List.rev !acc
 
-let rec collect_globals ~prefix globals (str : Typedtree.structure) =
-  List.iter
-    (fun (item : Typedtree.structure_item) ->
-      match item.str_desc with
-      | Typedtree.Tstr_value (_, vbs) ->
-        List.iter
-          (fun (vb : Typedtree.value_binding) ->
-            List.iter
-              (fun id ->
-                Hashtbl.replace globals (Ident.unique_name id)
-                  (prefix ^ "." ^ Ident.name id))
-              (pattern_idents vb.vb_pat))
-          vbs
-      | Typedtree.Tstr_module mb -> collect_globals_module ~prefix globals mb
-      | Typedtree.Tstr_recmodule mbs ->
-        List.iter (collect_globals_module ~prefix globals) mbs
-      | _ -> ())
-    str.str_items
-
-and collect_globals_module ~prefix globals (mb : Typedtree.module_binding) =
-  match mb.mb_id with
-  | None -> ()
-  | Some id -> (
-    let prefix = prefix ^ "." ^ Ident.name id in
-    match module_structure mb.mb_expr with
-    | Some str -> collect_globals ~prefix globals str
-    | None -> ())
-
-and module_structure (me : Typedtree.module_expr) =
+let rec module_structure (me : Typedtree.module_expr) =
   match me.mod_desc with
   | Typedtree.Tmod_structure str -> Some str
   | Typedtree.Tmod_constraint (me, _, _, _) -> module_structure me
   | _ -> None
 
-let rec collect_items ~unit_name ~prefix ~globals (str : Typedtree.structure)
-    ~bindings ~types =
+let rec collect_items ~unit_name ~prefix (str : Typedtree.structure) ~bindings
+    ~types =
   List.iter
     (fun (item : Typedtree.structure_item) ->
       match item.str_desc with
@@ -406,8 +215,7 @@ let rec collect_items ~unit_name ~prefix ~globals (str : Typedtree.structure)
                 let line, _ = line_col vb.vb_loc in
                 Printf.sprintf "%s.(init@%d)" prefix line
             in
-            bindings :=
-              summarize_binding ~unit_name ~globals ~name vb :: !bindings)
+            bindings := summarize_binding ~unit_name ~name vb :: !bindings)
           vbs
       | Typedtree.Tstr_type (_, decls) ->
         List.iter
@@ -437,17 +245,15 @@ let rec collect_items ~unit_name ~prefix ~globals (str : Typedtree.structure)
           match module_structure mb.mb_expr with
           | Some sub ->
             collect_items ~unit_name ~prefix:(prefix ^ "." ^ Ident.name id)
-              ~globals sub ~bindings ~types
+              sub ~bindings ~types
           | None -> ()))
       | _ -> ())
     str.str_items
 
 let summarize (u : Typed_loader.unit_info) =
-  let globals = Hashtbl.create 64 in
-  collect_globals ~prefix:u.modname globals u.structure;
   let bindings = ref [] and types = ref [] in
-  collect_items ~unit_name:u.modname ~prefix:u.modname ~globals u.structure
-    ~bindings ~types;
+  collect_items ~unit_name:u.modname ~prefix:u.modname u.structure ~bindings
+    ~types;
   {
     u_modname = u.modname;
     u_source = u.source;

@@ -1,21 +1,10 @@
 (** Per-module summaries extracted from typed trees.
 
     One pass over each unit's typedtree produces, per top-level binding:
-    direct allocation sites (with [@alloc_ok] suppression applied),
-    referenced global names (the interprocedural call-graph edges),
     constructors matched in patterns and built in expressions, typed
     comparison applications, and mutable-state evidence.  The rules in
     {!Typed_rules} are pure functions over these summaries, which keeps
     them unit-testable without compiler-libs plumbing. *)
-
-type alloc = { a_line : int; a_col : int; a_desc : string }
-
-type ref_use = {
-  r_name : string;  (** Normalized dotted name, e.g. ["Simcore.Heap.push"]. *)
-  r_line : int;
-  r_col : int;
-  r_suppressed : bool;  (** Occurrence sits under an [@alloc_ok] subtree. *)
-}
 
 type con_use = { cu_ty : string; cu_con : string }
 type poly_hit = { p_line : int; p_col : int; p_op : string; p_ty : string }
@@ -24,11 +13,7 @@ type binding = {
   b_name : string;  (** Qualified, e.g. ["Simcore.Sim.schedule_at"]. *)
   b_line : int;
   b_col : int;
-  b_is_function : bool;
-  b_allocs : alloc list;
-      (** Direct allocation sites, [@alloc_ok] subtrees excluded; empty for
-          bindings carrying [@@alloc_ok]. *)
-  b_refs : ref_use list;  (** One entry per distinct referenced name. *)
+  b_is_function : bool;  (** The bound expression is a [fun]/[function]. *)
   b_pat_cons : con_use list;  (** Constructors this binding matches on. *)
   b_exp_cons : con_use list;  (** Constructors this binding builds. *)
   b_poly : poly_hit list;  (** Polymorphic-compare applications, typed. *)
@@ -48,10 +33,3 @@ type unit_summary = {
 }
 
 val summarize : Typed_loader.unit_info -> unit_summary
-
-val allocating_external : string -> bool
-(** Is this (normalized, dotted) name on the known-allocating-externals
-    blocklist — list/string builders, boxing conversions, formatting,
-    option-wrapping lookups?  Stdlib-internal amortized growth (e.g.
-    [Hashtbl.replace] resizing) and float boxing are documented
-    out-of-scope (DESIGN.md §6). *)

@@ -28,8 +28,8 @@ type slot = {
 let fresh_slot () =
   { calls = 0; wall_ns = 0; minor_words = 0.; open_wall = -1; open_minor = 0. }
 
-let slots = Array.init 4 (fun _ -> fresh_slot ())
-let on = ref false
+let slots = Array.init 4 (fun _ -> fresh_slot ()) [@@sim_global]
+let on = ref false [@@sim_global]
 let enabled () = !on
 let enable () = on := true
 let disable () = on := false
@@ -69,13 +69,6 @@ let stat sub =
   { calls = s.calls; wall_ns = s.wall_ns; minor_words = s.minor_words }
 
 let stats () = List.map (fun sub -> (name sub, stat sub)) all
-
-(* Declares the module-global state above ([slots] via [reset], [on]
-   directly) to the reset-hook registry the typed sim-global lint checks. *)
-let () =
-  Simcore.Reset.register ~name:"perf.probe" (fun () ->
-      on := false;
-      reset ())
 
 let install_sim sim =
   Simcore.Sim.set_probe sim

@@ -17,9 +17,9 @@ type ring = {
   mutable evicted : int;
 }
 
-let on = ref false
-let depth = ref default_depth
-let rings : (int, ring) Hashtbl.t = Hashtbl.create 64
+let on = ref false [@@sim_global]
+let depth = ref default_depth [@@sim_global]
+let rings : (int, ring) Hashtbl.t = Hashtbl.create 64 [@@sim_global]
 
 let enabled () = !on
 let enable () = on := true
@@ -35,14 +35,6 @@ let set_depth d =
 let reset () =
   Hashtbl.reset rings;
   depth := default_depth
-
-(* Declares the module-global state above ([rings] and [depth] via [reset],
-   [on] directly) to the reset-hook registry the typed sim-global lint
-   checks. *)
-let () =
-  Simcore.Reset.register ~name:"recorder.rings" (fun () ->
-      on := false;
-      reset ())
 
 let dummy = (0, Event.Started)
 

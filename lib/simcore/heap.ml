@@ -1,8 +1,5 @@
 (* Array-backed binary min-heap: classic sift-up / sift-down. *)
 
-
-
-
 type 'a t = {
   cmp : 'a -> 'a -> int;
   mutable data : 'a array;
@@ -15,12 +12,12 @@ let is_empty t = t.size = 0
 
 let grow t x =
   let cap = Array.length t.data in
-  if t.size = cap then
-    (let ncap = if cap = 0 then 16 else cap * 2 in
-     let ndata = Array.make ncap x in
-     Array.blit t.data 0 ndata 0 t.size;
-     t.data <- ndata)
-    [@alloc_ok "amortized backing-array doubling; steady-state pushes reuse it"]
+  if t.size = cap then begin
+    let ncap = if cap = 0 then 16 else cap * 2 in
+    let ndata = Array.make ncap x in
+    Array.blit t.data 0 ndata 0 t.size;
+    t.data <- ndata
+  end
 
 let rec sift_up t i =
   if i > 0 then begin
@@ -33,8 +30,6 @@ let rec sift_up t i =
     end
   end
 
-(* No [ref] scratch cell: sift-down runs on every pop, i.e. once per
-   dispatched event, and must not allocate (hot-alloc lint, DESIGN.md §6). *)
 let rec sift_down t i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
   let s = if l < t.size && t.cmp t.data.(l) t.data.(i) < 0 then l else i in
@@ -54,12 +49,6 @@ let push t x =
 
 let peek t = if t.size = 0 then None else Some t.data.(0)
 
-let top_exn t =
-  if t.size = 0 then invalid_arg "Heap.top_exn: empty heap" else t.data.(0)
-
-(* The option-free variants exist for the simulator dispatch loop: [pop]
-   wraps every event in a fresh [Some] block, which the hot-alloc lint
-   rejects on the hot path. *)
 let pop_exn t =
   if t.size = 0 then invalid_arg "Heap.pop_exn: empty heap"
   else begin

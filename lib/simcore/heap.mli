@@ -18,15 +18,11 @@ val push : 'a t -> 'a -> unit
 val peek : 'a t -> 'a option
 (** Minimum element without removing it. *)
 
-val top_exn : 'a t -> 'a
-(** Allocation-free {!peek} for the dispatch hot path.
-    @raise Invalid_argument on an empty heap. *)
-
 val pop : 'a t -> 'a option
 (** Remove and return the minimum element. *)
 
 val pop_exn : 'a t -> 'a
-(** Allocation-free {!pop} for the dispatch hot path.
+(** Option-free {!pop}.
     @raise Invalid_argument on an empty heap. *)
 
 val clear : 'a t -> unit

@@ -6,27 +6,20 @@ let mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
-[@@alloc_ok "splitmix64 finalizer is Int64 by design; the seeded stream is frozen"]
 
 let create seed = { state = mix64 (Int64.of_int seed) }
 
-(* The splitmix64 core is Int64-boxed by definition; the seeded streams it
-   produces are frozen (vopr digests, golden recorder fixtures depend on
-   them), so the boxing stays and is declared to the hot-alloc lint. *)
 let bits64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix64 t.state
-[@@alloc_ok "splitmix64 state is Int64 by design; the seeded stream is frozen"]
 
 let split t = { state = bits64 t }
 let copy t = { state = t.state }
 
 (* Non-negative 62-bit int from the top bits: safe on 64-bit OCaml ints. *)
 let positive_int t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
-[@@alloc_ok "Int64 unpack of the splitmix64 draw"]
 
-(* Rejection sampling to avoid modulo bias.  Top-level (not a local [rec]
-   closure): the rejection loop runs on every latency draw. *)
+(* Rejection sampling to avoid modulo bias. *)
 let rec draw_below t limit bound =
   let v = positive_int t in
   if v < limit then v mod bound else draw_below t limit bound
@@ -44,7 +37,6 @@ let unit_float t =
   (* 53 random bits over [0,1). *)
   let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
   float_of_int v /. 9007199254740992.0
-[@@alloc_ok "Int64 unpack of the splitmix64 draw"]
 
 let float t bound = unit_float t *. bound
 let bool t = Int64.logand (bits64 t) 1L = 1L

@@ -1,14 +1,9 @@
 type event_id = int
 
-(* Mutable on purpose: dispatched events are recycled through [pool] instead
-   of being re-allocated per schedule — the TigerBeetle static-allocation
-   idiom the hot-alloc lint enforces (DESIGN.md §6).  An event is owned by
-   the queue from [schedule_at] until [exec] pops it, and by the pool
-   afterwards; nothing outside this module ever sees one. *)
 type event = {
-  mutable at : Time_ns.t;
-  mutable seq : int;  (* doubles as the public event_id *)
-  mutable action : unit -> unit;
+  at : Time_ns.t;
+  seq : int;  (* doubles as the public event_id *)
+  action : unit -> unit;
 }
 
 type probe = { on_start : unit -> unit; on_stop : unit -> unit }
@@ -21,10 +16,6 @@ type t = {
   mutable executed : int;
   mutable max_heap_depth : int;
   mutable probe : probe option;
-  (* Free-list of recycled event records, stack discipline.  Slots at or
-     above [pool_n] are garbage (aliases left behind by growth). *)
-  mutable pool : event array;
-  mutable pool_n : int;
 }
 
 type stats = { processed : int; pending : int; max_heap_depth : int }
@@ -42,46 +33,15 @@ let create () =
     executed = 0;
     max_heap_depth = 0;
     probe = None;
-    pool = [||];
-    pool_n = 0;
   }
 
 let now t = t.clock
-
-(* Retiring an event must not capture its closure beyond the dispatch that
-   ran it. *)
-let no_action () = ()
-
-let acquire t ~at ~seq action =
-  if t.pool_n = 0 then
-    { at; seq; action }
-    [@alloc_ok "pool warm-up: each record is allocated once, then recycled"]
-  else begin
-    t.pool_n <- t.pool_n - 1;
-    let ev = t.pool.(t.pool_n) in
-    ev.at <- at;
-    ev.seq <- seq;
-    ev.action <- action;
-    ev
-  end
-
-let release t ev =
-  ev.action <- no_action;
-  let cap = Array.length t.pool in
-  if t.pool_n = cap then
-    (let ncap = if cap = 0 then 64 else cap * 2 in
-     let np = Array.make ncap ev in
-     Array.blit t.pool 0 np 0 cap;
-     t.pool <- np)
-    [@alloc_ok "amortized pool growth, bounded by max_heap_depth"];
-  t.pool.(t.pool_n) <- ev;
-  t.pool_n <- t.pool_n + 1
 
 let schedule_at t ~at action =
   let at = Time_ns.max at t.clock in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  Heap.push t.queue (acquire t ~at ~seq action);
+  Heap.push t.queue { at; seq; action };
   let depth = Heap.length t.queue in
   if depth > t.max_heap_depth then t.max_heap_depth <- depth;
   seq
@@ -91,28 +51,29 @@ let schedule t ~delay action =
 
 let cancel t id = Hashtbl.replace t.cancelled id ()
 
+(* A non-positive interval would reschedule at the same instant forever,
+   and [run_until] would never return. *)
 let rec every t ~interval f =
+  if Time_ns.compare interval Time_ns.zero <= 0 then
+    invalid_arg "Sim.every: interval must be positive";
   ignore
     (schedule t ~delay:interval (fun () -> if f () then every t ~interval f))
 
 let exec t ev =
-  (if Hashtbl.mem t.cancelled ev.seq then Hashtbl.remove t.cancelled ev.seq
-   else begin
-     t.clock <- ev.at;
-     t.executed <- t.executed + 1;
-     (* The probe lives outside sim state (wall-clock timers, allocation
-        counters); installing one changes nothing the simulation can
-        observe. *)
-     match t.probe with
-     | None -> ev.action ()
-     | Some p ->
-       p.on_start ();
-       ev.action ();
-       p.on_stop ()
-   end);
-  (* Recycle only after the action returned: an action that schedules draws
-     fresh records from the pool while this one is still live. *)
-  release t ev
+  if Hashtbl.mem t.cancelled ev.seq then Hashtbl.remove t.cancelled ev.seq
+  else begin
+    t.clock <- ev.at;
+    t.executed <- t.executed + 1;
+    (* The probe lives outside sim state (wall-clock timers, allocation
+       counters); installing one changes nothing the simulation can
+       observe. *)
+    match t.probe with
+    | None -> ev.action ()
+    | Some p ->
+      p.on_start ();
+      ev.action ();
+      p.on_stop ()
+  end
 
 let step t =
   if Heap.is_empty t.queue then false
@@ -123,18 +84,12 @@ let step t =
 
 let run t = while step t do () done
 
-let rec drain_until t limit =
-  if
-    (not (Heap.is_empty t.queue))
-    && Time_ns.compare (Heap.top_exn t.queue).at limit <= 0
-  then begin
+let rec run_until t limit =
+  match Heap.peek t.queue with
+  | Some ev when Time_ns.compare ev.at limit <= 0 ->
     exec t (Heap.pop_exn t.queue);
-    drain_until t limit
-  end
-
-let run_until t limit =
-  drain_until t limit;
-  if Time_ns.compare t.clock limit < 0 then t.clock <- limit
+    run_until t limit
+  | _ -> if Time_ns.compare t.clock limit < 0 then t.clock <- limit
 
 let pending t = Heap.length t.queue - Hashtbl.length t.cancelled
 let processed t = t.executed

@@ -34,7 +34,9 @@ val cancel : t -> event_id -> unit
 val every : t -> interval:Time_ns.t -> (unit -> bool) -> unit
 (** [every t ~interval f] runs [f] at [now + interval], then repeatedly every
     [interval] for as long as [f] returns [true].  Used for background
-    activities (gossip, GC, scrubbing). *)
+    activities (gossip, GC, scrubbing).
+    @raise Invalid_argument if [interval <= 0], which would otherwise
+    reschedule at the same instant without end. *)
 
 val run : t -> unit
 (** Drain the event queue completely. *)
@@ -57,7 +59,7 @@ type stats = {
   pending : int;  (** Same as {!pending}. *)
   max_heap_depth : int;
       (** High-water mark of the event queue over the whole run — the
-          number every pooling/flattening optimisation must size for. *)
+          number any queue-sizing optimisation must size for. *)
 }
 
 val stats : t -> stats

@@ -1,14 +1,11 @@
 open Simcore
 
-(* Mutable on purpose: deliveries reuse one scratch envelope per network
-   (see [deliver]) instead of allocating a record per message — handlers
-   must not retain it (net.mli documents the contract). *)
 type 'msg envelope = {
-  mutable src : Addr.t;
-  mutable dst : Addr.t;
-  mutable sent_at : Time_ns.t;
-  mutable bytes : int;
-  mutable msg : 'msg;
+  src : Addr.t;
+  dst : Addr.t;
+  sent_at : Time_ns.t;
+  bytes : int;
+  msg : 'msg;
 }
 
 type stats = {
@@ -33,19 +30,6 @@ type block_kind = Direct | Part
 type drop_cause = Down | Blocked | Partitioned | Random
 
 type phase = Sent | Delivered | Dropped of drop_cause
-
-(* [Dropped _] carries an argument, so building one allocates; drops are
-   hot under fault scenarios, hence one preallocated block per cause. *)
-let phase_drop_down = Dropped Down
-let phase_drop_blocked = Dropped Blocked
-let phase_drop_partition = Dropped Partitioned
-let phase_drop_random = Dropped Random
-
-let dropped_phase = function
-  | Down -> phase_drop_down
-  | Blocked -> phase_drop_blocked
-  | Partitioned -> phase_drop_partition
-  | Random -> phase_drop_random
 
 (* Per-link delivery counters, keyed by the packed (src, dst) int.
    Mutable in place: [send] is the sim's hottest path. *)
@@ -95,8 +79,6 @@ type 'msg t = {
   links : (int, link_counters) Hashtbl.t;
   mutable recorder : (phase -> src:Addr.t -> dst:Addr.t -> 'msg -> unit) option;
   totals : totals;
-  (* Scratch envelope reused for every delivery (see [deliver]). *)
-  mutable scratch : 'msg envelope option;
 }
 
 let create ~sim ~rng ~default_latency ?obs () =
@@ -126,7 +108,6 @@ let create ~sim ~rng ~default_latency ?obs () =
           n_bytes_sent = 0;
           n_bytes_delivered = 0;
         };
-      scratch = None;
     }
   in
   (match obs with
@@ -191,7 +172,7 @@ let heal_partition t sa sb =
   Addr.Set.iter (fun a -> Addr.Set.iter (fun b -> unblock t a b) sb) sa
 
 (* Option-free fault lookups: these run (twice — send and delivery time)
-   for every message, so they must not wrap results in [Some] blocks. *)
+   for every message, so they avoid wrapping results in [Some] blocks. *)
 
 (* @raise Not_found when the link is open. *)
 let sever_cause_exn t a b =
@@ -256,7 +237,6 @@ let link_for t src dst =
     let c =
       { l_sent = 0; l_delivered = 0; l_down = 0; l_blocked = 0;
         l_partition = 0; l_random = 0 }
-      [@alloc_ok "one counters record per live link, allocated on first use"]
     in
     Hashtbl.replace t.links k c;
     c
@@ -299,7 +279,7 @@ let note_drop t ~src ~dst cause =
    send-time and delivery-time fault checks. *)
 let drop_now t ~src ~dst cause msg =
   note_drop t ~src ~dst cause;
-  record t (dropped_phase cause) ~src ~dst msg
+  record t (Dropped cause) ~src ~dst msg
 
 let deliver t ~src ~dst ~sent_at ~bytes msg =
   (* Down / blocked state is re-checked at delivery: a node that crashed
@@ -319,26 +299,7 @@ let deliver t ~src ~dst ~sent_at ~bytes msg =
         let link = link_for t src dst in
         link.l_delivered <- link.l_delivered + 1;
         record t Delivered ~src ~dst msg;
-        (* One scratch envelope per network, refilled per delivery.  Safe
-           because delivery is serial (sim events never nest) and handlers
-           are forbidden from retaining the envelope. *)
-        let env =
-          match t.scratch with
-          | Some env ->
-            env.src <- src;
-            env.dst <- dst;
-            env.sent_at <- sent_at;
-            env.bytes <- bytes;
-            env.msg <- msg;
-            env
-          | None ->
-            (let env = { src; dst; sent_at; bytes; msg } in
-             t.scratch <- Some env;
-             env)
-            [@alloc_ok
-              "scratch-envelope warm-up: allocated once per network, then \
-               reused for every delivery"]
-        in
+        let env = { src; dst; sent_at; bytes; msg } in
         (* Perf span around the handler only — latency modelling and drop
            bookkeeping above are scheduling, not delivery work. *)
         Perf.Probe.start Perf.Probe.Net_delivery;
@@ -371,9 +332,6 @@ let send t ~src ~dst ?(bytes = 64) msg =
         in
         let sent_at = Sim.now t.sim in
         ignore
-          ((Sim.schedule t.sim ~delay (fun () ->
-                deliver t ~src ~dst ~sent_at ~bytes msg))
-          [@alloc_ok
-            "the one deliberate per-message allocation: the in-flight \
-             delivery continuation"])
+          (Sim.schedule t.sim ~delay (fun () ->
+               deliver t ~src ~dst ~sent_at ~bytes msg))
       end

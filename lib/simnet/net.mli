@@ -17,16 +17,13 @@
 
 type 'msg t
 
-(** Delivery envelope.  The network keeps ONE scratch envelope per
-    {!t} and refills it for every delivery (fields are mutable for that
-    reason): handlers must read what they need during the call and must
-    not retain the record or expect it to stay stable afterwards. *)
+(** Delivery envelope, built once per delivered message. *)
 type 'msg envelope = {
-  mutable src : Addr.t;
-  mutable dst : Addr.t;
-  mutable sent_at : Simcore.Time_ns.t;
-  mutable bytes : int;
-  mutable msg : 'msg;
+  src : Addr.t;
+  dst : Addr.t;
+  sent_at : Simcore.Time_ns.t;
+  bytes : int;
+  msg : 'msg;
 }
 
 type stats = {

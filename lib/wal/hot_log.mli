@@ -9,9 +9,9 @@
 
 type t
 
-(** Constant constructors on purpose: [insert] runs per received record
-    and must not allocate.  After [Accepted], read the (possibly advanced)
-    SCL via {!scl}. *)
+(** Constant constructors on purpose: [insert] runs per received record,
+    and a payload would allocate a block per call.  After [Accepted], read
+    the (possibly advanced) SCL via {!scl}. *)
 type insert_result =
   | Accepted  (** Stored; the SCL may have advanced — see {!scl}. *)
   | Duplicate  (** Already present; ignored. *)

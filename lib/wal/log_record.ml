@@ -41,7 +41,6 @@ let make ~lsn ~prev_volume ~prev_segment ~prev_block ~block ~txn ~mtr_id
     op;
     size_bytes = header_bytes + op_bytes op;
   }
-  [@alloc_ok "the record being built is the product"]
 
 let equal_op a b =
   match (a, b) with
@@ -64,11 +63,9 @@ let equal a b =
   && Int.equal a.size_bytes b.size_bytes
 
 (* Records travel in ascending-LSN batches, but scan anyway: the range of
-   a gossip or hydrate reply must not depend on the sender's ordering.
-   Accumulates in plain int-like Lsn arguments — only the final result is
-   boxed, not one option per element as the old fold did. *)
+   a gossip or hydrate reply must not depend on the sender's ordering. *)
 let rec range_from lo hi = function
-  | [] -> Some (lo, hi) [@alloc_ok "single boxed result per batch"]
+  | [] -> Some (lo, hi)
   | r :: rest -> range_from (Lsn.min lo r.lsn) (Lsn.max hi r.lsn) rest
 
 let lsn_range = function

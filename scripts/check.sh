@@ -26,10 +26,10 @@ dune build @all
 # diff below can only catch probabilistically.
 dune build @lint
 
-# Typed tier: interprocedural rules over the compiler's .cmt trees —
-# hot-path allocation (call graph from the hot-entry manifest), sim-state
-# purity (Reset.register coverage), protocol/event constructor coverage,
-# and type-precise polymorphic-compare detection (DESIGN.md §6).
+# Typed tier: four rules over the compiler's .cmt trees — sim-state purity
+# (top-level mutables in lib/ carry [@@sim_global]), protocol/event
+# constructor coverage, and type-precise polymorphic-compare detection
+# (DESIGN.md §6).  Allocation is measured by perfbench, not linted.
 dune build @lint-typed
 
 dune runtest

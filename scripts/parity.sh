@@ -1,0 +1,91 @@
+#!/bin/sh
+# Fixed-behaviour parity: run the same deterministic outputs on the working
+# tree and on REV (default HEAD), cmp each pair, and exit 1 on any
+# difference.
+#
+#   scripts/parity.sh [REV]
+#
+# REV is checked out with `git worktree` under $TMPDIR and built there;
+# the working tree is built in place.  Outputs compared (stdout plus exit
+# status): smoke --json at seed 7 and at seed 1 with 4 PGs, obs --json at
+# seed 3, `vopr list`, the vopr run digest of every listed scenario at seeds
+# 1-3, explain pg:0 of writer-crash-recovery, and exp all at seed 1.
+# `exp all` takes a few minutes per side, so this is not part of check.sh.
+set -eu
+
+cd "$(dirname "$0")/.."
+if [ $# -gt 1 ]; then
+  echo "usage: scripts/parity.sh [REV]" >&2
+  exit 2
+fi
+rev=${1:-HEAD}
+if ! git rev-parse --verify --quiet "$rev^{commit}" > /dev/null; then
+  echo "parity: unknown revision $rev" >&2
+  exit 2
+fi
+
+work=$(mktemp -d "${TMPDIR:-/tmp}/parity.XXXXXX")
+cleanup() {
+  git worktree remove --force "$work/tree" > /dev/null 2>&1 || true
+  rm -rf "$work"
+}
+trap cleanup EXIT
+trap 'exit 130' INT TERM
+
+git worktree add --detach --quiet "$work/tree" "$rev"
+echo "parity: building the working tree and $rev" >&2
+dune build ./bin/aurora_cli.exe
+(cd "$work/tree" && dune build --root . ./bin/aurora_cli.exe)
+here=$PWD/_build/default/bin/aurora_cli.exe
+there=$work/tree/_build/default/bin/aurora_cli.exe
+
+{
+  echo "smoke --json --seed 7"
+  echo "smoke --json --seed 1 --pgs 4"
+  echo "obs --json --seed 3"
+  echo "vopr list"
+  "$here" vopr list | while read -r name _; do
+    for seed in 1 2 3; do echo "vopr run --scenario $name --seed $seed"; done
+  done
+  echo "explain pg:0 --scenario writer-crash-recovery"
+  echo "exp all --seed 1"
+} > "$work/cases"
+
+# One side: every case in order, case i's stdout and exit status in
+# $dir/i.out.  The two sides run concurrently.
+run_side() {
+  bin=$1 dir=$2
+  mkdir -p "$dir"
+  i=0
+  while read -r args; do
+    i=$((i + 1))
+    status=0
+    # shellcheck disable=SC2086  # args is a word list on purpose
+    "$bin" $args > "$dir/$i.out" 2> /dev/null || status=$?
+    echo "exit $status" >> "$dir/$i.out"
+  done < "$work/cases"
+}
+
+run_side "$here" "$work/here" &
+here_pid=$!
+run_side "$there" "$work/there"
+wait "$here_pid"
+
+fail=0
+i=0
+while read -r args; do
+  i=$((i + 1))
+  if cmp -s "$work/here/$i.out" "$work/there/$i.out"; then
+    echo "same    $args"
+  else
+    echo "DIFFERS $args"
+    diff "$work/there/$i.out" "$work/here/$i.out" | head -5 || true
+    fail=1
+  fi
+done < "$work/cases"
+
+if [ "$fail" -ne 0 ]; then
+  echo "parity: working tree differs from $rev" >&2
+  exit 1
+fi
+echo "parity: byte-identical to $rev ($i outputs)"

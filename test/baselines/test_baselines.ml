@@ -119,6 +119,10 @@ let prop_paxos_agreement_under_loss =
 (* ---- Paxos commit ---- *)
 
 let test_paxos_commit_log () =
+  (* The uneven log force lets an acceptor's peers answer the leader while
+     it is still forcing: its own reply, sent afterwards, must still go to
+     the sender of the Accept.  Commits are spaced so that Accepted
+     replies and new Accepts interleave. *)
   let sim, rng, net = fixture () in
   let px =
     Baselines.Paxos_commit.create ~sim ~rng ~net
@@ -126,7 +130,7 @@ let test_paxos_commit_log () =
         {
           Baselines.Paxos_commit.leader = addr 0;
           acceptors = List.init 5 (fun i -> addr (i + 1));
-          log_force = disk;
+          log_force = Distribution.uniform ~lo:(Time_ns.us 20) ~hi:(Time_ns.us 400);
         }
       ()
   in
@@ -134,9 +138,16 @@ let test_paxos_commit_log () =
   for i = 1 to 10 do
     Baselines.Paxos_commit.commit px ~value:i ~on_done:(fun () -> incr acked)
   done;
+  for i = 11 to 20 do
+    ignore
+      (Sim.schedule sim ~delay:(Time_ns.ms i) (fun () ->
+           Baselines.Paxos_commit.commit px ~value:i ~on_done:(fun () ->
+               incr acked))
+        : Sim.event_id)
+  done;
   Sim.run_until sim (Time_ns.sec 1);
-  check_int "all acked" 10 !acked;
-  check_int "log length" 10 (Baselines.Paxos_commit.log_length px)
+  check_int "all acked" 20 !acked;
+  check_int "log length" 20 (Baselines.Paxos_commit.log_length px)
 
 (* ---- Lease ---- *)
 

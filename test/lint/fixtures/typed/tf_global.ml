@@ -1,11 +1,11 @@
-(* Sim-state purity fixtures: [naked] has neither a reset hook nor an
-   annotation (the one expected finding); [covered] is cleared by a
-   registered hook; [blessed] carries [@@sim_global]. *)
+(* Sim-state purity fixtures: [naked] and [table] are unannotated top-level
+   mutables (the two expected findings); [blessed] and [blessed_table] carry
+   [@@sim_global]; [fresh] is a function, so its table is per call. *)
 
-let naked : (int, int) Hashtbl.t = Hashtbl.create 8
-let covered : (int, int) Hashtbl.t = Hashtbl.create 8
+let naked = ref 0
+let table : (int, int) Hashtbl.t = Hashtbl.create 8
 let blessed = ref 0 [@@sim_global]
-let () =
-  Simcore.Reset.register ~name:"tf_global" (fun () -> Hashtbl.reset covered)
-let bump k = Hashtbl.replace naked k (k + 1)
-let peek () = !blessed
+let blessed_table : (int, int) Hashtbl.t = Hashtbl.create 8 [@@sim_global]
+let fresh () : (int, int) Hashtbl.t = Hashtbl.create 8
+let bump k = Hashtbl.replace table k (k + 1)
+let peek () = !naked + !blessed + Hashtbl.length blessed_table

@@ -12,13 +12,7 @@ let fx name = "test/lint/fixtures/typed/" ^ name
 
 let fixture_config : Lint.Typed_rules.config =
   {
-    hot_roots =
-      [
-        "Lint_typed_fixtures.Tf_hot.entry";
-        "Lint_typed_fixtures.Tf_hot.entry_ok";
-      ];
     sim_scope = String.equal (fx "tf_global.ml");
-    sim_allow = [];
     describe_checks =
       [
         ( "Lint_typed_fixtures.Tf_proto.t",
@@ -46,12 +40,11 @@ let check_sites msg expected rule =
 let test_loader () =
   let units = Lazy.force fixture_units in
   Alcotest.(check (list string))
-    "six fixture units, wrapper module skipped, sorted by source"
+    "five fixture units, wrapper module skipped, sorted by source"
     [
       fx "tf_emitter.ml";
       fx "tf_events.ml";
       fx "tf_global.ml";
-      fx "tf_hot.ml";
       fx "tf_poly.ml";
       fx "tf_proto.ml";
     ]
@@ -60,23 +53,15 @@ let test_loader () =
     "module names are normalized to dotted form" true
     (List.exists
        (fun (u : Lint.Typed_loader.unit_info) ->
-         String.equal u.modname "Lint_typed_fixtures.Tf_hot")
+         String.equal u.modname "Lint_typed_fixtures.Tf_global")
        units)
 
-(* The tuple in [helper] (line 7) and the blocklisted [string_of_int] in
-   [shout] (line 9) are reachable from the hot root [entry] only through
-   the call graph; [entry_ok] reaches only [@@alloc_ok]-blessed code and
-   must contribute nothing. *)
-let test_hot_alloc () =
-  check_sites "call-graph-reachable allocations, annotated path clean"
-    [ (fx "tf_hot.ml", 7); (fx "tf_hot.ml", 9) ]
-    "typed-hot-alloc"
-
-(* [naked] (line 5) has no hook and no annotation; [covered] is cleared by
-   the registered hook, [blessed] carries [@@sim_global]. *)
+(* The unannotated [ref] (line 5) and [Hashtbl.create] (line 6) globals
+   are flagged; the two [@@sim_global] globals (lines 7-8) and the table
+   built per call inside the function [fresh] (line 9) are not. *)
 let test_sim_global () =
-  check_sites "only the hookless, unannotated global is flagged"
-    [ (fx "tf_global.ml", 5) ]
+  check_sites "unannotated globals flagged, [@@sim_global] ones clean"
+    [ (fx "tf_global.ml", 5); (fx "tf_global.ml", 6) ]
     "typed-sim-global"
 
 (* [describe]'s wildcard hides [Pong] (line 7) and [Ack] (line 8); the
@@ -102,18 +87,16 @@ let test_poly_compare () =
 
 let test_no_extra_findings () =
   Alcotest.(check int)
-    "the five rule tests account for every finding" 7
+    "the four rule tests account for every finding" 6
     (List.length (Lazy.force fixture_findings))
 
-(* A renamed hot root, type, or total function must degrade loudly — to a
+(* A renamed type or total function must degrade loudly — to a
    finding anchored at the manifest pseudo-file — never to a silently
    disabled rule. *)
 let test_manifest_rot () =
   let cfg =
     {
-      fixture_config with
-      hot_roots = [ "Lint_typed_fixtures.Tf_hot.renamed" ];
-      describe_checks =
+      Lint.Typed_rules.describe_checks =
         [
           ( "Lint_typed_fixtures.Tf_proto.gone",
             "Lint_typed_fixtures.Tf_proto.describe" );
@@ -132,7 +115,6 @@ let test_manifest_rot () =
     [
       ("(typed-lint-manifest)", "typed-describe-coverage");
       ("(typed-lint-manifest)", "typed-event-emit");
-      ("(typed-lint-manifest)", "typed-hot-alloc");
     ]
     (List.map (fun (f : Lint.Finding.t) -> (f.file, f.rule)) fs)
 
@@ -154,9 +136,9 @@ let test_baseline_order () =
   in
   let findings =
     [
-      mk "typed-hot-alloc" "lib/b.ml" 9 2;
+      mk "typed-sim-global" "lib/b.ml" 9 2;
       mk "determinism" "lib/a.ml" 12 0;
-      mk "typed-hot-alloc" "lib/b.ml" 9 2;
+      mk "typed-sim-global" "lib/b.ml" 9 2;
       mk "stable-iteration" "lib/a.ml" 3 4;
     ]
   in
@@ -180,7 +162,7 @@ let test_baseline_order () =
     [
       "stable-iteration|lib/a.ml|3|4";
       "determinism|lib/a.ml|12|0";
-      "typed-hot-alloc|lib/b.ml|9|2";
+      "typed-sim-global|lib/b.ml|9|2";
     ]
     first;
   Lint.Baseline.save path (List.rev findings);
@@ -195,7 +177,6 @@ let () =
       ("loader", [ Alcotest.test_case "fixture units" `Quick test_loader ]);
       ( "rules",
         [
-          Alcotest.test_case "hot-alloc" `Quick test_hot_alloc;
           Alcotest.test_case "sim-global" `Quick test_sim_global;
           Alcotest.test_case "describe-coverage" `Quick
             test_describe_coverage;

@@ -132,7 +132,16 @@ let test_sim_every () =
       incr count;
       !count < 3);
   Sim.run sim;
-  check_int "stopped after returning false" 3 !count
+  check_int "stopped after returning false" 3 !count;
+  (* A non-positive interval would reschedule at the same instant forever. *)
+  List.iter
+    (fun interval ->
+      Alcotest.check_raises
+        (Printf.sprintf "interval %d rejected" interval)
+        (Invalid_argument "Sim.every: interval must be positive")
+        (fun () -> Sim.every sim ~interval (fun () -> true)))
+    [ 0; -1 ];
+  check_int "nothing scheduled by a rejected call" 0 (Sim.pending sim)
 
 let test_sim_nested_schedule () =
   let sim = Sim.create () in
@@ -171,7 +180,26 @@ let test_sim_stats_counters () =
   Sim.run sim2;
   let st2 = Sim.stats sim2 in
   Alcotest.(check int) "cancelled events are not processed" 0 st2.Sim.processed;
-  Alcotest.(check int) "but they did enter the heap" 1 st2.Sim.max_heap_depth
+  Alcotest.(check int) "but they did enter the heap" 1 st2.Sim.max_heap_depth;
+  (* Events scheduled after a dispatch get fresh ids: cancelling one leaves
+     its neighbours alone, and [pending] excludes it until it is popped. *)
+  let sim3 = Sim.create () in
+  let fired = ref [] in
+  let fire n () = fired := n :: !fired in
+  ignore (Sim.schedule sim3 ~delay:(Time_ns.ms 1) (fire 1) : Sim.event_id);
+  ignore (Sim.step sim3 : bool);
+  let b = Sim.schedule sim3 ~delay:(Time_ns.ms 1) (fire 2) in
+  ignore (Sim.schedule sim3 ~delay:(Time_ns.ms 2) (fire 3) : Sim.event_id);
+  Sim.cancel sim3 b;
+  Alcotest.(check int) "pending excludes the cancelled event" 1 (Sim.pending sim3);
+  Sim.run sim3;
+  let st3 = Sim.stats sim3 in
+  Alcotest.(check (list int)) "only the cancelled event skipped" [ 1; 3 ]
+    (List.rev !fired);
+  Alcotest.(check int) "cancelled event not processed" 2 st3.Sim.processed;
+  Alcotest.(check int) "pending back to zero" 0 st3.Sim.pending;
+  Alcotest.(check int) "high-water mark counts the cancelled event" 2
+    st3.Sim.max_heap_depth
 
 (* ---- Distribution ---- *)
 

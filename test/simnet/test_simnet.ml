@@ -138,6 +138,24 @@ let test_bytes_accounting () =
   check_int "bytes sent" 500 st.Simnet.Net.bytes_sent;
   check_int "bytes delivered" 500 st.Simnet.Net.bytes_delivered
 
+(* Each delivery gets its own envelope, so a handler may keep them: every
+   kept envelope still shows the source and payload it arrived with. *)
+let test_kept_envelopes () =
+  let sim, net = fixture () in
+  let kept = ref [] in
+  Simnet.Net.register net (addr 9) (fun env -> kept := env :: !kept);
+  for i = 1 to 3 do
+    Simnet.Net.send net ~src:(addr i) ~dst:(addr 9) (string_of_int i)
+  done;
+  Sim.run sim;
+  Alcotest.(check (list (pair int string)))
+    "each kept envelope has its own src and msg"
+    [ (1, "1"); (2, "2"); (3, "3") ]
+    (List.rev_map
+       (fun (env : string Simnet.Net.envelope) ->
+         (Simnet.Addr.to_int env.src, env.msg))
+       !kept)
+
 let prop_no_reorder_on_constant_latency =
   QCheck.Test.make ~name:"constant-latency link preserves send order" ~count:50
     QCheck.(int_range 2 50)
@@ -161,6 +179,7 @@ let () =
           Alcotest.test_case "latency" `Quick test_delivery_latency;
           Alcotest.test_case "per-link override" `Quick test_per_link_latency;
           Alcotest.test_case "bytes accounting" `Quick test_bytes_accounting;
+          Alcotest.test_case "kept envelopes" `Quick test_kept_envelopes;
           qc prop_no_reorder_on_constant_latency;
         ] );
       ( "faults",
