@@ -155,6 +155,7 @@ module E2 = struct
     hot_log_gced : int;
     scrub_found : int;
     corruptions_injected : int;
+    scrub_repaired : int;
   }
 
   let run ?(seed = 7) ?(txns = 400) ?(drop = 0.05) () =
@@ -173,21 +174,21 @@ module E2 = struct
       ~duration:(Time_ns.ms (txns / 2));
     Sim.run_until sim (Time_ns.sec 2);
     (* Inject corruption into two materialized blocks, then let scrub run. *)
-    let injected = ref 0 in
+    let injected = ref [] in
     List.iter
       (fun node ->
-        if !injected < 2 then
+        if List.length !injected < 2 then
           List.iter
             (fun seg ->
               if
-                !injected < 2
+                List.length !injected < 2
                 && Storage.Segment.kind seg = Membership.Full
                 && Storage.Block_store.blocks (Storage.Segment.store seg) <> []
               then begin
                 match Storage.Block_store.blocks (Storage.Segment.store seg) with
                 | b :: _ ->
                   if Storage.Block_store.corrupt (Storage.Segment.store seg) b
-                  then incr injected
+                  then injected := (seg, b) :: !injected
                 | [] -> ()
               end)
             (Storage.Storage_node.segments node))
@@ -227,7 +228,13 @@ module E2 = struct
       backups = sum (fun m -> m.Storage.Storage_node.backups_taken);
       hot_log_gced = sum (fun m -> m.Storage.Storage_node.hot_log_records_gced);
       scrub_found = sum (fun m -> m.Storage.Storage_node.scrub_corruptions_found);
-      corruptions_injected = !injected;
+      corruptions_injected = List.length !injected;
+      scrub_repaired =
+        List.length
+          (List.filter
+             (fun (seg, b) ->
+               Storage.Block_store.verify (Storage.Segment.store seg) b)
+             !injected);
     }
 
   let report t =
@@ -252,6 +259,11 @@ module E2 = struct
         Printf.sprintf "scrub corruptions found (of %d injected)"
           t.corruptions_injected;
         string_of_int t.scrub_found;
+      ];
+    Report.row r
+      [
+        Printf.sprintf "scrub repaired (of %d injected)" t.corruptions_injected;
+        string_of_int t.scrub_repaired;
       ];
     Report.note r
       "expected shape: gossip closes every hole (SCL lag 0) despite drops; \

@@ -53,8 +53,10 @@ module E2 : sig
     coalesced_versions : int;
     backups : int;
     hot_log_gced : int;
-    scrub_found : int;  (** Injected corruptions detected and repaired. *)
+    scrub_found : int;  (** Corrupt blocks reported, summed over scrub rounds. *)
     corruptions_injected : int;
+    scrub_repaired : int;
+        (** Injected blocks whose checksum verifies at the end of the run. *)
   }
 
   val run : ?seed:int -> ?txns:int -> ?drop:float -> unit -> t

@@ -5,6 +5,9 @@ type version = { value : string option; txn : Txn_id.t; lsn : Lsn.t }
 type entry = {
   keys : (string, version list) Hashtbl.t;
   mutable stored_checksum : int;
+  mutable multi : string list;
+      (* GC index: exactly the keys whose chain holds >= 2 versions, each
+         once.  A single-version key has nothing to collect. *)
 }
 
 type t = {
@@ -21,7 +24,7 @@ let entry_of t block =
   match Block_id.Tbl.find_opt t.table block with
   | Some e -> e
   | None ->
-    let e = { keys = Hashtbl.create 8; stored_checksum = 0 } in
+    let e = { keys = Hashtbl.create 8; stored_checksum = 0; multi = [] } in
     Block_id.Tbl.add t.table block e;
     e
 
@@ -30,44 +33,50 @@ let version_bytes key v =
   + (match v.value with Some s -> String.length s | None -> 0)
   + 24 (* txn + lsn + tag overhead *)
 
+let is_multi = function _ :: _ :: _ -> true | [] | [ _ ] -> false
+
+(* One key's term of the block checksum: a digest of its newest version. *)
+let head_hash key = function
+  | [] -> 0
+  | v :: _ ->
+    let h = Simcore.Bits.fnv1a_string key in
+    let h =
+      match v.value with
+      | Some s -> Simcore.Bits.fnv1a_add_string h s
+      | None -> Simcore.Bits.fnv1a_add_int h (-1)
+    in
+    let h = Simcore.Bits.fnv1a_add_int h (Txn_id.to_int v.txn) in
+    Simcore.Bits.fnv1a_add_int h (Lsn.to_int v.lsn)
+
 (* Digest of the current (newest-version-per-key) contents.  Combining with
    an order-independent sum keeps it stable across hash-table iteration
-   order. *)
+   order, and lets a legitimate write swap its key's term in O(1) (integer
+   wrap-around keeps the swap exact). *)
 let compute_checksum e =
-  Hashtbl.fold
-    (fun key versions acc ->
-      match versions with
-      | [] -> acc
-      | v :: _ ->
-        let h = Simcore.Bits.fnv1a_string key in
-        let h =
-          match v.value with
-          | Some s -> Simcore.Bits.fnv1a_add_string h s
-          | None -> Simcore.Bits.fnv1a_add_int h (-1)
-        in
-        let h = Simcore.Bits.fnv1a_add_int h (Txn_id.to_int v.txn) in
-        let h = Simcore.Bits.fnv1a_add_int h (Lsn.to_int v.lsn) in
-        acc + h)
-    e.keys 0
+  Hashtbl.fold (fun key versions acc -> acc + head_hash key versions) e.keys 0
 
-let refresh_checksum e = e.stored_checksum <- compute_checksum e
+(* Every legitimate rewrite of a key's chain passes through here.  Only the
+   key's own term moves, so a corrupted head stays mismatched however many
+   writes follow, until [load_snapshot] recomputes the sum. *)
+let rechain e key ~before after =
+  e.stored_checksum <-
+    e.stored_checksum - head_hash key before + head_hash key after;
+  after
 
 let add_version t e key v =
   let prior = match Hashtbl.find_opt e.keys key with Some l -> l | None -> [] in
-  Hashtbl.replace e.keys key (v :: prior);
+  Hashtbl.replace e.keys key (rechain e key ~before:prior (v :: prior));
+  (match prior with [ _ ] -> e.multi <- key :: e.multi | [] | _ :: _ :: _ -> ());
   t.nversions <- t.nversions + 1;
   t.bytes <- t.bytes + version_bytes key v
 
 let apply t (r : Log_record.t) =
   (match r.op with
   | Put { key; value } ->
-    let e = entry_of t r.block in
-    add_version t e key { value = Some value; txn = r.txn; lsn = r.lsn };
-    refresh_checksum e
+    add_version t (entry_of t r.block) key
+      { value = Some value; txn = r.txn; lsn = r.lsn }
   | Delete { key } ->
-    let e = entry_of t r.block in
-    add_version t e key { value = None; txn = r.txn; lsn = r.lsn };
-    refresh_checksum e
+    add_version t (entry_of t r.block) key { value = None; txn = r.txn; lsn = r.lsn }
   | Commit | Abort | Noop -> ());
   if Lsn.(r.lsn > t.applied) then t.applied <- r.lsn
 
@@ -92,24 +101,25 @@ let block_snapshot t block =
   | None -> []
   | Some e -> Hashtbl.fold (fun key vs acc -> (key, vs) :: acc) e.keys []
 
+let drop_versions t key vs =
+  List.iter
+    (fun v ->
+      t.nversions <- t.nversions - 1;
+      t.bytes <- t.bytes - version_bytes key v)
+    vs
+
 let load_snapshot t block snapshot =
   (* Remove existing accounting for the block, then install. *)
   (match Block_id.Tbl.find_opt t.table block with
   | None -> ()
   | Some e ->
-    Hashtbl.iter
-      (fun key vs ->
-        List.iter
-          (fun v ->
-            t.nversions <- t.nversions - 1;
-            t.bytes <- t.bytes - version_bytes key v)
-          vs)
-      e.keys;
+    Hashtbl.iter (drop_versions t) e.keys;
     Block_id.Tbl.remove t.table block);
   let e = entry_of t block in
   List.iter
     (fun (key, vs) ->
       Hashtbl.replace e.keys key vs;
+      if is_multi vs then e.multi <- key :: e.multi;
       List.iter
         (fun v ->
           t.nversions <- t.nversions + 1;
@@ -117,70 +127,76 @@ let load_snapshot t block snapshot =
           if Lsn.(v.lsn > t.applied) then t.applied <- v.lsn)
         vs)
     snapshot;
-  refresh_checksum e
+  (* The authoritative repair: the only write that recomputes the sum. *)
+  e.stored_checksum <- compute_checksum e
 
+let repair t block snapshot =
+  match Block_id.Tbl.find_opt t.table block with
+  | Some e
+    when compute_checksum e <> e.stored_checksum
+         && List.fold_left (fun acc (key, vs) -> acc + head_hash key vs) 0 snapshot
+            = e.stored_checksum ->
+    load_snapshot t block snapshot;
+    true
+  | Some _ | None -> false
+
+(* Recovery truncation is rare, so it scans every key.  Emptied chains stay
+   in the table as [[]]: block images carry them. *)
 let rollback_above t bound =
   let dropped = ref 0 in
   Block_id.Tbl.iter
     (fun _ e ->
-      let changed = ref false in
-      let keys = Hashtbl.fold (fun k _ acc -> k :: acc) e.keys [] in
-      List.iter
-        (fun key ->
-          let vs = Hashtbl.find e.keys key in
-          let keep, drop =
-            List.partition (fun v -> Lsn.(v.lsn <= bound)) vs
+      e.multi <- [];
+      Hashtbl.filter_map_inplace
+        (fun key vs ->
+          let keep =
+            match List.partition (fun v -> Lsn.(v.lsn <= bound)) vs with
+            | _, [] -> vs
+            | keep, drop ->
+              dropped := !dropped + List.length drop;
+              drop_versions t key drop;
+              rechain e key ~before:vs keep
           in
-          if drop <> [] then begin
-            changed := true;
-            List.iter
-              (fun v ->
-                incr dropped;
-                t.nversions <- t.nversions - 1;
-                t.bytes <- t.bytes - version_bytes key v)
-              drop;
-            Hashtbl.replace e.keys key keep
-          end)
-        keys;
-      if !changed then refresh_checksum e)
+          if is_multi keep then e.multi <- key :: e.multi;
+          Some keep)
+        e.keys)
     t.table;
   if Lsn.(t.applied > bound) then t.applied <- bound;
   !dropped
 
 let gc t ~keep_at_or_above ~is_committed =
   let dropped = ref 0 in
+  (* Versions older than the newest *committed* version at or below the
+     floor are unreachable by any legal read view.  Versions of transactions
+     whose outcome this segment does not know are kept (conservative: an
+     in-flight or elsewhere-committed transaction must not lose its data,
+     and an aborted one must not anchor the cut).  [below_cut] is the
+     collectable tail of a chain, [[]] when nothing is. *)
+  let rec below_cut = function
+    | [] -> []
+    | v :: rest ->
+      if Lsn.(v.lsn <= keep_at_or_above) && is_committed v.txn then rest
+      else below_cut rest
+  in
+  let collect e key =
+    let vs = Hashtbl.find e.keys key in
+    match below_cut vs with
+    | [] -> true
+    | old ->
+      let n_old = List.length old in
+      dropped := !dropped + n_old;
+      drop_versions t key old;
+      let n_kept = List.length vs - n_old in
+      let kept = List.filteri (fun i _ -> i < n_kept) vs in
+      (* The head always survives the cut, so the checksum is unchanged. *)
+      Hashtbl.replace e.keys key kept;
+      is_multi kept
+  in
   Block_id.Tbl.iter
     (fun _ e ->
-      let changed = ref false in
-      let keys = Hashtbl.fold (fun k _ acc -> k :: acc) e.keys [] in
-      List.iter
-        (fun key ->
-          let vs = Hashtbl.find e.keys key in
-          (* Versions older than the newest *committed* version at or below
-             the floor are unreachable by any legal read view.  Versions of
-             transactions whose outcome this segment does not know are kept
-             (conservative: an in-flight or elsewhere-committed transaction
-             must not lose its data, and an aborted one must not anchor the
-             cut). *)
-          let rec split kept = function
-            | [] -> List.rev kept
-            | v :: rest ->
-              if Lsn.(v.lsn <= keep_at_or_above) && is_committed v.txn then
-                begin
-                  List.iter
-                    (fun old ->
-                      incr dropped;
-                      changed := true;
-                      t.nversions <- t.nversions - 1;
-                      t.bytes <- t.bytes - version_bytes key old)
-                    rest;
-                  List.rev (v :: kept)
-                end
-              else split (v :: kept) rest
-          in
-          Hashtbl.replace e.keys key (split [] vs))
-        keys;
-      if !changed then refresh_checksum e)
+      match e.multi with
+      | [] -> ()
+      | multi -> e.multi <- List.filter (collect e) multi)
     t.table;
   !dropped
 
@@ -188,11 +204,10 @@ let blocks t = Block_id.Tbl.fold (fun b _ acc -> b :: acc) t.table []
 let version_count t = t.nversions
 let bytes_used t = t.bytes
 
-let checksum t block =
-  match Block_id.Tbl.find_opt t.table block with
-  | None -> 0
-  | Some e -> e.stored_checksum
-
+(* The victim is the first non-empty newest value; an empty one cannot
+   change without changing its length (and so [bytes_used]).  Adding one to
+   the first byte, rather than flipping a bit, means a second corruption of
+   the same head cannot undo the first. *)
 let corrupt t block =
   match Block_id.Tbl.find_opt t.table block with
   | None -> false
@@ -202,7 +217,7 @@ let corrupt t block =
         (fun key vs acc ->
           match (acc, vs) with
           | Some _, _ -> acc
-          | None, { value = Some _; _ } :: _ -> Some key
+          | None, { value = Some s; _ } :: _ when String.length s > 0 -> Some key
           | None, _ -> None)
         e.keys None
     in
@@ -211,16 +226,11 @@ let corrupt t block =
     | Some key ->
       (match Hashtbl.find e.keys key with
       | ({ value = Some s; _ } as v) :: rest ->
-        let flipped =
-          if String.length s = 0 then "\x01"
-          else begin
-            let b = Bytes.of_string s in
-            Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 1));
-            Bytes.to_string b
-          end
-        in
+        let b = Bytes.of_string s in
+        Bytes.set b 0 (Char.chr ((Char.code (Bytes.get b 0) + 1) land 0xff));
         (* Mutate the data but deliberately leave stored_checksum stale. *)
-        Hashtbl.replace e.keys key ({ v with value = Some flipped } :: rest);
+        Hashtbl.replace e.keys key
+          ({ v with value = Some (Bytes.to_string b) } :: rest);
         true
       | _ -> false))
 

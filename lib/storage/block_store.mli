@@ -9,7 +9,15 @@
 
     The store also keeps a per-block checksum over the newest versions,
     giving the scrubber (Figure 2, step 8) something to verify, and a
-    corruption hook for fault-injection tests. *)
+    corruption hook for fault-injection tests.
+
+    {b Checksum contract.}  The stored checksum is a sum of one term per
+    key, a digest of that key's newest version.  A legitimate write
+    ({!apply}, {!rollback_above}) swaps its key's term in O(1); {!gc} never
+    changes a newest version, so it does no checksum work.  Because no
+    write recomputes the sum, a {!corrupt}ed value stays visible to
+    {!verify} through any later writes until {!load_snapshot} installs a
+    good image. *)
 
 type version = {
   value : string option;  (** [None] encodes a delete. *)
@@ -50,7 +58,15 @@ val block_snapshot : t -> Wal.Block_id.t -> (string * version list) list
 
 val load_snapshot : t -> Wal.Block_id.t -> (string * version list) list -> unit
 (** Install a block image wholesale (repair / hydration path).  Existing
-    versions for the block are replaced. *)
+    versions for the block are replaced and the checksum is recomputed
+    from the image. *)
+
+val repair : t -> Wal.Block_id.t -> (string * version list) list -> bool
+(** Scrub repair: if the block fails {!verify} and the image's newest
+    versions digest to the block's stored checksum — the contents its
+    legitimate writes produced — install the image with {!load_snapshot}.
+    A peer's image of the same materialized chain passes; a corrupted one
+    does not.  Returns whether the image was installed. *)
 
 val rollback_above : t -> Wal.Lsn.t -> int
 (** Drop every version with [lsn] strictly above the bound — applied when a
@@ -63,18 +79,20 @@ val gc :
     older than the newest *committed* version with [lsn <= floor] is
     unreferenced by any legal read view and is collected.  Uncommitted or
     unknown-outcome versions never anchor the cut (their data below must
-    survive the logical undo).  Returns versions dropped. *)
+    survive the logical undo).  Returns versions dropped.
+
+    Cost: proportional to the keys whose chain holds at least two
+    versions (a per-block index), not to every stored key. *)
 
 val blocks : t -> Wal.Block_id.t list
 val version_count : t -> int
 val bytes_used : t -> int
 
-val checksum : t -> Wal.Block_id.t -> int
-(** Order-independent digest of the block's current contents. *)
-
 val corrupt : t -> Wal.Block_id.t -> bool
-(** Fault injection: silently flip a stored value so the checksum no longer
-    matches.  Returns [false] if the block has no data to corrupt. *)
+(** Fault injection: silently alter one non-empty newest value so the
+    checksum no longer matches.  Returns [false] if the block has no such
+    value. *)
 
 val verify : t -> Wal.Block_id.t -> bool
-(** Recompute and compare the stored checksum (the scrubber's probe). *)
+(** Recompute the checksum over the block and compare it with the stored
+    one (the scrubber's probe). *)

@@ -211,15 +211,23 @@ let hydrate_import t ~records ~blocks ~donor_scl ~coalesced =
      every block back to the donor's staler image while our own coalesce
      watermark stays high, so the overwritten versions would never be
      re-applied from the hot log: silent loss of acknowledged writes.
-     Stale snapshots are therefore discarded; a scrub repair that hits
-     this guard keeps its corruption for the next round instead of
-     trading it for data loss. *)
-  if blocks <> [] && Lsn.(coalesced > t.coalesced) then begin
-    List.iter
-      (fun (block, snapshot) -> Block_store.load_snapshot t.store block snapshot)
-      blocks;
-    t.coalesced <- coalesced
-  end;
+     Stale snapshots are therefore discarded.  At an equal coalesce point
+     both sides materialized the same chain, so the donor's image can
+     repair a block that fails its checksum here — the scrubber's path
+     once writes stop.  [Block_store.repair] rejects an image that does
+     not match the block's expected contents (a corrupt donor). *)
+  if blocks <> [] then
+    if Lsn.(coalesced > t.coalesced) then begin
+      List.iter
+        (fun (block, snapshot) -> Block_store.load_snapshot t.store block snapshot)
+        blocks;
+      t.coalesced <- coalesced
+    end
+    else if Lsn.equal coalesced t.coalesced then
+      List.iter
+        (fun (block, snapshot) ->
+          ignore (Block_store.repair t.store block snapshot : bool))
+        blocks;
   (match t.kind with
   | Membership.Full -> ignore (coalesce t : int)
   | Membership.Tail -> ())

@@ -93,7 +93,10 @@ val hydrate_import :
 (** Adopt a peer's exported state into this (fresh) segment: anchor the hot
     log at the chain position preceding the oldest record (or at
     [donor_scl] when the donor's hot log was fully collected), install
-    block snapshots, and continue coalescing from [coalesced]. *)
+    block snapshots, and continue coalescing from [coalesced].  Snapshots
+    from a donor behind this segment's coalesce point are discarded; at an
+    equal point they only repair blocks that fail their checksum
+    ({!Block_store.repair}). *)
 
 val txn_statuses : t -> (Wal.Txn_id.t * Wal.Lsn.t * bool) list
 (** Durable transaction outcomes — (txn, status-record LSN, is_abort) —

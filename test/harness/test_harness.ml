@@ -50,6 +50,21 @@ let test_e3_exact () =
   check_int "pg2" e2 r.E.E3.pg2_pgcl;
   check_int "vcl" e3 r.E.E3.vcl
 
+(* Every injected corruption is found by the scrubber and repaired from a
+   peer.  Both injections can hit the same block on two segments, so a
+   repair drawn from the other corrupt copy is rejected and the block is
+   found again at the next round: [found] may exceed [injected]. *)
+let test_e2_scrub () =
+  List.iter
+    (fun seed ->
+      let r = E.E2.run ~seed () in
+      let label what = Printf.sprintf "seed %d %s" seed what in
+      check_int (label "injected") 2 r.E.E2.corruptions_injected;
+      check_int (label "repaired") 2 r.E.E2.scrub_repaired;
+      check_bool (label "every corruption found") true
+        (r.E.E2.scrub_found >= r.E.E2.corruptions_injected))
+    [ 1; 2; 3 ]
+
 let test_scheme_rules_safe () =
   List.iter
     (fun layout ->
@@ -208,6 +223,7 @@ let () =
       ( "experiments",
         [
           Alcotest.test_case "E3 figure exact" `Quick test_e3_exact;
+          Alcotest.test_case "E2 scrub repairs" `Quick test_e2_scrub;
           Alcotest.test_case "scheme rules safe" `Quick test_scheme_rules_safe;
         ] );
     ]

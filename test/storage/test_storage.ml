@@ -109,6 +109,290 @@ let test_block_store_scrub () =
     (Storage.Block_store.block_snapshot good (blk 0));
   check_bool "repaired" true (Storage.Block_store.verify s (blk 0))
 
+(* A corrupted head must stay visible through later legitimate writes and
+   GC: none of them may recompute the checksum over the corrupt value. *)
+let test_block_store_no_laundering () =
+  let module B = Storage.Block_store in
+  let s = B.create () in
+  let good = B.create () in
+  List.iter
+    (fun r ->
+      B.apply s r;
+      B.apply good r)
+    [ put ~l:1 ~block:0 "a" "a1"; put ~l:2 ~block:0 "b" "b1" ];
+  check_bool "corruption injected" true (B.corrupt s (blk 0));
+  let head key =
+    match B.versions s (blk 0) ~key with v :: _ -> v.B.value | [] -> None
+  in
+  let victim, other = if head "a" = Some "a1" then ("b", "a") else ("a", "b") in
+  check_bool "victim altered" true (head victim <> Some (victim ^ "1"));
+  B.apply s (put ~l:3 ~prev_block:(lsn 2) ~t:2 ~block:0 victim (victim ^ "2"));
+  check_bool "after write to corrupted key" false (B.verify s (blk 0));
+  B.apply s (put ~l:4 ~prev_block:(lsn 3) ~t:2 ~block:0 other (other ^ "2"));
+  check_bool "after write to another key" false (B.verify s (blk 0));
+  check_int "gc collects the superseded versions" 2
+    (B.gc s ~keep_at_or_above:(lsn 4) ~is_committed:(fun _ -> true));
+  check_bool "after gc" false (B.verify s (blk 0));
+  B.load_snapshot s (blk 0) (B.block_snapshot good (blk 0));
+  check_bool "good image repairs" true (B.verify s (blk 0))
+
+let test_block_store_repair () =
+  let module B = Storage.Block_store in
+  let s = B.create () and peer = B.create () and bad_peer = B.create () in
+  List.iter
+    (fun r -> List.iter (fun st -> B.apply st r) [ s; peer; bad_peer ])
+    [ put ~l:1 ~block:0 "a" "a1"; put ~l:2 ~block:0 "b" "b1" ];
+  check_bool "clean block is left alone" false
+    (B.repair s (blk 0) (B.block_snapshot peer (blk 0)));
+  check_bool "corrupt" true (B.corrupt s (blk 0));
+  check_bool "peer corrupt too" true (B.corrupt bad_peer (blk 0));
+  check_bool "corrupt image rejected" false
+    (B.repair s (blk 0) (B.block_snapshot bad_peer (blk 0)));
+  check_bool "still corrupt" false (B.verify s (blk 0));
+  check_bool "good image installed" true
+    (B.repair s (blk 0) (B.block_snapshot peer (blk 0)));
+  check_bool "repaired" true (B.verify s (blk 0))
+
+(* Differential check of Block_store against a naive model: assoc-list
+   chains, a GC that scans every key, and the checksum rule "a block
+   verifies iff no corrupt returned true since its last load_snapshot". *)
+module Model = struct
+  type op =
+    | Apply of { block : int; key : int; value : int; txn : int }
+        (** [value] 0 is a delete, 1 the empty string. *)
+    | Gc of { back : int; committed : int }  (** bitmask over txns 1-3 *)
+    | Rollback of { back : int }
+    | Load of { block : int; src : int }  (** install [src]'s model image *)
+    | Corrupt of { block : int }
+    | Verify of { block : int }
+
+  let n_blocks = 3
+  let key_of i = String.make 1 (Char.chr (Char.code 'a' + i))
+
+  let value_of = function
+    | 0 -> None
+    | 1 -> Some ""
+    | v -> Some (Printf.sprintf "v%d" v)
+
+  let show = function
+    | Apply { block; key; value; txn } ->
+      Printf.sprintf "apply b%d %s=%s t%d" block (key_of key)
+        (match value_of value with Some v -> Printf.sprintf "%S" v | None -> "del")
+        txn
+    | Gc { back; committed } -> Printf.sprintf "gc -%d committed=%d" back committed
+    | Rollback { back } -> Printf.sprintf "rollback -%d" back
+    | Load { block; src } -> Printf.sprintf "load b%d <- b%d" block src
+    | Corrupt { block } -> Printf.sprintf "corrupt b%d" block
+    | Verify { block } -> Printf.sprintf "verify b%d" block
+
+  let gen_op =
+    let open QCheck.Gen in
+    let block = int_bound (n_blocks - 1) in
+    frequency
+      [
+        ( 8,
+          map4
+            (fun block key value txn -> Apply { block; key; value; txn })
+            block (int_bound 3) (int_bound 5) (int_range 1 3) );
+        (2, map2 (fun back committed -> Gc { back; committed }) (int_bound 6) (int_bound 7));
+        (1, map (fun back -> Rollback { back }) (int_bound 4));
+        (1, map2 (fun block src -> Load { block; src }) block block);
+        (2, map (fun block -> Corrupt { block }) block);
+        (2, map (fun block -> Verify { block }) block);
+      ]
+
+  let arb =
+    QCheck.make
+      ~print:(fun ops -> String.concat "; " (List.map show ops))
+      ~shrink:QCheck.Shrink.list
+      QCheck.Gen.(list_size (int_range 1 60) gen_op)
+
+  (* Model state: per block, an assoc list key -> chain (newest first);
+     [None] for a block the store has never seen. *)
+  type version = string option * int * int (* value, txn, lsn *)
+
+  let version_bytes key ((value, _, _) : version) =
+    String.length key
+    + (match value with Some s -> String.length s | None -> 0)
+    + 24
+
+  let of_store (v : Storage.Block_store.version) : version =
+    (v.value, Txn_id.to_int v.txn, Lsn.to_int v.lsn)
+
+  let to_store ((value, t, l) : version) : Storage.Block_store.version =
+    { value; txn = txn t; lsn = lsn l }
+
+  let sorted chains = List.sort (fun (a, _) (b, _) -> String.compare a b) chains
+
+  (* Full-scan GC: cut each chain below its newest committed
+     version at or below the floor. *)
+  let gc_chain ~floor ~is_committed vs =
+    let rec split kept = function
+      | [] -> (List.rev kept, [])
+      | ((_, t, l) as v) :: rest ->
+        if l <= floor && is_committed t then (List.rev (v :: kept), rest)
+        else split (v :: kept) rest
+    in
+    split [] vs
+
+  let run ops =
+    let module B = Storage.Block_store in
+    let s = B.create () in
+    let model = Array.make n_blocks None in
+    let tainted = Array.make n_blocks false in
+    let next = ref 0 in
+    let fail fmt = Printf.ksprintf (fun m -> QCheck.Test.fail_report m) fmt in
+    let chains b = match model.(b) with Some c -> c | None -> [] in
+    let check_state step =
+      let nv = ref 0 and bytes = ref 0 in
+      for b = 0 to n_blocks - 1 do
+        let want = sorted (chains b) in
+        let got =
+          sorted
+            (List.map
+               (fun (k, vs) -> (k, List.map of_store vs))
+               (B.block_snapshot s (blk b)))
+        in
+        if want <> got then fail "%s: block %d chains differ" step b;
+        List.iter
+          (fun (k, vs) ->
+            List.iter
+              (fun v ->
+                incr nv;
+                bytes := !bytes + version_bytes k v)
+              vs)
+          want
+      done;
+      if B.version_count s <> !nv then
+        fail "%s: version_count %d, model %d" step (B.version_count s) !nv;
+      if B.bytes_used s <> !bytes then
+        fail "%s: bytes_used %d, model %d" step (B.bytes_used s) !bytes
+    in
+    List.iter
+      (fun op ->
+        let step = show op in
+        (match op with
+        | Apply { block; key; value; txn = t } ->
+          incr next;
+          let k = key_of key and value = value_of value in
+          let op =
+            match value with
+            | Some value -> Log_record.Put { key = k; value }
+            | None -> Log_record.Delete { key = k }
+          in
+          B.apply s
+            (Log_record.make ~lsn:(lsn !next) ~prev_volume:(lsn (!next - 1))
+               ~prev_segment:Lsn.none ~prev_block:Lsn.none ~block:(blk block)
+               ~txn:(txn t) ~mtr_id:!next ~mtr_end:true ~op);
+          let c = chains block in
+          let prior = match List.assoc_opt k c with Some vs -> vs | None -> [] in
+          let v = (value, t, !next) in
+          model.(block) <-
+            Some
+              (if List.mem_assoc k c then
+                 List.map (fun (k', vs) -> if k' = k then (k', v :: prior) else (k', vs)) c
+               else c @ [ (k, [ v ]) ])
+        | Gc { back; committed } ->
+          let floor = max 0 (!next - back) in
+          let is_committed t = committed land (1 lsl (t - 1)) <> 0 in
+          let want = ref 0 in
+          for b = 0 to n_blocks - 1 do
+            match model.(b) with
+            | None -> ()
+            | Some c ->
+              model.(b) <-
+                Some
+                  (List.map
+                     (fun (k, vs) ->
+                       let kept, drop = gc_chain ~floor ~is_committed vs in
+                       want := !want + List.length drop;
+                       (k, kept))
+                     c)
+          done;
+          let got =
+            B.gc s ~keep_at_or_above:(lsn floor)
+              ~is_committed:(fun t -> is_committed (Txn_id.to_int t))
+          in
+          if got <> !want then fail "%s: dropped %d, model %d" step got !want
+        | Rollback { back } ->
+          let bound = max 0 (!next - back) in
+          let want = ref 0 in
+          for b = 0 to n_blocks - 1 do
+            match model.(b) with
+            | None -> ()
+            | Some c ->
+              model.(b) <-
+                Some
+                  (List.map
+                     (fun (k, vs) ->
+                       let keep = List.filter (fun (_, _, l) -> l <= bound) vs in
+                       want := !want + List.length vs - List.length keep;
+                       (k, keep))
+                     c)
+          done;
+          let got = B.rollback_above s (lsn bound) in
+          if got <> !want then fail "%s: dropped %d, model %d" step got !want
+        | Load { block; src } ->
+          let image = chains src in
+          B.load_snapshot s (blk block)
+            (List.map (fun (k, vs) -> (k, List.map to_store vs)) image);
+          model.(block) <- Some image;
+          tainted.(block) <- false
+        | Corrupt { block } ->
+          let candidates =
+            List.filter
+              (fun (_, vs) ->
+                match vs with (Some v, _, _) :: _ -> v <> "" | _ -> false)
+              (chains block)
+          in
+          let got = B.corrupt s (blk block) in
+          if got <> (candidates <> []) then
+            fail "%s: corrupt returned %b with %d candidates" step got
+              (List.length candidates);
+          if got then begin
+            tainted.(block) <- true;
+            (* Mirror the store's mutation: exactly one candidate's head
+               value has its first byte moved by one. *)
+            let bump v =
+              String.mapi
+                (fun i ch -> if i = 0 then Char.chr ((Char.code ch + 1) land 0xff) else ch)
+                v
+            in
+            let altered =
+              List.filter
+                (fun (k, vs) ->
+                  match (vs, B.versions s (blk block) ~key:k) with
+                  | (Some v, _, _) :: _, w :: _ -> w.B.value <> Some v
+                  | _ -> false)
+                candidates
+            in
+            match altered with
+            | [ (k, (Some v, t, l) :: rest) ] ->
+              (match B.versions s (blk block) ~key:k with
+              | w :: _ when w.B.value = Some (bump v) -> ()
+              | _ -> fail "%s: unexpected corruption of %s" step k);
+              model.(block) <-
+                Some
+                  (List.map
+                     (fun (k', vs) ->
+                       if k' = k then (k', (Some (bump v), t, l) :: rest) else (k', vs))
+                     (chains block))
+            | _ -> fail "%s: %d keys altered" step (List.length altered)
+          end
+        | Verify { block } ->
+          let got = B.verify s (blk block) in
+          if got = tainted.(block) then
+            fail "%s: verify %b, model says tainted=%b" step got tainted.(block));
+        check_state step)
+      ops;
+    true
+end
+
+let test_block_store_model =
+  QCheck.Test.make ~count:500
+    ~name:"matches naive model" Model.arb
+    Model.run
+
 (* ---- Disk ---- *)
 
 let test_disk_fifo () =
@@ -424,6 +708,10 @@ let () =
           Alcotest.test_case "gc keeps floor version" `Quick test_block_store_gc;
           Alcotest.test_case "rollback_above" `Quick test_block_store_rollback;
           Alcotest.test_case "checksum scrub" `Quick test_block_store_scrub;
+          Alcotest.test_case "checksum not laundered" `Quick
+            test_block_store_no_laundering;
+          Alcotest.test_case "repair checks image" `Quick test_block_store_repair;
+          QCheck_alcotest.to_alcotest test_block_store_model;
         ] );
       ("disk", [ Alcotest.test_case "fifo queueing" `Quick test_disk_fifo ]);
       ( "segment",
