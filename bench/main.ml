@@ -124,8 +124,10 @@ let bench_series_sample () =
       Obs.Series.sample s ~at:!at)
 
 let bench_health_sample () =
-  (* Full cluster-health probe: per-PG quorum margins by exhaustive subset
-     enumeration (2 PGs x 2^6 subsets), AZ+1 tolerance, volume gaps. *)
+  (* Steady-state cluster-health probe on 2 PGs: nothing changes between
+     calls, so every call hits the per-PG margin memo and times the memo
+     check (membership identity, live set) plus the ack-current counts and
+     volume gaps.  The subset enumeration runs only on a miss. *)
   let cluster =
     Harness.Cluster.create { Harness.Cluster.default_config with seed = 3 }
   in

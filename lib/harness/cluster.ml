@@ -36,9 +36,21 @@ type node_slot = {
   mutable member : Membership.member;
 }
 
+(* One PG's quorum margins, memoized by [health_sample].  They are a pure
+   function of the membership value (its proved rule and roster) and of the
+   live member set, so they stay valid while both do. *)
+type margins = {
+  membership : Membership.t;
+  live : Member_id.Set.t;
+  write_margin : int;
+  read_margin : int;
+  az_plus_one : bool;
+}
+
 type pg_nodes = {
   mutable slots : node_slot list; (* current + in-flight replacement nodes *)
   mutable next_member_id : int;
+  mutable margins : margins option;
 }
 
 type t = {
@@ -123,31 +135,52 @@ let quorum_margin q healthy =
   end
 
 (* §2.1's durability target: data survives the loss of one whole AZ plus
-   one more node.  True iff, for every AZ and every single survivor beyond
-   it, the read quorum is still satisfiable on what remains. *)
-let az_plus_one_ok read_q slots =
-  let healthy = List.filter (fun s -> Storage.Storage_node.is_alive s.node) slots in
+   one more node.  True iff, for every AZ of the group's roster and every
+   single survivor beyond it, the read quorum is still satisfiable on what
+   remains. *)
+let az_plus_one_ok read_q members healthy =
   let azs =
-    List.sort_uniq Az.compare (List.map (fun s -> s.member.Membership.az) slots)
+    List.sort_uniq Az.compare
+      (List.map (fun (m : Membership.member) -> m.az) members)
   in
   List.for_all
     (fun az ->
       let survivors =
-        List.filter (fun s -> not (Az.equal s.member.Membership.az az)) healthy
+        List.fold_left
+          (fun acc (m : Membership.member) ->
+            if Az.equal m.az az || not (Member_id.Set.mem m.id healthy) then acc
+            else Member_id.Set.add m.id acc)
+          Member_id.Set.empty members
       in
-      survivors <> []
-      && List.for_all
+      (not (Member_id.Set.is_empty survivors))
+      && Member_id.Set.for_all
            (fun x ->
-             let set =
-               List.fold_left
-                 (fun acc s ->
-                   if s == x then acc
-                   else Member_id.Set.add s.member.Membership.id acc)
-                 Member_id.Set.empty survivors
-             in
-             Quorum_set.satisfied read_q set)
+             Quorum_set.satisfied read_q (Member_id.Set.remove x survivors))
            survivors)
     azs
+
+(* A transition always builds a new membership value, so physical equality
+   is the epoch check. *)
+let margins pgn membership ~healthy =
+  match pgn.margins with
+  | Some m when m.membership == membership && Member_id.Set.equal m.live healthy
+    ->
+    m
+  | _ ->
+    let rule = Membership.rule membership in
+    let m =
+      {
+        membership;
+        live = healthy;
+        write_margin = quorum_margin rule.Quorum_set.Rule.write healthy;
+        read_margin = quorum_margin rule.Quorum_set.Rule.read healthy;
+        az_plus_one =
+          az_plus_one_ok rule.Quorum_set.Rule.read
+            (Membership.members membership) healthy;
+      }
+    in
+    pgn.margins <- Some m;
+    m
 
 let health_sample t ~at =
   let consistency = Database.consistency t.db in
@@ -157,7 +190,6 @@ let health_sample t ~at =
     |> List.sort (fun (a, _) (b, _) -> Pg_id.compare a b)
     |> List.map (fun (pg, pgn) ->
            let g = Volume.find_pg volume pg in
-           let rule = Volume.rule g in
            let healthy =
              List.fold_left
                (fun acc s ->
@@ -170,14 +202,15 @@ let health_sample t ~at =
            let current =
              Aurora_core.Consistency.segments_at_or_above consistency ~pg ~lsn:pgcl
            in
+           let m = margins pgn g.Volume.membership ~healthy in
            {
              Obs.Health.pg = Pg_id.to_int pg;
              total = List.length pgn.slots;
              reachable = Member_id.Set.cardinal healthy;
              ack_current = Member_id.Set.cardinal (Member_id.Set.inter current healthy);
-             write_margin = quorum_margin rule.Quorum_set.Rule.write healthy;
-             read_margin = quorum_margin rule.Quorum_set.Rule.read healthy;
-             az_plus_one = az_plus_one_ok rule.Quorum_set.Rule.read pgn.slots;
+             write_margin = m.write_margin;
+             read_margin = m.read_margin;
+             az_plus_one = m.az_plus_one;
              epoch = Epoch.to_int (Membership.epoch g.Volume.membership);
            })
   in
@@ -356,7 +389,7 @@ let create cfg =
             members
         in
         Pg_id.Tbl.replace pg_nodes pg_id
-          { slots; next_member_id = List.length members };
+          { slots; next_member_id = List.length members; margins = None };
         let membership = Membership.create ~scheme members in
         let addrs =
           List.map
@@ -655,6 +688,7 @@ let grow_volume t =
     {
       slots = List.map (fun (m, node) -> { node; member = m }) slots;
       next_member_id = List.length members;
+      margins = None;
     };
   Aurora_core.Consistency.register_pg (Database.consistency t.db) pg_id
     ~write_quorum:(Volume.rule g).Quorum.Quorum_set.Rule.write;

@@ -61,7 +61,15 @@ val health_sample : t -> at:Simcore.Time_ns.t -> Obs.Health.sample
     subset enumeration over each group's current rule, AZ+1 tolerance,
     ack-current segment counts, volume-level gaps).  The installed sampler
     calls this every [obs_sample_period]; exposed for tests and ad-hoc
-    probes. *)
+    probes.
+
+    A group's write margin, read margin and AZ+1 verdict depend only on its
+    membership (rule and roster AZs) and its live member set, and are
+    memoized on exactly those: they are recomputed only when a membership
+    transition has replaced the group's membership value or a member's
+    storage node has died or come back since the group's previous sample.
+    Otherwise a sample costs one pass over each group's nodes plus the
+    ack-current and volume reads. *)
 
 val last_health : t -> Obs.Health.sample option
 (** Latest sample taken by the installed sampler. *)

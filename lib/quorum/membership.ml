@@ -14,6 +14,7 @@ type t = {
   base : Member_id.Set.t; (* members not part of any pending pair *)
   pendings : pending list;
   scheme : scheme;
+  rule : Quorum_set.Rule.t; (* derived and proved by [make] *)
 }
 
 let epoch t = t.epoch
@@ -26,25 +27,27 @@ let is_steady t = t.pendings = []
 
 (* All candidate final member sets: the base plus one choice (suspect or
    replacement) per pending pair — 2^|pendings| variants. *)
-let variants t =
+let variants_of ~base pendings =
   List.fold_left
     (fun acc { suspect; replacement } ->
       List.concat_map
         (fun set ->
           [ Member_id.Set.add suspect set; Member_id.Set.add replacement set ])
         acc)
-    [ t.base ] t.pendings
+    [ base ] pendings
 
-let atom_for t ~read set =
+let variants t = variants_of ~base:t.base t.pendings
+
+let atom_for ~scheme ~roster ~read set =
   let members_list = Member_id.Set.elements set in
-  match t.scheme with
+  match scheme with
   | Plain { write_threshold; read_threshold } ->
     Quorum_set.k_of (if read then read_threshold else write_threshold) members_list
   | Tiered { mixed_write; mixed_read } ->
     let fulls =
       List.filter
         (fun id ->
-          match Member_id.Map.find_opt id t.roster with
+          match Member_id.Map.find_opt id roster with
           | Some m -> m.kind = Full
           | None -> false)
         members_list
@@ -61,18 +64,28 @@ let atom_for t ~read set =
           Quorum_set.k_of (List.length fulls) fulls;
         ]
 
-let rule t =
-  let vs = variants t in
-  let write = Quorum_set.all (List.map (fun v -> atom_for t ~read:false v) vs) in
-  let read = Quorum_set.any (List.map (fun v -> atom_for t ~read:true v) vs) in
-  Quorum_set.Rule.make_exn ~read ~write
+(* The only place a [t] is built: derive the composite rule for the state
+   and prove both §2.1 obligations, once per transition.  [rule] then just
+   reads the field, and no transition can carry a stale rule forward.
+   @raise Invalid_argument if the rule is unsafe. *)
+let make ~epoch ~roster ~base ~pendings ~scheme =
+  let vs = variants_of ~base pendings in
+  let atoms ~read = List.map (atom_for ~scheme ~roster ~read) vs in
+  let rule =
+    Quorum_set.Rule.make_exn
+      ~read:(Quorum_set.any (atoms ~read:true))
+      ~write:(Quorum_set.all (atoms ~read:false))
+  in
+  { epoch; roster; base; pendings; scheme; rule }
 
-let validate t =
-  match rule t with
-  | (_ : Quorum_set.Rule.t) -> Ok t
+let rule t = t.rule
+
+let validate ~epoch ~roster ~base ~pendings ~scheme =
+  match make ~epoch ~roster ~base ~pendings ~scheme with
+  | t -> Ok t
   | exception Invalid_argument msg -> Error msg
 
-let create ~scheme member_list =
+let form ~epoch ~scheme member_list =
   let roster =
     List.fold_left
       (fun acc m ->
@@ -85,10 +98,9 @@ let create ~scheme member_list =
     Member_id.Map.fold (fun id _ s -> Member_id.Set.add id s) roster
       Member_id.Set.empty
   in
-  let t = { epoch = Epoch.initial; roster; base; pendings = []; scheme } in
-  (* Force rule construction so an unsafe scheme fails fast. *)
-  ignore (rule t);
-  t
+  make ~epoch ~roster ~base ~pendings:[] ~scheme
+
+let create ~scheme member_list = form ~epoch:Epoch.initial ~scheme member_list
 
 let begin_change t ~suspect ~replacement =
   match Member_id.Map.find_opt suspect t.roster with
@@ -105,18 +117,12 @@ let begin_change t ~suspect ~replacement =
       Error "replacement id already in use"
     else if replacement.kind <> suspect_member.kind then
       Error "replacement kind must match the suspect's (full vs tail)"
-    else begin
-      let t' =
-        {
-          t with
-          epoch = Epoch.next t.epoch;
-          roster = Member_id.Map.add replacement.id replacement t.roster;
-          base = Member_id.Set.remove suspect t.base;
-          pendings = t.pendings @ [ { suspect; replacement = replacement.id } ];
-        }
-      in
-      validate t'
-    end
+    else
+      validate ~epoch:(Epoch.next t.epoch)
+        ~roster:(Member_id.Map.add replacement.id replacement t.roster)
+        ~base:(Member_id.Set.remove suspect t.base)
+        ~pendings:(t.pendings @ [ { suspect; replacement = replacement.id } ])
+        ~scheme:t.scheme
 
 let resolve t ~suspect ~keep_replacement =
   match
@@ -128,19 +134,14 @@ let resolve t ~suspect ~keep_replacement =
       if keep_replacement then (pair.replacement, pair.suspect)
       else (pair.suspect, pair.replacement)
     in
-    let t' =
-      {
-        t with
-        epoch = Epoch.next t.epoch;
-        roster = Member_id.Map.remove drop t.roster;
-        base = Member_id.Set.add keep t.base;
-        pendings =
-          List.filter
-            (fun p -> not (Member_id.equal p.suspect suspect))
-            t.pendings;
-      }
-    in
-    validate t'
+    validate ~epoch:(Epoch.next t.epoch)
+      ~roster:(Member_id.Map.remove drop t.roster)
+      ~base:(Member_id.Set.add keep t.base)
+      ~pendings:
+        (List.filter
+           (fun p -> not (Member_id.equal p.suspect suspect))
+           t.pendings)
+      ~scheme:t.scheme
 
 let commit_change t ~suspect = resolve t ~suspect ~keep_replacement:true
 let revert_change t ~suspect = resolve t ~suspect ~keep_replacement:false
@@ -148,10 +149,7 @@ let revert_change t ~suspect = resolve t ~suspect ~keep_replacement:false
 let change_scheme t ~scheme member_list =
   if not (is_steady t) then
     Error "cannot change scheme while a membership change is pending"
-  else begin
-    let fresh = create ~scheme member_list in
-    Ok { fresh with epoch = Epoch.next t.epoch }
-  end
+  else Ok (form ~epoch:(Epoch.next t.epoch) ~scheme member_list)
 
 let pp fmt t =
   Format.fprintf fmt "epoch %a, members %a%s" Epoch.pp t.epoch Member_id.pp_set

@@ -12,8 +12,11 @@
 
     This module tracks the member roster, pending (suspect, replacement)
     pairs, and the epoch, and derives the composite quorum rule for the
-    current state.  Every transition re-validates the §2.1 overlap rules by
-    exhaustive enumeration. *)
+    current state.  Every transition ({!create}, {!begin_change},
+    {!commit_change}, {!revert_change}, {!change_scheme}) derives that rule
+    and re-validates the §2.1 overlap rules by exhaustive enumeration, once;
+    the proved rule is stored in the resulting value, so reading it back
+    costs nothing. *)
 
 type segment_kind =
   | Full  (** Stores redo log and materialized data blocks. *)
@@ -54,7 +57,10 @@ val variants : t -> Member_id.Set.t list
 (** The candidate final member sets (Figure 5's ABCDEF / ABCDEG / ...). *)
 
 val rule : t -> Quorum_set.Rule.t
-(** Composite read/write quorum rule for the current epoch. *)
+(** Composite read/write quorum rule for the current epoch.  O(1): the
+    rule was derived and its §2.1 proof run when this value was built, so
+    the 2^n subset enumeration happens once per transition, not per
+    call. *)
 
 val is_steady : t -> bool
 

@@ -5,8 +5,9 @@
 #
 #   scripts/parity.sh [REV]
 #
-# REV is checked out with `git worktree` under $TMPDIR and built there;
-# the working tree is built in place.  Outputs compared (stdout plus exit
+# REV is extracted with `git archive` into a temporary directory under
+# $TMPDIR and built there, so the repository gains no worktree metadata; the
+# working tree is built in place.  Outputs compared (stdout plus exit
 # status): smoke --json at seed 7 and at seed 1 with 4 PGs, obs --json at
 # seed 3, `vopr list`, the vopr run digest of every listed scenario at seeds
 # 1-3, explain pg:0 of writer-crash-recovery, and exp all at seed 1.
@@ -25,14 +26,11 @@ if ! git rev-parse --verify --quiet "$rev^{commit}" > /dev/null; then
 fi
 
 work=$(mktemp -d "${TMPDIR:-/tmp}/parity.XXXXXX")
-cleanup() {
-  git worktree remove --force "$work/tree" > /dev/null 2>&1 || true
-  rm -rf "$work"
-}
-trap cleanup EXIT
+trap 'rm -rf "$work"' EXIT
 trap 'exit 130' INT TERM
 
-git worktree add --detach --quiet "$work/tree" "$rev"
+mkdir "$work/tree"
+git archive "$rev" | tar -x -C "$work/tree"
 echo "parity: building the working tree and $rev" >&2
 dune build ./bin/aurora_cli.exe
 (cd "$work/tree" && dune build --root . ./bin/aurora_cli.exe)

@@ -202,6 +202,131 @@ let test_partition_az_under_load () =
     (Workload.Txn_gen.acked gen > 0);
   audit cluster gen
 
+(* ---- health-sample margins against a brute-force oracle ---- *)
+
+let rec subsets = function
+  | [] -> [ Member_id.Set.empty ]
+  | x :: rest ->
+    let ss = subsets rest in
+    ss @ List.map (Member_id.Set.add x) ss
+
+(* Fewest further losses from [live] that break [q], minus one: the
+   smallest unsatisfying survivor set decides it. *)
+let oracle_margin q live =
+  if not (Quorum_set.satisfied q live) then -1
+  else
+    let n = Member_id.Set.cardinal live in
+    List.fold_left
+      (fun acc s ->
+        if Quorum_set.satisfied q s then acc
+        else min acc (n - Member_id.Set.cardinal s - 1))
+      n
+      (subsets (Member_id.Set.elements live))
+
+(* Every survivor set left after losing one AZ of the roster plus at most
+   one more member still meets the read quorum. *)
+let oracle_az_plus_one read (members : Membership.member list) live =
+  let azs = List.sort_uniq Az.compare (List.map (fun (mm : Membership.member) -> mm.az) members) in
+  let lost_to_az_plus_one s =
+    List.exists
+      (fun az ->
+        let beyond_az =
+          List.filter
+            (fun (mm : Membership.member) ->
+              (not (Az.equal mm.az az))
+              && Member_id.Set.mem mm.id live
+              && not (Member_id.Set.mem mm.id s))
+            members
+        in
+        List.length beyond_az <= 1)
+      azs
+  in
+  List.for_all
+    (fun s -> (not (lost_to_az_plus_one s)) || Quorum_set.satisfied read s)
+    (subsets (Member_id.Set.elements live))
+
+type step = Crash | Restart | Destroy | Begin | Commit | Revert
+
+let step_name = function
+  | Crash -> "crash" | Restart -> "restart" | Destroy -> "destroy"
+  | Begin -> "begin" | Commit -> "commit" | Revert -> "revert"
+
+let apply_step cluster (step, pg, idx) =
+  let pg = Storage.Pg_id.of_int pg in
+  let members = Cluster.members_of_pg cluster pg in
+  let target = (List.nth members (idx mod List.length members)).Membership.id in
+  let pending () =
+    let g = Aurora_core.Volume.find_pg (Database.volume (Cluster.db cluster)) pg in
+    match Membership.pendings g.Aurora_core.Volume.membership with
+    | p :: _ -> Some p.Membership.suspect
+    | [] -> None
+  in
+  match step with
+  | Crash -> Cluster.crash_storage_node cluster pg target
+  | Restart -> Cluster.restart_storage_node cluster pg target
+  | Destroy -> Cluster.destroy_storage_node cluster pg target
+  | Begin -> ignore (Cluster.start_replacement cluster pg ~suspect:target)
+  | Commit ->
+    Option.iter
+      (fun suspect -> ignore (Cluster.finish_replacement cluster pg ~suspect))
+      (pending ())
+  | Revert ->
+    Option.iter
+      (fun suspect -> ignore (Cluster.revert_replacement cluster pg ~suspect))
+      (pending ())
+
+(* The sample's margins for every PG equal the oracle's, computed from the
+   group's current rule and the nodes alive right now. *)
+let margins_match cluster =
+  let sample =
+    Cluster.health_sample cluster ~at:(Sim.now (Cluster.sim cluster))
+  in
+  List.for_all
+    (fun (p : Obs.Health.pg_sample) ->
+      let pg = Storage.Pg_id.of_int p.pg in
+      let members = Cluster.members_of_pg cluster pg in
+      let live =
+        List.fold_left
+          (fun acc (mm : Membership.member) ->
+            match Cluster.node_of_member cluster pg mm.id with
+            | Some node when Storage.Storage_node.is_alive node ->
+              Member_id.Set.add mm.id acc
+            | _ -> acc)
+          Member_id.Set.empty members
+      in
+      let g = Aurora_core.Volume.find_pg (Database.volume (Cluster.db cluster)) pg in
+      let rule = Membership.rule g.Aurora_core.Volume.membership in
+      p.write_margin = oracle_margin rule.Quorum_set.Rule.write live
+      && p.read_margin = oracle_margin rule.Quorum_set.Rule.read live
+      && Bool.equal p.az_plus_one
+           (oracle_az_plus_one rule.Quorum_set.Rule.read members live))
+    sample.Obs.Health.pgs
+
+(* Node faults and Figure 5 replacements in any order on a 2-PG V6
+   cluster: after every step (and the sampler ticks in between), the
+   memoized margins are the ones a fresh computation gives. *)
+let prop_health_margins_match_oracle =
+  let step =
+    QCheck.Gen.(
+      triple
+        (oneofl [ Crash; Restart; Destroy; Begin; Commit; Revert ])
+        (int_range 0 1) (int_range 0 7))
+  in
+  let print (s, pg, idx) = Printf.sprintf "%s pg%d #%d" (step_name s) pg idx in
+  QCheck.Test.make ~name:"health margins match a brute-force oracle" ~count:40
+    (QCheck.make
+       ~print:(QCheck.Print.list print)
+       QCheck.Gen.(list_size (int_range 1 25) step))
+    (fun steps ->
+      let cluster = Cluster.create { Cluster.default_config with seed = 5 } in
+      margins_match cluster
+      && List.for_all
+           (fun s ->
+             apply_step cluster s;
+             Cluster.run_for cluster (Time_ns.ms 30);
+             margins_match cluster)
+           steps)
+
 let () =
   Alcotest.run "harness"
     [
@@ -225,5 +350,10 @@ let () =
           Alcotest.test_case "E3 figure exact" `Quick test_e3_exact;
           Alcotest.test_case "E2 scrub repairs" `Quick test_e2_scrub;
           Alcotest.test_case "scheme rules safe" `Quick test_scheme_rules_safe;
+        ] );
+      ( "health",
+        [
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 15 |])
+            prop_health_margins_match_oracle;
         ] );
     ]

@@ -254,16 +254,85 @@ let test_change_scheme () =
   check_int "epoch bumped" 2 (Epoch.to_int (Membership.epoch g2));
   check_int "four members" 4 (List.length (Membership.members g2))
 
+(* Oracle for [Membership.rule]: decide "write satisfied" and "read
+   satisfied" for every subset of the group's members straight from the
+   scheme definitions in membership.mli, over [Membership.variants], and
+   compare with the stored rule.  Subsets and variants are bitmasks over
+   the sorted member ids. *)
+let rule_matches_scheme g =
+  let ids = Array.of_list (Member_id.Set.elements (Membership.member_ids g)) in
+  let n = Array.length ids in
+  let mask_of set =
+    let acc = ref 0 in
+    Array.iteri
+      (fun i id -> if Member_id.Set.mem id set then acc := !acc lor (1 lsl i))
+      ids;
+    !acc
+  in
+  let full id =
+    match Membership.find_member g id with
+    | Some mm -> mm.Membership.kind = Membership.Full
+    | None -> false
+  in
+  let fulls = mask_of (Member_id.Set.filter full (Membership.member_ids g)) in
+  let variants = List.map mask_of (Membership.variants g) in
+  let count mask =
+    let rec go acc v = if v = 0 then acc else go (acc + (v land 1)) (v lsr 1) in
+    go 0 mask
+  in
+  let write_ok s v =
+    match Membership.scheme g with
+    | Membership.Plain { write_threshold; _ } -> count (s land v) >= write_threshold
+    | Membership.Tiered { mixed_write; _ } ->
+      count (s land v) >= mixed_write || v land fulls land lnot s = 0
+  in
+  let read_ok s v =
+    match Membership.scheme g with
+    | Membership.Plain { read_threshold; _ } -> count (s land v) >= read_threshold
+    | Membership.Tiered { mixed_read; _ } ->
+      count (s land v) >= mixed_read && s land v land fulls <> 0
+  in
+  let rule = Membership.rule g in
+  let rec go s =
+    s >= 1 lsl n
+    ||
+    let set = ref Member_id.Set.empty in
+    Array.iteri
+      (fun i id -> if s land (1 lsl i) <> 0 then set := Member_id.Set.add id !set)
+      ids;
+    Bool.equal
+      (Quorum_set.satisfied rule.Quorum_set.Rule.write !set)
+      (List.for_all (write_ok s) variants)
+    && Bool.equal
+         (Quorum_set.satisfied rule.Quorum_set.Rule.read !set)
+         (List.exists (read_ok s) variants)
+    && go (s + 1)
+  in
+  go 0
+
 let prop_transitions_preserve_safety =
-  (* Any random sequence of begin/commit/revert keeps the composite rule
-     satisfying both §2.1 obligations (Rule.make_exn inside [rule] would
-     raise otherwise) and keeps epochs strictly increasing. *)
+  (* Any random sequence of begin/commit/revert/change_scheme, from a 4/6,
+     tiered or 2/3 group, keeps epochs strictly increasing and leaves the
+     stored rule equal to the one the scheme defines for the new state.
+     Each successful transition has also passed both §2.1 proofs (an unsafe
+     state comes back as [Error]), so the oracle catches a transition that
+     carries the pre-change rule forward. *)
+  let start = [| Layout.group_4_of_6; Layout.group_tiered; Layout.group_2_of_3 |] in
+  let targets ~first_id =
+    [|
+      (Layout.scheme_4_of_6, Layout.aurora_v6 ~first_id ());
+      (Layout.scheme_tiered, Layout.aurora_tiered ~first_id ());
+      (Layout.scheme_3_of_4, Layout.four_copies_two_az ~first_id ());
+      (Layout.scheme_2_of_3, Layout.three_copies ~first_id ());
+    |]
+  in
   QCheck.Test.make ~name:"random membership transitions stay safe" ~count:100
-    QCheck.(list_of_size (Gen.int_range 1 12) (int_range 0 2))
-    (fun ops ->
-      let g = ref (Layout.group_4_of_6 ()) in
+    QCheck.(pair (int_range 0 2) (list_of_size (Gen.int_range 1 12) (int_range 0 9)))
+    (fun (layout, ops) ->
+      let g = ref (start.(layout) ()) in
       let next_id = ref 6 in
       let last_epoch = ref (Epoch.to_int (Membership.epoch !g)) in
+      assert (rule_matches_scheme !g);
       List.iter
         (fun op ->
           let apply result =
@@ -272,13 +341,12 @@ let prop_transitions_preserve_safety =
               let e = Epoch.to_int (Membership.epoch g') in
               assert (e = !last_epoch + 1);
               last_epoch := e;
-              (* Forces rule construction: raises if unsafe. *)
-              ignore (Membership.rule g' : Quorum_set.Rule.t);
+              assert (rule_matches_scheme g');
               g := g'
             | Error _ -> ()
           in
           match op with
-          | 0 ->
+          | 0 | 1 | 2 -> (
             (* begin a change on some active, unreplaced member *)
             let candidates =
               List.filter
@@ -291,21 +359,25 @@ let prop_transitions_preserve_safety =
                        (Membership.pendings !g)))
                 (Membership.members !g)
             in
-            (match candidates with
-            | mm :: _ ->
+            match candidates with
+            | [] -> ()
+            | _ ->
+              let mm = List.nth candidates (op mod List.length candidates) in
               let r = { Membership.id = m !next_id; az = mm.az; kind = mm.kind } in
               incr next_id;
-              apply (Membership.begin_change !g ~suspect:mm.Membership.id ~replacement:r)
-            | [] -> ())
-          | 1 -> (
+              apply (Membership.begin_change !g ~suspect:mm.Membership.id ~replacement:r))
+          | 3 | 4 -> (
             match Membership.pendings !g with
             | p :: _ -> apply (Membership.commit_change !g ~suspect:p.suspect)
             | [] -> ())
-          | _ -> (
+          | 5 -> (
             match Membership.pendings !g with
             | p :: _ -> apply (Membership.revert_change !g ~suspect:p.suspect)
             | [] -> ())
-        )
+          | _ ->
+            let scheme, roster = (targets ~first_id:!next_id).(op - 6) in
+            next_id := !next_id + List.length roster;
+            apply (Membership.change_scheme !g ~scheme roster))
         ops;
       true)
 
