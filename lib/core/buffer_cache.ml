@@ -1,13 +1,19 @@
 open Wal
 
+(* Every cached block sits on one circular doubly-linked list threaded
+   through [prev]/[next], least recently used right after the sentinel,
+   most recently used right before it.  List order is recency order, so no
+   use stamp is kept. *)
 type cached_block = {
+  block : Block_id.t;
   keys : (string, Storage.Block_store.version list) Hashtbl.t;
   mutable last_lsn : Lsn.t;
-  mutable last_used : int;
   (* A block created by a blind write holds only the keys written since it
      entered the cache; only a storage image makes it authoritative for
      absent keys. *)
   mutable complete : bool;
+  mutable prev : cached_block;
+  mutable next : cached_block;
 }
 
 type stats = { hits : int; misses : int; evictions : int; eviction_blocked : int }
@@ -15,28 +21,51 @@ type stats = { hits : int; misses : int; evictions : int; eviction_blocked : int
 type t = {
   capacity : int;
   table : cached_block Block_id.Tbl.t;
-  mutable clock : int;
+  lru : cached_block; (* sentinel: [lru.next] is the LRU block *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
   mutable eviction_blocked : int;
 }
 
+let node block =
+  let rec n =
+    {
+      block;
+      keys = Hashtbl.create 8;
+      last_lsn = Lsn.none;
+      complete = false;
+      prev = n;
+      next = n;
+    }
+  in
+  n
+
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Buffer_cache.create: capacity";
   {
     capacity;
     table = Block_id.Tbl.create capacity;
-    clock = 0;
+    lru = node (Block_id.of_int 0) (* never in [table] *);
     hits = 0;
     misses = 0;
     evictions = 0;
     eviction_blocked = 0;
   }
 
+let unlink e =
+  e.prev.next <- e.next;
+  e.next.prev <- e.prev
+
+let push_mru t e =
+  e.prev <- t.lru.prev;
+  e.next <- t.lru;
+  t.lru.prev.next <- e;
+  t.lru.prev <- e
+
 let touch t entry =
-  t.clock <- t.clock + 1;
-  entry.last_used <- t.clock
+  unlink entry;
+  push_mru t entry
 
 let contains t block = Block_id.Tbl.mem t.table block
 
@@ -63,39 +92,31 @@ let read t block ~key =
 
 (* Evict LRU blocks whose redo is durable (last_lsn <= vdl) until at
    capacity.  Dirty blocks are skipped; if everything over capacity is
-   dirty we stay oversized — the WAL rule wins over the memory target. *)
+   dirty we stay oversized — the WAL rule wins over the memory target.
+   One walk from the LRU end: a block skipped as dirty stays dirty for the
+   rest of the call, so the walk never restarts. *)
 let evict_pressure t ~vdl =
-  let excess () = Block_id.Tbl.length t.table - t.capacity in
-  let continue = ref (excess () > 0) in
-  while !continue do
-    let victim =
-      Block_id.Tbl.fold
-        (fun block entry acc ->
-          if Lsn.(entry.last_lsn <= vdl) then
-            match acc with
-            | Some (_, best) when best.last_used <= entry.last_used -> acc
-            | _ -> Some (block, entry)
-          else acc)
-        t.table None
-    in
-    match victim with
-    | Some (block, _) ->
-      Block_id.Tbl.remove t.table block;
-      t.evictions <- t.evictions + 1;
-      continue := excess () > 0
-    | None ->
-      t.eviction_blocked <- t.eviction_blocked + 1;
-      continue := false
-  done
+  let rec walk e =
+    if Block_id.Tbl.length t.table > t.capacity then
+      if e == t.lru then t.eviction_blocked <- t.eviction_blocked + 1
+      else if Lsn.(e.last_lsn <= vdl) then begin
+        let next = e.next in
+        unlink e;
+        Block_id.Tbl.remove t.table e.block;
+        t.evictions <- t.evictions + 1;
+        walk next
+      end
+      else walk e.next
+  in
+  walk t.lru.next
 
 let entry_of t block =
   match Block_id.Tbl.find_opt t.table block with
   | Some e -> e
   | None ->
-    let e =
-      { keys = Hashtbl.create 8; last_lsn = Lsn.none; last_used = 0; complete = false }
-    in
+    let e = node block in
     Block_id.Tbl.add t.table block e;
+    push_mru t e;
     e
 
 let apply_to_entry t entry (r : Log_record.t) =
@@ -176,4 +197,7 @@ let stats t =
     eviction_blocked = t.eviction_blocked;
   }
 
-let drop_all t = Block_id.Tbl.reset t.table
+let drop_all t =
+  Block_id.Tbl.reset t.table;
+  t.lru.prev <- t.lru;
+  t.lru.next <- t.lru

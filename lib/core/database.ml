@@ -85,6 +85,8 @@ type t = {
   mutable replica_addrs : Simnet.Addr.t list;
   stream_queue : Log_record.t Queue.t;
   mutable last_commit_shipped : Lsn.t;
+  (* Commits not yet shipped, newest first; see [replication_tick]. *)
+  mutable unshipped : (Txn_id.t * Lsn.t) list;
   replica_floors : Lsn.t Simnet.Addr.Tbl.t;
   (* active read views, for PGMRPL: as_of -> refcount *)
   active_views : (int, int) Hashtbl.t;
@@ -397,12 +399,16 @@ let get t ?txn ~key callback =
 
 (* ---- commit / abort (§2.3) ---- *)
 
+let mark_committed t txn ~scn =
+  Txn_table.mark_committed t.txns txn ~scn;
+  t.unshipped <- (txn, scn) :: t.unshipped
+
 let commit t ~txn callback =
   require_open t;
   match Txn_id.Tbl.find_opt t.txn_last_block txn with
   | None ->
     (* Read-only: nothing to make durable. *)
-    Txn_table.mark_committed t.txns txn ~scn:(vdl t);
+    mark_committed t txn ~scn:(vdl t);
     t.metrics.txns_committed <- t.metrics.txns_committed + 1;
     t.metrics.commit_acks <- t.metrics.commit_acks + 1;
     callback (Ok ())
@@ -412,7 +418,7 @@ let commit t ~txn callback =
         ~op:Log_record.Commit
     in
     let scn = record.lsn in
-    Txn_table.mark_committed t.txns txn ~scn;
+    mark_committed t txn ~scn;
     t.metrics.txns_committed <- t.metrics.txns_committed + 1;
     if Recorder.Rings.enabled () then
       rec_note t
@@ -484,10 +490,18 @@ let replication_tick t =
   if t.replica_addrs <> [] then begin
     let chunks = drain_stream t in
     let limit = vdl t in
+    (* A commit ships once VDL covers it, oldest first.  Read-only commits
+       are stamped with the VDL of their commit time, so they can land
+       below a write commit still waiting for VDL: every pending commit is
+       checked, not just a prefix.  One at or below the shipped mark is
+       dropped for good. *)
+    let waiting, ready =
+      List.partition (fun (_, scn) -> Lsn.(scn > limit)) t.unshipped
+    in
+    t.unshipped <- waiting;
+    let shipped = t.last_commit_shipped in
     let commits =
-      List.filter
-        (fun (_, scn) -> Lsn.(scn <= limit))
-        (Txn_table.commits_since t.txns t.last_commit_shipped)
+      List.rev (List.filter (fun (_, scn) -> Lsn.(scn > shipped)) ready)
     in
     List.iter (fun (_, scn) -> if Lsn.(scn > t.last_commit_shipped) then t.last_commit_shipped <- scn) commits;
     if chunks <> [] || commits <> [] then
@@ -703,6 +717,7 @@ let create ~sim ~rng ~net ~addr ~volume ~config ?obs () =
       replica_addrs = [];
       stream_queue = Queue.create ();
       last_commit_shipped = Lsn.none;
+      unshipped = [];
       replica_floors = Simnet.Addr.Tbl.create 4;
       active_views = Hashtbl.create 16;
       inflight_records = Queue.create ();
@@ -757,7 +772,8 @@ let rebuild_from_outcome t (o : Recovery.outcome) =
   t.cache <- Buffer_cache.create ~capacity:t.config.cache_capacity;
   t.txns <- Txn_table.create ();
   Txn_table.note_floor t.txns o.max_txn_seen;
-  List.iter (fun (txn, scn) -> Txn_table.register t.txns txn; Txn_table.mark_committed t.txns txn ~scn) o.committed;
+  t.unshipped <- [];
+  List.iter (fun (txn, scn) -> Txn_table.register t.txns txn; mark_committed t txn ~scn) o.committed;
   List.iter (fun txn -> Txn_table.register t.txns txn; Txn_table.mark_aborted t.txns txn) o.aborted;
   (* In-flight at crash: undo happens logically — their versions are
      invisible to every read view from now on. *)

@@ -5,7 +5,6 @@ type status = Active | Committed of Lsn.t | Aborted
 type t = {
   alloc : Txn_id.Allocator.t;
   table : (int, status) Hashtbl.t;
-  mutable commits : (Txn_id.t * Lsn.t) list; (* newest first *)
   mutable last_scn : Lsn.t;
 }
 
@@ -13,7 +12,6 @@ let create () =
   {
     alloc = Txn_id.Allocator.create ();
     table = Hashtbl.create 256;
-    commits = [];
     last_scn = Lsn.none;
   }
 
@@ -28,7 +26,6 @@ let status t id = Hashtbl.find_opt t.table (Txn_id.to_int id)
 
 let mark_committed t id ~scn =
   Hashtbl.replace t.table (Txn_id.to_int id) (Committed scn);
-  t.commits <- (id, scn) :: t.commits;
   if Lsn.(scn > t.last_scn) then t.last_scn <- scn
 
 let mark_aborted t id = Hashtbl.replace t.table (Txn_id.to_int id) Aborted
@@ -49,9 +46,5 @@ let active t =
     t.table Txn_id.Set.empty
 
 let active_count t = Txn_id.Set.cardinal (active t)
-
-let commits_since t mark =
-  List.rev
-    (List.filter (fun (_, scn) -> Lsn.(scn > mark)) t.commits)
 
 let last_scn t = t.last_scn

@@ -38,8 +38,4 @@ val is_active : t -> Txn_id.t -> bool
 val active : t -> Txn_id.Set.t
 val active_count : t -> int
 
-val commits_since : t -> Lsn.t -> (Txn_id.t * Lsn.t) list
-(** Commit notifications with SCN strictly above the mark, in SCN order —
-    the increment shipped down the replication stream (§3.4). *)
-
 val last_scn : t -> Lsn.t

@@ -20,7 +20,9 @@ let fnv1a_add_char h c = (h lxor Char.code c) * fnv_prime
 
 let fnv1a_add_string h s =
   let h = ref h in
-  String.iter (fun c -> h := fnv1a_add_char !h c) s;
+  for i = 0 to String.length s - 1 do
+    h := fnv1a_add_char !h s.[i]
+  done;
   (* Terminator so ("ab","c") and ("a","bc") fold differently. *)
   mask_positive (fnv1a_add_char !h '\x00')
 

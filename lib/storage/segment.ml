@@ -129,16 +129,17 @@ let read_block t ~block ~as_of =
     else begin
       ignore (coalesce t : int);
       let snapshot = Block_store.block_snapshot t.store block in
+      (* Chains are newest first by LSN, so the versions visible at
+         [as_of] are a suffix: drop the head above it and share the rest. *)
+      let rec visible = function
+        | (v : Block_store.version) :: rest when Lsn.(v.lsn > as_of) ->
+          visible rest
+        | vs -> vs
+      in
       let entries =
         List.filter_map
           (fun (key, versions) ->
-            match
-              List.filter
-                (fun (v : Block_store.version) -> Lsn.(v.lsn <= as_of))
-                versions
-            with
-            | [] -> None
-            | vs -> Some (key, vs))
+            match visible versions with [] -> None | vs -> Some (key, vs))
           snapshot
       in
       Ok

@@ -1,6 +1,7 @@
 open Simcore
 open Wal
 module Database = Aurora_core.Database
+module Int_map = Map.Make (Int)
 
 type profile = {
   ops_per_txn : int;
@@ -46,7 +47,7 @@ type t = {
      then retroactively mark the dead pre-crash write as acknowledged and
      the durability oracle would demand a value that was legitimately
      lost. *)
-  mutable unacked : (int * (string * string) list) list;
+  mutable unacked : (string * string) list Int_map.t;
   mutable writes_log : (string * string * int) list; (* newest first *)
   acked_issues : (int, unit) Hashtbl.t;
   mutable next_issue : int;
@@ -66,7 +67,7 @@ let create ~sim ~rng ~db ~profile () =
     acked = 0;
     failed = 0;
     acked_writes = [];
-    unacked = [];
+    unacked = Int_map.empty;
     writes_log = [];
     acked_issues = Hashtbl.create 256;
     next_issue = 0;
@@ -98,15 +99,15 @@ let issue_one t ~on_done =
       if (not !committed) && !reads_pending = 0 then begin
         committed := true;
         let keys_written = !writes in
-        if keys_written <> [] then t.unacked <- (issue, keys_written) :: t.unacked;
+        if keys_written <> [] then
+          t.unacked <- Int_map.add issue keys_written t.unacked;
         Database.commit t.db ~txn (fun result ->
             match result with
             | Ok () ->
               t.acked <- t.acked + 1;
               Hashtbl.replace t.acked_issues issue ();
               if keys_written <> [] then begin
-                t.unacked <-
-                  List.filter (fun (x, _) -> x <> issue) t.unacked;
+                t.unacked <- Int_map.remove issue t.unacked;
                 t.acked_writes <-
                   { acked_txn = txn; keys_written; acked_at = Sim.now t.sim }
                   :: t.acked_writes
@@ -193,7 +194,8 @@ let acked t = t.acked
 let failed t = t.failed
 let acked_writes t = List.rev t.acked_writes
 
-let unacked_writes t = List.concat_map snd t.unacked
+let unacked_writes t =
+  Int_map.fold (fun _ kvs acc -> kvs @ acc) t.unacked []
 
 let writes_in_issue_order t =
   List.rev_map

@@ -72,7 +72,8 @@ val acked_writes : t -> acked list
 
 val unacked_writes : t -> (string * string) list
 (** Writes whose commit was requested but never acknowledged (in-doubt at
-    a crash): recovery may legitimately keep or discard them. *)
+    a crash): recovery may legitimately keep or discard them.  Newest issue
+    first. *)
 
 val writes_in_issue_order : t -> (string * string * bool) list
 (** Every write in issue order — which equals LSN order, since puts

@@ -32,7 +32,14 @@ dune build @lint
 # (DESIGN.md §6).  Allocation is measured by perfbench, not linted.
 dune build @lint-typed
 
+# Includes the golden gate (test/golden): smoke/obs JSON, every curated
+# vopr digest at seeds 1-3 and explain, byte-compared with the committed
+# expected outputs.
 dune runtest
+
+# The slow golden: `exp all --seed 1` (every experiment table), diffed the
+# same way.  Accept an intended change with `dune promote`.
+dune build @golden-exp
 
 # Perf-report smoke: write a tiny-scale BENCH report and push it through the
 # reader + regression-compare path (no timing assertions), so the JSON

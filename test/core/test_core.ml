@@ -207,9 +207,7 @@ let test_txn_table () =
     (Option.map Lsn.to_int (Txn_table.commit_scn t a));
   Alcotest.(check (option int)) "aborted has none" None
     (Option.map Lsn.to_int (Txn_table.commit_scn t b));
-  check_int "no active" 0 (Txn_table.active_count t);
-  check_int "commits since 5" 1 (List.length (Txn_table.commits_since t (lsn 5)));
-  check_int "commits since 10" 0 (List.length (Txn_table.commits_since t (lsn 10)))
+  check_int "no active" 0 (Txn_table.active_count t)
 
 let version ~l ~t value =
   { Storage.Block_store.value = Some value; txn = Txn_id.of_int t; lsn = lsn l }
@@ -318,6 +316,190 @@ let test_cache_install_preserves_local () =
     Alcotest.(check (option string)) "local wins" (Some "local")
       newest.Storage.Block_store.value
   | _ -> Alcotest.fail "expected merged chain"
+
+(* Differential check of Buffer_cache against a naive model of its
+   eviction rule: every block carries a use stamp, and each eviction folds
+   the whole cache for the clean block (newest LSN <= VDL) with the
+   smallest stamp, until at capacity or nothing clean is left. *)
+module Cache_model = struct
+  type op =
+    | Apply of { block : int; l : int; vdl : int }
+    | Apply_if_present of { block : int; l : int; vdl : int }
+    | Install of { block : int; l : int; vdl : int }
+        (** An image at [as_of] = [l]; [l] = 0 is an image with no keys. *)
+    | Read of { block : int }
+    | Evict of { vdl : int }
+    | Drop_all
+
+  let n_blocks = 8
+
+  let show = function
+    | Apply { block; l; vdl } -> Printf.sprintf "apply b%d @%d vdl %d" block l vdl
+    | Apply_if_present { block; l; vdl } ->
+      Printf.sprintf "apply_if_present b%d @%d vdl %d" block l vdl
+    | Install { block; l; vdl } -> Printf.sprintf "install b%d @%d vdl %d" block l vdl
+    | Read { block } -> Printf.sprintf "read b%d" block
+    | Evict { vdl } -> Printf.sprintf "evict vdl %d" vdl
+    | Drop_all -> "drop_all"
+
+  let gen_op =
+    let open QCheck.Gen in
+    let block = int_bound (n_blocks - 1) and l = int_range 1 20 and vdl = int_bound 20 in
+    frequency
+      [
+        (6, map3 (fun block l vdl -> Apply { block; l; vdl }) block l vdl);
+        (3, map3 (fun block l vdl -> Apply_if_present { block; l; vdl }) block l vdl);
+        (3, map3 (fun block l vdl -> Install { block; l; vdl }) block (int_bound 20) vdl);
+        (4, map (fun block -> Read { block }) block);
+        (2, map (fun vdl -> Evict { vdl }) vdl);
+        (1, return Drop_all);
+      ]
+
+  let arb =
+    QCheck.make
+      ~print:(fun (capacity, ops) ->
+        Printf.sprintf "capacity %d: %s" capacity
+          (String.concat "; " (List.map show ops)))
+      ~shrink:QCheck.Shrink.(pair nil list)
+      QCheck.Gen.(pair (int_range 1 4) (list_size (int_range 1 80) gen_op))
+
+  type entry = { mutable last_lsn : int; mutable used : int; mutable complete : bool }
+
+  type model = {
+    capacity : int;
+    blocks : entry option array;
+    mutable clock : int;
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+    mutable blocked : int;
+  }
+
+  let touch m e =
+    m.clock <- m.clock + 1;
+    e.used <- m.clock
+
+  let size m = Array.fold_left (fun n e -> if Option.is_some e then n + 1 else n) 0 m.blocks
+
+  let evict m ~vdl =
+    let continue = ref (size m > m.capacity) in
+    while !continue do
+      let victim = ref None in
+      Array.iteri
+        (fun b e ->
+          match (e, !victim) with
+          | Some e, Some (_, used) when e.last_lsn <= vdl && e.used < used ->
+            victim := Some (b, e.used)
+          | Some e, None when e.last_lsn <= vdl -> victim := Some (b, e.used)
+          | _ -> ())
+        m.blocks;
+      match !victim with
+      | Some (b, _) ->
+        m.blocks.(b) <- None;
+        m.evictions <- m.evictions + 1;
+        continue := size m > m.capacity
+      | None ->
+        m.blocked <- m.blocked + 1;
+        continue := false
+    done
+
+  let entry_of m b =
+    match m.blocks.(b) with
+    | Some e -> e
+    | None ->
+      let e = { last_lsn = 0; used = 0; complete = false } in
+      m.blocks.(b) <- Some e;
+      e
+
+  let write m e ~l ~vdl =
+    e.last_lsn <- max e.last_lsn l;
+    touch m e;
+    evict m ~vdl
+
+  let run (capacity, ops) =
+    let cache = Buffer_cache.create ~capacity in
+    let m =
+      {
+        capacity;
+        blocks = Array.make n_blocks None;
+        clock = 0;
+        hits = 0;
+        misses = 0;
+        evictions = 0;
+        blocked = 0;
+      }
+    in
+    let fail fmt = Printf.ksprintf (fun msg -> QCheck.Test.fail_report msg) fmt in
+    let check step =
+      for b = 0 to n_blocks - 1 do
+        let got = Option.map Lsn.to_int (Buffer_cache.last_modified cache (Block_id.of_int b)) in
+        let want = Option.map (fun e -> e.last_lsn) m.blocks.(b) in
+        if Buffer_cache.contains cache (Block_id.of_int b) <> Option.is_some want then
+          fail "%s: membership of b%d differs" step b;
+        if got <> want then fail "%s: last_modified of b%d differs" step b
+      done;
+      if Buffer_cache.size cache <> size m then
+        fail "%s: size %d, model %d" step (Buffer_cache.size cache) (size m);
+      let st = Buffer_cache.stats cache in
+      if
+        st.hits <> m.hits || st.misses <> m.misses || st.evictions <> m.evictions
+        || st.eviction_blocked <> m.blocked
+      then
+        fail "%s: stats %d/%d/%d/%d, model %d/%d/%d/%d" step st.hits st.misses
+          st.evictions st.eviction_blocked m.hits m.misses m.evictions m.blocked
+    in
+    List.iter
+      (fun op ->
+        let step = show op in
+        (match op with
+        | Apply { block; l; vdl } ->
+          Buffer_cache.apply cache (put_record ~l ~block "k" "v") ~vdl:(lsn vdl);
+          write m (entry_of m block) ~l ~vdl
+        | Apply_if_present { block; l; vdl } ->
+          let got =
+            Buffer_cache.apply_if_present cache (put_record ~l ~block "k" "v")
+              ~vdl:(lsn vdl)
+          in
+          (match m.blocks.(block) with
+          | Some e ->
+            if not got then fail "%s: cached block not applied" step;
+            write m e ~l ~vdl
+          | None -> if got then fail "%s: uncached block applied" step)
+        | Install { block; l; vdl } ->
+          Buffer_cache.install cache
+            {
+              Storage.Protocol.image_block = Block_id.of_int block;
+              image_as_of = lsn l;
+              image_entries = (if l = 0 then [] else [ ("k", [ version ~l ~t:1 "v" ]) ]);
+            }
+            ~vdl:(lsn vdl);
+          let e = entry_of m block in
+          e.complete <- true;
+          write m e ~l ~vdl
+        | Read { block } -> (
+          let got = Buffer_cache.read cache (Block_id.of_int block) ~key:"k" in
+          match (got, m.blocks.(block)) with
+          | Buffer_cache.Miss, None -> m.misses <- m.misses + 1
+          | Buffer_cache.Hit _, Some ({ complete = true; _ } as e) ->
+            m.hits <- m.hits + 1;
+            touch m e
+          | Buffer_cache.Partial _, Some ({ complete = false; _ } as e) -> touch m e
+          | (Buffer_cache.Miss | Buffer_cache.Hit _ | Buffer_cache.Partial _), _ ->
+            fail "%s: lookup kind differs" step)
+        | Evict { vdl } ->
+          Buffer_cache.evict_pressure cache ~vdl:(lsn vdl);
+          evict m ~vdl
+        | Drop_all ->
+          Buffer_cache.drop_all cache;
+          Array.fill m.blocks 0 n_blocks None);
+        check step)
+      ops;
+    true
+end
+
+let test_cache_model =
+  QCheck.Test.make ~count:500 ~name:"matches naive LRU model"
+    Cache_model.arb Cache_model.run
 
 (* ---- Commit queue ---- *)
 
@@ -460,6 +642,7 @@ let () =
             test_cache_partial_vs_complete;
           Alcotest.test_case "install preserves local" `Quick
             test_cache_install_preserves_local;
+          qc test_cache_model;
         ] );
       ("commit_queue", [ Alcotest.test_case "scn gating" `Quick test_commit_queue ]);
       ( "recovery",

@@ -211,6 +211,97 @@ let test_replica_feedback_floor () =
       check_bool "floor positive after traffic" true
         (Lsn.to_int (Replica.read_floor replica) > 0))
 
+(* Commit shipping against the whole-history rule it replaces: each tick
+   ships, in commit order, every commit since boot with SCN above the
+   shipped mark and at or below VDL, then raises the mark to the highest
+   SCN shipped.  A read-only commit is stamped with the VDL of its commit
+   time, so it can sit below a write commit still waiting for VDL and ship
+   first; the load below makes that happen and the test insists it did.  A
+   commit at or below the mark never ships again. *)
+let test_commit_shipping_matches_history () =
+  with_cluster (fun cluster sim db ->
+      ignore (Cluster.add_replica cluster : Replica.t);
+      ignore (Cluster.add_replica cluster : Replica.t);
+      (* Every commit since boot, newest first: (txn, scn, wrote). *)
+      let history = ref [] in
+      let mark = ref Lsn.none in
+      let tick = ref None in
+      let streams = ref 0 and overtakes = ref 0 in
+      let ticks_shipping = Hashtbl.create 256 in
+      let pairs = List.map (fun (txn, scn) -> (Txn_id.to_int txn, Lsn.to_int scn)) in
+      Simnet.Net.set_recorder (Cluster.net cluster)
+        (Some
+           (fun phase ~src ~dst:_ msg ->
+             match (phase, msg) with
+             | Simnet.Net.Sent, Storage.Protocol.Redo_stream { vdl; commits; _ }
+               when Simnet.Addr.equal src (Database.addr db) ->
+               incr streams;
+               let now = Sim.now sim in
+               let expected =
+                 match !tick with
+                 | Some (at, expected) when Time_ns.compare at now = 0 -> expected
+                 | Some _ | None ->
+                   (* First message of this tick: evaluate the oracle. *)
+                   let waiting_before = ref false in
+                   let expected =
+                     List.filter_map
+                       (fun (txn, scn, _) ->
+                         if Lsn.(scn > vdl) then begin
+                           waiting_before := true;
+                           None
+                         end
+                         else if Lsn.(scn > !mark) then begin
+                           if !waiting_before then incr overtakes;
+                           let n =
+                             Option.value ~default:0 (Hashtbl.find_opt ticks_shipping txn)
+                           in
+                           Hashtbl.replace ticks_shipping txn (n + 1);
+                           Some (txn, scn)
+                         end
+                         else None)
+                       (List.rev !history)
+                   in
+                   List.iter (fun (_, scn) -> mark := Lsn.max !mark scn) expected;
+                   tick := Some (now, expected);
+                   expected
+               in
+               Alcotest.(check (list (pair int int)))
+                 "stream commits = whole-history filter" (pairs expected) (pairs commits)
+             | _ -> ()));
+      let rng = Rng.create 11 in
+      let rec step i =
+        if i < 400 then begin
+          let txn = Database.begin_txn db in
+          let wrote = Rng.bernoulli rng 0.5 in
+          if wrote then
+            Database.put db ~txn ~key:(Printf.sprintf "k%d" (Rng.int rng 50)) ~value:"v";
+          Database.commit db ~txn (fun _ -> ());
+          (match Aurora_core.Txn_table.commit_scn (Database.txn_table db) txn with
+          | Some scn -> history := (txn, scn, wrote) :: !history
+          | None -> Alcotest.fail "commit left no SCN");
+          ignore
+            (Sim.schedule sim ~delay:(Time_ns.us (Rng.int rng 1500)) (fun () ->
+                 step (i + 1))
+              : Sim.event_id)
+        end
+      in
+      step 0;
+      settle sim (Time_ns.sec 2);
+      check_bool "streams observed" true (!streams > 0);
+      check_bool "a read-only commit shipped ahead of a waiting write" true
+        (!overtakes > 0);
+      let vdl = Database.vdl db in
+      List.iter
+        (fun (txn, scn, wrote) ->
+          if Lsn.(scn > !mark && scn <= vdl) then
+            Alcotest.failf "commit %d at %d never shipped" (Txn_id.to_int txn)
+              (Lsn.to_int scn);
+          let ticks = Option.value ~default:0 (Hashtbl.find_opt ticks_shipping txn) in
+          if ticks > 1 then Alcotest.failf "commit %d shipped twice" (Txn_id.to_int txn);
+          if wrote && ticks <> 1 then
+            Alcotest.failf "write commit %d not shipped" (Txn_id.to_int txn))
+        !history)
+
 let () =
   Alcotest.run "engine"
     [
@@ -235,5 +326,7 @@ let () =
           Alcotest.test_case "drops stale streams" `Slow
             test_replica_stale_stream_dropped;
           Alcotest.test_case "feedback floor" `Slow test_replica_feedback_floor;
+          Alcotest.test_case "commit shipping = whole-history filter" `Slow
+            test_commit_shipping_matches_history;
         ] );
     ]

@@ -339,6 +339,31 @@ let test_ewma () =
   check_bool "second" true (Stats.Ewma.value e = 7.5);
   check_int "count" 2 (Stats.Ewma.observations e)
 
+(* ---- Bits ---- *)
+
+(* Known answers for the FNV-1a fold.  Block placement and block checksums
+   are built on it, so any change of value is a behaviour change. *)
+let test_fnv1a_known_answers () =
+  let v64 = "v000000001-" ^ String.make 53 'x' in
+  check_int "64-byte value" 64 (String.length v64);
+  check_int "seed" 860922984064492325 Bits.fnv1a_seed;
+  check_int "empty" 3414781078840391647 (Bits.fnv1a_string "");
+  check_int "1 byte" 620337896427418084 (Bits.fnv1a_string "a");
+  check_int "NUL byte" 590684067820433389 (Bits.fnv1a_string "\x00");
+  check_int "64 bytes" 2364970330143970479 (Bits.fnv1a_string v64);
+  check_int "key" 1539193672991139583 (Bits.fnv1a_string "key-000042");
+  let int v = Bits.fnv1a_add_int Bits.fnv1a_seed v in
+  check_int "int 0" 2938590176187398597 (int 0);
+  check_int "int 1" 706274769219809188 (int 1);
+  check_int "int -1" 933822423779008957 (int (-1));
+  check_int "int min_int" 2938660544931604101 (int min_int);
+  check_int "int max_int" 933752055034803453 (int max_int);
+  check_int "int 4096" 1414200157999533077 (int 4096);
+  check_int "key, value, int chained" 536605637549225265
+    (Bits.fnv1a_add_int
+       (Bits.fnv1a_add_string (Bits.fnv1a_string "key-000042") v64)
+       (-1))
+
 (* ---- Time ---- *)
 
 let test_time_units () =
@@ -404,4 +429,5 @@ let () =
           Alcotest.test_case "ewma" `Quick test_ewma;
         ] );
       ("time", [ Alcotest.test_case "units" `Quick test_time_units ]);
+      ("bits", [ Alcotest.test_case "fnv1a known answers" `Quick test_fnv1a_known_answers ]);
     ]

@@ -423,6 +423,132 @@ let chain n =
         (Printf.sprintf "k%d" (l mod 3))
         (Printf.sprintf "v%d" l))
 
+(* Segment.read_block serves each chain's visible suffix.  Differential
+   check against the plain rule — filter every version by [as_of] — over
+   random histories of writes, commit/abort outcomes, truncations (which
+   roll coalesced versions back) and GC floor pushes. *)
+module Image_model = struct
+  type op =
+    | Write of { block : int; key : int; t : int; delete : bool }
+    | Outcome of { t : int; abort : bool }
+    | Truncate of { back : int }
+    | Gc of { back : int }
+    | Read of { block : int; back : int }
+
+  let n_blocks = 3
+
+  let show = function
+    | Write { block; key; t; delete } ->
+      Printf.sprintf "%s b%d k%d t%d" (if delete then "del" else "put") block key t
+    | Outcome { t; abort } -> Printf.sprintf "%s t%d" (if abort then "abort" else "commit") t
+    | Truncate { back } -> Printf.sprintf "truncate -%d" back
+    | Gc { back } -> Printf.sprintf "gc -%d" back
+    | Read { block; back } -> Printf.sprintf "read b%d -%d" block back
+
+  let gen_op =
+    let open QCheck.Gen in
+    let block = int_bound (n_blocks - 1) in
+    frequency
+      [
+        ( 8,
+          map4
+            (fun block key t delete -> Write { block; key; t; delete })
+            block (int_bound 3) (int_range 1 4) (map (fun n -> n = 0) (int_bound 5)) );
+        (2, map2 (fun t abort -> Outcome { t; abort }) (int_range 1 4) bool);
+        (1, map (fun back -> Truncate { back }) (int_bound 4));
+        (2, map (fun back -> Gc { back }) (int_bound 8));
+        (4, map2 (fun block back -> Read { block; back }) block (int_bound 10));
+      ]
+
+  let arb =
+    QCheck.make
+      ~print:(fun ops -> String.concat "; " (List.map show ops))
+      ~shrink:QCheck.Shrink.list
+      QCheck.Gen.(list_size (int_range 1 80) gen_op)
+
+  let flat entries =
+    List.map
+      (fun (k, vs) ->
+        ( k,
+          List.map
+            (fun (v : Storage.Block_store.version) ->
+              (v.value, Txn_id.to_int v.txn, Lsn.to_int v.lsn))
+            vs ))
+      entries
+
+  let run ops =
+    let s = Storage.Segment.create ~pg:(Storage.Pg_id.of_int 0) ~seg:(Member_id.of_int 0)
+        ~kind:Membership.Full in
+    (* [live]: LSNs of the records still on the segment chain, newest
+       first. *)
+    let next = ref 0 and live = ref [] in
+    let tail () = match !live with l :: _ -> l | [] -> 0 in
+    let fail fmt = Printf.ksprintf (fun m -> QCheck.Test.fail_report m) fmt in
+    let append ~block ~t op =
+      incr next;
+      let r =
+        Log_record.make ~lsn:(lsn !next) ~prev_volume:(lsn (!next - 1))
+          ~prev_segment:(lsn (tail ())) ~prev_block:Lsn.none ~block:(blk block)
+          ~txn:(txn t) ~mtr_id:!next ~mtr_end:true ~op
+      in
+      ignore (Storage.Segment.insert_records s [ r ] : Lsn.t);
+      live := !next :: !live
+    in
+    List.iter
+      (fun op ->
+        match op with
+        | Write { block; key; t; delete } ->
+          let key = Printf.sprintf "k%d" key in
+          append ~block ~t
+            (if delete then Log_record.Delete { key }
+             else Log_record.Put { key; value = Printf.sprintf "v%d" (!next + 1) })
+        | Outcome { t; abort } ->
+          append ~block:0 ~t (if abort then Log_record.Abort else Log_record.Commit)
+        | Truncate { back } ->
+          (* Cut the newest [back] records.  Never below the GC floor, as
+             recovery never truncates below VDL; later records are
+             allocated above the annulled range. *)
+          let kept = List.filteri (fun i _ -> i >= back) !live in
+          let above = match kept with l :: _ -> l | [] -> 0 in
+          if above >= Lsn.to_int (Storage.Segment.pgmrpl s) then begin
+            ignore
+              (Storage.Segment.truncate s ~above:(lsn above) ~upto:(lsn (!next + 2))
+                : int);
+            next := !next + 2;
+            live := kept
+          end
+        | Gc { back } ->
+          ignore
+            (Storage.Segment.advance_pgmrpl s (lsn (max 0 (tail () - back))) : int)
+        | Read { block; back } -> (
+          let scl = Storage.Segment.scl s in
+          Storage.Segment.note_pgcl s scl;
+          let as_of = Lsn.max (Storage.Segment.pgmrpl s) (Lsn.add scl (-back)) in
+          match Storage.Segment.read_block s ~block:(blk block) ~as_of with
+          | Error _ -> fail "%s: refused at as_of %d" (show op) (Lsn.to_int as_of)
+          | Ok img ->
+            let want =
+              List.filter_map
+                (fun (k, vs) ->
+                  match
+                    List.filter
+                      (fun (v : Storage.Block_store.version) -> Lsn.(v.lsn <= as_of))
+                      vs
+                  with
+                  | [] -> None
+                  | vs -> Some (k, vs))
+                (Storage.Block_store.block_snapshot (Storage.Segment.store s) (blk block))
+            in
+            if flat img.Protocol.image_entries <> flat want then
+              fail "%s: image differs from the filtered chains" (show op)))
+      ops;
+    true
+end
+
+let test_read_block_model =
+  QCheck.Test.make ~count:500 ~name:"read_block image matches filtered chains"
+    Image_model.arb Image_model.run
+
 let test_segment_insert_coalesce_read () =
   let s = make_segment () in
   ignore (Storage.Segment.insert_records s (chain 6) : Lsn.t);
@@ -727,6 +853,7 @@ let () =
           Alcotest.test_case "hydrate ignores stale snapshot" `Quick
             test_segment_hydrate_stale_snapshot_ignored;
           Alcotest.test_case "txn statuses" `Quick test_segment_txn_statuses;
+          QCheck_alcotest.to_alcotest test_read_block_model;
         ] );
       ( "node",
         [
