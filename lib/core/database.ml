@@ -125,6 +125,7 @@ let is_open t = t.open_
 let vcl t = Consistency.vcl t.consistency
 let vdl t = Consistency.vdl t.consistency
 let commit_queue_depth t = Commit_queue.pending t.commit_queue
+let open_writers t = Txn_id.Tbl.length t.txn_last_block
 
 let mean_batch_size t =
   let batches = ref 0 and records = ref 0 in
@@ -403,9 +404,17 @@ let mark_committed t txn ~scn =
   Txn_table.mark_committed t.txns txn ~scn;
   t.unshipped <- (txn, scn) :: t.unshipped
 
+(* The last block a transaction wrote carries its commit or abort record;
+   [commit] and [abort] consume the entry, so the map only holds open
+   writers. *)
+let take_last_block t txn =
+  let block = Txn_id.Tbl.find_opt t.txn_last_block txn in
+  Txn_id.Tbl.remove t.txn_last_block txn;
+  block
+
 let commit t ~txn callback =
   require_open t;
-  match Txn_id.Tbl.find_opt t.txn_last_block txn with
+  match take_last_block t txn with
   | None ->
     (* Read-only: nothing to make durable. *)
     mark_committed t txn ~scn:(vdl t);
@@ -438,7 +447,7 @@ let commit t ~txn callback =
 let abort t ~txn =
   require_open t;
   t.metrics.txns_aborted <- t.metrics.txns_aborted + 1;
-  (match Txn_id.Tbl.find_opt t.txn_last_block txn with
+  (match take_last_block t txn with
   | Some block ->
     ignore
       (write_op t ~txn ~mtr_id:(next_mtr t) ~mtr_end:true ~block

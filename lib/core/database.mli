@@ -85,6 +85,11 @@ val commit_queue_depth : t -> int
 (** Transactions waiting for SCN <= VCL (the health monitor's
     commit-queue-depth signal). *)
 
+val open_writers : t -> int
+(** Transactions that have written and not yet committed or aborted: the
+    writer's per-transaction bookkeeping, which {!commit} and {!abort}
+    release. *)
+
 val block_of_key : t -> string -> Block_id.t
 
 val mean_batch_size : t -> float

@@ -5,9 +5,11 @@ type version = { value : string option; txn : Txn_id.t; lsn : Lsn.t }
 type entry = {
   keys : (string, version list) Hashtbl.t;
   mutable stored_checksum : int;
-  mutable multi : string list;
-      (* GC index: exactly the keys whose chain holds >= 2 versions, each
-         once.  A single-version key has nothing to collect. *)
+  mutable work : string list;
+      (* GC work list: the keys with >= 2 versions that are not parked, each
+         once.  A single-version key has nothing to collect.  The entry is
+         on [t.busy] exactly when this is non-empty. *)
+  mutable parked : int; (* keys with >= 2 versions not on [work] *)
 }
 
 type t = {
@@ -15,18 +17,39 @@ type t = {
   mutable applied : Lsn.t;
   mutable nversions : int;
   mutable bytes : int;
+  outcomes : (int, Lsn.Outcome.t) Hashtbl.t; (* txn -> outcome *)
+  mutable busy : entry list; (* the entries with a non-empty work list *)
+  mutable waited : Bytes.t;
+      (* Bit per txn id: set when a key parks on it, cleared by the wake scan
+         its commit triggers.  A stale bit only costs a scan. *)
 }
 
 let create () =
-  { table = Block_id.Tbl.create 64; applied = Lsn.none; nversions = 0; bytes = 0 }
+  {
+    table = Block_id.Tbl.create 64;
+    applied = Lsn.none;
+    nversions = 0;
+    bytes = 0;
+    outcomes = Hashtbl.create 64;
+    busy = [];
+    waited = Bytes.empty;
+  }
 
 let entry_of t block =
   match Block_id.Tbl.find_opt t.table block with
   | Some e -> e
   | None ->
-    let e = { keys = Hashtbl.create 8; stored_checksum = 0; multi = [] } in
+    let e = { keys = Hashtbl.create 8; stored_checksum = 0; work = []; parked = 0 } in
     Block_id.Tbl.add t.table block e;
     e
+
+let push_work t e key =
+  (match e.work with [] -> t.busy <- e :: t.busy | _ :: _ -> ());
+  e.work <- key :: e.work
+
+let unpark t e key =
+  e.parked <- e.parked - 1;
+  push_work t e key
 
 let version_bytes key v =
   String.length key
@@ -63,10 +86,16 @@ let rechain e key ~before after =
     e.stored_checksum - head_hash key before + head_hash key after;
   after
 
+(* A write to a parked key can make it collectable: wake it. *)
 let add_version t e key v =
   let prior = match Hashtbl.find_opt e.keys key with Some l -> l | None -> [] in
   Hashtbl.replace e.keys key (rechain e key ~before:prior (v :: prior));
-  (match prior with [ _ ] -> e.multi <- key :: e.multi | [] | _ :: _ :: _ -> ());
+  (match prior with
+  | [] -> ()
+  | [ _ ] -> push_work t e key
+  | _ :: _ :: _ ->
+    if e.parked > 0 && not (List.exists (String.equal key) e.work) then
+      unpark t e key);
   t.nversions <- t.nversions + 1;
   t.bytes <- t.bytes + version_bytes key v
 
@@ -81,6 +110,54 @@ let apply t (r : Log_record.t) =
   if Lsn.(r.lsn > t.applied) then t.applied <- r.lsn
 
 let applied_upto t = t.applied
+
+let waits_on t id =
+  let i = id lsr 3 in
+  i < Bytes.length t.waited && Bytes.get_uint8 t.waited i land (1 lsl (id land 7)) <> 0
+
+let set_waited t id =
+  let i = id lsr 3 in
+  if i >= Bytes.length t.waited then begin
+    let grown = Bytes.make (max (2 * Bytes.length t.waited) (i + 1)) '\000' in
+    Bytes.blit t.waited 0 grown 0 (Bytes.length t.waited);
+    t.waited <- grown
+  end;
+  Bytes.set_uint8 t.waited i (Bytes.get_uint8 t.waited i lor (1 lsl (id land 7)))
+
+let clear_waited t id =
+  let i = id lsr 3 in
+  Bytes.set_uint8 t.waited i (Bytes.get_uint8 t.waited i land lnot (1 lsl (id land 7)))
+
+(* Whether [vs] holds a non-last version written by [txn]. *)
+let rec waits_for txn = function
+  | [] | [ _ ] -> false
+  | v :: rest -> Txn_id.equal v.txn txn || waits_for txn rest
+
+(* A commit is the only outcome that can let a floor anchor on a version,
+   so only a commit wakes the parked keys that wait on its transaction.
+   The bit says some key may; the scan visits the blocks holding parked
+   keys and finds them. *)
+let note_outcome t txn lsn ~aborted =
+  let id = Txn_id.to_int txn in
+  Hashtbl.replace t.outcomes id (Lsn.Outcome.make lsn ~aborted);
+  if (not aborted) && waits_on t id then begin
+    clear_waited t id;
+    Block_id.Tbl.iter
+      (fun _ e ->
+        if e.parked > 0 then
+          Hashtbl.iter
+            (fun key vs ->
+              if waits_for txn vs && not (List.exists (String.equal key) e.work)
+              then unpark t e key)
+            e.keys)
+      t.table
+  end
+
+let outcomes t =
+  Hashtbl.fold
+    (fun txn o acc ->
+      (Txn_id.of_int txn, Lsn.Outcome.lsn o, Lsn.Outcome.aborted o) :: acc)
+    t.outcomes []
 
 let versions t block ~key =
   match Block_id.Tbl.find_opt t.table block with
@@ -109,17 +186,19 @@ let drop_versions t key vs =
     vs
 
 let load_snapshot t block snapshot =
-  (* Remove existing accounting for the block, then install. *)
+  (* Remove existing accounting for the block, then install.  The old entry
+     may still be on [t.busy]; an empty work list makes GC pass it by. *)
   (match Block_id.Tbl.find_opt t.table block with
   | None -> ()
   | Some e ->
     Hashtbl.iter (drop_versions t) e.keys;
+    e.work <- [];
     Block_id.Tbl.remove t.table block);
   let e = entry_of t block in
   List.iter
     (fun (key, vs) ->
       Hashtbl.replace e.keys key vs;
-      if is_multi vs then e.multi <- key :: e.multi;
+      if is_multi vs then push_work t e key;
       List.iter
         (fun v ->
           t.nversions <- t.nversions + 1;
@@ -140,13 +219,16 @@ let repair t block snapshot =
     true
   | Some _ | None -> false
 
-(* Recovery truncation is rare, so it scans every key.  Emptied chains stay
-   in the table as [[]]: block images carry them. *)
+(* Recovery truncation is rare, so it scans every key and rebuilds the GC
+   index with nothing parked.  Emptied chains stay in the table as [[]]:
+   block images carry them. *)
 let rollback_above t bound =
   let dropped = ref 0 in
+  t.busy <- [];
   Block_id.Tbl.iter
     (fun _ e ->
-      e.multi <- [];
+      e.work <- [];
+      e.parked <- 0;
       Hashtbl.filter_map_inplace
         (fun key vs ->
           let keep =
@@ -157,47 +239,82 @@ let rollback_above t bound =
               drop_versions t key drop;
               rechain e key ~before:vs keep
           in
-          if is_multi keep then e.multi <- key :: e.multi;
+          if is_multi keep then push_work t e key;
           Some keep)
         e.keys)
     t.table;
   if Lsn.(t.applied > bound) then t.applied <- bound;
   !dropped
 
-let gc t ~keep_at_or_above ~is_committed =
+let gc t ~keep_at_or_above =
   let dropped = ref 0 in
-  (* Versions older than the newest *committed* version at or below the
-     floor are unreachable by any legal read view.  Versions of transactions
-     whose outcome this segment does not know are kept (conservative: an
-     in-flight or elsewhere-committed transaction must not lose its data,
-     and an aborted one must not anchor the cut).  [below_cut] is the
-     collectable tail of a chain, [[]] when nothing is. *)
+  let outcome v = Hashtbl.find_opt t.outcomes (Txn_id.to_int v.txn) in
+  (* Versions older than the newest version at or below the floor whose
+     transaction committed at or below it are unreachable by any legal read
+     view.  Versions of transactions whose outcome this segment does not
+     know are kept (conservative: an in-flight or elsewhere-committed
+     transaction must not lose its data, and an aborted one must not anchor
+     the cut).  [below_cut] is the collectable tail of a chain, [[]] when
+     nothing is. *)
+  let anchors v =
+    match outcome v with
+    | Some o -> (not (Lsn.Outcome.aborted o)) && Lsn.(Lsn.Outcome.lsn o <= keep_at_or_above)
+    | None -> false
+  in
   let rec below_cut = function
     | [] -> []
     | v :: rest ->
-      if Lsn.(v.lsn <= keep_at_or_above) && is_committed v.txn then rest
-      else below_cut rest
+      if Lsn.(v.lsn <= keep_at_or_above) && anchors v then rest else below_cut rest
   in
-  let collect e key =
+  (* Only a non-last version can anchor a cut.  With none committed, no
+     floor can collect the chain until a write or a commit changes it. *)
+  let rec parkable = function
+    | [] | [ _ ] -> true
+    | v :: rest -> (
+      match outcome v with
+      | Some o when not (Lsn.Outcome.aborted o) -> false
+      | Some _ | None -> parkable rest)
+  in
+  let rec wait_on = function
+    | [] | [ _ ] -> ()
+    | v :: rest ->
+      set_waited t (Txn_id.to_int v.txn);
+      wait_on rest
+  in
+  (* Collect [key]'s tail; whether the key stays on the work list. *)
+  let visit e key =
     let vs = Hashtbl.find e.keys key in
-    match below_cut vs with
-    | [] -> true
-    | old ->
-      let n_old = List.length old in
-      dropped := !dropped + n_old;
-      drop_versions t key old;
-      let n_kept = List.length vs - n_old in
-      let kept = List.filteri (fun i _ -> i < n_kept) vs in
-      (* The head always survives the cut, so the checksum is unchanged. *)
-      Hashtbl.replace e.keys key kept;
-      is_multi kept
+    let kept =
+      match below_cut vs with
+      | [] -> vs
+      | old ->
+        let n_old = List.length old in
+        dropped := !dropped + n_old;
+        drop_versions t key old;
+        let n_kept = List.length vs - n_old in
+        let kept = List.filteri (fun i _ -> i < n_kept) vs in
+        (* The head always survives the cut, so the checksum is unchanged. *)
+        Hashtbl.replace e.keys key kept;
+        kept
+    in
+    if not (is_multi kept) then false
+    else if parkable kept then begin
+      wait_on kept;
+      e.parked <- e.parked + 1;
+      false
+    end
+    else true
   in
-  Block_id.Tbl.iter
-    (fun _ e ->
-      match e.multi with
-      | [] -> ()
-      | multi -> e.multi <- List.filter (collect e) multi)
-    t.table;
+  let busy = t.busy in
+  t.busy <- [];
+  List.iter
+    (fun e ->
+      match List.filter (visit e) e.work with
+      | [] -> e.work <- []
+      | work ->
+        e.work <- work;
+        t.busy <- e :: t.busy)
+    busy;
   !dropped
 
 let blocks t = Block_id.Tbl.fold (fun b _ acc -> b :: acc) t.table []

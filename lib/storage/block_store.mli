@@ -17,7 +17,23 @@
     changes a newest version, so it does no checksum work.  Because no
     write recomputes the sum, a {!corrupt}ed value stays visible to
     {!verify} through any later writes until {!load_snapshot} installs a
-    good image. *)
+    good image.
+
+    {b Outcomes.}  The store is the only owner of its segment's transaction
+    outcomes ({!note_outcome}, {!outcomes}): {!gc} decides what a floor may
+    collect from them, and its index (below) is woken by them, so the two
+    cannot disagree.
+
+    {b GC index.}  Each block keeps a work list of the keys {!gc} must
+    visit.  A key with one version is on no list: it has nothing to
+    collect.  A key with two or more versions is on its block's work list
+    unless it is {e parked}: {!gc} parks a key when none of its non-last
+    versions has a commit outcome, since only such a version can anchor a
+    cut and raising the floor changes nothing else.  A parked key goes back
+    on the work list when {!apply} adds a version to it, or when
+    {!note_outcome} records a commit for a transaction that wrote one of
+    its non-last versions.  {!rollback_above} and {!load_snapshot} put
+    every multi-version key they rebuild back on the work list. *)
 
 type version = {
   value : string option;  (** [None] encodes a delete. *)
@@ -32,10 +48,21 @@ val create : unit -> t
 val apply : t -> Wal.Log_record.t -> unit
 (** Apply one redo record.  Records for a given block must be applied in
     block-chain (ascending LSN) order; commit/abort/noop records are
-    ignored here (transaction status lives at the database tier). *)
+    ignored here (their outcomes arrive through {!note_outcome}). *)
 
 val applied_upto : t -> Wal.Lsn.t
 (** Highest LSN applied so far. *)
+
+val note_outcome : t -> Wal.Txn_id.t -> Wal.Lsn.t -> aborted:bool -> unit
+(** Record a transaction's durable outcome: the LSN of its commit or abort
+    record.  A later outcome for the same transaction replaces the earlier
+    one.  A commit wakes the parked keys that wait on the transaction; the
+    cost is a bit test, and on a hit one scan of the blocks holding parked
+    keys. *)
+
+val outcomes : t -> (Wal.Txn_id.t * Wal.Lsn.t * bool) list
+(** Every recorded outcome as (txn, record LSN, is_abort), in a fixed order
+    that depends only on the sequence of {!note_outcome} calls. *)
 
 val versions : t -> Wal.Block_id.t -> key:string -> version list
 (** Version chain for a key, newest first; [] if unknown. *)
@@ -73,16 +100,16 @@ val rollback_above : t -> Wal.Lsn.t -> int
     truncation range annuls records the background coalescer had already
     materialized (§2.4).  Returns versions dropped. *)
 
-val gc :
-  t -> keep_at_or_above:Wal.Lsn.t -> is_committed:(Wal.Txn_id.t -> bool) -> int
+val gc : t -> keep_at_or_above:Wal.Lsn.t -> int
 (** Drop versions superseded before the floor: for each key, every version
-    older than the newest *committed* version with [lsn <= floor] is
-    unreferenced by any legal read view and is collected.  Uncommitted or
-    unknown-outcome versions never anchor the cut (their data below must
-    survive the logical undo).  Returns versions dropped.
+    older than the newest version with [lsn <= floor] whose transaction
+    committed at or below the floor (per {!note_outcome}) is unreferenced
+    by any legal read view and is collected.  Aborted or unknown-outcome
+    versions never anchor the cut (their data below must survive the
+    logical undo).  Returns versions dropped.
 
-    Cost: proportional to the keys whose chain holds at least two
-    versions (a per-block index), not to every stored key. *)
+    Cost: O(work-list keys + blocks with work).  Parked keys and blocks
+    whose work list is empty are not visited. *)
 
 val blocks : t -> Wal.Block_id.t list
 val version_count : t -> int

@@ -14,9 +14,6 @@ type t = {
   mutable backup_upto : Lsn.t;
   mutable pgcl_known : Lsn.t; (* writer-advertised group durable point *)
   mutable peers : (Member_id.t * Simnet.Addr.t) list;
-  (* Durable transaction outcomes observed in received redo: survives
-     hot-log GC the way txn-system pages do in the production system. *)
-  txn_status : (int, Lsn.t * bool) Hashtbl.t; (* txn -> (lsn, is_abort) *)
 }
 
 let create ~pg ~seg ~kind =
@@ -33,7 +30,6 @@ let create ~pg ~seg ~kind =
     backup_upto = Lsn.none;
     pgcl_known = Lsn.none;
     peers = [];
-    txn_status = Hashtbl.create 64;
   }
 
 let pg t = t.pg
@@ -74,12 +70,13 @@ let install_membership t ~epoch ~peers =
 let install_volume_epoch t epoch =
   if Epoch.compare epoch t.volume_epoch > 0 then t.volume_epoch <- epoch
 
+(* Durable transaction outcomes observed in received redo survive hot-log
+   GC the way txn-system pages do in the production system; the block store
+   keeps them, since its GC reads them. *)
 let note_status t (r : Log_record.t) =
   match r.op with
-  | Log_record.Commit ->
-    Hashtbl.replace t.txn_status (Txn_id.to_int r.txn) (r.lsn, false)
-  | Log_record.Abort ->
-    Hashtbl.replace t.txn_status (Txn_id.to_int r.txn) (r.lsn, true)
+  | Log_record.Commit -> Block_store.note_outcome t.store r.txn r.lsn ~aborted:false
+  | Log_record.Abort -> Block_store.note_outcome t.store r.txn r.lsn ~aborted:true
   | Log_record.Put _ | Log_record.Delete _ | Log_record.Noop -> ()
 
 let insert_records t records =
@@ -91,15 +88,11 @@ let insert_records t records =
     records;
   scl t
 
-let txn_statuses t =
-  Hashtbl.fold
-    (fun txn (lsn, is_abort) acc -> (Txn_id.of_int txn, lsn, is_abort) :: acc)
-    t.txn_status []
+let txn_statuses t = Block_store.outcomes t.store
 
 let merge_statuses t statuses =
   List.iter
-    (fun (txn, lsn, is_abort) ->
-      Hashtbl.replace t.txn_status (Txn_id.to_int txn) (lsn, is_abort))
+    (fun (txn, lsn, aborted) -> Block_store.note_outcome t.store txn lsn ~aborted)
     statuses
 
 let retained_from t = Hot_log.dropped_upto t.hot_log
@@ -165,12 +158,7 @@ let truncate t ~above ~upto =
 let advance_pgmrpl t floor =
   if Lsn.(floor > t.pgmrpl) then begin
     t.pgmrpl <- floor;
-    let is_committed txn =
-      match Hashtbl.find_opt t.txn_status (Txn_id.to_int txn) with
-      | Some (scn, false) -> Lsn.(scn <= floor)
-      | Some (_, true) | None -> false
-    in
-    Block_store.gc t.store ~keep_at_or_above:floor ~is_committed
+    Block_store.gc t.store ~keep_at_or_above:floor
   end
   else 0
 

@@ -100,12 +100,14 @@ val hydrate_import :
 
 val txn_statuses : t -> (Wal.Txn_id.t * Wal.Lsn.t * bool) list
 (** Durable transaction outcomes — (txn, status-record LSN, is_abort) —
-    accumulated from received commit/abort redo.  Survives hot-log GC,
+    accumulated from received commit/abort redo and kept by the block store
+    ({!Block_store.outcomes}), whose GC reads them.  Survives hot-log GC,
     playing the role of the txn-system pages a real engine materializes;
     crash recovery unions these across segments. *)
 
 val merge_statuses : t -> (Wal.Txn_id.t * Wal.Lsn.t * bool) list -> unit
-(** Adopt a peer's statuses during hydration. *)
+(** Adopt a peer's statuses during hydration ({!Block_store.note_outcome}:
+    a commit wakes the GC work it unblocks). *)
 
 val retained_from : t -> Wal.Lsn.t
 (** Hot-log GC floor (see {!Wal.Hot_log.dropped_upto}). *)

@@ -22,6 +22,14 @@ let is_none t = t = 0
 let pp fmt t = Format.fprintf fmt "%d" t
 let to_string = string_of_int
 
+module Outcome = struct
+  type nonrec t = t
+
+  let make lsn ~aborted = (lsn lsl 1) lor Bool.to_int aborted
+  let lsn o = o asr 1
+  let aborted o = o land 1 = 1
+end
+
 module Allocator = struct
   type nonrec t = { mutable last : t }
 

@@ -39,6 +39,18 @@ val is_none : t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
+(** A transaction outcome — the LSN of its commit or abort record and
+    which of the two it was — packed into one immediate int, so a table of
+    outcomes holds no boxed pairs. *)
+module Outcome : sig
+  type lsn := t
+  type t = private int
+
+  val make : lsn -> aborted:bool -> t
+  val lsn : t -> lsn
+  val aborted : t -> bool
+end
+
 (** Monotonic allocator owned by the writer instance.  Allocation is pure
     local state — this is precisely what the paper exploits. *)
 module Allocator : sig

@@ -16,6 +16,20 @@ if [ -n "$staged_build" ]; then
   exit 1
 fi
 
+# Curated-scenario coverage: every scenario in the `vopr list` golden needs
+# its digest golden and the test/golden/dune rule that diffs it, or a new
+# scenario would pass runtest without its digest ever being checked.
+uncovered=""
+for name in $(cut -d' ' -f1 test/golden/vopr_list.txt); do
+  [ -f "test/golden/vopr_$name.txt" ] || uncovered="$uncovered $name:golden"
+  grep -qF "(diff? vopr_$name.txt vopr_$name.txt.out)" test/golden/dune \
+    || uncovered="$uncovered $name:rule"
+done
+if [ -n "$uncovered" ]; then
+  echo "error: curated vopr scenarios without a digest check:$uncovered" >&2
+  exit 1
+fi
+
 dune build @all
 
 # Static-analysis gate: aurora_lint walks every .ml/.mli under lib/ bin/

@@ -75,6 +75,29 @@ let test_read_only_commit_immediate () =
       (* No durability to wait for: ack is synchronous. *)
       check_bool "read-only commit immediate" true !acked)
 
+(* Commit and abort release a writer's bookkeeping: after a batch of each
+   (plus read-only commits, which never write), nothing is held. *)
+let test_writer_map_released () =
+  with_cluster (fun _ sim db ->
+      let acks = ref 0 in
+      for i = 1 to 20 do
+        let txn = Database.begin_txn db in
+        if i mod 5 <> 0 then
+          Database.put db ~txn ~key:(Printf.sprintf "k%d" (i mod 7))
+            ~value:(string_of_int i);
+        if i mod 3 = 0 then Database.abort db ~txn
+        else Database.commit db ~txn (fun r -> if r = Ok () then incr acks)
+      done;
+      check_int "released as commit/abort is called" 0 (Database.open_writers db);
+      settle sim (Time_ns.sec 1);
+      check_int "every commit acked" 14 !acks;
+      check_int "no open writers" 0 (Database.open_writers db);
+      let txn = Database.begin_txn db in
+      Database.put db ~txn ~key:"k0" ~value:"open";
+      check_int "an open writer is held" 1 (Database.open_writers db);
+      Database.commit db ~txn (fun _ -> ());
+      check_int "released at commit" 0 (Database.open_writers db))
+
 let test_snapshot_does_not_see_later_commits () =
   (* A read served at an earlier VDL anchor must not observe a commit that
      lands after the anchor was taken: we pin the view by capturing vdl
@@ -312,6 +335,7 @@ let () =
           Alcotest.test_case "delete visible" `Slow test_delete_visible;
           Alcotest.test_case "read-only commit immediate" `Slow
             test_read_only_commit_immediate;
+          Alcotest.test_case "writer map released" `Slow test_writer_map_released;
           Alcotest.test_case "snapshot anchoring" `Slow
             test_snapshot_does_not_see_later_commits;
           Alcotest.test_case "cache hit accounting" `Slow test_cache_hit_ratio_counts;

@@ -56,14 +56,13 @@ let test_block_store_gc () =
   let s = Storage.Block_store.create () in
   for i = 1 to 5 do
     Storage.Block_store.apply s
-      (put ~l:i ~prev_block:(if i = 1 then Lsn.none else lsn (i - 1)) ~block:0
-         "a" (Printf.sprintf "v%d" i))
+      (put ~l:i ~prev_block:(if i = 1 then Lsn.none else lsn (i - 1)) ~t:i ~block:0
+         "a" (Printf.sprintf "v%d" i));
+    Storage.Block_store.note_outcome s (txn i) (lsn i) ~aborted:false
   done;
   (* Floor at 3: versions 1,2 superseded by the committed version 3 ->
      collected. *)
-  let dropped =
-    Storage.Block_store.gc s ~keep_at_or_above:(lsn 3) ~is_committed:(fun _ -> true)
-  in
+  let dropped = Storage.Block_store.gc s ~keep_at_or_above:(lsn 3) in
   check_int "collected" 2 dropped;
   check_int "remaining" 3 (List.length (Storage.Block_store.versions s (blk 0) ~key:"a"));
   (* The floor's visible version survives. *)
@@ -82,8 +81,7 @@ let test_block_store_gc () =
          "a" (Printf.sprintf "v%d" i))
   done;
   check_int "conservative without commit info" 0
-    (Storage.Block_store.gc s2 ~keep_at_or_above:(lsn 4)
-       ~is_committed:(fun _ -> false))
+    (Storage.Block_store.gc s2 ~keep_at_or_above:(lsn 4))
 
 let test_block_store_rollback () =
   let s = Storage.Block_store.create () in
@@ -130,8 +128,10 @@ let test_block_store_no_laundering () =
   check_bool "after write to corrupted key" false (B.verify s (blk 0));
   B.apply s (put ~l:4 ~prev_block:(lsn 3) ~t:2 ~block:0 other (other ^ "2"));
   check_bool "after write to another key" false (B.verify s (blk 0));
+  B.note_outcome s (txn 1) (lsn 2) ~aborted:false;
+  B.note_outcome s (txn 2) (lsn 4) ~aborted:false;
   check_int "gc collects the superseded versions" 2
-    (B.gc s ~keep_at_or_above:(lsn 4) ~is_committed:(fun _ -> true));
+    (B.gc s ~keep_at_or_above:(lsn 4));
   check_bool "after gc" false (B.verify s (blk 0));
   B.load_snapshot s (blk 0) (B.block_snapshot good (blk 0));
   check_bool "good image repairs" true (B.verify s (blk 0))
@@ -153,20 +153,101 @@ let test_block_store_repair () =
     (B.repair s (blk 0) (B.block_snapshot peer (blk 0)));
   check_bool "repaired" true (B.verify s (blk 0))
 
+(* ---- GC parking: a key whose non-last versions have no commit outcome
+   is parked, and must come back when a commit or a write can change it. *)
+
+(* Block 0 key "a": t1 at LSN 1 (committed at 2) under t2 at LSN 3. *)
+let parked_pair () =
+  let module B = Storage.Block_store in
+  let s = B.create () in
+  B.apply s (put ~l:1 ~t:1 ~block:0 "a" "v1");
+  B.note_outcome s (txn 1) (lsn 2) ~aborted:false;
+  B.apply s (put ~l:3 ~prev_block:(lsn 1) ~t:2 ~block:0 "a" "v3");
+  s
+
+let test_gc_parked_woken_by_commit () =
+  let module B = Storage.Block_store in
+  let s = parked_pair () in
+  check_int "t2 unknown: nothing to collect" 0 (B.gc s ~keep_at_or_above:(lsn 3));
+  B.note_outcome s (txn 2) (lsn 4) ~aborted:true;
+  check_int "an abort anchors nothing" 0 (B.gc s ~keep_at_or_above:(lsn 4));
+  B.note_outcome s (txn 2) (lsn 4) ~aborted:false;
+  check_int "late commit collects" 1 (B.gc s ~keep_at_or_above:(lsn 4));
+  check_int "one version left" 1 (List.length (B.versions s (blk 0) ~key:"a"))
+
+let test_gc_parked_woken_by_write () =
+  let module B = Storage.Block_store in
+  let s = parked_pair () in
+  check_int "parked" 0 (B.gc s ~keep_at_or_above:(lsn 3));
+  B.apply s (put ~l:5 ~prev_block:(lsn 3) ~t:3 ~block:0 "a" "v5");
+  B.note_outcome s (txn 3) (lsn 6) ~aborted:false;
+  check_int "write woke it" 2 (B.gc s ~keep_at_or_above:(lsn 6));
+  check_int "version_count" 1 (B.version_count s)
+
+(* A commit above the floor keeps its key on the work list: the next floor
+   can anchor on it without any other event. *)
+let test_gc_commit_above_floor_not_parked () =
+  let module B = Storage.Block_store in
+  let s = parked_pair () in
+  B.note_outcome s (txn 2) (lsn 10) ~aborted:false;
+  check_int "commit above the floor" 0 (B.gc s ~keep_at_or_above:(lsn 4));
+  check_int "floor reaches the commit" 1 (B.gc s ~keep_at_or_above:(lsn 10))
+
+(* Rollback rebuilds the index: a parked key ("a") and a key left on the
+   work list ("b") in the same block both collect afterwards. *)
+let test_gc_parked_across_rollback () =
+  let module B = Storage.Block_store in
+  let s = parked_pair () in
+  B.apply s (put ~l:4 ~t:1 ~block:0 "b" "b4");
+  B.apply s (put ~l:5 ~prev_block:(lsn 4) ~t:4 ~block:0 "b" "b5");
+  B.note_outcome s (txn 1) (lsn 6) ~aborted:false;
+  B.note_outcome s (txn 4) (lsn 9) ~aborted:false;
+  B.apply s (put ~l:7 ~prev_block:(lsn 3) ~t:5 ~block:0 "a" "v7");
+  B.apply s (put ~l:8 ~prev_block:(lsn 5) ~t:5 ~block:0 "b" "b8");
+  check_int "nothing yet" 0 (B.gc s ~keep_at_or_above:(lsn 8));
+  check_int "t5 rolled back" 2 (B.rollback_above s (lsn 6));
+  B.note_outcome s (txn 2) (lsn 9) ~aborted:false;
+  check_int "both keys collect" 2 (B.gc s ~keep_at_or_above:(lsn 9));
+  check_int "version_count" 2 (B.version_count s)
+
+(* A snapshot replaces a block holding a parked key and a busy work list:
+   the new image's keys are GC work, the old entry is no longer GC'd. *)
+let test_gc_parked_across_load_snapshot () =
+  let module B = Storage.Block_store in
+  let s = parked_pair () in
+  check_int "parked" 0 (B.gc s ~keep_at_or_above:(lsn 3));
+  B.apply s (put ~l:4 ~t:1 ~block:0 "b" "b4");
+  B.apply s (put ~l:5 ~prev_block:(lsn 4) ~t:1 ~block:0 "b" "b5");
+  let image = B.block_snapshot s (blk 0) in
+  B.load_snapshot s (blk 0) [ ("a", B.versions s (blk 0) ~key:"a") ];
+  check_int "old entry dropped" 2 (B.version_count s);
+  B.note_outcome s (txn 2) (lsn 6) ~aborted:false;
+  check_int "loaded key collects" 1 (B.gc s ~keep_at_or_above:(lsn 6));
+  check_int "only the image's versions left" 1 (B.version_count s);
+  B.load_snapshot s (blk 0) image;
+  check_int "reloaded image collects" 2 (B.gc s ~keep_at_or_above:(lsn 6));
+  check_int "heads only" 2 (B.version_count s)
+
 (* Differential check of Block_store against a naive model: assoc-list
-   chains, a GC that scans every key, and the checksum rule "a block
-   verifies iff no corrupt returned true since its last load_snapshot". *)
+   chains, an outcome table, a GC that scans every key, and the checksum
+   rule "a block verifies iff no corrupt returned true since its last
+   load_snapshot".  Outcomes arrive as store state at their own LSNs, before
+   or after the GC passes that meet their transactions' versions, so keys
+   park and are woken by both later commits and later writes. *)
 module Model = struct
   type op =
     | Apply of { block : int; key : int; value : int; txn : int }
         (** [value] 0 is a delete, 1 the empty string. *)
-    | Gc of { back : int; committed : int }  (** bitmask over txns 1-3 *)
+    | Outcome of { txn : int; aborted : bool }
+        (** recorded at the next LSN, replacing any earlier outcome *)
+    | Gc of { back : int }
     | Rollback of { back : int }
     | Load of { block : int; src : int }  (** install [src]'s model image *)
     | Corrupt of { block : int }
     | Verify of { block : int }
 
   let n_blocks = 3
+  let n_txns = 6
   let key_of i = String.make 1 (Char.chr (Char.code 'a' + i))
 
   let value_of = function
@@ -179,7 +260,9 @@ module Model = struct
       Printf.sprintf "apply b%d %s=%s t%d" block (key_of key)
         (match value_of value with Some v -> Printf.sprintf "%S" v | None -> "del")
         txn
-    | Gc { back; committed } -> Printf.sprintf "gc -%d committed=%d" back committed
+    | Outcome { txn; aborted } ->
+      Printf.sprintf "%s t%d" (if aborted then "abort" else "commit") txn
+    | Gc { back } -> Printf.sprintf "gc -%d" back
     | Rollback { back } -> Printf.sprintf "rollback -%d" back
     | Load { block; src } -> Printf.sprintf "load b%d <- b%d" block src
     | Corrupt { block } -> Printf.sprintf "corrupt b%d" block
@@ -193,8 +276,13 @@ module Model = struct
         ( 8,
           map4
             (fun block key value txn -> Apply { block; key; value; txn })
-            block (int_bound 3) (int_bound 5) (int_range 1 3) );
-        (2, map2 (fun back committed -> Gc { back; committed }) (int_bound 6) (int_bound 7));
+            block (int_bound 3) (int_bound 5) (int_range 1 n_txns) );
+        ( 3,
+          map2
+            (fun txn aborted -> Outcome { txn; aborted })
+            (int_range 1 n_txns)
+            (map (fun n -> n = 0) (int_bound 3)) );
+        (3, map (fun back -> Gc { back }) (int_bound 6));
         (1, map (fun back -> Rollback { back }) (int_bound 4));
         (1, map2 (fun block src -> Load { block; src }) block block);
         (2, map (fun block -> Corrupt { block }) block);
@@ -205,7 +293,7 @@ module Model = struct
     QCheck.make
       ~print:(fun ops -> String.concat "; " (List.map show ops))
       ~shrink:QCheck.Shrink.list
-      QCheck.Gen.(list_size (int_range 1 60) gen_op)
+      QCheck.Gen.(list_size (int_range 1 80) gen_op)
 
   (* Model state: per block, an assoc list key -> chain (newest first);
      [None] for a block the store has never seen. *)
@@ -239,6 +327,7 @@ module Model = struct
     let module B = Storage.Block_store in
     let s = B.create () in
     let model = Array.make n_blocks None in
+    let outcomes = Array.make (n_txns + 1) None in
     let tainted = Array.make n_blocks false in
     let next = ref 0 in
     let fail fmt = Printf.ksprintf (fun m -> QCheck.Test.fail_report m) fmt in
@@ -266,7 +355,17 @@ module Model = struct
       if B.version_count s <> !nv then
         fail "%s: version_count %d, model %d" step (B.version_count s) !nv;
       if B.bytes_used s <> !bytes then
-        fail "%s: bytes_used %d, model %d" step (B.bytes_used s) !bytes
+        fail "%s: bytes_used %d, model %d" step (B.bytes_used s) !bytes;
+      let want =
+        List.filter_map
+          (fun t -> Option.map (fun (l, a) -> (t, l, a)) outcomes.(t))
+          (List.init n_txns succ)
+      in
+      let got =
+        List.sort compare
+          (List.map (fun (t, l, a) -> (Txn_id.to_int t, Lsn.to_int l, a)) (B.outcomes s))
+      in
+      if want <> got then fail "%s: outcomes differ" step
     in
     List.iter
       (fun op ->
@@ -292,9 +391,15 @@ module Model = struct
               (if List.mem_assoc k c then
                  List.map (fun (k', vs) -> if k' = k then (k', v :: prior) else (k', vs)) c
                else c @ [ (k, [ v ]) ])
-        | Gc { back; committed } ->
+        | Outcome { txn = t; aborted } ->
+          incr next;
+          B.note_outcome s (txn t) (lsn !next) ~aborted;
+          outcomes.(t) <- Some (!next, aborted)
+        | Gc { back } ->
           let floor = max 0 (!next - back) in
-          let is_committed t = committed land (1 lsl (t - 1)) <> 0 in
+          let is_committed t =
+            match outcomes.(t) with Some (l, false) -> l <= floor | Some _ | None -> false
+          in
           let want = ref 0 in
           for b = 0 to n_blocks - 1 do
             match model.(b) with
@@ -309,10 +414,7 @@ module Model = struct
                        (k, kept))
                      c)
           done;
-          let got =
-            B.gc s ~keep_at_or_above:(lsn floor)
-              ~is_committed:(fun t -> is_committed (Txn_id.to_int t))
-          in
+          let got = B.gc s ~keep_at_or_above:(lsn floor) in
           if got <> !want then fail "%s: dropped %d, model %d" step got !want
         | Rollback { back } ->
           let bound = max 0 (!next - back) in
@@ -706,6 +808,28 @@ let test_segment_txn_statuses () =
   Storage.Segment.merge_statuses s [ (txn 9, lsn 3, true) ];
   check_int "merged" 2 (List.length (Storage.Segment.txn_statuses s))
 
+(* Hydration's [merge_statuses] delivers outcomes to the block store, so a
+   key parked on a transaction whose commit only a peer saw wakes up. *)
+let test_segment_merge_statuses_wakes_parked () =
+  let s = make_segment () in
+  let record ~l ~t ?(prev_block = Lsn.none) op =
+    Log_record.make ~lsn:(lsn l) ~prev_volume:(lsn (l - 1))
+      ~prev_segment:(lsn (l - 1)) ~prev_block ~block:(blk 0) ~txn:(txn t)
+      ~mtr_id:l ~mtr_end:true ~op
+  in
+  ignore
+    (Storage.Segment.insert_records s
+       [
+         record ~l:1 ~t:1 (Log_record.Put { key = "a"; value = "v1" });
+         record ~l:2 ~t:1 Log_record.Commit;
+         record ~l:3 ~t:2 ~prev_block:(lsn 1) (Log_record.Put { key = "a"; value = "v3" });
+       ]
+      : Lsn.t);
+  check_int "coalesced" 3 (Storage.Segment.coalesce s);
+  check_int "t2 unknown here" 0 (Storage.Segment.advance_pgmrpl s (lsn 3));
+  Storage.Segment.merge_statuses s [ (txn 2, lsn 4, false) ];
+  check_int "peer's commit wakes the key" 1 (Storage.Segment.advance_pgmrpl s (lsn 4))
+
 (* ---- Storage node over network ---- *)
 
 let node_fixture () =
@@ -837,6 +961,16 @@ let () =
           Alcotest.test_case "checksum not laundered" `Quick
             test_block_store_no_laundering;
           Alcotest.test_case "repair checks image" `Quick test_block_store_repair;
+          Alcotest.test_case "parked key woken by a late commit" `Quick
+            test_gc_parked_woken_by_commit;
+          Alcotest.test_case "parked key woken by a write" `Quick
+            test_gc_parked_woken_by_write;
+          Alcotest.test_case "commit above the floor is not parked" `Quick
+            test_gc_commit_above_floor_not_parked;
+          Alcotest.test_case "parked keys across rollback_above" `Quick
+            test_gc_parked_across_rollback;
+          Alcotest.test_case "parked keys across load_snapshot" `Quick
+            test_gc_parked_across_load_snapshot;
           QCheck_alcotest.to_alcotest test_block_store_model;
         ] );
       ("disk", [ Alcotest.test_case "fifo queueing" `Quick test_disk_fifo ]);
@@ -853,6 +987,8 @@ let () =
           Alcotest.test_case "hydrate ignores stale snapshot" `Quick
             test_segment_hydrate_stale_snapshot_ignored;
           Alcotest.test_case "txn statuses" `Quick test_segment_txn_statuses;
+          Alcotest.test_case "merge_statuses wakes parked keys" `Quick
+            test_segment_merge_statuses_wakes_parked;
           QCheck_alcotest.to_alcotest test_read_block_model;
         ] );
       ( "node",
