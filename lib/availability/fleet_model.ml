@@ -35,7 +35,7 @@ type result = {
 
 type event = Member_fail of int | Member_repair of int | Az_fail of int | Az_restore of int
 
-(* One group simulated independently with its own tiny event queue. *)
+(* One group simulated independently on its own tiny [Sim.t]. *)
 let run_group ~rng ~params ~(members : Membership.member list) ~rule acc =
   let n = List.length members in
   let member_arr = Array.of_list members in
@@ -45,25 +45,11 @@ let run_group ~rng ~params ~(members : Membership.member list) ~rule acc =
   let member_up = Array.make n true in
   let az_up = Hashtbl.create 4 in
   List.iter (fun az -> Hashtbl.replace az_up (Az.to_int az) true) azs;
-  (* Ties on the timestamp break on the push sequence number, so
-     same-instant events pop in a fixed, seed-independent order. *)
-  let heap = Heap.create ~cmp:(fun (t1, s1, _) (t2, s2, _) ->
-      let c = Time_ns.compare t1 t2 in
-      if c <> 0 then c else Int.compare s1 s2)
-  in
-  let seq = ref 0 in
-  let push at ev =
-    incr seq;
-    Heap.push heap (at, !seq, ev)
-  in
+  (* Events run on the group's own [Sim.t]: ties on the timestamp break on
+     scheduling order, so same-instant events run in a fixed,
+     seed-independent order. *)
+  let sim = Sim.create () in
   let draw_exp mean = int_of_float (Rng.exponential rng ~mean:(float_of_int mean)) in
-  (* Seed initial failure draws. *)
-  for i = 0 to n - 1 do
-    push (draw_exp params.segment_mttf) (Member_fail i)
-  done;
-  List.iter
-    (fun az -> push (draw_exp params.az_mttf) (Az_fail (Az.to_int az)))
-    azs;
   let up_set () =
     let s = ref Member_id.Set.empty in
     for i = 0 to n - 1 do
@@ -94,39 +80,44 @@ let run_group ~rng ~params ~(members : Membership.member list) ~rule acc =
     w_was := w;
     r_was := r
   in
-  let continue = ref true in
-  while !continue do
-    match Heap.pop heap with
-    | None -> continue := false
-    | Some (at, _, _) when at > params.horizon ->
-      account params.horizon;
-      continue := false
-    | Some (at, _, ev) ->
-      account at;
-      (match ev with
-      | Member_fail i ->
-        if member_up.(i) then begin
-          incr failures;
-          member_up.(i) <- false;
-          push
-            (at + params.repair_detection + params.repair_duration)
-            (Member_repair i)
-        end
-      | Member_repair i ->
-        member_up.(i) <- true;
-        push (at + draw_exp params.segment_mttf) (Member_fail i)
-      | Az_fail az ->
-        (* AZ+1 readout: state of the quorum at outage onset. *)
-        incr az_onsets;
-        Hashtbl.replace az_up az false;
-        if write_ok () then incr az_w;
-        if read_ok () then incr az_r;
-        push (at + params.az_outage) (Az_restore az)
-      | Az_restore az ->
-        Hashtbl.replace az_up az true;
-        push (at + draw_exp params.az_mttf) (Az_fail az));
-      note_transition ()
+  let rec push at ev =
+    ignore (Sim.schedule_at sim ~at (fun () -> handle ev) : Sim.event_id)
+  and handle ev =
+    let at = Sim.now sim in
+    account at;
+    (match ev with
+    | Member_fail i ->
+      if member_up.(i) then begin
+        incr failures;
+        member_up.(i) <- false;
+        push
+          (at + params.repair_detection + params.repair_duration)
+          (Member_repair i)
+      end
+    | Member_repair i ->
+      member_up.(i) <- true;
+      push (at + draw_exp params.segment_mttf) (Member_fail i)
+    | Az_fail az ->
+      (* AZ+1 readout: state of the quorum at outage onset. *)
+      incr az_onsets;
+      Hashtbl.replace az_up az false;
+      if write_ok () then incr az_w;
+      if read_ok () then incr az_r;
+      push (at + params.az_outage) (Az_restore az)
+    | Az_restore az ->
+      Hashtbl.replace az_up az true;
+      push (at + draw_exp params.az_mttf) (Az_fail az));
+    note_transition ()
+  in
+  (* Seed initial failure draws. *)
+  for i = 0 to n - 1 do
+    push (draw_exp params.segment_mttf) (Member_fail i)
   done;
+  List.iter
+    (fun az -> push (draw_exp params.az_mttf) (Az_fail (Az.to_int az)))
+    azs;
+  Sim.run_until sim params.horizon;
+  account params.horizon;
   let total = params.horizon in
   let uw, ur, we, re, ao, aw, ar, f = acc in
   ( uw +. (float_of_int !wu /. float_of_int total),

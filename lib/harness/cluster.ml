@@ -361,10 +361,14 @@ let create cfg =
                   })
          end));
   (* Latency by AZ distance. *)
+  let intra = Some cfg.intra_az_latency and inter = Some cfg.inter_az_latency in
   Simnet.Net.set_latency_fn net (fun a b ->
-      match (Simnet.Addr.Tbl.find_opt az_of a, Simnet.Addr.Tbl.find_opt az_of b) with
-      | Some za, Some zb when Az.equal za zb -> Some cfg.intra_az_latency
-      | _ -> Some cfg.inter_az_latency);
+      match Simnet.Addr.Tbl.find az_of a with
+      | exception Not_found -> inter
+      | za -> (
+        match Simnet.Addr.Tbl.find az_of b with
+        | zb when Az.equal za zb -> intra
+        | _ | (exception Not_found) -> inter));
   let pg_nodes = Pg_id.Tbl.create cfg.n_pgs in
   (* Build PGs: nodes + segments + membership. *)
   let scheme = layout_scheme cfg.layout in

@@ -1,6 +1,9 @@
 (** Deterministic discrete-event simulation loop.
 
-    A simulation is a clock plus a priority queue of pending events.  Events
+    A simulation is a clock plus a priority queue of pending events: a
+    binary min-heap on (instant, scheduling order) owned by [Sim].
+    Scheduling costs O(log n) in the queue depth; dispatch pops in
+    O(log n) and tests one field of the event to skip a cancelled one.  Events
     are closures scheduled at absolute instants; the loop pops the earliest
     event, advances the clock to its timestamp, and runs it.  Ties break by
     scheduling order (FIFO among same-instant events), which together with the
@@ -13,7 +16,9 @@
 type t
 
 type event_id
-(** Handle for cancellation.  Ids are never reused within one simulation. *)
+(** Handle for cancellation: the queued event itself, which carries its
+    own queued / ran / cancelled state.  Handles are never reused within
+    one simulation.  Holding one keeps the event's closure alive. *)
 
 val create : unit -> t
 
@@ -29,7 +34,11 @@ val schedule_at : t -> at:Time_ns.t -> (unit -> unit) -> event_id
 (** Absolute-time variant.  Instants in the past clamp to [now]. *)
 
 val cancel : t -> event_id -> unit
-(** Cancelling an already-run or unknown event is a no-op. *)
+(** O(1): marks the event cancelled in place.  It stays in the queue (and
+    in [stats.max_heap_depth]) until its instant comes up, when dispatch
+    discards it without advancing the clock or counting it as processed.
+    Cancelling an event that already ran or was already cancelled is a
+    no-op. *)
 
 val every : t -> interval:Time_ns.t -> (unit -> bool) -> unit
 (** [every t ~interval f] runs [f] at [now + interval], then repeatedly every

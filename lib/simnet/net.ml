@@ -22,25 +22,41 @@ type stats = {
   bytes_delivered : int;
 }
 
-(* Why a link is severed: a targeted [block] or a set-level [partition].
-   The split feeds the cause-separated drop counters so a vopr scenario can
-   distinguish partition loss from pinpoint blocks. *)
-type block_kind = Direct | Part
-
 type drop_cause = Down | Blocked | Partitioned | Random
 
 type phase = Sent | Delivered | Dropped of drop_cause
 
-(* Per-link delivery counters, keyed by the packed (src, dst) int.
-   Mutable in place: [send] is the sim's hottest path. *)
-type link_counters = {
+(* Why a link is severed: a targeted [block] or a set-level [partition].
+   The split feeds the cause-separated drop counters so a vopr scenario can
+   distinguish partition loss from pinpoint blocks. *)
+type sever = Open | Direct | Part
+
+(* Everything about one directed link: its delivery counters and its
+   fault state, so [send] finds all of it with one lookup and the
+   delivery closure carries the record itself.  Records are never
+   removed ([reset_stats] zeroes the counters in place). *)
+type link = {
   mutable l_sent : int;
   mutable l_delivered : int;
   mutable l_down : int;
   mutable l_blocked : int;
   mutable l_partition : int;
   mutable l_random : int;
+  mutable sever : sever;
+  mutable drop : float option;  (* per-link drop probability *)
+  mutable latency : Distribution.t option;  (* per-link override *)
 }
+
+(* Keyed by the packed (src, dst) int of [key].  Its low 31 bits are [dst]
+   alone and the table indexes buckets by the hash's low bits, so the hash
+   multiplies [src] in: without that every link into one destination
+   would share a bucket. *)
+module Links = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k + ((k lsr 31) * 0x9E3779B1)
+end)
 
 type link_stat = {
   sent_on : int;
@@ -69,14 +85,11 @@ type 'msg t = {
   rng : Rng.t;
   default_latency : Distribution.t;
   handlers : ('msg envelope -> unit) Addr.Tbl.t;
-  link_latency : (int, Distribution.t) Hashtbl.t;
   mutable latency_fn : Addr.t -> Addr.t -> Distribution.t option;
-  link_drop : (int, float) Hashtbl.t;
   mutable global_drop : float;
   slowdown : float Addr.Tbl.t;
   down : unit Addr.Tbl.t;
-  blocked : (int, block_kind) Hashtbl.t;
-  links : (int, link_counters) Hashtbl.t;
+  links : link Links.t;
   mutable recorder : (phase -> src:Addr.t -> dst:Addr.t -> 'msg -> unit) option;
   totals : totals;
 }
@@ -88,14 +101,11 @@ let create ~sim ~rng ~default_latency ?obs () =
       rng;
       default_latency;
       handlers = Addr.Tbl.create 64;
-      link_latency = Hashtbl.create 64;
       latency_fn = (fun _ _ -> None);
-      link_drop = Hashtbl.create 16;
       global_drop = 0.;
       slowdown = Addr.Tbl.create 16;
       down = Addr.Tbl.create 16;
-      blocked = Hashtbl.create 16;
-      links = Hashtbl.create 64;
+      links = Links.create 64;
       recorder = None;
       totals =
         {
@@ -141,12 +151,23 @@ let key_dst k = k land 0x7FFF_FFFF
 let register t addr handler = Addr.Tbl.replace t.handlers addr handler
 let unregister t addr = Addr.Tbl.remove t.handlers addr
 
-let set_link_latency t ~src ~dst dist =
-  Hashtbl.replace t.link_latency (key src dst) dist
+let link_of t src dst =
+  let k = key src dst in
+  match Links.find t.links k with
+  | l -> l
+  | exception Not_found ->
+    let l =
+      { l_sent = 0; l_delivered = 0; l_down = 0; l_blocked = 0;
+        l_partition = 0; l_random = 0; sever = Open; drop = None;
+        latency = None }
+    in
+    Links.replace t.links k l;
+    l
 
+let set_link_latency t ~src ~dst dist = (link_of t src dst).latency <- Some dist
 let set_latency_fn t f = t.latency_fn <- f
 let set_drop_probability t p = t.global_drop <- p
-let set_link_drop t ~src ~dst p = Hashtbl.replace t.link_drop (key src dst) p
+let set_link_drop t ~src ~dst p = (link_of t src dst).drop <- Some p
 
 let set_node_slowdown t addr factor =
   if factor <= 0. then invalid_arg "Net.set_node_slowdown: non-positive";
@@ -155,43 +176,40 @@ let set_node_slowdown t addr factor =
 let set_down t addr = Addr.Tbl.replace t.down addr ()
 let set_up t addr = Addr.Tbl.remove t.down addr
 let is_down t addr = Addr.Tbl.mem t.down addr
-let block_as t kind a b =
-  Hashtbl.replace t.blocked (key a b) kind;
-  Hashtbl.replace t.blocked (key b a) kind
 
-let block t a b = block_as t Direct a b
+let sever_both t cause a b =
+  (link_of t a b).sever <- cause;
+  (link_of t b a).sever <- cause
+
+let block t a b = sever_both t Direct a b
 
 let unblock t a b =
-  Hashtbl.remove t.blocked (key a b);
-  Hashtbl.remove t.blocked (key b a)
+  let reopen k =
+    match Links.find t.links k with
+    | l -> l.sever <- Open
+    | exception Not_found -> ()
+  in
+  reopen (key a b);
+  reopen (key b a)
 
 let partition t sa sb =
-  Addr.Set.iter (fun a -> Addr.Set.iter (fun b -> block_as t Part a b) sb) sa
+  Addr.Set.iter (fun a -> Addr.Set.iter (fun b -> sever_both t Part a b) sb) sa
 
 let heal_partition t sa sb =
   Addr.Set.iter (fun a -> Addr.Set.iter (fun b -> unblock t a b) sb) sa
 
-(* Option-free fault lookups: these run (twice — send and delivery time)
-   for every message, so they avoid wrapping results in [Some] blocks. *)
-
-(* @raise Not_found when the link is open. *)
-let sever_cause_exn t a b =
-  match Hashtbl.find t.blocked (key a b) with
-  | Direct -> Blocked
-  | Part -> Partitioned
-
-let latency_for t ~src ~dst =
-  match Hashtbl.find t.link_latency (key src dst) with
-  | d -> d
-  | exception Not_found -> (
+let latency_for t ~src ~dst l =
+  match l.latency with
+  | Some d -> d
+  | None -> (
     match t.latency_fn src dst with
     | Some d -> d
     | None -> t.default_latency)
 
-let drop_probability t ~src ~dst =
-  match Hashtbl.find t.link_drop (key src dst) with
-  | p -> Float.max p t.global_drop
-  | exception Not_found -> t.global_drop
+let drop_probability t l =
+  match l.drop with
+  | Some p -> Float.max p t.global_drop
+  | None -> t.global_drop
 
 let slow_factor t addr =
   match Addr.Tbl.find t.slowdown addr with
@@ -222,45 +240,48 @@ let reset_stats t =
   tl.n_random <- 0;
   tl.n_bytes_sent <- 0;
   tl.n_bytes_delivered <- 0;
-  Hashtbl.reset t.links
+  Links.iter
+    (fun _ l ->
+      l.l_sent <- 0;
+      l.l_delivered <- 0;
+      l.l_down <- 0;
+      l.l_blocked <- 0;
+      l.l_partition <- 0;
+      l.l_random <- 0)
+    t.links
 
 let set_recorder t cb = t.recorder <- cb
 
 let record t phase ~src ~dst msg =
   match t.recorder with None -> () | Some f -> f phase ~src ~dst msg
 
-let link_for t src dst =
-  let k = key src dst in
-  match Hashtbl.find t.links k with
-  | c -> c
-  | exception Not_found ->
-    let c =
-      { l_sent = 0; l_delivered = 0; l_down = 0; l_blocked = 0;
-        l_partition = 0; l_random = 0 }
-    in
-    Hashtbl.replace t.links k c;
-    c
-
+(* A record made by a fault setter, or zeroed by [reset_stats], has
+   carried nothing: only links with a non-zero counter are listed. *)
 let link_stats t =
-  Hashtbl.fold
+  Links.fold
     (fun k c acc ->
-      ( (key_src k, key_dst k),
-        {
-          sent_on = c.l_sent;
-          delivered_on = c.l_delivered;
-          drop_down = c.l_down;
-          drop_blocked = c.l_blocked;
-          drop_partition = c.l_partition;
-          drop_random = c.l_random;
-        } )
-      :: acc)
+      if
+        c.l_sent + c.l_delivered + c.l_down + c.l_blocked + c.l_partition
+        + c.l_random
+        = 0
+      then acc
+      else
+        ( (key_src k, key_dst k),
+          {
+            sent_on = c.l_sent;
+            delivered_on = c.l_delivered;
+            drop_down = c.l_down;
+            drop_blocked = c.l_blocked;
+            drop_partition = c.l_partition;
+            drop_random = c.l_random;
+          } )
+        :: acc)
     t.links []
   |> List.sort (fun ((a1, a2), _) ((b1, b2), _) ->
          match Int.compare a1 b1 with 0 -> Int.compare a2 b2 | c -> c)
 
-let note_drop t ~src ~dst cause =
+let note_drop t link cause =
   let tl = t.totals in
-  let link = link_for t src dst in
   match cause with
   | Down ->
     link.l_down <- link.l_down + 1;
@@ -277,26 +298,26 @@ let note_drop t ~src ~dst cause =
 
 (* Top-level (not a per-send closure): drop bookkeeping fires on both the
    send-time and delivery-time fault checks. *)
-let drop_now t ~src ~dst cause msg =
-  note_drop t ~src ~dst cause;
+let drop_now t link ~src ~dst cause msg =
+  note_drop t link cause;
   record t (Dropped cause) ~src ~dst msg
 
-let deliver t ~src ~dst ~sent_at ~bytes msg =
+let deliver t link ~src ~dst ~sent_at ~bytes msg =
   (* Down / blocked state is re-checked at delivery: a node that crashed
      while the message was in flight never sees it.  An unregistered
      destination counts as down. *)
-  if is_down t dst then drop_now t ~src ~dst Down msg
+  if is_down t dst then drop_now t link ~src ~dst Down msg
   else
-    match sever_cause_exn t src dst with
-    | cause -> drop_now t ~src ~dst cause msg
-    | exception Not_found -> (
+    match link.sever with
+    | Direct -> drop_now t link ~src ~dst Blocked msg
+    | Part -> drop_now t link ~src ~dst Partitioned msg
+    | Open -> (
       match Addr.Tbl.find t.handlers dst with
-      | exception Not_found -> drop_now t ~src ~dst Down msg
+      | exception Not_found -> drop_now t link ~src ~dst Down msg
       | handler ->
         let tl = t.totals in
         tl.n_delivered <- tl.n_delivered + 1;
         tl.n_bytes_delivered <- tl.n_bytes_delivered + bytes;
-        let link = link_for t src dst in
         link.l_delivered <- link.l_delivered + 1;
         record t Delivered ~src ~dst msg;
         let env = { src; dst; sent_at; bytes; msg } in
@@ -310,21 +331,22 @@ let send t ~src ~dst ?(bytes = 64) msg =
   let tl = t.totals in
   tl.n_sent <- tl.n_sent + 1;
   tl.n_bytes_sent <- tl.n_bytes_sent + bytes;
-  let out = link_for t src dst in
-  out.l_sent <- out.l_sent + 1;
+  let link = link_of t src dst in
+  link.l_sent <- link.l_sent + 1;
   record t Sent ~src ~dst msg;
-  (* Attribution order mirrors the old short-circuit: the stochastic draw
-     happens only when neither endpoint fault applies, keeping the RNG
-     stream (and thus every seeded run) identical. *)
-  if is_down t src then drop_now t ~src ~dst Down msg
+  (* The drop draw happens only when no endpoint fault applies, and before
+     the latency sample: this order is part of the RNG stream, so changing
+     it changes every seeded run. *)
+  if is_down t src then drop_now t link ~src ~dst Down msg
   else
-    match sever_cause_exn t src dst with
-    | cause -> drop_now t ~src ~dst cause msg
-    | exception Not_found ->
-      if Rng.bernoulli t.rng (drop_probability t ~src ~dst) then
-        drop_now t ~src ~dst Random msg
+    match link.sever with
+    | Direct -> drop_now t link ~src ~dst Blocked msg
+    | Part -> drop_now t link ~src ~dst Partitioned msg
+    | Open ->
+      if Rng.bernoulli t.rng (drop_probability t link) then
+        drop_now t link ~src ~dst Random msg
       else begin
-        let base = Distribution.sample (latency_for t ~src ~dst) t.rng in
+        let base = Distribution.sample (latency_for t ~src ~dst link) t.rng in
         let factor = slow_factor t src *. slow_factor t dst in
         let delay =
           if factor = 1.0 then base
@@ -333,5 +355,5 @@ let send t ~src ~dst ?(bytes = 64) msg =
         let sent_at = Sim.now t.sim in
         ignore
           (Sim.schedule t.sim ~delay (fun () ->
-               deliver t ~src ~dst ~sent_at ~bytes msg))
+               deliver t link ~src ~dst ~sent_at ~bytes msg))
       end

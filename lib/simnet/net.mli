@@ -13,7 +13,13 @@
     - node down/up: messages to or from a down node are silently dropped;
     - partitions: arbitrary blocked address pairs;
     - slow nodes: multiplicative latency factor per node (e.g. a storage
-      node hit by background work, used by the hedged-read experiment). *)
+      node hit by background work, used by the hedged-read experiment).
+
+    Each directed link a message or a setter has touched has one record
+    holding its {!link_stat} counters, its sever cause ({!block} or
+    {!partition}), its drop probability and its latency override.  So
+    {!send} costs one link lookup, and delivery none: the in-flight
+    message carries the record. *)
 
 type 'msg t
 
@@ -102,7 +108,9 @@ val heal_partition : 'msg t -> Addr.Set.t -> Addr.Set.t -> unit
 val stats : 'msg t -> stats
 
 val reset_stats : 'msg t -> unit
-(** Zero the global counters and forget per-link ones. *)
+(** Zero the global and per-link counters.  Fault state is kept: down
+    nodes, blocks, partitions, slowdowns, and per-link drop and latency
+    settings. *)
 
 (** Why a particular message was dropped — the per-message analogue of the
     cause-split counters in {!stats}. *)
@@ -136,5 +144,6 @@ type link_stat = {
 }
 
 val link_stats : 'msg t -> ((int * int) * link_stat) list
-(** Every link that carried at least one message, sorted by (src, dst) —
+(** Every link with a non-zero counter since the last {!reset_stats}
+    (a link only a setter touched is not listed), sorted by (src, dst) —
     deterministic, feeds the recorder artifact's [net] section. *)

@@ -51,6 +51,12 @@ dune build @lint-typed
 # expected outputs.
 dune runtest
 
+# Benchmark smoke: every perfbench workload at tiny scale, traced and
+# untraced.  Checks the [Sim.set_probe] contract perfbench/tracer.ml relies
+# on (the deterministic rows match with the probe on and off) and that every
+# metric is measured (~20 s).
+python3 perfbench/run.py --smoke
+
 # The slow golden: `exp all --seed 1` (every experiment table), diffed the
 # same way.  Accept an intended change with `dune promote`.
 dune build @golden-exp

@@ -4,33 +4,6 @@ open Simcore
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-(* ---- Heap ---- *)
-
-let test_heap_ordering () =
-  let h = Heap.create ~cmp:Int.compare in
-  List.iter (Heap.push h) [ 5; 3; 8; 1; 9; 2; 7; 4; 6; 0 ];
-  let out = List.init 10 (fun _ -> Heap.pop_exn h) in
-  Alcotest.(check (list int)) "sorted" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] out;
-  check_bool "empty" true (Heap.is_empty h)
-
-let test_heap_peek_pop () =
-  let h = Heap.create ~cmp:Int.compare in
-  Alcotest.(check (option int)) "peek empty" None (Heap.peek h);
-  Heap.push h 42;
-  Alcotest.(check (option int)) "peek" (Some 42) (Heap.peek h);
-  check_int "length" 1 (Heap.length h);
-  Alcotest.(check (option int)) "pop" (Some 42) (Heap.pop h);
-  Alcotest.(check (option int)) "pop empty" None (Heap.pop h)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap pops in sorted order" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:Int.compare in
-      List.iter (Heap.push h) xs;
-      let out = List.map (fun _ -> Heap.pop_exn h) xs in
-      out = List.sort Int.compare xs)
-
 (* ---- Rng ---- *)
 
 let test_rng_determinism () =
@@ -200,6 +173,178 @@ let test_sim_stats_counters () =
   Alcotest.(check int) "pending back to zero" 0 st3.Sim.pending;
   Alcotest.(check int) "high-water mark counts the cancelled event" 2
     st3.Sim.max_heap_depth
+
+let check_sim msg sim ~pending ~processed ~clock ~depth =
+  let st = Sim.stats sim in
+  check_int (msg ^ ": pending") pending (Sim.pending sim);
+  check_int (msg ^ ": stats.pending") pending st.Sim.pending;
+  check_int (msg ^ ": processed") processed st.Sim.processed;
+  check_int (msg ^ ": clock") clock (Sim.now sim);
+  check_int (msg ^ ": max_heap_depth") depth st.Sim.max_heap_depth
+
+(* Cancelling an event that already ran is a no-op: it must not leave a
+   mark that later makes [pending] undercount. *)
+let test_sim_cancel_after_run () =
+  let sim = Sim.create () in
+  let fired = ref 0 in
+  let a = Sim.schedule sim ~delay:(Time_ns.ms 1) (fun () -> incr fired) in
+  Sim.run sim;
+  Sim.cancel sim a;
+  check_sim "after the late cancel" sim ~pending:0 ~processed:1
+    ~clock:(Time_ns.ms 1) ~depth:1;
+  ignore (Sim.schedule sim ~delay:(Time_ns.ms 1) (fun () -> incr fired) : Sim.event_id);
+  check_sim "next event counts as pending" sim ~pending:1 ~processed:1
+    ~clock:(Time_ns.ms 1) ~depth:1;
+  Sim.run sim;
+  check_int "both ran" 2 !fired;
+  check_sim "drained" sim ~pending:0 ~processed:2 ~clock:(Time_ns.ms 2) ~depth:1
+
+let test_sim_cancel_twice () =
+  let sim = Sim.create () in
+  let fired = ref [] in
+  let a = Sim.schedule sim ~delay:(Time_ns.ms 1) (fun () -> fired := 1 :: !fired) in
+  ignore
+    (Sim.schedule sim ~delay:(Time_ns.ms 2) (fun () -> fired := 2 :: !fired)
+      : Sim.event_id);
+  Sim.cancel sim a;
+  Sim.cancel sim a;
+  check_sim "cancelled once, counted once" sim ~pending:1 ~processed:0
+    ~clock:Time_ns.zero ~depth:2;
+  Sim.run sim;
+  Sim.cancel sim a;
+  Alcotest.(check (list int)) "only the live event ran" [ 2 ] !fired;
+  check_sim "drained" sim ~pending:0 ~processed:1 ~clock:(Time_ns.ms 2) ~depth:2
+
+let test_sim_cancel_then_run_until () =
+  let sim = Sim.create () in
+  let fired = ref [] in
+  let a = Sim.schedule sim ~delay:(Time_ns.ms 1) (fun () -> fired := 1 :: !fired) in
+  ignore
+    (Sim.schedule sim ~delay:(Time_ns.ms 3) (fun () -> fired := 3 :: !fired)
+      : Sim.event_id);
+  Sim.cancel sim a;
+  Sim.run_until sim (Time_ns.ms 2);
+  Alcotest.(check (list int)) "cancelled event skipped" [] !fired;
+  check_sim "clock at the limit" sim ~pending:1 ~processed:0
+    ~clock:(Time_ns.ms 2) ~depth:2;
+  Sim.run_until sim (Time_ns.ms 5);
+  Alcotest.(check (list int)) "live event ran" [ 3 ] !fired;
+  check_sim "drained" sim ~pending:0 ~processed:1 ~clock:(Time_ns.ms 5) ~depth:2
+
+(* Model-based check of the event queue against a sorted-list reference.
+   Small instants make ties common; [Sched_at] reaches into the past. *)
+type sim_op =
+  | Sched of int  (** delay, may be negative *)
+  | Sched_at of int  (** absolute instant, may be in the past *)
+  | Cancel of int  (** index into every event scheduled so far *)
+  | Step
+  | Run_until of int  (** limit relative to the clock *)
+
+let show_sim_op = function
+  | Sched d -> Printf.sprintf "Sched %d" d
+  | Sched_at a -> Printf.sprintf "Sched_at %d" a
+  | Cancel i -> Printf.sprintf "Cancel %d" i
+  | Step -> "Step"
+  | Run_until d -> Printf.sprintf "Run_until +%d" d
+
+let gen_sim_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun d -> Sched d) (int_range (-3) 12));
+        (2, map (fun a -> Sched_at a) (int_range 0 40));
+        (3, map (fun i -> Cancel i) (int_range 0 1000));
+        (3, return Step);
+        (2, map (fun d -> Run_until d) (int_range (-2) 10));
+      ])
+
+(* Reference: the queue as a list sorted on (at, seq), each event with a
+   mutable state. *)
+type model_ev = { m_at : int; m_seq : int; mutable m_state : [ `Q | `R | `C ] }
+
+let prop_sim_matches_model =
+  QCheck.Test.make ~name:"event queue matches a sorted-list model" ~count:300
+    QCheck.(make ~print:(Print.list show_sim_op) Gen.(list_size (int_range 0 150) gen_sim_op))
+    (fun ops ->
+      let sim = Sim.create () in
+      let log = ref [] in
+      let ids = ref [||] and evs = ref [||] in
+      let queue = ref [] and clock = ref 0 and processed = ref 0 in
+      let depth = ref 0 and mlog = ref [] in
+      let insert ev =
+        let rec go = function
+          | [] -> [ ev ]
+          | e :: rest when e.m_at < ev.m_at || (e.m_at = ev.m_at && e.m_seq < ev.m_seq)
+            ->
+            e :: go rest
+          | l -> ev :: l
+        in
+        queue := go !queue;
+        depth := max !depth (List.length !queue)
+      in
+      let add at id =
+        let ev = { m_at = max at !clock; m_seq = Array.length !ids; m_state = `Q } in
+        ids := Array.append !ids [| id |];
+        evs := Array.append !evs [| ev |];
+        insert ev
+      in
+      let action seq () = log := seq :: !log in
+      let m_pop () =
+        match !queue with
+        | [] -> false
+        | ev :: rest ->
+          queue := rest;
+          (match ev.m_state with
+          | `C -> ()
+          | `Q | `R ->
+            ev.m_state <- `R;
+            clock := ev.m_at;
+            incr processed;
+            mlog := ev.m_seq :: !mlog);
+          true
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Sched d ->
+            let seq = Array.length !ids in
+            add (!clock + max d 0) (Sim.schedule sim ~delay:d (action seq))
+          | Sched_at a ->
+            let seq = Array.length !ids in
+            add a (Sim.schedule_at sim ~at:a (action seq))
+          | Cancel i ->
+            let n = Array.length !ids in
+            if n > 0 then begin
+              let i = i mod n in
+              Sim.cancel sim !ids.(i);
+              let ev = !evs.(i) in
+              if ev.m_state = `Q then ev.m_state <- `C
+            end
+          | Step ->
+            let ran = Sim.step sim in
+            if ran <> m_pop () then failwith "step result differs"
+          | Run_until d ->
+            let limit = !clock + d in
+            Sim.run_until sim limit;
+            let rec go () =
+              match !queue with
+              | ev :: _ when ev.m_at <= limit -> ignore (m_pop () : bool); go ()
+              | _ -> ()
+            in
+            go ();
+            clock := max !clock limit);
+          let st = Sim.stats sim in
+          let m_pending =
+            List.length (List.filter (fun ev -> ev.m_state = `Q) !queue)
+          in
+          !log = !mlog
+          && Sim.now sim = !clock
+          && Sim.pending sim = m_pending
+          && st.Sim.pending = m_pending
+          && st.Sim.processed = !processed
+          && Sim.processed sim = !processed
+          && st.Sim.max_heap_depth = !depth)
+        ops)
 
 (* ---- Distribution ---- *)
 
@@ -377,12 +522,6 @@ let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "simcore"
     [
-      ( "heap",
-        [
-          Alcotest.test_case "ordering" `Quick test_heap_ordering;
-          Alcotest.test_case "peek/pop" `Quick test_heap_peek_pop;
-          qc prop_heap_sorts;
-        ] );
       ( "rng",
         [
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
@@ -402,6 +541,11 @@ let () =
           Alcotest.test_case "every" `Quick test_sim_every;
           Alcotest.test_case "nested schedule" `Quick test_sim_nested_schedule;
           Alcotest.test_case "dispatch stats" `Quick test_sim_stats_counters;
+          Alcotest.test_case "cancel after run" `Quick test_sim_cancel_after_run;
+          Alcotest.test_case "cancel twice" `Quick test_sim_cancel_twice;
+          Alcotest.test_case "cancel then run_until" `Quick
+            test_sim_cancel_then_run_until;
+          qc prop_sim_matches_model;
         ] );
       ( "distribution",
         [

@@ -156,6 +156,147 @@ let test_kept_envelopes () =
          (Simnet.Addr.to_int env.src, env.msg))
        !kept)
 
+(* ---- The per-link record ---- *)
+
+let link_stats_of net =
+  List.map
+    (fun ((src, dst), (l : Simnet.Net.link_stat)) ->
+      ( (src, dst),
+        [ l.sent_on; l.delivered_on; l.drop_down; l.drop_blocked;
+          l.drop_partition; l.drop_random ] ))
+    (Simnet.Net.link_stats net)
+
+let check_links msg expected net =
+  Alcotest.(check (list (pair (pair int int) (list int))))
+    msg expected (link_stats_of net)
+
+let check_drops msg net ~down ~blocked ~partition ~random =
+  let st = Simnet.Net.stats net in
+  check_int (msg ^ ": down") down st.Simnet.Net.dropped_down;
+  check_int (msg ^ ": blocked") blocked st.Simnet.Net.dropped_blocked;
+  check_int (msg ^ ": partition") partition st.Simnet.Net.dropped_partition;
+  check_int (msg ^ ": random") random st.Simnet.Net.dropped_random
+
+let single a = Simnet.Addr.Set.singleton (addr a)
+
+(* [reset_stats] zeroes counters only: every fault setting survives it. *)
+let test_reset_keeps_faults () =
+  let sim, net = fixture () in
+  let got = collector net (addr 4) in
+  List.iter (fun a -> ignore (collector net (addr a) : string list ref)) [ 1; 2; 3 ];
+  Simnet.Net.block net (addr 0) (addr 1);
+  Simnet.Net.partition net (single 0) (single 2);
+  Simnet.Net.set_link_drop net ~src:(addr 0) ~dst:(addr 3) 1.0;
+  Simnet.Net.set_link_latency net ~src:(addr 0) ~dst:(addr 4)
+    (Distribution.constant (Time_ns.ms 3));
+  let send_all () =
+    List.iter (fun d -> Simnet.Net.send net ~src:(addr 0) ~dst:(addr d) "m") [ 1; 2; 3; 4 ];
+    Sim.run sim
+  in
+  send_all ();
+  Simnet.Net.reset_stats net;
+  let st = Simnet.Net.stats net in
+  check_int "sent zeroed" 0 st.Simnet.Net.sent;
+  check_int "delivered zeroed" 0 st.Simnet.Net.delivered;
+  check_drops "zeroed" net ~down:0 ~blocked:0 ~partition:0 ~random:0;
+  check_links "per-link counters zeroed" [] net;
+  let sent_at = Sim.now sim in
+  send_all ();
+  check_drops "faults still apply" net ~down:0 ~blocked:1 ~partition:1 ~random:1;
+  check_int "latency override kept" (Time_ns.add sent_at (Time_ns.ms 3)) (Sim.now sim);
+  check_int "both deliveries on the open link" 2 (List.length !got);
+  check_links "counted again from zero"
+    [ ((0, 1), [ 1; 0; 0; 1; 0; 0 ]); ((0, 2), [ 1; 0; 0; 0; 1; 0 ]);
+      ((0, 3), [ 1; 0; 0; 0; 0; 1 ]); ((0, 4), [ 1; 1; 0; 0; 0; 0 ]) ]
+    net
+
+(* A record made by a setter carries nothing, so it is not listed; a
+   message in flight across [reset_stats] counts its delivery only. *)
+let test_setter_links_unlisted () =
+  let sim, net = fixture () in
+  ignore (collector net (addr 1) : string list ref);
+  Simnet.Net.set_link_latency net ~src:(addr 5) ~dst:(addr 6)
+    (Distribution.constant (Time_ns.ms 1));
+  Simnet.Net.set_link_drop net ~src:(addr 7) ~dst:(addr 8) 0.5;
+  Simnet.Net.block net (addr 9) (addr 10);
+  Simnet.Net.unblock net (addr 9) (addr 10);
+  Simnet.Net.partition net (single 11) (single 12);
+  Simnet.Net.heal_partition net (single 11) (single 12);
+  check_links "setters list nothing" [] net;
+  Simnet.Net.send net ~src:(addr 0) ~dst:(addr 1) "in flight";
+  Simnet.Net.reset_stats net;
+  Sim.run sim;
+  check_links "delivery after the reset" [ ((0, 1), [ 0; 1; 0; 0; 0; 0 ]) ] net
+
+(* Down beats a severed link, which beats the random draw — at send time
+   for the source and at delivery for the destination. *)
+let test_drop_cause_precedence () =
+  let sim, net = fixture () in
+  ignore (collector net (addr 1) : string list ref);
+  let send () =
+    Simnet.Net.send net ~src:(addr 0) ~dst:(addr 1) "m";
+    Sim.run sim
+  in
+  Simnet.Net.set_link_drop net ~src:(addr 0) ~dst:(addr 1) 1.0;
+  Simnet.Net.block net (addr 0) (addr 1);
+  Simnet.Net.set_down net (addr 0);
+  send ();
+  check_drops "source down first" net ~down:1 ~blocked:0 ~partition:0 ~random:0;
+  Simnet.Net.set_up net (addr 0);
+  send ();
+  check_drops "then the block" net ~down:1 ~blocked:1 ~partition:0 ~random:0;
+  Simnet.Net.partition net (single 0) (single 1);
+  send ();
+  check_drops "or the partition" net ~down:1 ~blocked:1 ~partition:1 ~random:0;
+  Simnet.Net.heal_partition net (single 0) (single 1);
+  send ();
+  check_drops "then random" net ~down:1 ~blocked:1 ~partition:1 ~random:1;
+  (* At delivery: a destination that went down while the message was in
+     flight outranks a block laid at the same moment. *)
+  Simnet.Net.set_link_drop net ~src:(addr 0) ~dst:(addr 1) 0.0;
+  Simnet.Net.send net ~src:(addr 0) ~dst:(addr 1) "m";
+  Simnet.Net.block net (addr 0) (addr 1);
+  Simnet.Net.set_down net (addr 1);
+  Sim.run sim;
+  check_drops "destination down at delivery" net ~down:2 ~blocked:1 ~partition:1
+    ~random:1;
+  Simnet.Net.set_up net (addr 1);
+  Simnet.Net.unblock net (addr 0) (addr 1);
+  Simnet.Net.send net ~src:(addr 0) ~dst:(addr 1) "m";
+  Simnet.Net.block net (addr 0) (addr 1);
+  Sim.run sim;
+  check_drops "block at delivery" net ~down:2 ~blocked:2 ~partition:1 ~random:1;
+  check_links "all on one link" [ ((0, 1), [ 6; 0; 2; 2; 1; 1 ]) ] net
+
+(* An endpoint fault drops the message before the Bernoulli draw, so the
+   RNG stream — and every later draw of a seeded run — is untouched. *)
+let test_no_draw_on_endpoint_fault () =
+  let sim = Sim.create () in
+  let rng = Rng.create 7 in
+  let net =
+    Simnet.Net.create ~sim ~rng
+      ~default_latency:(Distribution.uniform ~lo:(Time_ns.us 10) ~hi:(Time_ns.us 20))
+      ()
+  in
+  ignore (collector net (addr 1) : string list ref);
+  (* Two copies of one state draw the same next value. *)
+  let draws_on_send () =
+    let before = Rng.copy rng in
+    Simnet.Net.send net ~src:(addr 0) ~dst:(addr 1) "m";
+    Sim.run sim;
+    not (Int64.equal (Rng.bits64 before) (Rng.bits64 (Rng.copy rng)))
+  in
+  Simnet.Net.set_down net (addr 0);
+  check_bool "source down: no draw" false (draws_on_send ());
+  Simnet.Net.set_up net (addr 0);
+  Simnet.Net.block net (addr 0) (addr 1);
+  check_bool "blocked: no draw" false (draws_on_send ());
+  Simnet.Net.unblock net (addr 0) (addr 1);
+  Simnet.Net.partition net (single 0) (single 1);
+  check_bool "partitioned: no draw" false (draws_on_send ());
+  Simnet.Net.heal_partition net (single 0) (single 1);
+  check_bool "open link draws" true (draws_on_send ())
+
 let prop_no_reorder_on_constant_latency =
   QCheck.Test.make ~name:"constant-latency link preserves send order" ~count:50
     QCheck.(int_range 2 50)
@@ -190,5 +331,14 @@ let () =
           Alcotest.test_case "drop cause split" `Quick test_drop_cause_split;
           Alcotest.test_case "drop probability" `Quick test_drop_probability;
           Alcotest.test_case "slowdown factor" `Quick test_slowdown;
+        ] );
+      ( "links",
+        [
+          Alcotest.test_case "reset keeps fault state" `Quick test_reset_keeps_faults;
+          Alcotest.test_case "setter-only links unlisted" `Quick
+            test_setter_links_unlisted;
+          Alcotest.test_case "drop cause precedence" `Quick test_drop_cause_precedence;
+          Alcotest.test_case "no draw on endpoint fault" `Quick
+            test_no_draw_on_endpoint_fault;
         ] );
     ]
