@@ -9,8 +9,9 @@
 
    2. Bechamel micro-benchmarks of the hot paths that make the paper's
       mechanisms cheap: consistency-point advancement, quorum-set
-      evaluation, hot-log insertion/SCL tracking, histogram recording, and
-      the simulator core.  Run with `dune exec bench/main.exe -- micro`.
+      evaluation, hot-log insertion/SCL tracking, block-store apply,
+      histogram recording, and the simulator core.  Run with
+      `dune exec bench/main.exe -- micro`.
 
    3. The performance report — `main.exe report --out BENCH_NNN.json` runs
       the micro suite plus an end-to-end reference scenario (open-loop
@@ -84,6 +85,34 @@ let bench_hot_log () =
       in
       ignore (Wal.Hot_log.insert log r : Wal.Hot_log.insert_result))
 
+let bench_block_store_apply () =
+  (* A Put with a 64-byte value into a warm block (16 keys that already
+     have versions), as coalesce applies it: the version push plus the two
+     checksum terms.  Every 4096 puts a GC pass collects the superseded
+     versions, so the store stays small however long Bechamel runs. *)
+  let store = Storage.Block_store.create () in
+  let txn = Wal.Txn_id.of_int 1 in
+  Storage.Block_store.note_outcome store txn (Wal.Lsn.of_int 1) ~aborted:false;
+  let keys = Array.init 16 (Printf.sprintf "key-%06d") in
+  let value = "v000000001-" ^ String.make 53 'x' in
+  let lsn = ref 1 in
+  let put () =
+    incr lsn;
+    let l = Wal.Lsn.of_int !lsn in
+    Storage.Block_store.apply store
+      (Wal.Log_record.make ~lsn:l ~prev_volume:Wal.Lsn.none ~prev_segment:Wal.Lsn.none
+         ~prev_block:Wal.Lsn.none ~block:(Wal.Block_id.of_int 7) ~txn ~mtr_id:!lsn
+         ~mtr_end:true
+         ~op:(Wal.Log_record.Put { key = keys.(!lsn land 15); value }))
+  in
+  for _ = 1 to 16 do
+    put ()
+  done;
+  Bechamel.Staged.stage (fun () ->
+      put ();
+      if !lsn land 4095 = 0 then
+        ignore (Storage.Block_store.gc store ~keep_at_or_above:(Wal.Lsn.of_int !lsn) : int))
+
 let bench_histogram () =
   let h = Histogram.create () in
   let x = ref 17 in
@@ -153,6 +182,7 @@ let micro_estimates () =
       Test.make ~name:"quorum-set: tiered write eval" (bench_quorum_eval ());
       Test.make ~name:"quorum-set: full overlap proof" (bench_quorum_overlap ());
       Test.make ~name:"hot-log: insert + SCL advance" (bench_hot_log ());
+      Test.make ~name:"block-store: apply put" (bench_block_store_apply ());
       Test.make ~name:"histogram: record" (bench_histogram ());
       Test.make ~name:"sim: schedule + dispatch event" (bench_sim_events ());
       Test.make ~name:"series: sampler tick (amortised)" (bench_series_sample ());

@@ -83,7 +83,13 @@ type t = {
   mutable mtr_counter : int;
   (* replication *)
   mutable replica_addrs : Simnet.Addr.t list;
+  (* Records submitted since the first replica attached and not yet
+     streamed; empty while no replica is attached. *)
   stream_queue : Log_record.t Queue.t;
+  (* The last LSN allocated before the stream started.  Nothing ships until
+     VDL covers it, so a replica never anchors below a record it was not
+     sent. *)
+  mutable stream_from : Lsn.t;
   mutable last_commit_shipped : Lsn.t;
   (* Commits not yet shipped, newest first; see [replication_tick]. *)
   mutable unshipped : (Txn_id.t * Lsn.t) list;
@@ -249,7 +255,7 @@ let submit_record t (record : Log_record.t) (g : Volume.pg) =
   Queue.push record.lsn (obs_unacked_queue t g.Volume.id);
   Queue.push record.lsn t.obs_vdl_pending;
   Buffer_cache.apply t.cache record ~vdl:(vdl t);
-  Queue.push record t.stream_queue;
+  if t.replica_addrs <> [] then Queue.push record t.stream_queue;
   Queue.push (record.lsn, Sim.now t.sim) t.inflight_records;
   t.metrics.records_written <- t.metrics.records_written + 1;
   (* Fan out to every member of the group; the quorum set decides when the
@@ -459,14 +465,17 @@ let abort t ~txn =
 (* ---- replication stream (§3.2-3.4) ---- *)
 
 let attach_replica t a =
+  if t.replica_addrs = [] then t.stream_from <- Volume.last_lsn t.volume;
   if not (List.exists (Simnet.Addr.equal a) t.replica_addrs) then
     t.replica_addrs <- a :: t.replica_addrs
 
 let detach_replica t a =
   t.replica_addrs <- List.filter (fun x -> not (Simnet.Addr.equal x a)) t.replica_addrs;
-  Simnet.Addr.Tbl.remove t.replica_floors a
+  Simnet.Addr.Tbl.remove t.replica_floors a;
+  if t.replica_addrs = [] then Queue.clear t.stream_queue
 
 let replicas t = t.replica_addrs
+let stream_backlog t = Queue.length t.stream_queue
 
 (* Pop stream-queue records covered by VDL and group consecutive records of
    the same MTR into atomically applied chunks (§3.3). *)
@@ -496,7 +505,7 @@ let drain_stream t =
   chunk records
 
 let replication_tick t =
-  if t.replica_addrs <> [] then begin
+  if t.replica_addrs <> [] && Lsn.(vdl t >= t.stream_from) then begin
     let chunks = drain_stream t in
     let limit = vdl t in
     (* A commit ships once VDL covers it, oldest first.  Read-only commits
@@ -725,6 +734,7 @@ let create ~sim ~rng ~net ~addr ~volume ~config ?obs () =
       mtr_counter = 0;
       replica_addrs = [];
       stream_queue = Queue.create ();
+      stream_from = Lsn.none;
       last_commit_shipped = Lsn.none;
       unshipped = [];
       replica_floors = Simnet.Addr.Tbl.create 4;

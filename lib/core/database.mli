@@ -131,8 +131,21 @@ val abort : t -> txn:Txn_id.t -> unit
 (* ---- replicas (§3.2-3.4) ---- *)
 
 val attach_replica : t -> Simnet.Addr.t -> unit
+(** Start streaming redo to a replica.  The stream is kept only while some
+    replica is attached, so a replica that attaches later starts from the
+    stream at that point and reads older blocks from storage.  Nothing is
+    shipped until VDL covers every record allocated before the stream
+    started, so the replica's first anchor is never below a record it was
+    not sent. *)
+
 val detach_replica : t -> Simnet.Addr.t -> unit
+(** Stop streaming to a replica; the last one to detach drops the stream's
+    backlog. *)
+
 val replicas : t -> Simnet.Addr.t list
+
+val stream_backlog : t -> int
+(** Records queued for the replication stream, not yet shipped. *)
 
 (* ---- lifecycle / faults ---- *)
 

@@ -32,3 +32,26 @@ val fnv1a_add_string : int -> string -> int
 
 val fnv1a_add_int : int -> int -> int
 (** Fold an int (as 8 little-endian bytes) into an incremental hash. *)
+
+(** {1 Checksum word mix}
+
+    A word-at-a-time fold for checksum terms only: four bytes per step, one
+    multiply each, then {!mix_finish}.  Changing any single word of the
+    input always changes the result (every step is a bijection), but the
+    values are not FNV-1a's, so nothing that places data (block placement)
+    may use it.  Results use all 63 bits and may be negative. *)
+
+val mix_seed : int
+(** Starting state for the [mix_add_*] functions. *)
+
+val mix_add_string : int -> string -> int
+(** Fold a string's length, then its bytes four at a time (little-endian,
+    the last word zero-padded). *)
+
+val mix_add_int : int -> int -> int
+(** Fold a whole int in one step. *)
+
+val mix_finish : int -> int
+(** Final avalanche, a bijection: every input bit reaches every output bit.
+    Apply it once per term; without it, changes to two terms of a sum can
+    cancel. *)

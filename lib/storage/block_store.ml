@@ -58,18 +58,20 @@ let version_bytes key v =
 
 let is_multi = function _ :: _ :: _ -> true | [] | [ _ ] -> false
 
-(* One key's term of the block checksum: a digest of its newest version. *)
+(* One key's term of the block checksum: a digest of its newest version,
+   folded a word at a time ([apply] computes two per Put).  A delete folds
+   -1 where a value's length would go, which no string has. *)
 let head_hash key = function
   | [] -> 0
   | v :: _ ->
-    let h = Simcore.Bits.fnv1a_string key in
+    let h = Simcore.Bits.mix_add_string Simcore.Bits.mix_seed key in
     let h =
       match v.value with
-      | Some s -> Simcore.Bits.fnv1a_add_string h s
-      | None -> Simcore.Bits.fnv1a_add_int h (-1)
+      | Some s -> Simcore.Bits.mix_add_string h s
+      | None -> Simcore.Bits.mix_add_int h (-1)
     in
-    let h = Simcore.Bits.fnv1a_add_int h (Txn_id.to_int v.txn) in
-    Simcore.Bits.fnv1a_add_int h (Lsn.to_int v.lsn)
+    let h = Simcore.Bits.mix_add_int h (Txn_id.to_int v.txn) in
+    Simcore.Bits.mix_finish (Simcore.Bits.mix_add_int h (Lsn.to_int v.lsn))
 
 (* Digest of the current (newest-version-per-key) contents.  Combining with
    an order-independent sum keeps it stable across hash-table iteration

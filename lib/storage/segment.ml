@@ -101,10 +101,11 @@ let coalesce t =
   match t.kind with
   | Membership.Tail -> 0
   | Membership.Full ->
-    let to_apply = Hot_log.chained_records_above t.hot_log t.coalesced in
-    List.iter (fun r -> Block_store.apply t.store r) to_apply;
+    let applied =
+      Hot_log.iter_chained_above t.hot_log t.coalesced (Block_store.apply t.store)
+    in
     if Lsn.(scl t > t.coalesced) then t.coalesced <- scl t;
-    List.length to_apply
+    applied
 
 let read_block t ~block ~as_of =
   match t.kind with

@@ -211,11 +211,9 @@ let handle_gossip_pull t ~reply_to ~pg ~scl ~epochs =
     match Segment.check_epochs s epochs with
     | Error _ -> reject_metric t
     | Ok () ->
-      let records = Hot_log.chained_records_above (Segment.hot_log s) scl in
       let records =
-        if List.length records > t.config.gossip_batch_limit then
-          List.filteri (fun i _ -> i < t.config.gossip_batch_limit) records
-        else records
+        Hot_log.chained_records_above ~limit:t.config.gossip_batch_limit
+          (Segment.hot_log s) scl
       in
       t.metrics.gossip_pulls_served <- t.metrics.gossip_pulls_served + 1;
       if records <> [] then begin

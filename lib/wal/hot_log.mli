@@ -5,7 +5,14 @@
     §2.2); the hot log buffers out-of-chain records and advances the Segment
     Complete LSN — "the inclusive upper bound on log records continuously
     linked through the segment chain without gaps" (§2.3) — as holes fill,
-    either from the writer or from peer gossip. *)
+    either from the writer or from peer gossip.
+
+    {b Layout and cost.}  The gapless chain is an LSN-ascending array slice;
+    every other stored record (pending above the SCL, strays below it) sits
+    in one small by-LSN table.  An in-order insert appends to the slice with
+    no hashing, {!drop_below} pops the slice front (cost: the records
+    dropped plus the small table), and chain queries binary-search the
+    slice.  {!annul_range} is recovery-only and rebuilds both. *)
 
 type t
 
@@ -33,7 +40,6 @@ val highest_received : t -> Lsn.t
 (** Highest record LSN stored, chained or not ([>= scl]). *)
 
 val contains : t -> Lsn.t -> bool
-val find : t -> Lsn.t -> Log_record.t option
 
 val dropped_upto : t -> Lsn.t
 (** Highest LSN removed by {!drop_below} — the retention floor.  Records at
@@ -44,14 +50,18 @@ val record_count : t -> int
 val pending_count : t -> int
 (** Records received but not yet linked into the gapless prefix. *)
 
-val chained_records_above : t -> Lsn.t -> Log_record.t list
+val chained_records_above : ?limit:int -> t -> Lsn.t -> Log_record.t list
 (** Records of the gapless chain with LSN strictly above the argument, in
-    chain order — exactly what a gossiping peer with that SCL is missing. *)
+    chain order — exactly what a gossiping peer with that SCL is missing.
+    With [~limit], only the first (lowest) [limit] of them. *)
+
+val iter_chained_above : t -> Lsn.t -> (Log_record.t -> unit) -> int
+(** [iter_chained_above t lsn f] applies [f] to the records
+    {!chained_records_above} would list, in chain order, without building
+    the list, and returns how many there were.  [f] must not modify [t]. *)
 
 val chain_to_list : t -> Log_record.t list
 (** The full gapless chain in order. *)
-
-val fold_chain : t -> init:'a -> f:('a -> Log_record.t -> 'a) -> 'a
 
 val annul_range : t -> above:Lsn.t -> upto:Lsn.t -> int
 (** Apply a truncation range: drop stored records with LSN in

@@ -325,6 +325,77 @@ let test_commit_shipping_matches_history () =
             Alcotest.failf "write commit %d not shipped" (Txn_id.to_int txn))
         !history)
 
+(* The redo stream is kept only for attached replicas: without one, no
+   record is ever queued for it. *)
+let test_no_replica_no_backlog () =
+  with_cluster (fun _ sim db ->
+      for i = 1 to 300 do
+        let txn = Database.begin_txn db in
+        Database.put db ~txn ~key:(Printf.sprintf "k%d" (i mod 50)) ~value:"v";
+        Database.commit db ~txn (fun _ -> ());
+        if i mod 50 = 0 then begin
+          settle sim (Time_ns.ms 20);
+          check_int "backlog while writing" 0 (Database.stream_backlog db)
+        end
+      done;
+      settle sim (Time_ns.sec 1);
+      check_int "backlog after settling" 0 (Database.stream_backlog db))
+
+(* A replica attached after 500 committed transactions gets only the
+   stream from that point on, and still reads every key's latest committed
+   value: older blocks come from storage at its VDL.  It attaches just
+   before a replication tick, right after a write to "hot" that is still in
+   flight, and reads "hot" at once: an anchor below that write would cache
+   the block without it for good, since the stream never carries it.  It
+   keeps reading while the writes continue, so blocks it cached early must
+   keep up through the stream alone. *)
+let test_late_replica_reads_latest () =
+  with_cluster (fun cluster sim db ->
+      let latest = Hashtbl.create 64 in
+      let acked = ref 0 in
+      let rng = Rng.create 5 in
+      let write ~key value =
+        let txn = Database.begin_txn db in
+        Database.put db ~txn ~key ~value;
+        (* SCNs follow issue order, so the last value issued is the latest. *)
+        Hashtbl.replace latest key value;
+        Database.commit db ~txn (function Ok () -> incr acked | Error _ -> ())
+      in
+      let rec writes i n k =
+        if i <= n then begin
+          write ~key:(Printf.sprintf "late%d" (Rng.int rng 40)) (Printf.sprintf "v%d" i);
+          ignore
+            (Sim.schedule sim ~delay:(Time_ns.us 700) (fun () -> writes (i + 1) n k)
+              : Sim.event_id)
+        end
+        else k ()
+      in
+      let replica = ref None in
+      let attach () =
+        write ~key:"hot" "final";
+        check_int "no backlog before any replica" 0 (Database.stream_backlog db);
+        let r = Cluster.add_replica cluster in
+        replica := Some r;
+        let reads = ref 0 in
+        Sim.every sim ~interval:(Time_ns.us 100) (fun () ->
+            incr reads;
+            Replica.get r ~key:(if !reads mod 2 = 0 then "hot" else Printf.sprintf "late%d" (Rng.int rng 40))
+              (fun _ -> ());
+            !acked < 601);
+        writes 501 600 (fun () -> ())
+      in
+      writes 1 500 (fun () ->
+          let tick = (Database.config db).Database.replication_interval in
+          let next_tick = (Sim.now sim / tick + 1) * tick in
+          ignore (Sim.schedule_at sim ~at:(next_tick - Time_ns.us 30) attach : Sim.event_id));
+      settle sim (Time_ns.sec 3);
+      check_int "every commit acknowledged" 601 !acked;
+      let replica = Option.get !replica in
+      Hashtbl.iter
+        (fun key value ->
+          check_vopt ("latest " ^ key) (Some value) (replica_get sim replica key))
+        latest)
+
 let () =
   Alcotest.run "engine"
     [
@@ -352,5 +423,9 @@ let () =
           Alcotest.test_case "feedback floor" `Slow test_replica_feedback_floor;
           Alcotest.test_case "commit shipping = whole-history filter" `Slow
             test_commit_shipping_matches_history;
+          Alcotest.test_case "no replica, no stream backlog" `Slow
+            test_no_replica_no_backlog;
+          Alcotest.test_case "late replica reads latest values" `Slow
+            test_late_replica_reads_latest;
         ] );
     ]

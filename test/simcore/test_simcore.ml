@@ -509,6 +509,49 @@ let test_fnv1a_known_answers () =
        (Bits.fnv1a_add_string (Bits.fnv1a_string "key-000042") v64)
        (-1))
 
+(* FNV-1a places keys in blocks, so its value at every short length (each
+   remainder of a word, and past one) is pinned too. *)
+let test_fnv1a_short_strings () =
+  List.iteri
+    (fun n expected ->
+      check_int (Printf.sprintf "length %d" n) expected
+        (Bits.fnv1a_string (String.sub "abcdefghij" 0 n)))
+    [
+      3414781078840391647; 620337896427418084; 2819256772731206686;
+      4330135742048588913; 2542539470627120007; 1732676667520059768;
+      30931805106982654; 2727602579485266549; 4265606095883754295;
+      4160179995791577764;
+    ]
+
+(* Known answers for the checksum word mix.  No output prints a checksum,
+   but scrub results depend on which blocks verify, so a change of value
+   must be deliberate.  Lengths 0-9 cover an empty string, every partial
+   last word, and more than two words. *)
+let test_mix_known_answers () =
+  let v64 = "v000000001-" ^ String.make 53 'x' in
+  List.iteri
+    (fun n expected ->
+      check_int (Printf.sprintf "length %d" n) expected
+        (Bits.mix_add_string Bits.mix_seed (String.sub "abcdefghij" 0 n)))
+    [
+      -1196904939586996257; -4021922241839577897; -4010680834953316308;
+      2979218050793586153; 2974433647612742326; -526922447180729438;
+      2314680692847962615; 3620380434859345632; -4468146991349633051;
+      -578604846628281467;
+    ];
+  check_int "64 bytes" 4389496999508745201 (Bits.mix_add_string Bits.mix_seed v64);
+  check_int "int -1" 1196903840075368046 (Bits.mix_add_int Bits.mix_seed (-1));
+  check_int "finish 0" 0 (Bits.mix_finish 0);
+  check_int "finish 1" (-1442015546200444823) (Bits.mix_finish 1);
+  check_int "finish min_int" 178897516209522065 (Bits.mix_finish min_int);
+  check_int "checksum term: key, value, txn, lsn" 2718669227800359096
+    (Bits.mix_finish
+       (Bits.mix_add_int
+          (Bits.mix_add_int
+             (Bits.mix_add_string (Bits.mix_add_string Bits.mix_seed "key-000042") v64)
+             7)
+          4096))
+
 (* ---- Time ---- *)
 
 let test_time_units () =
@@ -573,5 +616,10 @@ let () =
           Alcotest.test_case "ewma" `Quick test_ewma;
         ] );
       ("time", [ Alcotest.test_case "units" `Quick test_time_units ]);
-      ("bits", [ Alcotest.test_case "fnv1a known answers" `Quick test_fnv1a_known_answers ]);
+      ( "bits",
+        [
+          Alcotest.test_case "fnv1a known answers" `Quick test_fnv1a_known_answers;
+          Alcotest.test_case "fnv1a short strings" `Quick test_fnv1a_short_strings;
+          Alcotest.test_case "checksum mix known answers" `Quick test_mix_known_answers;
+        ] );
     ]

@@ -136,6 +136,43 @@ let test_block_store_no_laundering () =
   B.load_snapshot s (blk 0) (B.block_snapshot good (blk 0));
   check_bool "good image repairs" true (B.verify s (blk 0))
 
+(* The checksum folds values a word at a time, the last word partial, so
+   corruption is checked at every value length from 0 to 130 (every
+   remainder mod 4, several whole words) and with random bytes (a first
+   byte of 0xff wraps to 0).  It must stay caught through later writes to
+   another key of the block and through GC.  A value of length 0 cannot be
+   corrupted: [corrupt] picks only non-empty values. *)
+let prop_corrupt_caught_at_every_length =
+  let module B = Storage.Block_store in
+  QCheck.Test.make ~count:40 ~name:"verify catches corrupt at every value length"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let bytes n = String.init n (fun _ -> Char.chr (Rng.int rng 256)) in
+      let caught n =
+        let s = B.create () and good = B.create () in
+        let both r =
+          B.apply s r;
+          B.apply good r
+        in
+        both (put ~l:1 ~block:0 "target" (bytes n));
+        if n = 0 then (not (B.corrupt s (blk 0))) && B.verify s (blk 0)
+        else begin
+          let corrupted = B.corrupt s (blk 0) in
+          let at_once = not (B.verify s (blk 0)) in
+          both (put ~l:2 ~t:2 ~block:0 "other" (bytes (Rng.int rng 70)));
+          both (put ~l:3 ~prev_block:(lsn 2) ~t:2 ~block:0 "other" (bytes (Rng.int rng 70)));
+          let after_writes = not (B.verify s (blk 0)) in
+          List.iter (fun st -> B.note_outcome st (txn 2) (lsn 4) ~aborted:false) [ s; good ];
+          let collected = B.gc s ~keep_at_or_above:(lsn 4) in
+          ignore (B.gc good ~keep_at_or_above:(lsn 4) : int);
+          corrupted && at_once && after_writes && collected = 1
+          && (not (B.verify s (blk 0)))
+          && B.verify good (blk 0)
+        end
+      in
+      List.for_all caught (List.init 131 Fun.id))
+
 let test_block_store_repair () =
   let module B = Storage.Block_store in
   let s = B.create () and peer = B.create () and bad_peer = B.create () in
@@ -960,6 +997,7 @@ let () =
           Alcotest.test_case "checksum scrub" `Quick test_block_store_scrub;
           Alcotest.test_case "checksum not laundered" `Quick
             test_block_store_no_laundering;
+          QCheck_alcotest.to_alcotest prop_corrupt_caught_at_every_length;
           Alcotest.test_case "repair checks image" `Quick test_block_store_repair;
           Alcotest.test_case "parked key woken by a late commit" `Quick
             test_gc_parked_woken_by_commit;

@@ -193,6 +193,217 @@ let prop_annul_then_scl_valid =
       ignore (Hot_log.annul_range log ~above:(lsn cut) ~upto:(lsn (n + 100)) : int);
       Lsn.to_int (Hot_log.scl log) = cut)
 
+(* ---- Hot_log against its reference model ---- *)
+
+module Model = Hot_log_model
+
+let lsn_ints l = List.map (fun (r : Log_record.t) -> Lsn.to_int r.lsn) l
+let show_lsns l = String.concat "," (List.map string_of_int l)
+
+(* Every observable of [h] against [m]: [contains] at every LSN up to
+   [max_lsn], [chained_records_above] at every [stride]th. *)
+let disagreement ?(stride = 1) ~max_lsn (m : Model.t) (h : Hot_log.t) =
+  let ints name a b = if a = b then None else Some (Printf.sprintf "%s: model %d, hot log %d" name a b) in
+  let lsn name a b = ints name (Lsn.to_int a) (Lsn.to_int b) in
+  let lists name a b =
+    if a = b then None
+    else Some (Printf.sprintf "%s: model [%s], hot log [%s]" name (show_lsns a) (show_lsns b))
+  in
+  let checks =
+    [
+      (fun () -> lsn "scl" (Model.scl m) (Hot_log.scl h));
+      (fun () -> lsn "highest" (Model.highest_received m) (Hot_log.highest_received h));
+      (fun () -> ints "record_count" (Model.record_count m) (Hot_log.record_count h));
+      (fun () -> ints "pending_count" (Model.pending_count m) (Hot_log.pending_count h));
+      (fun () -> ints "bytes" (Model.bytes_stored m) (Hot_log.bytes_stored h));
+      (fun () -> lsn "dropped_upto" (Model.dropped_upto m) (Hot_log.dropped_upto h));
+      (fun () ->
+        lists "chain" (lsn_ints (Model.chain_to_list m)) (lsn_ints (Hot_log.chain_to_list h)));
+      (fun () ->
+        let rec at i =
+          if i > max_lsn then None
+          else
+            let l = Lsn.of_int i in
+            if Model.contains m l <> Hot_log.contains h l then
+              Some (Printf.sprintf "contains %d: model %b" i (Model.contains m l))
+            else if i mod stride <> 0 then at (i + 1)
+            else
+              let expected = lsn_ints (Model.chained_records_above m l) in
+              match
+                lists (Printf.sprintf "above %d" i) expected
+                  (lsn_ints (Hot_log.chained_records_above h l))
+              with
+              | Some e -> Some e
+              | None when List.length expected <> Hot_log.iter_chained_above h l ignore ->
+                Some (Printf.sprintf "iter above %d" i)
+              | None -> at (i + 1)
+        in
+        at 0);
+    ]
+  in
+  List.find_map (fun c -> c ()) checks
+
+(* The records a writer would send one segment: fresh LSNs with gaps (other
+   groups' records), each linked to the previous one. *)
+type world = {
+  rng : Simcore.Rng.t;
+  mutable next : int;
+  mutable tail : Lsn.t; (* prev_segment of the next fresh record *)
+  mutable withheld : Log_record.t list; (* made, not yet delivered *)
+  mutable made : Log_record.t list; (* every record ever made *)
+}
+
+let record ~lsn:l ~prev =
+  let i = Lsn.to_int l in
+  Log_record.make ~lsn:l ~prev_volume:prev ~prev_segment:prev ~prev_block:Lsn.none
+    ~block:(Block_id.of_int (i mod 4))
+    ~txn:(Txn_id.of_int 1) ~mtr_id:i ~mtr_end:true
+    ~op:(Log_record.Put { key = "k"; value = String.make (i mod 7) 'v' })
+
+let fresh w =
+  let r = record ~lsn:(Lsn.of_int w.next) ~prev:w.tail in
+  w.tail <- r.lsn;
+  w.next <- w.next + 1 + Simcore.Rng.int w.rng 2;
+  w.made <- r :: w.made;
+  r
+
+let pick rng = function
+  | [] -> None
+  | l -> Some (List.nth l (Simcore.Rng.int rng (List.length l)))
+
+(* One random history of 200-400 operations from [seed]; [Some] message at
+   the first divergence. *)
+let model_divergence seed =
+  let rng = Simcore.Rng.create seed in
+  let w = { rng; next = 1; tail = Lsn.none; withheld = []; made = [] } in
+  let m, h =
+    if Simcore.Rng.int rng 3 = 0 then begin
+      (* Anchored: a chain below the anchor exists, reaching exactly it, and
+         may arrive later as strays or as the slice's missing links. *)
+      let anchor = Simcore.Rng.int_in rng 3 20 in
+      let rec below l prev =
+        if l > anchor then ()
+        else begin
+          w.made <- record ~lsn:(Lsn.of_int l) ~prev :: w.made;
+          let step = if l = anchor then 1 else min (anchor - l) (1 + Simcore.Rng.int rng 3) in
+          below (l + step) (Lsn.of_int l)
+        end
+      in
+      below 1 Lsn.none;
+      w.next <- anchor + 1;
+      w.tail <- Lsn.of_int anchor;
+      (Model.create_anchored (Lsn.of_int anchor), Hot_log.create_anchored (Lsn.of_int anchor))
+    end
+    else (Model.create (), Hot_log.create ())
+  in
+  let trace = Buffer.create 256 in
+  let insert (r : Log_record.t) =
+    Buffer.add_string trace (Printf.sprintf " ins %d<-%d" (Lsn.to_int r.lsn) (Lsn.to_int r.prev_segment));
+    let a = Model.insert m r and b = Hot_log.insert h r in
+    if a = b then None else Some "insert result"
+  in
+  let op () =
+    match Simcore.Rng.int rng 20 with
+    | 0 | 1 | 2 | 3 | 4 | 5 -> insert (fresh w)
+    | 6 | 7 | 8 ->
+      (* A burst delivered out of order, part of it held back. *)
+      let burst = Array.init (Simcore.Rng.int_in rng 2 6) (fun _ -> fresh w) in
+      Simcore.Rng.shuffle rng burst;
+      List.find_map
+        (fun r ->
+          if Simcore.Rng.int rng 3 = 0 then begin
+            w.withheld <- r :: w.withheld;
+            None
+          end
+          else insert r)
+        (Array.to_list burst)
+    | 9 | 10 -> (
+      match pick rng w.withheld with
+      | None -> None
+      | Some r ->
+        w.withheld <- List.filter (fun (x : Log_record.t) -> not (Lsn.equal x.lsn r.lsn)) w.withheld;
+        insert r)
+    | 11 | 12 -> (
+      (* Duplicate, or re-insert of a dropped or annulled record. *)
+      match pick rng w.made with Some r -> insert r | None -> None)
+    | 13 | 14 -> (
+      let below = List.filter (fun (r : Log_record.t) -> Lsn.(r.lsn <= Model.scl m)) w.made in
+      match pick rng below with Some r -> insert r | None -> None)
+    | 15 | 16 | 17 | 18 ->
+      let highest = Lsn.to_int (Model.highest_received m) in
+      let upto = Lsn.of_int (Simcore.Rng.int rng (highest + 4)) in
+      Buffer.add_string trace (Printf.sprintf " drop %d" (Lsn.to_int upto));
+      let a = Model.drop_below m ~upto and b = Hot_log.drop_below h ~upto in
+      if a = b then None else Some "drop count"
+    | _ ->
+      (* Recovery-shaped: the range reaches past every LSN made so far, and
+         the writer restarts its chain from the new SCL above it. *)
+      let highest = Lsn.to_int (Model.highest_received m) in
+      let above = Lsn.of_int (Simcore.Rng.int rng (highest + 2)) in
+      let past = Simcore.Rng.int rng 5 in
+      let upto = Lsn.of_int (w.next + past) in
+      Buffer.add_string trace (Printf.sprintf " annul %d..%d" (Lsn.to_int above) (Lsn.to_int upto));
+      let a = Model.annul_range m ~above ~upto and b = Hot_log.annul_range h ~above ~upto in
+      w.next <- w.next + past + 1;
+      w.tail <- Model.scl m;
+      w.withheld <- [];
+      if a = b then None else Some "annul count"
+  in
+  let n_ops = Simcore.Rng.int_in rng 200 400 in
+  let rec run i =
+    if i = n_ops then None
+    else
+      let err =
+        match op () with
+        | Some e -> Some e
+        | None -> (
+          match disagreement ~max_lsn:(w.next + 1) m h with
+          | Some e -> Some e
+          | None ->
+            (* A gossip-sized prefix at a random LSN. *)
+            let l = Lsn.of_int (Simcore.Rng.int rng (w.next + 1)) in
+            let limit = Simcore.Rng.int rng 6 in
+            let all = lsn_ints (Model.chained_records_above m l) in
+            let expected = List.filteri (fun i _ -> i < limit) all in
+            if expected = lsn_ints (Hot_log.chained_records_above ~limit h l) then None
+            else Some (Printf.sprintf "above %d limit %d" (Lsn.to_int l) limit))
+      in
+      match err with
+      | Some e -> Some (Printf.sprintf "seed %d, op %d: %s; ops:%s" seed i e (Buffer.contents trace))
+      | None -> run (i + 1)
+  in
+  run 0
+
+let prop_hot_log_matches_model =
+  QCheck.Test.make ~name:"hot log matches reference model" ~count:100
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      match model_divergence seed with
+      | None -> true
+      | Some e -> QCheck.Test.fail_report e)
+
+(* Past 10k in-order inserts: drops that trail the SCL in uneven steps,
+   then none for a long stretch, then frequent ones, so the slice both
+   compacts in place and grows. *)
+let test_hot_log_long_run () =
+  let m = Model.create () and h = Hot_log.create () in
+  let prev = ref Lsn.none in
+  for i = 1 to 12_000 do
+    let r = record ~lsn:(Lsn.of_int i) ~prev:!prev in
+    prev := r.lsn;
+    check_bool "insert result" true (Model.insert m r = Hot_log.insert h r);
+    let drop upto =
+      check_int "dropped" (Model.drop_below m ~upto) (Hot_log.drop_below h ~upto)
+    in
+    if i < 6_000 && i mod 997 = 0 then drop (Lsn.of_int (i - 300));
+    if i > 8_000 && i mod 50 = 0 then drop (Lsn.of_int (i - 10));
+    if i mod 1_000 = 0 || i = 12_000 then
+      match disagreement ~stride:97 ~max_lsn:(i + 1) m h with
+      | None -> ()
+      | Some e -> Alcotest.failf "after %d inserts: %s" i e
+  done;
+  check_int "retained" 10 (Hot_log.record_count h)
+
 (* ---- Log_chain validators ---- *)
 
 let test_chain_validators () =
@@ -270,6 +481,8 @@ let () =
           Alcotest.test_case "anchored" `Quick test_hot_log_anchored;
           qc prop_scl_order_independent;
           qc prop_annul_then_scl_valid;
+          Alcotest.test_case "long run: grow and compact" `Quick test_hot_log_long_run;
+          qc prop_hot_log_matches_model;
         ] );
       ( "chains",
         [
