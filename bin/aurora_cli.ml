@@ -3,9 +3,6 @@
 
      dune exec bin/aurora_cli.exe -- exp e6 --seed 7
      dune exec bin/aurora_cli.exe -- exp all
-     dune exec bin/aurora_cli.exe -- bench
-     dune exec bin/aurora_cli.exe -- perf list
-     dune exec bin/aurora_cli.exe -- perf diff BENCH_006.json BENCH_007.json
      dune exec bin/aurora_cli.exe -- smoke --txns 2000 --pgs 4
      dune exec bin/aurora_cli.exe -- obs --json --trace-tail 20
      dune exec bin/aurora_cli.exe -- obs --series --window 25
@@ -349,145 +346,6 @@ let trace_export_cmd =
           trace-event JSON")
     Term.(
       const run_trace_export $ txns_arg $ pgs_arg $ seed_arg $ window_arg $ out)
-
-let bench_cmd =
-  Cmd.v
-    (Cmd.info "bench" ~doc:"Run every experiment (same as 'exp all')")
-    Term.(const (fun seed -> print_string (E.run_all ~seed ())) $ seed_arg)
-
-(* ---- perf: the BENCH_*.json trajectory ---- *)
-
-let load_report path =
-  match Perf.Bench_report.read ~path with
-  | Ok r -> r
-  | Error e ->
-    Printf.eprintf "perf: cannot read %s: %s\n" path e;
-    exit 2
-
-let run_perf_list dir =
-  let rows = Perf.Trajectory.load ~dir in
-  if rows = [] then
-    Printf.printf "no BENCH_*.json found under %s (run scripts/bench.sh)\n" dir
-  else begin
-    let ok, bad =
-      List.partition_map
-        (fun (file, r) ->
-          match r with Ok r -> Left (file, r) | Error e -> Right (file, e))
-        rows
-    in
-    List.iter
-      (fun ((file, r) : string * Perf.Bench_report.t) ->
-        Printf.printf "%-18s sha=%-10s ocaml=%-8s txns=%d seed=%d\n" file
-          r.meta.git_sha r.meta.ocaml_version r.meta.scenario.txns
-          r.meta.scenario.seed)
-      ok;
-    List.iter
-      (fun (file, e) -> Printf.printf "%-18s UNREADABLE: %s\n" file e)
-      bad;
-    let trend = Perf.Trajectory.trend ok in
-    if trend <> [] then begin
-      Printf.printf "\n-- trend per metric (oldest -> newest) --\n";
-      List.iter
-        (fun (s : Perf.Trajectory.series) ->
-          let values =
-            List.map
-              (fun (_, v) ->
-                if Float.abs v >= 1000. then Printf.sprintf "%.3g" v
-                else Printf.sprintf "%.4g" v)
-              s.points
-          in
-          Printf.printf "%-32s %s\n" s.metric (String.concat " -> " values))
-        trend
-    end;
-    if bad <> [] then exit 1
-  end
-
-let run_perf_diff old_file new_file threshold =
-  let old_report = load_report old_file in
-  let new_report = load_report new_file in
-  let rows = Perf.Compare.diff ~threshold_pct:threshold ~old_report ~new_report in
-  Printf.printf "%-32s %14s %14s %9s  %s\n" "metric"
-    (Filename.basename old_file |> fun s -> String.sub s 0 (min 14 (String.length s)))
-    (Filename.basename new_file |> fun s -> String.sub s 0 (min 14 (String.length s)))
-    "delta" "verdict";
-  List.iter
-    (fun (r : Perf.Compare.row) ->
-      let num = function
-        | Some v -> Printf.sprintf "%.6g" v
-        | None -> "-"
-      in
-      let delta =
-        match r.delta_pct with
-        | Some d -> Printf.sprintf "%+.1f%%" d
-        | None -> "-"
-      in
-      let verdict =
-        match r.result with
-        | Some v -> Perf.Compare.verdict_to_string v
-        | None -> "(missing)"
-      in
-      Printf.printf "%-32s %14s %14s %9s  %s\n" r.key (num r.old_value)
-        (num r.new_value) delta verdict)
-    rows;
-  let regs = Perf.Compare.regressions rows in
-  if regs <> [] then begin
-    Printf.printf "\n%d metric(s) regressed beyond %.1f%%\n" (List.length regs)
-      threshold;
-    exit 1
-  end
-  else Printf.printf "\nno regressions beyond %.1f%%\n" threshold
-
-let perf_dir_arg =
-  Arg.(
-    value & opt string "."
-    & info [ "dir" ] ~docv:"DIR"
-        ~doc:"Directory holding the $(b,BENCH_*.json) trajectory.")
-
-let perf_threshold_arg =
-  Arg.(
-    value & opt float 10.
-    & info [ "threshold" ] ~docv:"PCT"
-        ~doc:
-          "Relative change (percent) below which a metric counts as noise \
-           rather than an improvement or regression.")
-
-let perf_list_cmd =
-  Cmd.v
-    (Cmd.info "list"
-       ~doc:
-         "List every BENCH_*.json report and print the per-metric trend \
-          across the trajectory")
-    Term.(const run_perf_list $ perf_dir_arg)
-
-let perf_diff_cmd =
-  let old_arg =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"OLD" ~doc:"Baseline report.")
-  in
-  let new_arg =
-    Arg.(
-      required
-      & pos 1 (some file) None
-      & info [] ~docv:"NEW" ~doc:"Candidate report.")
-  in
-  Cmd.v
-    (Cmd.info "diff"
-       ~doc:
-         "Compare two BENCH_*.json reports metric-by-metric; exits 1 if any \
-          metric regressed beyond the threshold")
-    Term.(const run_perf_diff $ old_arg $ new_arg $ perf_threshold_arg)
-
-let perf_cmd =
-  let default = Term.(const run_perf_list $ perf_dir_arg) in
-  Cmd.group ~default
-    (Cmd.info "perf"
-       ~doc:
-         "Read the BENCH_*.json performance trajectory (written by \
-          scripts/bench.sh): list reports, print trends, diff two reports \
-          with a regression threshold")
-    [ perf_list_cmd; perf_diff_cmd ]
 
 (* ---- vopr: table-driven fault scenarios, seed swarm, repro ---- *)
 
@@ -1030,8 +888,6 @@ let () =
             smoke_cmd;
             obs_cmd;
             trace_export_cmd;
-            bench_cmd;
-            perf_cmd;
             vopr_cmd;
             explain_cmd;
             recorder_cmd;

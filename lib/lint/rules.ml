@@ -41,13 +41,13 @@ let determinism =
   {
     id = "determinism";
     description =
-      "no Unix.*, Sys.time, Random.*, or Hashtbl.hash in sim code; route \
-       sim time through Simcore.Time_ns, randomness through Simcore.Rng, \
-       and harness wall-clock through Perf.Clock";
+      "no Unix.*, Monotonic_clock.*, Sys.time, Random.*, or Hashtbl.hash \
+       in sim code; route sim time through Simcore.Time_ns, randomness \
+       through Simcore.Rng, and harness wall-clock through Perf.Clock";
     applies = sim_code;
     (* The perf layer's wall-clock gateway: the single audited module that
-       may read real time (for benchmark reports and profiling probes, never
-       for simulated behaviour). *)
+       may read real time (for profiling probes, never for simulated
+       behaviour). *)
     allow = [ "lib/perf/clock.ml" ];
   }
 
@@ -209,6 +209,9 @@ let banned_ident parts =
   | ("Unix" | "UnixLabels") :: _ ->
     Some "wall-clock / OS entropy via Unix; use Simcore.Time_ns (sim time) \
           or Simcore.Rng (seeded randomness)"
+  | "Monotonic_clock" :: _ ->
+    Some "wall-clock via Monotonic_clock; route harness timing through \
+          Perf.Clock"
   | [ "Sys"; "time" ] ->
     Some "process time via Sys.time; use Simcore.Time_ns"
   | "Random" :: _ ->

@@ -1,3 +1,1 @@
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
-let elapsed_ns ~since = max 0 (now_ns () - since)
-let elapsed_s ~since = float_of_int (elapsed_ns ~since) /. 1e9
+let now_ns () = Int64.to_int (Monotonic_clock.now ())

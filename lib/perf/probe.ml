@@ -1,18 +1,6 @@
-type subsystem = Sim_dispatch | Net_delivery | Storage_apply | Consistency_advance
+type subsystem = Storage_apply | Consistency_advance
 
-let all = [ Sim_dispatch; Net_delivery; Storage_apply; Consistency_advance ]
-
-let name = function
-  | Sim_dispatch -> "sim_dispatch"
-  | Net_delivery -> "net_delivery"
-  | Storage_apply -> "storage_apply"
-  | Consistency_advance -> "consistency_advance"
-
-let index = function
-  | Sim_dispatch -> 0
-  | Net_delivery -> 1
-  | Storage_apply -> 2
-  | Consistency_advance -> 3
+let index = function Storage_apply -> 0 | Consistency_advance -> 1
 
 (* One mutable slot per subsystem: accumulated totals plus the open span's
    marks.  A plain record per subsystem, allocated once at module init, so
@@ -28,9 +16,8 @@ type slot = {
 let fresh_slot () =
   { calls = 0; wall_ns = 0; minor_words = 0.; open_wall = -1; open_minor = 0. }
 
-let slots = Array.init 4 (fun _ -> fresh_slot ()) [@@sim_global]
+let slots = Array.init 2 (fun _ -> fresh_slot ()) [@@sim_global]
 let on = ref false [@@sim_global]
-let enabled () = !on
 let enable () = on := true
 let disable () = on := false
 
@@ -67,13 +54,3 @@ type stat = { calls : int; wall_ns : int; minor_words : float }
 let stat sub =
   let s = slots.(index sub) in
   { calls = s.calls; wall_ns = s.wall_ns; minor_words = s.minor_words }
-
-let stats () = List.map (fun sub -> (name sub, stat sub)) all
-
-let install_sim sim =
-  Simcore.Sim.set_probe sim
-    (Some
-       {
-         Simcore.Sim.on_start = (fun () -> start Sim_dispatch);
-         on_stop = (fun () -> stop Sim_dispatch);
-       })

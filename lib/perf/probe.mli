@@ -1,10 +1,11 @@
 (** Per-subsystem profiling hooks: wall-clock timers and allocation
-    counters around the simulator's hot paths.
+    counters around two of the simulator's hot paths.
 
-    The four instrumented subsystems are the ones every scale claim rests
-    on: {!Simcore.Sim} event dispatch, {!Simnet.Net} message delivery, the
-    storage node's foreground write apply, and consistency-point
-    advancement in [Aurora_core.Consistency].
+    The two instrumented subsystems are the storage node's foreground write
+    apply and consistency-point advancement in [Aurora_core.Consistency].
+    The benchmark's tracer reads them to split those costs out of the
+    events that contain them; it times event dispatch and message delivery
+    itself, through {!Simcore.Sim.set_probe}.
 
     All state lives here, outside the simulation: enabling or disabling
     probes changes *nothing* observable inside a run (no RNG draws, no sim
@@ -12,26 +13,14 @@
     is untouched.  Probes are disabled by default; a disabled
     {!start}/{!stop} pair costs one load and branch.
 
-    Spans may nest across subsystems (dispatch > delivery > apply) but a
-    subsystem's spans must not nest within themselves — each subsystem has
-    a single open-span slot, which is what keeps the enabled path
-    allocation-free apart from the boxed float [Unix.gettimeofday]
-    returns. *)
+    Each subsystem has a single open-span slot, so its spans must not nest
+    within themselves.  Wall time comes from {!Clock}. *)
 
 type subsystem =
-  | Sim_dispatch  (** One simulator event execution. *)
-  | Net_delivery  (** One message hand-off to its delivery handler. *)
   | Storage_apply  (** One [Write_batch] foreground apply on a storage node. *)
   | Consistency_advance
       (** One ack processed through SCL -> PGCL -> VCL advancement. *)
 
-val all : subsystem list
-(** In fixed declaration order — the order every report lists them in. *)
-
-val name : subsystem -> string
-(** Stable snake_case identifier used in [BENCH_*.json]. *)
-
-val enabled : unit -> bool
 val enable : unit -> unit
 val disable : unit -> unit
 
@@ -57,10 +46,3 @@ type stat = {
 }
 
 val stat : subsystem -> stat
-
-val stats : unit -> (string * stat) list
-(** All subsystems in {!all} order, keyed by {!name}. *)
-
-val install_sim : Simcore.Sim.t -> unit
-(** Attach a {!Sim_dispatch} span around every event the given simulator
-    executes (via {!Simcore.Sim.set_probe}). *)

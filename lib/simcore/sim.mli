@@ -76,11 +76,11 @@ val stats : t -> stats
     activity, never from wall-clock. *)
 
 type probe = { on_start : unit -> unit; on_stop : unit -> unit }
-(** Hooks run around each event execution.  Intended for the perf layer's
-    wall-clock/allocation accounting ([Perf.Probe.install_sim]); hooks
-    must not schedule events, draw randomness, or otherwise touch sim
-    state, so that an instrumented run stays byte-identical to a bare
-    one. *)
+(** Hooks run around each event execution.  Intended for wall-clock and
+    allocation accounting from outside the simulation (the benchmark's
+    tracer); hooks must not schedule events, draw randomness, or otherwise
+    touch sim state, so that an instrumented run stays byte-identical to a
+    bare one. *)
 
 val set_probe : t -> probe option -> unit
 (** [None] (the default) restores the zero-overhead path. *)

@@ -320,12 +320,7 @@ let deliver t link ~src ~dst ~sent_at ~bytes msg =
         tl.n_bytes_delivered <- tl.n_bytes_delivered + bytes;
         link.l_delivered <- link.l_delivered + 1;
         record t Delivered ~src ~dst msg;
-        let env = { src; dst; sent_at; bytes; msg } in
-        (* Perf span around the handler only — latency modelling and drop
-           bookkeeping above are scheduling, not delivery work. *)
-        Perf.Probe.start Perf.Probe.Net_delivery;
-        handler env;
-        Perf.Probe.stop Perf.Probe.Net_delivery)
+        handler { src; dst; sent_at; bytes; msg })
 
 let send t ~src ~dst ?(bytes = 64) msg =
   let tl = t.totals in

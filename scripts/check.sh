@@ -61,11 +61,6 @@ python3 perfbench/run.py --smoke
 # same way.  Accept an intended change with `dune promote`.
 dune build @golden-exp
 
-# Perf-report smoke: write a tiny-scale BENCH report and push it through the
-# reader + regression-compare path (no timing assertions), so the JSON
-# writer and compare logic cannot rot between bench runs.
-dune build @bench-smoke
-
 # VOPR smoke: three short curated fault scenarios, a digest-determinism
 # double-run, and a 25-seed nemesis mini-swarm — every run must end with
 # zero semantic-invariant violations (see DESIGN.md section 7).

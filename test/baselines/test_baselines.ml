@@ -1,5 +1,5 @@
-(* Tests for the baseline protocols: 2PC, Paxos, Paxos commit, leases,
-   write-all/read-one replication, and the ARIES cost model. *)
+(* Tests for the baselines the experiments run: 2PC and Paxos commit (E6)
+   and the ARIES cost model (E4). *)
 open Simcore
 
 let check_int = Alcotest.(check int)
@@ -59,63 +59,6 @@ let test_2pc_blocking_window () =
   check_bool "participants blocked in doubt" true
     (Baselines.Two_phase_commit.blocked_transactions t > 0)
 
-(* ---- Paxos (single decree) ---- *)
-
-let paxos_config n =
-  {
-    Baselines.Paxos.acceptors = List.init n (fun i -> addr (i + 10));
-    log_force = disk;
-    retry_timeout = Time_ns.ms 5;
-  }
-
-let test_paxos_single_proposer () =
-  let sim, rng, net = fixture () in
-  let p = Baselines.Paxos.create ~sim ~rng ~net ~config:(paxos_config 5) () in
-  let chosen = ref None in
-  Baselines.Paxos.propose p ~proposer:(addr 0) ~proposer_id:0 42
-    ~on_chosen:(fun v -> chosen := Some v);
-  Sim.run_until sim (Time_ns.sec 1);
-  Alcotest.(check (option int)) "chosen" (Some 42) !chosen;
-  Alcotest.(check (option int)) "acceptor majority agrees" (Some 42)
-    (Baselines.Paxos.chosen p)
-
-let test_paxos_contention_agreement () =
-  (* Two duelling proposers must agree on a single value. *)
-  let sim, rng, net = fixture () in
-  let p = Baselines.Paxos.create ~sim ~rng ~net ~config:(paxos_config 5) () in
-  let c1 = ref None and c2 = ref None in
-  Baselines.Paxos.propose p ~proposer:(addr 0) ~proposer_id:0 100
-    ~on_chosen:(fun v -> c1 := Some v);
-  Baselines.Paxos.propose p ~proposer:(addr 1) ~proposer_id:1 200
-    ~on_chosen:(fun v -> c2 := Some v);
-  Sim.run_until sim (Time_ns.sec 10);
-  check_bool "both decided" true (!c1 <> None && !c2 <> None);
-  check_bool "agreement" true (!c1 = !c2);
-  check_bool "one of the proposals" true (!c1 = Some 100 || !c1 = Some 200)
-
-let prop_paxos_agreement_under_loss =
-  QCheck.Test.make ~name:"paxos agreement under message loss" ~count:25
-    QCheck.(pair (int_range 0 9999) (int_range 0 30))
-    (fun (seed, drop_pct) ->
-      let sim, rng, net = fixture ~seed () in
-      Simnet.Net.set_drop_probability net (float_of_int drop_pct /. 100.);
-      let p = Baselines.Paxos.create ~sim ~rng ~net ~config:(paxos_config 5) () in
-      let c1 = ref None and c2 = ref None in
-      Baselines.Paxos.propose p ~proposer:(addr 0) ~proposer_id:0 1
-        ~on_chosen:(fun v -> c1 := Some v);
-      Baselines.Paxos.propose p ~proposer:(addr 1) ~proposer_id:1 2
-        ~on_chosen:(fun v -> c2 := Some v);
-      Sim.run_until sim (Time_ns.sec 60);
-      (* Liveness needs fair loss; safety must hold regardless: any two
-         decisions agree, and the acceptor-state oracle matches. *)
-      match (!c1, !c2) with
-      | Some a, Some b ->
-        a = b
-        && (match Baselines.Paxos.chosen p with Some v -> v = a | None -> true)
-      | Some a, None | None, Some a -> (
-        match Baselines.Paxos.chosen p with Some v -> v = a | None -> true)
-      | None, None -> true)
-
 (* ---- Paxos commit ---- *)
 
 let test_paxos_commit_log () =
@@ -149,54 +92,6 @@ let test_paxos_commit_log () =
   check_int "all acked" 20 !acked;
   check_int "log length" 20 (Baselines.Paxos_commit.log_length px)
 
-(* ---- Lease ---- *)
-
-let test_lease () =
-  let sim = Sim.create () in
-  let l =
-    Baselines.Lease.create ~sim ~duration:(Time_ns.ms 100)
-      ~max_clock_skew:(Time_ns.ms 10)
-  in
-  check_bool "first acquire" true (Baselines.Lease.acquire l ~holder:1 = Ok ());
-  (* A contender must wait for duration + skew. *)
-  (match Baselines.Lease.acquire l ~holder:2 with
-  | Error wait -> check_int "full wait" (Time_ns.ms 110) wait
-  | Ok () -> Alcotest.fail "lease stolen");
-  check_bool "incumbent renews" true (Baselines.Lease.renew l ~holder:1);
-  (* After expiry (no renewal), takeover succeeds immediately. *)
-  Sim.run_until sim (Time_ns.ms 200);
-  check_bool "expired" true (Baselines.Lease.holder l (Sim.now sim) = None);
-  check_bool "takeover" true (Baselines.Lease.acquire l ~holder:2 = Ok ());
-  check_bool "old holder locked out" false (Baselines.Lease.renew l ~holder:1)
-
-(* ---- WARO ---- *)
-
-let test_waro () =
-  let sim, rng, net = fixture () in
-  let w =
-    Baselines.Waro.create ~sim ~rng ~net
-      ~config:
-        {
-          Baselines.Waro.client = addr 0;
-          replicas = List.init 3 (fun i -> addr (i + 1));
-          disk;
-        }
-      ()
-  in
-  let wrote = ref false and read_back = ref None in
-  Baselines.Waro.write w ~key:"k" ~value:"v" ~on_done:(fun () ->
-      wrote := true;
-      Baselines.Waro.read w ~key:"k" ~on_done:(fun v -> read_back := Some v));
-  Sim.run sim;
-  check_bool "write completed" true !wrote;
-  Alcotest.(check (option (option string))) "read one copy" (Some (Some "v")) !read_back;
-  (* One dead replica blocks all writes: the availability flip side. *)
-  Simnet.Net.set_down net (addr 3);
-  let wrote2 = ref false in
-  Baselines.Waro.write w ~key:"k2" ~value:"v2" ~on_done:(fun () -> wrote2 := true);
-  Sim.run_until sim (Time_ns.add (Sim.now sim) (Time_ns.sec 1));
-  check_bool "write-all blocked by one failure" false !wrote2
-
 (* ---- ARIES model ---- *)
 
 let test_aries_linear () =
@@ -222,7 +117,6 @@ let test_aries_simulated () =
   check_bool "took real time" true (Sim.now sim > Time_ns.ms 10)
 
 let () =
-  let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "baselines"
     [
       ( "2pc",
@@ -231,17 +125,8 @@ let () =
           Alcotest.test_case "abort" `Quick test_2pc_abort;
           Alcotest.test_case "blocking window" `Quick test_2pc_blocking_window;
         ] );
-      ( "paxos",
-        [
-          Alcotest.test_case "single proposer" `Quick test_paxos_single_proposer;
-          Alcotest.test_case "contention agreement" `Quick
-            test_paxos_contention_agreement;
-          qc prop_paxos_agreement_under_loss;
-        ] );
       ( "paxos_commit",
         [ Alcotest.test_case "replicated log" `Quick test_paxos_commit_log ] );
-      ("lease", [ Alcotest.test_case "expiry semantics" `Quick test_lease ]);
-      ("waro", [ Alcotest.test_case "write-all read-one" `Quick test_waro ]);
       ( "aries",
         [
           Alcotest.test_case "linear in backlog" `Quick test_aries_linear;

@@ -24,13 +24,14 @@ let check_shapes msg expected findings =
 
 let test_determinism () =
   let fs = lint_as ~path:"lib/fake/bad_determinism.ml" "bad_determinism.ml" in
-  check_shapes "five banned identifiers"
+  check_shapes "six banned identifiers"
     [
       ("determinism", 2, 13);
       ("determinism", 3, 13);
       ("determinism", 4, 14);
       ("determinism", 5, 15);
       ("determinism", 6, 18);
+      ("determinism", 7, 14);
     ]
     fs
 
@@ -95,6 +96,7 @@ let test_scope () =
       ("determinism", 4, 14);
       ("determinism", 5, 15);
       ("determinism", 6, 18);
+      ("determinism", 7, 14);
     ]
     (lint_as ~path:"bench/bad_determinism.ml" "bad_determinism.ml");
   (* ...but test/ is not sim code. *)

@@ -1,11 +1,9 @@
 (* Robustness of the text parsers that read files back in: a scenario
-   table, a repro artifact, a BENCH report and plain JSON.  Each [of_string]
-   must answer [Ok] or [Error] and never raise, on arbitrary strings and
-   on single-byte mutations and truncations of a valid serialized value. *)
+   table, a repro artifact and plain JSON.  Each [of_string] must answer
+   [Ok] or [Error] and never raise, on arbitrary strings and on single-byte
+   mutations and truncations of a valid serialized value. *)
 
 open Recorder
-
-let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let artifact_text =
   let ring node role events =
@@ -101,9 +99,6 @@ let parsers : (string * (string -> (unit, string) result) * string) list =
           if String.length txt > String.length acc then txt else acc)
         "" Vopr.Curated.all );
     ("Artifact", ok Artifact.of_string, artifact_text);
-    ( "Bench_report",
-      ok Perf.Bench_report.of_string,
-      read_file "../perf/fixtures/BENCH_golden.json" );
     ("Json", ok Obs.Json.of_string, json_text);
   ]
 

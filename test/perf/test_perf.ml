@@ -1,275 +1,20 @@
-(* Tests for the performance-observability layer: BENCH_*.json schema
-   round-trips (against a golden fixture), regression-compare verdicts,
-   trajectory trends, profiling probes, and qcheck properties that perf
-   counters are monotone under event dispatch. *)
+(* Tests for the performance-observability layer: profiling probes, the
+   wall clock, the simulator's dispatch probe hook and dispatch stats, and
+   qcheck properties that perf counters are monotone under event dispatch. *)
 
 open Simcore
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
-let check_string = Alcotest.(check string)
-
-(* ---- fixtures ---------------------------------------------------------- *)
-
-let read_fixture name =
-  let ic = open_in_bin (Filename.concat "fixtures" name) in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-(* The report the golden fixture encodes, field for field. *)
-let golden_report : Perf.Bench_report.t =
-  {
-    meta =
-      {
-        bench_id = "BENCH_000";
-        git_sha = "f2166be";
-        ocaml_version = "5.1.1";
-        scenario = { txns = 2000; pgs = 2; seed = 7; rate_per_sec = 2000. };
-      };
-    scenario_measured =
-      {
-        commits_acked = 1984;
-        sim_duration_ns = 3_000_000_000;
-        commits_per_sec_sim = 1984.;
-        events_processed = 551_234;
-        wall_ns = 92_500_000;
-        events_per_sec_wall = 5_959_286.4;
-        gc =
-          {
-            minor_words_per_commit = 57_343.5;
-            major_words_per_commit = 3_702.25;
-            promoted_words_per_commit = 1_640.125;
-            top_heap_words = 221_033;
-          };
-        subsystems =
-          [
-            {
-              subsystem = "sim_dispatch";
-              calls = 551_234;
-              wall_ns = 71_000_000;
-              minor_words = 101_000_000.;
-            };
-            {
-              subsystem = "net_delivery";
-              calls = 96_200;
-              wall_ns = 33_000_000;
-              minor_words = 48_000_000.;
-            };
-            {
-              subsystem = "storage_apply";
-              calls = 24_050;
-              wall_ns = 9_000_000;
-              minor_words = 12_500_000.;
-            };
-            {
-              subsystem = "consistency_advance";
-              calls = 23_800;
-              wall_ns = 4_000_000;
-              minor_words = 2_250_000.;
-            };
-          ];
-      };
-    micro =
-      [
-        { bench_name = "consistency: submit+4acks -> VCL"; ns_per_op = 402.5 };
-        { bench_name = "sim: schedule + dispatch event"; ns_per_op = 155.25 };
-      ];
-  }
-
-(* Substring check (String.contains is char-based). *)
-let contains ~needle haystack =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
-
-(* ---- BENCH_*.json schema ----------------------------------------------- *)
-
-let test_golden_roundtrip () =
-  let golden = read_fixture "BENCH_golden.json" in
-  match Perf.Bench_report.of_string golden with
-  | Error e -> Alcotest.failf "golden fixture does not parse: %s" e
-  | Ok parsed ->
-    check_bool "parses to the expected record" true
-      (Perf.Bench_report.equal golden_report parsed);
-    (* print . parse = identity, byte for byte: the writer's output is the
-       fixture. *)
-    check_string "prints back to the exact fixture bytes" golden
-      (Perf.Bench_report.to_string parsed)
-
-let test_write_read_roundtrip () =
-  let path = Filename.temp_file "bench_report" ".json" in
-  Perf.Bench_report.write ~path golden_report;
-  let got = Perf.Bench_report.read ~path in
-  Sys.remove path;
-  match got with
-  | Error e -> Alcotest.failf "write/read failed: %s" e
-  | Ok r ->
-    check_bool "file round trip" true (Perf.Bench_report.equal golden_report r)
-
-let test_schema_errors () =
-  let expect_error label s =
-    match Perf.Bench_report.of_string s with
-    | Ok _ -> Alcotest.failf "%s: expected an error" label
-    | Error _ -> ()
-  in
-  expect_error "not json" "nonsense";
-  expect_error "wrong version" {|{"schema_version": 999}|};
-  expect_error "missing meta" {|{"schema_version": 1}|};
-  (* A field of the wrong type names its path. *)
-  let golden = read_fixture "BENCH_golden.json" in
-  match Obs.Json.of_string golden with
-  | Error e -> Alcotest.failf "golden does not even parse as json: %s" e
-  | Ok (Obs.Json.Obj fields) ->
-    let broken =
-      Obs.Json.Obj
-        (List.map
-           (fun (k, v) ->
-             if k = "meta" then (k, Obs.Json.String "oops") else (k, v))
-           fields)
-    in
-    (match Perf.Bench_report.of_json broken with
-    | Ok _ -> Alcotest.fail "expected an error for a non-object meta"
-    | Error e ->
-      check_bool "error names the field" true (contains ~needle:"meta" e))
-  | Ok _ -> Alcotest.fail "golden fixture is not an object"
-
-(* ---- compare ------------------------------------------------------------ *)
-
-let with_rates report ~commits ~events : Perf.Bench_report.t =
-  {
-    report with
-    Perf.Bench_report.scenario_measured =
-      {
-        report.Perf.Bench_report.scenario_measured with
-        Perf.Bench_report.commits_per_sec_sim = commits;
-        events_per_sec_wall = events;
-      };
-  }
-
-let test_compare_verdicts () =
-  let open Perf.Compare in
-  let v dir ~o ~n =
-    verdict dir ~threshold_pct:10. ~old_value:o ~new_value:n
-  in
-  check_bool "higher-better: +20% improves" true
-    (v Higher_is_better ~o:100. ~n:120. = Improved);
-  check_bool "higher-better: -20% regresses" true
-    (v Higher_is_better ~o:100. ~n:80. = Regressed);
-  check_bool "higher-better: +5% is noise" true
-    (v Higher_is_better ~o:100. ~n:105. = Within_threshold);
-  check_bool "lower-better: -20% improves" true
-    (v Lower_is_better ~o:100. ~n:80. = Improved);
-  check_bool "lower-better: +20% regresses" true
-    (v Lower_is_better ~o:100. ~n:120. = Regressed);
-  check_bool "zero to zero is noise" true
-    (v Lower_is_better ~o:0. ~n:0. = Within_threshold);
-  check_bool "zero to something, lower-better, regresses" true
-    (v Lower_is_better ~o:0. ~n:5. = Regressed);
-  check_bool "zero to something, higher-better, improves" true
-    (v Higher_is_better ~o:0. ~n:5. = Improved)
-
-let test_compare_diff () =
-  let old_report = golden_report in
-  let new_report =
-    with_rates golden_report ~commits:1000. (* -49%: regression *)
-      ~events:8_000_000. (* +34%: improvement *)
-  in
-  let rows =
-    Perf.Compare.diff ~threshold_pct:10. ~old_report ~new_report
-  in
-  let find key =
-    match List.find_opt (fun (r : Perf.Compare.row) -> r.key = key) rows with
-    | Some r -> r
-    | None -> Alcotest.failf "no row for %s" key
-  in
-  check_bool "commit rate regressed" true
-    ((find "commits_per_sec_sim").result = Some Perf.Compare.Regressed);
-  check_bool "event rate improved" true
-    ((find "events_per_sec_wall").result = Some Perf.Compare.Improved);
-  check_bool "gc unchanged" true
-    ((find "gc.minor_words_per_commit").result
-    = Some Perf.Compare.Within_threshold);
-  check_bool "micro rows compare too" true
-    ((find "micro:consistency: submit+4acks -> VCL").result
-    = Some Perf.Compare.Within_threshold);
-  check_int "one regression" 1 (List.length (Perf.Compare.regressions rows))
-
-let test_compare_missing_metric () =
-  let old_report = golden_report in
-  let new_report = { golden_report with Perf.Bench_report.micro = [] } in
-  let rows = Perf.Compare.diff ~threshold_pct:10. ~old_report ~new_report in
-  let micro_rows =
-    List.filter
-      (fun (r : Perf.Compare.row) ->
-        String.length r.key >= 6 && String.sub r.key 0 6 = "micro:")
-      rows
-  in
-  check_int "micro rows survive with a missing side" 2 (List.length micro_rows);
-  check_bool "missing side has no verdict" true
-    (List.for_all
-       (fun (r : Perf.Compare.row) -> r.result = None && r.new_value = None)
-       micro_rows);
-  check_int "missing metrics are not regressions" 0
-    (List.length (Perf.Compare.regressions rows))
-
-(* ---- trajectory --------------------------------------------------------- *)
-
-let test_trajectory_trend () =
-  let r2 = with_rates golden_report ~commits:2100. ~events:6_000_000. in
-  let r2 =
-    {
-      r2 with
-      Perf.Bench_report.meta =
-        { r2.Perf.Bench_report.meta with Perf.Bench_report.bench_id = "BENCH_001" };
-    }
-  in
-  let trend =
-    Perf.Trajectory.trend [ ("BENCH_000.json", golden_report); ("BENCH_001.json", r2) ]
-  in
-  let series =
-    match
-      List.find_opt
-        (fun (s : Perf.Trajectory.series) -> s.metric = "commits_per_sec_sim")
-        trend
-    with
-    | Some s -> s
-    | None -> Alcotest.fail "no commits_per_sec_sim series"
-  in
-  Alcotest.(check (list (pair string (float 1e-6))))
-    "two points, labelled by bench id, in order"
-    [ ("BENCH_000", 1984.); ("BENCH_001", 2100.) ]
-    series.points
-
-let test_trajectory_list_files () =
-  let dir = Filename.temp_file "bench_traj" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  let touch name =
-    let oc = open_out (Filename.concat dir name) in
-    close_out oc
-  in
-  touch "BENCH_002.json";
-  touch "BENCH_001.json";
-  touch "other.json";
-  touch "BENCH_note.txt";
-  let files = Perf.Trajectory.list_files ~dir in
-  Sys.readdir dir |> Array.iter (fun f -> Sys.remove (Filename.concat dir f));
-  Sys.rmdir dir;
-  Alcotest.(check (list string))
-    "only BENCH_*.json, sorted"
-    [ "BENCH_001.json"; "BENCH_002.json" ]
-    files
 
 (* ---- probes ------------------------------------------------------------- *)
 
 let test_probe_disabled_noop () =
   Perf.Probe.disable ();
   Perf.Probe.reset ();
-  Perf.Probe.start Perf.Probe.Net_delivery;
-  Perf.Probe.stop Perf.Probe.Net_delivery;
-  let s = Perf.Probe.stat Perf.Probe.Net_delivery in
+  Perf.Probe.start Perf.Probe.Consistency_advance;
+  Perf.Probe.stop Perf.Probe.Consistency_advance;
+  let s = Perf.Probe.stat Perf.Probe.Consistency_advance in
   check_int "no calls counted while disabled" 0 s.Perf.Probe.calls
 
 let test_probe_accumulates () =
@@ -296,25 +41,13 @@ let test_probe_accumulates () =
   let s'' = Perf.Probe.stat Perf.Probe.Storage_apply in
   check_int "reset zeroes" 0 s''.Perf.Probe.calls
 
-let test_probe_sim_install () =
-  Perf.Probe.reset ();
-  Perf.Probe.enable ();
-  let sim = Sim.create () in
-  Perf.Probe.install_sim sim;
-  for i = 1 to 10 do
-    ignore (Sim.schedule sim ~delay:(Time_ns.ms i) (fun () -> ()) : Sim.event_id)
-  done;
-  Sim.run sim;
-  Perf.Probe.disable ();
-  let s = Perf.Probe.stat Perf.Probe.Sim_dispatch in
-  check_int "every dispatched event spanned" 10 s.Perf.Probe.calls;
-  Perf.Probe.reset ()
-
-let test_clock_monotone_enough () =
-  let t0 = Perf.Clock.now_ns () in
-  check_bool "elapsed is never negative" true (Perf.Clock.elapsed_ns ~since:t0 >= 0);
-  check_bool "clock is in a plausible range (after 2020)" true
-    (t0 > 1_577_836_800 * 1_000_000_000)
+let test_clock_monotone () =
+  let prev = ref (Perf.Clock.now_ns ()) in
+  for _ = 1 to 1000 do
+    let t = Perf.Clock.now_ns () in
+    check_bool "now_ns never decreases" true (t >= !prev);
+    prev := t
+  done
 
 (* ---- sim dispatch stats ------------------------------------------------- *)
 
@@ -340,6 +73,34 @@ let test_sim_stats () =
   (* 3 initial + up to 6 nested, minus those already popped; the high-water
      mark depends on interleaving but can never shrink below the burst. *)
   check_bool "high-water mark >= initial burst" true (st.Sim.max_heap_depth >= 3)
+
+(* ---- sim dispatch probe ------------------------------------------------ *)
+
+(* [Sim.set_probe] brackets every executed event with on_start/on_stop,
+   skips cancelled events, and stops firing once cleared. *)
+let test_sim_set_probe () =
+  let sim = Sim.create () in
+  let trace = ref [] in
+  let note s = trace := s :: !trace in
+  let probe =
+    { Sim.on_start = (fun () -> note "start"); on_stop = (fun () -> note "stop") }
+  in
+  ignore (Sim.schedule sim ~delay:(Time_ns.ms 1) (fun () -> note "a") : Sim.event_id);
+  let b = Sim.schedule sim ~delay:(Time_ns.ms 2) (fun () -> note "b") in
+  ignore (Sim.schedule sim ~delay:(Time_ns.ms 3) (fun () -> note "c") : Sim.event_id);
+  ignore (Sim.schedule sim ~delay:(Time_ns.ms 4) (fun () -> note "d") : Sim.event_id);
+  check_bool "first event ran" true (Sim.step sim);
+  Sim.set_probe sim (Some probe);
+  Sim.cancel sim b;
+  ignore (Sim.step sim : bool);
+  ignore (Sim.step sim : bool);
+  Sim.set_probe sim None;
+  Sim.run sim;
+  Alcotest.(check (list string))
+    "bracketed while installed, never around a cancelled event"
+    [ "a"; "start"; "c"; "stop"; "d" ]
+    (List.rev !trace);
+  check_int "three events dispatched" 3 (Sim.processed sim)
 
 (* ---- qcheck: counters are monotone under dispatch ----------------------- *)
 
@@ -380,7 +141,8 @@ let prop_sim_counters_monotone =
       while step_checked () do () done;
       !ok && (Sim.stats sim).Sim.pending = 0)
 
-(* Probe totals only ever grow while spans open and close around dispatch. *)
+(* Probe totals only ever grow while spans open and close inside dispatched
+   events. *)
 let prop_probe_counters_monotone =
   QCheck.Test.make ~name:"probe counters monotone under dispatch" ~count:50
     QCheck.(list (int_bound 4))
@@ -388,22 +150,23 @@ let prop_probe_counters_monotone =
       Perf.Probe.reset ();
       Perf.Probe.enable ();
       let sim = Sim.create () in
-      Perf.Probe.install_sim sim;
       List.iter
         (fun n ->
           for _ = 1 to n do
             ignore
               (Sim.schedule sim ~delay:(Time_ns.ms (n + 1)) (fun () ->
-                   ignore (Sys.opaque_identity (List.init 8 Fun.id) : int list))
+                   Perf.Probe.start Perf.Probe.Storage_apply;
+                   ignore (Sys.opaque_identity (List.init 8 Fun.id) : int list);
+                   Perf.Probe.stop Perf.Probe.Storage_apply)
                 : Sim.event_id)
           done)
         script;
       let ok = ref true in
-      let prev = ref (Perf.Probe.stat Perf.Probe.Sim_dispatch) in
+      let prev = ref (Perf.Probe.stat Perf.Probe.Storage_apply) in
       let continue = ref true in
       while !continue do
         continue := Sim.step sim;
-        let s = Perf.Probe.stat Perf.Probe.Sim_dispatch in
+        let s = Perf.Probe.stat Perf.Probe.Storage_apply in
         if
           s.Perf.Probe.calls < !prev.Perf.Probe.calls
           || s.Perf.Probe.wall_ns < !prev.Perf.Probe.wall_ns
@@ -413,7 +176,7 @@ let prop_probe_counters_monotone =
       done;
       Perf.Probe.disable ();
       let total = List.fold_left ( + ) 0 script in
-      let s = Perf.Probe.stat Perf.Probe.Sim_dispatch in
+      let s = Perf.Probe.stat Perf.Probe.Storage_apply in
       Perf.Probe.reset ();
       !ok && s.Perf.Probe.calls = total)
 
@@ -424,31 +187,14 @@ let qc = QCheck_alcotest.to_alcotest
 let () =
   Alcotest.run "perf"
     [
-      ( "bench_report",
-        [
-          Alcotest.test_case "golden round trip" `Quick test_golden_roundtrip;
-          Alcotest.test_case "write/read round trip" `Quick
-            test_write_read_roundtrip;
-          Alcotest.test_case "schema errors" `Quick test_schema_errors;
-        ] );
-      ( "compare",
-        [
-          Alcotest.test_case "verdicts" `Quick test_compare_verdicts;
-          Alcotest.test_case "diff" `Quick test_compare_diff;
-          Alcotest.test_case "missing metric" `Quick test_compare_missing_metric;
-        ] );
-      ( "trajectory",
-        [
-          Alcotest.test_case "trend" `Quick test_trajectory_trend;
-          Alcotest.test_case "list files" `Quick test_trajectory_list_files;
-        ] );
       ( "probe",
         [
           Alcotest.test_case "disabled no-op" `Quick test_probe_disabled_noop;
           Alcotest.test_case "accumulates" `Quick test_probe_accumulates;
-          Alcotest.test_case "sim install" `Quick test_probe_sim_install;
-          Alcotest.test_case "clock sanity" `Quick test_clock_monotone_enough;
+          Alcotest.test_case "clock sanity" `Quick test_clock_monotone;
         ] );
+      ( "sim_dispatch",
+        [ Alcotest.test_case "set_probe brackets events" `Quick test_sim_set_probe ] );
       ( "sim_stats",
         [
           Alcotest.test_case "dispatch counters" `Quick test_sim_stats;

@@ -178,3 +178,19 @@ let annul_range t ~above ~upto =
     t.records;
   advance t;
   List.length doomed
+
+(* SCL from first principles, with no log at all: starting from [anchor],
+   repeatedly follow the unique record whose [prev_segment] equals the
+   running tail.  The order of [records] is irrelevant. *)
+let scl_reference ~anchor records =
+  let by_prev = Hashtbl.create 64 in
+  List.iter
+    (fun (r : Log_record.t) ->
+      Hashtbl.replace by_prev (Lsn.to_int r.prev_segment) r)
+    records;
+  let rec follow tail =
+    match Hashtbl.find_opt by_prev (Lsn.to_int tail) with
+    | None -> tail
+    | Some r -> follow r.Log_record.lsn
+  in
+  follow anchor

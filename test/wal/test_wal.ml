@@ -1,4 +1,5 @@
-(* Tests for LSNs, log records, hot logs (SCL tracking), and chains. *)
+(* Tests for LSNs, log records, hot logs (SCL tracking, truncation ranges),
+   and txn ids. *)
 open Wal
 
 let check_int = Alcotest.(check int)
@@ -177,7 +178,7 @@ let prop_scl_order_independent =
       List.iter
         (fun r -> ignore (Hot_log.insert log r : Hot_log.insert_result))
         delivered;
-      let expected = Log_chain.scl_reference ~anchor:Lsn.none delivered in
+      let expected = Hot_log_model.scl_reference ~anchor:Lsn.none delivered in
       Lsn.equal (Hot_log.scl log) expected)
 
 let prop_annul_then_scl_valid =
@@ -404,50 +405,32 @@ let test_hot_log_long_run () =
   done;
   check_int "retained" 10 (Hot_log.record_count h)
 
-(* ---- Log_chain validators ---- *)
+(* ---- Truncation ranges ---- *)
 
-let test_chain_validators () =
-  let records = make_chain 8 in
-  (match Log_chain.validate_segment_chain records with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  (match Log_chain.validate_volume_chain records with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  (* Break the chain. *)
-  let broken = List.filter (fun (r : Log_record.t) -> Lsn.to_int r.lsn <> 4) records in
-  (match Log_chain.validate_segment_chain broken with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "expected broken chain")
-
-let test_block_versions () =
-  let records = make_chain 8 in
-  (* make_chain uses prev_block = none for all, so single-version chains
-     only validate per block when there's one record per block; use a
-     custom chain instead. *)
-  let r1 =
-    Log_record.make ~lsn:(lsn 1) ~prev_volume:Lsn.none ~prev_segment:Lsn.none
-      ~prev_block:Lsn.none ~block:(Block_id.of_int 9) ~txn:(Txn_id.of_int 1)
-      ~mtr_id:1 ~mtr_end:true ~op:(Log_record.Put { key = "a"; value = "1" })
-  in
-  let r2 =
-    Log_record.make ~lsn:(lsn 5) ~prev_volume:(lsn 4) ~prev_segment:(lsn 4)
-      ~prev_block:(lsn 1) ~block:(Block_id.of_int 9) ~txn:(Txn_id.of_int 1)
-      ~mtr_id:2 ~mtr_end:true ~op:(Log_record.Put { key = "a"; value = "2" })
-  in
-  let versions = Log_chain.block_versions (r2 :: r1 :: records) (Block_id.of_int 9) in
-  Alcotest.(check (list int)) "block chain order" [ 1; 5 ]
-    (List.map (fun (r : Log_record.t) -> Lsn.to_int r.lsn) versions)
-
-(* ---- Truncation ---- *)
-
+(* [annul_range ~above ~upto] covers the half-open range (above, upto]:
+   the lower bound survives, the upper bound is annulled, and records
+   above the range stay stored. *)
 let test_truncation () =
-  let t = Truncation.make ~above:(lsn 10) ~upto:(lsn 20) in
-  check_bool "below untouched" false (Truncation.annuls t (lsn 10));
-  check_bool "in range" true (Truncation.annuls t (lsn 15));
-  check_bool "upper inclusive" true (Truncation.annuls t (lsn 20));
-  check_bool "above range" false (Truncation.annuls t (lsn 21));
-  check_int "next allocatable" 21 (Lsn.to_int (Truncation.next_allocatable t))
+  let log = Hot_log.create () in
+  let records = make_chain 25 in
+  List.iter (fun r -> ignore (Hot_log.insert log r : Hot_log.insert_result)) records;
+  check_int "drops exactly the range" 10
+    (Hot_log.annul_range log ~above:(lsn 10) ~upto:(lsn 20));
+  check_bool "below untouched" false (Hot_log.is_annulled log (lsn 10));
+  check_bool "in range" true (Hot_log.is_annulled log (lsn 15));
+  check_bool "upper inclusive" true (Hot_log.is_annulled log (lsn 20));
+  check_bool "above range" false (Hot_log.is_annulled log (lsn 21));
+  check_bool "lower bound kept" true (Hot_log.contains log (lsn 10));
+  check_bool "records above kept" true (Hot_log.contains log (lsn 21));
+  check_int "retained" 15 (Hot_log.record_count log);
+  check_int "scl at the lower bound" 10 (Lsn.to_int (Hot_log.scl log));
+  let r i = List.nth records (i - 1) in
+  (match Hot_log.insert log (r 20) with
+  | Hot_log.Annulled -> ()
+  | _ -> Alcotest.fail "upper bound: expected Annulled");
+  match Hot_log.insert log (r 10) with
+  | Hot_log.Duplicate -> ()
+  | _ -> Alcotest.fail "lower bound: expected Duplicate"
 
 (* ---- Txn ids ---- *)
 
@@ -483,11 +466,6 @@ let () =
           qc prop_annul_then_scl_valid;
           Alcotest.test_case "long run: grow and compact" `Quick test_hot_log_long_run;
           qc prop_hot_log_matches_model;
-        ] );
-      ( "chains",
-        [
-          Alcotest.test_case "validators" `Quick test_chain_validators;
-          Alcotest.test_case "block versions" `Quick test_block_versions;
         ] );
       ("truncation", [ Alcotest.test_case "ranges" `Quick test_truncation ]);
       ("txn_id", [ Alcotest.test_case "allocator" `Quick test_txn_allocator ]);
