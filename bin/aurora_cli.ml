@@ -51,11 +51,10 @@ let exp_cmd =
     Term.(const run_experiment $ name_arg $ seed_arg)
 
 (* Shared smoke workload: an open-loop transaction mix against a default
-   cluster, run to quiescence.  [tracing] arms the flight recorder before
-   the cluster registers its nodes, so every ring exists from the start. *)
+   cluster, run to quiescence.  With [tracing] the cluster records into
+   its own flight recorder at the default ring depth. *)
 let run_workload ?window_ms ~txns ~pgs ~seed ~tracing () =
   let open Simcore in
-  if tracing then Recorder.Rings.enable ();
   let cluster =
     Harness.Cluster.create
       {
@@ -66,6 +65,8 @@ let run_workload ?window_ms ~txns ~pgs ~seed ~tracing () =
           (match window_ms with
           | Some ms -> Time_ns.ms ms
           | None -> Harness.Cluster.default_config.Harness.Cluster.obs_sample_period);
+        recorder_depth =
+          (if tracing then Some Recorder.Rings.default_depth else None);
       }
   in
   let sim = Harness.Cluster.sim cluster in
@@ -79,6 +80,11 @@ let run_workload ?window_ms ~txns ~pgs ~seed ~tracing () =
   Sim.run_until sim (Time_ns.add (Time_ns.us (txns * 500)) (Time_ns.sec 2));
   (cluster, gen)
 
+let recorder_snapshot cluster =
+  match Harness.Cluster.recorder cluster with
+  | Some rings -> Recorder.Rings.snapshot rings
+  | None -> { Recorder.Rings.nodes = [] }
+
 let print_snapshot ~json cluster ~where ~trace_tail =
   let open Simcore in
   let obs = Harness.Cluster.obs cluster in
@@ -90,7 +96,7 @@ let print_snapshot ~json cluster ~where ~trace_tail =
   let trace =
     Option.map
       (fun n ->
-        let es = Correlate.entries (Recorder.Rings.snapshot ()) in
+        let es = Correlate.entries (recorder_snapshot cluster) in
         let total = List.length es in
         (total, List.filteri (fun i _ -> i >= total - n) es))
       trace_tail
@@ -321,15 +327,26 @@ let obs_cmd =
       const run_obs $ txns_arg $ pgs_arg $ seed_arg $ json_arg $ trace_tail
       $ pg $ az $ series $ window_arg)
 
+(* The output file is opened before the run, so an unwritable path is
+   rejected at once instead of after the whole workload. *)
 let run_trace_export txns pgs seed window_ms out =
-  let cluster, _gen = run_workload ?window_ms ~txns ~pgs ~seed ~tracing:true () in
-  let snapshot = Recorder.Rings.snapshot () in
-  let json = Recorder.Chrome_export.to_string (Harness.Cluster.obs cluster) snapshot in
-  Out_channel.with_open_bin out (fun oc -> Out_channel.output_string oc json);
-  let evicted = List.fold_left (fun n r -> n + r.Recorder.Rings.evicted) 0 snapshot.nodes in
-  Printf.printf "wrote %s (%d recorder events, %d evicted; open in Perfetto or \
-                 chrome://tracing)\n"
-    out (List.length (Correlate.entries snapshot)) evicted
+  match Out_channel.open_bin out with
+  | exception Sys_error e -> `Error (false, e)
+  | oc ->
+    Fun.protect ~finally:(fun () -> Out_channel.close oc) (fun () ->
+        let cluster, _gen =
+          run_workload ?window_ms ~txns ~pgs ~seed ~tracing:true ()
+        in
+        let snapshot = recorder_snapshot cluster in
+        Out_channel.output_string oc
+          (Recorder.Chrome_export.to_string (Harness.Cluster.obs cluster) snapshot);
+        let evicted =
+          List.fold_left (fun n r -> n + r.Recorder.Rings.evicted) 0 snapshot.nodes
+        in
+        Printf.printf "wrote %s (%d recorder events, %d evicted; open in Perfetto or \
+                       chrome://tracing)\n"
+          out (List.length (Correlate.entries snapshot)) evicted);
+    `Ok ()
 
 let trace_export_cmd =
   let out =
@@ -345,7 +362,9 @@ let trace_export_cmd =
           the commit-path timelines plus recorder events as Chrome \
           trace-event JSON")
     Term.(
-      const run_trace_export $ txns_arg $ pgs_arg $ seed_arg $ window_arg $ out)
+      ret
+        (const run_trace_export $ txns_arg $ pgs_arg $ seed_arg $ window_arg
+       $ out))
 
 (* ---- vopr: table-driven fault scenarios, seed swarm, repro ---- *)
 

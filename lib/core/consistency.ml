@@ -132,11 +132,6 @@ let note_ack t ~pg ~seg ~scl =
     Perf.Probe.stop Perf.Probe.Consistency_advance
   end
 
-let segment_scl t ~pg ~seg =
-  match Member_id.Tbl.find_opt (pg_state t pg).scls seg with
-  | Some scl -> scl
-  | None -> Lsn.none
-
 let pgcl t pg = (pg_state t pg).pgcl
 let vcl t = t.vcl
 let vdl t = t.vdl
@@ -146,7 +141,6 @@ let segments_at_or_above t ~pg ~lsn = covering (pg_state t pg) lsn
 let on_vcl_advance t f = t.vcl_watchers <- f :: t.vcl_watchers
 let on_vdl_advance t f = t.vdl_watchers <- f :: t.vdl_watchers
 let on_record_durable t f = t.durable_watchers <- f :: t.durable_watchers
-let pending_submissions t = Queue.length t.volume_chain
 
 let restore t ~vcl ~vdl ~pg_points =
   Queue.clear t.volume_chain;

@@ -44,7 +44,6 @@ val note_ack : t -> pg:Storage.Pg_id.t -> seg:Member_id.t -> scl:Lsn.t -> unit
     of order; since a segment's SCL is monotone, values lower than already
     observed are ignored as stale. *)
 
-val segment_scl : t -> pg:Storage.Pg_id.t -> seg:Member_id.t -> Lsn.t
 val pgcl : t -> Storage.Pg_id.t -> Lsn.t
 val vcl : t -> Lsn.t
 val vdl : t -> Lsn.t
@@ -65,9 +64,6 @@ val on_record_durable : t -> (Storage.Pg_id.t -> Lsn.t -> unit) -> unit
     first covers it (write quorum met) — the per-record grain the
     commit-path tracer needs, where {!on_vcl_advance} only reports the
     volume-level watermark. *)
-
-val pending_submissions : t -> int
-(** Records submitted but not yet covered by VCL (in-flight window). *)
 
 val restore :
   t ->

@@ -69,10 +69,8 @@ type t = {
   config : config;
   metrics : metrics;
   obs : Obs.Ctx.t;
-  (* commit-path tracing bookkeeping: per-group LSNs awaiting their first
-     storage ack, and LSNs awaiting VDL coverage, both in submit order *)
-  obs_unacked : Lsn.t Queue.t Pg_id.Tbl.t;
-  obs_vdl_pending : Lsn.t Queue.t;
+  ledger : Obs.Commit_path.t;
+  rings : Recorder.Rings.t option;
   mutable consistency : Consistency.t;
   mutable cache : Buffer_cache.t;
   mutable txns : Txn_table.t;
@@ -96,8 +94,6 @@ type t = {
   replica_floors : Lsn.t Simnet.Addr.Tbl.t;
   (* active read views, for PGMRPL: as_of -> refcount *)
   active_views : (int, int) Hashtbl.t;
-  (* durable-latency bookkeeping: (lsn, written_at) in order *)
-  inflight_records : (Lsn.t * Time_ns.t) Queue.t;
   (* The epoch this instance presents on requests.  Deliberately a cached
      copy of the volume metadata: a fenced-out instance keeps its stale
      value and gets rejected, even though the metadata object is shared
@@ -112,14 +108,16 @@ let sim t = t.sim
 let addr t = t.addr
 let obs t = t.obs
 
-let mark_stage t ~lsn ?pg stage =
-  Obs.Commit_path.mark (Obs.Ctx.commit_path t.obs) ~at:(Sim.now t.sim)
-    ~lsn:(Lsn.to_int lsn) ?pg stage
+(* Flight-recorder hook point; callers gate on [recording] so a writer
+   without rings costs one branch and allocates no event. *)
+let recording t = match t.rings with Some _ -> true | None -> false
 
-(* Flight-recorder hook point; callers gate on [Recorder.Rings.enabled]
-   so a disabled recorder costs one flag read and no allocation. *)
 let rec_note t ev =
-  Recorder.Rings.note ~node:(Simnet.Addr.to_int t.addr) ~at:(Sim.now t.sim) ev
+  match t.rings with
+  | Some r ->
+    Recorder.Rings.note r ~node:(Simnet.Addr.to_int t.addr) ~at:(Sim.now t.sim) ev
+  | None -> ()
+
 let volume t = t.volume
 let config t = t.config
 let consistency t = t.consistency
@@ -161,37 +159,24 @@ let epochs_for t (g : Volume.pg) =
 let install_consistency_hooks t =
   let c = t.consistency in
   Consistency.on_record_durable c (fun _pg lsn ->
-      mark_stage t ~lsn Obs.Commit_path.Pgcl_advanced);
+      Obs.Commit_path.pgcl_advanced t.ledger ~at:(Sim.now t.sim)
+        ~lsn:(Lsn.to_int lsn));
   Consistency.on_vcl_advance c (fun new_vcl ->
       (* Recorded before the commit queue drains so a commit ack's recorder
          event always follows the VCL advance that released it. *)
-      if Recorder.Rings.enabled () then
+      if recording t then
         rec_note t (Recorder.Event.Vcl_advance { vcl = Lsn.to_int new_vcl });
       (* Newly covered records are marked [Vcl_advanced] before the commit
          queue drains, so a commit ack always sees its record's VCL stage
          time — [vcl_advanced→commit_acked] is a marquee span. *)
-      let continue = ref true in
-      while !continue do
-        match Queue.peek_opt t.inflight_records with
-        | Some (lsn, at) when Lsn.(lsn <= new_vcl) ->
-          ignore (Queue.pop t.inflight_records : Lsn.t * Time_ns.t);
-          Histogram.record_span t.metrics.record_durable_latency at
-            (Sim.now t.sim);
-          mark_stage t ~lsn Obs.Commit_path.Vcl_advanced
-        | Some _ | None -> continue := false
-      done;
+      Obs.Commit_path.vcl_advanced t.ledger ~at:(Sim.now t.sim)
+        ~vcl:(Lsn.to_int new_vcl) ~durable:t.metrics.record_durable_latency;
       ignore (Commit_queue.drain t.commit_queue ~vcl:new_vcl : int));
   Consistency.on_vdl_advance c (fun new_vdl ->
-      if Recorder.Rings.enabled () then
+      if recording t then
         rec_note t (Recorder.Event.Vdl_advance { vdl = Lsn.to_int new_vdl });
-      let continue = ref true in
-      while !continue do
-        match Queue.peek_opt t.obs_vdl_pending with
-        | Some lsn when Lsn.(lsn <= new_vdl) ->
-          ignore (Queue.pop t.obs_vdl_pending : Lsn.t);
-          mark_stage t ~lsn Obs.Commit_path.Vdl_advanced
-        | Some _ | None -> continue := false
-      done;
+      Obs.Commit_path.vdl_advanced t.ledger ~at:(Sim.now t.sim)
+        ~vdl:(Lsn.to_int new_vdl);
       (* Newly durable redo may unpin dirty blocks: apply cache pressure. *)
       Buffer_cache.evict_pressure t.cache ~vdl:new_vdl)
 
@@ -215,11 +200,14 @@ let boxcar_for t (g : Volume.pg) seg =
     let b =
       Boxcar.create ~sim:t.sim ~policy:t.config.boxcar ~flush:(fun records ->
           if t.open_ then begin
+            let dst = Member_id.Map.find_opt seg g.Volume.addr_of in
+            let at = Sim.now t.sim and sent = Option.is_some dst in
             List.iter
               (fun (r : Log_record.t) ->
-                mark_stage t ~lsn:r.lsn Obs.Commit_path.Boxcar_flushed)
+                Obs.Commit_path.flushed t.ledger ~at ~lsn:(Lsn.to_int r.lsn)
+                  ~sent)
               records;
-            match Member_id.Map.find_opt seg g.Volume.addr_of with
+            match dst with
             | None -> ()
             | Some dst ->
               send t ~dst
@@ -230,33 +218,19 @@ let boxcar_for t (g : Volume.pg) seg =
                      records;
                      pgcl = Consistency.pgcl t.consistency g.Volume.id;
                      epochs = epochs_for t g;
-                   });
-              List.iter
-                (fun (r : Log_record.t) ->
-                  mark_stage t ~lsn:r.lsn Obs.Commit_path.Net_sent)
-                records
+                   })
           end)
     in
     Hashtbl.add t.boxcars key b;
     b
 
-let obs_unacked_queue t pg =
-  match Pg_id.Tbl.find_opt t.obs_unacked pg with
-  | Some q -> q
-  | None ->
-    let q = Queue.create () in
-    Pg_id.Tbl.add t.obs_unacked pg q;
-    q
-
 let submit_record t (record : Log_record.t) (g : Volume.pg) =
   Consistency.note_submitted t.consistency ~pg:g.Volume.id ~lsn:record.lsn
     ~mtr_end:record.mtr_end;
-  mark_stage t ~lsn:record.lsn ~pg:(Pg_id.to_int g.Volume.id) Obs.Commit_path.Lsn_allocated;
-  Queue.push record.lsn (obs_unacked_queue t g.Volume.id);
-  Queue.push record.lsn t.obs_vdl_pending;
+  Obs.Commit_path.allocated t.ledger ~at:(Sim.now t.sim)
+    ~lsn:(Lsn.to_int record.lsn) ~pg:(Pg_id.to_int g.Volume.id);
   Buffer_cache.apply t.cache record ~vdl:(vdl t);
   if t.replica_addrs <> [] then Queue.push record t.stream_queue;
-  Queue.push (record.lsn, Sim.now t.sim) t.inflight_records;
   t.metrics.records_written <- t.metrics.records_written + 1;
   (* Fan out to every member of the group; the quorum set decides when the
      record counts as durable. *)
@@ -435,7 +409,7 @@ let commit t ~txn callback =
     let scn = record.lsn in
     mark_committed t txn ~scn;
     t.metrics.txns_committed <- t.metrics.txns_committed + 1;
-    if Recorder.Rings.enabled () then
+    if recording t then
       rec_note t
         (Recorder.Event.Commit_submit
            { txn = Txn_id.to_int txn; scn = Lsn.to_int scn });
@@ -443,8 +417,9 @@ let commit t ~txn callback =
     Commit_queue.enqueue t.commit_queue ~txn ~scn ~on_ack:(fun () ->
         t.metrics.commit_acks <- t.metrics.commit_acks + 1;
         Histogram.record_span t.metrics.commit_latency started (Sim.now t.sim);
-        mark_stage t ~lsn:scn Obs.Commit_path.Commit_acked;
-        if Recorder.Rings.enabled () then
+        Obs.Commit_path.commit_acked t.ledger ~at:(Sim.now t.sim)
+          ~lsn:(Lsn.to_int scn);
+        if recording t then
           rec_note t
             (Recorder.Event.Commit_ack
                { txn = Txn_id.to_int txn; scn = Lsn.to_int scn });
@@ -577,7 +552,7 @@ let after_membership_change t pg_id =
   broadcast_membership t pg_id
 
 let note_membership t pg_id phase =
-  if Recorder.Rings.enabled () then
+  if recording t then
     let g = Volume.find_pg t.volume pg_id in
     rec_note t
       (Recorder.Event.Membership_change
@@ -624,20 +599,8 @@ let handle_message t (env : Protocol.t Simnet.Net.envelope) =
   if t.open_ then
     match env.msg with
     | Protocol.Write_ack { pg; seg; scl } ->
-      (* First covering ack per record: pop in submit order up to the
-         acked SCL.  Later (or reordered lower) acks find the queue
-         already drained past them — [Node_acked] is first-ack time. *)
-      (match Pg_id.Tbl.find_opt t.obs_unacked pg with
-      | None -> ()
-      | Some q ->
-        let continue = ref true in
-        while !continue do
-          match Queue.peek_opt q with
-          | Some lsn when Lsn.(lsn <= scl) ->
-            ignore (Queue.pop q : Lsn.t);
-            mark_stage t ~lsn ~pg:(Pg_id.to_int pg) Obs.Commit_path.Node_acked
-          | Some _ | None -> continue := false
-        done);
+      Obs.Commit_path.acked t.ledger ~at:(Sim.now t.sim) ~pg:(Pg_id.to_int pg)
+        ~scl:(Lsn.to_int scl);
       Consistency.note_ack t.consistency ~pg ~seg ~scl
     | Protocol.Write_reject { reason; _ } -> (
       t.metrics.write_rejects <- t.metrics.write_rejects + 1;
@@ -646,7 +609,7 @@ let handle_message t (env : Protocol.t Simnet.Net.envelope) =
         (* A newer writer fenced us out: stop serving immediately. *)
         t.metrics.fenced <- t.metrics.fenced + 1;
         t.open_ <- false;
-        if Recorder.Rings.enabled () then
+        if recording t then
           rec_note t (Recorder.Event.Fenced { epoch = Epoch.to_int current })
       | Protocol.Stale_membership_epoch _ | Protocol.Not_a_member -> ())
     | Protocol.Read_reply { req; seg; result } ->
@@ -708,7 +671,7 @@ let register_instruments t =
         (fun () -> Lsn.to_int (Consistency.pgcl t.consistency pg)))
     (Volume.pgs t.volume)
 
-let create ~sim ~rng ~net ~addr ~volume ~config ?obs () =
+let create ~sim ~rng ~net ~addr ~volume ~config ?obs ?rings () =
   let obs = match obs with Some o -> o | None -> Obs.Ctx.create () in
   let t =
     {
@@ -720,8 +683,8 @@ let create ~sim ~rng ~net ~addr ~volume ~config ?obs () =
       config;
       metrics = fresh_metrics ();
       obs;
-      obs_unacked = Pg_id.Tbl.create 8;
-      obs_vdl_pending = Queue.create ();
+      ledger = Obs.Ctx.commit_path obs;
+      rings;
       consistency = Consistency.create ();
       cache = Buffer_cache.create ~capacity:config.cache_capacity;
       txns = Txn_table.create ();
@@ -739,7 +702,6 @@ let create ~sim ~rng ~net ~addr ~volume ~config ?obs () =
       unshipped = [];
       replica_floors = Simnet.Addr.Tbl.create 4;
       active_views = Hashtbl.create 16;
-      inflight_records = Queue.create ();
       my_volume_epoch = Volume.volume_epoch volume;
       open_ = false;
       generation = 0;
@@ -756,12 +718,12 @@ let start t =
   t.generation <- t.generation + 1;
   Simnet.Net.register t.net t.addr (handle_message t);
   Simnet.Net.set_up t.net t.addr;
-  if Recorder.Rings.enabled () then rec_note t Recorder.Event.Started;
+  if recording t then rec_note t Recorder.Event.Started;
   List.iter (fun pg -> broadcast_membership t pg.Volume.id) (Volume.pgs t.volume);
   start_background t
 
 let crash t =
-  if Recorder.Rings.enabled () then rec_note t Recorder.Event.Crashed;
+  if recording t then rec_note t Recorder.Event.Crashed;
   t.open_ <- false;
   t.generation <- t.generation + 1;
   Simnet.Net.set_down t.net t.addr;
@@ -772,10 +734,7 @@ let crash t =
   Reader.drop_all t.reader;
   Hashtbl.reset t.boxcars;
   Queue.clear t.stream_queue;
-  Queue.clear t.inflight_records;
-  Pg_id.Tbl.reset t.obs_unacked;
-  Queue.clear t.obs_vdl_pending;
-  Obs.Commit_path.clear (Obs.Ctx.commit_path t.obs);
+  Obs.Commit_path.clear t.ledger;
   Hashtbl.reset t.active_views;
   Txn_id.Tbl.reset t.txn_last_block
 
@@ -814,7 +773,7 @@ let recover t on_ready =
   t.generation <- t.generation + 1;
   Simnet.Net.register t.net t.addr (handle_message t);
   Simnet.Net.set_up t.net t.addr;
-  if Recorder.Rings.enabled () then
+  if recording t then
     rec_note t
       (Recorder.Event.Recovery_start
          { epoch = Epoch.to_int (Volume.volume_epoch t.volume) });
@@ -826,7 +785,7 @@ let recover t on_ready =
           rebuild_from_outcome t outcome;
           t.open_ <- true;
           t.generation <- t.generation + 1;
-          if Recorder.Rings.enabled () then begin
+          if recording t then begin
             rec_note t
               (Recorder.Event.Recovery_finish
                  {

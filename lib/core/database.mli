@@ -57,12 +57,15 @@ val create :
   volume:Volume.t ->
   config:config ->
   ?obs:Obs.Ctx.t ->
+  ?rings:Recorder.Rings.t ->
   unit ->
   t
 (** [obs] wires the instance into a shared observability context: the
     [db_*] instruments are registered and every submitted record is marked
-    through the commit-path stages.  A private context is created when
-    omitted, so standalone instances stay self-contained. *)
+    through the context's commit-path ledger.  A private context is
+    created when omitted, so standalone instances stay self-contained.
+    [rings] is the cluster's flight recorder; without it the instance
+    records no events. *)
 
 val start : t -> unit
 (** Register on the network and begin serving (a fresh, empty volume). *)

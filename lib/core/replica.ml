@@ -44,6 +44,7 @@ type t = {
   reader : Reader.t;
   metrics : metrics;
   active_views : (int, int) Hashtbl.t;
+  rings : Recorder.Rings.t option; (* handed to the writer [promote] makes *)
   mutable vdl_seen : Lsn.t;
   mutable volume_epoch_seen : Epoch.t;
   mutable running : bool;
@@ -68,7 +69,7 @@ let register_instruments ~obs ~addr metrics =
     Obs.Registry.histogram_ref reg ~labels "replica_stream_lag_ns"
       metrics.stream_lag
 
-let create ~sim ~rng ~net ~addr ~volume ~writer ~config ?obs () =
+let create ~sim ~rng ~net ~addr ~volume ~writer ~config ?obs ?rings () =
   let metrics =
     {
       chunks_applied = 0;
@@ -99,6 +100,7 @@ let create ~sim ~rng ~net ~addr ~volume ~writer ~config ?obs () =
         ();
     metrics;
     active_views = Hashtbl.create 16;
+    rings;
     vdl_seen = Lsn.none;
     volume_epoch_seen = Epoch.initial;
     running = false;
@@ -236,7 +238,7 @@ let promote t ~config on_done =
   stop t;
   let db =
     Database.create ~sim:t.sim ~rng:(Rng.create (Simnet.Addr.to_int t.addr + 7919))
-      ~net:t.net ~addr:t.addr ~volume:t.volume ~config ()
+      ~net:t.net ~addr:t.addr ~volume:t.volume ~config ?rings:t.rings ()
   in
   Database.recover db (fun result ->
       match result with

@@ -51,12 +51,14 @@ val create :
   writer:Simnet.Addr.t ->
   config:config ->
   ?obs:Obs.Ctx.t ->
+  ?rings:Recorder.Rings.t ->
   unit ->
   t
 (** [volume] is shared read-only with the writer: the replica consults
     routing, rosters, and epochs but never allocates from it.  [obs]
     registers the [replica_*] instruments labelled with this node's
-    address. *)
+    address.  [rings] is the cluster's flight recorder, which a writer
+    made by {!promote} records into. *)
 
 val start : t -> unit
 val addr : t -> Simnet.Addr.t

@@ -33,9 +33,3 @@ val mark_aborted : t -> Txn_id.t -> unit
 
 val commit_scn : t -> Txn_id.t -> Lsn.t option
 (** [Some scn] iff the transaction committed. *)
-
-val is_active : t -> Txn_id.t -> bool
-val active : t -> Txn_id.Set.t
-val active_count : t -> int
-
-val last_scn : t -> Lsn.t

@@ -17,6 +17,7 @@ type config = {
   intra_az_latency : Distribution.t;
   inter_az_latency : Distribution.t;
   obs_sample_period : Time_ns.t;
+  recorder_depth : int option;
 }
 
 let default_config =
@@ -29,6 +30,7 @@ let default_config =
     intra_az_latency = Distribution.lognormal ~median:(Time_ns.us 250) ~sigma:0.35;
     inter_az_latency = Distribution.lognormal ~median:(Time_ns.ms 1) ~sigma:0.35;
     obs_sample_period = Time_ns.ms 50;
+    recorder_depth = None;
   }
 
 type node_slot = {
@@ -61,6 +63,7 @@ type t = {
   s3 : Storage.S3.t;
   db : Database.t;
   obs : Obs.Ctx.t;
+  rings : Recorder.Rings.t option;
   pg_nodes : pg_nodes Pg_id.Tbl.t;
   az_of : Az.t Simnet.Addr.Tbl.t;
   addr_alloc : Simnet.Addr.Allocator.t;
@@ -75,6 +78,7 @@ let s3 t = t.s3
 let config t = t.cfg
 let rng t = t.rng
 let obs t = t.obs
+let recorder t = t.rings
 
 let layout_members = function
   | V6 -> Layout.aurora_v6 ()
@@ -86,23 +90,25 @@ let layout_scheme = function
   | Tiered -> Layout.scheme_tiered
   | V3 -> Layout.scheme_2_of_3
 
+let register rings addr role =
+  match rings with
+  | Some r -> Recorder.Rings.register r ~node:(Simnet.Addr.to_int addr) ~role
+  | None -> ()
+
 let make_storage_node_raw ~sim ~rng ~net ~s3 ~storage_config ~addr_alloc
-    ~az_of ~obs ~az =
+    ~az_of ~obs ~rings ~az =
   let addr = Simnet.Addr.Allocator.take addr_alloc in
   Simnet.Addr.Tbl.replace az_of addr az;
-  if Recorder.Rings.enabled () then
-    Recorder.Rings.register
-      ~node:(Simnet.Addr.to_int addr)
-      ~role:Recorder.Event.Storage;
+  register rings addr Recorder.Event.Storage;
   Storage.Storage_node.create ~sim ~rng:(Rng.split rng) ~net ~addr ~s3
     ~config:storage_config ~obs
     ~obs_labels:[ ("az", Printf.sprintf "az%d" (Az.to_int az + 1)) ]
-    ()
+    ?rings ()
 
 let make_storage_node t ~az =
   make_storage_node_raw ~sim:t.sim ~rng:t.rng ~net:t.net ~s3:t.s3
     ~storage_config:t.cfg.storage_config ~addr_alloc:t.addr_alloc
-    ~az_of:t.az_of ~obs:t.obs ~az
+    ~az_of:t.az_of ~obs:t.obs ~rings:t.rings ~az
 
 (* ---- cluster health probe (feeds Obs.Health each sampler tick) ---- *)
 
@@ -284,13 +290,15 @@ let install_observability t =
       (* Health edges go on the writer's ring, next to the commits and
          membership changes that explain them. *)
       let edges = Obs.Health.observe health ~at s in
-      if Recorder.Rings.enabled () then
+      (match t.rings with
+      | Some r ->
         List.iter
           (fun (pg, edge) ->
-            Recorder.Rings.note
+            Recorder.Rings.note r
               ~node:(Simnet.Addr.to_int (Database.addr t.db))
               ~at (Recorder.Event.Health_edge { pg; edge }))
-          edges;
+          edges
+      | None -> ());
       Obs.Series.sample series ~at;
       true)
 
@@ -312,54 +320,54 @@ let create cfg =
   (* Writer lives in AZ1 (index 0). *)
   let db_addr = Simnet.Addr.Allocator.take addr_alloc in
   Simnet.Addr.Tbl.replace az_of db_addr (Az.of_int 0);
-  if Recorder.Rings.enabled () then
-    Recorder.Rings.register
-      ~node:(Simnet.Addr.to_int db_addr)
-      ~role:Recorder.Event.Writer;
+  let rings =
+    Option.map (fun depth -> Recorder.Rings.create ~depth ()) cfg.recorder_depth
+  in
+  register rings db_addr Recorder.Event.Writer;
   (* Flight-recorder network hook: translate wire messages into per-node
-     send/receive/drop events.  Installed unconditionally — it checks the
-     recorder's enable flag itself, so a disabled recorder costs one
-     closure call per message phase.  Drops land on the *source* ring
-     with their cause: that is how [explain] can say why a send never
-     arrived. *)
-  Simnet.Net.set_recorder net
-    (Some
-       (fun phase ~src ~dst msg ->
-         if Recorder.Rings.enabled () then begin
-           let at = Sim.now sim in
-           let info = Protocol.describe msg in
-           let kind = info.Protocol.kind
-           and pg = info.Protocol.pg
-           and lsn_lo = info.Protocol.lsn_lo
-           and lsn_hi = info.Protocol.lsn_hi in
-           match phase with
-           | Simnet.Net.Sent ->
-             Recorder.Rings.note ~node:(Simnet.Addr.to_int src) ~at
-               (Recorder.Event.Send
-                  { kind; peer = Simnet.Addr.to_int dst; pg; lsn_lo; lsn_hi })
-           | Simnet.Net.Delivered ->
-             Recorder.Rings.note ~node:(Simnet.Addr.to_int dst) ~at
-               (Recorder.Event.Receive
-                  { kind; peer = Simnet.Addr.to_int src; pg; lsn_lo; lsn_hi })
-           | Simnet.Net.Dropped cause ->
-             let cause =
-               match cause with
-               | Simnet.Net.Down -> Recorder.Event.Down
-               | Simnet.Net.Blocked -> Recorder.Event.Blocked
-               | Simnet.Net.Partitioned -> Recorder.Event.Partitioned
-               | Simnet.Net.Random -> Recorder.Event.Random
-             in
-             Recorder.Rings.note ~node:(Simnet.Addr.to_int src) ~at
-               (Recorder.Event.Drop
-                  {
-                    kind;
-                    peer = Simnet.Addr.to_int dst;
-                    pg;
-                    lsn_lo;
-                    lsn_hi;
-                    cause;
-                  })
-         end));
+     send/receive/drop events.  Installed only on a recording cluster, so
+     a bare one makes no call per message phase.  Drops land on the
+     *source* ring with their cause: that is how [explain] can say why a
+     send never arrived. *)
+  Option.iter
+    (fun rings ->
+      Simnet.Net.set_recorder net
+        (Some
+           (fun phase ~src ~dst msg ->
+             let at = Sim.now sim in
+             let info = Protocol.describe msg in
+             let kind = info.Protocol.kind
+             and pg = info.Protocol.pg
+             and lsn_lo = info.Protocol.lsn_lo
+             and lsn_hi = info.Protocol.lsn_hi in
+             match phase with
+             | Simnet.Net.Sent ->
+               Recorder.Rings.note rings ~node:(Simnet.Addr.to_int src) ~at
+                 (Recorder.Event.Send
+                    { kind; peer = Simnet.Addr.to_int dst; pg; lsn_lo; lsn_hi })
+             | Simnet.Net.Delivered ->
+               Recorder.Rings.note rings ~node:(Simnet.Addr.to_int dst) ~at
+                 (Recorder.Event.Receive
+                    { kind; peer = Simnet.Addr.to_int src; pg; lsn_lo; lsn_hi })
+             | Simnet.Net.Dropped cause ->
+               let cause =
+                 match cause with
+                 | Simnet.Net.Down -> Recorder.Event.Down
+                 | Simnet.Net.Blocked -> Recorder.Event.Blocked
+                 | Simnet.Net.Partitioned -> Recorder.Event.Partitioned
+                 | Simnet.Net.Random -> Recorder.Event.Random
+               in
+               Recorder.Rings.note rings ~node:(Simnet.Addr.to_int src) ~at
+                 (Recorder.Event.Drop
+                    {
+                      kind;
+                      peer = Simnet.Addr.to_int dst;
+                      pg;
+                      lsn_lo;
+                      lsn_hi;
+                      cause;
+                    }))))
+    rings;
   (* Latency by AZ distance. *)
   let intra = Some cfg.intra_az_latency and inter = Some cfg.inter_az_latency in
   Simnet.Net.set_latency_fn net (fun a b ->
@@ -382,7 +390,7 @@ let create cfg =
               let node =
                 make_storage_node_raw ~sim ~rng ~net ~s3
                   ~storage_config:cfg.storage_config ~addr_alloc ~az_of ~obs
-                  ~az:m.az
+                  ~rings ~az:m.az
               in
               let seg =
                 Storage.Segment.create ~pg:pg_id ~seg:m.id ~kind:m.kind
@@ -406,11 +414,11 @@ let create cfg =
   let volume = Volume.create volume_groups in
   let db =
     Database.create ~sim ~rng:(Rng.split rng) ~net ~addr:db_addr ~volume
-      ~config:cfg.db_config ~obs ()
+      ~config:cfg.db_config ~obs ?rings ()
   in
   Database.start db;
   let t =
-    { cfg; sim; rng; net; s3; db; obs; pg_nodes; az_of; addr_alloc;
+    { cfg; sim; rng; net; s3; db; obs; rings; pg_nodes; az_of; addr_alloc;
       replica_list = []; last_health = None }
   in
   install_observability t;
@@ -437,16 +445,11 @@ let members_of_pg t pg =
   | None -> []
   | Some pgn -> List.map (fun s -> s.member) pgn.slots
 
-let az_of_addr t addr = Simnet.Addr.Tbl.find_opt t.az_of addr
-
 let add_replica t =
   let addr = Simnet.Addr.Allocator.take t.addr_alloc in
   (* Replicas live in AZ2 by default: failover survives the writer's AZ. *)
   Simnet.Addr.Tbl.replace t.az_of addr (Az.of_int 1);
-  if Recorder.Rings.enabled () then
-    Recorder.Rings.register
-      ~node:(Simnet.Addr.to_int addr)
-      ~role:Recorder.Event.Replica;
+  register t.rings addr Recorder.Event.Replica;
   let replica =
     Replica.create ~sim:t.sim ~rng:(Rng.split t.rng) ~net:t.net ~addr
       ~volume:(Database.volume t.db) ~writer:(Database.addr t.db)
@@ -455,7 +458,7 @@ let add_replica t =
           Replica.default_config with
           Replica.n_blocks = t.cfg.db_config.Database.n_blocks;
         }
-      ~obs:t.obs ()
+      ~obs:t.obs ?rings:t.rings ()
   in
   Replica.start replica;
   Database.attach_replica t.db addr;
@@ -733,6 +736,4 @@ let change_scheme_3_of_4 t pg ~drop_az =
         Ok ()
     end)
 
-let last_health t = t.last_health
 let run_for t span = Sim.run_until t.sim (Time_ns.add (Sim.now t.sim) span)
-let run_until_quiesced t = Sim.run t.sim

@@ -27,11 +27,16 @@ type config = {
           sim clock: each tick computes a cluster-health sample (feeding
           {!Obs.Health}, including quorum-loss edge events) and records one
           point per tracked {!Obs.Series} channel. *)
+  recorder_depth : int option;
+      (** [Some depth] makes the cluster record: it owns one flight
+          recorder ({!recorder}) whose per-node rings hold the newest
+          [depth] events each, within
+          [[Recorder.Rings.min_depth, Recorder.Rings.max_depth]]. *)
 }
 
 val default_config : config
 (** seed 42, 2 PGs, V6 layout, lognormal link latencies (~250us intra-AZ,
-    ~1ms inter-AZ medians), 50 ms sampling. *)
+    ~1ms inter-AZ medians), 50 ms sampling, no recording. *)
 
 type t
 
@@ -50,11 +55,17 @@ val obs : t -> Obs.Ctx.t
     network, the writer, every storage node, and every replica.  The
     cluster also drives the context's series sampler and health monitor
     (period [obs_sample_period]), notes each health edge the monitor fires
-    as a [Health_edge] event on the writer's flight-recorder ring while the
-    recorder is enabled, and registers volume-level health gauges:
+    as a [Health_edge] event on the writer's flight-recorder ring when the
+    cluster records, and registers volume-level health gauges:
     [health_write_available], [health_min_write_margin],
     [health_az_plus_one], [health_vdl_vcl_gap], [health_commit_queue_depth],
     [health_max_replica_lag]. *)
+
+val recorder : t -> Recorder.Rings.t option
+(** The cluster's flight recorder, when [recorder_depth] asked for one.
+    The writer, every storage node (replacements included), every replica
+    and a writer promoted from a replica record into it; a bare cluster
+    installs no recorder hook at all. *)
 
 val health_sample : t -> at:Simcore.Time_ns.t -> Obs.Health.sample
 (** Compute one cluster-health sample now (quorum margins by exhaustive
@@ -71,15 +82,10 @@ val health_sample : t -> at:Simcore.Time_ns.t -> Obs.Health.sample
     Otherwise a sample costs one pass over each group's nodes plus the
     ack-current and volume reads. *)
 
-val last_health : t -> Obs.Health.sample option
-(** Latest sample taken by the installed sampler. *)
-
 val storage_nodes : t -> Storage.Storage_node.t list
 val node_of_member :
   t -> Storage.Pg_id.t -> Member_id.t -> Storage.Storage_node.t option
 val members_of_pg : t -> Storage.Pg_id.t -> Membership.member list
-val az_of_addr : t -> Simnet.Addr.t -> Az.t option
-
 val add_replica : t -> Aurora_core.Replica.t
 (** Create, start and attach a read replica (placed in a non-writer AZ). *)
 
@@ -155,4 +161,3 @@ val change_scheme_3_of_4 :
 (* ---- convenience ---- *)
 
 val run_for : t -> Simcore.Time_ns.t -> unit
-val run_until_quiesced : t -> unit

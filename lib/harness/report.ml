@@ -53,7 +53,6 @@ let rec to_string t =
 
 let print t = print_string (to_string t)
 let f2 x = Printf.sprintf "%.2f" x
-let f4 x = Printf.sprintf "%.4f" x
 let pct x = Printf.sprintf "%.4f%%" (100. *. x)
 
 let ns x =

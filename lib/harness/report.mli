@@ -17,7 +17,6 @@ val print : t -> unit
 val f2 : float -> string
 (** Two-decimal float. *)
 
-val f4 : float -> string
 val pct : float -> string
 (** Fraction rendered as a percentage. *)
 

@@ -3,6 +3,7 @@
 
 type config = {
   sim_scope : string -> bool;  (* logical source path is sim-scoped *)
+  sim_global_home : string -> bool;  (* where [@@sim_global] is accepted *)
   describe_checks : (string * string) list;  (* (type, total function) *)
   emit_checks : (string * string) list;  (* (type, defining-dir prefix) *)
   poly_types : string list;  (* protocol types: no polymorphic compare *)
@@ -15,6 +16,7 @@ let has_prefix ~prefix s =
 let default =
   {
     sim_scope = (fun src -> has_prefix ~prefix:"lib/" src);
+    sim_global_home = String.equal "lib/perf/probe.ml";
     describe_checks = [ ("Storage.Protocol.t", "Storage.Protocol.describe") ];
     emit_checks =
       [
@@ -35,7 +37,9 @@ let default =
 
 let catalogue =
   [
-    ("typed-sim-global", "top-level mutable state in lib/ needs [@@sim_global]");
+    ( "typed-sim-global",
+      "top-level mutable state in lib/ needs [@@sim_global], accepted only \
+       in lib/perf/probe.ml" );
     ( "typed-describe-coverage",
       "every Storage.Protocol constructor handled in Protocol.describe" );
     ( "typed-event-emit",
@@ -62,24 +66,38 @@ let index_bindings units =
 
 (* ---------------- sim-state purity ---------------- *)
 
+(* Unannotated top-level mutable state is a finding, and so is the
+   annotation anywhere but its one audited home: no new module-global
+   state. *)
 let sim_global cfg units =
   List.concat_map
     (fun u ->
       if not (cfg.sim_scope u.u_source) then []
       else
+        let home = cfg.sim_global_home u.u_source in
         List.filter_map
           (fun b ->
-            match b.b_mutable_evidence with
-            | Some (line, col, desc)
-              when (not b.b_is_function) && not b.b_sim_global ->
+            let finding line col msg =
               Some
                 (Finding.make ~rule:"typed-sim-global" ~file:u.u_source ~line
-                   ~col
-                   (Printf.sprintf
-                      "top-level mutable state %s (%s) must be annotated \
-                       [@@sim_global]"
-                      b.b_name desc))
-            | _ -> None)
+                   ~col msg)
+            in
+            if b.b_sim_global && not home then
+              finding b.b_line b.b_col
+                (Printf.sprintf
+                   "%s carries [@@sim_global] outside its audited home; keep \
+                    the state in a value its owner creates"
+                   b.b_name)
+            else
+              match b.b_mutable_evidence with
+              | Some (line, col, desc)
+                when (not b.b_is_function) && not b.b_sim_global ->
+                finding line col
+                  (Printf.sprintf
+                     "top-level mutable state %s (%s) must be annotated \
+                      [@@sim_global]"
+                     b.b_name desc)
+              | _ -> None)
           u.u_bindings)
     units
 

@@ -1,7 +1,8 @@
 (** The typed-tier rules: pure functions over {!Typed_summary} summaries.
 
     - [typed-sim-global] — top-level mutable state in sim-scoped modules
-      must carry [@@sim_global].
+      must carry [@@sim_global], and the annotation is accepted only where
+      {!config.sim_global_home} allows it.
     - [typed-describe-coverage] — every constructor of each type in
       {!config.describe_checks} must be matched by the paired function.
     - [typed-event-emit] — every constructor of each type in
@@ -15,6 +16,7 @@
 
 type config = {
   sim_scope : string -> bool;
+  sim_global_home : string -> bool;
   describe_checks : (string * string) list;
   emit_checks : (string * string) list;
   poly_types : string list;

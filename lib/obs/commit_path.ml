@@ -40,23 +40,46 @@ let stage_name = function
 
 let n = n_stages
 
+(* Each allocated record owns [stride] ints of [slots]: its [n] stage
+   times (-1 = not yet observed), its LSN, its PG, and the sequence number
+   of the next record of the same PG still waiting for its first ack (-1:
+   none yet).  Records are numbered by allocation order ("seq"); record
+   [s] lives at entry [s land mask]. *)
+let f_lsn = n
+let f_pg = n + 1
+let f_next = n + 2
+let stride = n + 3
+
 type t = {
   registry : Registry.t;
   capacity : int;
-  (* lsn -> (owning pg, per-stage time); -1 = unknown / unset *)
-  timelines : (int, int ref * int array) Hashtbl.t;
-  order : int Queue.t; (* allocation order, for eviction *)
   hists : Simcore.Histogram.t option array; (* (from * n + to) -> histogram *)
+  mutable slots : int array;
+  mutable mask : int; (* entries - 1; entries is a power of two *)
+  mutable lo : int; (* oldest live record *)
+  mutable next : int; (* next record to allocate *)
+  mutable vcl_at : int; (* oldest record VCL does not cover yet *)
+  mutable vdl_at : int; (* oldest record VDL does not cover yet *)
+  mutable heads : int array; (* by pg: oldest record without an ack, or -1 *)
+  mutable tails : int array; (* by pg: newest record without an ack *)
 }
 
 let create ?(capacity = 16384) ~registry () =
   if capacity <= 0 then invalid_arg "Obs.Commit_path.create: capacity";
+  let rec entries e = if e >= 64 || e >= capacity then e else entries (2 * e) in
+  let entries = entries 1 in
   {
     registry;
     capacity;
-    timelines = Hashtbl.create 1024;
-    order = Queue.create ();
     hists = Array.make (n * n) None;
+    slots = Array.make (entries * stride) (-1);
+    mask = entries - 1;
+    lo = 0;
+    next = 0;
+    vcl_at = 0;
+    vdl_at = 0;
+    heads = Array.make 8 (-1);
+    tails = Array.make 8 (-1);
   }
 
 let stage_label a b = stage_name a ^ "\xe2\x86\x92" ^ stage_name b
@@ -76,52 +99,144 @@ let hist_for t ~from ~upto =
 let record_pair t ~from ~upto span =
   Simcore.Histogram.record (hist_for t ~from ~upto) span
 
-(* The marquee decomposition pairs, recorded even when intermediate stages
-   were observed in between. *)
-let marquee =
-  [
-    (stage_index Boxcar_flushed, stage_index Node_acked);
-    (stage_index Vcl_advanced, stage_index Commit_acked);
-  ]
+let base t s = (s land t.mask) * stride
+let lsn_of t s = t.slots.(base t s + f_lsn)
 
-let evict_beyond_capacity t =
-  while Hashtbl.length t.timelines > t.capacity do
-    match Queue.take_opt t.order with
-    | None -> Hashtbl.reset t.timelines (* unreachable: order covers timelines *)
-    | Some lsn -> Hashtbl.remove t.timelines lsn
+(* The first mark per (record, stage) wins.  It records the span from the
+   nearest earlier observed stage, plus the two marquee pairs
+   boxcar_flushed→node_acked and vcl_advanced→commit_acked when that
+   nearest stage is not already their start. *)
+let mark t s idx ~at =
+  let b = base t s in
+  let slots = t.slots in
+  if slots.(b + idx) < 0 then begin
+    slots.(b + idx) <- at;
+    let p = ref (idx - 1) in
+    while !p >= 0 && slots.(b + !p) < 0 do decr p done;
+    let p = !p in
+    if p >= 0 then record_pair t ~from:p ~upto:idx (at - slots.(b + p));
+    if idx = 3 || idx = 7 then begin
+      let a = idx - 2 in
+      if a <> p && slots.(b + a) >= 0 then
+        record_pair t ~from:a ~upto:idx (at - slots.(b + a))
+    end
+  end
+
+(* The live record holding [lsn], or -1.  LSNs rise with seq and are dense
+   except where a fenced writer recovered without a crash, so the guess
+   from the newest record almost always hits; a binary search covers the
+   rest. *)
+let find t lsn =
+  if t.next = t.lo then -1
+  else begin
+    let last = t.next - 1 in
+    let s = last - (lsn_of t last - lsn) in
+    if s >= t.lo && s <= last && lsn_of t s = lsn then s
+    else if lsn < lsn_of t t.lo || lsn > lsn_of t last then -1
+    else begin
+      let lo = ref t.lo and hi = ref last in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if lsn_of t mid < lsn then lo := mid + 1 else hi := mid
+      done;
+      if lsn_of t !lo = lsn then !lo else -1
+    end
+  end
+
+(* Drop the oldest record; cursors standing on it step past it. *)
+let evict t =
+  let s = t.lo in
+  let b = base t s in
+  let pg = t.slots.(b + f_pg) in
+  if t.heads.(pg) = s then t.heads.(pg) <- t.slots.(b + f_next);
+  if t.vcl_at = s then t.vcl_at <- s + 1;
+  if t.vdl_at = s then t.vdl_at <- s + 1;
+  t.lo <- s + 1
+
+let grow t =
+  let entries = 2 * (t.mask + 1) in
+  let old = t.slots and old_mask = t.mask in
+  t.slots <- Array.make (entries * stride) (-1);
+  t.mask <- entries - 1;
+  for s = t.lo to t.next - 1 do
+    Array.blit old ((s land old_mask) * stride) t.slots (base t s) stride
   done
 
-let mark t ~at ~lsn ?(pg = -1) stage =
-  let idx = stage_index stage in
-  match Hashtbl.find_opt t.timelines lsn with
-  | None ->
-    if idx = 0 then begin
-      let tl = Array.make n (-1) in
-      tl.(0) <- at;
-      Hashtbl.replace t.timelines lsn (ref pg, tl);
-      Queue.push lsn t.order;
-      evict_beyond_capacity t
-    end
-  | Some (pg_ref, tl) ->
-    if pg >= 0 && !pg_ref < 0 then pg_ref := pg;
-    if tl.(idx) < 0 then begin
-      tl.(idx) <- at;
-      let rec prev i = if i < 0 then -1 else if tl.(i) >= 0 then i else prev (i - 1) in
-      let p = prev (idx - 1) in
-      if p >= 0 then record_pair t ~from:p ~upto:idx (at - tl.(p));
-      List.iter
-        (fun (a, b) ->
-          if b = idx && a <> p && tl.(a) >= 0 then
-            record_pair t ~from:a ~upto:b (at - tl.(a)))
-        marquee
-    end
+let grow_pgs t pg =
+  let len = max (pg + 1) (2 * Array.length t.heads) in
+  let extend a =
+    let a' = Array.make len (-1) in
+    Array.blit a 0 a' 0 (Array.length a);
+    a'
+  in
+  t.heads <- extend t.heads;
+  t.tails <- extend t.tails
 
-let live_timelines t = Hashtbl.length t.timelines
+let allocated t ~at ~lsn ~pg =
+  if t.next - t.lo = t.capacity then evict t
+  else if t.next - t.lo > t.mask then grow t;
+  if pg >= Array.length t.heads then grow_pgs t pg;
+  let s = t.next in
+  let b = base t s in
+  Array.fill t.slots b stride (-1);
+  t.slots.(b) <- at;
+  t.slots.(b + f_lsn) <- lsn;
+  t.slots.(b + f_pg) <- pg;
+  t.next <- s + 1;
+  if t.heads.(pg) < 0 then t.heads.(pg) <- s
+  else t.slots.(base t t.tails.(pg) + f_next) <- s;
+  t.tails.(pg) <- s
 
-let timelines t =
-  Stable.sorted_bindings ~cmp:Int.compare t.timelines
-  |> List.map (fun (lsn, (pg, tl)) -> (lsn, !pg, Array.copy tl))
+let flushed t ~at ~lsn ~sent =
+  let s = find t lsn in
+  if s >= 0 then begin
+    mark t s 1 ~at;
+    if sent then mark t s 2 ~at
+  end
+
+let acked t ~at ~pg ~scl =
+  if pg < Array.length t.heads then begin
+    let continue = ref true in
+    while !continue do
+      let s = t.heads.(pg) in
+      if s >= 0 && lsn_of t s <= scl then begin
+        mark t s 3 ~at;
+        t.heads.(pg) <- t.slots.(base t s + f_next)
+      end
+      else continue := false
+    done
+  end
+
+let pgcl_advanced t ~at ~lsn =
+  let s = find t lsn in
+  if s >= 0 then mark t s 4 ~at
+
+let vcl_advanced t ~at ~vcl ~durable =
+  while t.vcl_at < t.next && lsn_of t t.vcl_at <= vcl do
+    let s = t.vcl_at in
+    Simcore.Histogram.record_span durable t.slots.(base t s) at;
+    mark t s 5 ~at;
+    t.vcl_at <- s + 1
+  done
+
+let vdl_advanced t ~at ~vdl =
+  while t.vdl_at < t.next && lsn_of t t.vdl_at <= vdl do
+    mark t t.vdl_at 6 ~at;
+    t.vdl_at <- t.vdl_at + 1
+  done
+
+let commit_acked t ~at ~lsn =
+  let s = find t lsn in
+  if s >= 0 then mark t s 7 ~at
 
 let clear t =
-  Hashtbl.reset t.timelines;
-  Queue.clear t.order
+  t.lo <- t.next;
+  t.vcl_at <- t.next;
+  t.vdl_at <- t.next;
+  Array.fill t.heads 0 (Array.length t.heads) (-1)
+
+let timelines t =
+  List.init (t.next - t.lo) (fun i ->
+      let s = t.lo + i in
+      let b = base t s in
+      (t.slots.(b + f_lsn), t.slots.(b + f_pg), Array.sub t.slots b n))

@@ -1,22 +1,26 @@
-(** Per-record commit-path stage tracking.
+(** The writer's commit-path ledger: one entry per log record, in LSN
+    order.
 
-    Components [mark] each record (by LSN) as it crosses a commit {!stage};
-    this module keeps a bounded table of per-LSN stage timelines and folds
-    every observed transition into per-stage latency histograms registered
-    as ["commit_stage_ns"] with a ["stage"] label of the form ["a→b"] in
-    the shared {!Registry}.
-
-    Two transitions are always recorded in addition to the
-    nearest-preceding-stage pair, because they carry the paper's headline
-    decomposition (§2.3): [boxcar_flushed→node_acked] (network + storage
-    foreground) and [vcl_advanced→commit_acked] (commit-queue drain).
+    The writer reports each protocol moment once — LSN allocation, boxcar
+    flush, storage ack, PGCL, VCL and VDL advance, commit ack — and the
+    ledger marks every record that moment covers with the matching
+    {!stage}.  Each first mark feeds a ["commit_stage_ns"] histogram in
+    the shared {!Registry}, labelled ["stage"] = ["a→b"] after the nearest
+    earlier observed stage.  Two pairs are always recorded as well,
+    because they carry the paper's headline decomposition (§2.3):
+    [boxcar_flushed→node_acked] (network + storage foreground) and
+    [vcl_advanced→commit_acked] (commit-queue drain).  The VCL advance
+    also feeds the writer's record-durable latency histogram.
 
     Marks are idempotent per (LSN, stage): only the first time is kept, so
     a record flushed to six segments gets one [Boxcar_flushed] and its
-    first covering ack one [Node_acked].  Timelines are evicted
-    oldest-first beyond [capacity]; marks on evicted or never-allocated
-    LSNs are dropped.  The per-event record of the same moments lives in
-    the flight recorder ([Recorder.Rings]). *)
+    first covering ack one [Node_acked].  The ledger keeps the newest
+    [capacity] records (flat storage grown on demand up to that window);
+    a record drops out [capacity] allocations after its own, and marks on
+    it are then ignored — including its VCL advance, so a record evicted
+    before VCL covers it adds no record-durable sample.  LSNs must be
+    allocated in increasing order; gaps are allowed.  The per-event record
+    of the same moments lives in the flight recorder ([Recorder.Rings]). *)
 
 (** The stages one log record crosses through the write pipeline
     (§2.2-2.3 of the paper), in order. *)
@@ -38,23 +42,41 @@ val stage_name : stage -> string
 type t
 
 val create : ?capacity:int -> registry:Registry.t -> unit -> t
-(** [capacity] bounds live per-LSN timelines (default 16384). *)
+(** [capacity] bounds the live records (default 16384). *)
 
-val mark : t -> at:Simcore.Time_ns.t -> lsn:int -> ?pg:int -> stage -> unit
-(** [pg] tags the record's protection group on its timeline; the first
-    non-negative value seen for an LSN is latched (call sites deep in the
-    volume core don't all know it). *)
+val allocated : t -> at:Simcore.Time_ns.t -> lsn:int -> pg:int -> unit
+(** A record of protection group [pg] got [lsn], above every LSN
+    allocated since the last {!clear}. *)
 
-val live_timelines : t -> int
+val flushed : t -> at:Simcore.Time_ns.t -> lsn:int -> sent:bool -> unit
+(** A boxcar holding [lsn] flushed; [sent] when the batch also went on
+    the network at that instant (its segment has an address). *)
+
+val acked : t -> at:Simcore.Time_ns.t -> pg:int -> scl:int -> unit
+(** A storage ack from group [pg] reporting [scl]: every record of [pg]
+    at or below it that had no ack yet gets [Node_acked]. *)
+
+val pgcl_advanced : t -> at:Simcore.Time_ns.t -> lsn:int -> unit
+(** The record's group durable point (PGCL) now covers it. *)
+
+val vcl_advanced :
+  t -> at:Simcore.Time_ns.t -> vcl:int -> durable:Simcore.Histogram.t -> unit
+(** VCL reached [vcl]: records it newly covers get [Vcl_advanced], and
+    their allocation-to-now span goes to [durable]. *)
+
+val vdl_advanced : t -> at:Simcore.Time_ns.t -> vdl:int -> unit
+(** VDL reached [vdl]: records it newly covers get [Vdl_advanced]. *)
+
+val commit_acked : t -> at:Simcore.Time_ns.t -> lsn:int -> unit
+(** The commit record at [lsn] (the SCN) was acknowledged to the client. *)
+
+val clear : t -> unit
+(** Drop every record (instance crash); histograms persist. *)
 
 val timelines : t -> (int * int * Simcore.Time_ns.t array) list
 (** Live per-LSN timelines as [(lsn, pg, stage_times)], sorted by LSN;
     [stage_times] is indexed by {!stage_index} with [-1] for stages not
-    (yet) observed, [pg = -1] when never learned.  Basis for the
-    Chrome-trace exporter's spans. *)
-
-val clear : t -> unit
-(** Drop all in-flight timelines (instance crash); histograms persist. *)
+    (yet) observed.  Basis for the Chrome-trace exporter's spans. *)
 
 val stage_label : stage -> stage -> string
 (** ["a→b"], the ["stage"] label value used in the registry. *)

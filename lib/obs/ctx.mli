@@ -1,6 +1,6 @@
 (** One observability context per cluster.
 
-    Bundles the metrics {!Registry}, the {!Commit_path} tracker, the
+    Bundles the metrics {!Registry}, the {!Commit_path} ledger, the
     {!Series} time-series collection, and the {!Health} monitor.  Every
     component takes an optional [?obs] context at creation; a component
     built without one gets a fresh private context ({!create}) so

@@ -48,9 +48,6 @@ type sample = {
   volume : volume_sample;
 }
 
-val pg_write_ok : pg_sample -> bool
-(** [write_margin >= 0]. *)
-
 val sample_write_available : sample -> bool
 (** Every PG can take writes. *)
 

@@ -83,9 +83,6 @@ let self_overlapping t =
   for_all_subsets universe (fun s ->
       not (satisfied t s && satisfied t (Member_id.Set.diff universe s)))
 
-let tolerates_failure_of t down =
-  satisfied t (Member_id.Set.diff (members t) down)
-
 let rec pp fmt = function
   | Atom { threshold; members } ->
     Format.fprintf fmt "%d/%d of %a" threshold

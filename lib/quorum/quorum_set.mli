@@ -55,10 +55,6 @@ val self_overlapping : t -> bool
 (** Every pair of satisfying subsets intersects — rule 2 of §2.1 applied to
     the write quorum ("the write set must overlap with prior write sets"). *)
 
-val tolerates_failure_of : t -> Member_id.Set.t -> bool
-(** [tolerates_failure_of t down] — the requirement is still satisfiable
-    using only members outside [down]. *)
-
 val pp : Format.formatter -> t -> unit
 
 (** A paired read/write rule with its safety obligations. *)

@@ -1,8 +1,7 @@
-(* Per-node bounded ring buffers, in the style of [Perf.Probe]:
-   module-global mutable state living entirely outside the sim.  Recording
-   draws no randomness and schedules no events, so an instrumented run is
-   byte-identical to a bare one; while disabled every [note] is a no-op
-   and hook points pay a single flag read. *)
+(* Per-node bounded ring buffers for one cluster.  Recording draws no
+   randomness and schedules no events, so an instrumented run is
+   byte-identical to a bare one.  Node ids are small dense addresses, so
+   the rings sit in an array indexed by node. *)
 
 let min_depth = 16
 let max_depth = 65536
@@ -10,58 +9,48 @@ let default_depth = 512
 
 type ring = {
   role : Event.role;
-  cap : int;
   buf : (int * Event.t) array;
   mutable len : int;
   mutable head : int; (* next write position *)
   mutable evicted : int;
 }
 
-let on = ref false [@@sim_global]
-let depth = ref default_depth [@@sim_global]
-let rings : (int, ring) Hashtbl.t = Hashtbl.create 64 [@@sim_global]
+type t = { depth : int; mutable rings : ring option array (* by node *) }
 
-let enabled () = !on
-let enable () = on := true
-let disable () = on := false
-
-let set_depth d =
-  if d < min_depth || d > max_depth then
+let create ?(depth = default_depth) () =
+  if depth < min_depth || depth > max_depth then
     invalid_arg
-      (Printf.sprintf "Recorder.Rings.set_depth: %d outside [%d, %d]" d
-         min_depth max_depth)
-  else depth := d
-
-let reset () =
-  Hashtbl.reset rings;
-  depth := default_depth
+      (Printf.sprintf "Recorder.Rings.create: depth %d outside [%d, %d]" depth
+         min_depth max_depth);
+  { depth; rings = Array.make 64 None }
 
 let dummy = (0, Event.Started)
 
-let fresh role =
-  { role; cap = !depth; buf = Array.make !depth dummy; len = 0; head = 0;
-    evicted = 0 }
+let add t node role =
+  let n = Array.length t.rings in
+  if node >= n then begin
+    let grown = Array.make (max (node + 1) (2 * n)) None in
+    Array.blit t.rings 0 grown 0 n;
+    t.rings <- grown
+  end;
+  let r =
+    { role; buf = Array.make t.depth dummy; len = 0; head = 0; evicted = 0 }
+  in
+  t.rings.(node) <- Some r;
+  r
 
-let register ~node ~role =
-  if not (Hashtbl.mem rings node) then Hashtbl.replace rings node (fresh role)
+let find t node = if node < Array.length t.rings then t.rings.(node) else None
 
-let ring_for node =
-  match Hashtbl.find_opt rings node with
-  | Some r -> r
-  | None ->
-    let r = fresh Event.Unknown in
-    Hashtbl.replace rings node r;
-    r
+let register t ~node ~role =
+  match find t node with
+  | Some _ -> ()
+  | None -> ignore (add t node role : ring)
 
-let note ~node ~at ev =
-  if !on then begin
-    let r = ring_for node in
-    r.buf.(r.head) <- (at, ev);
-    r.head <- (r.head + 1) mod r.cap;
-    if r.len < r.cap then r.len <- r.len + 1 else r.evicted <- r.evicted + 1
-  end
-
-let registered () = Hashtbl.length rings
+let note t ~node ~at ev =
+  let r = match find t node with Some r -> r | None -> add t node Event.Unknown in
+  r.buf.(r.head) <- (at, ev);
+  r.head <- (r.head + 1) mod t.depth;
+  if r.len < t.depth then r.len <- r.len + 1 else r.evicted <- r.evicted + 1
 
 (* ------------------------------------------------------------ snapshots -- *)
 
@@ -75,20 +64,17 @@ type node_ring = {
 
 type snapshot = { nodes : node_ring list }
 
-let events_of r =
-  let start = (r.head - r.len + r.cap) mod r.cap in
-  List.init r.len (fun i -> r.buf.((start + i) mod r.cap))
-
-let snapshot () =
-  let nodes =
-    Obs.Stable.sorted_bindings ~cmp:Int.compare rings
-    |> List.map (fun (node, (r : ring)) ->
-           {
-             node;
-             role = r.role;
-             depth = r.cap;
-             evicted = r.evicted;
-             events = events_of r;
-           })
-  in
-  { nodes }
+let snapshot (t : t) =
+  let cap = t.depth in
+  let nodes = ref [] in
+  for node = Array.length t.rings - 1 downto 0 do
+    match t.rings.(node) with
+    | None -> ()
+    | Some r ->
+      let start = (r.head - r.len + cap) mod cap in
+      let events = List.init r.len (fun i -> r.buf.((start + i) mod cap)) in
+      nodes :=
+        { node; role = r.role; depth = cap; evicted = r.evicted; events }
+        :: !nodes
+  done;
+  { nodes = !nodes }

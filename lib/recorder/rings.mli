@@ -1,10 +1,11 @@
-(** Global per-node event rings — the flight recorder proper.
+(** Per-node event rings — the flight recorder proper.
 
-    Module-global mutable state in the style of [Perf.Probe]: it lives
-    entirely outside the sim, records no randomness, and schedules
-    nothing, so enabling the recorder cannot perturb a deterministic run.
-    Disabled (the default) every {!note} is a no-op, which is how the
-    [smoke --json] byte gate stays untouched.
+    One value per recording cluster: the cluster makes it when asked to
+    record and hands it to the writer, every storage node and every
+    replica, so two clusters in one process never share a ring.  Recording
+    draws no randomness and schedules nothing, so a recorded run is
+    byte-identical to a bare one.  A component built without rings records
+    nothing, and each of its hook points costs one branch.
 
     Timestamps are [Simcore.Time_ns.t] values, i.e. plain nanosecond
     ints, stored verbatim. *)
@@ -19,30 +20,21 @@ val max_depth : int
 val default_depth : int
 (** Capacity used when no [recorder_depth] directive is given (512). *)
 
-val enabled : unit -> bool
-val enable : unit -> unit
-val disable : unit -> unit
+type t
 
-val set_depth : int -> unit
-(** Capacity for rings registered {e afterwards}; existing rings keep
-    theirs.  Raises [Invalid_argument] outside
+val create : ?depth:int -> unit -> t
+(** Empty rings, each holding the newest [depth] events (default
+    {!default_depth}).  Raises [Invalid_argument] outside
     [[min_depth, max_depth]]. *)
 
-val reset : unit -> unit
-(** Drop every ring and restore {!default_depth}.  Call between runs so
-    swarm memory stays flat across seeds. *)
-
-val register : node:int -> role:Event.role -> unit
+val register : t -> node:int -> role:Event.role -> unit
 (** Create an empty ring for [node] (idempotent — a restart does not wipe
     the node's history).  Unregistered nodes that record anyway are
     auto-registered with role {!Event.Unknown}. *)
 
-val note : node:int -> at:int -> Event.t -> unit
-(** Append an event at sim time [at] (nanoseconds).  No-op while
-    disabled; once a ring is full the oldest event is evicted. *)
-
-val registered : unit -> int
-(** Number of rings currently registered. *)
+val note : t -> node:int -> at:int -> Event.t -> unit
+(** Append an event at sim time [at] (nanoseconds); once a ring is full
+    the oldest event is evicted. *)
 
 type node_ring = {
   node : int;
@@ -54,6 +46,6 @@ type node_ring = {
 
 type snapshot = { nodes : node_ring list (* sorted by node id *) }
 
-val snapshot : unit -> snapshot
+val snapshot : t -> snapshot
 (** Immutable copy of every ring, nodes sorted by id — the input to
     [Correlate] and [Artifact]. *)

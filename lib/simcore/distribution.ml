@@ -62,10 +62,3 @@ let rec sample t rng =
     | Scaled (f, d) -> int_of_float (f *. float_of_int (sample d rng))
   in
   if v < 0 then 0 else v
-
-let mean_estimate t rng n =
-  let acc = ref 0. in
-  for _ = 1 to n do
-    acc := !acc +. float_of_int (sample t rng)
-  done;
-  !acc /. float_of_int n

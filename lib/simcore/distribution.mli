@@ -39,6 +39,3 @@ val scaled : float -> t -> t
 val sample : t -> Rng.t -> Time_ns.t
 (** Draw one duration.  Results are clamped to be non-negative. *)
 
-val mean_estimate : t -> Rng.t -> int -> float
-(** [mean_estimate d rng n] — empirical mean of [n] samples, in
-    nanoseconds, for calibration tests. *)

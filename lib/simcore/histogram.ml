@@ -134,16 +134,3 @@ let percentile_since t s p =
     scan 0 0
   end
 
-let pp_summary fmt t =
-  Format.fprintf fmt "n=%d mean=%a p50=%a p99=%a p999=%a max=%a" t.n Time_ns.pp
-    (int_of_float (mean t))
-    Time_ns.pp (percentile t 50.) Time_ns.pp (percentile t 99.) Time_ns.pp
-    (percentile t 99.9) Time_ns.pp (max_value t)
-
-let summary_row t ~label =
-  Format.asprintf "%-28s %10d %12s %12s %12s %12s %12s" label t.n
-    (Time_ns.to_string (int_of_float (mean t)))
-    (Time_ns.to_string (percentile t 50.))
-    (Time_ns.to_string (percentile t 99.))
-    (Time_ns.to_string (percentile t 99.9))
-    (Time_ns.to_string (max_value t))

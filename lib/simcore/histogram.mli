@@ -54,11 +54,3 @@ val percentile_since : t -> snapshot -> float -> int
     window is empty.
     @raise Invalid_argument if the snapshot came from a different
     histogram instance. *)
-
-val pp_summary : Format.formatter -> t -> unit
-(** One-line "n=... mean=... p50=... p99=... max=..." rendering with
-    adaptive time units. *)
-
-val summary_row :
-  t -> label:string -> string
-(** Fixed-width table row used by the experiment harness. *)

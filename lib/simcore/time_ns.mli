@@ -30,10 +30,6 @@ val of_float_us : float -> t
 (** [of_float_us x] converts a fractional microsecond duration, rounding to
     the nearest nanosecond.  Negative inputs clamp to [zero]. *)
 
-val to_float_us : t -> float
-val to_float_ms : t -> float
-val to_float_s : t -> float
-
 val add : t -> t -> t
 val sub : t -> t -> t
 val diff : t -> t -> t

@@ -149,7 +149,6 @@ let key_src k = k lsr 31
 let key_dst k = k land 0x7FFF_FFFF
 
 let register t addr handler = Addr.Tbl.replace t.handlers addr handler
-let unregister t addr = Addr.Tbl.remove t.handlers addr
 
 let link_of t src dst =
   let k = key src dst in

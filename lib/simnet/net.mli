@@ -65,8 +65,6 @@ val register : 'msg t -> Addr.t -> ('msg envelope -> unit) -> unit
 (** Install the delivery handler for an address (replacing any previous
     one — a restarted process re-registers). *)
 
-val unregister : 'msg t -> Addr.t -> unit
-
 val send : 'msg t -> src:Addr.t -> dst:Addr.t -> ?bytes:int -> 'msg -> unit
 (** Fire-and-forget.  [bytes] (default 64) feeds traffic accounting — the
     paper's network-amplification comparisons count bytes, not messages. *)

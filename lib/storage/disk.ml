@@ -7,7 +7,6 @@ type t = {
   per_byte_ns : int;
   mutable free_at : Time_ns.t;
   mutable completed : int;
-  mutable bytes : int;
 }
 
 let create ~sim ~rng ~service ~per_byte_ns =
@@ -19,7 +18,6 @@ let create ~sim ~rng ~service ~per_byte_ns =
     per_byte_ns;
     free_at = Time_ns.zero;
     completed = 0;
-    bytes = 0;
   }
 
 let submit t ~bytes callback =
@@ -31,15 +29,6 @@ let submit t ~bytes callback =
   ignore
     (Sim.schedule_at t.sim ~at:done_at (fun () ->
          t.completed <- t.completed + 1;
-         t.bytes <- t.bytes + bytes;
          callback ()))
 
-let busy_until t = t.free_at
-
-let queue_delay t =
-  let now = Sim.now t.sim in
-  if Time_ns.compare t.free_at now > 0 then Time_ns.diff t.free_at now
-  else Time_ns.zero
-
 let completed t = t.completed
-let bytes_written t = t.bytes

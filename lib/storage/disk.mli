@@ -18,11 +18,4 @@ val create :
 val submit : t -> bytes:int -> (unit -> unit) -> unit
 (** Enqueue an I/O; the callback fires when it completes (FIFO order). *)
 
-val busy_until : t -> Simcore.Time_ns.t
-(** Instant at which the device drains everything queued so far. *)
-
-val queue_delay : t -> Simcore.Time_ns.t
-(** How long a new submission would wait before service starts. *)
-
 val completed : t -> int
-val bytes_written : t -> int

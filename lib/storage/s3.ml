@@ -14,11 +14,10 @@ type t = {
   latency : Distribution.t;
   mutable durable : snapshot list;
   mutable in_flight : int;
-  mutable bytes : int;
 }
 
 let create ~sim ~latency ~rng =
-  { sim; rng; latency; durable = []; in_flight = 0; bytes = 0 }
+  { sim; rng; latency; durable = []; in_flight = 0 }
 
 let upload t snap ~on_durable =
   t.in_flight <- t.in_flight + 1;
@@ -27,7 +26,6 @@ let upload t snap ~on_durable =
     (Sim.schedule t.sim ~delay (fun () ->
          t.in_flight <- t.in_flight - 1;
          t.durable <- snap :: t.durable;
-         t.bytes <- t.bytes + snap.bytes;
          on_durable ()))
 
 let durable_upto t pg seg =
@@ -40,4 +38,3 @@ let durable_upto t pg seg =
 
 let snapshots t = t.durable
 let uploads_in_flight t = t.in_flight
-let total_bytes t = t.bytes

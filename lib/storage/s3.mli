@@ -28,4 +28,3 @@ val durable_upto : t -> Pg_id.t -> Quorum.Member_id.t -> Wal.Lsn.t
 
 val snapshots : t -> snapshot list
 val uploads_in_flight : t -> int
-val total_bytes : t -> int

@@ -46,7 +46,6 @@ let backup_upto t = t.backup_upto
 let set_backup_upto t lsn = if Lsn.(lsn > t.backup_upto) then t.backup_upto <- lsn
 let peers t = t.peers
 let set_peers t peers = t.peers <- peers
-let pgcl_known t = t.pgcl_known
 
 let note_pgcl t pgcl =
   if Lsn.(pgcl > t.pgcl_known) then t.pgcl_known <- pgcl

@@ -30,7 +30,6 @@ val set_backup_upto : t -> Wal.Lsn.t -> unit
 val peers : t -> (Quorum.Member_id.t * Simnet.Addr.t) list
 val set_peers : t -> (Quorum.Member_id.t * Simnet.Addr.t) list -> unit
 
-val pgcl_known : t -> Wal.Lsn.t
 val note_pgcl : t -> Wal.Lsn.t -> unit
 (** Adopt a (monotone) writer-advertised group durable point; bounds read
     acceptance (§3.1 bookkeeping, pushed to the segment). *)

@@ -71,6 +71,7 @@ type t = {
   writer_of : Simnet.Addr.t Pg_id.Tbl.t; (* last writer seen per group *)
   disk : Disk.t;
   metrics : metrics;
+  rings : Recorder.Rings.t option;
   mutable alive : bool;
   mutable generation : int; (* invalidates background loops across restarts *)
 }
@@ -100,7 +101,7 @@ let register_instruments ~obs ~addr ~obs_labels metrics =
     c "storage_scrub_corruptions_found" (fun () -> m.scrub_corruptions_found);
     c "storage_hydrations_served" (fun () -> m.hydrations_served)
 
-let create ~sim ~rng ~net ~addr ~s3 ~config ?obs ?(obs_labels = []) () =
+let create ~sim ~rng ~net ~addr ~s3 ~config ?obs ?(obs_labels = []) ?rings () =
   let metrics = fresh_metrics () in
   register_instruments ~obs ~addr ~obs_labels metrics;
   {
@@ -116,6 +117,7 @@ let create ~sim ~rng ~net ~addr ~s3 ~config ?obs ?(obs_labels = []) () =
       Disk.create ~sim ~rng:(Rng.split rng) ~service:config.disk_service
         ~per_byte_ns:config.disk_per_byte_ns;
     metrics;
+    rings;
     alive = false;
     generation = 0;
   }
@@ -130,10 +132,15 @@ let is_alive t = t.alive
 
 let send t ~dst msg = Simnet.Net.send t.net ~src:t.addr ~dst ~bytes:(Protocol.bytes msg) msg
 
-(* Flight-recorder hook point; callers gate on [Recorder.Rings.enabled]
-   so a disabled recorder costs one flag read and no allocation. *)
+(* Flight-recorder hook point; callers gate on [recording] so a node
+   without rings costs one branch and allocates no event. *)
+let recording t = match t.rings with Some _ -> true | None -> false
+
 let rec_note t ev =
-  Recorder.Rings.note ~node:(Simnet.Addr.to_int t.addr) ~at:(Sim.now t.sim) ev
+  match t.rings with
+  | Some r ->
+    Recorder.Rings.note r ~node:(Simnet.Addr.to_int t.addr) ~at:(Sim.now t.sim) ev
+  | None -> ()
 
 let reject_metric t = t.metrics.rejects <- t.metrics.rejects + 1
 
@@ -168,7 +175,7 @@ let handle_write t ~reply_to ~pg ~seg ~records ~pgcl ~epochs =
               t.metrics.records_stored <- t.metrics.records_stored + (after - before);
               t.metrics.duplicates <-
                 t.metrics.duplicates + (List.length records - (after - before));
-              if Recorder.Rings.enabled () then
+              if recording t then
                 rec_note t
                   (Recorder.Event.Scl_advance
                      {
@@ -235,7 +242,7 @@ let handle_gossip_reply t ~pg ~records =
           let after = Hot_log.record_count (Segment.hot_log s) in
           t.metrics.gossip_records_filled <-
             t.metrics.gossip_records_filled + (after - before);
-          if Recorder.Rings.enabled () && after > before then
+          if recording t && after > before then
             rec_note t
               (Recorder.Event.Gossip_fill
                  {
@@ -296,7 +303,7 @@ let handle_hydrate_reply t ~pg ~records ~blocks ~donor_scl ~coalesced ~statuses 
     Disk.submit t.disk ~bytes (fun () ->
         if t.alive then begin
           Segment.hydrate_import s ~records ~blocks ~donor_scl ~coalesced;
-          if Recorder.Rings.enabled () then
+          if recording t then
             rec_note t
               (Recorder.Event.Hydrate_import
                  { pg = Pg_id.to_int pg; scl = Lsn.to_int (Segment.scl s) })
@@ -345,7 +352,7 @@ let handle_message t (env : Protocol.t Simnet.Net.envelope) =
         (* Installing a higher epoch is itself a write at the new epoch:
            unconditionally adopted (§2.4). *)
         Segment.install_volume_epoch s epochs.volume;
-        if Recorder.Rings.enabled () then
+        if recording t then
           rec_note t
             (Recorder.Event.Epoch_change
                {
@@ -359,7 +366,7 @@ let handle_message t (env : Protocol.t Simnet.Net.envelope) =
       | None -> ()
       | Some s ->
         Segment.install_membership s ~epoch ~peers;
-        if Recorder.Rings.enabled () then
+        if recording t then
           rec_note t
             (Recorder.Event.Epoch_change
                {
@@ -383,7 +390,7 @@ let handle_message t (env : Protocol.t Simnet.Net.envelope) =
         Segment.note_pgcl s pgcl;
         t.metrics.versions_gced <-
           t.metrics.versions_gced + Segment.advance_pgmrpl s floor;
-        if Recorder.Rings.enabled () then
+        if recording t then
           rec_note t
             (Recorder.Event.Pgmrpl_advance
                { pg = Pg_id.to_int pg; floor = Lsn.to_int floor }))
@@ -504,20 +511,20 @@ let start t =
   t.generation <- t.generation + 1;
   Simnet.Net.register t.net t.addr (handle_message t);
   Simnet.Net.set_up t.net t.addr;
-  if Recorder.Rings.enabled () then rec_note t Recorder.Event.Started;
+  if recording t then rec_note t Recorder.Event.Started;
   start_background t
 
 let crash t =
   t.alive <- false;
   Simnet.Net.set_down t.net t.addr;
-  if Recorder.Rings.enabled () then rec_note t Recorder.Event.Crashed
+  if recording t then rec_note t Recorder.Event.Crashed
 
 let restart t = start t
 
 let destroy t =
   crash t;
   Pg_id.Tbl.reset t.segments;
-  if Recorder.Rings.enabled () then rec_note t Recorder.Event.Destroyed
+  if recording t then rec_note t Recorder.Event.Destroyed
 
 let request_hydration t ~pg ~from =
   match segment t pg with

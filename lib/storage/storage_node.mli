@@ -53,11 +53,13 @@ val create :
   config:config ->
   ?obs:Obs.Ctx.t ->
   ?obs_labels:Obs.Registry.labels ->
+  ?rings:Recorder.Rings.t ->
   unit ->
   t
 (** [obs] registers the [storage_*] counters labelled with this node's
     address; [obs_labels] adds extra dimensions (the harness tags the
-    node's AZ). *)
+    node's AZ).  [rings] is the cluster's flight recorder; without it the
+    node records no events. *)
 
 val addr : t -> Simnet.Addr.t
 val add_segment : t -> Segment.t -> unit

@@ -77,14 +77,11 @@ let run ~seed ?(record_always = false) (sc : Scenario.t) =
       Cluster.seed;
       n_pgs = sc.n_pgs;
       layout = sc.layout;
+      (* Every run records: the hooks draw no randomness, so an
+         instrumented run is byte-identical to a bare one. *)
+      recorder_depth = Some sc.recorder_depth;
     }
   in
-  (* Arm the flight recorder before any node registers.  Ring state lives
-     outside the sim and the hooks draw no randomness, so an instrumented
-     run is byte-identical to a bare one. *)
-  Recorder.Rings.reset ();
-  Recorder.Rings.set_depth sc.recorder_depth;
-  Recorder.Rings.enable ();
   let cluster = Cluster.create cfg in
   let sim = Cluster.sim cluster in
   let db = Cluster.db cluster in
@@ -270,19 +267,17 @@ let run ~seed ?(record_always = false) (sc : Scenario.t) =
   Checker.quiesce_audit checker;
   Sim.run_until sim (Time_ns.add full_horizon (Time_ns.sec 5));
   Checker.stop checker;
-  (* Snapshot the rings into the repro artifact on any violation (or on
-     request), then stand the recorder down so swarm memory stays flat. *)
+  (* Snapshot the cluster's rings into the repro artifact on any violation
+     (or on request); they go with the cluster. *)
   let recorder =
-    if Checker.total checker > 0 || record_always then
+    match Cluster.recorder cluster with
+    | Some rings when Checker.total checker > 0 || record_always ->
       Some
-        (Recorder.Artifact.make
-           ~snapshot:(Recorder.Rings.snapshot ())
+        (Recorder.Artifact.make ~snapshot:(Recorder.Rings.snapshot rings)
            ~net:(net_artifact (Cluster.net cluster))
            ())
-    else None
+    | Some _ | None -> None
   in
-  Recorder.Rings.disable ();
-  Recorder.Rings.reset ();
   {
     scenario = sc.name;
     seed;

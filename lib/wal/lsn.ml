@@ -34,7 +34,6 @@ module Allocator = struct
   type nonrec t = { mutable last : t }
 
   let create () = { last = none }
-  let create_above lsn = { last = lsn }
 
   let reset_above t lsn =
     if Stdlib.( < ) lsn t.last then
@@ -45,10 +44,4 @@ module Allocator = struct
   let take t =
     t.last <- t.last + 1;
     t.last
-
-  let take_batch t n =
-    if Stdlib.( < ) n 1 then invalid_arg "Lsn.Allocator.take_batch: n < 1";
-    let first = t.last + 1 in
-    t.last <- t.last + n;
-    (first, t.last)
 end

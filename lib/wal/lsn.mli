@@ -59,12 +59,9 @@ module Allocator : sig
 
   val create : unit -> t
 
-  val create_above : lsn -> t
-  (** Restart allocation strictly above a point — used after crash recovery
-      so new records land above the truncation range (§2.4). *)
-
   val reset_above : t -> lsn -> unit
-  (** In-place variant of {!create_above}.
+  (** Restart allocation strictly above a point — used after crash recovery
+      so new records land above the truncation range (§2.4).
       @raise Invalid_argument if the point is below the current tail
       (the LSN space only ever marches forward). *)
 
@@ -73,8 +70,4 @@ module Allocator : sig
 
   val take : t -> lsn
   (** Allocate the next LSN. *)
-
-  val take_batch : t -> int -> lsn * lsn
-  (** [take_batch t n] allocates [n] contiguous LSNs (an MTR's batch),
-      returning [(first, last)] inclusive.  [n >= 1]. *)
 end

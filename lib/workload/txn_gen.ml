@@ -35,7 +35,6 @@ type t = {
   profile : profile;
   zipf : Zipf.t;
   commit_latency : Histogram.t;
-  read_latency : Histogram.t;
   mutable issued : int;
   mutable acked : int;
   mutable failed : int;
@@ -62,7 +61,6 @@ let create ~sim ~rng ~db ~profile () =
     profile;
     zipf = Zipf.create ~n:profile.key_count ~theta:profile.zipf_theta;
     commit_latency = Histogram.create ();
-    read_latency = Histogram.create ();
     issued = 0;
     acked = 0;
     failed = 0;
@@ -145,9 +143,7 @@ let issue_one t ~on_done =
     for _ = 1 to n - n_writes do
       incr reads_pending;
       let key = key_of t (Zipf.sample t.zipf t.rng) in
-      let started = Sim.now t.sim in
       Database.get t.db ~txn ~key (fun _ ->
-          Histogram.record_span t.read_latency started (Sim.now t.sim);
           decr reads_pending;
           try_commit ())
     done;
@@ -188,7 +184,6 @@ let run_closed_loop t ~clients ~think_time ~duration =
   done
 
 let commit_latency t = t.commit_latency
-let read_latency t = t.read_latency
 let issued t = t.issued
 let acked t = t.acked
 let failed t = t.failed

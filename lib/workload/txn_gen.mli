@@ -58,11 +58,7 @@ val run_closed_loop :
   duration:Simcore.Time_ns.t ->
   unit
 
-val issue_one : t -> on_done:((unit, string) result -> unit) -> unit
-(** One transaction through the full path (used by tests). *)
-
 val commit_latency : t -> Simcore.Histogram.t
-val read_latency : t -> Simcore.Histogram.t
 val issued : t -> int
 val acked : t -> int
 val failed : t -> int

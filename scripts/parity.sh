@@ -9,8 +9,10 @@
 # $TMPDIR and built there, so the repository gains no worktree metadata; the
 # working tree is built in place.  Outputs compared (stdout plus exit
 # status): smoke --json at seed 7 and at seed 1 with 4 PGs, obs --json at
-# seed 3, `vopr list`, the vopr run digest of every listed scenario at seeds
-# 1-3, explain pg:0 of writer-crash-recovery, and exp all at seed 1.
+# seed 3 (bare and with a 200-entry recorder tail), `vopr list`, the vopr
+# run digest of every listed scenario at seeds 1-3, explain pg:0 of
+# writer-crash-recovery, the file `trace-export` writes at seed 1, and exp
+# all at seed 1.
 # `exp all` takes a few minutes per side, so this is not part of check.sh.
 set -eu
 
@@ -41,16 +43,19 @@ there=$work/tree/_build/default/bin/aurora_cli.exe
   echo "smoke --json --seed 7"
   echo "smoke --json --seed 1 --pgs 4"
   echo "obs --json --seed 3"
+  echo "obs --json --seed 3 --trace-tail 200"
   echo "vopr list"
   "$here" vopr list | while read -r name _; do
     for seed in 1 2 3; do echo "vopr run --scenario $name --seed $seed"; done
   done
   echo "explain pg:0 --scenario writer-crash-recovery"
+  echo "trace-export --txns 200 --seed 1 -o trace.json"
   echo "exp all --seed 1"
 } > "$work/cases"
 
-# One side: every case in order, case i's stdout and exit status in
-# $dir/i.out.  The two sides run concurrently.
+# One side: every case in order, run inside $dir, case i's stdout and exit
+# status in $dir/i.out, followed by the trace.json it wrote, if any.  The
+# two sides run concurrently.
 run_side() {
   bin=$1 dir=$2
   mkdir -p "$dir"
@@ -59,8 +64,12 @@ run_side() {
     i=$((i + 1))
     status=0
     # shellcheck disable=SC2086  # args is a word list on purpose
-    "$bin" $args > "$dir/$i.out" 2> /dev/null || status=$?
+    (cd "$dir" && "$bin" $args) > "$dir/$i.out" 2> /dev/null || status=$?
     echo "exit $status" >> "$dir/$i.out"
+    if [ -f "$dir/trace.json" ]; then
+      cat "$dir/trace.json" >> "$dir/$i.out"
+      rm "$dir/trace.json"
+    fi
   done < "$work/cases"
 }
 

@@ -200,14 +200,14 @@ let test_txn_table () =
   let t = Txn_table.create () in
   let a = Txn_table.begin_txn t in
   let b = Txn_table.begin_txn t in
-  check_bool "active" true (Txn_table.is_active t a);
+  check_bool "active" true (Txn_table.status t a = Some Txn_table.Active);
   Txn_table.mark_committed t a ~scn:(lsn 10);
   Txn_table.mark_aborted t b;
   Alcotest.(check (option int)) "scn" (Some 10)
     (Option.map Lsn.to_int (Txn_table.commit_scn t a));
   Alcotest.(check (option int)) "aborted has none" None
     (Option.map Lsn.to_int (Txn_table.commit_scn t b));
-  check_int "no active" 0 (Txn_table.active_count t)
+  check_bool "aborted" true (Txn_table.status t b = Some Txn_table.Aborted)
 
 let version ~l ~t value =
   { Storage.Block_store.value = Some value; txn = Txn_id.of_int t; lsn = lsn l }

@@ -12,7 +12,11 @@ let fx name = "test/lint/fixtures/typed/" ^ name
 
 let fixture_config : Lint.Typed_rules.config =
   {
-    sim_scope = String.equal (fx "tf_global.ml");
+    sim_scope =
+      (fun src ->
+        String.equal src (fx "tf_global.ml")
+        || String.equal src (fx "tf_global_stray.ml"));
+    sim_global_home = String.equal (fx "tf_global.ml");
     describe_checks =
       [
         ( "Lint_typed_fixtures.Tf_proto.t",
@@ -40,11 +44,12 @@ let check_sites msg expected rule =
 let test_loader () =
   let units = Lazy.force fixture_units in
   Alcotest.(check (list string))
-    "five fixture units, wrapper module skipped, sorted by source"
+    "six fixture units, wrapper module skipped, sorted by source"
     [
       fx "tf_emitter.ml";
       fx "tf_events.ml";
       fx "tf_global.ml";
+      fx "tf_global_stray.ml";
       fx "tf_poly.ml";
       fx "tf_proto.ml";
     ]
@@ -57,11 +62,17 @@ let test_loader () =
        units)
 
 (* The unannotated [ref] (line 5) and [Hashtbl.create] (line 6) globals
-   are flagged; the two [@@sim_global] globals (lines 7-8) and the table
-   built per call inside the function [fresh] (line 9) are not. *)
+   are flagged; the two [@@sim_global] globals (lines 7-8) in the
+   annotation's home and the table built per call inside the function
+   [fresh] (line 9) are not.  The annotated global in another sim-scoped
+   file (tf_global_stray.ml line 4) is flagged for the annotation. *)
 let test_sim_global () =
-  check_sites "unannotated globals flagged, [@@sim_global] ones clean"
-    [ (fx "tf_global.ml", 5); (fx "tf_global.ml", 6) ]
+  check_sites "unannotated globals and stray annotations flagged"
+    [
+      (fx "tf_global.ml", 5);
+      (fx "tf_global.ml", 6);
+      (fx "tf_global_stray.ml", 4);
+    ]
     "typed-sim-global"
 
 (* [describe]'s wildcard hides [Pong] (line 7) and [Ack] (line 8); the
@@ -87,7 +98,7 @@ let test_poly_compare () =
 
 let test_no_extra_findings () =
   Alcotest.(check int)
-    "the four rule tests account for every finding" 6
+    "the four rule tests account for every finding" 7
     (List.length (Lazy.force fixture_findings))
 
 (* A renamed type or total function must degrade loudly — to a
@@ -104,6 +115,7 @@ let test_manifest_rot () =
       emit_checks =
         [ ("Lint_typed_fixtures.Tf_events.gone", fx "tf_events.ml") ];
       sim_scope = (fun _ -> false);
+      sim_global_home = (fun _ -> false);
       poly_types = [];
     }
   in

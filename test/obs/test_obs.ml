@@ -77,69 +77,200 @@ let test_registry_snapshot_filter () =
 
 module Cp = Obs.Commit_path
 
+let stage_hist reg stage_a stage_b =
+  let label = Cp.stage_label stage_a stage_b in
+  match
+    List.find_opt
+      (fun (labels, _) -> List.mem ("stage", label) labels)
+      (Obs.Registry.find_histograms reg "commit_stage_ns")
+  with
+  | Some (_, h) -> h
+  | None -> Alcotest.failf "no histogram for %s" label
+
 let test_commit_path_pairs () =
   let reg = Obs.Registry.create () in
   let cp = Cp.create ~registry:reg () in
-  let mark ~at ~lsn st = Cp.mark cp ~at ~lsn st in
+  let durable = Histogram.create () in
   (* One record through the whole pipeline. *)
-  mark ~at:0 ~lsn:1 Cp.Lsn_allocated;
-  mark ~at:10 ~lsn:1 Cp.Boxcar_flushed;
-  mark ~at:10 ~lsn:1 Cp.Net_sent;
-  mark ~at:510 ~lsn:1 Cp.Node_acked;
-  mark ~at:520 ~lsn:1 Cp.Node_acked (* idempotent: later ack ignored *);
-  mark ~at:600 ~lsn:1 Cp.Pgcl_advanced;
-  mark ~at:600 ~lsn:1 Cp.Vcl_advanced;
-  mark ~at:700 ~lsn:1 Cp.Vdl_advanced;
-  mark ~at:650 ~lsn:1 Cp.Commit_acked;
-  let hist stage_a stage_b =
-    let label = Obs.Commit_path.stage_label stage_a stage_b in
-    match
-      List.find_opt
-        (fun (labels, _) -> List.mem ("stage", label) labels)
-        (Obs.Registry.find_histograms reg "commit_stage_ns")
-    with
-    | Some (_, h) -> h
-    | None -> Alcotest.failf "no histogram for %s" label
-  in
-  let h = hist Cp.Boxcar_flushed Cp.Node_acked in
+  Cp.allocated cp ~at:0 ~lsn:1 ~pg:0;
+  Cp.flushed cp ~at:10 ~lsn:1 ~sent:true;
+  Cp.acked cp ~at:510 ~pg:0 ~scl:1;
+  Cp.acked cp ~at:520 ~pg:0 ~scl:1 (* idempotent: later ack ignored *);
+  Cp.pgcl_advanced cp ~at:600 ~lsn:1;
+  Cp.vcl_advanced cp ~at:600 ~vcl:1 ~durable;
+  Cp.vdl_advanced cp ~at:700 ~vdl:1;
+  Cp.commit_acked cp ~at:650 ~lsn:1;
+  let h = stage_hist reg Cp.Boxcar_flushed Cp.Node_acked in
   check_int "marquee boxcar->ack count" 1 (Histogram.count h);
   check_int "marquee boxcar->ack value" 500 (Histogram.max_value h);
-  let h = hist Cp.Vcl_advanced Cp.Commit_acked in
+  let h = stage_hist reg Cp.Vcl_advanced Cp.Commit_acked in
   check_int "marquee vcl->commit count" 1 (Histogram.count h);
   check_int "marquee vcl->commit value" 50 (Histogram.max_value h);
-  let h = hist Cp.Net_sent Cp.Node_acked in
+  let h = stage_hist reg Cp.Net_sent Cp.Node_acked in
   check_int "nearest-prev pair value" 500 (Histogram.max_value h);
-  check_int "one live timeline" 1 (Cp.live_timelines cp);
+  check_int "durable at VCL" 600 (Histogram.max_value durable);
+  check_int "one live timeline" 1 (List.length (Cp.timelines cp));
   Cp.clear cp;
-  check_int "cleared" 0 (Cp.live_timelines cp)
+  check_int "cleared" 0 (List.length (Cp.timelines cp))
 
 let test_commit_path_eviction () =
   let reg = Obs.Registry.create () in
   let cp = Cp.create ~capacity:8 ~registry:reg () in
   for lsn = 1 to 20 do
-    Cp.mark cp ~at:lsn ~lsn Cp.Lsn_allocated
+    Cp.allocated cp ~at:lsn ~lsn ~pg:0
   done;
-  check_int "timelines capped" 8 (Cp.live_timelines cp);
+  check_int "timelines capped" 8 (List.length (Cp.timelines cp));
   (* A mark on an evicted LSN is dropped, not resurrected. *)
-  Cp.mark cp ~at:100 ~lsn:1 Cp.Boxcar_flushed;
-  check_int "evicted lsn not resurrected" 8 (Cp.live_timelines cp)
+  Cp.flushed cp ~at:100 ~lsn:1 ~sent:false;
+  check_int "evicted lsn not resurrected" 8 (List.length (Cp.timelines cp));
+  check_int "evicted mark records no span" 0
+    (List.length (Obs.Registry.find_histograms reg "commit_stage_ns"))
+
+(* A record evicted before VCL covers it adds no record-durable sample: the
+   ledger forgets its allocation time with the rest of its timeline. *)
+let test_commit_path_durable_evicted () =
+  let reg = Obs.Registry.create () in
+  let cp = Cp.create ~capacity:8 ~registry:reg () in
+  let durable = Histogram.create () in
+  for lsn = 1 to 20 do
+    Cp.allocated cp ~at:lsn ~lsn ~pg:0
+  done;
+  Cp.vcl_advanced cp ~at:100 ~vcl:20 ~durable;
+  check_int "only the 8 live records sampled" 8 (Histogram.count durable);
+  check_int "oldest sample is lsn 13's" (100 - 13) (Histogram.max_value durable)
+
+(* ---- commit path against its reference model ---- *)
+
+module Model = Commit_path_model
+
+(* Everything a histogram exposes, for exact comparison. *)
+let hist_image h =
+  ( Histogram.count h,
+    Histogram.min_value h,
+    Histogram.max_value h,
+    Histogram.total h,
+    Histogram.stddev h,
+    List.map (Histogram.percentile h) [ 1.; 10.; 25.; 50.; 75.; 90.; 99. ] )
+
+let stage_images reg =
+  List.map
+    (fun (labels, h) -> (labels, hist_image h))
+    (Obs.Registry.find_histograms reg "commit_stage_ns")
+
+let timeline_images tls =
+  List.map (fun (lsn, pg, tl) -> (lsn, pg, Array.to_list tl)) tls
+
+(* One random history of writer moments, replayed on the ledger and the
+   model side by side; [None] when every step agrees.  Histories mix
+   allocation (with LSN jumps), flushes with and without an address, acks
+   of up to three PGs with arbitrary and reordered SCLs, PGCL/VCL/VDL
+   advances, commit acks and crashes, against a small capacity so
+   eviction happens; marks also land on evicted and never-allocated LSNs. *)
+let commit_path_divergence seed =
+  let rng = Simcore.Rng.create seed in
+  let int_in = Simcore.Rng.int_in rng in
+  let capacity = Simcore.Rng.pick_list rng [ 1; 2; 3; 5; 8; 13; 70 ] in
+  let reg_m = Obs.Registry.create () and reg_l = Obs.Registry.create () in
+  let m = Model.create ~capacity ~registry:reg_m in
+  let l = Cp.create ~capacity ~registry:reg_l () in
+  let dur_m = Histogram.create () and dur_l = Histogram.create () in
+  let trace = Buffer.create 256 in
+  let at = ref 0 and last = ref 0 in
+  let near () = !last - int_in (-2) 30 in
+  let op () =
+    at := !at + int_in 0 3;
+    let at = !at in
+    let note fmt = Printf.ksprintf (Buffer.add_string trace) fmt in
+    match Simcore.Rng.int rng 20 with
+    | 0 | 1 | 2 | 3 | 4 | 5 ->
+      let jump = if Simcore.Rng.int rng 12 = 0 then int_in 1 40 else 0 in
+      let lsn = !last + 1 + jump and pg = Simcore.Rng.int rng 3 in
+      last := lsn;
+      note " alloc %d/pg%d@%d" lsn pg at;
+      Model.allocated m ~at ~lsn ~pg;
+      Cp.allocated l ~at ~lsn ~pg
+    | 6 | 7 | 8 | 9 ->
+      let lsn = near () and sent = Simcore.Rng.bool rng in
+      note " flush %d%s@%d" lsn (if sent then "+sent" else "") at;
+      Model.flushed m ~at ~lsn ~sent;
+      Cp.flushed l ~at ~lsn ~sent
+    | 10 | 11 | 12 ->
+      let pg = Simcore.Rng.int rng 4 and scl = near () in
+      note " ack pg%d<=%d@%d" pg scl at;
+      Model.acked m ~at ~pg ~scl;
+      Cp.acked l ~at ~pg ~scl
+    | 13 | 14 ->
+      let lsn = near () in
+      note " pgcl %d@%d" lsn at;
+      Model.pgcl_advanced m ~at ~lsn;
+      Cp.pgcl_advanced l ~at ~lsn
+    | 15 ->
+      let vcl = near () in
+      note " vcl %d@%d" vcl at;
+      Model.vcl_advanced m ~at ~vcl ~durable:dur_m;
+      Cp.vcl_advanced l ~at ~vcl ~durable:dur_l
+    | 16 ->
+      let vdl = near () in
+      note " vdl %d@%d" vdl at;
+      Model.vdl_advanced m ~at ~vdl;
+      Cp.vdl_advanced l ~at ~vdl
+    | 17 | 18 ->
+      let lsn = near () in
+      note " commit %d@%d" lsn at;
+      Model.commit_acked m ~at ~lsn;
+      Cp.commit_acked l ~at ~lsn
+    | _ ->
+      if Simcore.Rng.int rng 4 = 0 then begin
+        note " crash";
+        Model.clear m;
+        Cp.clear l
+      end
+  in
+  let disagreement () =
+    if timeline_images (Model.timelines m) <> timeline_images (Cp.timelines l)
+    then Some "timelines"
+    else if stage_images reg_m <> stage_images reg_l then Some "commit_stage_ns"
+    else if hist_image dur_m <> hist_image dur_l then Some "durable latency"
+    else None
+  in
+  let n_ops = int_in 50 400 in
+  let rec run i =
+    if i = n_ops then None
+    else begin
+      op ();
+      match disagreement () with
+      | Some e ->
+        Some
+          (Printf.sprintf "seed %d, capacity %d, op %d: %s; ops:%s" seed
+             capacity i e (Buffer.contents trace))
+      | None -> run (i + 1)
+    end
+  in
+  run 0
+
+let prop_commit_path_matches_model =
+  QCheck.Test.make ~name:"commit path matches reference model" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      match commit_path_divergence seed with
+      | None -> true
+      | Some e -> QCheck.Test.fail_report e)
 
 (* ---- whole-cluster determinism ---- *)
 
-(* Runs [f] with a fresh, enabled flight recorder and leaves it disabled
-   and empty afterwards, so recorder state never leaks between tests. *)
-let with_recorder f =
-  Recorder.Rings.reset ();
-  Recorder.Rings.set_depth 4096;
-  Recorder.Rings.enable ();
-  Fun.protect f ~finally:(fun () ->
-      Recorder.Rings.disable ();
-      Recorder.Rings.reset ())
+(* A cluster recording into rings deep enough that a short run loses
+   nothing. *)
+let recording_cluster cfg =
+  Harness.Cluster.create { cfg with Harness.Cluster.recorder_depth = Some 4096 }
+
+let rings_snapshot cluster =
+  match Harness.Cluster.recorder cluster with
+  | Some rings -> Recorder.Rings.snapshot rings
+  | None -> Alcotest.fail "cluster is not recording"
 
 let run_cluster seed =
-  with_recorder @@ fun () ->
   let cluster =
-    Harness.Cluster.create { Harness.Cluster.default_config with seed }
+    recording_cluster { Harness.Cluster.default_config with seed }
   in
   let sim = Harness.Cluster.sim cluster in
   let gen =
@@ -151,7 +282,7 @@ let run_cluster seed =
     ~duration:(Time_ns.ms 100);
   Sim.run_until sim (Time_ns.sec 2);
   let obs = Harness.Cluster.obs cluster in
-  let entries = Recorder.Correlate.entries (Recorder.Rings.snapshot ()) in
+  let entries = Recorder.Correlate.entries (rings_snapshot cluster) in
   let n = List.length entries in
   Obs.Json.to_string (Obs.Ctx.snapshot_at ~at:(Sim.now sim) obs)
   ^ Obs.Json.to_string
@@ -604,9 +735,8 @@ let test_health_edges_synthetic () =
   check_int "observed span" (Time_ns.ms 200) (Obs.Health.observed_ns h)
 
 let test_cluster_health_edges () =
-  with_recorder @@ fun () ->
   let cluster =
-    Harness.Cluster.create
+    recording_cluster
       { Harness.Cluster.default_config with seed = 5; n_pgs = 1 }
   in
   let obs = Harness.Cluster.obs cluster in
@@ -617,7 +747,7 @@ let test_cluster_health_edges () =
     let ring =
       List.find
         (fun (r : Recorder.Rings.node_ring) -> r.Recorder.Rings.node = writer)
-        (Recorder.Rings.snapshot ()).Recorder.Rings.nodes
+        (rings_snapshot cluster).Recorder.Rings.nodes
     in
     List.fold_left
       (fun (wl, wr, al, ar) (_, e) ->
@@ -674,17 +804,21 @@ let test_cluster_health_edges () =
 let test_commit_path_timelines () =
   let reg = Obs.Registry.create () in
   let cp = Cp.create ~registry:reg () in
-  Cp.mark cp ~at:100 ~lsn:7 ~pg:1 Cp.Lsn_allocated;
-  Cp.mark cp ~at:500 ~lsn:7 Cp.Boxcar_flushed;
-  Cp.mark cp ~at:900 ~lsn:9 Cp.Lsn_allocated;
-  Cp.mark cp ~at:1200 ~lsn:9 ~pg:0 Cp.Node_acked;
+  Cp.allocated cp ~at:100 ~lsn:7 ~pg:1;
+  Cp.flushed cp ~at:500 ~lsn:7 ~sent:false;
+  (* An LSN gap, as after a fenced writer recovers without a crash. *)
+  Cp.allocated cp ~at:900 ~lsn:9 ~pg:0;
+  Cp.acked cp ~at:1200 ~pg:0 ~scl:9;
   match Cp.timelines cp with
   | [ (7, pg7, tl7); (9, pg9, tl9) ] ->
-    check_int "pg latched at allocation" 1 pg7;
-    check_int "pg latched by a later stage" 0 pg9;
+    check_int "pg kept from allocation" 1 pg7;
+    check_int "pg of the record after the gap" 0 pg9;
     check_int "stage time recorded" 500 tl7.(Cp.stage_index Cp.Boxcar_flushed);
+    check_int "unsent batch has no net_sent" (-1) tl7.(Cp.stage_index Cp.Net_sent);
     check_int "unobserved stage is -1" (-1) tl7.(Cp.stage_index Cp.Commit_acked);
-    check_int "late-latched timeline keeps times" 1200
+    check_int "another group's ack leaves it alone" (-1)
+      tl7.(Cp.stage_index Cp.Node_acked);
+    check_int "ack of its own group marks it" 1200
       tl9.(Cp.stage_index Cp.Node_acked)
   | tls -> Alcotest.failf "expected 2 timelines, got %d" (List.length tls)
 
@@ -692,21 +826,21 @@ let test_commit_path_timelines () =
 
 let test_chrome_export_format () =
   let snapshot =
-    with_recorder @@ fun () ->
-    Recorder.Rings.register ~node:0 ~role:Recorder.Event.Writer;
-    Recorder.Rings.note ~node:0 ~at:2_500
+    let rings = Recorder.Rings.create () in
+    Recorder.Rings.register rings ~node:0 ~role:Recorder.Event.Writer;
+    Recorder.Rings.note rings ~node:0 ~at:2_500
       (Recorder.Event.Send
          { kind = Recorder.Event.Read_block; peer = 3; pg = 0; lsn_lo = -1; lsn_hi = -1 });
-    Recorder.Rings.note ~node:0 ~at:3_500
+    Recorder.Rings.note rings ~node:0 ~at:3_500
       (Recorder.Event.Health_edge { pg = 1; edge = Obs.Health.Write_quorum_lost });
-    Recorder.Rings.snapshot ()
+    Recorder.Rings.snapshot rings
   in
   let ctx = Obs.Ctx.create () in
   let cp = Obs.Ctx.commit_path ctx in
-  Obs.Commit_path.mark cp ~at:1_000 ~lsn:1 ~pg:0 Obs.Commit_path.Lsn_allocated;
-  Obs.Commit_path.mark cp ~at:2_000 ~lsn:1 Obs.Commit_path.Boxcar_flushed;
-  Obs.Commit_path.mark cp ~at:3_000 ~lsn:1 Obs.Commit_path.Node_acked;
-  Obs.Commit_path.mark cp ~at:4_000 ~lsn:1 Obs.Commit_path.Commit_acked;
+  Cp.allocated cp ~at:1_000 ~lsn:1 ~pg:0;
+  Cp.flushed cp ~at:2_000 ~lsn:1 ~sent:false;
+  Cp.acked cp ~at:3_000 ~pg:0 ~scl:1;
+  Cp.commit_acked cp ~at:4_000 ~lsn:1;
   let evs =
     match Recorder.Chrome_export.to_json ctx snapshot with
     | Obs.Json.Obj fields -> (
@@ -799,8 +933,11 @@ let () =
           Alcotest.test_case "stage pairs" `Quick test_commit_path_pairs;
           Alcotest.test_case "timeline eviction" `Quick
             test_commit_path_eviction;
+          Alcotest.test_case "durable latency skips evicted records" `Quick
+            test_commit_path_durable_evicted;
           Alcotest.test_case "timelines / pg latch" `Quick
             test_commit_path_timelines;
+          QCheck_alcotest.to_alcotest prop_commit_path_matches_model;
         ] );
       ( "cluster",
         [

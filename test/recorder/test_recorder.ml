@@ -156,32 +156,28 @@ let test_target_of_string () =
 (* ---- rings ---- *)
 
 let test_ring_depth_bounds () =
-  Rings.reset ();
   check_bool "defaults in range" true
     (Rings.default_depth >= Rings.min_depth
     && Rings.default_depth <= Rings.max_depth);
   Alcotest.check_raises "below min"
     (Invalid_argument
-       (Printf.sprintf "Recorder.Rings.set_depth: %d outside [%d, %d]"
+       (Printf.sprintf "Recorder.Rings.create: depth %d outside [%d, %d]"
           (Rings.min_depth - 1) Rings.min_depth Rings.max_depth)) (fun () ->
-      Rings.set_depth (Rings.min_depth - 1));
+      ignore (Rings.create ~depth:(Rings.min_depth - 1) () : Rings.t));
   Alcotest.check_raises "above max"
     (Invalid_argument
-       (Printf.sprintf "Recorder.Rings.set_depth: %d outside [%d, %d]"
+       (Printf.sprintf "Recorder.Rings.create: depth %d outside [%d, %d]"
           (Rings.max_depth + 1) Rings.min_depth Rings.max_depth)) (fun () ->
-      Rings.set_depth (Rings.max_depth + 1));
-  Rings.reset ()
+      ignore (Rings.create ~depth:(Rings.max_depth + 1) () : Rings.t))
 
 let test_ring_eviction () =
-  Rings.reset ();
-  Rings.set_depth Rings.min_depth;
-  Rings.enable ();
-  Rings.register ~node:3 ~role:Event.Storage;
+  let rings = Rings.create ~depth:Rings.min_depth () in
+  Rings.register rings ~node:3 ~role:Event.Storage;
   for i = 1 to Rings.min_depth + 4 do
-    Rings.note ~node:3 ~at:i (Event.Vcl_advance { vcl = i })
+    Rings.note rings ~node:3 ~at:i (Event.Vcl_advance { vcl = i })
   done;
-  let snap = Rings.snapshot () in
-  (match snap.Rings.nodes with
+  let snap = Rings.snapshot rings in
+  match snap.Rings.nodes with
   | [ r ] ->
     check_int "node id" 3 r.Rings.node;
     check_bool "role kept" true (r.Rings.role = Event.Storage);
@@ -198,33 +194,35 @@ let test_ring_eviction () =
     | (at_last, _) :: _ ->
       check_int "newest retained" (Rings.min_depth + 4) at_last
     | [] -> Alcotest.fail "empty ring")
-  | rings -> Alcotest.failf "expected one ring, got %d" (List.length rings));
-  Rings.disable ();
-  Rings.reset ()
+  | rings -> Alcotest.failf "expected one ring, got %d" (List.length rings)
 
+(* Recording is opt-in per cluster: a default cluster has no recorder, and
+   fresh rings hold nothing until a node registers or records. *)
 let test_ring_disabled_is_noop () =
-  Rings.reset ();
-  check_bool "disabled by default" false (Rings.enabled ());
-  Rings.note ~node:9 ~at:1 Event.Started;
-  check_int "nothing recorded while disabled" 0
-    (List.length (Rings.snapshot ()).Rings.nodes);
-  Rings.reset ()
+  check_bool "default config does not record" true
+    (Option.is_none
+       Harness.Cluster.default_config.Harness.Cluster.recorder_depth);
+  let cluster = Harness.Cluster.create Harness.Cluster.default_config in
+  Harness.Cluster.run_for cluster (Simcore.Time_ns.ms 50);
+  check_bool "bare cluster has no recorder" true
+    (Option.is_none (Harness.Cluster.recorder cluster));
+  check_int "fresh rings are empty" 0
+    (List.length (Rings.snapshot (Rings.create ())).Rings.nodes)
 
 (* ---- artifact round-trip ---- *)
 
 let test_artifact_roundtrip () =
-  Rings.reset ();
-  Rings.enable ();
-  Rings.register ~node:0 ~role:Event.Writer;
-  Rings.register ~node:1 ~role:Event.Storage;
-  Rings.note ~node:0 ~at:10
+  let rings = Rings.create () in
+  Rings.register rings ~node:0 ~role:Event.Writer;
+  Rings.register rings ~node:1 ~role:Event.Storage;
+  Rings.note rings ~node:0 ~at:10
     (Event.Send
        { kind = Event.Write_batch; peer = 1; pg = 0; lsn_lo = 5; lsn_hi = 9 });
-  Rings.note ~node:1 ~at:12
+  Rings.note rings ~node:1 ~at:12
     (Event.Receive
        { kind = Event.Write_batch; peer = 0; pg = 0; lsn_lo = 5; lsn_hi = 9 });
-  Rings.note ~node:1 ~at:13 (Event.Scl_advance { pg = 0; scl = 9; stored = 5 });
-  Rings.note ~node:0 ~at:20
+  Rings.note rings ~node:1 ~at:13 (Event.Scl_advance { pg = 0; scl = 9; stored = 5 });
+  Rings.note rings ~node:0 ~at:20
     (Event.Drop
        {
          kind = Event.Write_batch;
@@ -257,9 +255,7 @@ let test_artifact_roundtrip () =
         ];
     }
   in
-  let a = Artifact.make ~snapshot:(Rings.snapshot ()) ~net () in
-  Rings.disable ();
-  Rings.reset ();
+  let a = Artifact.make ~snapshot:(Rings.snapshot rings) ~net () in
   let txt = Artifact.to_string a in
   (match Artifact.of_string txt with
   | Error e -> Alcotest.failf "artifact parse failed: %s" e
@@ -378,22 +374,15 @@ let test_crash_recover_ordering () =
 
 (* ---- membership changes on the writer ring ---- *)
 
-(* Runs [f] against a fresh, enabled recorder deep enough that nothing a
-   short run records is evicted; leaves the recorder disabled and empty. *)
-let with_recorder f =
-  Rings.reset ();
-  Rings.set_depth 4096;
-  Rings.enable ();
-  Fun.protect f ~finally:(fun () ->
-      Rings.disable ();
-      Rings.reset ())
-
 (* Figure 5's two epoch increments, begin then commit, each leave one
    Membership_change on the writer's ring, and [explain pg:N] shows both. *)
 let test_membership_change_events () =
-  with_recorder @@ fun () ->
   let module Cluster = Harness.Cluster in
-  let cluster = Cluster.create { Cluster.default_config with seed = 3 } in
+  (* Rings deep enough that nothing a short run records is evicted. *)
+  let cluster =
+    Cluster.create
+      { Cluster.default_config with seed = 3; recorder_depth = Some 4096 }
+  in
   Cluster.run_for cluster (Simcore.Time_ns.ms 100);
   let pg = Storage.Pg_id.of_int 1 in
   let suspect = (List.hd (Cluster.members_of_pg cluster pg)).Quorum.Membership.id in
@@ -405,7 +394,8 @@ let test_membership_change_events () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "finish_replacement: %s" e);
   Cluster.run_for cluster (Simcore.Time_ns.ms 100);
-  let a = Artifact.make ~snapshot:(Rings.snapshot ()) () in
+  let rings = Option.get (Cluster.recorder cluster) in
+  let a = Artifact.make ~snapshot:(Rings.snapshot rings) () in
   let changes =
     List.filter_map
       (fun (e : Correlate.entry) ->
@@ -441,6 +431,83 @@ let test_membership_change_events () =
       check_bool ("explain pg:1 shows " ^ phase) true
         (contains needle && contains (" " ^ phase ^ "\n")))
     [ "begun"; "committed" ]
+
+(* ---- one recorder per cluster ---- *)
+
+(* A recording cluster with a replica and an open-loop workload, stepped
+   50 ms at a time by the returned [step]; [artifact] images its rings and
+   net counters. *)
+let recorded_run seed =
+  let module Cluster = Harness.Cluster in
+  let cluster =
+    Cluster.create
+      { Cluster.default_config with seed; recorder_depth = Some 256 }
+  in
+  ignore (Cluster.add_replica cluster : Aurora_core.Replica.t);
+  let gen =
+    Workload.Txn_gen.create ~sim:(Cluster.sim cluster)
+      ~rng:(Simcore.Rng.create (seed + 1)) ~db:(Cluster.db cluster)
+      ~profile:Workload.Txn_gen.default_profile ()
+  in
+  Workload.Txn_gen.run_open_loop gen ~rate_per_sec:1000.
+    ~duration:(Simcore.Time_ns.ms 300);
+  let step () = Cluster.run_for cluster (Simcore.Time_ns.ms 50) in
+  let artifact () =
+    let stats = Simnet.Net.stats (Cluster.net cluster) in
+    Artifact.to_string
+      (Artifact.make
+         ~snapshot:(Rings.snapshot (Option.get (Cluster.recorder cluster)))
+         ())
+    ^ Printf.sprintf "sent %d delivered %d\n" stats.Simnet.Net.sent
+        stats.Simnet.Net.delivered
+  in
+  (step, artifact)
+
+let slices = 10
+
+(* Two recording clusters stepped alternately in one process record
+   exactly what each records alone: no ring is shared. *)
+let test_clusters_interleaved () =
+  let alone seed =
+    let step, artifact = recorded_run seed in
+    for _ = 1 to slices do step () done;
+    artifact ()
+  in
+  let a_alone = alone 5 and b_alone = alone 6 in
+  let step_a, artifact_a = recorded_run 5 and step_b, artifact_b = recorded_run 6 in
+  for _ = 1 to slices do
+    step_a ();
+    step_b ()
+  done;
+  check_bool "the two runs differ" false (String.equal a_alone b_alone);
+  check_string "first cluster's artifact" a_alone (artifact_a ());
+  check_string "second cluster's artifact" b_alone (artifact_b ())
+
+(* A vopr run after a recorded run, in the same process, gives the digest
+   and artifact a fresh process gives ([fresh_*] are written by
+   aurora_cli, see dune).  The earlier cluster records at the smallest
+   depth, so a leaked depth would show in the artifact. *)
+let test_vopr_after_recorded_run () =
+  let module Cluster = Harness.Cluster in
+  let cluster =
+    Cluster.create
+      { Cluster.default_config with seed = 9; recorder_depth = Some Rings.min_depth }
+  in
+  Cluster.run_for cluster (Simcore.Time_ns.ms 100);
+  let sc =
+    match Vopr.Curated.find "writer-crash-recovery" with
+    | Some sc -> sc
+    | None -> Alcotest.fail "curated scenario missing"
+  in
+  let o = Vopr.Runner.run ~seed:1 ~record_always:true sc in
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  check_string "digest" (read "fresh_writer_crash_recovery.digest")
+    (Vopr.Runner.digest o ^ "\n");
+  match o.Vopr.Runner.recorder with
+  | Some a ->
+    check_string "artifact" (read "fresh_writer_crash_recovery.artifact")
+      (Artifact.to_string a)
+  | None -> Alcotest.fail "no recorder artifact"
 
 (* ---- golden explain fixture ---- *)
 
@@ -498,5 +565,9 @@ let () =
           Alcotest.test_case "golden explain" `Slow test_golden_explain;
           Alcotest.test_case "membership change begun/committed" `Slow
             test_membership_change_events;
+          Alcotest.test_case "two clusters stepped alternately" `Slow
+            test_clusters_interleaved;
+          Alcotest.test_case "vopr run after a recorded run" `Slow
+            test_vopr_after_recorded_run;
         ] );
     ]
