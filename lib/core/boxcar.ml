@@ -56,7 +56,6 @@ let add t record =
     else if was_empty then arm t timeout
 
 let flush_now = do_flush
-let pending t = List.length t.buffer
 let batches_flushed t = t.batches
 let records_flushed t = t.records
 

@@ -8,8 +8,9 @@
     keep filling until the operation actually executes — no added latency,
     and packing comes free whenever the system is busy.
 
-    One boxcar instance feeds one destination segment; the [flush] callback
-    hands a packed batch to the network. *)
+    The writer keeps one boxcar per protection group: a record enters it
+    once, and the [flush] callback sends the packed batch to every segment
+    on the group's roster. *)
 
 type policy =
   | Immediate
@@ -30,9 +31,8 @@ val create :
 val add : t -> Wal.Log_record.t -> unit
 
 val flush_now : t -> unit
-(** Force out anything pending (used at commit and shutdown). *)
+(** Force out anything pending and cancel the armed timer. *)
 
-val pending : t -> int
 val batches_flushed : t -> int
 val records_flushed : t -> int
 

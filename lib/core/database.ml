@@ -76,7 +76,7 @@ type t = {
   mutable txns : Txn_table.t;
   mutable commit_queue : Commit_queue.t;
   mutable reader : Reader.t;
-  boxcars : (int * int, Boxcar.t) Hashtbl.t; (* (pg, seg) -> boxcar *)
+  boxcars : Boxcar.t Pg_id.Tbl.t; (* one per protection group *)
   txn_last_block : Block_id.t Txn_id.Tbl.t;
   mutable mtr_counter : int;
   (* replication *)
@@ -132,13 +132,9 @@ let commit_queue_depth t = Commit_queue.pending t.commit_queue
 let open_writers t = Txn_id.Tbl.length t.txn_last_block
 
 let mean_batch_size t =
-  let batches = ref 0 and records = ref 0 in
-  Hashtbl.iter
-    (fun _ b ->
-      batches := !batches + Boxcar.batches_flushed b;
-      records := !records + Boxcar.records_flushed b)
-    t.boxcars;
-  if !batches = 0 then 0. else float_of_int !records /. float_of_int !batches
+  let add _ b (n, r) = (n + Boxcar.batches_flushed b, r + Boxcar.records_flushed b) in
+  let batches, records = Pg_id.Tbl.fold add t.boxcars (0, 0) in
+  if batches = 0 then 0. else float_of_int records /. float_of_int batches
 
 let block_of_key t key =
   Block_id.of_int (Bits.fnv1a_string key mod t.config.n_blocks)
@@ -192,36 +188,34 @@ let fresh_consistency t =
 
 (* ---- write path ---- *)
 
-let boxcar_for t (g : Volume.pg) seg =
-  let key = (Pg_id.to_int g.Volume.id, Member_id.to_int seg) in
-  match Hashtbl.find_opt t.boxcars key with
+(* One boxcar per group (§2.2): a record enters it once, and the flush sends
+   the batch to the group's roster at that instant.  A timer armed before a
+   crash must not ship its annulled records once the instance recovers. *)
+let boxcar_for t (g : Volume.pg) =
+  match Pg_id.Tbl.find_opt t.boxcars g.Volume.id with
   | Some b -> b
   | None ->
+    let gen = t.generation in
     let b =
       Boxcar.create ~sim:t.sim ~policy:t.config.boxcar ~flush:(fun records ->
-          if t.open_ then begin
-            let dst = Member_id.Map.find_opt seg g.Volume.addr_of in
-            let at = Sim.now t.sim and sent = Option.is_some dst in
+          if t.open_ && t.generation = gen then begin
+            let roster = Volume.roster g in
+            let at = Sim.now t.sim and sent = roster <> [] in
             List.iter
               (fun (r : Log_record.t) ->
                 Obs.Commit_path.flushed t.ledger ~at ~lsn:(Lsn.to_int r.lsn)
                   ~sent)
               records;
-            match dst with
-            | None -> ()
-            | Some dst ->
-              send t ~dst
-                (Protocol.Write_batch
-                   {
-                     pg = g.Volume.id;
-                     seg;
-                     records;
-                     pgcl = Consistency.pgcl t.consistency g.Volume.id;
-                     epochs = epochs_for t g;
-                   })
+            let pg = g.Volume.id and bytes = Protocol.write_batch_bytes records in
+            let pgcl = Consistency.pgcl t.consistency pg and epochs = epochs_for t g in
+            List.iter
+              (fun (seg, dst) ->
+                Simnet.Net.send t.net ~src:t.addr ~dst ~bytes
+                  (Protocol.Write_batch { pg; seg; records; pgcl; epochs }))
+              roster
           end)
     in
-    Hashtbl.add t.boxcars key b;
+    Pg_id.Tbl.add t.boxcars g.Volume.id b;
     b
 
 let submit_record t (record : Log_record.t) (g : Volume.pg) =
@@ -232,11 +226,9 @@ let submit_record t (record : Log_record.t) (g : Volume.pg) =
   Buffer_cache.apply t.cache record ~vdl:(vdl t);
   if t.replica_addrs <> [] then Queue.push record t.stream_queue;
   t.metrics.records_written <- t.metrics.records_written + 1;
-  (* Fan out to every member of the group; the quorum set decides when the
-     record counts as durable. *)
-  List.iter
-    (fun (seg, _) -> Boxcar.add (boxcar_for t g seg) record)
-    (Volume.roster g)
+  (* The flush fans out to every member of the group; the quorum set
+     decides when the record counts as durable. *)
+  Boxcar.add (boxcar_for t g) record
 
 let write_op t ~txn ~mtr_id ~mtr_end ~block ~op =
   let record, g = Volume.make_record t.volume ~block ~txn ~mtr_id ~mtr_end ~op in
@@ -692,7 +684,7 @@ let create ~sim ~rng ~net ~addr ~volume ~config ?obs ?rings () =
       reader =
         Reader.create ~sim ~rng:(Rng.split rng) ~net ~my_addr:addr
           ~strategy:config.read_strategy ~obs ();
-      boxcars = Hashtbl.create 64;
+      boxcars = Pg_id.Tbl.create 64;
       txn_last_block = Txn_id.Tbl.create 256;
       mtr_counter = 0;
       replica_addrs = [];
@@ -732,7 +724,7 @@ let crash t =
   Buffer_cache.drop_all t.cache;
   ignore (Commit_queue.drop_all t.commit_queue : (Txn_id.t * Lsn.t) list);
   Reader.drop_all t.reader;
-  Hashtbl.reset t.boxcars;
+  Pg_id.Tbl.reset t.boxcars;
   Queue.clear t.stream_queue;
   Obs.Commit_path.clear t.ledger;
   Hashtbl.reset t.active_views;
@@ -757,6 +749,8 @@ let rebuild_from_outcome t (o : Recovery.outcome) =
      invisible to every read view from now on. *)
   List.iter (fun txn -> Txn_table.register t.txns txn; Txn_table.mark_aborted t.txns txn) o.interrupted;
   t.commit_queue <- Commit_queue.create ();
+  (* A fenced instance recovers without a crash: drop its stale boxcars. *)
+  Pg_id.Tbl.reset t.boxcars;
   t.reader <-
     Reader.create ~sim:t.sim ~rng:(Rng.split t.rng) ~net:t.net ~my_addr:t.addr
       ~strategy:t.config.read_strategy ~obs:t.obs ();

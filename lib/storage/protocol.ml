@@ -148,6 +148,8 @@ type t =
 let records_bytes records =
   List.fold_left (fun acc (r : Log_record.t) -> acc + r.size_bytes) 0 records
 
+let write_batch_bytes records = 64 + records_bytes records
+
 let image_bytes img =
   List.fold_left
     (fun acc (key, versions) ->
@@ -161,7 +163,7 @@ let image_bytes img =
 
 (* Estimated wire size, used for network byte accounting. *)
 let bytes = function
-  | Write_batch { records; _ } -> 64 + records_bytes records
+  | Write_batch { records; _ } -> write_batch_bytes records
   | Write_ack _ | Write_reject _ -> 48
   | Read_block _ -> 64
   | Read_reply { result = Ok img; _ } -> image_bytes img

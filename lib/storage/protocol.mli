@@ -159,6 +159,9 @@ type t =
 val records_bytes : Log_record.t list -> int
 (** Summed simulated wire footprint of a record batch. *)
 
+val write_batch_bytes : Log_record.t list -> int
+(** [bytes] of a [Write_batch] carrying these records, whatever its [seg]. *)
+
 val image_bytes : block_image -> int
 (** Estimated wire size of a materialized block image. *)
 

@@ -6,6 +6,9 @@ open Wal
 module Database = Aurora_core.Database
 module Replica = Aurora_core.Replica
 module Buffer_cache = Aurora_core.Buffer_cache
+module Boxcar = Aurora_core.Boxcar
+module Volume = Aurora_core.Volume
+module Protocol = Storage.Protocol
 module Cluster = Harness.Cluster
 
 let check_int = Alcotest.(check int)
@@ -14,6 +17,14 @@ let check_vopt = Alcotest.(check (option string))
 
 let with_cluster ?(seed = 301) ?(n_pgs = 2) f =
   let cluster = Cluster.create { Cluster.default_config with seed; n_pgs } in
+  f cluster (Cluster.sim cluster) (Cluster.db cluster)
+
+(* One PG, so every record of a window shares one boxcar. *)
+let with_boxcar policy f =
+  let db_config = { Database.default_config with boxcar = policy } in
+  let cluster =
+    Cluster.create { Cluster.default_config with seed = 301; n_pgs = 1; db_config }
+  in
   f cluster (Cluster.sim cluster) (Cluster.db cluster)
 
 let settle sim span = Sim.run_until sim (Time_ns.add (Sim.now sim) span)
@@ -147,7 +158,147 @@ let test_mean_batch_size_metric () =
       done;
       Database.commit db ~txn (fun _ -> ());
       settle sim (Time_ns.sec 1);
-      check_bool "batches packed" true (Database.mean_batch_size db > 1.))
+      check_bool "batches packed" true (Database.mean_batch_size db > 1.));
+  (* Exact: one record per batch with no batching, and all k records of
+     one window in one batch. *)
+  let puts db k =
+    let txn = Database.begin_txn db in
+    for i = 1 to k do
+      Database.put db ~txn ~key:(Printf.sprintf "p%d" i) ~value:"v"
+    done
+  in
+  with_boxcar Boxcar.Immediate (fun _ sim db ->
+      puts db 12;
+      settle sim (Time_ns.ms 10);
+      Alcotest.(check (float 0.)) "immediate" 1.0 (Database.mean_batch_size db));
+  with_boxcar (Boxcar.First_record (Time_ns.us 20)) (fun _ sim db ->
+      puts db 12;
+      settle sim (Time_ns.ms 10);
+      check_int "records written" 12 (Database.metrics db).Database.records_written;
+      Alcotest.(check (float 0.)) "one window" 12.0 (Database.mean_batch_size db))
+
+(* ---- boxcar fan-out (§2.2) ---- *)
+
+(* Every [Write_batch] the writer hands to the network, oldest first, as
+   (send instant, destination, LSNs). *)
+let watch_batches cluster =
+  let sent = ref [] in
+  let sim = Cluster.sim cluster and writer = Database.addr (Cluster.db cluster) in
+  Simnet.Net.set_recorder (Cluster.net cluster)
+    (Some
+       (fun phase ~src ~dst msg ->
+         match (phase, msg) with
+         | Simnet.Net.Sent, Protocol.Write_batch { records; _ }
+           when Simnet.Addr.equal src writer ->
+           let lsns = List.map (fun (r : Log_record.t) -> Lsn.to_int r.lsn) records in
+           sent := (Sim.now sim, dst, lsns) :: !sent
+         | _ -> ()));
+  fun () -> List.rev !sent
+
+let test_boxcar_fans_out_once () =
+  with_boxcar (Boxcar.First_record (Time_ns.us 20)) (fun cluster sim db ->
+      settle sim (Time_ns.ms 100);
+      let batches = watch_batches cluster in
+      let txn = Database.begin_txn db in
+      Database.put db ~txn ~key:"k" ~value:"v";
+      settle sim (Time_ns.ms 1);
+      let g = Volume.pg_of_block (Database.volume db) (Database.block_of_key db "k") in
+      let got = batches () in
+      Alcotest.(check (list int)) "one batch per roster member, in roster order"
+        (List.map (fun (_, a) -> Simnet.Addr.to_int a) (Volume.roster g))
+        (List.map (fun (_, dst, _) -> Simnet.Addr.to_int dst) got);
+      match got with
+      | [] -> Alcotest.fail "nothing sent"
+      | (at, _, lsns) :: rest ->
+        check_int "one record" 1 (List.length lsns);
+        List.iter
+          (fun (at', _, lsns') ->
+            check_int "same instant" at at';
+            Alcotest.(check (list int)) "same records" lsns lsns')
+          rest)
+
+(* Destinations are the roster when the window flushes: a replacement that
+   joins while the window is open gets the batch, a suspect removed while
+   it is open gets none. *)
+let test_boxcar_roster_at_flush () =
+  with_boxcar (Boxcar.First_record (Time_ns.ms 50)) (fun cluster sim db ->
+      settle sim (Time_ns.ms 100);
+      let batches = watch_batches cluster in
+      let txn = Database.begin_txn db in
+      Database.put db ~txn ~key:"k" ~value:"v";
+      let g = Volume.pg_of_block (Database.volume db) (Database.block_of_key db "k") in
+      let suspect, suspect_addr = List.hd (Volume.roster g) in
+      let replacement =
+        match Cluster.start_replacement cluster g.Volume.id ~suspect with
+        | Ok m -> m
+        | Error e -> Alcotest.failf "start_replacement: %s" e
+      in
+      (match Cluster.finish_replacement cluster g.Volume.id ~suspect with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "finish_replacement: %s" e);
+      settle sim (Time_ns.ms 100);
+      let dsts = List.map (fun (_, dst, _) -> Simnet.Addr.to_int dst) (batches ()) in
+      let roster = Volume.roster g in
+      Alcotest.(check (list int)) "the roster at flush time"
+        (List.map (fun (_, a) -> Simnet.Addr.to_int a) roster)
+        dsts;
+      let replacement_addr = List.assoc replacement roster in
+      check_bool "replacement gets the batch" true
+        (List.mem (Simnet.Addr.to_int replacement_addr) dsts);
+      check_bool "removed suspect gets none" false
+        (List.mem (Simnet.Addr.to_int suspect_addr) dsts))
+
+(* A boxcar armed before a crash must not flush from the recovered
+   instance: its records were annulled by recovery. *)
+let test_boxcar_dropped_at_crash () =
+  with_boxcar (Boxcar.First_record (Time_ns.ms 50)) (fun cluster sim db ->
+      settle sim (Time_ns.ms 100);
+      let batches = watch_batches cluster in
+      let txn = Database.begin_txn db in
+      Database.put db ~txn ~key:"k" ~value:"v";
+      let flush_at = Time_ns.add (Sim.now sim) (Time_ns.ms 50) in
+      Database.crash db;
+      let recovered = ref None in
+      Database.recover db (fun r -> recovered := Some (Sim.now sim, Result.is_ok r));
+      settle sim (Time_ns.ms 200);
+      (match !recovered with
+      | Some (at, ok) ->
+        check_bool "recovered" true ok;
+        check_bool "recovered before the stale timer fires" true (at < flush_at)
+      | None -> Alcotest.fail "recovery never finished");
+      check_int "no batch sent" 0 (List.length (batches ())))
+
+(* A writer fenced out by a second instance recovers without a crash; the
+   boxcars of its fenced generation must not swallow its new writes. *)
+let test_boxcar_after_fenced_recovery () =
+  with_boxcar (Boxcar.First_record (Time_ns.us 20)) (fun cluster sim db ->
+      let commit db key =
+        let acked = ref false in
+        let txn = Database.begin_txn db in
+        Database.put db ~txn ~key ~value:"v";
+        Database.commit db ~txn (fun r -> acked := r = Ok ());
+        settle sim (Time_ns.sec 1);
+        !acked
+      in
+      check_bool "first commit" true (commit db "a");
+      let rival =
+        Database.create ~sim ~rng:(Rng.create 999) ~net:(Cluster.net cluster)
+          ~addr:(Simnet.Addr.of_int 4242) ~volume:(Database.volume db)
+          ~config:(Database.config db) ()
+      in
+      Database.recover rival (fun _ -> ());
+      settle sim (Time_ns.sec 2);
+      check_bool "fenced commit not acked" false (commit db "b");
+      check_bool "fenced" false (Database.is_open db);
+      (* The rival writes above the fenced record, so the next recovery's
+         truncation range lies above every LSN already handed out.  (Its
+         VCL stalls at the fenced record's LSN, which storage never got.) *)
+      ignore (commit rival "r" : bool);
+      let recovered = ref false in
+      Database.recover db (fun r -> recovered := Result.is_ok r);
+      settle sim (Time_ns.sec 2);
+      check_bool "recovered" true !recovered;
+      check_bool "commit after recovery" true (commit db "c"))
 
 (* ---- replica semantics ---- *)
 
@@ -411,6 +562,17 @@ let () =
             test_snapshot_does_not_see_later_commits;
           Alcotest.test_case "cache hit accounting" `Slow test_cache_hit_ratio_counts;
           Alcotest.test_case "boxcar packing metric" `Slow test_mean_batch_size_metric;
+        ] );
+      ( "boxcar",
+        [
+          Alcotest.test_case "one batch per roster member" `Slow
+            test_boxcar_fans_out_once;
+          Alcotest.test_case "roster taken at flush" `Slow
+            test_boxcar_roster_at_flush;
+          Alcotest.test_case "armed boxcar dropped at crash" `Slow
+            test_boxcar_dropped_at_crash;
+          Alcotest.test_case "fenced writer recovers and commits" `Slow
+            test_boxcar_after_fenced_recovery;
         ] );
       ( "replica",
         [
