@@ -4,7 +4,8 @@ module Pg_id = Storage.Pg_id
 
 type pg_state = {
   mutable write_quorum : Quorum_set.t;
-  scls : Lsn.t Member_id.Tbl.t;
+  mutable scls : Lsn.t array;
+      (* highest SCL acked, by member id; [Lsn.none] = never acked *)
   chain : Lsn.t Queue.t; (* submitted, not yet durable, in order *)
   mutable pgcl : Lsn.t;
 }
@@ -34,27 +35,10 @@ let create () =
     durable_watchers = [];
   }
 
-let register_pg t pg ~write_quorum =
-  match Pg_id.Tbl.find_opt t.pgs pg with
-  | Some st -> st.write_quorum <- write_quorum
-  | None ->
-    Pg_id.Tbl.add t.pgs pg
-      {
-        write_quorum;
-        scls = Member_id.Tbl.create 8;
-        chain = Queue.create ();
-        pgcl = Lsn.none;
-      }
-
-let set_write_quorum t pg q =
-  match Pg_id.Tbl.find_opt t.pgs pg with
-  | Some st -> st.write_quorum <- q
-  | None -> register_pg t pg ~write_quorum:q
-
 let pg_state t pg =
-  match Pg_id.Tbl.find_opt t.pgs pg with
-  | Some st -> st
-  | None -> invalid_arg "Consistency: unknown protection group"
+  match Pg_id.Tbl.find t.pgs pg with
+  | st -> st
+  | exception Not_found -> invalid_arg "Consistency: unknown protection group"
 
 let note_submitted t ~pg ~lsn ~mtr_end =
   if Lsn.(lsn <= t.last_submitted) then
@@ -64,27 +48,38 @@ let note_submitted t ~pg ~lsn ~mtr_end =
   Queue.push lsn st.chain;
   Queue.push { lsn; pg; mtr_end } t.volume_chain
 
-(* Segments whose SCL covers [lsn]. *)
-let covering st lsn =
-  Member_id.Tbl.fold
-    (fun seg scl acc -> if Lsn.(scl >= lsn) then Member_id.Set.add seg acc else acc)
-    st.scls Member_id.Set.empty
+let scl_of st seg =
+  let i = Member_id.to_int seg in
+  if i < Array.length st.scls then st.scls.(i) else Lsn.none
+
+let set_scl st seg scl =
+  let i = Member_id.to_int seg in
+  let n = Array.length st.scls in
+  if i >= n then begin
+    let grown = Array.make (max (i + 1) (2 * n)) Lsn.none in
+    Array.blit st.scls 0 grown 0 n;
+    st.scls <- grown
+  end;
+  st.scls.(i) <- scl
+
+(* Does [seg]'s SCL cover [lsn]?  A segment that never acked holds
+   nothing the writer knows of, so it covers nothing. *)
+let scl_covers st lsn seg =
+  let scl = scl_of st seg in
+  (not (Lsn.is_none scl)) && Lsn.(scl >= lsn)
 
 (* Advance the group's PGCL: pop chain heads while the segments covering
    them satisfy the write quorum.  SCL coverage is antitone in LSN, so a
    failing head stops the scan. *)
 let advance_pgcl t pg st =
-  let continue = ref true in
-  while !continue do
-    match Queue.peek_opt st.chain with
-    | None -> continue := false
-    | Some lsn ->
-      if Quorum_set.satisfied st.write_quorum (covering st lsn) then begin
-        ignore (Queue.pop st.chain : Lsn.t);
-        st.pgcl <- lsn;
-        List.iter (fun f -> f pg lsn) t.durable_watchers
-      end
-      else continue := false
+  while
+    (not (Queue.is_empty st.chain))
+    && Quorum_set.satisfied_by st.write_quorum
+         (scl_covers st (Queue.peek st.chain))
+  do
+    let lsn = Queue.pop st.chain in
+    st.pgcl <- lsn;
+    List.iter (fun f -> f pg lsn) t.durable_watchers
   done
 
 (* Advance VCL: pop the volume chain while each head is covered by its own
@@ -114,29 +109,47 @@ let advance_vcl t =
     List.iter (fun f -> f t.vdl) t.vdl_watchers
   end
 
+let advance t pg st =
+  let before = st.pgcl in
+  advance_pgcl t pg st;
+  if Lsn.(st.pgcl > before) then advance_vcl t
+
 let note_ack t ~pg ~seg ~scl =
   let st = pg_state t pg in
   (* Acks can be reordered in flight; a segment's SCL is monotone, so a
      lower value is always stale news and must not regress the tracker. *)
-  let prev =
-    match Member_id.Tbl.find_opt st.scls seg with
-    | Some l -> l
-    | None -> Lsn.none
-  in
-  if Lsn.(scl > prev) then begin
+  if Lsn.(scl > scl_of st seg) then begin
     Perf.Probe.start Perf.Probe.Consistency_advance;
-    Member_id.Tbl.replace st.scls seg scl;
-    let before = st.pgcl in
-    advance_pgcl t pg st;
-    if Lsn.(st.pgcl > before) then advance_vcl t;
+    set_scl st seg scl;
+    advance t pg st;
     Perf.Probe.stop Perf.Probe.Consistency_advance
   end
+
+(* A looser write quorum can cover chain heads the old one did not, and no
+   further ack may arrive to notice, so a swap re-runs the advance. *)
+let register_pg t pg ~write_quorum =
+  match Pg_id.Tbl.find_opt t.pgs pg with
+  | Some st ->
+    st.write_quorum <- write_quorum;
+    advance t pg st
+  | None ->
+    Pg_id.Tbl.add t.pgs pg
+      {
+        write_quorum;
+        scls = Array.make 8 Lsn.none;
+        chain = Queue.create ();
+        pgcl = Lsn.none;
+      }
+
+let set_write_quorum t pg q = register_pg t pg ~write_quorum:q
 
 let pgcl t pg = (pg_state t pg).pgcl
 let vcl t = t.vcl
 let vdl t = t.vdl
 
-let segments_at_or_above t ~pg ~lsn = covering (pg_state t pg) lsn
+let covers t ~pg ~lsn =
+  let st = pg_state t pg in
+  fun seg -> scl_covers st lsn seg
 
 let on_vcl_advance t f = t.vcl_watchers <- f :: t.vcl_watchers
 let on_vdl_advance t f = t.vdl_watchers <- f :: t.vdl_watchers

@@ -29,9 +29,17 @@ val create : unit -> t
 
 val register_pg : t -> Storage.Pg_id.t -> write_quorum:Quorum_set.t -> unit
 (** Declare a protection group and its current write-quorum expression.
-    Re-registering replaces the expression (membership epochs change it). *)
+    Re-registering replaces the expression (membership epochs change it)
+    and then re-runs the PGCL and VCL advance under the new expression: a
+    looser quorum (a membership change committing or reverting) can cover
+    records the old one did not, and no later ack is needed to notice.
+    So the {!on_record_durable}, {!on_vcl_advance} and {!on_vdl_advance}
+    watchers may fire inside this call, and hence inside
+    [Database.begin_segment_replacement], [commit_segment_replacement]
+    and [revert_segment_replacement]. *)
 
 val set_write_quorum : t -> Storage.Pg_id.t -> Quorum_set.t -> unit
+(** [set_write_quorum t pg q] is [register_pg t pg ~write_quorum:q]. *)
 
 val note_submitted :
   t -> pg:Storage.Pg_id.t -> lsn:Lsn.t -> mtr_end:bool -> unit
@@ -48,11 +56,16 @@ val pgcl : t -> Storage.Pg_id.t -> Lsn.t
 val vcl : t -> Lsn.t
 val vdl : t -> Lsn.t
 
-val segments_at_or_above :
-  t -> pg:Storage.Pg_id.t -> lsn:Lsn.t -> Member_id.Set.t
-(** Segments whose SCL covers [lsn] — exactly the candidates that hold the
+val covers : t -> pg:Storage.Pg_id.t -> lsn:Lsn.t -> Member_id.t -> bool
+(** [covers t ~pg ~lsn seg] — has [seg] acked an SCL at or above [lsn]?
+    The segments it accepts are exactly the candidates that hold the
     latest durable version of a block written at [lsn], which is what lets
-    Aurora read from one segment instead of a read quorum (§3.1). *)
+    Aurora read from one segment instead of a read quorum (§3.1).  A
+    segment that never acked covers nothing, even at [Lsn.none].  It is
+    the same test the PGCL advance hands {!Quorum_set.satisfied_by}: an
+    array read, no set built.  Applied to [t], [pg] and [lsn] alone, it
+    finds the group once and returns the per-segment test.
+    @raise Invalid_argument on an unknown group. *)
 
 val on_vcl_advance : t -> (Lsn.t -> unit) -> unit
 (** Register a callback fired (with the new VCL) every time VCL advances. *)

@@ -309,14 +309,12 @@ let full_candidates t (g : Volume.pg) ~as_of =
      reaches the last group record at or below [as_of], which is bounded by
      min(as_of, PGCL) — see Segment.read_block. *)
   let needed = Lsn.min as_of (Consistency.pgcl t.consistency g.Volume.id) in
-  let covering =
-    Consistency.segments_at_or_above t.consistency ~pg:g.Volume.id ~lsn:needed
-  in
+  let covers = Consistency.covers t.consistency ~pg:g.Volume.id ~lsn:needed in
   List.filter
     (fun (seg, _) ->
       (* A read that needs nothing durable (fresh volume) is served by any
          full segment; otherwise the segment's SCL must cover it. *)
-      (Lsn.is_none needed || Member_id.Set.mem seg covering)
+      (Lsn.is_none needed || covers seg)
       &&
       match Membership.find_member g.Volume.membership seg with
       | Some m -> m.Membership.kind = Membership.Full

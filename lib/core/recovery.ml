@@ -182,12 +182,8 @@ let rule_read group = (Volume.rule group).Quorum_set.Rule.read
 let rule_write group = (Volume.rule group).Quorum_set.Rule.write
 
 let probe_quorum_met probe =
-  let responders =
-    Member_id.Tbl.fold
-      (fun seg _ acc -> Member_id.Set.add seg acc)
-      probe.replies Member_id.Set.empty
-  in
-  Quorum_set.satisfied (rule_read probe.group) responders
+  Quorum_set.satisfied_by (rule_read probe.group) (fun seg ->
+      Member_id.Tbl.mem probe.replies seg)
 
 let all_points t =
   Pg_id.Tbl.fold (fun _ p acc -> acc && p.point <> None) t.probes true

@@ -204,16 +204,21 @@ let health_sample t ~at =
                  else acc)
                Member_id.Set.empty pgn.slots
            in
-           let pgcl = Aurora_core.Consistency.pgcl consistency pg in
-           let current =
-             Aurora_core.Consistency.segments_at_or_above consistency ~pg ~lsn:pgcl
+           let covers =
+             Aurora_core.Consistency.covers consistency ~pg
+               ~lsn:(Aurora_core.Consistency.pgcl consistency pg)
+           in
+           let ack_current =
+             Member_id.Set.fold
+               (fun id n -> if covers id then n + 1 else n)
+               healthy 0
            in
            let m = margins pgn g.Volume.membership ~healthy in
            {
              Obs.Health.pg = Pg_id.to_int pg;
              total = List.length pgn.slots;
              reachable = Member_id.Set.cardinal healthy;
-             ack_current = Member_id.Set.cardinal (Member_id.Set.inter current healthy);
+             ack_current;
              write_margin = m.write_margin;
              read_margin = m.read_margin;
              az_plus_one = m.az_plus_one;

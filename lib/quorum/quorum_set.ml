@@ -30,13 +30,23 @@ let rec members = function
       (fun acc t -> Member_id.Set.union acc (members t))
       Member_id.Set.empty ts
 
-let rec satisfied t responsive =
+(* An atom stops testing members once [threshold] of them have passed. *)
+let rec satisfied_by t pass =
   match t with
   | Atom { threshold; members } ->
-    Member_id.Set.cardinal (Member_id.Set.inter members responsive)
-    >= threshold
-  | All ts -> List.for_all (fun t -> satisfied t responsive) ts
-  | Any ts -> List.exists (fun t -> satisfied t responsive) ts
+    threshold <= 0
+    ||
+    let passed = ref 0 in
+    Member_id.Set.exists
+      (fun m ->
+        if pass m then incr passed;
+        !passed >= threshold)
+      members
+  | All ts -> List.for_all (fun t -> satisfied_by t pass) ts
+  | Any ts -> List.exists (fun t -> satisfied_by t pass) ts
+
+let satisfied t responsive =
+  satisfied_by t (fun m -> Member_id.Set.mem m responsive)
 
 (* Enumerate all subsets of a member universe as bitmasks. *)
 let universe_array set = Array.of_list (Member_id.Set.elements set)

@@ -38,9 +38,19 @@ val any : t list -> t
 val members : t -> Member_id.Set.t
 (** Every member mentioned anywhere in the formula. *)
 
+val satisfied_by : t -> (Member_id.t -> bool) -> bool
+(** [satisfied_by t pass] — do the members passing [pass] meet the
+    requirement?  An atom holds when at least [threshold] of its members
+    pass, [All] when every branch holds, [Any] when one does.  This is the
+    one evaluator: a caller that already holds per-member state (the
+    writer's SCL table, recovery's reply table) tests membership there
+    instead of building a set.  An atom stops calling [pass] once its
+    threshold is met, so [pass] must be a pure test.  Monotone: more
+    passing members never turn [true] into [false]. *)
+
 val satisfied : t -> Member_id.Set.t -> bool
-(** [satisfied t responsive] — does the responsive set meet the
-    requirement? Monotone in [responsive]. *)
+(** [satisfied t responsive] is
+    [satisfied_by t (fun m -> Member_id.Set.mem m responsive)]. *)
 
 val min_cardinality : t -> int
 (** Size of the smallest satisfying set (number of I/Os needed in the best

@@ -77,11 +77,15 @@ let test_consistency_hooks_and_candidates () =
     C.note_ack c ~pg:(pg 0) ~seg:(m s) ~scl:(lsn 2)
   done;
   Alcotest.(check (list int)) "hook fired once with final value" [ 2 ] !vcl_seen;
-  check_int "candidates at 2" 4
-    (Member_id.Set.cardinal (C.segments_at_or_above c ~pg:(pg 0) ~lsn:(lsn 2)));
+  let candidates () =
+    List.filter (C.covers c ~pg:(pg 0) ~lsn:(lsn 2)) six |> List.length
+  in
+  check_int "candidates at 2" 4 (candidates ());
   C.note_ack c ~pg:(pg 0) ~seg:(m 4) ~scl:(lsn 1);
-  check_int "partial segment excluded" 4
-    (Member_id.Set.cardinal (C.segments_at_or_above c ~pg:(pg 0) ~lsn:(lsn 2)))
+  check_int "partial segment excluded" 4 (candidates ());
+  check_bool "partial segment covers 1" true (C.covers c ~pg:(pg 0) ~lsn:(lsn 1) (m 4));
+  check_bool "silent segment covers nothing" false
+    (C.covers c ~pg:(pg 0) ~lsn:Lsn.none (m 5))
 
 let test_consistency_quorum_set_write () =
   (* Transitional quorum (Figure 5): ABCD satisfies both sides. *)
@@ -97,6 +101,27 @@ let test_consistency_quorum_set_write () =
   check_int "3 acks not enough" 0 (Lsn.to_int (C.vcl c));
   C.note_ack c ~pg:(pg 0) ~seg:(m 3) ~scl:(lsn 1);
   check_int "ABCD satisfies composite" 1 (Lsn.to_int (C.vcl c))
+
+(* A membership change that commits or reverts loosens the write quorum.
+   Records already acked by the new quorum must become durable at the swap,
+   not at the next ack that raises some SCL (which may never come). *)
+let test_consistency_looser_quorum () =
+  let c = C.create () in
+  let abcdeg = List.init 5 m @ [ m 6 ] in
+  C.register_pg c (pg 0)
+    ~write_quorum:
+      (Quorum_set.all [ Quorum_set.k_of 4 six; Quorum_set.k_of 4 abcdeg ]);
+  let durable = ref [] in
+  C.on_record_durable c (fun _ l -> durable := Lsn.to_int l :: !durable);
+  C.note_submitted c ~pg:(pg 0) ~lsn:(lsn 1) ~mtr_end:true;
+  List.iter (fun s -> C.note_ack c ~pg:(pg 0) ~seg:(m s) ~scl:(lsn 1)) [ 0; 1; 2; 6 ];
+  check_int "ABCG misses ABCDEF" 0 (Lsn.to_int (C.pgcl c (pg 0)));
+  C.set_write_quorum c (pg 0) (Quorum_set.k_of 4 abcdeg);
+  check_int "pgcl at the swap" 1 (Lsn.to_int (C.pgcl c (pg 0)));
+  check_int "vcl at the swap" 1 (Lsn.to_int (C.vcl c));
+  check_int "vdl at the swap" 1 (Lsn.to_int (C.vdl c));
+  C.note_ack c ~pg:(pg 0) ~seg:(m 0) ~scl:(lsn 1);
+  Alcotest.(check (list int)) "durable once" [ 1 ] !durable
 
 (* Property: VCL equals the reference computation (largest prefix of the
    global submission order where each record's group reaches quorum). *)
@@ -133,6 +158,80 @@ let prop_consistency_reference =
       in
       let rec prefix i = if i < n && durable i then prefix (i + 1) else i in
       Lsn.to_int (C.vcl c) = prefix 0)
+
+(* Property: the tracker agrees with the set-based model it replaced
+   ([Consistency_model]) after every step of random histories over three
+   groups: in-order submits with random MTR ends, acks from members and
+   non-members in any order (stale ones included; ids past the tracker's
+   initial SCL array grow it), and write-quorum swaps among the schemes the
+   system installs. *)
+let prop_consistency_model =
+  let members = List.init 12 m in
+  let abcdeg = List.init 5 m @ [ m 6 ] in
+  let quorums =
+    [|
+      Quorum_set.k_of 4 six;
+      Quorum_set.all [ Quorum_set.k_of 4 six; Quorum_set.k_of 4 abcdeg ];
+      Quorum_set.any [ Quorum_set.k_of 4 six; Quorum_set.k_of 3 [ m 0; m 2; m 4 ] ];
+      Quorum_set.k_of 3 [ m 0; m 1; m 2; m 6 ];
+    |]
+  in
+  QCheck.Test.make ~name:"consistency matches a set-based oracle" ~count:300
+    QCheck.(pair (int_range 1 200) (int_range 0 1_000_000))
+    (fun (steps, seed) ->
+      let rng = Rng.create seed in
+      let c = C.create () and model = Consistency_model.create () in
+      let durable = ref [] in
+      C.on_record_durable c (fun p l ->
+          durable := (Storage.Pg_id.to_int p, Lsn.to_int l) :: !durable);
+      for p = 0 to 2 do
+        C.register_pg c (pg p) ~write_quorum:quorums.(0);
+        Consistency_model.set_write_quorum model p quorums.(0)
+      done;
+      let last = ref 0 in
+      let agree () =
+        let points_agree p =
+          let pgcl = Consistency_model.pgcl model p in
+          Lsn.equal (C.pgcl c (pg p)) pgcl
+          && List.for_all
+               (fun l ->
+                 let covering = Consistency_model.covering_at model ~pg:p ~lsn:l in
+                 List.for_all
+                   (fun seg ->
+                     Bool.equal
+                       (C.covers c ~pg:(pg p) ~lsn:l seg)
+                       (Member_id.Set.mem seg covering))
+                   members)
+               [ Lsn.none; pgcl; Lsn.of_int (Rng.int rng (!last + 2)) ]
+        in
+        List.for_all points_agree [ 0; 1; 2 ]
+        && Lsn.equal (C.vcl c) model.Consistency_model.vcl
+        && Lsn.equal (C.vdl c) model.Consistency_model.vdl
+        && List.equal
+             (fun (p, l) (q, k) -> Int.equal p q && Int.equal l k)
+             (List.rev !durable)
+             (Consistency_model.durable model)
+      in
+      let step () =
+        match Rng.int rng 10 with
+        | 0 | 1 | 2 ->
+          incr last;
+          let p = Rng.int rng 3 and mtr_end = Rng.int rng 3 > 0 in
+          C.note_submitted c ~pg:(pg p) ~lsn:(lsn !last) ~mtr_end;
+          Consistency_model.note_submitted model ~pg:p ~lsn:(lsn !last) ~mtr_end
+        | 3 ->
+          let p = Rng.int rng 3 and q = quorums.(Rng.int rng (Array.length quorums)) in
+          C.set_write_quorum c (pg p) q;
+          Consistency_model.set_write_quorum model p q
+        | _ ->
+          (* Half the acks report the newest LSN, the rest any earlier one. *)
+          let p = Rng.int rng 3 and seg = Rng.int rng 12 in
+          let scl = if Rng.int rng 2 = 0 then !last else Rng.int rng (!last + 1) in
+          C.note_ack c ~pg:(pg p) ~seg:(m seg) ~scl:(lsn scl);
+          Consistency_model.note_ack model ~pg:p ~seg ~scl:(lsn scl)
+      in
+      let rec go i = i >= steps || (step (); agree () && go (i + 1)) in
+      go 0)
 
 (* ---- Boxcar ---- *)
 
@@ -619,7 +718,10 @@ let () =
             test_consistency_hooks_and_candidates;
           Alcotest.test_case "composite write quorum" `Quick
             test_consistency_quorum_set_write;
+          Alcotest.test_case "looser quorum re-advances PGCL" `Quick
+            test_consistency_looser_quorum;
           qc prop_consistency_reference;
+          qc prop_consistency_model;
         ] );
       ( "boxcar",
         [

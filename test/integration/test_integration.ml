@@ -256,12 +256,14 @@ let test_mtr_atomicity_at_vdl () =
           let block = Database.block_of_key db key in
           let g = Aurora_core.Volume.pg_of_block (Database.volume db) block in
           let candidates =
-            Aurora_core.Consistency.segments_at_or_above (Database.consistency db)
-              ~pg:g.Aurora_core.Volume.id
-              ~lsn:
-                (Lsn.min anchor
-                   (Aurora_core.Consistency.pgcl (Database.consistency db)
-                      g.Aurora_core.Volume.id))
+            Member_id.Set.filter
+              (Aurora_core.Consistency.covers (Database.consistency db)
+                 ~pg:g.Aurora_core.Volume.id
+                 ~lsn:
+                   (Lsn.min anchor
+                      (Aurora_core.Consistency.pgcl (Database.consistency db)
+                         g.Aurora_core.Volume.id)))
+              (Quorum_set.Rule.members (Aurora_core.Volume.rule g))
           in
           (* Read the materialized image directly off a covering segment. *)
           Member_id.Set.fold

@@ -36,6 +36,69 @@ let test_boolean_combinators () =
   check_bool "OR none" false
     (Quorum_set.satisfied (Quorum_set.any [ a; b ]) (mset [ 0; 3 ]))
 
+(* [All []] is the empty conjunction and [Any []] the empty disjunction,
+   whatever passes; an empty atom needs nothing only at threshold 0. *)
+let test_empty_formulas () =
+  let none _ = false and every _ = true in
+  check_bool "All [] with no member passing" true
+    (Quorum_set.satisfied_by (Quorum_set.all []) none);
+  check_bool "Any [] with every member passing" false
+    (Quorum_set.satisfied_by (Quorum_set.any []) every);
+  check_bool "All [Any []]" false
+    (Quorum_set.satisfied_by (Quorum_set.all [ Quorum_set.any [] ]) every);
+  check_bool "Any [All []]" true
+    (Quorum_set.satisfied_by (Quorum_set.any [ Quorum_set.all [] ]) none);
+  check_bool "0 of nobody" true (Quorum_set.satisfied_by (Quorum_set.k_of 0 []) none);
+  check_bool "satisfied All []" true
+    (Quorum_set.satisfied (Quorum_set.all []) Member_id.Set.empty);
+  check_bool "satisfied Any []" false (Quorum_set.satisfied (Quorum_set.any []) (mset [ 0; 1; 2; 3; 4; 5 ]))
+
+(* The intersect-and-count evaluator [satisfied_by] replaced, kept as the
+   oracle of the property below. *)
+let rec satisfied_by_counting (q : Quorum_set.t) responsive =
+  match q with
+  | Atom { threshold; members } ->
+    Member_id.Set.cardinal (Member_id.Set.inter members responsive)
+    >= threshold
+  | All qs -> List.for_all (fun q -> satisfied_by_counting q responsive) qs
+  | Any qs -> List.exists (fun q -> satisfied_by_counting q responsive) qs
+
+(* Random nested formulas over members 0-11 (atom thresholds up to one past
+   the member count, so unreachable atoms occur) and random subsets. *)
+let prop_satisfied_by_agrees =
+  let subset =
+    QCheck.Gen.map
+      (fun mask -> mset (List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init 12 Fun.id)))
+      (QCheck.Gen.int_bound 4095)
+  in
+  let formula =
+    QCheck.Gen.(
+      sized_size (int_bound 3)
+        (fix (fun self depth ->
+             let atom =
+               let* members = subset in
+               let+ threshold = int_bound (Member_id.Set.cardinal members + 1) in
+               Quorum_set.Atom { threshold; members }
+             in
+             if depth = 0 then atom
+             else
+               frequency
+                 [
+                   (2, atom);
+                   (1, map Quorum_set.all (list_size (int_bound 3) (self (depth - 1))));
+                   (1, map Quorum_set.any (list_size (int_bound 3) (self (depth - 1))));
+                 ])))
+  in
+  let print (q, s) =
+    Format.asprintf "%a on {%a}" Quorum_set.pp q Member_id.pp_set s
+  in
+  QCheck.Test.make ~name:"satisfied_by agrees with satisfied" ~count:1000
+    (QCheck.make ~print QCheck.Gen.(pair formula subset))
+    (fun (q, s) ->
+      let expected = satisfied_by_counting q s in
+      Bool.equal (Quorum_set.satisfied_by q (fun x -> Member_id.Set.mem x s)) expected
+      && Bool.equal (Quorum_set.satisfied q s) expected)
+
 let test_min_cardinality () =
   check_int "plain atom" 4 (Quorum_set.min_cardinality (Quorum_set.k_of 4 six));
   let tiered_write =
@@ -410,10 +473,12 @@ let () =
           Alcotest.test_case "atom validation" `Quick test_atom_validation;
           Alcotest.test_case "boolean combinators" `Quick test_boolean_combinators;
           Alcotest.test_case "min cardinality" `Quick test_min_cardinality;
+          Alcotest.test_case "empty All and Any" `Quick test_empty_formulas;
           Alcotest.test_case "aurora 4/6 rule" `Quick test_aurora_46_rule;
           Alcotest.test_case "tiered rule safe" `Quick test_tiered_rule_safe;
           Alcotest.test_case "transition rule safe" `Quick test_transition_rule_safe;
           qc prop_overlap_brute_force;
+          qc prop_satisfied_by_agrees;
         ] );
       ("epoch", [ Alcotest.test_case "staleness" `Quick test_epochs ]);
       ( "membership",
