@@ -121,19 +121,11 @@ let entry_of t block =
 
 let apply_to_entry t entry (r : Log_record.t) =
   (match r.op with
-  | Put { key; value } ->
+  | Put { key; _ } | Delete { key } ->
     let prior =
       match Hashtbl.find_opt entry.keys key with Some l -> l | None -> []
     in
-    Hashtbl.replace entry.keys key
-      ({ Storage.Block_store.value = Some value; txn = r.txn; lsn = r.lsn }
-      :: prior)
-  | Delete { key } ->
-    let prior =
-      match Hashtbl.find_opt entry.keys key with Some l -> l | None -> []
-    in
-    Hashtbl.replace entry.keys key
-      ({ Storage.Block_store.value = None; txn = r.txn; lsn = r.lsn } :: prior)
+    Hashtbl.replace entry.keys key (r.version :: prior)
   | Commit | Abort | Noop -> ());
   if Lsn.(r.lsn > entry.last_lsn) then entry.last_lsn <- r.lsn;
   touch t entry

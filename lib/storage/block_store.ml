@@ -1,6 +1,10 @@
 open Wal
 
-type version = { value : string option; txn : Txn_id.t; lsn : Lsn.t }
+type version = Log_record.version = {
+  value : string option;
+  txn : Txn_id.t;
+  lsn : Lsn.t;
+}
 
 type entry = {
   keys : (string, version list) Hashtbl.t;
@@ -59,19 +63,23 @@ let version_bytes key v =
 let is_multi = function _ :: _ :: _ -> true | [] | [ _ ] -> false
 
 (* One key's term of the block checksum: a digest of its newest version,
-   folded a word at a time ([apply] computes two per Put).  A delete folds
+   folded a word at a time.  [head_term] starts from the key already folded
+   ([key_mix]), so [rechain]'s two terms fold the key once.  A delete folds
    -1 where a value's length would go, which no string has. *)
-let head_hash key = function
+let key_mix key = Simcore.Bits.mix_add_string Simcore.Bits.mix_seed key
+
+let head_term hk = function
   | [] -> 0
   | v :: _ ->
-    let h = Simcore.Bits.mix_add_string Simcore.Bits.mix_seed key in
     let h =
       match v.value with
-      | Some s -> Simcore.Bits.mix_add_string h s
-      | None -> Simcore.Bits.mix_add_int h (-1)
+      | Some s -> Simcore.Bits.mix_add_string hk s
+      | None -> Simcore.Bits.mix_add_int hk (-1)
     in
     let h = Simcore.Bits.mix_add_int h (Txn_id.to_int v.txn) in
     Simcore.Bits.mix_finish (Simcore.Bits.mix_add_int h (Lsn.to_int v.lsn))
+
+let head_hash key = function [] -> 0 | vs -> head_term (key_mix key) vs
 
 (* Digest of the current (newest-version-per-key) contents.  Combining with
    an order-independent sum keeps it stable across hash-table iteration
@@ -84,8 +92,8 @@ let compute_checksum e =
    key's own term moves, so a corrupted head stays mismatched however many
    writes follow, until [load_snapshot] recomputes the sum. *)
 let rechain e key ~before after =
-  e.stored_checksum <-
-    e.stored_checksum - head_hash key before + head_hash key after;
+  let hk = key_mix key in
+  e.stored_checksum <- e.stored_checksum - head_term hk before + head_term hk after;
   after
 
 (* A write to a parked key can make it collectable: wake it. *)
@@ -103,11 +111,8 @@ let add_version t e key v =
 
 let apply t (r : Log_record.t) =
   (match r.op with
-  | Put { key; value } ->
-    add_version t (entry_of t r.block) key
-      { value = Some value; txn = r.txn; lsn = r.lsn }
-  | Delete { key } ->
-    add_version t (entry_of t r.block) key { value = None; txn = r.txn; lsn = r.lsn }
+  | Put { key; _ } | Delete { key } ->
+    add_version t (entry_of t r.block) key r.version
   | Commit | Abort | Noop -> ());
   if Lsn.(r.lsn > t.applied) then t.applied <- r.lsn
 
@@ -347,7 +352,9 @@ let corrupt t block =
       | ({ value = Some s; _ } as v) :: rest ->
         let b = Bytes.of_string s in
         Bytes.set b 0 (Char.chr ((Char.code (Bytes.get b 0) + 1) land 0xff));
-        (* Mutate the data but deliberately leave stored_checksum stale. *)
+        (* Swap in an altered copy (the version itself is shared with the
+           record and with peers) and deliberately leave stored_checksum
+           stale. *)
         Hashtbl.replace e.keys key
           ({ v with value = Some (Bytes.to_string b) } :: rest);
         true

@@ -19,6 +19,14 @@
     {!verify} through any later writes until {!load_snapshot} installs a
     good image.
 
+    {b Shared versions.}  A version is the record's own
+    ({!Wal.Log_record.version}, built once by [Log_record.make]): {!apply}
+    conses it onto its key's chain, so the writer's cache and every segment
+    that applies the record hold the same object, and {!block_snapshot}
+    images share chains with the store.  Nothing mutates a version.
+    {!corrupt} swaps a private copy into this store's chain only, so a fault
+    injected on one segment reaches neither its peers nor the record.
+
     {b Outcomes.}  The store is the only owner of its segment's transaction
     outcomes ({!note_outcome}, {!outcomes}): {!gc} decides what a floor may
     collect from them, and its index (below) is woken by them, so the two
@@ -35,11 +43,12 @@
     its non-last versions.  {!rollback_above} and {!load_snapshot} put
     every multi-version key they rebuild back on the work list. *)
 
-type version = {
+type version = Wal.Log_record.version = {
   value : string option;  (** [None] encodes a delete. *)
   txn : Wal.Txn_id.t;
   lsn : Wal.Lsn.t;
 }
+(** The record's own version ({!Wal.Log_record.version}), re-exported. *)
 
 type t
 
@@ -116,9 +125,9 @@ val version_count : t -> int
 val bytes_used : t -> int
 
 val corrupt : t -> Wal.Block_id.t -> bool
-(** Fault injection: silently alter one non-empty newest value so the
-    checksum no longer matches.  Returns [false] if the block has no such
-    value. *)
+(** Fault injection: silently replace one non-empty newest version with an
+    altered copy so the checksum no longer matches.  Returns [false] if the
+    block has no such value. *)
 
 val verify : t -> Wal.Block_id.t -> bool
 (** Recompute the checksum over the block and compare it with the stored

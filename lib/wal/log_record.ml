@@ -5,6 +5,8 @@ type op =
   | Abort
   | Noop
 
+type version = { value : string option; txn : Txn_id.t; lsn : Lsn.t }
+
 type t = {
   lsn : Lsn.t;
   prev_volume : Lsn.t;
@@ -15,6 +17,7 @@ type t = {
   mtr_id : int;
   mtr_end : bool;
   op : op;
+  version : version;
   size_bytes : int;
 }
 
@@ -27,8 +30,17 @@ let op_bytes = function
   | Delete { key } -> String.length key
   | Commit | Abort | Noop -> 0
 
+(* Commit, Abort and Noop records never reach a version chain. *)
+let no_version = { value = None; txn = Txn_id.of_int 0; lsn = Lsn.none }
+
 let make ~lsn ~prev_volume ~prev_segment ~prev_block ~block ~txn ~mtr_id
     ~mtr_end ~op =
+  let version =
+    match op with
+    | Put { value; _ } -> { value = Some value; txn; lsn }
+    | Delete _ -> { value = None; txn; lsn }
+    | Commit | Abort | Noop -> no_version
+  in
   {
     lsn;
     prev_volume;
@@ -39,6 +51,7 @@ let make ~lsn ~prev_volume ~prev_segment ~prev_block ~block ~txn ~mtr_id
     mtr_id;
     mtr_end;
     op;
+    version;
     size_bytes = header_bytes + op_bytes op;
   }
 

@@ -24,7 +24,20 @@ type op =
   | Abort  (** Transaction rollback marker. *)
   | Noop  (** Control / filler (used by tests and volume metadata). *)
 
-type t = {
+(** One materialized value of a key, as block chains hold it.  {!make}
+    builds it once per record, and every cache and segment that applies the
+    record conses this same object onto its chain: nothing mutates it, so
+    sharing is safe. *)
+type version = {
+  value : string option;  (** [None] encodes a delete. *)
+  txn : Txn_id.t;
+  lsn : Lsn.t;
+}
+
+(** A record is built only by {!make} (the type is [private]), so its
+    [version] and [size_bytes] always agree with its [op], [txn] and
+    [lsn]. *)
+type t = private {
   lsn : Lsn.t;
   prev_volume : Lsn.t;
   prev_segment : Lsn.t;
@@ -34,6 +47,11 @@ type t = {
   mtr_id : int;  (** Mini-transaction this record belongs to. *)
   mtr_end : bool;  (** Last record of its MTR (a VDL candidate). *)
   op : op;
+  version : version;
+      (** What applying the record adds to its key's chain: the value of a
+          [Put], [None] for a [Delete], with the record's [txn] and [lsn].
+          Commit, Abort and Noop records share one constant that nothing
+          applies. *)
   size_bytes : int;  (** Simulated wire/disk footprint. *)
 }
 
@@ -50,7 +68,8 @@ val make :
   t
 (** Build a record; [size_bytes] is estimated from the op (a fixed header
     plus key/value payload), matching the paper's observation that redo
-    records are far smaller than data blocks. *)
+    records are far smaller than data blocks.  The [version] is built here,
+    once: the writer's cache and every segment share it. *)
 
 val header_bytes : int
 (** Fixed per-record overhead used by [make]'s size estimate. *)
@@ -60,7 +79,8 @@ val equal_op : op -> op -> bool
 val equal : t -> t -> bool
 (** Structural equality on every field via each component's own [equal]
     (hand-written — the record mixes abstract protocol types on which
-    polymorphic compare is off-limits). *)
+    polymorphic compare is off-limits).  [version] follows from [op], [txn]
+    and [lsn], so it is not compared on its own. *)
 
 val lsn_range : t list -> (Lsn.t * Lsn.t) option
 (** Smallest and largest LSN in a batch, [None] for the empty batch —

@@ -217,6 +217,59 @@ let test_boxcar_fans_out_once () =
             Alcotest.(check (list int)) "same records" lsns lsns')
           rest)
 
+(* A Put's version is built once, by [Log_record.make]: the writer's cache
+   and every full segment that coalesces the record cons that same object
+   onto the key's chain.  A change that copies versions again fails the
+   physical-equality checks. *)
+let test_version_shared_end_to_end () =
+  with_boxcar (Boxcar.First_record (Time_ns.us 20)) (fun cluster sim db ->
+      settle sim (Time_ns.ms 100);
+      let sent = ref None in
+      Simnet.Net.set_recorder (Cluster.net cluster)
+        (Some
+           (fun phase ~src:_ ~dst:_ msg ->
+             match (phase, msg) with
+             | Simnet.Net.Sent, Protocol.Write_batch { records; _ } ->
+               List.iter
+                 (fun (r : Log_record.t) ->
+                   match r.op with
+                   | Log_record.Put { key = "k"; _ } -> sent := Some r
+                   | _ -> ())
+                 records
+             | _ -> ()));
+      let txn = Database.begin_txn db in
+      Database.put db ~txn ~key:"k" ~value:"v";
+      Database.commit db ~txn (fun _ -> ());
+      settle sim (Time_ns.sec 2);
+      let r =
+        match !sent with Some r -> r | None -> Alcotest.fail "put never sent"
+      in
+      let block = Database.block_of_key db "k" in
+      (match Buffer_cache.read (Database.cache db) block ~key:"k" with
+      | Buffer_cache.Hit (v :: _) | Buffer_cache.Partial (v :: _) ->
+        check_bool "writer cache head is the record's version" true (v == r.version)
+      | Buffer_cache.Hit [] | Buffer_cache.Partial [] | Buffer_cache.Miss ->
+        Alcotest.fail "writer cache lost the put");
+      let g = Volume.pg_of_block (Database.volume db) block in
+      let full =
+        List.filter_map
+          (fun (m : Quorum.Membership.member) ->
+            match m.kind with
+            | Quorum.Membership.Tail -> None
+            | Quorum.Membership.Full ->
+              Option.bind (Cluster.node_of_member cluster g.Volume.id m.id) (fun n ->
+                  Storage.Storage_node.segment n g.Volume.id))
+          (Cluster.members_of_pg cluster g.Volume.id)
+      in
+      check_bool "the group has full segments" true (full <> []);
+      List.iter
+        (fun seg ->
+          match Storage.Block_store.versions (Storage.Segment.store seg) block ~key:"k" with
+          | v :: _ ->
+            check_bool "segment head is the record's version" true (v == r.version)
+          | [] -> Alcotest.fail "a full segment never coalesced the put")
+        full)
+
 (* Destinations are the roster when the window flushes: a replacement that
    joins while the window is open gets the batch, a suspect removed while
    it is open gets none. *)
@@ -573,6 +626,8 @@ let () =
             test_boxcar_dropped_at_crash;
           Alcotest.test_case "fenced writer recovers and commits" `Slow
             test_boxcar_after_fenced_recovery;
+          Alcotest.test_case "one version shared by cache and segments" `Slow
+            test_version_shared_end_to_end;
         ] );
       ( "replica",
         [

@@ -190,6 +190,47 @@ let test_block_store_repair () =
     (B.repair s (blk 0) (B.block_snapshot peer (blk 0)));
   check_bool "repaired" true (B.verify s (blk 0))
 
+(* Two segments apply the same record objects, so their chains share each
+   version.  [corrupt] on one must not reach the other, nor the record: it
+   swaps in a private copy. *)
+let test_block_store_shared_versions () =
+  let module B = Storage.Block_store in
+  let a = B.create () and b = B.create () in
+  let records = [ put ~l:1 ~block:0 "a" "a1"; put ~l:2 ~block:0 "b" "b1" ] in
+  List.iter
+    (fun r ->
+      B.apply a r;
+      B.apply b r)
+    records;
+  let head s key =
+    match B.versions s (blk 0) ~key with v :: _ -> v.B.value | [] -> None
+  in
+  List.iter
+    (fun key ->
+      check_bool "one version object" true
+        (List.hd (B.versions a (blk 0) ~key) == List.hd (B.versions b (blk 0) ~key)))
+    [ "a"; "b" ];
+  check_bool "corrupt A" true (B.corrupt a (blk 0));
+  check_bool "A mismatched" false (B.verify a (blk 0));
+  check_bool "B still verifies" true (B.verify b (blk 0));
+  Alcotest.(check (option string)) "B reads a" (Some "a1") (head b "a");
+  Alcotest.(check (option string)) "B reads b" (Some "b1") (head b "b");
+  List.iter
+    (fun (r : Log_record.t) ->
+      match r.op with
+      | Log_record.Put { value; _ } ->
+        Alcotest.(check (option string)) "record untouched" (Some value) r.version.value
+      | Log_record.Delete _ | Log_record.Commit | Log_record.Abort | Log_record.Noop -> ())
+    records;
+  let later = put ~l:3 ~t:2 ~block:0 "c" "c1" in
+  B.apply a later;
+  B.apply b later;
+  check_bool "A mismatched after a write" false (B.verify a (blk 0));
+  check_bool "B verifies after a write" true (B.verify b (blk 0));
+  B.load_snapshot a (blk 0) (B.block_snapshot b (blk 0));
+  check_bool "A repaired by load_snapshot" true (B.verify a (blk 0));
+  check_bool "B still verifies after A's repair" true (B.verify b (blk 0))
+
 (* ---- GC parking: a key whose non-last versions have no commit outcome
    is parked, and must come back when a commit or a write can change it. *)
 
@@ -999,6 +1040,8 @@ let () =
             test_block_store_no_laundering;
           QCheck_alcotest.to_alcotest prop_corrupt_caught_at_every_length;
           Alcotest.test_case "repair checks image" `Quick test_block_store_repair;
+          Alcotest.test_case "corrupt stays private to a store" `Quick
+            test_block_store_shared_versions;
           Alcotest.test_case "parked key woken by a late commit" `Quick
             test_gc_parked_woken_by_commit;
           Alcotest.test_case "parked key woken by a write" `Quick

@@ -58,6 +58,27 @@ let test_record_size () =
   check_int "header + payload" (Log_record.header_bytes + 7) r.size_bytes;
   check_bool "not commit" false (Log_record.is_commit r)
 
+(* [make] builds the version every cache and segment will share: it must
+   say what the record says.  Records that write nothing share one. *)
+let test_record_version () =
+  let mk ~l ~t op =
+    Log_record.make ~lsn:(lsn l) ~prev_volume:Lsn.none ~prev_segment:Lsn.none
+      ~prev_block:Lsn.none ~block:(Block_id.of_int 0) ~txn:(Txn_id.of_int t)
+      ~mtr_id:l ~mtr_end:true ~op
+  in
+  let matches (r : Log_record.t) value =
+    Alcotest.(check (option string)) "value" value r.version.value;
+    check_bool "txn" true (Txn_id.equal r.txn r.version.txn);
+    check_bool "lsn" true (Lsn.equal r.lsn r.version.lsn)
+  in
+  matches (mk ~l:7 ~t:3 (Log_record.Put { key = "k"; value = "v" })) (Some "v");
+  matches (mk ~l:9 ~t:4 (Log_record.Put { key = "k"; value = "" })) (Some "");
+  matches (mk ~l:8 ~t:5 (Log_record.Delete { key = "k" })) None;
+  let c = mk ~l:10 ~t:3 Log_record.Commit in
+  check_bool "commit, abort and noop share one version" true
+    (c.version == (mk ~l:11 ~t:6 Log_record.Abort).version
+    && c.version == (mk ~l:12 ~t:7 Log_record.Noop).version)
+
 (* ---- Hot_log ---- *)
 
 let test_hot_log_in_order () =
@@ -447,7 +468,11 @@ let () =
           Alcotest.test_case "allocator reset" `Quick test_lsn_allocator_reset;
           Alcotest.test_case "compare" `Quick test_lsn_compare;
         ] );
-      ("record", [ Alcotest.test_case "size" `Quick test_record_size ]);
+      ( "record",
+        [
+          Alcotest.test_case "size" `Quick test_record_size;
+          Alcotest.test_case "version matches op" `Quick test_record_version;
+        ] );
       ( "hot_log",
         [
           Alcotest.test_case "in order" `Quick test_hot_log_in_order;
