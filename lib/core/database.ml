@@ -92,8 +92,6 @@ type t = {
   (* Commits not yet shipped, newest first; see [replication_tick]. *)
   mutable unshipped : (Txn_id.t * Lsn.t) list;
   replica_floors : Lsn.t Simnet.Addr.Tbl.t;
-  (* active read views, for PGMRPL: as_of -> refcount *)
-  active_views : (int, int) Hashtbl.t;
   (* The epoch this instance presents on requests.  Deliberately a cached
      copy of the volume metadata: a fenced-out instance keeps its stale
      value and gets rejected, even though the metadata object is shared
@@ -136,8 +134,8 @@ let mean_batch_size t =
   let batches, records = Pg_id.Tbl.fold add t.boxcars (0, 0) in
   if batches = 0 then 0. else float_of_int records /. float_of_int batches
 
-let block_of_key t key =
-  Block_id.of_int (Bits.fnv1a_string key mod t.config.n_blocks)
+let block_of_key config key =
+  Block_id.of_int (Bits.fnv1a_string key mod config.n_blocks)
 
 let send t ~dst msg =
   Simnet.Net.send t.net ~src:t.addr ~dst ~bytes:(Protocol.bytes msg) msg
@@ -249,7 +247,7 @@ let begin_txn t =
 let put t ~txn ~key ~value =
   require_open t;
   t.metrics.puts <- t.metrics.puts + 1;
-  let block = block_of_key t key in
+  let block = block_of_key t.config key in
   let record =
     write_op t ~txn ~mtr_id:(next_mtr t) ~mtr_end:true ~block
       ~op:(Log_record.Put { key; value })
@@ -259,7 +257,7 @@ let put t ~txn ~key ~value =
 let delete t ~txn ~key =
   require_open t;
   t.metrics.deletes <- t.metrics.deletes + 1;
-  let block = block_of_key t key in
+  let block = block_of_key t.config key in
   let record =
     write_op t ~txn ~mtr_id:(next_mtr t) ~mtr_end:true ~block
       ~op:(Log_record.Delete { key })
@@ -276,7 +274,7 @@ let put_multi t ~txn kvs =
     List.iteri
       (fun i (key, value) ->
         t.metrics.puts <- t.metrics.puts + 1;
-        let block = block_of_key t key in
+        let block = block_of_key t.config key in
         let record =
           write_op t ~txn ~mtr_id ~mtr_end:(i = n - 1) ~block
             ~op:(Log_record.Put { key; value })
@@ -286,87 +284,29 @@ let put_multi t ~txn kvs =
 
 (* ---- read path ---- *)
 
-let track_view t as_of =
-  let k = Lsn.to_int as_of in
-  let n = match Hashtbl.find_opt t.active_views k with Some n -> n | None -> 0 in
-  Hashtbl.replace t.active_views k (n + 1)
-
-let untrack_view t as_of =
-  let k = Lsn.to_int as_of in
-  match Hashtbl.find_opt t.active_views k with
-  | Some 1 | None -> Hashtbl.remove t.active_views k
-  | Some n -> Hashtbl.replace t.active_views k (n - 1)
-
-let min_active_view t =
-  Hashtbl.fold
-    (fun k _ acc -> Lsn.min acc (Lsn.of_int k))
-    t.active_views (vdl t)
-
-let commit_scn_of t txn = Txn_table.commit_scn t.txns txn
-
-let full_candidates t (g : Volume.pg) ~as_of =
-  (* A segment holds everything needed for a read at [as_of] once its SCL
-     reaches the last group record at or below [as_of], which is bounded by
-     min(as_of, PGCL) — see Segment.read_block. *)
+(* A segment holds everything needed for a read at [as_of] once its SCL
+   reaches the last group record at or below [as_of], which is bounded by
+   min(as_of, PGCL) — see Segment.read_block.  A read that needs nothing
+   durable (fresh volume) is served by any full segment. *)
+let covered_candidates t as_of (g : Volume.pg) =
   let needed = Lsn.min as_of (Consistency.pgcl t.consistency g.Volume.id) in
   let covers = Consistency.covers t.consistency ~pg:g.Volume.id ~lsn:needed in
   List.filter
-    (fun (seg, _) ->
-      (* A read that needs nothing durable (fresh volume) is served by any
-         full segment; otherwise the segment's SCL must cover it. *)
-      (Lsn.is_none needed || covers seg)
-      &&
-      match Membership.find_member g.Volume.membership seg with
-      | Some m -> m.Membership.kind = Membership.Full
-      | None -> false)
-    (Volume.roster g)
+    (fun (seg, _) -> Lsn.is_none needed || covers seg)
+    (Volume.full_roster g)
 
 let get t ?txn ~key callback =
   require_open t;
-  t.metrics.gets <- t.metrics.gets + 1;
-  let block = block_of_key t key in
-  let as_of = vdl t in
-  let view = Read_view.make ~as_of ?owner:txn () in
-  let commit_scn = commit_scn_of t in
-  let from_storage () =
-    t.metrics.storage_reads <- t.metrics.storage_reads + 1;
-    let g = Volume.pg_of_block t.volume block in
-    let candidates = full_candidates t g ~as_of in
-    track_view t as_of;
-    Reader.read t.reader ~pg:g.Volume.id ~candidates ~block ~as_of
-      ~epochs:(epochs_for t g) ~callback:(fun result ->
-        untrack_view t as_of;
-        match result with
-        | Error e -> callback (Error e)
-        | Ok img ->
-          Buffer_cache.install t.cache img ~vdl:(vdl t);
-          (* Serve from the merged cache entry so locally written versions
-             newer than the image are not shadowed. *)
-          let chain =
-            match Buffer_cache.read t.cache block ~key with
-            | Buffer_cache.Hit chain | Buffer_cache.Partial chain -> chain
-            | Buffer_cache.Miss -> (
-              match
-                List.find_opt (fun (k, _) -> String.equal k key) img.image_entries
-              with
-              | Some (_, versions) -> versions
-              | None -> [])
-          in
-          callback (Ok (Read_view.value view ~commit_scn chain)))
-  in
-  match Buffer_cache.read t.cache block ~key with
-  | Buffer_cache.Hit chain ->
-    t.metrics.cache_hit_reads <- t.metrics.cache_hit_reads + 1;
-    callback (Ok (Read_view.value view ~commit_scn chain))
-  | Buffer_cache.Partial chain -> (
-    (* Blind-write block: only trust it if a visible version exists. *)
-    match Read_view.pick view ~commit_scn chain with
-    | Some v ->
-      Buffer_cache.note_partial_hit t.cache;
-      t.metrics.cache_hit_reads <- t.metrics.cache_hit_reads + 1;
-      callback (Ok v.Storage.Block_store.value)
-    | None -> from_storage ())
-  | Buffer_cache.Miss -> from_storage ()
+  let m = t.metrics in
+  m.gets <- m.gets + 1;
+  Reader.get t.reader ~cache:t.cache ~volume:t.volume
+    ~read_point:(fun () -> vdl t)
+    ?owner:txn
+    ~commit_scn:(fun txn -> Txn_table.commit_scn t.txns txn)
+    ~candidates:(covered_candidates t) ~epochs:(epochs_for t)
+    ~on_hit:(fun () -> m.cache_hit_reads <- m.cache_hit_reads + 1)
+    ~on_fetch:(fun () -> m.storage_reads <- m.storage_reads + 1)
+    ~block:(block_of_key t.config key) ~key callback
 
 (* ---- commit / abort (§2.3) ---- *)
 
@@ -505,7 +445,8 @@ let pgmrpl_tick t =
   let floor =
     Simnet.Addr.Tbl.fold
       (fun _ f acc -> Lsn.min acc f)
-      t.replica_floors (min_active_view t)
+      t.replica_floors
+      (Reader.floor t.reader ~default:(vdl t))
   in
   if not (Lsn.is_none floor) then
     List.iter
@@ -691,7 +632,6 @@ let create ~sim ~rng ~net ~addr ~volume ~config ?obs ?rings () =
       last_commit_shipped = Lsn.none;
       unshipped = [];
       replica_floors = Simnet.Addr.Tbl.create 4;
-      active_views = Hashtbl.create 16;
       my_volume_epoch = Volume.volume_epoch volume;
       open_ = false;
       generation = 0;
@@ -725,7 +665,6 @@ let crash t =
   Pg_id.Tbl.reset t.boxcars;
   Queue.clear t.stream_queue;
   Obs.Commit_path.clear t.ledger;
-  Hashtbl.reset t.active_views;
   Txn_id.Tbl.reset t.txn_last_block
 
 let rebuild_from_outcome t (o : Recovery.outcome) =

@@ -93,7 +93,9 @@ val open_writers : t -> int
     writer's per-transaction bookkeeping, which {!commit} and {!abort}
     release. *)
 
-val block_of_key : t -> string -> Block_id.t
+val block_of_key : config -> string -> Block_id.t
+(** The data block a key hashes to under [config]'s [n_blocks]; the
+    writer's replicas hash with the writer's config. *)
 
 val mean_batch_size : t -> float
 (** Records per flushed network write across all boxcars — the §2.2
@@ -121,8 +123,10 @@ val get :
   key:string ->
   ((string option, string) result -> unit) ->
   unit
-(** Snapshot read at a view anchored on the current VDL.  Served from cache
-    when possible, otherwise via the tracked read path. *)
+(** Snapshot read at a view anchored on the current VDL, through
+    {!Reader.get}: served from cache when possible, otherwise from one
+    segment whose SCL covers the view.  The reader's in-flight reads are
+    this instance's share of the PGMRPL floor (§3.4). *)
 
 val commit : t -> txn:Txn_id.t -> ((unit, string) result -> unit) -> unit
 (** Write the commit record, park the transaction on the commit queue, and

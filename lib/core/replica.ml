@@ -3,22 +3,11 @@ open Wal
 open Quorum
 module Protocol = Storage.Protocol
 
-type config = {
-  n_blocks : int; (* must match the writer's key->block hashing *)
-  cache_capacity : int;
-  read_strategy : Reader.strategy;
-  feedback_interval : Time_ns.t;
-}
-
-let default_config =
-  {
-    n_blocks = Database.default_config.Database.n_blocks;
-    cache_capacity = 128;
-    read_strategy =
-      Reader.Direct_tracked
-        { hedge_after = Some (Time_ns.ms 2); explore_probability = 0.02 };
-    feedback_interval = Time_ns.ms 100;
-  }
+(* A replica's cache and read strategy are the writer defaults; it reports
+   its read floor to the writer every 100 ms. *)
+let cache_capacity = Database.default_config.Database.cache_capacity
+let read_strategy = Database.default_config.Database.read_strategy
+let feedback_interval = Time_ns.ms 100
 
 type metrics = {
   mutable chunks_applied : int;
@@ -38,12 +27,11 @@ type t = {
   addr : Simnet.Addr.t;
   volume : Volume.t;
   writer : Simnet.Addr.t;
-  config : config;
+  writer_config : Database.config; (* for the writer's key->block hashing *)
   cache : Buffer_cache.t;
   txns : Txn_table.t;
   reader : Reader.t;
   metrics : metrics;
-  active_views : (int, int) Hashtbl.t;
   rings : Recorder.Rings.t option; (* handed to the writer [promote] makes *)
   mutable vdl_seen : Lsn.t;
   mutable volume_epoch_seen : Epoch.t;
@@ -69,7 +57,7 @@ let register_instruments ~obs ~addr metrics =
     Obs.Registry.histogram_ref reg ~labels "replica_stream_lag_ns"
       metrics.stream_lag
 
-let create ~sim ~rng ~net ~addr ~volume ~writer ~config ?obs ?rings () =
+let create ~sim ~rng ~net ~addr ~writer ?obs ?rings () =
   let metrics =
     {
       chunks_applied = 0;
@@ -88,18 +76,17 @@ let create ~sim ~rng ~net ~addr ~volume ~writer ~config ?obs ?rings () =
     sim;
     net;
     addr;
-    volume;
-    writer;
-    config;
-    cache = Buffer_cache.create ~capacity:config.cache_capacity;
+    volume = Database.volume writer;
+    writer = Database.addr writer;
+    writer_config = Database.config writer;
+    cache = Buffer_cache.create ~capacity:cache_capacity;
     txns = Txn_table.create ();
     reader =
       Reader.create ~sim ~rng:(Rng.split rng) ~net ~my_addr:addr
-        ~strategy:config.read_strategy ?obs
+        ~strategy:read_strategy ?obs
         ~obs_labels:[ ("node", string_of_int (Simnet.Addr.to_int addr)) ]
         ();
     metrics;
-    active_views = Hashtbl.create 16;
     rings;
     vdl_seen = Lsn.none;
     volume_epoch_seen = Epoch.initial;
@@ -114,19 +101,7 @@ let cache t = t.cache
 let is_running t = t.running
 let committed t txn = Txn_table.commit_scn t.txns txn
 
-let track_view t as_of =
-  let k = Lsn.to_int as_of in
-  let n = match Hashtbl.find_opt t.active_views k with Some n -> n | None -> 0 in
-  Hashtbl.replace t.active_views k (n + 1)
-
-let untrack_view t as_of =
-  let k = Lsn.to_int as_of in
-  match Hashtbl.find_opt t.active_views k with
-  | Some 1 | None -> Hashtbl.remove t.active_views k
-  | Some n -> Hashtbl.replace t.active_views k (n - 1)
-
-let read_floor t =
-  Hashtbl.fold (fun k _ acc -> Lsn.min acc (Lsn.of_int k)) t.active_views t.vdl_seen
+let read_floor t = Reader.floor t.reader ~default:t.vdl_seen
 
 (* Apply one MTR chunk atomically: every record lands (on cached blocks) in
    one simulation event, and visibility is anyway gated by vdl_seen, which
@@ -166,54 +141,19 @@ let handle_message t (env : Protocol.t Simnet.Net.envelope) =
       Reader.on_reply t.reader ~req ~seg ~from:env.src ~result
     | _ -> ()
 
-let full_candidates (g : Volume.pg) =
-  List.filter
-    (fun (seg, _) ->
-      match Membership.find_member g.Volume.membership seg with
-      | Some m -> m.Membership.kind = Membership.Full
-      | None -> false)
-    (Volume.roster g)
-
 let get t ~key callback =
   if not t.running then callback (Error "replica is not running")
   else begin
-    t.metrics.gets <- t.metrics.gets + 1;
-    let block = Block_id.of_int (Bits.fnv1a_string key mod t.config.n_blocks) in
-    let as_of = t.vdl_seen in
-    let view = Read_view.make ~as_of () in
-    let commit_scn txn = Txn_table.commit_scn t.txns txn in
-    let from_storage () =
-      t.metrics.storage_reads <- t.metrics.storage_reads + 1;
-      let g = Volume.pg_of_block t.volume block in
-      track_view t as_of;
-      Reader.read t.reader ~pg:g.Volume.id ~candidates:(full_candidates g)
-        ~block ~as_of ~epochs:(Volume.epochs_for t.volume g)
-        ~callback:(fun result ->
-          untrack_view t as_of;
-          match result with
-          | Error e -> callback (Error e)
-          | Ok img ->
-            Buffer_cache.install t.cache img ~vdl:t.vdl_seen;
-            let chain =
-              match
-                List.find_opt (fun (k, _) -> String.equal k key) img.image_entries
-              with
-              | Some (_, versions) -> versions
-              | None -> []
-            in
-            callback (Ok (Read_view.value view ~commit_scn chain)))
-    in
-    match Buffer_cache.read t.cache block ~key with
-    | Buffer_cache.Hit chain ->
-      t.metrics.cache_hit_reads <- t.metrics.cache_hit_reads + 1;
-      callback (Ok (Read_view.value view ~commit_scn chain))
-    | Buffer_cache.Partial chain -> (
-      match Read_view.pick view ~commit_scn chain with
-      | Some v ->
-        t.metrics.cache_hit_reads <- t.metrics.cache_hit_reads + 1;
-        callback (Ok v.Storage.Block_store.value)
-      | None -> from_storage ())
-    | Buffer_cache.Miss -> from_storage ()
+    let m = t.metrics in
+    m.gets <- m.gets + 1;
+    Reader.get t.reader ~cache:t.cache ~volume:t.volume
+      ~read_point:(fun () -> t.vdl_seen)
+      ~commit_scn:(committed t)
+      ~candidates:(fun _ -> Volume.full_roster)
+      ~epochs:(Volume.epochs_for t.volume)
+      ~on_hit:(fun () -> m.cache_hit_reads <- m.cache_hit_reads + 1)
+      ~on_fetch:(fun () -> m.storage_reads <- m.storage_reads + 1)
+      ~block:(Database.block_of_key t.writer_config key) ~key callback
   end
 
 let start t =
@@ -222,7 +162,7 @@ let start t =
   let gen = t.generation in
   Simnet.Net.register t.net t.addr (handle_message t);
   Simnet.Net.set_up t.net t.addr;
-  Sim.every t.sim ~interval:t.config.feedback_interval (fun () ->
+  Sim.every t.sim ~interval:feedback_interval (fun () ->
       if t.running && t.generation = gen then begin
         Simnet.Net.send t.net ~src:t.addr ~dst:t.writer ~bytes:48
           (Protocol.Replica_feedback { read_floor = read_floor t });

@@ -6,26 +6,20 @@
     blocks already in its cache — uncached blocks can always be fetched
     from shared storage — and anchors every read view at the writer VDL it
     has seen, so it never observes a structurally or transactionally
-    inconsistent state.  It reports its lowest active read point back to
-    the writer, which folds it into PGMRPL so storage never garbage
-    collects a version the replica might still need.
+    inconsistent state.  Its reads take the writer's read path
+    ({!Reader.get}) with that anchor as the read point.  It reports its
+    read floor back to the writer, which folds it into PGMRPL so storage
+    never garbage collects a version the replica might still need.
+
+    A replica has no settings of its own: it hashes keys to blocks with
+    the writer's config, caches 128 blocks, reads with the writer's
+    default strategy and reports its floor every 100 ms.
 
     Because durable state is shared, a replica can be promoted to writer
     with no data loss for acknowledged commits: promotion is exactly the
     §2.4 crash-recovery procedure run from the replica's address. *)
 
 open Wal
-
-type config = {
-  n_blocks : int;
-      (** Key->block hashing; must match the writer's {!Database.config}. *)
-  cache_capacity : int;
-  read_strategy : Reader.strategy;
-  feedback_interval : Simcore.Time_ns.t;
-      (** Cadence of read-floor reports to the writer. *)
-}
-
-val default_config : config
 
 type metrics = {
   mutable chunks_applied : int;
@@ -47,15 +41,15 @@ val create :
   rng:Simcore.Rng.t ->
   net:Storage.Protocol.t Simnet.Net.t ->
   addr:Simnet.Addr.t ->
-  volume:Volume.t ->
-  writer:Simnet.Addr.t ->
-  config:config ->
+  writer:Database.t ->
   ?obs:Obs.Ctx.t ->
   ?rings:Recorder.Rings.t ->
   unit ->
   t
-(** [volume] is shared read-only with the writer: the replica consults
-    routing, rosters, and epochs but never allocates from it.  [obs]
+(** A replica of [writer]: it shares the writer's volume read-only
+    (routing, rosters and epochs; it never allocates from it), hashes keys
+    with the writer's config and sends its floor to the writer's address.
+    It keeps no reference to [writer] itself.  [obs]
     registers the [replica_*] instruments labelled with this node's
     address.  [rings] is the cluster's flight recorder, which a writer
     made by {!promote} records into. *)
@@ -76,7 +70,9 @@ val committed : t -> Txn_id.t -> Lsn.t option
 (** Commit SCN as known from shipped notifications. *)
 
 val read_floor : t -> Lsn.t
-(** Lowest LSN any active view on this replica might read. *)
+(** The anchor of the oldest storage read in flight, or {!vdl_seen} if
+    none is older ({!Reader.floor}): the lowest LSN a read on this replica
+    might still need. *)
 
 val stop : t -> unit
 

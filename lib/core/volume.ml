@@ -90,6 +90,14 @@ let roster pg =
       | None -> None)
     (Membership.members pg.membership)
 
+let full_roster pg =
+  List.filter_map
+    (fun (m : Membership.member) ->
+      match (m.kind, Member_id.Map.find_opt m.id pg.addr_of) with
+      | Membership.Full, Some addr -> Some (m.id, addr)
+      | _ -> None)
+    (Membership.members pg.membership)
+
 let make_record t ~block ~txn ~mtr_id ~mtr_end ~op =
   let pg = pg_of_block t block in
   let lsn = Lsn.Allocator.take t.alloc in

@@ -48,6 +48,10 @@ val roster : pg -> (Member_id.t * Simnet.Addr.t) list
 (** Every member currently involved (including in-flight replacements),
     with its network address — the write fan-out set. *)
 
+val full_roster : pg -> (Member_id.t * Simnet.Addr.t) list
+(** The {!roster}'s full segments, in roster order: those that hold data
+    blocks, so the only ones a read may go to (§4.2). *)
+
 val make_record :
   t ->
   block:Block_id.t ->

@@ -457,13 +457,7 @@ let add_replica t =
   register t.rings addr Recorder.Event.Replica;
   let replica =
     Replica.create ~sim:t.sim ~rng:(Rng.split t.rng) ~net:t.net ~addr
-      ~volume:(Database.volume t.db) ~writer:(Database.addr t.db)
-      ~config:
-        {
-          Replica.default_config with
-          Replica.n_blocks = t.cfg.db_config.Database.n_blocks;
-        }
-      ~obs:t.obs ?rings:t.rings ()
+      ~writer:t.db ~obs:t.obs ?rings:t.rings ()
   in
   Replica.start replica;
   Database.attach_replica t.db addr;

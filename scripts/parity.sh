@@ -10,9 +10,10 @@
 # working tree is built in place.  Outputs compared (stdout plus exit
 # status): smoke --json at seed 7 and at seed 1 with 4 PGs, obs --json at
 # seed 3 (bare and with a 200-entry recorder tail), `vopr list`, the vopr
-# run digest of every listed scenario at seeds 1-3, explain pg:0 of
-# writer-crash-recovery, the file `trace-export` writes at seed 1, and exp
-# all at seed 1.
+# run digest of every listed scenario at seeds 1-3 (replica-reads-across-crash
+# also at seeds 4-6), explain pg:0 of writer-crash-recovery, the file
+# `trace-export` writes at seed 1, exp all at seed 1 and the replica
+# experiment (e9) at seed 2.
 # `exp all` takes a few minutes per side, so this is not part of check.sh.
 set -eu
 
@@ -48,9 +49,14 @@ there=$work/tree/_build/default/bin/aurora_cli.exe
   "$here" vopr list | while read -r name _; do
     for seed in 1 2 3; do echo "vopr run --scenario $name --seed $seed"; done
   done
+  # More replica-read coverage: seeds 1-3 alone exercise few replica reads.
+  for seed in 4 5 6; do
+    echo "vopr run --scenario replica-reads-across-crash --seed $seed"
+  done
   echo "explain pg:0 --scenario writer-crash-recovery"
   echo "trace-export --txns 200 --seed 1 -o trace.json"
   echo "exp all --seed 1"
+  echo "exp e9 --seed 2"
 } > "$work/cases"
 
 # One side: every case in order, run inside $dir, case i's stdout and exit

@@ -234,7 +234,8 @@ let test_mtr_atomicity_at_vdl () =
   (* Pick two keys on different blocks. *)
   let k1 = "mtr-left" and k2 = "mtr-right" in
   check_bool "different blocks" true
-    (not (Block_id.equal (Database.block_of_key db k1) (Database.block_of_key db k2)));
+    (let block_of = Database.block_of_key (Database.config db) in
+     not (Block_id.equal (block_of k1) (block_of k2)));
   let rec writer i =
     if i <= 50 then begin
       let txn = Database.begin_txn db in
@@ -253,7 +254,7 @@ let test_mtr_atomicity_at_vdl () =
         let view = Aurora_core.Read_view.make ~as_of:anchor () in
         let commit_scn t = Aurora_core.Txn_table.commit_scn (Database.txn_table db) t in
         let value_at key =
-          let block = Database.block_of_key db key in
+          let block = Database.block_of_key (Database.config db) key in
           let g = Aurora_core.Volume.pg_of_block (Database.volume db) block in
           let candidates =
             Member_id.Set.filter
