@@ -31,5 +31,13 @@ val status : t -> Txn_id.t -> status option
 val mark_committed : t -> Txn_id.t -> scn:Lsn.t -> unit
 val mark_aborted : t -> Txn_id.t -> unit
 
+val forget : t -> Txn_id.t -> unit
+(** Drop a transaction that wrote nothing (a read-only commit): no
+    version names it, so no reader asks. *)
+
 val commit_scn : t -> Txn_id.t -> Lsn.t option
 (** [Some scn] iff the transaction committed. *)
+
+val committed_upto : t -> Lsn.t -> (Txn_id.t * Lsn.t) list
+(** Every committed transaction with SCN at or below the bound, sorted by
+    SCN. *)
