@@ -119,8 +119,12 @@ let handle_stream t ~sent_at ~chunks ~vdl ~commits ~volume_epoch =
   if Epoch.is_stale volume_epoch ~current:t.volume_epoch_seen then
     t.metrics.stale_streams_dropped <- t.metrics.stale_streams_dropped + 1
   else begin
-    if Epoch.compare volume_epoch t.volume_epoch_seen > 0 then
+    (* A new writer generation: the stream may have skipped redo for cached
+       blocks (the old writer's last, unshipped records). *)
+    if Epoch.compare volume_epoch t.volume_epoch_seen > 0 then begin
       t.volume_epoch_seen <- volume_epoch;
+      Buffer_cache.drop_all t.cache
+    end;
     List.iter (apply_chunk t) chunks;
     List.iter
       (fun (txn, scn) ->
