@@ -92,6 +92,14 @@ let create ~sim ~rng ~net ~my_addr ~strategy ?obs ?(obs_labels = []) () =
   register_instruments t;
   t
 
+let renew t ~rng =
+  let fresh =
+    create ~sim:t.sim ~rng ~net:t.net ~my_addr:t.my_addr ~strategy:t.strategy
+      ?obs:t.obs ~obs_labels:t.obs_labels ()
+  in
+  fresh.next_req <- t.next_req;
+  fresh
+
 let observed_latency t addr =
   match Simnet.Addr.Tbl.find_opt t.ewma addr with
   | Some e when Stats.Ewma.observations e > 0 -> Some (Stats.Ewma.value e)

@@ -60,6 +60,12 @@ val create :
     re-registers under the same identity, superseding the dead instance's
     callbacks. *)
 
+val renew : t -> rng:Simcore.Rng.t -> t
+(** A reader for the same node built as {!create} builds one (empty
+    latency table, no reads in flight, fresh metrics re-registered) except
+    that its request ids continue after [t]'s: a reply to one of [t]'s
+    reads, arriving late, can never complete one of its reads. *)
+
 val read :
   t ->
   pg:Storage.Pg_id.t ->

@@ -243,8 +243,10 @@ let finish_compute t =
   t.truncate_above <- vcl;
   t.computed_vdl <- vdl;
   (* Headroom past the highest sighting absorbs in-flight writes we never
-     observed (Figure 4's ragged edge). *)
-  t.truncate_upto <- Lsn.add highest 1024;
+     observed (Figure 4's ragged edge).  Every LSN already handed out is
+     annulled too: a fenced writer's rejected records reached no segment,
+     and the allocator restarts above the range. *)
+  t.truncate_upto <- Lsn.max (Lsn.add highest 1024) (Volume.last_lsn t.volume);
   t.phase <- Truncating;
   send_truncates t
 
