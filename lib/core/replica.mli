@@ -1,8 +1,13 @@
 (** Aurora read replicas (§3.2–3.4).
 
-    Replicas attach to the same storage volume as the writer; the writer
-    ships a physical redo stream (in atomic MTR chunks), VDL control
-    records, and commit notifications.  The replica applies redo only to
+    Replicas attach to the same storage volume as the writer and learn
+    from one thing only: the writer's physical redo stream
+    ({!Replication_stream}), which carries atomic MTR chunks, the writer's
+    VDL and the commit notices of the Commit records it ships.  The first
+    message also hands the replica every commit made before its stream
+    started, and a stream from a new writer generation (a higher volume
+    epoch) empties its cache, since the old writer may have died with redo
+    for cached blocks unshipped.  The replica applies redo only to
     blocks already in its cache — uncached blocks can always be fetched
     from shared storage — and anchors every read view at the writer VDL it
     has seen, so it never observes a structurally or transactionally
@@ -67,7 +72,7 @@ val get : t -> key:string -> ((string option, string) result -> unit) -> unit
 (** Snapshot read anchored at {!vdl_seen}. *)
 
 val committed : t -> Txn_id.t -> Lsn.t option
-(** Commit SCN as known from shipped notifications. *)
+(** Commit SCN as known from the stream's notices and hand-offs. *)
 
 val read_floor : t -> Lsn.t
 (** The anchor of the oldest storage read in flight, or {!vdl_seen} if
