@@ -73,6 +73,7 @@ let bump_volume_epoch t =
 
 let geometry_epoch t = t.geometry_epoch
 let last_lsn t = Lsn.Allocator.last t.alloc
+let tail t = t.volume_tail
 
 let epochs_for t pg =
   {

@@ -39,6 +39,12 @@ val volume_epoch : t -> Epoch.t
 val bump_volume_epoch : t -> Epoch.t
 val geometry_epoch : t -> Epoch.t
 val last_lsn : t -> Lsn.t
+
+val tail : t -> Lsn.t
+(** The LSN of the last record in the volume chain: {!last_lsn}, except
+    after recovery, whose allocator restarts above a truncated range that
+    holds no record. *)
+
 val epochs_for : t -> pg -> Storage.Protocol.epochs
 
 val rule : pg -> Quorum_set.Rule.t
