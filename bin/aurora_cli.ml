@@ -734,8 +734,9 @@ let run_recorder_grep pattern artifact name file nemesis seed =
 
 (* The recorder gate behind @recorder-smoke: force a curated scenario to
    fail, shrink it, and check the repro artifact end-to-end — rings
-   captured, explain byte-deterministic, and the timeline of a committed
-   LSN covering send -> ack -> VCL advance -> commit ack. *)
+   captured, explain byte-deterministic, the timeline of a committed LSN
+   covering send -> ack -> VCL advance -> commit ack, and its explain
+   ending with a stage breakdown from lsn_allocated to commit_acked. *)
 let run_recorder_smoke () =
   let failures = ref 0 in
   let fail fmt =
@@ -822,9 +823,26 @@ let run_recorder_smoke () =
             fail "lsn:%d timeline misses the VCL advance" lsn;
           if not (has (function Event.Commit_ack _ -> true | _ -> false)) then
             fail "lsn:%d timeline misses the commit ack" lsn;
+          (* The output ends with the record's stage breakdown, rebuilt from
+             the rings, every stage observed from allocation to commit
+             ack (byte-stable with the rest of [x1] above). *)
+          let lines = String.split_on_char '\n' (String.trim x1) in
+          let tail = List.filteri (fun i _ -> i >= List.length lines - 8) lines in
+          let stage_line i l =
+            let name = Obs.Commit_path.(stage_name (stage_of_index i)) in
+            String.starts_with ~prefix:(Printf.sprintf "  %-15s t=" name) l
+          in
+          (match tail with
+          | header :: stages
+            when String.starts_with
+                   ~prefix:(Printf.sprintf "stages of lsn %d (" lsn) header
+                 && List.length stages = Obs.Commit_path.n_stages
+                 && List.for_all Fun.id (List.mapi stage_line stages) -> ()
+          | _ ->
+            fail "explain lsn:%d does not end with a full stage breakdown" lsn);
           Printf.printf
-            "explain lsn:%d: %d timeline event(s), byte-stable across \
-             replays\n"
+            "explain lsn:%d: %d timeline event(s) and a stage breakdown, \
+             byte-stable across replays\n"
             lsn (List.length timeline))
       | _ -> fail "record_always replay produced no artifact")));
   (* A clean curated run must also produce a usable live artifact. *)

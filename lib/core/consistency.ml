@@ -18,21 +18,24 @@ type t = {
   mutable last_submitted : Lsn.t;
   mutable vcl : Lsn.t;
   mutable vdl : Lsn.t;
-  mutable vcl_watchers : (Lsn.t -> unit) list;
-  mutable vdl_watchers : (Lsn.t -> unit) list;
-  mutable durable_watchers : (Pg_id.t -> Lsn.t -> unit) list;
+  on_pgcl : Pg_id.t -> Lsn.t -> unit;
+  on_vcl : Lsn.t -> unit;
+  on_vdl : Lsn.t -> unit;
 }
 
-let create () =
+let ignore1 _ = ()
+let ignore2 _ _ = ()
+
+let create ?(on_pgcl = ignore2) ?(on_vcl = ignore1) ?(on_vdl = ignore1) () =
   {
     pgs = Pg_id.Tbl.create 8;
     volume_chain = Queue.create ();
     last_submitted = Lsn.none;
     vcl = Lsn.none;
     vdl = Lsn.none;
-    vcl_watchers = [];
-    vdl_watchers = [];
-    durable_watchers = [];
+    on_pgcl;
+    on_vcl;
+    on_vdl;
   }
 
 let pg_state t pg =
@@ -71,15 +74,13 @@ let scl_covers st lsn seg =
 (* Advance the group's PGCL: pop chain heads while the segments covering
    them satisfy the write quorum.  SCL coverage is antitone in LSN, so a
    failing head stops the scan. *)
-let advance_pgcl t pg st =
+let advance_pgcl st =
   while
     (not (Queue.is_empty st.chain))
     && Quorum_set.satisfied_by st.write_quorum
          (scl_covers st (Queue.peek st.chain))
   do
-    let lsn = Queue.pop st.chain in
-    st.pgcl <- lsn;
-    List.iter (fun f -> f pg lsn) t.durable_watchers
+    st.pgcl <- Queue.pop st.chain
   done
 
 (* Advance VCL: pop the volume chain while each head is covered by its own
@@ -102,17 +103,20 @@ let advance_vcl t =
   done;
   if Lsn.(!new_vcl > t.vcl) then begin
     t.vcl <- !new_vcl;
-    List.iter (fun f -> f t.vcl) t.vcl_watchers
+    t.on_vcl t.vcl
   end;
   if Lsn.(!new_vdl > t.vdl) then begin
     t.vdl <- !new_vdl;
-    List.iter (fun f -> f t.vdl) t.vdl_watchers
+    t.on_vdl t.vdl
   end
 
 let advance t pg st =
   let before = st.pgcl in
-  advance_pgcl t pg st;
-  if Lsn.(st.pgcl > before) then advance_vcl t
+  advance_pgcl st;
+  if Lsn.(st.pgcl > before) then begin
+    t.on_pgcl pg st.pgcl;
+    advance_vcl t
+  end
 
 let note_ack t ~pg ~seg ~scl =
   let st = pg_state t pg in
@@ -150,10 +154,6 @@ let vdl t = t.vdl
 let covers t ~pg ~lsn =
   let st = pg_state t pg in
   fun seg -> scl_covers st lsn seg
-
-let on_vcl_advance t f = t.vcl_watchers <- f :: t.vcl_watchers
-let on_vdl_advance t f = t.vdl_watchers <- f :: t.vdl_watchers
-let on_record_durable t f = t.durable_watchers <- f :: t.durable_watchers
 
 let restore t ~vcl ~vdl ~pg_points =
   Queue.clear t.volume_chain;

@@ -25,7 +25,16 @@ open Quorum
 
 type t
 
-val create : unit -> t
+val create :
+  ?on_pgcl:(Storage.Pg_id.t -> Lsn.t -> unit) ->
+  ?on_vcl:(Lsn.t -> unit) ->
+  ?on_vdl:(Lsn.t -> unit) ->
+  unit ->
+  t
+(** The callbacks fire once per advance, with the new value: [on_pgcl]
+    when a group's PGCL moves (write quorum met for every record up to
+    it), then [on_vcl] and [on_vdl] when the volume points follow.  Each
+    defaults to doing nothing. *)
 
 val register_pg : t -> Storage.Pg_id.t -> write_quorum:Quorum_set.t -> unit
 (** Declare a protection group and its current write-quorum expression.
@@ -33,8 +42,8 @@ val register_pg : t -> Storage.Pg_id.t -> write_quorum:Quorum_set.t -> unit
     and then re-runs the PGCL and VCL advance under the new expression: a
     looser quorum (a membership change committing or reverting) can cover
     records the old one did not, and no later ack is needed to notice.
-    So the {!on_record_durable}, {!on_vcl_advance} and {!on_vdl_advance}
-    watchers may fire inside this call, and hence inside
+    So the [on_pgcl], [on_vcl] and [on_vdl] callbacks may fire inside
+    this call, and hence inside
     [Database.begin_segment_replacement], [commit_segment_replacement]
     and [revert_segment_replacement]. *)
 
@@ -66,17 +75,6 @@ val covers : t -> pg:Storage.Pg_id.t -> lsn:Lsn.t -> Member_id.t -> bool
     array read, no set built.  Applied to [t], [pg] and [lsn] alone, it
     finds the group once and returns the per-segment test.
     @raise Invalid_argument on an unknown group. *)
-
-val on_vcl_advance : t -> (Lsn.t -> unit) -> unit
-(** Register a callback fired (with the new VCL) every time VCL advances. *)
-
-val on_vdl_advance : t -> (Lsn.t -> unit) -> unit
-
-val on_record_durable : t -> (Storage.Pg_id.t -> Lsn.t -> unit) -> unit
-(** Register a callback fired once per record the moment its group's PGCL
-    first covers it (write quorum met) — the per-record grain the
-    commit-path tracer needs, where {!on_vcl_advance} only reports the
-    volume-level watermark. *)
 
 val restore :
   t ->

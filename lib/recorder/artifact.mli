@@ -56,7 +56,19 @@ val explain : t -> target -> string
 (** Human-readable causal timeline: header, one line per event, then the
     net totals and the per-link stats for every link the timeline
     traversed — so a dropped send comes with its cause (partition vs
-    blocked vs down vs random loss).  Byte-deterministic. *)
+    blocked vs down vs random loss).  An LSN or txn target ends with the
+    record's (the txn's commit record's) stage breakdown: its time at
+    each [Obs.Commit_path] stage and the span from the previous one,
+    rebuilt by replaying each ring through {!Sink.replay}.
+    Byte-deterministic. *)
 
 val explain_json : t -> target -> Obs.Json.t
-(** Same content as {!explain}, as deterministic JSON. *)
+(** Same content as {!explain}, as deterministic JSON; the breakdown is
+    the ["stages"] field ([null] when the record's allocation is not in
+    the rings). *)
+
+val stage_timelines : t -> (int * (int * int * int array) list) list
+(** Each ring that holds writer moments, replayed through {!Sink.replay}
+    into a fresh [Obs.Commit_path]: [(node, timelines)], with timelines as
+    [Obs.Commit_path.timelines] gives them. *)
+

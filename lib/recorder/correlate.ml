@@ -54,16 +54,26 @@ let watermark_kind = function
   | _ -> false
 
 (* The per-node relevance predicate for one LSN.  Exact payload matches
-   are all kept; watermark events (acks, SCL/VCL/VDL/PGMRPL advances) are
-   kept only the first time they cover the LSN on that node, which is the
-   moment the record's state machine actually moved there. *)
+   are all kept; watermark events (acks, SCL/PGCL/VCL/VDL/PGMRPL advances)
+   are kept only the first time they cover the LSN on that node, which is
+   the moment the record's state machine actually moved there.  Once the
+   node's ring shows the record's allocation, its boxcar flushes and PGCL
+   advances must also name the record's group. *)
 let lsn_relevant ~lsn () =
   let first flag hit = if (not !flag) && hit then (flag := true; true) else false in
   let ack_send = ref false and ack_recv = ref false in
-  let scl = ref false and vcl = ref false and vdl = ref false in
-  let floor = ref false in
+  let scl = ref false and pgcl = ref false and vcl = ref false in
+  let vdl = ref false and floor = ref false in
+  let group = ref (-1) in
+  let in_group pg = !group < 0 || pg = !group in
   fun (ev : Event.t) ->
     match ev with
+    | Lsn_alloc { pg; lsn = l } ->
+      if l = lsn then group := pg;
+      l = lsn
+    | Boxcar_flush { pg; lsn_lo; lsn_hi } ->
+      in_group pg && lsn_lo <= lsn && lsn <= lsn_hi
+    | Pgcl_advance { pg; pgcl = p } -> in_group pg && first pgcl (p >= lsn)
     | Send { kind; lsn_lo; lsn_hi; _ } when payload_kind kind ->
       lsn_lo >= 0 && lsn_lo <= lsn && lsn <= lsn_hi
     | Receive { kind; lsn_lo; lsn_hi; _ } when payload_kind kind ->
@@ -116,6 +126,9 @@ let event_pg = function
   | Event.Scl_advance { pg; _ }
   | Event.Gossip_fill { pg; _ }
   | Event.Hydrate_import { pg; _ }
+  | Event.Lsn_alloc { pg; _ }
+  | Event.Boxcar_flush { pg; _ }
+  | Event.Pgcl_advance { pg; _ }
   | Event.Pgmrpl_advance { pg; _ }
   | Event.Epoch_change { pg; _ }
   | Event.Membership_change { pg; _ }

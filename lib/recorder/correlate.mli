@@ -20,6 +20,10 @@ val timeline_for_lsn : Rings.snapshot -> lsn:int -> entry list
     first SCL/VCL/VDL/PGMRPL advance that covered it, plus its commit
     submit/ack events. *)
 
+val commit_scn_of_txn : Rings.snapshot -> txn:int -> int option
+(** The txn's commit SCN, from its first commit submit or ack in the
+    rings. *)
+
 val timeline_for_txn : Rings.snapshot -> txn:int -> entry list
 (** Resolves the txn's commit SCN from the rings and delegates to
     {!timeline_for_lsn}; if the txn never reached a commit record, just

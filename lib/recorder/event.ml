@@ -131,6 +131,9 @@ type t =
   | Scl_advance of { pg : int; scl : int; stored : int }
   | Gossip_fill of { pg : int; scl : int; filled : int }
   | Hydrate_import of { pg : int; scl : int }
+  | Lsn_alloc of { pg : int; lsn : int }
+  | Boxcar_flush of { pg : int; lsn_lo : int; lsn_hi : int }
+  | Pgcl_advance of { pg : int; pgcl : int }
   | Vcl_advance of { vcl : int }
   | Vdl_advance of { vdl : int }
   | Pgmrpl_advance of { pg : int; floor : int }
@@ -178,6 +181,12 @@ let to_json t =
     obj "gossip_fill" [ ("pg", Int pg); ("scl", Int scl); ("filled", Int filled) ]
   | Hydrate_import { pg; scl } ->
     obj "hydrate_import" [ ("pg", Int pg); ("scl", Int scl) ]
+  | Lsn_alloc { pg; lsn } -> obj "lsn_alloc" [ ("pg", Int pg); ("lsn", Int lsn) ]
+  | Boxcar_flush { pg; lsn_lo; lsn_hi } ->
+    obj "boxcar_flush"
+      [ ("pg", Int pg); ("lsn_lo", Int lsn_lo); ("lsn_hi", Int lsn_hi) ]
+  | Pgcl_advance { pg; pgcl } ->
+    obj "pgcl_advance" [ ("pg", Int pg); ("pgcl", Int pgcl) ]
   | Vcl_advance { vcl } -> obj "vcl_advance" [ ("vcl", Int vcl) ]
   | Vdl_advance { vdl } -> obj "vdl_advance" [ ("vdl", Int vdl) ]
   | Pgmrpl_advance { pg; floor } ->
@@ -268,6 +277,19 @@ let of_json j =
       let* pg = int "pg" in
       let* scl = int "scl" in
       Ok (Hydrate_import { pg; scl })
+    | "lsn_alloc" ->
+      let* pg = int "pg" in
+      let* lsn = int "lsn" in
+      Ok (Lsn_alloc { pg; lsn })
+    | "boxcar_flush" ->
+      let* pg = int "pg" in
+      let* lsn_lo = int "lsn_lo" in
+      let* lsn_hi = int "lsn_hi" in
+      Ok (Boxcar_flush { pg; lsn_lo; lsn_hi })
+    | "pgcl_advance" ->
+      let* pg = int "pg" in
+      let* pgcl = int "pgcl" in
+      Ok (Pgcl_advance { pg; pgcl })
     | "vcl_advance" ->
       let* vcl = int "vcl" in
       Ok (Vcl_advance { vcl })
@@ -348,6 +370,10 @@ let describe = function
     Printf.sprintf "gossip_fill pg%d filled=%d scl=%d" pg filled scl
   | Hydrate_import { pg; scl } ->
     Printf.sprintf "hydrate_import pg%d scl=%d" pg scl
+  | Lsn_alloc { pg; lsn } -> "lsn_alloc" ^ range_suffix pg lsn lsn
+  | Boxcar_flush { pg; lsn_lo; lsn_hi } ->
+    "boxcar_flush" ^ range_suffix pg lsn_lo lsn_hi
+  | Pgcl_advance { pg; pgcl } -> Printf.sprintf "pgcl_advance pg%d pgcl=%d" pg pgcl
   | Vcl_advance { vcl } -> Printf.sprintf "vcl_advance vcl=%d" vcl
   | Vdl_advance { vdl } -> Printf.sprintf "vdl_advance vdl=%d" vdl
   | Pgmrpl_advance { pg; floor } ->

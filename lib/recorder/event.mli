@@ -81,6 +81,13 @@ type t =
   | Scl_advance of { pg : int; scl : int; stored : int }
   | Gossip_fill of { pg : int; scl : int; filled : int }
   | Hydrate_import of { pg : int; scl : int }
+  | Lsn_alloc of { pg : int; lsn : int }
+      (** The writer gave a record of [pg] its LSN. *)
+  | Boxcar_flush of { pg : int; lsn_lo : int; lsn_hi : int }
+      (** The writer flushed [pg]'s boxcar: its records in
+          [[lsn_lo, lsn_hi]] went to the group's roster. *)
+  | Pgcl_advance of { pg : int; pgcl : int }
+      (** The writer's durable point of [pg] (write quorum met) moved. *)
   | Vcl_advance of { vcl : int }
   | Vdl_advance of { vdl : int }
   | Pgmrpl_advance of { pg : int; floor : int }

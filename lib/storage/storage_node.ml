@@ -1,6 +1,7 @@
 open Simcore
 open Wal
 open Quorum
+module Sink = Recorder.Sink
 
 type config = {
   disk_service : Distribution.t;
@@ -71,7 +72,7 @@ type t = {
   writer_of : Simnet.Addr.t Pg_id.Tbl.t; (* last writer seen per group *)
   disk : Disk.t;
   metrics : metrics;
-  rings : Recorder.Rings.t option;
+  sink : Sink.t; (* flight-recorder hook point *)
   mutable alive : bool;
   mutable generation : int; (* invalidates background loops across restarts *)
 }
@@ -117,7 +118,7 @@ let create ~sim ~rng ~net ~addr ~s3 ~config ?obs ?(obs_labels = []) ?rings () =
       Disk.create ~sim ~rng:(Rng.split rng) ~service:config.disk_service
         ~per_byte_ns:config.disk_per_byte_ns;
     metrics;
-    rings;
+    sink = Sink.create ~sim ~node:(Simnet.Addr.to_int addr) ?rings ();
     alive = false;
     generation = 0;
   }
@@ -131,16 +132,6 @@ let disk t = t.disk
 let is_alive t = t.alive
 
 let send t ~dst msg = Simnet.Net.send t.net ~src:t.addr ~dst ~bytes:(Protocol.bytes msg) msg
-
-(* Flight-recorder hook point; callers gate on [recording] so a node
-   without rings costs one branch and allocates no event. *)
-let recording t = match t.rings with Some _ -> true | None -> false
-
-let rec_note t ev =
-  match t.rings with
-  | Some r ->
-    Recorder.Rings.note r ~node:(Simnet.Addr.to_int t.addr) ~at:(Sim.now t.sim) ev
-  | None -> ()
 
 let reject_metric t = t.metrics.rejects <- t.metrics.rejects + 1
 
@@ -175,8 +166,8 @@ let handle_write t ~reply_to ~pg ~seg ~records ~pgcl ~epochs =
               t.metrics.records_stored <- t.metrics.records_stored + (after - before);
               t.metrics.duplicates <-
                 t.metrics.duplicates + (List.length records - (after - before));
-              if recording t then
-                rec_note t
+              if Sink.recording t.sink then
+                Sink.note t.sink
                   (Recorder.Event.Scl_advance
                      {
                        pg = Pg_id.to_int pg;
@@ -242,8 +233,8 @@ let handle_gossip_reply t ~pg ~records =
           let after = Hot_log.record_count (Segment.hot_log s) in
           t.metrics.gossip_records_filled <-
             t.metrics.gossip_records_filled + (after - before);
-          if recording t && after > before then
-            rec_note t
+          if Sink.recording t.sink && after > before then
+            Sink.note t.sink
               (Recorder.Event.Gossip_fill
                  {
                    pg = Pg_id.to_int pg;
@@ -303,8 +294,8 @@ let handle_hydrate_reply t ~pg ~records ~blocks ~donor_scl ~coalesced ~statuses 
     Disk.submit t.disk ~bytes (fun () ->
         if t.alive then begin
           Segment.hydrate_import s ~records ~blocks ~donor_scl ~coalesced;
-          if recording t then
-            rec_note t
+          if Sink.recording t.sink then
+            Sink.note t.sink
               (Recorder.Event.Hydrate_import
                  { pg = Pg_id.to_int pg; scl = Lsn.to_int (Segment.scl s) })
         end)
@@ -352,8 +343,8 @@ let handle_message t (env : Protocol.t Simnet.Net.envelope) =
         (* Installing a higher epoch is itself a write at the new epoch:
            unconditionally adopted (§2.4). *)
         Segment.install_volume_epoch s epochs.volume;
-        if recording t then
-          rec_note t
+        if Sink.recording t.sink then
+          Sink.note t.sink
             (Recorder.Event.Epoch_change
                {
                  pg = Pg_id.to_int pg;
@@ -366,8 +357,8 @@ let handle_message t (env : Protocol.t Simnet.Net.envelope) =
       | None -> ()
       | Some s ->
         Segment.install_membership s ~epoch ~peers;
-        if recording t then
-          rec_note t
+        if Sink.recording t.sink then
+          Sink.note t.sink
             (Recorder.Event.Epoch_change
                {
                  pg = Pg_id.to_int pg;
@@ -390,8 +381,8 @@ let handle_message t (env : Protocol.t Simnet.Net.envelope) =
         Segment.note_pgcl s pgcl;
         t.metrics.versions_gced <-
           t.metrics.versions_gced + Segment.advance_pgmrpl s floor;
-        if recording t then
-          rec_note t
+        if Sink.recording t.sink then
+          Sink.note t.sink
             (Recorder.Event.Pgmrpl_advance
                { pg = Pg_id.to_int pg; floor = Lsn.to_int floor }))
     | Protocol.Write_ack _ | Protocol.Write_reject _ | Protocol.Read_reply _
@@ -511,20 +502,20 @@ let start t =
   t.generation <- t.generation + 1;
   Simnet.Net.register t.net t.addr (handle_message t);
   Simnet.Net.set_up t.net t.addr;
-  if recording t then rec_note t Recorder.Event.Started;
+  if Sink.recording t.sink then Sink.note t.sink Recorder.Event.Started;
   start_background t
 
 let crash t =
   t.alive <- false;
   Simnet.Net.set_down t.net t.addr;
-  if recording t then rec_note t Recorder.Event.Crashed
+  Sink.crashed t.sink
 
 let restart t = start t
 
 let destroy t =
   crash t;
   Pg_id.Tbl.reset t.segments;
-  if recording t then rec_note t Recorder.Event.Destroyed
+  if Sink.recording t.sink then Sink.note t.sink Recorder.Event.Destroyed
 
 let request_hydration t ~pg ~from =
   match segment t pg with

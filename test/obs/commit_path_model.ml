@@ -1,7 +1,7 @@
 (* Reference model for [Obs.Commit_path]: the per-LSN table the ledger
-   replaced, plus the writer's three per-record queues it folded in (the
-   records awaiting their first ack per PG, awaiting VDL, and awaiting VCL
-   with their allocation time).  Simple and obviously faithful to the
+   replaced, plus the writer's per-record queues it folded in (the records
+   awaiting their first ack and their PGCL per PG, awaiting VDL, and
+   awaiting VCL with their allocation time).  Simple and obviously faithful to the
    stage rules; kept only as the oracle of the ledger's model test. *)
 
 module Histogram = Simcore.Histogram
@@ -16,6 +16,7 @@ type t = {
   order : int Queue.t; (* allocation order, for eviction *)
   hists : Histogram.t option array; (* (from * n + to) -> histogram *)
   unacked : (int, int Queue.t) Hashtbl.t; (* pg -> LSNs without an ack *)
+  below_pgcl : (int, int Queue.t) Hashtbl.t; (* pg -> LSNs above PGCL *)
   vdl_pending : int Queue.t;
   inflight : (int * int) Queue.t; (* (lsn, allocated at) awaiting VCL *)
 }
@@ -28,6 +29,7 @@ let create ~capacity ~registry =
     order = Queue.create ();
     hists = Array.make (n * n) None;
     unacked = Hashtbl.create 8;
+    below_pgcl = Hashtbl.create 8;
     vdl_pending = Queue.create ();
     inflight = Queue.create ();
   }
@@ -49,8 +51,8 @@ let hist_for t ~from ~upto =
 
 let record_pair t ~from ~upto span = Histogram.record (hist_for t ~from ~upto) span
 
-(* boxcar_flushed→node_acked and vcl_advanced→commit_acked. *)
-let marquee = [ (1, 3); (5, 7) ]
+(* vcl_advanced→commit_acked. *)
+let marquee = [ (4, 6) ]
 
 let evict_beyond_capacity t =
   while Hashtbl.length t.timelines > t.capacity do
@@ -94,30 +96,35 @@ let drain q covered f =
     | Some _ | None -> continue := false
   done
 
+let queue_of tbl pg =
+  match Hashtbl.find_opt tbl pg with
+  | Some q -> q
+  | None ->
+    let q = Queue.create () in
+    Hashtbl.add tbl pg q;
+    q
+
 let allocated t ~at ~lsn ~pg =
   mark t ~at ~lsn ~pg 0;
-  let q =
-    match Hashtbl.find_opt t.unacked pg with
-    | Some q -> q
-    | None ->
-      let q = Queue.create () in
-      Hashtbl.add t.unacked pg q;
-      q
-  in
-  Queue.push lsn q;
+  Queue.push lsn (queue_of t.unacked pg);
+  Queue.push lsn (queue_of t.below_pgcl pg);
   Queue.push lsn t.vdl_pending;
   Queue.push (lsn, at) t.inflight
 
-let flushed t ~at ~lsn ~sent =
-  mark t ~at ~lsn 1;
-  if sent then mark t ~at ~lsn 2
+let flushed t ~at ~pg ~lsn_lo ~lsn_hi =
+  for lsn = lsn_lo to lsn_hi do
+    match Hashtbl.find_opt t.timelines lsn with
+    | Some (pg', _) when !pg' = pg -> mark t ~at ~lsn 1
+    | Some _ | None -> ()
+  done
 
-let acked t ~at ~pg ~scl =
-  match Hashtbl.find_opt t.unacked pg with
+let drain_pg tbl ~at ~pg ~upto t idx =
+  match Hashtbl.find_opt tbl pg with
   | None -> ()
-  | Some q -> drain q (fun lsn -> lsn <= scl) (fun lsn -> mark t ~at ~lsn ~pg 3)
+  | Some q -> drain q (fun lsn -> lsn <= upto) (fun lsn -> mark t ~at ~lsn ~pg idx)
 
-let pgcl_advanced t ~at ~lsn = mark t ~at ~lsn 4
+let acked t ~at ~pg ~scl = drain_pg t.unacked ~at ~pg ~upto:scl t 2
+let pgcl_advanced t ~at ~pg ~pgcl = drain_pg t.below_pgcl ~at ~pg ~upto:pgcl t 3
 
 (* The durable sample is taken only for a record whose timeline is still
    live: an evicted record's allocation time is gone with it. *)
@@ -127,17 +134,18 @@ let vcl_advanced t ~at ~vcl ~durable =
     (fun (lsn, allocated_at) ->
       if Hashtbl.mem t.timelines lsn then
         Histogram.record_span durable allocated_at at;
-      mark t ~at ~lsn 5)
+      mark t ~at ~lsn 4)
 
 let vdl_advanced t ~at ~vdl =
-  drain t.vdl_pending (fun lsn -> lsn <= vdl) (fun lsn -> mark t ~at ~lsn 6)
+  drain t.vdl_pending (fun lsn -> lsn <= vdl) (fun lsn -> mark t ~at ~lsn 5)
 
-let commit_acked t ~at ~lsn = mark t ~at ~lsn 7
+let commit_acked t ~at ~lsn = mark t ~at ~lsn 6
 
 let clear t =
   Hashtbl.reset t.timelines;
   Queue.clear t.order;
   Hashtbl.reset t.unacked;
+  Hashtbl.reset t.below_pgcl;
   Queue.clear t.vdl_pending;
   Queue.clear t.inflight
 

@@ -93,21 +93,31 @@ let test_commit_path_pairs () =
   let durable = Histogram.create () in
   (* One record through the whole pipeline. *)
   Cp.allocated cp ~at:0 ~lsn:1 ~pg:0;
-  Cp.flushed cp ~at:10 ~lsn:1 ~sent:true;
+  Cp.flushed cp ~at:10 ~pg:0 ~lsn_lo:1 ~lsn_hi:1;
   Cp.acked cp ~at:510 ~pg:0 ~scl:1;
   Cp.acked cp ~at:520 ~pg:0 ~scl:1 (* idempotent: later ack ignored *);
-  Cp.pgcl_advanced cp ~at:600 ~lsn:1;
+  Cp.pgcl_advanced cp ~at:600 ~pg:0 ~pgcl:1;
   Cp.vcl_advanced cp ~at:600 ~vcl:1 ~durable;
   Cp.vdl_advanced cp ~at:700 ~vdl:1;
   Cp.commit_acked cp ~at:650 ~lsn:1;
   let h = stage_hist reg Cp.Boxcar_flushed Cp.Node_acked in
-  check_int "marquee boxcar->ack count" 1 (Histogram.count h);
-  check_int "marquee boxcar->ack value" 500 (Histogram.max_value h);
+  check_int "boxcar->ack count" 1 (Histogram.count h);
+  check_int "boxcar->ack value" 500 (Histogram.max_value h);
   let h = stage_hist reg Cp.Vcl_advanced Cp.Commit_acked in
   check_int "marquee vcl->commit count" 1 (Histogram.count h);
   check_int "marquee vcl->commit value" 50 (Histogram.max_value h);
-  let h = stage_hist reg Cp.Net_sent Cp.Node_acked in
-  check_int "nearest-prev pair value" 500 (Histogram.max_value h);
+  (* The flush is the ack's nearest earlier stage, and nothing stands
+     between them: it is the only span into node_acked. *)
+  let into_ack =
+    List.filter
+      (fun (labels, _) ->
+        List.exists
+          (fun (k, v) -> k = "stage" && String.ends_with ~suffix:"node_acked" v)
+          labels)
+      (Obs.Registry.find_histograms reg "commit_stage_ns")
+  in
+  check_int "one span into node_acked, from boxcar_flushed" 1
+    (List.length into_ack);
   check_int "durable at VCL" 600 (Histogram.max_value durable);
   check_int "one live timeline" 1 (List.length (Cp.timelines cp));
   Cp.clear cp;
@@ -121,7 +131,7 @@ let test_commit_path_eviction () =
   done;
   check_int "timelines capped" 8 (List.length (Cp.timelines cp));
   (* A mark on an evicted LSN is dropped, not resurrected. *)
-  Cp.flushed cp ~at:100 ~lsn:1 ~sent:false;
+  Cp.flushed cp ~at:100 ~pg:0 ~lsn_lo:1 ~lsn_hi:1;
   check_int "evicted lsn not resurrected" 8 (List.length (Cp.timelines cp));
   check_int "evicted mark records no span" 0
     (List.length (Obs.Registry.find_histograms reg "commit_stage_ns"))
@@ -162,10 +172,11 @@ let timeline_images tls =
 
 (* One random history of writer moments, replayed on the ledger and the
    model side by side; [None] when every step agrees.  Histories mix
-   allocation (with LSN jumps), flushes with and without an address, acks
-   of up to three PGs with arbitrary and reordered SCLs, PGCL/VCL/VDL
-   advances, commit acks and crashes, against a small capacity so
-   eviction happens; marks also land on evicted and never-allocated LSNs. *)
+   allocation (with LSN jumps), flushes of LSN ranges of any group, acks
+   and PGCL advances of up to four PGs with arbitrary and reordered
+   points, VCL/VDL advances, commit acks and crashes, against a small
+   capacity so eviction happens; marks also land on evicted and
+   never-allocated LSNs. *)
 let commit_path_divergence seed =
   let rng = Simcore.Rng.create seed in
   let int_in = Simcore.Rng.int_in rng in
@@ -190,20 +201,21 @@ let commit_path_divergence seed =
       Model.allocated m ~at ~lsn ~pg;
       Cp.allocated l ~at ~lsn ~pg
     | 6 | 7 | 8 | 9 ->
-      let lsn = near () and sent = Simcore.Rng.bool rng in
-      note " flush %d%s@%d" lsn (if sent then "+sent" else "") at;
-      Model.flushed m ~at ~lsn ~sent;
-      Cp.flushed l ~at ~lsn ~sent
+      let pg = Simcore.Rng.int rng 4 and lsn_lo = near () in
+      let lsn_hi = lsn_lo + int_in 0 4 in
+      note " flush pg%d [%d..%d]@%d" pg lsn_lo lsn_hi at;
+      Model.flushed m ~at ~pg ~lsn_lo ~lsn_hi;
+      Cp.flushed l ~at ~pg ~lsn_lo ~lsn_hi
     | 10 | 11 | 12 ->
       let pg = Simcore.Rng.int rng 4 and scl = near () in
       note " ack pg%d<=%d@%d" pg scl at;
       Model.acked m ~at ~pg ~scl;
       Cp.acked l ~at ~pg ~scl
     | 13 | 14 ->
-      let lsn = near () in
-      note " pgcl %d@%d" lsn at;
-      Model.pgcl_advanced m ~at ~lsn;
-      Cp.pgcl_advanced l ~at ~lsn
+      let pg = Simcore.Rng.int rng 4 and pgcl = near () in
+      note " pgcl pg%d<=%d@%d" pg pgcl at;
+      Model.pgcl_advanced m ~at ~pg ~pgcl;
+      Cp.pgcl_advanced l ~at ~pg ~pgcl
     | 15 ->
       let vcl = near () in
       note " vcl %d@%d" vcl at;
@@ -805,16 +817,18 @@ let test_commit_path_timelines () =
   let reg = Obs.Registry.create () in
   let cp = Cp.create ~registry:reg () in
   Cp.allocated cp ~at:100 ~lsn:7 ~pg:1;
-  Cp.flushed cp ~at:500 ~lsn:7 ~sent:false;
+  Cp.flushed cp ~at:500 ~pg:1 ~lsn_lo:7 ~lsn_hi:7;
   (* An LSN gap, as after a fenced writer recovers without a crash. *)
   Cp.allocated cp ~at:900 ~lsn:9 ~pg:0;
+  Cp.flushed cp ~at:1000 ~pg:1 ~lsn_lo:7 ~lsn_hi:9;
   Cp.acked cp ~at:1200 ~pg:0 ~scl:9;
   match Cp.timelines cp with
   | [ (7, pg7, tl7); (9, pg9, tl9) ] ->
     check_int "pg kept from allocation" 1 pg7;
     check_int "pg of the record after the gap" 0 pg9;
     check_int "stage time recorded" 500 tl7.(Cp.stage_index Cp.Boxcar_flushed);
-    check_int "unsent batch has no net_sent" (-1) tl7.(Cp.stage_index Cp.Net_sent);
+    check_int "another group's flush over its LSN leaves it alone" (-1)
+      tl9.(Cp.stage_index Cp.Boxcar_flushed);
     check_int "unobserved stage is -1" (-1) tl7.(Cp.stage_index Cp.Commit_acked);
     check_int "another group's ack leaves it alone" (-1)
       tl7.(Cp.stage_index Cp.Node_acked);
@@ -838,7 +852,7 @@ let test_chrome_export_format () =
   let ctx = Obs.Ctx.create () in
   let cp = Obs.Ctx.commit_path ctx in
   Cp.allocated cp ~at:1_000 ~lsn:1 ~pg:0;
-  Cp.flushed cp ~at:2_000 ~lsn:1 ~sent:false;
+  Cp.flushed cp ~at:2_000 ~pg:0 ~lsn_lo:1 ~lsn_hi:1;
   Cp.acked cp ~at:3_000 ~pg:0 ~scl:1;
   Cp.commit_acked cp ~at:4_000 ~lsn:1;
   let evs =

@@ -53,6 +53,16 @@ let event_gen =
       map (fun vcl -> Event.Vcl_advance { vcl }) lsn;
       map (fun vdl -> Event.Vdl_advance { vdl }) lsn;
       (let* pg = id in
+       let* lsn = lsn in
+       return (Event.Lsn_alloc { pg; lsn }));
+      (let* pg = id in
+       let* lsn_lo = lsn in
+       let* lsn_hi = lsn in
+       return (Event.Boxcar_flush { pg; lsn_lo; lsn_hi }));
+      (let* pg = id in
+       let* pgcl = lsn in
+       return (Event.Pgcl_advance { pg; pgcl }));
+      (let* pg = id in
        let* floor = lsn in
        return (Event.Pgmrpl_advance { pg; floor }));
       (let* pg = id in
@@ -131,6 +141,32 @@ let test_event_names () =
       check_bool (Obs.Health.edge_name e) true
         (Obs.Health.edge_of_name (Obs.Health.edge_name e) = Some e))
     Obs.Health.all_edges
+
+(* Each writer-moment event with one field missing or not an int decodes
+   to an error, never an exception. *)
+let test_malformed_writer_events () =
+  let open Obs.Json in
+  List.iter
+    (fun fields ->
+      let j = Obj fields in
+      match Event.of_json j with
+      | Ok ev -> Alcotest.failf "%s decoded as %s" (to_string j) (Event.describe ev)
+      | Error _ -> ()
+      | exception e ->
+        Alcotest.failf "%s raised %s" (to_string j) (Printexc.to_string e))
+    [
+      [ ("ev", String "lsn_alloc"); ("pg", Int 0) ];
+      [ ("ev", String "lsn_alloc"); ("pg", Int 0); ("lsn", String "7") ];
+      [ ("ev", String "boxcar_flush"); ("pg", Int 0); ("lsn_lo", Int 3) ];
+      [
+        ("ev", String "boxcar_flush");
+        ("pg", Float 0.5);
+        ("lsn_lo", Int 3);
+        ("lsn_hi", Int 4);
+      ];
+      [ ("ev", String "pgcl_advance"); ("pgcl", Int 9) ];
+      [ ("ev", String "pgcl_advance"); ("pg", Int 0); ("pgcl", Null) ];
+    ]
 
 (* ---- explain targets ---- *)
 
@@ -536,6 +572,80 @@ let test_golden_explain () =
   in
   check_string "golden explain bytes" want got
 
+(* ---- stage breakdown: replay equals live ---- *)
+
+(* A commit_long-shaped cluster (2 PGs; 4 ops per txn, half of them
+   writes, a tenth of the write txns one multi-block MTR; 2,000 txn/s)
+   recording into rings deep enough that none wraps.  The stage
+   timelines [explain] rebuilds from the rings' snapshot alone equal the
+   live ledger's, record for record. *)
+let test_replay_equals_live () =
+  let cluster =
+    Harness.Cluster.create
+      {
+        Harness.Cluster.default_config with
+        seed = 5;
+        n_pgs = 2;
+        recorder_depth = Some Rings.max_depth;
+      }
+  in
+  let sim = Harness.Cluster.sim cluster in
+  let gen =
+    Workload.Txn_gen.create ~sim ~rng:(Simcore.Rng.create 6)
+      ~db:(Harness.Cluster.db cluster)
+      ~profile:
+        {
+          Workload.Txn_gen.default_profile with
+          ops_per_txn = 4;
+          write_fraction = 0.5;
+          mtr_fraction = 0.1;
+        }
+      ()
+  in
+  Workload.Txn_gen.run_open_loop gen ~rate_per_sec:2000.
+    ~duration:(Simcore.Time_ns.ms 300);
+  Simcore.Sim.run_until sim (Simcore.Time_ns.ms 600);
+  let snapshot =
+    match Harness.Cluster.recorder cluster with
+    | Some rings -> Rings.snapshot rings
+    | None -> Alcotest.fail "cluster is not recording"
+  in
+  List.iter
+    (fun (n : Rings.node_ring) ->
+      check_int (Printf.sprintf "n%d ring did not wrap" n.Rings.node) 0
+        n.Rings.evicted)
+    snapshot.Rings.nodes;
+  let live =
+    Obs.Commit_path.timelines
+      (Obs.Ctx.commit_path (Harness.Cluster.obs cluster))
+  in
+  let committed =
+    List.length
+      (List.filter
+         (fun (_, _, times) ->
+           times.(Obs.Commit_path.stage_index Obs.Commit_path.Commit_acked) >= 0)
+         live)
+  in
+  check_bool "hundreds of records, hundreds of commits" true
+    (List.length live > 1000 && committed > 300);
+  let render (lsn, pg, times) =
+    Printf.sprintf "lsn %d pg%d [%s]" lsn pg
+      (String.concat " " (Array.to_list (Array.map string_of_int times)))
+  in
+  let writer =
+    Simnet.Addr.to_int (Aurora_core.Database.addr (Harness.Cluster.db cluster))
+  in
+  match Artifact.stage_timelines (Artifact.make ~snapshot ()) with
+  | [ (node, replayed) ] ->
+    check_int "the writer's ring" writer node;
+    check_int "one replayed timeline per live record" (List.length live)
+      (List.length replayed);
+    List.iter2
+      (fun l r -> check_string "replayed timeline = live timeline" (render l) (render r))
+      live replayed
+  | rings ->
+    Alcotest.failf "expected the writer's ring alone, got %d" (List.length rings)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "recorder"
@@ -545,6 +655,8 @@ let () =
           qc prop_event_roundtrip;
           qc prop_event_roundtrip_via_text;
           Alcotest.test_case "name tables invert" `Quick test_event_names;
+          Alcotest.test_case "malformed writer events are errors" `Quick
+            test_malformed_writer_events;
         ] );
       ( "rings",
         [
@@ -563,6 +675,8 @@ let () =
           Alcotest.test_case "crash/recover fencing order" `Slow
             test_crash_recover_ordering;
           Alcotest.test_case "golden explain" `Slow test_golden_explain;
+          Alcotest.test_case "stage replay equals live" `Slow
+            test_replay_equals_live;
           Alcotest.test_case "membership change begun/committed" `Slow
             test_membership_change_events;
           Alcotest.test_case "two clusters stepped alternately" `Slow
