@@ -34,6 +34,7 @@ type t = {
   metrics : metrics;
   rings : Recorder.Rings.t option; (* handed to the writer [promote] makes *)
   mutable vdl_seen : Lsn.t;
+  mutable resyncing : bool; (* a stream message went missing *)
   mutable volume_epoch_seen : Epoch.t;
   mutable running : bool;
   mutable generation : int;
@@ -89,6 +90,7 @@ let create ~sim ~rng ~net ~addr ~writer ?obs ?rings () =
     metrics;
     rings;
     vdl_seen = Lsn.none;
+    resyncing = false;
     volume_epoch_seen = Epoch.initial;
     running = false;
     generation = 0;
@@ -115,10 +117,23 @@ let apply_chunk t (chunk : Protocol.mtr_chunk) =
     chunk.chunk_records;
   t.metrics.chunks_applied <- t.metrics.chunks_applied + 1
 
-let handle_stream t ~sent_at ~chunks ~vdl ~commits ~volume_epoch =
+let handle_stream t ~sent_at ~chunks ~vdl ~commits ~volume_epoch ~prev =
+  let hand_off = Lsn.is_none prev in
   if Epoch.is_stale volume_epoch ~current:t.volume_epoch_seen then
     t.metrics.stale_streams_dropped <- t.metrics.stale_streams_dropped + 1
+  else if not (hand_off || ((not t.resyncing) && Lsn.equal prev t.vdl_seen))
+  then
+    (* A message went missing: its records never reached the cache and its
+       commits never reached the table.  Stay anchored where the stream is
+       whole, and ask for a fresh hand-off (feedback's [resync]). *)
+    t.resyncing <- true
   else begin
+    (* The hand-off that ends a gap: cached blocks may lack the lost
+       records, and later ones were read at the old anchor. *)
+    if hand_off && t.resyncing then begin
+      t.resyncing <- false;
+      Buffer_cache.drop_all t.cache
+    end;
     (* A new writer generation: the stream may have skipped redo for cached
        blocks (the old writer's last, unshipped records). *)
     if Epoch.compare volume_epoch t.volume_epoch_seen > 0 then begin
@@ -139,8 +154,9 @@ let handle_stream t ~sent_at ~chunks ~vdl ~commits ~volume_epoch =
 let handle_message t (env : Protocol.t Simnet.Net.envelope) =
   if t.running then
     match env.msg with
-    | Protocol.Redo_stream { chunks; vdl; commits; volume_epoch } ->
+    | Protocol.Redo_stream { chunks; vdl; commits; volume_epoch; prev } ->
       handle_stream t ~sent_at:env.sent_at ~chunks ~vdl ~commits ~volume_epoch
+        ~prev
     | Protocol.Read_reply { req; seg; result } ->
       Reader.on_reply t.reader ~req ~seg ~from:env.src ~result
     | _ -> ()
@@ -169,7 +185,8 @@ let start t =
   Sim.every t.sim ~interval:feedback_interval (fun () ->
       if t.running && t.generation = gen then begin
         Simnet.Net.send t.net ~src:t.addr ~dst:t.writer ~bytes:48
-          (Protocol.Replica_feedback { read_floor = read_floor t });
+          (Protocol.Replica_feedback
+             { read_floor = read_floor t; resync = t.resyncing });
         true
       end
       else false)

@@ -5,6 +5,7 @@ type replica = {
   addr : Simnet.Addr.t;
   mutable from : Lsn.t; (* the log's last LSN when its stream started *)
   mutable handed_off : bool;
+  mutable shipped : Lsn.t; (* the VDL its last message carried *)
   mutable floor : Lsn.t option; (* none reported yet *)
 }
 
@@ -16,7 +17,9 @@ let is addr r = Simnet.Addr.equal r.addr addr
 
 let attach t addr ~from =
   if not (List.exists (is addr) t.replicas) then
-    t.replicas <- { addr; from; handed_off = false; floor = None } :: t.replicas
+    t.replicas <-
+      { addr; from; handed_off = false; shipped = Lsn.none; floor = None }
+      :: t.replicas
 
 let detach t addr =
   t.replicas <- List.filter (fun r -> not (is addr r)) t.replicas;
@@ -35,6 +38,11 @@ let floor t ~default =
 let restart t ~from =
   Queue.clear t.queue;
   List.iter (fun r -> r.from <- from; r.handed_off <- false) t.replicas
+
+let resync t addr ~from =
+  List.iter
+    (fun r -> if is addr r && r.handed_off then (r.from <- from; r.handed_off <- false))
+    t.replicas
 
 (* Pop the queued records VDL covers, in LSN order. *)
 let rec drain t ~vdl acc =
@@ -65,18 +73,23 @@ let tick t ~vdl ~volume_epoch ~committed ~send =
           match r.op with Log_record.Commit -> Some (r.txn, r.lsn) | _ -> None)
         records
     in
-    let send r commits =
-      send r.addr (Protocol.Redo_stream { chunks; vdl; commits; volume_epoch })
+    let send r ~prev commits =
+      send r.addr
+        (Protocol.Redo_stream { chunks; vdl; commits; volume_epoch; prev });
+      r.shipped <- vdl
     in
     List.iter
       (fun r ->
-        if r.handed_off then (if chunks <> [] || commits <> [] then send r commits)
+        if r.handed_off then begin
+          if chunks <> [] || commits <> [] then send r ~prev:r.shipped commits
+        end
         else if Lsn.(vdl >= r.from) && not (Lsn.is_none vdl) then begin
           (* The first message goes out even when empty: it gives an idle
              writer's replica its anchor.  Notices at or below [from] are
              the hand-off's. *)
           r.handed_off <- true;
-          send r (committed r.from @ List.filter (fun (_, scn) -> Lsn.(scn > r.from)) commits)
+          send r ~prev:Lsn.none
+            (committed r.from @ List.filter (fun (_, scn) -> Lsn.(scn > r.from)) commits)
         end)
       t.replicas
   end

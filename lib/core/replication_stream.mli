@@ -13,7 +13,11 @@
     sent.  That message goes out even if it ships nothing else, so a
     replica of an idle writer gets its anchor, and it carries, once, the
     hand-off: the writer's commits with SCN at or below [from], sorted by
-    SCN. *)
+    SCN.
+
+    Every later message names the VDL of the one before it, so a replica
+    that misses one notices, stays anchored where its stream is whole, and
+    asks ({!resync}) for a fresh hand-off. *)
 
 open Wal
 
@@ -51,6 +55,11 @@ val restart : t -> from:Lsn.t -> unit
 (** Drop the backlog and start every attached replica's stream again
     after [from], as {!attach} would (the writer recovered: its commits
     are the recovered ones). *)
+
+val resync : t -> Simnet.Addr.t -> from:Lsn.t -> unit
+(** The replica saw a gap in its stream (a message was lost): start its
+    stream again after [from] with a fresh hand-off.  A no-op while its
+    hand-off is still pending. *)
 
 val tick :
   t ->

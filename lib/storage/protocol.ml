@@ -141,9 +141,10 @@ type t =
       vdl : Lsn.t; (* writer's VDL as of send: replica apply ceiling *)
       commits : (Txn_id.t * Lsn.t) list; (* commit notifications (SCNs) *)
       volume_epoch : Epoch.t;
+      prev : Lsn.t; (* VDL of the previous message to this replica; none: hand-off *)
     }
   (* -- replica -> writer: read-point feedback for PGMRPL (§3.4) -- *)
-  | Replica_feedback of { read_floor : Lsn.t }
+  | Replica_feedback of { read_floor : Lsn.t; resync : bool }
 
 let records_bytes records =
   List.fold_left (fun acc (r : Log_record.t) -> acc + r.size_bytes) 0 records
@@ -261,7 +262,7 @@ let describe msg =
       match records with [] -> point vdl | _ -> record_range records
     in
     mk Recorder.Event.Redo_stream no_pg range
-  | Replica_feedback { read_floor } ->
+  | Replica_feedback { read_floor; _ } ->
     mk Recorder.Event.Replica_feedback no_pg (point read_floor)
 
 let pp_reject_reason fmt = function

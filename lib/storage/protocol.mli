@@ -151,10 +151,15 @@ type t =
       commits : (Txn_id.t * Lsn.t) list;
           (** Commit notifications (SCNs). *)
       volume_epoch : Epoch.t;
+      prev : Lsn.t;
+          (** The VDL of the writer's previous message to this replica, so
+              the replica can tell one went missing; [Lsn.none] on a
+              hand-off, which anchors the replica afresh. *)
     }
       (** Writer → replica physical replication (§3.2–3.4). *)
-  | Replica_feedback of { read_floor : Lsn.t }
-      (** Replica → writer read-point feedback for PGMRPL (§3.4). *)
+  | Replica_feedback of { read_floor : Lsn.t; resync : bool }
+      (** Replica → writer read-point feedback for PGMRPL (§3.4); [resync]
+          while the replica waits for a fresh hand-off after a gap. *)
 
 val records_bytes : Log_record.t list -> int
 (** Summed simulated wire footprint of a record batch. *)

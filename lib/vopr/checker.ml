@@ -35,6 +35,7 @@ type t = {
   (* probe state *)
   mutable probe_seq : int;  (* last probe sequence issued *)
   mutable probe_acked : int;  (* highest probe sequence acknowledged *)
+  mutable probe_acks : (int * Lsn.t) list;  (* (seq, SCN), newest ack first *)
   replica_probe : int Simnet.Addr.Tbl.t;  (* highest seq read per replica *)
 }
 
@@ -183,7 +184,14 @@ let probe_write t =
     Database.put db ~txn ~key:probe_key ~value:(probe_value seq);
     Database.commit db ~txn (fun result ->
         match result with
-        | Ok () -> if seq > t.probe_acked then t.probe_acked <- seq
+        | Ok () -> (
+          if seq > t.probe_acked then t.probe_acked <- seq;
+          (* The commit record closes its MTR, so VDL covers it in the very
+             instant of the ack (VDL moves just after the commit queue
+             drains, so read the SCN rather than VDL). *)
+          match Aurora_core.Txn_table.commit_scn (Database.txn_table db) txn with
+          | Some scn -> t.probe_acks <- (seq, scn) :: t.probe_acks
+          | None -> ())
         | Error _ -> ())
   end
 
@@ -216,13 +224,31 @@ let probe_read_writer t =
                      floor)))
   end
 
+(* The newest acked probe whose commit a replica anchored at [vdl] must
+   see: the highest seq acked with its SCN at or below [vdl]. *)
+let anchor_seq t vdl =
+  List.fold_left
+    (fun best (seq, scn) -> if Lsn.(scn <= vdl) && seq > best then seq else best)
+    0 t.probe_acks
+
 let probe_read_replica t r =
   if Replica.is_running r then begin
     let addr = Replica.addr r in
+    let anchor = Replica.vdl_seen r in
+    let floor = anchor_seq t anchor in
+    let below_anchor found =
+      if found < floor then
+        note t ~checker:"replica-read-at-anchor"
+          ~detail:
+            (Printf.sprintf
+               "replica %s anchored at vdl=%s read seq=%d, below acked seq=%d"
+               (addr_str addr) (lsn_str anchor) found floor)
+    in
     Replica.get r ~key:probe_key (fun result ->
         match result with
         | Error _ -> ()
         | Ok None ->
+          below_anchor 0;
           (* A replica view may predate the first probe write; only a
              regression from a previously returned value is a violation. *)
           let prev =
@@ -237,6 +263,7 @@ let probe_read_replica t r =
           match probe_seq_of_value v with
           | None -> ()
           | Some seq ->
+            below_anchor seq;
             let prev =
               Option.value ~default:0
                 (Simnet.Addr.Tbl.find_opt t.replica_probe addr)
@@ -271,6 +298,7 @@ let create ~cluster ?gen ?(watch_interval = Time_ns.ms 5)
       replica_vdl = Simnet.Addr.Tbl.create 8;
       probe_seq = 0;
       probe_acked = 0;
+      probe_acks = [];
       replica_probe = Simnet.Addr.Tbl.create 8;
     }
   in

@@ -554,6 +554,7 @@ let test_replica_stale_stream_dropped () =
              vdl = Database.vdl db;
              commits = [];
              volume_epoch = Quorum.Epoch.of_int 5;
+             prev = Wal.Lsn.none;
            });
       settle sim (Time_ns.ms 100);
       let before = (Replica.metrics replica).Replica.stale_streams_dropped in
@@ -564,10 +565,38 @@ let test_replica_stale_stream_dropped () =
              vdl = Database.vdl db;
              commits = [];
              volume_epoch = Quorum.Epoch.of_int 2;
+             prev = Wal.Lsn.none;
            });
       settle sim (Time_ns.ms 100);
       check_int "stale stream dropped" (before + 1)
         (Replica.metrics replica).Replica.stale_streams_dropped)
+
+(* A stream message lost on the way (the writer -> replica link blocked
+   for a while) leaves a gap: its records never reach the replica's cache
+   and its commit never reaches its table.  The replica notices from the
+   next message's [prev], stays at its old anchor, asks for a fresh
+   hand-off and, once it has it, reads the value committed in the gap. *)
+let test_replica_stream_gap () =
+  with_cluster (fun cluster sim db ->
+      let replica = Cluster.add_replica cluster in
+      let write key v =
+        let txn = Database.begin_txn db in
+        Database.put db ~txn ~key ~value:v;
+        Database.commit db ~txn (fun _ -> ())
+      in
+      write "k" "v1";
+      settle sim (Time_ns.sec 1);
+      check_vopt "replica caught up" (Some "v1") (replica_get sim replica "k");
+      let net = Cluster.net cluster in
+      let w = Database.addr db and r = Replica.addr replica in
+      Simnet.Net.block net w r;
+      write "k" "v2";
+      settle sim (Time_ns.ms 50);
+      Simnet.Net.unblock net w r;
+      write "other" "x";
+      settle sim (Time_ns.sec 1);
+      check_vopt "value committed in the gap" (Some "v2")
+        (replica_get sim replica "k"))
 
 let test_replica_feedback_floor () =
   with_cluster (fun cluster sim db ->
@@ -914,6 +943,8 @@ let () =
             test_replica_does_not_see_uncommitted;
           Alcotest.test_case "drops stale streams" `Slow
             test_replica_stale_stream_dropped;
+          Alcotest.test_case "stream gap: fresh hand-off" `Slow
+            test_replica_stream_gap;
           Alcotest.test_case "feedback floor" `Slow test_replica_feedback_floor;
           Alcotest.test_case "commits ship with their records" `Slow
             test_commits_ship_with_their_records;

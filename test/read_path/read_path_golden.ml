@@ -53,7 +53,7 @@ let () =
     (Some
        (fun phase ~src ~dst msg ->
          match (phase, msg) with
-         | Simnet.Net.Sent, Protocol.Replica_feedback { read_floor } ->
+         | Simnet.Net.Sent, Protocol.Replica_feedback { read_floor; _ } ->
            let anchor =
              List.find (fun r -> Simnet.Addr.equal (Replica.addr r) src) replicas
              |> Replica.vdl_seen
