@@ -2,11 +2,19 @@ open Wal
 open Quorum
 module Pg_id = Storage.Pg_id
 
+(* [full_roster]'s last answer and the two values it was derived from. *)
+type roster_memo = {
+  of_membership : Membership.t;
+  of_addrs : Simnet.Addr.t Member_id.Map.t;
+  full : (Member_id.t * Simnet.Addr.t) list;
+}
+
 type pg = {
   id : Pg_id.t;
   mutable membership : Membership.t;
   mutable addr_of : Simnet.Addr.t Member_id.Map.t;
   mutable segment_tail : Lsn.t;
+  mutable full_memo : roster_memo option;
 }
 
 (* Block routing must be stable under volume growth: blocks written before
@@ -34,6 +42,7 @@ let make_pg (id, membership, addrs) =
         (fun acc (m, a) -> Member_id.Map.add m a acc)
         Member_id.Map.empty addrs;
     segment_tail = Lsn.none;
+    full_memo = None;
   }
 
 let create groups =
@@ -91,13 +100,22 @@ let roster pg =
       | None -> None)
     (Membership.members pg.membership)
 
+(* Every read miss asks for it, and it changes only with the membership or
+   the address map, each replaced, never mutated, when it changes. *)
 let full_roster pg =
-  List.filter_map
-    (fun (m : Membership.member) ->
-      match (m.kind, Member_id.Map.find_opt m.id pg.addr_of) with
-      | Membership.Full, Some addr -> Some (m.id, addr)
-      | _ -> None)
-    (Membership.members pg.membership)
+  match pg.full_memo with
+  | Some m when m.of_membership == pg.membership && m.of_addrs == pg.addr_of -> m.full
+  | Some _ | None ->
+    let full =
+      List.filter_map
+        (fun (m : Membership.member) ->
+          match (m.kind, Member_id.Map.find_opt m.id pg.addr_of) with
+          | Membership.Full, Some addr -> Some (m.id, addr)
+          | _ -> None)
+        (Membership.members pg.membership)
+    in
+    pg.full_memo <- Some { of_membership = pg.membership; of_addrs = pg.addr_of; full };
+    full
 
 let make_record t ~block ~txn ~mtr_id ~mtr_end ~op =
   let pg = pg_of_block t block in

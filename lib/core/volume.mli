@@ -17,11 +17,17 @@
 open Wal
 open Quorum
 
+type roster_memo
+
 type pg = {
   id : Storage.Pg_id.t;
   mutable membership : Membership.t;
   mutable addr_of : Simnet.Addr.t Member_id.Map.t;
   mutable segment_tail : Lsn.t;  (** Last LSN routed to this group. *)
+  mutable full_memo : roster_memo option;
+      (** {!full_roster}'s memo, valid while [membership] and [addr_of]
+          are the values it was computed from (compared physically), so
+          replacing either refreshes it. *)
 }
 
 type t
@@ -56,7 +62,8 @@ val roster : pg -> (Member_id.t * Simnet.Addr.t) list
 
 val full_roster : pg -> (Member_id.t * Simnet.Addr.t) list
 (** The {!roster}'s full segments, in roster order: those that hold data
-    blocks, so the only ones a read may go to (§4.2). *)
+    blocks, so the only ones a read may go to (§4.2).  Memoised: the same
+    list is returned until [membership] or [addr_of] is replaced. *)
 
 val make_record :
   t ->

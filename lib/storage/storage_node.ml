@@ -195,7 +195,7 @@ let handle_read t ~reply_to ~req ~pg ~seg ~block ~as_of ~epochs =
     | Ok img ->
       t.metrics.reads_ok <- t.metrics.reads_ok + 1;
       (* Block reads hit the device: charge the image transfer. *)
-      Disk.submit t.disk ~bytes:(Protocol.image_bytes img) (fun () ->
+      Disk.submit t.disk ~bytes:img.image_bytes (fun () ->
           if t.alive then
             send t ~dst:reply_to (Protocol.Read_reply { req; seg; result = Ok img }))
     | Error _ ->
@@ -280,16 +280,7 @@ let handle_hydrate_reply t ~pg ~records ~blocks ~donor_scl ~coalesced ~statuses 
     Segment.merge_statuses s statuses;
     let bytes =
       Protocol.records_bytes records
-      + List.fold_left
-          (fun acc (block, snapshot) ->
-            acc
-            + Protocol.image_bytes
-                {
-                  Protocol.image_block = block;
-                  image_as_of = Lsn.none;
-                  image_entries = snapshot;
-                })
-          0 blocks
+      + List.fold_left (fun acc (_, snapshot) -> acc + Protocol.snapshot_bytes snapshot) 0 blocks
     in
     Disk.submit t.disk ~bytes (fun () ->
         if t.alive then begin

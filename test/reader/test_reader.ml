@@ -21,6 +21,7 @@ let image =
     Protocol.image_block = Block_id.of_int 0;
     image_as_of = lsn 10;
     image_entries = [ ("k", []) ];
+    image_bytes = Protocol.snapshot_bytes [ ("k", []) ];
   }
 
 (* A scripted segment server: replies to Read_block after [delay], with
