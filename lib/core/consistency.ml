@@ -19,14 +19,10 @@ type t = {
   mutable vcl : Lsn.t;
   mutable vdl : Lsn.t;
   on_pgcl : Pg_id.t -> Lsn.t -> unit;
-  on_vcl : Lsn.t -> unit;
-  on_vdl : Lsn.t -> unit;
+  on_volume : vcl:Lsn.t -> vdl:Lsn.t option -> unit;
 }
 
-let ignore1 _ = ()
-let ignore2 _ _ = ()
-
-let create ?(on_pgcl = ignore2) ?(on_vcl = ignore1) ?(on_vdl = ignore1) () =
+let create ?(on_pgcl = fun _ _ -> ()) ?(on_volume = fun ~vcl:_ ~vdl:_ -> ()) () =
   {
     pgs = Pg_id.Tbl.create 8;
     volume_chain = Queue.create ();
@@ -34,8 +30,7 @@ let create ?(on_pgcl = ignore2) ?(on_vcl = ignore1) ?(on_vdl = ignore1) () =
     vcl = Lsn.none;
     vdl = Lsn.none;
     on_pgcl;
-    on_vcl;
-    on_vdl;
+    on_volume;
   }
 
 let pg_state t pg =
@@ -84,7 +79,9 @@ let advance_pgcl st =
   done
 
 (* Advance VCL: pop the volume chain while each head is covered by its own
-   group's PGCL ("no pending writes preventing PGCL from advancing"). *)
+   group's PGCL ("no pending writes preventing PGCL from advancing").  VDL
+   only moves with VCL.  Both are set before [on_volume] hears of either,
+   so whatever it triggers (a commit ack, a read) sees the new VDL. *)
 let advance_vcl t =
   let new_vcl = ref t.vcl in
   let new_vdl = ref t.vdl in
@@ -103,11 +100,9 @@ let advance_vcl t =
   done;
   if Lsn.(!new_vcl > t.vcl) then begin
     t.vcl <- !new_vcl;
-    t.on_vcl t.vcl
-  end;
-  if Lsn.(!new_vdl > t.vdl) then begin
-    t.vdl <- !new_vdl;
-    t.on_vdl t.vdl
+    let vdl_moved = Lsn.(!new_vdl > t.vdl) in
+    if vdl_moved then t.vdl <- !new_vdl;
+    t.on_volume ~vcl:t.vcl ~vdl:(if vdl_moved then Some t.vdl else None)
   end
 
 let advance t pg st =

@@ -27,14 +27,15 @@ type t
 
 val create :
   ?on_pgcl:(Storage.Pg_id.t -> Lsn.t -> unit) ->
-  ?on_vcl:(Lsn.t -> unit) ->
-  ?on_vdl:(Lsn.t -> unit) ->
+  ?on_volume:(vcl:Lsn.t -> vdl:Lsn.t option -> unit) ->
   unit ->
   t
-(** The callbacks fire once per advance, with the new value: [on_pgcl]
+(** The callbacks fire once per advance, with the new values: [on_pgcl]
     when a group's PGCL moves (write quorum met for every record up to
-    it), then [on_vcl] and [on_vdl] when the volume points follow.  Each
-    defaults to doing nothing. *)
+    it), then [on_volume] when VCL follows, with [vdl] the new VDL if it
+    moved too ([None] if not; VDL never moves without VCL).  [on_volume]
+    fires after both points are set, so {!vdl} inside it is already the
+    new value.  Each defaults to doing nothing. *)
 
 val register_pg : t -> Storage.Pg_id.t -> write_quorum:Quorum_set.t -> unit
 (** Declare a protection group and its current write-quorum expression.
@@ -42,7 +43,7 @@ val register_pg : t -> Storage.Pg_id.t -> write_quorum:Quorum_set.t -> unit
     and then re-runs the PGCL and VCL advance under the new expression: a
     looser quorum (a membership change committing or reverting) can cover
     records the old one did not, and no later ack is needed to notice.
-    So the [on_pgcl], [on_vcl] and [on_vdl] callbacks may fire inside
+    So the [on_pgcl] and [on_volume] callbacks may fire inside
     this call, and hence inside
     [Database.begin_segment_replacement], [commit_segment_replacement]
     and [revert_segment_replacement]. *)
