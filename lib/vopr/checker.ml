@@ -35,7 +35,7 @@ type t = {
   (* probe state *)
   mutable probe_seq : int;  (* last probe sequence issued *)
   mutable probe_acked : int;  (* highest probe sequence acknowledged *)
-  mutable probe_acks : (int * Lsn.t) list;  (* (seq, SCN), newest ack first *)
+  mutable probe_acks : (int * Lsn.t) list;  (* (seq, writer VDL at its ack), newest first *)
   replica_probe : int Simnet.Addr.Tbl.t;  (* highest seq read per replica *)
 }
 
@@ -184,14 +184,12 @@ let probe_write t =
     Database.put db ~txn ~key:probe_key ~value:(probe_value seq);
     Database.commit db ~txn (fun result ->
         match result with
-        | Ok () -> (
+        | Ok () ->
           if seq > t.probe_acked then t.probe_acked <- seq;
-          (* The commit record closes its MTR, so VDL covers it in the very
-             instant of the ack (VDL moves just after the commit queue
-             drains, so read the SCN rather than VDL). *)
-          match Aurora_core.Txn_table.commit_scn (Database.txn_table db) txn with
-          | Some scn -> t.probe_acks <- (seq, scn) :: t.probe_acks
-          | None -> ())
+          (* The commit record closes its MTR, and the writer sets VDL
+             before it acks, so the VDL read here covers the commit: a
+             replica anchored there must see it. *)
+          t.probe_acks <- (seq, Database.vdl db) :: t.probe_acks
         | Error _ -> ())
   end
 
@@ -225,10 +223,10 @@ let probe_read_writer t =
   end
 
 (* The newest acked probe whose commit a replica anchored at [vdl] must
-   see: the highest seq acked with its SCN at or below [vdl]. *)
+   see: the highest seq acked when the writer's VDL was at or below [vdl]. *)
 let anchor_seq t vdl =
   List.fold_left
-    (fun best (seq, scn) -> if Lsn.(scn <= vdl) && seq > best then seq else best)
+    (fun best (seq, at_ack) -> if Lsn.(at_ack <= vdl) && seq > best then seq else best)
     0 t.probe_acks
 
 let probe_read_replica t r =
