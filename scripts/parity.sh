@@ -13,7 +13,12 @@
 # run digest of every listed scenario at seeds 1-3 (replica-reads-across-crash
 # also at seeds 4-6), explain pg:0 of writer-crash-recovery, the file
 # `trace-export` writes at seed 1, exp all at seed 1 and the replica
-# experiment (e9) at seed 2.
+# experiment (e9) at seed 2.  For each cluster workload of the benchmark it
+# also runs `perfbench.exe --workload W --seed 1 --smoke` and compares only
+# its simulated rows (net.bytes_per_commit, net.msgs_per_commit,
+# simcore.events_per_commit and every sim_*_us), which a change that keeps
+# the simulation's behaviour leaves byte-identical; wall-clock rows are
+# dropped.
 # `exp all` takes a few minutes per side, so this is not part of check.sh.
 set -eu
 
@@ -35,10 +40,10 @@ trap 'exit 130' INT TERM
 mkdir "$work/tree"
 git archive "$rev" | tar -x -C "$work/tree"
 echo "parity: building the working tree and $rev" >&2
-dune build ./bin/aurora_cli.exe
-(cd "$work/tree" && dune build --root . ./bin/aurora_cli.exe)
-here=$PWD/_build/default/bin/aurora_cli.exe
-there=$work/tree/_build/default/bin/aurora_cli.exe
+dune build ./bin/aurora_cli.exe ./perfbench/perfbench.exe
+(cd "$work/tree" && dune build --root . ./bin/aurora_cli.exe ./perfbench/perfbench.exe)
+here=$PWD/_build/default
+there=$work/tree/_build/default
 
 {
   echo "smoke --json --seed 7"
@@ -46,7 +51,7 @@ there=$work/tree/_build/default/bin/aurora_cli.exe
   echo "obs --json --seed 3"
   echo "obs --json --seed 3 --trace-tail 200"
   echo "vopr list"
-  "$here" vopr list | while read -r name _; do
+  "$here/bin/aurora_cli.exe" vopr list | while read -r name _; do
     for seed in 1 2 3; do echo "vopr run --scenario $name --seed $seed"; done
   done
   # More replica-read coverage: seeds 1-3 alone exercise few replica reads.
@@ -57,20 +62,49 @@ there=$work/tree/_build/default/bin/aurora_cli.exe
   echo "trace-export --txns 200 --seed 1 -o trace.json"
   echo "exp all --seed 1"
   echo "exp e9 --seed 2"
+  for workload in commit_long read_replica pg_fanout; do
+    echo "perfbench --workload $workload --seed 1 --smoke"
+  done
 } > "$work/cases"
 
-# One side: every case in order, run inside $dir, case i's stdout and exit
-# status in $dir/i.out, followed by the trace.json it wrote, if any.  The
-# two sides run concurrently.
+# The simulated rows of a perfbench result line, one "name value" a line.
+sim_rows() {
+  python3 -c '
+import json, sys
+lines = sys.stdin.read().strip().splitlines()
+metrics = json.loads(lines[-1])["metrics"] if lines else {}
+for name in sorted(metrics):
+    if name.startswith("sim_") or name in (
+        "net.bytes_per_commit", "net.msgs_per_commit", "simcore.events_per_commit"):
+        print(name, metrics[name])
+'
+}
+
+# One side, given its dune build directory: every case in order, run inside
+# $dir, case i's stdout and exit status in $dir/i.out, followed by the
+# trace.json it wrote, if any.  A `perfbench` case runs the side's
+# perfbench.exe and keeps its simulated rows.  The two sides run
+# concurrently.
 run_side() {
-  bin=$1 dir=$2
+  build=$1 dir=$2
   mkdir -p "$dir"
   i=0
   while read -r args; do
     i=$((i + 1))
     status=0
-    # shellcheck disable=SC2086  # args is a word list on purpose
-    (cd "$dir" && "$bin" $args) > "$dir/$i.out" 2> /dev/null || status=$?
+    case $args in
+      perfbench\ *)
+        # shellcheck disable=SC2086  # args is a word list on purpose
+        (cd "$dir" && "$build/perfbench/perfbench.exe" ${args#perfbench }) \
+          > "$dir/$i.json" 2> /dev/null || status=$?
+        sim_rows < "$dir/$i.json" > "$dir/$i.out"
+        ;;
+      *)
+        # shellcheck disable=SC2086  # args is a word list on purpose
+        (cd "$dir" && "$build/bin/aurora_cli.exe" $args) > "$dir/$i.out" 2> /dev/null \
+          || status=$?
+        ;;
+    esac
     echo "exit $status" >> "$dir/$i.out"
     if [ -f "$dir/trace.json" ]; then
       cat "$dir/trace.json" >> "$dir/$i.out"
