@@ -6,14 +6,26 @@ type version = Log_record.version = {
   lsn : Lsn.t;
 }
 
+(* A block's keys live in a chained hash table of this module's own: the
+   bucket nodes hold the version chains in place, so a write finds its key
+   with one hash and conses onto the node, and the GC work list holds
+   nodes, so a visit rewrites a chain without a lookup.  A node is 4 words,
+   as a [Hashtbl] bucket is.  Iteration order is the table's own, and
+   nothing may depend on it. *)
+type bucket =
+  | Empty
+  | Node of { key : string; mutable vs : version list; mutable next : bucket }
+
 type entry = {
-  keys : (string, version list) Hashtbl.t;
+  mutable slots : bucket array; (* length a power of two *)
+  mutable nkeys : int;
   mutable stored_checksum : int;
-  mutable work : string list;
-      (* GC work list: the keys with >= 2 versions that are not parked, each
+  mutable work : bucket list;
+      (* GC work list: the nodes with >= 2 versions that are not parked, each
          once.  A single-version key has nothing to collect.  The entry is
          on [t.busy] exactly when this is non-empty. *)
-  mutable parked : int; (* keys with >= 2 versions not on [work] *)
+  mutable parked : int; (* nodes with >= 2 versions not on [work] *)
+  mutable listed : bool; (* on [t.parked_in] *)
   mutable bytes : int; (* [version_bytes] of every version held: its share of [t.bytes] *)
 }
 
@@ -24,6 +36,9 @@ type t = {
   mutable bytes : int;
   outcomes : (int, Lsn.Outcome.t) Hashtbl.t; (* txn -> outcome *)
   mutable busy : entry list; (* the entries with a non-empty work list *)
+  mutable parked_in : entry list;
+      (* Every entry with parked keys, and entries whose last parked key
+         left since the last wake ([listed] is true exactly for these). *)
   mutable waited : Bytes.t;
       (* Bit per txn id: set when a key parks on it, cleared by the wake scan
          its commit triggers.  A stale bit only costs a scan. *)
@@ -37,6 +52,7 @@ let create () =
     bytes = 0;
     outcomes = Hashtbl.create 64;
     busy = [];
+    parked_in = [];
     waited = Bytes.empty;
   }
 
@@ -45,18 +61,33 @@ let entry_of t block =
   | Some e -> e
   | None ->
     let e =
-      { keys = Hashtbl.create 8; stored_checksum = 0; work = []; parked = 0; bytes = 0 }
+      {
+        slots = Array.make 8 Empty;
+        nkeys = 0;
+        stored_checksum = 0;
+        work = [];
+        parked = 0;
+        listed = false;
+        bytes = 0;
+      }
     in
     Block_id.Tbl.add t.table block e;
     e
 
-let push_work t e key =
+let push_work t e node =
   (match e.work with [] -> t.busy <- e :: t.busy | _ :: _ -> ());
-  e.work <- key :: e.work
+  e.work <- node :: e.work
 
-let unpark t e key =
+let park t e =
+  e.parked <- e.parked + 1;
+  if not e.listed then begin
+    e.listed <- true;
+    t.parked_in <- e :: t.parked_in
+  end
+
+let unpark t e node =
   e.parked <- e.parked - 1;
-  push_work t e key
+  push_work t e node
 
 let version_bytes key v =
   String.length key
@@ -67,8 +98,9 @@ let is_multi = function _ :: _ :: _ -> true | [] | [ _ ] -> false
 
 (* One key's term of the block checksum: a digest of its newest version,
    folded a word at a time.  [head_term] starts from the key already folded
-   ([key_mix]), so [rechain]'s two terms fold the key once.  A delete folds
-   -1 where a value's length would go, which no string has. *)
+   ([key_mix]), which also picks the key's slot, so a write folds its key
+   once.  A delete folds -1 where a value's length would go, which no
+   string has. *)
 let key_mix key = Simcore.Bits.mix_add_string Simcore.Bits.mix_seed key
 
 let head_term hk = function
@@ -84,20 +116,62 @@ let head_term hk = function
 
 let head_hash key = function [] -> 0 | vs -> head_term (key_mix key) vs
 
-(* Digest of the current (newest-version-per-key) contents.  Combining with
-   an order-independent sum keeps it stable across hash-table iteration
-   order, and lets a legitimate write swap its key's term in O(1) (integer
-   wrap-around keeps the swap exact). *)
-let compute_checksum e =
-  Hashtbl.fold (fun key versions acc -> acc + head_hash key versions) e.keys 0
+(* ---- The key table ---- *)
 
-(* Every legitimate rewrite of a key's chain passes through here.  Only the
+let slot slots hk = Simcore.Bits.mix_finish hk land (Array.length slots - 1)
+
+(* [key]'s node in one bucket, or [Empty]. *)
+let rec find key = function
+  | Empty -> Empty
+  | Node n as node -> if String.equal n.key key then node else find key n.next
+
+(* Double the slots, as [Hashtbl] does, at two keys per slot. *)
+let grow e =
+  let slots = Array.make (2 * Array.length e.slots) Empty in
+  let rec move = function
+    | Empty -> ()
+    | Node n as node ->
+      let next = n.next in
+      let i = slot slots (key_mix n.key) in
+      n.next <- slots.(i);
+      slots.(i) <- node;
+      move next
+  in
+  Array.iter move e.slots;
+  e.slots <- slots
+
+(* A new node for [key], which is in no bucket, at slot [i]. *)
+let add_node e i key vs =
+  let node = Node { key; vs; next = e.slots.(i) } in
+  e.slots.(i) <- node;
+  e.nkeys <- e.nkeys + 1;
+  if e.nkeys > 2 * Array.length e.slots then grow e;
+  node
+
+let fold_chains f e acc =
+  let rec bucket acc = function Empty -> acc | Node n -> bucket (f n.key n.vs acc) n.next in
+  Array.fold_left bucket acc e.slots
+
+let iter_nodes f e =
+  let rec bucket = function
+    | Empty -> ()
+    | Node n as node ->
+      f node;
+      bucket n.next
+  in
+  Array.iter bucket e.slots
+
+(* Digest of the current (newest-version-per-key) contents.  Combining with
+   an order-independent sum keeps it stable across table iteration order,
+   and lets a legitimate write swap its key's term in O(1) (integer
+   wrap-around keeps the swap exact). *)
+let compute_checksum e = fold_chains (fun key vs acc -> acc + head_hash key vs) e 0
+
+(* Every legitimate rewrite of a key's head passes through here.  Only the
    key's own term moves, so a corrupted head stays mismatched however many
    writes follow, until [load_snapshot] recomputes the sum. *)
-let rechain e key ~before after =
-  let hk = key_mix key in
-  e.stored_checksum <- e.stored_checksum - head_term hk before + head_term hk after;
-  after
+let rechain e hk ~before after =
+  e.stored_checksum <- e.stored_checksum - head_term hk before + head_term hk after
 
 (* Every version added ([dir] = 1) or dropped ([dir] = -1) moves the count,
    the store's byte total and the entry's share of it together. *)
@@ -107,22 +181,31 @@ let account t (e : entry) dir key v =
   t.bytes <- t.bytes + n;
   e.bytes <- e.bytes + n
 
-let rec drop_versions t e key = function
-  | [] -> ()
+(* Unaccount [vs]; [n] plus the versions dropped. *)
+let rec drop_versions t e key n = function
+  | [] -> n
   | v :: rest ->
     account t e (-1) key v;
-    drop_versions t e key rest
+    drop_versions t e key (n + 1) rest
 
-(* A write to a parked key can make it collectable: wake it. *)
+(* One hash finds the key's node, or the slot a new one goes in.  A write
+   to a parked key can make it collectable: wake it. *)
 let add_version t e key v =
-  let prior = match Hashtbl.find_opt e.keys key with Some l -> l | None -> [] in
-  Hashtbl.replace e.keys key (rechain e key ~before:prior (v :: prior));
-  (match prior with
-  | [] -> ()
-  | [ _ ] -> push_work t e key
-  | _ :: _ :: _ ->
-    if e.parked > 0 && not (List.exists (String.equal key) e.work) then
-      unpark t e key);
+  let hk = key_mix key in
+  let i = slot e.slots hk in
+  (match find key e.slots.(i) with
+  | Node n as node -> (
+    let prior = n.vs in
+    n.vs <- v :: prior;
+    rechain e hk ~before:prior n.vs;
+    match prior with
+    | [] -> ()
+    | [ _ ] -> push_work t e node
+    | _ :: _ :: _ -> if e.parked > 0 && not (List.memq node e.work) then unpark t e node)
+  | Empty ->
+    let vs = [ v ] in
+    rechain e hk ~before:[] vs;
+    ignore (add_node e i key vs : bucket));
   account t e 1 key v
 
 let apply t (r : Log_record.t) =
@@ -158,22 +241,28 @@ let rec waits_for txn = function
 
 (* A commit is the only outcome that can let a floor anchor on a version,
    so only a commit wakes the parked keys that wait on its transaction.
-   The bit says some key may; the scan visits the blocks holding parked
-   keys and finds them. *)
+   The bit says some key may; the scan visits the blocks on [t.parked_in]
+   that still hold parked keys, finds them, and keeps only the blocks that
+   still do. *)
 let note_outcome t txn lsn ~aborted =
   let id = Txn_id.to_int txn in
   Hashtbl.replace t.outcomes id (Lsn.Outcome.make lsn ~aborted);
   if (not aborted) && waits_on t id then begin
     clear_waited t id;
-    Block_id.Tbl.iter
-      (fun _ e ->
+    let listed = t.parked_in in
+    t.parked_in <- [];
+    List.iter
+      (fun e ->
         if e.parked > 0 then
-          Hashtbl.iter
-            (fun key vs ->
-              if waits_for txn vs && not (List.exists (String.equal key) e.work)
-              then unpark t e key)
-            e.keys)
-      t.table
+          iter_nodes
+            (fun node ->
+              match node with
+              | Node n when waits_for txn n.vs && not (List.memq node e.work) ->
+                unpark t e node
+              | Node _ | Empty -> ())
+            e;
+        if e.parked > 0 then t.parked_in <- e :: t.parked_in else e.listed <- false)
+      listed
   end
 
 let outcomes t =
@@ -185,7 +274,8 @@ let outcomes t =
 let versions t block ~key =
   match Block_id.Tbl.find_opt t.table block with
   | None -> []
-  | Some e -> ( match Hashtbl.find_opt e.keys key with Some l -> l | None -> [])
+  | Some e -> (
+    match find key e.slots.(slot e.slots (key_mix key)) with Node n -> n.vs | Empty -> [])
 
 let read_at t block ~key ~as_of ~exclude =
   let rec pick = function
@@ -199,7 +289,7 @@ let read_at t block ~key ~as_of ~exclude =
 let block_snapshot t block =
   match Block_id.Tbl.find_opt t.table block with
   | None -> []
-  | Some e -> Hashtbl.fold (fun key vs acc -> (key, vs) :: acc) e.keys []
+  | Some e -> fold_chains (fun key vs acc -> (key, vs) :: acc) e []
 
 (* One pass over the block's chains.  Chains are newest first by LSN, so the
    versions visible at [as_of] are a suffix, shared as is; only the heads
@@ -217,27 +307,35 @@ let image t block ~as_of =
       | vs -> vs
     in
     let entries =
-      Hashtbl.fold
-        (fun key vs acc ->
-          match visible key vs with [] -> acc | vs -> (key, vs) :: acc)
-        e.keys []
+      fold_chains
+        (fun key vs acc -> match visible key vs with [] -> acc | vs -> (key, vs) :: acc)
+        e []
     in
     (entries, e.bytes - !hidden)
 
 let load_snapshot t block snapshot =
   (* Remove existing accounting for the block, then install.  The old entry
-     may still be on [t.busy]; an empty work list makes GC pass it by. *)
+     may still be on [t.busy] and [t.parked_in]; an empty work list makes GC
+     pass it by, and no parked keys make a wake pass it by. *)
   (match Block_id.Tbl.find_opt t.table block with
   | None -> ()
   | Some e ->
-    Hashtbl.iter (drop_versions t e) e.keys;
+    ignore (fold_chains (fun key vs n -> drop_versions t e key n vs) e 0 : int);
     e.work <- [];
+    e.parked <- 0;
     Block_id.Tbl.remove t.table block);
   let e = entry_of t block in
   List.iter
     (fun (key, vs) ->
-      Hashtbl.replace e.keys key vs;
-      if is_multi vs then push_work t e key;
+      let i = slot e.slots (key_mix key) in
+      let node =
+        match find key e.slots.(i) with
+        | Node n as node ->
+          n.vs <- vs;
+          node
+        | Empty -> add_node e i key vs
+      in
+      if is_multi vs then push_work t e node;
       List.iter
         (fun v ->
           account t e 1 key v;
@@ -263,23 +361,26 @@ let repair t block snapshot =
 let rollback_above t bound =
   let dropped = ref 0 in
   t.busy <- [];
+  t.parked_in <- [];
   Block_id.Tbl.iter
     (fun _ e ->
       e.work <- [];
       e.parked <- 0;
-      Hashtbl.filter_map_inplace
-        (fun key vs ->
-          let keep =
-            match List.partition (fun v -> Lsn.(v.lsn <= bound)) vs with
-            | _, [] -> vs
+      e.listed <- false;
+      iter_nodes
+        (fun node ->
+          match node with
+          | Empty -> ()
+          | Node n ->
+            let vs = n.vs in
+            (match List.partition (fun v -> Lsn.(v.lsn <= bound)) vs with
+            | _, [] -> ()
             | keep, drop ->
-              dropped := !dropped + List.length drop;
-              drop_versions t e key drop;
-              rechain e key ~before:vs keep
-          in
-          if is_multi keep then push_work t e key;
-          Some keep)
-        e.keys)
+              dropped := drop_versions t e n.key !dropped drop;
+              n.vs <- keep;
+              rechain e (key_mix n.key) ~before:vs keep);
+            if is_multi n.vs then push_work t e node)
+        e)
     t.table;
   if Lsn.(t.applied > bound) then t.applied <- bound;
   !dropped
@@ -287,31 +388,46 @@ let rollback_above t bound =
 let gc t ~keep_at_or_above =
   let dropped = ref 0 in
   let outcome v = Hashtbl.find_opt t.outcomes (Txn_id.to_int v.txn) in
+  (* [live]: a version of the kept chain other than its last has a commit
+     outcome, so the key cannot park (see [cut]). *)
+  let live = ref false in
   (* Versions older than the newest version at or below the floor whose
      transaction committed at or below it are unreachable by any legal read
      view.  Versions of transactions whose outcome this segment does not
      know are kept (conservative: an in-flight or elsewhere-committed
      transaction must not lose its data, and an aborted one must not anchor
-     the cut).  [below_cut] is the collectable tail of a chain, [[]] when
-     nothing is. *)
-  let anchors v =
-    match outcome v with
-    | Some o -> (not (Lsn.Outcome.aborted o)) && Lsn.(Lsn.Outcome.lsn o <= keep_at_or_above)
-    | None -> false
-  in
-  let rec below_cut = function
+     the cut).  [cut key e vs] drops the collectable tail of [vs] and
+     returns the kept prefix, [vs] itself when nothing goes.
+
+     Only a non-last kept version can anchor a later cut, so the same walk
+     sets [live] when one of those has a commit outcome.  With none, no
+     floor can collect the chain until a write or a commit changes it: the
+     key parks.  An outcome is looked up only where one of the two
+     decisions needs it. *)
+  let rec cut key e = function
     | [] -> []
-    | v :: rest ->
-      if Lsn.(v.lsn <= keep_at_or_above) && anchors v then rest else below_cut rest
-  in
-  (* Only a non-last version can anchor a cut.  With none committed, no
-     floor can collect the chain until a write or a commit changes it. *)
-  let rec parkable = function
-    | [] | [ _ ] -> true
-    | v :: rest -> (
-      match outcome v with
-      | Some o when not (Lsn.Outcome.aborted o) -> false
-      | Some _ | None -> parkable rest)
+    | v :: rest as vs -> (
+      let o =
+        match rest with
+        | _ :: _ when not !live -> outcome v
+        | _ -> if Lsn.(v.lsn <= keep_at_or_above) then outcome v else None
+      in
+      match o with
+      | Some o
+        when (not (Lsn.Outcome.aborted o))
+             && Lsn.(v.lsn <= keep_at_or_above)
+             && Lsn.(Lsn.Outcome.lsn o <= keep_at_or_above) -> (
+        match rest with
+        | [] -> vs
+        | _ :: _ ->
+          dropped := drop_versions t e key !dropped rest;
+          [ v ])
+      | Some _ | None ->
+        (match (o, rest) with
+        | Some o, _ :: _ when not (Lsn.Outcome.aborted o) -> live := true
+        | _ -> ());
+        let kept = cut key e rest in
+        if kept == rest then vs else v :: kept)
   in
   let rec wait_on = function
     | [] | [ _ ] -> ()
@@ -319,29 +435,21 @@ let gc t ~keep_at_or_above =
       set_waited t (Txn_id.to_int v.txn);
       wait_on rest
   in
-  (* Collect [key]'s tail; whether the key stays on the work list. *)
-  let visit e key =
-    let vs = Hashtbl.find e.keys key in
-    let kept =
-      match below_cut vs with
-      | [] -> vs
-      | old ->
-        let n_old = List.length old in
-        dropped := !dropped + n_old;
-        drop_versions t e key old;
-        let n_kept = List.length vs - n_old in
-        let kept = List.filteri (fun i _ -> i < n_kept) vs in
-        (* The head always survives the cut, so the checksum is unchanged. *)
-        Hashtbl.replace e.keys key kept;
-        kept
-    in
-    if not (is_multi kept) then false
-    else if parkable kept then begin
-      wait_on kept;
-      e.parked <- e.parked + 1;
-      false
-    end
-    else true
+  (* Collect a node's tail; whether it stays on the work list.  The head
+     always survives the cut, so the checksum is unchanged. *)
+  let visit e = function
+    | Empty -> false
+    | Node n ->
+      live := false;
+      let kept = cut n.key e n.vs in
+      if kept != n.vs then n.vs <- kept;
+      if not (is_multi kept) then false
+      else if !live then true
+      else begin
+        wait_on kept;
+        park t e;
+        false
+      end
   in
   let busy = t.busy in
   t.busy <- [];
@@ -359,37 +467,32 @@ let blocks t = Block_id.Tbl.fold (fun b _ acc -> b :: acc) t.table []
 let version_count t = t.nversions
 let bytes_used t = t.bytes
 
-(* The victim is the first non-empty newest value; an empty one cannot
-   change without changing its length (and so [bytes_used]).  Adding one to
-   the first byte, rather than flipping a bit, means a second corruption of
-   the same head cannot undo the first. *)
+(* The victim is the first non-empty newest value in table order; an empty
+   one cannot change without changing its length (and so [bytes_used]).
+   Adding one to the first byte, rather than flipping a bit, means a second
+   corruption of the same head cannot undo the first. *)
 let corrupt t block =
   match Block_id.Tbl.find_opt t.table block with
   | None -> false
   | Some e ->
-    let victim =
-      Hashtbl.fold
-        (fun key vs acc ->
-          match (acc, vs) with
-          | Some _, _ -> acc
-          | None, { value = Some s; _ } :: _ when String.length s > 0 -> Some key
-          | None, _ -> None)
-        e.keys None
-    in
-    (match victim with
-    | None -> false
-    | Some key ->
-      (match Hashtbl.find e.keys key with
-      | ({ value = Some s; _ } as v) :: rest ->
-        let b = Bytes.of_string s in
-        Bytes.set b 0 (Char.chr ((Char.code (Bytes.get b 0) + 1) land 0xff));
-        (* Swap in an altered copy (the version itself is shared with the
-           record and with peers) and deliberately leave stored_checksum
-           stale. *)
-        Hashtbl.replace e.keys key
-          ({ v with value = Some (Bytes.to_string b) } :: rest);
-        true
-      | _ -> false))
+    let victim = ref Empty in
+    iter_nodes
+      (fun node ->
+        match (!victim, node) with
+        | Empty, Node { vs = { value = Some s; _ } :: _; _ } when String.length s > 0 ->
+          victim := node
+        | _ -> ())
+      e;
+    (match !victim with
+    | Node ({ vs = ({ value = Some s; _ } as v) :: rest; _ } as n) ->
+      let b = Bytes.of_string s in
+      Bytes.set b 0 (Char.chr ((Char.code (Bytes.get b 0) + 1) land 0xff));
+      (* Swap in an altered copy (the version itself is shared with the
+         record and with peers) and deliberately leave stored_checksum
+         stale. *)
+      n.vs <- { v with value = Some (Bytes.to_string b) } :: rest;
+      true
+    | Node _ | Empty -> false)
 
 let verify t block =
   match Block_id.Tbl.find_opt t.table block with

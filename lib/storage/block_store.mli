@@ -32,8 +32,18 @@
     collect from them, and its index (below) is woken by them, so the two
     cannot disagree.
 
+    {b Key table.}  Each block keeps its keys in a chained hash table of
+    this module's own, whose bucket nodes hold the version chains in a
+    mutable field.  A write hashes its key once, with the word mix its
+    checksum term starts from, and conses onto the node in place (on a miss
+    it links a new node into the slot it already computed).  The slots
+    double at two keys per slot.  The table's iteration order is its own
+    and nothing may depend on it: the entry order of {!block_snapshot} and
+    {!image}, and {!corrupt}'s choice of victim, follow it.
+
     {b GC index.}  Each block keeps a work list of the keys {!gc} must
-    visit.  A key with one version is on no list: it has nothing to
+    visit, as their table nodes, so a visit or a wake rewrites a chain
+    without a lookup.  A key with one version is on no list: it has nothing to
     collect.  A key with two or more versions is on its block's work list
     unless it is {e parked}: {!gc} parks a key when none of its non-last
     versions has a commit outcome, since only such a version can anchor a
@@ -41,7 +51,8 @@
     on the work list when {!apply} adds a version to it, or when
     {!note_outcome} records a commit for a transaction that wrote one of
     its non-last versions.  {!rollback_above} and {!load_snapshot} put
-    every multi-version key they rebuild back on the work list. *)
+    every multi-version key they rebuild back on the work list.  The store
+    lists the blocks holding parked keys, so a wake visits only those. *)
 
 type version = Wal.Log_record.version = {
   value : string option;  (** [None] encodes a delete. *)

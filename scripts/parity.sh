@@ -16,8 +16,12 @@
 # experiment (e9) at seed 2.  For each cluster workload of the benchmark it
 # also runs `perfbench.exe --workload W --seed 1 --smoke` and compares only
 # its simulated rows (net.bytes_per_commit, net.msgs_per_commit,
-# simcore.events_per_commit and every sim_*_us), which a change that keeps
-# the simulation's behaviour leaves byte-identical; wall-clock rows are
+# simcore.events_per_commit and every sim_*_us), then the same run with
+# --trace and compares only the counts the traced run adds (the storage
+# rows versions_per_key, bytes_per_user_byte, hot_log_records and
+# gossip_fill_ratio, timer.events_per_commit and every
+# handler.*.calls_per_commit).  A change that keeps the simulation's
+# behaviour leaves all of these byte-identical; wall-clock rows are
 # dropped.
 # `exp all` takes a few minutes per side, so this is not part of check.sh.
 set -eu
@@ -64,10 +68,12 @@ there=$work/tree/_build/default
   echo "exp e9 --seed 2"
   for workload in commit_long read_replica pg_fanout; do
     echo "perfbench --workload $workload --seed 1 --smoke"
+    echo "perfbench --workload $workload --seed 1 --smoke --trace"
   done
 } > "$work/cases"
 
-# The simulated rows of a perfbench result line, one "name value" a line.
+# The simulated rows of a perfbench result line, one "name value" a line:
+# the sim rows of every run, and the counts only a traced run prints.
 sim_rows() {
   python3 -c '
 import json, sys
@@ -75,7 +81,11 @@ lines = sys.stdin.read().strip().splitlines()
 metrics = json.loads(lines[-1])["metrics"] if lines else {}
 for name in sorted(metrics):
     if name.startswith("sim_") or name in (
-        "net.bytes_per_commit", "net.msgs_per_commit", "simcore.events_per_commit"):
+        "net.bytes_per_commit", "net.msgs_per_commit", "simcore.events_per_commit",
+        "storage.versions_per_key", "storage.bytes_per_user_byte",
+        "storage.hot_log_records", "storage.gossip_fill_ratio",
+        "timer.events_per_commit") or (
+        name.startswith("handler.") and name.endswith(".calls_per_commit")):
         print(name, metrics[name])
 '
 }
@@ -83,7 +93,7 @@ for name in sorted(metrics):
 # One side, given its dune build directory: every case in order, run inside
 # $dir, case i's stdout and exit status in $dir/i.out, followed by the
 # trace.json it wrote, if any.  A `perfbench` case runs the side's
-# perfbench.exe and keeps its simulated rows.  The two sides run
+# perfbench.exe and keeps its simulated rows and counts.  The two sides run
 # concurrently.
 run_side() {
   build=$1 dir=$2
