@@ -1,23 +1,36 @@
-type t = { mutable state : int64 }
+(* SplitMix64.  The state is an 8-byte buffer rather than a mutable
+   [int64] field: a field holds a boxed [int64], so every draw would
+   allocate a fresh box, while [Bytes.get_int64_le]/[set_int64_le] read
+   and write it unboxed.  With the samplers below marked [@inline], a
+   draw that returns an int or a bool allocates nothing, and one that
+   returns a float allocates only the float it returns (dune's default
+   profile compiles with [-opaque], so nothing inlines across modules). *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let split t = { state = bits64 t }
-let copy t = { state = t.state }
+let[@inline] bits64 t =
+  let s = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 s;
+  mix64 s
+
+let split t = of_state (bits64 t)
+let copy t = Bytes.copy t
 
 (* Non-negative 62-bit int from the top bits: safe on 64-bit OCaml ints. *)
-let positive_int t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
+let[@inline] positive_int t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
 
 (* Rejection sampling to avoid modulo bias. *)
 let rec draw_below t limit bound =
@@ -33,27 +46,27 @@ let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let unit_float t =
+let[@inline] unit_float t =
   (* 53 random bits over [0,1). *)
   let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
   float_of_int v /. 9007199254740992.0
 
 let float t bound = unit_float t *. bound
 let bool t = Int64.logand (bits64 t) 1L = 1L
-let bernoulli t p = unit_float t < p
+let[@inline] bernoulli t p = unit_float t < p
 
 let exponential t ~mean =
   if mean <= 0. then invalid_arg "Rng.exponential: mean must be positive";
   let u = 1.0 -. unit_float t in
   -.mean *. log u
 
-let gaussian t ~mu ~sigma =
+let[@inline] gaussian t ~mu ~sigma =
   let u1 = 1.0 -. unit_float t in
   let u2 = unit_float t in
   let r = sqrt (-2.0 *. log u1) in
   mu +. (sigma *. r *. cos (2.0 *. Float.pi *. u2))
 
-let lognormal t ~mu ~sigma = exp (gaussian t ~mu ~sigma)
+let[@inline] lognormal t ~mu ~sigma = exp (gaussian t ~mu ~sigma)
 
 let pareto t ~scale ~shape =
   if scale <= 0. || shape <= 0. then invalid_arg "Rng.pareto";

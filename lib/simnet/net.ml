@@ -31,11 +31,21 @@ type phase = Sent | Delivered | Dropped of drop_cause
    distinguish partition loss from pinpoint blocks. *)
 type sever = Open | Direct | Part
 
-(* Everything about one directed link: its delivery counters and its
-   fault state, so [send] finds all of it with one lookup and the
-   delivery closure carries the record itself.  Records are never
-   removed ([reset_stats] zeroes the counters in place). *)
-type link = {
+(* Everything the per-message path needs about one address.  Records are
+   never removed: [set_up] and a slowdown of 1.0 reset the fields. *)
+type 'msg endpoint = {
+  addr : Addr.t;
+  mutable handler : ('msg envelope -> unit) option;
+  mutable up : bool;
+  mutable slow : float;  (* latency multiplier, 1.0 = normal *)
+}
+
+(* Everything about one directed link: its delivery counters, its fault
+   state, both endpoints and its resolved route, so [send] finds all of
+   it with one lookup and the delivery closure carries the record
+   itself.  Records are never removed ([reset_stats] zeroes the counters
+   in place). *)
+type 'msg link = {
   mutable l_sent : int;
   mutable l_delivered : int;
   mutable l_down : int;
@@ -45,6 +55,12 @@ type link = {
   mutable sever : sever;
   mutable drop : float option;  (* per-link drop probability *)
   mutable latency : Distribution.t option;  (* per-link override *)
+  src_ep : 'msg endpoint;
+  dst_ep : 'msg endpoint;
+  mutable route : Distribution.t;
+      (* [latency], else [latency_fn], else the default; valid while
+         [route_gen] equals the net's [route_gen] *)
+  mutable route_gen : int;
 }
 
 (* Keyed by the packed (src, dst) int of [key].  Its low 31 bits are [dst]
@@ -84,12 +100,11 @@ type 'msg t = {
   sim : Sim.t;
   rng : Rng.t;
   default_latency : Distribution.t;
-  handlers : ('msg envelope -> unit) Addr.Tbl.t;
+  endpoints : 'msg endpoint Addr.Tbl.t;
   mutable latency_fn : Addr.t -> Addr.t -> Distribution.t option;
+  mutable route_gen : int;  (* bumped by [set_latency_fn] *)
   mutable global_drop : float;
-  slowdown : float Addr.Tbl.t;
-  down : unit Addr.Tbl.t;
-  links : link Links.t;
+  links : 'msg link Links.t;
   mutable recorder : (phase -> src:Addr.t -> dst:Addr.t -> 'msg -> unit) option;
   totals : totals;
 }
@@ -100,11 +115,10 @@ let create ~sim ~rng ~default_latency ?obs () =
       sim;
       rng;
       default_latency;
-      handlers = Addr.Tbl.create 64;
+      endpoints = Addr.Tbl.create 64;
       latency_fn = (fun _ _ -> None);
+      route_gen = 0;
       global_drop = 0.;
-      slowdown = Addr.Tbl.create 16;
-      down = Addr.Tbl.create 16;
       links = Links.create 64;
       recorder = None;
       totals =
@@ -148,8 +162,18 @@ let key a b = (Addr.to_int a lsl 31) lor Addr.to_int b
 let key_src k = k lsr 31
 let key_dst k = k land 0x7FFF_FFFF
 
-let register t addr handler = Addr.Tbl.replace t.handlers addr handler
+let endpoint_of t addr =
+  match Addr.Tbl.find t.endpoints addr with
+  | ep -> ep
+  | exception Not_found ->
+    let ep = { addr; handler = None; up = true; slow = 1.0 } in
+    Addr.Tbl.replace t.endpoints addr ep;
+    ep
 
+let register t addr handler = (endpoint_of t addr).handler <- Some handler
+
+(* A new link's [route_gen] of -1 never matches the net's, so its first
+   message resolves the route. *)
 let link_of t src dst =
   let k = key src dst in
   match Links.find t.links k with
@@ -158,23 +182,35 @@ let link_of t src dst =
     let l =
       { l_sent = 0; l_delivered = 0; l_down = 0; l_blocked = 0;
         l_partition = 0; l_random = 0; sever = Open; drop = None;
-        latency = None }
+        latency = None; src_ep = endpoint_of t src; dst_ep = endpoint_of t dst;
+        route = t.default_latency; route_gen = -1 }
     in
     Links.replace t.links k l;
     l
 
-let set_link_latency t ~src ~dst dist = (link_of t src dst).latency <- Some dist
-let set_latency_fn t f = t.latency_fn <- f
+let set_link_latency t ~src ~dst dist =
+  let l = link_of t src dst in
+  l.latency <- Some dist;
+  l.route_gen <- -1
+
+let set_latency_fn t f =
+  t.latency_fn <- f;
+  t.route_gen <- t.route_gen + 1
+
 let set_drop_probability t p = t.global_drop <- p
 let set_link_drop t ~src ~dst p = (link_of t src dst).drop <- Some p
 
 let set_node_slowdown t addr factor =
   if factor <= 0. then invalid_arg "Net.set_node_slowdown: non-positive";
-  Addr.Tbl.replace t.slowdown addr factor
+  (endpoint_of t addr).slow <- factor
 
-let set_down t addr = Addr.Tbl.replace t.down addr ()
-let set_up t addr = Addr.Tbl.remove t.down addr
-let is_down t addr = Addr.Tbl.mem t.down addr
+let set_down t addr = (endpoint_of t addr).up <- false
+let set_up t addr = (endpoint_of t addr).up <- true
+
+let is_down t addr =
+  match Addr.Tbl.find t.endpoints addr with
+  | ep -> not ep.up
+  | exception Not_found -> false
 
 let sever_both t cause a b =
   (link_of t a b).sever <- cause;
@@ -197,23 +233,23 @@ let partition t sa sb =
 let heal_partition t sa sb =
   Addr.Set.iter (fun a -> Addr.Set.iter (fun b -> unblock t a b) sb) sa
 
-let latency_for t ~src ~dst l =
-  match l.latency with
-  | Some d -> d
-  | None -> (
-    match t.latency_fn src dst with
-    | Some d -> d
-    | None -> t.default_latency)
+let route t (l : _ link) =
+  if l.route_gen <> t.route_gen then begin
+    l.route <-
+      (match l.latency with
+      | Some d -> d
+      | None -> (
+        match t.latency_fn l.src_ep.addr l.dst_ep.addr with
+        | Some d -> d
+        | None -> t.default_latency));
+    l.route_gen <- t.route_gen
+  end;
+  l.route
 
 let drop_probability t l =
   match l.drop with
   | Some p -> Float.max p t.global_drop
   | None -> t.global_drop
-
-let slow_factor t addr =
-  match Addr.Tbl.find t.slowdown addr with
-  | f -> f
-  | exception Not_found -> 1.0
 
 let stats t =
   let tl = t.totals in
@@ -297,27 +333,29 @@ let note_drop t link cause =
 
 (* Top-level (not a per-send closure): drop bookkeeping fires on both the
    send-time and delivery-time fault checks. *)
-let drop_now t link ~src ~dst cause msg =
+let drop_now t link cause msg =
   note_drop t link cause;
-  record t (Dropped cause) ~src ~dst msg
+  record t (Dropped cause) ~src:link.src_ep.addr ~dst:link.dst_ep.addr msg
 
-let deliver t link ~src ~dst ~sent_at ~bytes msg =
+let deliver t link ~sent_at ~bytes msg =
   (* Down / blocked state is re-checked at delivery: a node that crashed
      while the message was in flight never sees it.  An unregistered
      destination counts as down. *)
-  if is_down t dst then drop_now t link ~src ~dst Down msg
+  let dst_ep = link.dst_ep in
+  if not dst_ep.up then drop_now t link Down msg
   else
     match link.sever with
-    | Direct -> drop_now t link ~src ~dst Blocked msg
-    | Part -> drop_now t link ~src ~dst Partitioned msg
+    | Direct -> drop_now t link Blocked msg
+    | Part -> drop_now t link Partitioned msg
     | Open -> (
-      match Addr.Tbl.find t.handlers dst with
-      | exception Not_found -> drop_now t link ~src ~dst Down msg
-      | handler ->
+      match dst_ep.handler with
+      | None -> drop_now t link Down msg
+      | Some handler ->
         let tl = t.totals in
         tl.n_delivered <- tl.n_delivered + 1;
         tl.n_bytes_delivered <- tl.n_bytes_delivered + bytes;
         link.l_delivered <- link.l_delivered + 1;
+        let src = link.src_ep.addr and dst = dst_ep.addr in
         record t Delivered ~src ~dst msg;
         handler { src; dst; sent_at; bytes; msg })
 
@@ -331,17 +369,17 @@ let send t ~src ~dst ?(bytes = 64) msg =
   (* The drop draw happens only when no endpoint fault applies, and before
      the latency sample: this order is part of the RNG stream, so changing
      it changes every seeded run. *)
-  if is_down t src then drop_now t link ~src ~dst Down msg
+  if not link.src_ep.up then drop_now t link Down msg
   else
     match link.sever with
-    | Direct -> drop_now t link ~src ~dst Blocked msg
-    | Part -> drop_now t link ~src ~dst Partitioned msg
+    | Direct -> drop_now t link Blocked msg
+    | Part -> drop_now t link Partitioned msg
     | Open ->
       if Rng.bernoulli t.rng (drop_probability t link) then
-        drop_now t link ~src ~dst Random msg
+        drop_now t link Random msg
       else begin
-        let base = Distribution.sample (latency_for t ~src ~dst link) t.rng in
-        let factor = slow_factor t src *. slow_factor t dst in
+        let base = Distribution.sample (route t link) t.rng in
+        let factor = link.src_ep.slow *. link.dst_ep.slow in
         let delay =
           if factor = 1.0 then base
           else int_of_float (factor *. float_of_int base)
@@ -349,5 +387,5 @@ let send t ~src ~dst ?(bytes = 64) msg =
         let sent_at = Sim.now t.sim in
         ignore
           (Sim.schedule t.sim ~delay (fun () ->
-               deliver t link ~src ~dst ~sent_at ~bytes msg))
+               deliver t link ~sent_at ~bytes msg))
       end

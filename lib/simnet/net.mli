@@ -15,11 +15,16 @@
     - slow nodes: multiplicative latency factor per node (e.g. a storage
       node hit by background work, used by the hedged-read experiment).
 
-    Each directed link a message or a setter has touched has one record
+    The net keeps one record per address and one per link.  An address's
+    record holds its handler, whether it is down and its slowdown factor.
+    Each directed link a message or a setter has touched has a record
     holding its {!link_stat} counters, its sever cause ({!block} or
-    {!partition}), its drop probability and its latency override.  So
-    {!send} costs one link lookup, and delivery none: the in-flight
-    message carries the record. *)
+    {!partition}), its drop probability, its latency override, both
+    endpoints' records and its resolved latency distribution.  So {!send}
+    costs one link lookup, and delivery none: the in-flight message
+    carries the link record.  Setters change the records in place, so a
+    change reaches the next message on every link, including links that
+    have already carried messages. *)
 
 type 'msg t
 
@@ -63,7 +68,9 @@ val sim : 'msg t -> Simcore.Sim.t
 
 val register : 'msg t -> Addr.t -> ('msg envelope -> unit) -> unit
 (** Install the delivery handler for an address (replacing any previous
-    one — a restarted process re-registers). *)
+    one — a restarted process re-registers).  The handler in place when a
+    message arrives receives it, including a message already in flight
+    when [register] was called. *)
 
 val send : 'msg t -> src:Addr.t -> dst:Addr.t -> ?bytes:int -> 'msg -> unit
 (** Fire-and-forget.  [bytes] (default 64) feeds traffic accounting — the
@@ -75,8 +82,11 @@ val set_link_latency :
 
 val set_latency_fn :
   'msg t -> (Addr.t -> Addr.t -> Simcore.Distribution.t option) -> unit
-(** Bulk link model (e.g. by AZ distance); consulted before per-link
-    overrides fall back to the default. *)
+(** Bulk link model (e.g. by AZ distance).  A per-link override
+    ({!set_link_latency}) wins over it, and [None] falls back to the
+    default.  It is consulted once per link after each call, when the link
+    next samples a latency, and the answer is kept: for a given address
+    pair it must keep giving the same answer while it is installed. *)
 
 val set_drop_probability : 'msg t -> float -> unit
 (** Global iid drop probability applied to every message. *)
@@ -84,11 +94,15 @@ val set_drop_probability : 'msg t -> float -> unit
 val set_link_drop : 'msg t -> src:Addr.t -> dst:Addr.t -> float -> unit
 
 val set_node_slowdown : 'msg t -> Addr.t -> float -> unit
-(** Latency multiplier for all traffic to/from the node (1.0 = normal). *)
+(** Latency multiplier for all traffic to/from the node (1.0 = normal).
+    Source and destination factors multiply; a change applies to every
+    message sent after it. *)
 
 val set_down : 'msg t -> Addr.t -> unit
 val set_up : 'msg t -> Addr.t -> unit
+
 val is_down : 'msg t -> Addr.t -> bool
+(** [false] for an address the net has never seen. *)
 
 val block : 'msg t -> Addr.t -> Addr.t -> unit
 (** Sever both directions between two addresses.  Drops on the link count

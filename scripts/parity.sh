@@ -11,7 +11,9 @@
 # status): smoke --json at seed 7 and at seed 1 with 4 PGs, obs --json at
 # seed 3 (bare and with a 200-entry recorder tail), `vopr list`, the vopr
 # run digest of every listed scenario at seeds 1-3 (replica-reads-across-crash
-# also at seeds 4-6), explain pg:0 of writer-crash-recovery, the file
+# also at seeds 4-6), the generated nemesis schedule's digest at seeds 1-5
+# and 25 (slowdowns, crashes and AZ partitions drawn from the seed; 5 and
+# 25 once exposed a stream gap), explain pg:0 of writer-crash-recovery, the file
 # `trace-export` writes at seed 1, exp all at seed 1 and the replica
 # experiment (e9) at seed 2.  For each cluster workload of the benchmark it
 # also runs `perfbench.exe --workload W --seed 1 --smoke` and compares only
@@ -61,6 +63,9 @@ there=$work/tree/_build/default
   # More replica-read coverage: seeds 1-3 alone exercise few replica reads.
   for seed in 4 5 6; do
     echo "vopr run --scenario replica-reads-across-crash --seed $seed"
+  done
+  for seed in 1 2 3 4 5 25; do
+    echo "vopr run --nemesis --seed $seed"
   done
   echo "explain pg:0 --scenario writer-crash-recovery"
   echo "trace-export --txns 200 --seed 1 -o trace.json"

@@ -17,6 +17,47 @@ let test_rng_split_independent () =
   let c = Rng.split a in
   check_bool "split differs from parent" true (Rng.bits64 a <> Rng.bits64 c)
 
+(* The exact stream: every seeded run, golden file and repro digest
+   depends on these values, so a change to the generator's representation
+   must leave them as they are. *)
+let test_rng_stream_pinned () =
+  let check_stream msg expected rng =
+    Alcotest.(check (list int64)) msg expected
+      (List.init (List.length expected) (fun _ -> Rng.bits64 rng))
+  in
+  let a = Rng.create 42 in
+  let s = Rng.split (Rng.create 42) in
+  check_stream "create 42" [ 0x989B3F130A063869L; 0x290DB4BF2570DED7L;
+    0x2A990BE63A01B2D5L; 0x0C4B6B24EF01890EL; 0xFB16A06E52EC10A7L;
+    0x3C30FC5FD50692C3L; 0x4782C4B4C4FDF7C9L; 0x272404A0A3926552L ] a;
+  check_stream "split of create 42" [ 0x5599B3E06D073327L; 0xD6171D07A31128DFL;
+    0xED057BA08584C10BL; 0x9EA45BEEBEE33B1CL; 0xB0D03117CA5E86C7L;
+    0x1FEE6A4909479CCFL; 0xEDE4BCCE07480405L; 0x6B330122E9C444DBL ] s;
+  (* Floats compared bit for bit, as hexadecimal literals. *)
+  let r = Rng.create 42 in
+  let samples n f = List.init n (fun _ -> Printf.sprintf "%h" (f ())) in
+  Alcotest.(check (list string)) "gaussian"
+    [ "0x1.ae02c882122e4p+0"; "0x1.a4de33ba9ee26p+0"; "0x1.90cc647d3b1fp+0" ]
+    (samples 3 (fun () -> Rng.gaussian r ~mu:1.5 ~sigma:0.25));
+  Alcotest.(check (list string)) "lognormal"
+    [ "0x1.953dba79f980cp+4"; "0x1.4c202ab75a3acp+4"; "0x1.315c3507bb632p+5" ]
+    (samples 3 (fun () -> Rng.lognormal r ~mu:3.0 ~sigma:0.5));
+  Alcotest.(check (list string)) "exponential"
+    [ "0x1.cc79454294d3p+7"; "0x1.0c2de0a2a701dp+3"; "0x1.ef501506aff94p+1" ]
+    (samples 3 (fun () -> Rng.exponential r ~mean:100.))
+
+(* A copy owns its state: drawing from it leaves the original where it
+   was, and the two then draw the same values. *)
+let test_rng_copy_independent () =
+  let a = Rng.create 42 in
+  ignore (Rng.bits64 a : int64);
+  let c = Rng.copy a in
+  let from_copy = List.init 5 (fun _ -> Rng.bits64 c) in
+  Alcotest.(check int64) "original's next value unchanged" 0x290DB4BF2570DED7L
+    (Rng.bits64 a);
+  Alcotest.(check int64) "copy drew the same stream" 0x290DB4BF2570DED7L
+    (List.hd from_copy)
+
 let test_rng_int_bounds () =
   let rng = Rng.create 7 in
   for _ = 1 to 1000 do
@@ -569,6 +610,8 @@ let () =
         [
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
           Alcotest.test_case "split" `Quick test_rng_split_independent;
+          Alcotest.test_case "stream pinned" `Quick test_rng_stream_pinned;
+          Alcotest.test_case "copy independent" `Quick test_rng_copy_independent;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "bernoulli" `Quick test_rng_bernoulli;
