@@ -1,10 +1,12 @@
 (* SplitMix64.  The state is an 8-byte buffer rather than a mutable
    [int64] field: a field holds a boxed [int64], so every draw would
    allocate a fresh box, while [Bytes.get_int64_le]/[set_int64_le] read
-   and write it unboxed.  With the samplers below marked [@inline], a
-   draw that returns an int or a bool allocates nothing, and one that
-   returns a float allocates only the float it returns (dune's default
-   profile compiles with [-opaque], so nothing inlines across modules). *)
+   and write it unboxed.  The samplers below are marked [@inline], and
+   the default build (the release profile, without [-opaque]) inlines
+   them into callers in other modules, so a draw allocates nothing:
+   [unit_float] and a lognormal [Distribution.sample] called from another
+   module measured 2 minor words a draw when built with [-opaque] and 0
+   without (test/simcore, "draws allocate nothing"). *)
 type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L

@@ -30,6 +30,37 @@ if [ -n "$uncovered" ]; then
   exit 1
 fi
 
+# Build-profile gate: the default context is the build perfbench measures,
+# so it must compile libraries without -opaque (dev's -opaque stops every
+# cross-module inline), and every directory must see exactly the pinned
+# warning set of the root dune file, with no stanza overriding it.
+rng_cmx=_build/default/lib/simcore/.simcore.objs/native/simcore__Rng.cmx
+rng_rule=$(dune rules "$rng_cmx")
+if ! echo "$rng_rule" | grep -q -- 'ocamlopt'; then
+  echo "error: dune rules printed no ocamlopt command for $rng_cmx" >&2
+  exit 1
+fi
+if echo "$rng_rule" | grep -q -- '-opaque'; then
+  echo "error: the default build compiles lib/ with -opaque (is dune-workspace's profile release?)" >&2
+  exit 1
+fi
+pinned_flags='(flags (-w @1..3@5..28@30..39@43@46..47@49..57@61..62-40 -strict-sequence -strict-formats -short-paths -keep-locs -warn-error +32+33))'
+pinned_opt='(ocamlopt_flags (-g -inline 200))'
+for dir in $(find lib bin test bench perfbench -name dune -exec dirname {} \; | sort); do
+  env_flags=$(dune printenv "$dir" | tr -s ' \n' ' ')
+  for want in "$pinned_flags" "$pinned_opt"; do
+    case "$env_flags" in
+      *"$want"*) ;;
+      *) echo "error: dune printenv $dir does not print $want" >&2; exit 1 ;;
+    esac
+  done
+done
+stanza_flags=$(find lib bin test bench perfbench -name dune -exec grep -lE '\((flags|ocamlc_flags|ocamlopt_flags)([[:space:]]|$)' {} + || true)
+if [ -n "$stanza_flags" ]; then
+  echo "error: stanza-level flags override the root warning policy in:" $stanza_flags >&2
+  exit 1
+fi
+
 dune build @all
 
 # Static-analysis gate: aurora_lint walks every .ml/.mli under lib/ bin/

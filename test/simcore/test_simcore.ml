@@ -88,6 +88,48 @@ let test_rng_bernoulli () =
   let p = float_of_int !hits /. 10_000. in
   check_bool "p within 2%" true (abs_float (p -. 0.3) < 0.02)
 
+(* A draw on the message path allocates nothing once [Rng]'s [@inline]
+   samplers inline into their caller, here a module outside [simcore].  A
+   float-returning call that does not inline boxes its result: under
+   [--profile dev], which compiles libraries with [-opaque], [unit_float]
+   and a lognormal [Distribution.sample] read 2 words a draw and this test
+   fails by design.  Each loop calls the sampler directly: passing it as a
+   closure would stop the inlining the test is about. *)
+let alloc_draws = 1_000_000
+
+let words_per_draw w0 = (Gc.minor_words () -. w0) /. float_of_int alloc_draws
+
+let test_rng_draws_allocate_nothing () =
+  let rng = Rng.create 17 in
+  let sum = ref 0. in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to alloc_draws do
+    sum := !sum +. Rng.unit_float rng
+  done;
+  let unit_float_words = words_per_draw w0 in
+  let hits = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to alloc_draws do
+    if Rng.bernoulli rng 0.3 then incr hits
+  done;
+  let bernoulli_words = words_per_draw w0 in
+  let d = Distribution.lognormal ~median:(Time_ns.us 100) ~sigma:0.5 in
+  let total = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to alloc_draws do
+    total := !total + Distribution.sample d rng
+  done;
+  let lognormal_words = words_per_draw w0 in
+  check_bool "draws were made" true (!sum > 0. && !hits > 0 && !total > 0);
+  let samplers =
+    [ "Rng.unit_float"; "Rng.bernoulli"; "lognormal Distribution.sample" ]
+  in
+  Alcotest.(check (list (pair string (float 0.001))))
+    "minor words per draw"
+    (List.map (fun name -> (name, 0.)) samplers)
+    (List.combine samplers
+       [ unit_float_words; bernoulli_words; lognormal_words ])
+
 let test_rng_sample_without_replacement () =
   let rng = Rng.create 17 in
   let arr = Array.init 10 (fun i -> i) in
@@ -615,6 +657,8 @@ let () =
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "bernoulli" `Quick test_rng_bernoulli;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_rng_draws_allocate_nothing;
           Alcotest.test_case "sample without replacement" `Quick
             test_rng_sample_without_replacement;
         ] );
