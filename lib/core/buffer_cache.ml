@@ -12,13 +12,22 @@ type fill =
   | Image of (string * Storage.Block_store.version list) list
       (* authoritative, keys still in the image's list *)
 
+(* A block's keys, hashed with the word mix [Block_store]'s checksum
+   terms use: four bytes a step, no C call and no polymorphic compare. *)
+module Keys = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash k = Simcore.Bits.(mix_finish (mix_add_string mix_seed k))
+end)
+
 (* Every cached block sits on one circular doubly-linked list threaded
    through [prev]/[next], least recently used right after the sentinel,
    most recently used right before it.  List order is recency order, so no
    use stamp is kept. *)
 type cached_block = {
   block : Block_id.t;
-  mutable keys : (string, Storage.Block_store.version list) Hashtbl.t;
+  mutable keys : Storage.Block_store.version list Keys.t;
   mutable fill : fill;
   mutable last_lsn : Lsn.t;
   mutable prev : cached_block;
@@ -30,7 +39,7 @@ type stats = { hits : int; misses : int; evictions : int; eviction_blocked : int
 type t = {
   capacity : int;
   table : cached_block Block_id.Tbl.t;
-  unbuilt : (string, Storage.Block_store.version list) Hashtbl.t;
+  unbuilt : Storage.Block_store.version list Keys.t;
       (* the [keys] of every [Image] block: never written, never read *)
   lru : cached_block; (* sentinel: [lru.next] is the LRU block *)
   mutable hits : int;
@@ -54,7 +63,7 @@ let node block keys fill =
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Buffer_cache.create: capacity";
-  let unbuilt = Hashtbl.create 1 in
+  let unbuilt = Keys.create 1 in
   {
     capacity;
     table = Block_id.Tbl.create capacity;
@@ -87,7 +96,9 @@ type lookup =
   | Partial of Storage.Block_store.version list
   | Miss
 
-let chain_of keys key = match Hashtbl.find_opt keys key with Some l -> l | None -> []
+(* [find] and [Not_found] rather than [find_opt], which would box a [Some]
+   per hit. *)
+let chain_of keys key = match Keys.find keys key with l -> l | exception Not_found -> []
 
 (* An image holds each key once. *)
 let rec chain_in entries key =
@@ -142,8 +153,8 @@ let add t block keys fill =
 let keys_of entry =
   (match entry.fill with
   | Image entries ->
-    let keys = Hashtbl.create 8 in
-    List.iter (fun (key, versions) -> Hashtbl.replace keys key versions) entries;
+    let keys = Keys.create 8 in
+    List.iter (fun (key, versions) -> Keys.replace keys key versions) entries;
     entry.keys <- keys;
     entry.fill <- Built
   | Blind | Built -> ());
@@ -153,7 +164,7 @@ let apply_to_entry t entry (r : Log_record.t) =
   (match r.op with
   | Put { key; _ } | Delete { key } ->
     let keys = keys_of entry in
-    Hashtbl.replace keys key (r.version :: chain_of keys key)
+    Keys.replace keys key (r.version :: chain_of keys key)
   | Commit | Abort | Noop -> ());
   if Lsn.(r.lsn > entry.last_lsn) then entry.last_lsn <- r.lsn;
   touch t entry
@@ -162,7 +173,7 @@ let apply t r ~vdl =
   let entry =
     match Block_id.Tbl.find_opt t.table r.Log_record.block with
     | Some e -> e
-    | None -> add t r.Log_record.block (Hashtbl.create 8) Blind
+    | None -> add t r.Log_record.block (Keys.create 8) Blind
   in
   apply_to_entry t entry r;
   evict_pressure t ~vdl
@@ -206,7 +217,7 @@ let install t (img : Storage.Protocol.block_image) ~vdl =
             in
             newer @ versions
           in
-          Hashtbl.replace keys key merged;
+          Keys.replace keys key merged;
           entry.last_lsn <- newest_of merged entry.last_lsn)
         img.image_entries;
       entry.fill <- Built;

@@ -35,6 +35,15 @@ type pending = {
   mutable done_ : bool;
 }
 
+(* In-flight reads by request id, which counts up from 0: the id is its
+   own hash. *)
+module Reqs = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash r = r
+end)
+
 type t = {
   sim : Sim.t;
   rng : Rng.t;
@@ -42,7 +51,7 @@ type t = {
   my_addr : Simnet.Addr.t;
   strategy : strategy;
   ewma : Stats.Ewma.t Simnet.Addr.Tbl.t;
-  pendings : (int, pending) Hashtbl.t;
+  pendings : pending Reqs.t;
   mutable next_req : int;
   metrics : metrics;
   obs : Obs.Ctx.t option;
@@ -73,7 +82,7 @@ let create ~sim ~rng ~net ~my_addr ~strategy ?obs ?(obs_labels = []) () =
       my_addr;
       strategy;
       ewma = Simnet.Addr.Tbl.create 16;
-      pendings = Hashtbl.create 64;
+      pendings = Reqs.create 64;
       next_req = 0;
       metrics =
         {
@@ -151,7 +160,7 @@ let issue_next t p =
 let finish t p result =
   if not p.done_ then begin
     p.done_ <- true;
-    Hashtbl.remove t.pendings p.req;
+    Reqs.remove t.pendings p.req;
     (match result with
     | Ok _ ->
       Histogram.record_span t.metrics.latency p.started_at (Sim.now t.sim)
@@ -162,7 +171,7 @@ let finish t p result =
 let arm_hedge t p delay =
   ignore
     (Sim.schedule t.sim ~delay (fun () ->
-         if (not p.done_) && Hashtbl.mem t.pendings p.req then
+         if (not p.done_) && Reqs.mem t.pendings p.req then
            if issue_next t p then t.metrics.hedges <- t.metrics.hedges + 1))
 
 let read t ~pg ~candidates ~block ~as_of ~epochs ~callback =
@@ -188,7 +197,7 @@ let read t ~pg ~candidates ~block ~as_of ~epochs ~callback =
   in
   if ordered = [] then callback (Error "no candidate segments hold this block")
   else begin
-    Hashtbl.add t.pendings req p;
+    Reqs.add t.pendings req p;
     match t.strategy with
     | Direct_tracked { hedge_after; explore_probability } ->
       ignore (issue_next t p : bool);
@@ -211,7 +220,7 @@ let read t ~pg ~candidates ~block ~as_of ~epochs ~callback =
         incr issued
       done;
       if !issued < read_threshold then begin
-        Hashtbl.remove t.pendings req;
+        Reqs.remove t.pendings req;
         p.done_ <- true;
         callback (Error "not enough candidates for a read quorum")
       end
@@ -260,7 +269,7 @@ let get t ~cache ~volume ~read_point ?owner ~commit_scn ~candidates ~epochs
           callback (Ok (Read_view.value view ~commit_scn chain)))
 
 let on_reply t ~req ~seg ~from ~result =
-  match Hashtbl.find_opt t.pendings req with
+  match Reqs.find_opt t.pendings req with
   | None -> () (* hedged duplicate after completion, or dropped on crash *)
   | Some p -> (
     p.in_flight <- p.in_flight - 1;
@@ -284,9 +293,9 @@ let on_reply t ~req ~seg ~from ~result =
           (Error (Format.asprintf "all candidates failed: %a" Protocol.pp_read_error err)))
 
 let metrics t = t.metrics
-let outstanding t = Hashtbl.length t.pendings
+let outstanding t = Reqs.length t.pendings
 
 let floor t ~default =
-  Hashtbl.fold (fun _ p acc -> Lsn.min acc p.as_of) t.pendings default
+  Reqs.fold (fun _ p acc -> Lsn.min acc p.as_of) t.pendings default
 
-let drop_all t = Hashtbl.reset t.pendings
+let drop_all t = Reqs.reset t.pendings

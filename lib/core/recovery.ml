@@ -289,7 +289,7 @@ let finish t =
   (* Transaction outcomes come from the segments' durable status tables
      (union across fetched segments), filtered to at-or-below VCL: status
      records above the cut are annulled with the rest of the ragged edge. *)
-  let status_tbl = Hashtbl.create 256 in
+  let status_tbl = Txn_id.Tbl.create 256 in
   Pg_id.Tbl.iter
     (fun _ p ->
       match p.fetched with
@@ -299,17 +299,17 @@ let finish t =
           (fun (txn, lsn, is_abort) ->
             if Txn_id.compare txn !max_txn > 0 then max_txn := txn;
             if Lsn.(lsn <= vcl) then
-              match Hashtbl.find_opt status_tbl (Txn_id.to_int txn) with
+              match Txn_id.Tbl.find_opt status_tbl txn with
               | Some (prev_lsn, _) when Lsn.(prev_lsn >= lsn) -> ()
-              | _ -> Hashtbl.replace status_tbl (Txn_id.to_int txn) (lsn, is_abort))
+              | _ -> Txn_id.Tbl.replace status_tbl txn (lsn, is_abort))
           f.f_statuses)
     t.probes;
   let committed = ref [] in
   let aborted = ref [] in
-  Hashtbl.iter
+  Txn_id.Tbl.iter
     (fun txn (lsn, is_abort) ->
-      if is_abort then aborted := Txn_id.of_int txn :: !aborted
-      else committed := (Txn_id.of_int txn, lsn) :: !committed)
+      if is_abort then aborted := txn :: !aborted
+      else committed := (txn, lsn) :: !committed)
     status_tbl;
   let decided =
     Txn_id.Set.union

@@ -4,29 +4,29 @@ type status = Active | Committed of Lsn.t | Aborted
 
 type t = {
   alloc : Txn_id.Allocator.t;
-  table : (int, status) Hashtbl.t;
+  table : status Txn_id.Tbl.t;
 }
 
 let create () =
   {
     alloc = Txn_id.Allocator.create ();
-    table = Hashtbl.create 256;
+    table = Txn_id.Tbl.create 256;
   }
 
 let begin_txn t =
   let id = Txn_id.Allocator.take t.alloc in
-  Hashtbl.replace t.table (Txn_id.to_int id) Active;
+  Txn_id.Tbl.replace t.table id Active;
   id
 
-let register t id = Hashtbl.replace t.table (Txn_id.to_int id) Active
+let register t id = Txn_id.Tbl.replace t.table id Active
 let note_floor t id = Txn_id.Allocator.reset_above t.alloc id
-let status t id = Hashtbl.find_opt t.table (Txn_id.to_int id)
+let status t id = Txn_id.Tbl.find_opt t.table id
 
 let mark_committed t id ~scn =
-  Hashtbl.replace t.table (Txn_id.to_int id) (Committed scn)
+  Txn_id.Tbl.replace t.table id (Committed scn)
 
-let mark_aborted t id = Hashtbl.replace t.table (Txn_id.to_int id) Aborted
-let forget t id = Hashtbl.remove t.table (Txn_id.to_int id)
+let mark_aborted t id = Txn_id.Tbl.replace t.table id Aborted
+let forget t id = Txn_id.Tbl.remove t.table id
 
 let commit_scn t id =
   match status t id with
@@ -35,10 +35,10 @@ let commit_scn t id =
 
 (* Read-only commits are forgotten, so every SCN here is its own record's. *)
 let committed_upto t scn =
-  Hashtbl.fold
+  Txn_id.Tbl.fold
     (fun id status acc ->
       match status with
-      | Committed c when Lsn.(c <= scn) -> (Txn_id.of_int id, c) :: acc
+      | Committed c when Lsn.(c <= scn) -> (id, c) :: acc
       | Committed _ | Active | Aborted -> acc)
     t.table []
   |> List.sort (fun (_, x) (_, y) -> Lsn.compare x y)

@@ -2,10 +2,12 @@ open Wal
 open Quorum
 module Pg_id = Storage.Pg_id
 
-(* [full_roster]'s last answer and the two values it was derived from. *)
+(* [roster]'s and [full_roster]'s last answers and the two values they
+   were derived from. *)
 type roster_memo = {
   of_membership : Membership.t;
   of_addrs : Simnet.Addr.t Member_id.Map.t;
+  all : (Member_id.t * Simnet.Addr.t) list;
   full : (Member_id.t * Simnet.Addr.t) list;
 }
 
@@ -14,7 +16,7 @@ type pg = {
   mutable membership : Membership.t;
   mutable addr_of : Simnet.Addr.t Member_id.Map.t;
   mutable segment_tail : Lsn.t;
-  mutable full_memo : roster_memo option;
+  mutable memo : roster_memo option;
 }
 
 (* Block routing must be stable under volume growth: blocks written before
@@ -42,7 +44,7 @@ let make_pg (id, membership, addrs) =
         (fun acc (m, a) -> Member_id.Map.add m a acc)
         Member_id.Map.empty addrs;
     segment_tail = Lsn.none;
-    full_memo = None;
+    memo = None;
   }
 
 let create groups =
@@ -92,30 +94,36 @@ let epochs_for t pg =
 
 let rule pg = Membership.rule pg.membership
 
-let roster pg =
-  List.filter_map
-    (fun (m : Membership.member) ->
-      match Member_id.Map.find_opt m.id pg.addr_of with
-      | Some addr -> Some (m.id, addr)
-      | None -> None)
-    (Membership.members pg.membership)
-
-(* Every read miss asks for it, and it changes only with the membership or
-   the address map, each replaced, never mutated, when it changes. *)
-let full_roster pg =
-  match pg.full_memo with
-  | Some m when m.of_membership == pg.membership && m.of_addrs == pg.addr_of -> m.full
+(* Every boxcar flush asks for the roster and every read miss for its full
+   segments, and both change only with the membership or the address map,
+   each replaced, never mutated, when it changes. *)
+let rosters pg =
+  match pg.memo with
+  | Some m when m.of_membership == pg.membership && m.of_addrs == pg.addr_of -> m
   | Some _ | None ->
-    let full =
+    let members = Membership.members pg.membership in
+    let pick keep =
       List.filter_map
         (fun (m : Membership.member) ->
-          match (m.kind, Member_id.Map.find_opt m.id pg.addr_of) with
-          | Membership.Full, Some addr -> Some (m.id, addr)
-          | _ -> None)
-        (Membership.members pg.membership)
+          match Member_id.Map.find_opt m.id pg.addr_of with
+          | Some addr when keep m -> Some (m.id, addr)
+          | Some _ | None -> None)
+        members
     in
-    pg.full_memo <- Some { of_membership = pg.membership; of_addrs = pg.addr_of; full };
-    full
+    let m =
+      {
+        of_membership = pg.membership;
+        of_addrs = pg.addr_of;
+        all = pick (fun _ -> true);
+        full =
+          pick (fun m -> match m.kind with Membership.Full -> true | Membership.Tail -> false);
+      }
+    in
+    pg.memo <- Some m;
+    m
+
+let roster pg = (rosters pg).all
+let full_roster pg = (rosters pg).full
 
 let make_record t ~block ~txn ~mtr_id ~mtr_end ~op =
   let pg = pg_of_block t block in

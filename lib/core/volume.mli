@@ -24,10 +24,10 @@ type pg = {
   mutable membership : Membership.t;
   mutable addr_of : Simnet.Addr.t Member_id.Map.t;
   mutable segment_tail : Lsn.t;  (** Last LSN routed to this group. *)
-  mutable full_memo : roster_memo option;
-      (** {!full_roster}'s memo, valid while [membership] and [addr_of]
-          are the values it was computed from (compared physically), so
-          replacing either refreshes it. *)
+  mutable memo : roster_memo option;
+      (** {!roster}'s and {!full_roster}'s memo, valid while [membership]
+          and [addr_of] are the values it was computed from (compared
+          physically), so replacing either refreshes it. *)
 }
 
 type t
@@ -58,7 +58,8 @@ val rule : pg -> Quorum_set.Rule.t
 
 val roster : pg -> (Member_id.t * Simnet.Addr.t) list
 (** Every member currently involved (including in-flight replacements),
-    with its network address — the write fan-out set. *)
+    with its network address — the write fan-out set.  Memoised with
+    {!full_roster}. *)
 
 val full_roster : pg -> (Member_id.t * Simnet.Addr.t) list
 (** The {!roster}'s full segments, in roster order: those that hold data

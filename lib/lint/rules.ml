@@ -28,6 +28,14 @@ let output_feeding path =
   || under "lib/recorder" path
   || path = "lib/harness/report.ml"
 
+(* The simulated commit path: every write, ack, coalesce, GC and read
+   runs through these libraries, so their hash tables are functor
+   instances keyed by their own type. *)
+let commit_path path =
+  List.exists
+    (fun dir -> under dir path)
+    [ "lib/core"; "lib/storage"; "lib/wal"; "lib/simnet"; "lib/simcore" ]
+
 (* ---------------------------------------------------------------- rules -- *)
 
 type rule = {
@@ -101,8 +109,27 @@ let lsn_arith =
     allow = [ "lib/wal/lsn.ml" ];
   }
 
+let generic_hashtbl =
+  {
+    id = "generic-hashtbl";
+    description =
+      "no Hashtbl.<fn> values (the polymorphic table: a C-call hash and a \
+       polymorphic compare per lookup) in lib/core, lib/storage, lib/wal, \
+       lib/simnet and lib/simcore; use a Hashtbl.Make instance keyed by its \
+       own type, or Simcore.Int_table";
+    applies = commit_path;
+    allow = [];
+  }
+
 let all =
-  [ determinism; stable_iteration; poly_compare; mli_coverage_rule; lsn_arith ]
+  [
+    determinism;
+    stable_iteration;
+    poly_compare;
+    mli_coverage_rule;
+    lsn_arith;
+    generic_hashtbl;
+  ]
 
 let find id = List.find_opt (fun r -> r.id = id) all
 
@@ -222,6 +249,11 @@ let banned_ident parts =
           representation-independent"
   | _ -> None
 
+(* A value of the generic table's module; [Hashtbl.Make] and [Hashtbl.S]
+   are a functor and a module type, never an expression. *)
+let generic_table_value parts =
+  match strip_stdlib parts with [ "Hashtbl"; fn ] -> Some fn | _ -> None
+
 let hash_iteration parts =
   match strip_stdlib parts with
   | [ "Hashtbl"; (("iter" | "fold") as fn) ] -> Some fn
@@ -241,6 +273,7 @@ let check_structure ~path st =
   let stable = active stable_iteration path in
   let poly = active poly_compare path in
   let arith = active lsn_arith path in
+  let generic = active generic_hashtbl path in
   let visitor =
     object
       inherit Ast_traverse.iter as super
@@ -256,6 +289,17 @@ let check_structure ~path st =
                emit
                  (finding ~rule:determinism.id ~path ~loc
                     (Printf.sprintf "%s: %s" name why))
+             | None -> ());
+          (if generic then
+             match generic_table_value parts with
+             | Some fn ->
+               emit
+                 (finding ~rule:generic_hashtbl.id ~path ~loc
+                    (Printf.sprintf
+                       "Hashtbl.%s on the commit path hashes with a C call and \
+                        compares polymorphically; use a Hashtbl.Make instance \
+                        or Simcore.Int_table"
+                       fn))
              | None -> ());
           if stable then (
             match hash_iteration parts with

@@ -35,13 +35,18 @@ val fnv1a_add_int : int -> int -> int
 
 (** {1 Checksum word mix}
 
-    A word-at-a-time fold for checksum terms, and for the slot of a key in
-    [Block_store]'s key table, which is private to that module and whose
-    order nothing observes: four bytes per step, one multiply each, then
-    {!mix_finish}.  Changing any single word of the input always changes
-    the result (every step is a bijection), but the values are not
-    FNV-1a's, so nothing that places simulated data (block placement) may
-    use it.  Results use all 63 bits and may be negative. *)
+    A word-at-a-time fold for checksum terms: four bytes per step, one
+    multiply each, then {!mix_finish}.  It also hashes three private
+    tables: the slot of a key in [Block_store]'s key table, the bucket of
+    a block id in [Block_store]'s block table ({!mix_finish} alone, which
+    spreads a segment's stripe of block ids over every bucket), and the
+    bucket of a key in [Buffer_cache]'s per-block key tables.  Nothing
+    observes any of these tables' order: [scripts/parity.sh] stayed
+    byte-identical when each replaced [Hashtbl]'s.  Changing any single
+    word of the input always changes the result (every step is a
+    bijection), but the values are not FNV-1a's, so nothing that places
+    simulated data (block placement) may use it.  Results use all 63 bits
+    and may be negative. *)
 
 val mix_seed : int
 (** Starting state for the [mix_add_*] functions. *)

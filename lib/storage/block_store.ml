@@ -29,12 +29,23 @@ type entry = {
   mutable bytes : int; (* [version_bytes] of every version held: its share of [t.bytes] *)
 }
 
+(* A segment holds one stripe of the block space ([Volume.pg_of_block] is
+   [b mod group_count]), so under [Block_id.Tbl]'s identity hash only
+   1/group_count of the power-of-two buckets would be used.  The word mix
+   spreads the stripe over all of them; nothing observes the order. *)
+module Blocks = Hashtbl.Make (struct
+  type t = Block_id.t
+
+  let equal = Block_id.equal
+  let hash b = Simcore.Bits.mix_finish (Block_id.to_int b)
+end)
+
 type t = {
-  table : entry Block_id.Tbl.t;
+  table : entry Blocks.t;
   mutable applied : Lsn.t;
   mutable nversions : int;
   mutable bytes : int;
-  outcomes : (int, Lsn.Outcome.t) Hashtbl.t; (* txn -> outcome *)
+  outcomes : Simcore.Int_table.t; (* txn -> outcome, as its int *)
   mutable busy : entry list; (* the entries with a non-empty work list *)
   mutable parked_in : entry list;
       (* Every entry with parked keys, and entries whose last parked key
@@ -46,18 +57,18 @@ type t = {
 
 let create () =
   {
-    table = Block_id.Tbl.create 64;
+    table = Blocks.create 64;
     applied = Lsn.none;
     nversions = 0;
     bytes = 0;
-    outcomes = Hashtbl.create 64;
+    outcomes = Simcore.Int_table.create 64;
     busy = [];
     parked_in = [];
     waited = Bytes.empty;
   }
 
 let entry_of t block =
-  match Block_id.Tbl.find_opt t.table block with
+  match Blocks.find_opt t.table block with
   | Some e -> e
   | None ->
     let e =
@@ -71,7 +82,7 @@ let entry_of t block =
         bytes = 0;
       }
     in
-    Block_id.Tbl.add t.table block e;
+    Blocks.add t.table block e;
     e
 
 let push_work t e node =
@@ -246,7 +257,7 @@ let rec waits_for txn = function
    still do. *)
 let note_outcome t txn lsn ~aborted =
   let id = Txn_id.to_int txn in
-  Hashtbl.replace t.outcomes id (Lsn.Outcome.make lsn ~aborted);
+  Simcore.Int_table.replace t.outcomes id (Lsn.Outcome.make lsn ~aborted :> int);
   if (not aborted) && waits_on t id then begin
     clear_waited t id;
     let listed = t.parked_in in
@@ -266,13 +277,14 @@ let note_outcome t txn lsn ~aborted =
   end
 
 let outcomes t =
-  Hashtbl.fold
+  Simcore.Int_table.fold
     (fun txn o acc ->
+      let o = Lsn.Outcome.of_int o in
       (Txn_id.of_int txn, Lsn.Outcome.lsn o, Lsn.Outcome.aborted o) :: acc)
     t.outcomes []
 
 let versions t block ~key =
-  match Block_id.Tbl.find_opt t.table block with
+  match Blocks.find_opt t.table block with
   | None -> []
   | Some e -> (
     match find key e.slots.(slot e.slots (key_mix key)) with Node n -> n.vs | Empty -> [])
@@ -287,7 +299,7 @@ let read_at t block ~key ~as_of ~exclude =
   pick (versions t block ~key)
 
 let block_snapshot t block =
-  match Block_id.Tbl.find_opt t.table block with
+  match Blocks.find_opt t.table block with
   | None -> []
   | Some e -> fold_chains (fun key vs acc -> (key, vs) :: acc) e []
 
@@ -296,7 +308,7 @@ let block_snapshot t block =
    hidden above it are sized, and the image's size is the entry's total
    less theirs. *)
 let image t block ~as_of =
-  match Block_id.Tbl.find_opt t.table block with
+  match Blocks.find_opt t.table block with
   | None -> ([], 0)
   | Some e ->
     let hidden = ref 0 in
@@ -317,13 +329,13 @@ let load_snapshot t block snapshot =
   (* Remove existing accounting for the block, then install.  The old entry
      may still be on [t.busy] and [t.parked_in]; an empty work list makes GC
      pass it by, and no parked keys make a wake pass it by. *)
-  (match Block_id.Tbl.find_opt t.table block with
+  (match Blocks.find_opt t.table block with
   | None -> ()
   | Some e ->
     ignore (fold_chains (fun key vs n -> drop_versions t e key n vs) e 0 : int);
     e.work <- [];
     e.parked <- 0;
-    Block_id.Tbl.remove t.table block);
+    Blocks.remove t.table block);
   let e = entry_of t block in
   List.iter
     (fun (key, vs) ->
@@ -346,7 +358,7 @@ let load_snapshot t block snapshot =
   e.stored_checksum <- compute_checksum e
 
 let repair t block snapshot =
-  match Block_id.Tbl.find_opt t.table block with
+  match Blocks.find_opt t.table block with
   | Some e
     when compute_checksum e <> e.stored_checksum
          && List.fold_left (fun acc (key, vs) -> acc + head_hash key vs) 0 snapshot
@@ -362,7 +374,7 @@ let rollback_above t bound =
   let dropped = ref 0 in
   t.busy <- [];
   t.parked_in <- [];
-  Block_id.Tbl.iter
+  Blocks.iter
     (fun _ e ->
       e.work <- [];
       e.parked <- 0;
@@ -387,7 +399,8 @@ let rollback_above t bound =
 
 let gc t ~keep_at_or_above =
   let dropped = ref 0 in
-  let outcome v = Hashtbl.find_opt t.outcomes (Txn_id.to_int v.txn) in
+  (* An outcome is stored as its int, which is never negative. *)
+  let outcome v = Simcore.Int_table.find t.outcomes (Txn_id.to_int v.txn) ~default:(-1) in
   (* [live]: a version of the kept chain other than its last has a commit
      outcome, so the key cannot park (see [cut]). *)
   let live = ref false in
@@ -406,28 +419,28 @@ let gc t ~keep_at_or_above =
      decisions needs it. *)
   let rec cut key e = function
     | [] -> []
-    | v :: rest as vs -> (
+    | v :: rest as vs ->
       let o =
         match rest with
         | _ :: _ when not !live -> outcome v
-        | _ -> if Lsn.(v.lsn <= keep_at_or_above) then outcome v else None
+        | _ -> if Lsn.(v.lsn <= keep_at_or_above) then outcome v else -1
       in
-      match o with
-      | Some o
-        when (not (Lsn.Outcome.aborted o))
-             && Lsn.(v.lsn <= keep_at_or_above)
-             && Lsn.(Lsn.Outcome.lsn o <= keep_at_or_above) -> (
+      let committed = o >= 0 && not (Lsn.Outcome.aborted (Lsn.Outcome.of_int o)) in
+      if
+        committed
+        && Lsn.(v.lsn <= keep_at_or_above)
+        && Lsn.(Lsn.Outcome.lsn (Lsn.Outcome.of_int o) <= keep_at_or_above)
+      then (
         match rest with
         | [] -> vs
         | _ :: _ ->
           dropped := drop_versions t e key !dropped rest;
           [ v ])
-      | Some _ | None ->
-        (match (o, rest) with
-        | Some o, _ :: _ when not (Lsn.Outcome.aborted o) -> live := true
-        | _ -> ());
+      else begin
+        (match rest with _ :: _ when committed -> live := true | _ -> ());
         let kept = cut key e rest in
-        if kept == rest then vs else v :: kept)
+        if kept == rest then vs else v :: kept
+      end
   in
   let rec wait_on = function
     | [] | [ _ ] -> ()
@@ -463,7 +476,7 @@ let gc t ~keep_at_or_above =
     busy;
   !dropped
 
-let blocks t = Block_id.Tbl.fold (fun b _ acc -> b :: acc) t.table []
+let blocks t = Blocks.fold (fun b _ acc -> b :: acc) t.table []
 let version_count t = t.nversions
 let bytes_used t = t.bytes
 
@@ -472,7 +485,7 @@ let bytes_used t = t.bytes
    Adding one to the first byte, rather than flipping a bit, means a second
    corruption of the same head cannot undo the first. *)
 let corrupt t block =
-  match Block_id.Tbl.find_opt t.table block with
+  match Blocks.find_opt t.table block with
   | None -> false
   | Some e ->
     let victim = ref Empty in
@@ -495,6 +508,6 @@ let corrupt t block =
     | Node _ | Empty -> false)
 
 let verify t block =
-  match Block_id.Tbl.find_opt t.table block with
+  match Blocks.find_opt t.table block with
   | None -> true
   | Some e -> compute_checksum e = e.stored_checksum

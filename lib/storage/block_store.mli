@@ -30,7 +30,15 @@
     {b Outcomes.}  The store is the only owner of its segment's transaction
     outcomes ({!note_outcome}, {!outcomes}): {!gc} decides what a floor may
     collect from them, and its index (below) is woken by them, so the two
-    cannot disagree.
+    cannot disagree.  They live in a {!Simcore.Int_table} from txn id to
+    the outcome's int: no allocation per row, and a lookup that hashes
+    nothing and boxes no option.
+
+    {b Block table.}  A segment holds one stripe of the block space (a
+    group's blocks are [b mod group_count]), so the table of blocks hashes
+    an id through {!Simcore.Bits.mix_finish}: under the identity hash of
+    [Block_id.Tbl], only 1/group_count of its power-of-two buckets would
+    be used.
 
     {b Key table.}  Each block keeps its keys in a chained hash table of
     this module's own, whose bucket nodes hold the version chains in a
@@ -81,8 +89,9 @@ val note_outcome : t -> Wal.Txn_id.t -> Wal.Lsn.t -> aborted:bool -> unit
     keys. *)
 
 val outcomes : t -> (Wal.Txn_id.t * Wal.Lsn.t * bool) list
-(** Every recorded outcome as (txn, record LSN, is_abort), in a fixed order
-    that depends only on the sequence of {!note_outcome} calls. *)
+(** Every recorded outcome as (txn, record LSN, is_abort), once per
+    transaction.  The order follows the outcome table's slots, so it
+    depends only on the sequence of {!note_outcome} calls. *)
 
 val versions : t -> Wal.Block_id.t -> key:string -> version list
 (** Version chain for a key, newest first; [] if unknown. *)

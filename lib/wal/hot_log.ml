@@ -1,5 +1,13 @@
 type truncation = { above : Lsn.t; upto : Lsn.t }
 
+(* Keyed by [Lsn.to_int]: LSNs are dense, so the int is its own hash. *)
+module By_lsn = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash l = l
+end)
+
 (* Stored records live in exactly one of two places:
 
    - the chain slice [chain.(head) .. chain.(tail - 1)], LSN-ascending:
@@ -23,8 +31,8 @@ type t = {
   mutable chain : Log_record.t array;
   mutable head : int;
   mutable tail : int;
-  loose : (int, Log_record.t) Hashtbl.t;
-  by_prev : (int, Log_record.t) Hashtbl.t;
+  loose : Log_record.t By_lsn.t;
+  by_prev : Log_record.t By_lsn.t;
   mutable scl : Lsn.t;
   mutable highest : Lsn.t;
   mutable truncations : truncation list;
@@ -48,8 +56,8 @@ let create () =
     chain = Array.make 64 vacant;
     head = 0;
     tail = 0;
-    loose = Hashtbl.create 16;
-    by_prev = Hashtbl.create 16;
+    loose = By_lsn.create 16;
+    by_prev = By_lsn.create 16;
     scl = Lsn.none;
     highest = Lsn.none;
     truncations = [];
@@ -68,8 +76,8 @@ let scl t = t.scl
 let highest_received t = t.highest
 let dropped_upto t = t.dropped_upto
 let chained t = t.tail - t.head
-let record_count t = chained t + Hashtbl.length t.loose
-let pending_count t = Hashtbl.length t.by_prev
+let record_count t = chained t + By_lsn.length t.loose
+let pending_count t = By_lsn.length t.by_prev
 let bytes_stored t = t.bytes
 
 (* First slice index whose LSN is strictly above [lsn] ([tail] if none). *)
@@ -90,7 +98,7 @@ let in_chain t lsn =
 
 let contains t lsn =
   in_chain t lsn
-  || (Hashtbl.length t.loose > 0 && Hashtbl.mem t.loose (Lsn.to_int lsn))
+  || (By_lsn.length t.loose > 0 && By_lsn.mem t.loose (Lsn.to_int lsn))
 
 (* Top-level (not a closure capturing [lsn]): this check runs on every
    insert, i.e. per received record. *)
@@ -153,10 +161,10 @@ let rec pull_below t (r : Log_record.t) acc =
   let prev = r.prev_segment in
   if Lsn.is_none prev then acc
   else
-    match Hashtbl.find t.loose (Lsn.to_int prev) with
+    match By_lsn.find t.loose (Lsn.to_int prev) with
     | exception Not_found -> acc
     | below ->
-      Hashtbl.remove t.loose (Lsn.to_int prev);
+      By_lsn.remove t.loose (Lsn.to_int prev);
       pull_below t below (below :: acc)
 
 (* Chase the chain forward through pending records starting at the current
@@ -167,20 +175,20 @@ let rec pull_below t (r : Log_record.t) acc =
    Exception-based lookup: [find_opt] would box a [Some] per chained
    record. *)
 let rec advance t =
-  match Hashtbl.find t.by_prev (Lsn.to_int t.scl) with
+  match By_lsn.find t.by_prev (Lsn.to_int t.scl) with
   | exception Not_found -> ()
   | r ->
-    Hashtbl.remove t.by_prev (Lsn.to_int t.scl);
+    By_lsn.remove t.by_prev (Lsn.to_int t.scl);
     t.scl <- r.Log_record.lsn;
     let key = Lsn.to_int r.lsn in
-    (match Hashtbl.find t.loose key with
+    (match By_lsn.find t.loose key with
     | stored ->
-      Hashtbl.remove t.loose key;
+      By_lsn.remove t.loose key;
       push t stored
     | exception Not_found ->
       for i = t.head to t.tail - 1 do
         let r = t.chain.(i) in
-        Hashtbl.replace t.loose (Lsn.to_int r.Log_record.lsn) r
+        By_lsn.replace t.loose (Lsn.to_int r.Log_record.lsn) r
       done;
       clear_chain t);
     advance t
@@ -195,7 +203,7 @@ let insert t (r : Log_record.t) =
          for reads; the SCL is unaffected, but the record may be the missing
          link below the slice. *)
       if Lsn.equal r.lsn (front_link t) then prepend t (pull_below t r [ r ])
-      else Hashtbl.replace t.loose (Lsn.to_int r.lsn) r
+      else By_lsn.replace t.loose (Lsn.to_int r.lsn) r
     end
     else begin
       if Lsn.(r.lsn > t.highest) then t.highest <- r.lsn;
@@ -206,10 +214,10 @@ let insert t (r : Log_record.t) =
         t.scl <- r.lsn
       end
       else begin
-        Hashtbl.replace t.loose (Lsn.to_int r.lsn) r;
-        Hashtbl.replace t.by_prev (Lsn.to_int r.prev_segment) r
+        By_lsn.replace t.loose (Lsn.to_int r.lsn) r;
+        By_lsn.replace t.by_prev (Lsn.to_int r.prev_segment) r
       end;
-      if Hashtbl.length t.by_prev > 0 then advance t
+      if By_lsn.length t.by_prev > 0 then advance t
     end;
     Accepted
   end
@@ -250,8 +258,8 @@ let drop_below t ~upto =
     t.head <- 0;
     t.tail <- 0
   end;
-  if Hashtbl.length t.loose > 0 then
-    Hashtbl.filter_map_inplace
+  if By_lsn.length t.loose > 0 then
+    By_lsn.filter_map_inplace
       (fun _ (r : Log_record.t) ->
         if Lsn.(r.lsn <= upto) then begin
           drop r;
@@ -267,7 +275,7 @@ let annul_range t ~above ~upto =
   if Lsn.(upto < above) then invalid_arg "Hot_log.annul_range: upto < above";
   t.truncations <- { above; upto } :: t.truncations;
   let stored =
-    Hashtbl.fold (fun _ r acc -> r :: acc) t.loose (chain_to_list t)
+    By_lsn.fold (fun _ r acc -> r :: acc) t.loose (chain_to_list t)
   in
   let doomed, kept =
     List.partition
@@ -276,8 +284,8 @@ let annul_range t ~above ~upto =
   in
   List.iter (fun (r : Log_record.t) -> t.bytes <- t.bytes - r.size_bytes) doomed;
   clear_chain t;
-  Hashtbl.reset t.loose;
-  Hashtbl.reset t.by_prev;
+  By_lsn.reset t.loose;
+  By_lsn.reset t.by_prev;
   (* Re-anchor the chain: if chained records were annulled, the new tail is
      the predecessor of the oldest annulled chained record (an actual
      record LSN, which keeps segment chains linkable after recovery). *)
@@ -302,16 +310,16 @@ let annul_range t ~above ~upto =
      received LSN, which leaves no such pair. *)
   List.iter
     (fun (r : Log_record.t) ->
-      Hashtbl.replace t.loose (Lsn.to_int r.lsn) r;
+      By_lsn.replace t.loose (Lsn.to_int r.lsn) r;
       if Lsn.(r.lsn > t.scl) then begin
-        Hashtbl.replace t.by_prev (Lsn.to_int r.prev_segment) r;
+        By_lsn.replace t.by_prev (Lsn.to_int r.prev_segment) r;
         if Lsn.(r.lsn > t.highest) then t.highest <- r.lsn
       end)
     (List.sort (fun (a : Log_record.t) b -> Lsn.compare a.lsn b.lsn) kept);
-  (match Hashtbl.find t.loose (Lsn.to_int t.scl) with
+  (match By_lsn.find t.loose (Lsn.to_int t.scl) with
   | exception Not_found -> ()
   | top ->
-    Hashtbl.remove t.loose (Lsn.to_int t.scl);
+    By_lsn.remove t.loose (Lsn.to_int t.scl);
     prepend t (pull_below t top [ top ]));
   advance t;
   List.length doomed

@@ -28,6 +28,7 @@ module Outcome = struct
   let make lsn ~aborted = (lsn lsl 1) lor Bool.to_int aborted
   let lsn o = o asr 1
   let aborted o = o land 1 = 1
+  let of_int o = if o < 0 then invalid_arg "Lsn.Outcome.of_int: negative" else o
 end
 
 module Allocator = struct

@@ -49,6 +49,11 @@ module Outcome : sig
   val make : lsn -> aborted:bool -> t
   val lsn : t -> lsn
   val aborted : t -> bool
+
+  val of_int : int -> t
+  (** The inverse of the coercion [(o :> int)], for tables that store
+      outcomes as ints.  @raise Invalid_argument on a negative int, which
+      no outcome is. *)
 end
 
 (** Monotonic allocator owned by the writer instance.  Allocation is pure

@@ -67,6 +67,18 @@ let test_lsn_arith () =
     ]
     fs
 
+let test_generic_hashtbl () =
+  let fs =
+    lint_as ~path:"lib/storage/bad_generic_hashtbl.ml" "bad_generic_hashtbl.ml"
+  in
+  check_shapes "create, find_opt and Stdlib.Hashtbl.replace; Make and S pass"
+    [
+      ("generic-hashtbl", 2, 8);
+      ("generic-hashtbl", 3, 12);
+      ("generic-hashtbl", 4, 14);
+    ]
+    fs
+
 let test_mli_coverage () =
   let fs =
     Lint.Rules.mli_coverage
@@ -104,7 +116,24 @@ let test_scope () =
     (lint_as ~path:"test/fake/bad_determinism.ml" "bad_determinism.ml");
   (* Hash iteration is only a finding in output-feeding modules. *)
   check_shapes "stable-iteration inactive outside lib/obs" []
-    (lint_as ~path:"lib/core/bad_stable_iteration.ml" "bad_stable_iteration.ml")
+    (List.filter
+       (fun (f : Lint.Finding.t) -> f.rule = "stable-iteration")
+       (lint_as ~path:"lib/core/bad_stable_iteration.ml" "bad_stable_iteration.ml"));
+  (* The generic table is a finding only on the simulated commit path. *)
+  List.iter
+    (fun dir ->
+      check_shapes
+        (Printf.sprintf "generic-hashtbl active in %s" dir)
+        [ ("generic-hashtbl", 2, 8); ("generic-hashtbl", 3, 12); ("generic-hashtbl", 4, 14) ]
+        (lint_as ~path:(dir ^ "/bad_generic_hashtbl.ml") "bad_generic_hashtbl.ml"))
+    [ "lib/core"; "lib/storage"; "lib/wal"; "lib/simnet"; "lib/simcore" ];
+  List.iter
+    (fun dir ->
+      check_shapes
+        (Printf.sprintf "generic-hashtbl inactive in %s" dir)
+        []
+        (lint_as ~path:(dir ^ "/bad_generic_hashtbl.ml") "bad_generic_hashtbl.ml"))
+    [ "lib/obs"; "lib/harness"; "lib/vopr"; "bin"; "test/core" ]
 
 let test_allowlist () =
   (* lib/obs/stable.ml is the audited helper: folding there is the point. *)
@@ -189,6 +218,7 @@ let () =
           Alcotest.test_case "poly-compare" `Quick test_poly_compare;
           Alcotest.test_case "lsn-arith" `Quick test_lsn_arith;
           Alcotest.test_case "mli-coverage" `Quick test_mli_coverage;
+          Alcotest.test_case "generic-hashtbl" `Quick test_generic_hashtbl;
         ] );
       ( "scoping",
         [

@@ -637,6 +637,88 @@ let test_mix_known_answers () =
 
 (* ---- Time ---- *)
 
+(* ---- Int_table ---- *)
+
+(* Random [replace]/[find] sequences against a [Hashtbl] model.  Keys come
+   from three pools: small dense ids; [m * 1024 + r], which share their
+   home slot [r] at every size up to 1,024 slots, so they collide in one
+   probe run, and with [r] the last slot of some size their run wraps past
+   the array's end; and wide ids.  A sequence of up to 600 operations
+   crosses several doublings from the 8 slots of [create 0]. *)
+type int_table_op = Put of int * int | Get of int
+
+let show_int_table_op = function
+  | Put (k, v) -> Printf.sprintf "put %d %d" k v
+  | Get k -> Printf.sprintf "get %d" k
+
+let gen_int_table_key =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, int_bound 40);
+        ( 3,
+          map2
+            (fun m r -> (m * 1024) + r)
+            (int_bound 20)
+            (oneofl [ 0; 1; 7; 15; 31; 63; 127; 255; 511; 1023 ]) );
+        (1, int_bound 1_000_000);
+      ])
+
+let prop_int_table_matches_model =
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map2 (fun k v -> Put (k, v)) gen_int_table_key (int_bound 1_000));
+          (1, map (fun k -> Get k) gen_int_table_key);
+        ])
+  in
+  QCheck.Test.make ~name:"matches a Hashtbl model" ~count:300
+    QCheck.(
+      make ~print:(Print.list show_int_table_op) Gen.(list_size (int_range 0 600) gen_op))
+    (fun ops ->
+      let t = Int_table.create 0 in
+      let model = Hashtbl.create 16 in
+      List.iter
+        (function
+          | Put (k, v) ->
+            Int_table.replace t k v;
+            Hashtbl.replace model k v
+          | Get k ->
+            let want = Option.value (Hashtbl.find_opt model k) ~default:(-7) in
+            let got = Int_table.find t k ~default:(-7) in
+            if got <> want then QCheck.Test.fail_reportf "get %d: %d, model %d" k got want)
+        ops;
+      let bindings fold tbl = List.sort compare (fold (fun k v acc -> (k, v) :: acc) tbl []) in
+      Int_table.length t = Hashtbl.length model
+      && bindings Int_table.fold t = bindings Hashtbl.fold model
+      && Hashtbl.fold (fun k v ok -> ok && Int_table.find t k ~default:(-7) = v) model true)
+
+let test_int_table_negative_key () =
+  let t = Int_table.create 4 in
+  Int_table.replace t 0 5;
+  Alcotest.check_raises "replace" (Invalid_argument "Int_table: negative key") (fun () ->
+      Int_table.replace t (-1) 0);
+  Alcotest.check_raises "find" (Invalid_argument "Int_table: negative key") (fun () ->
+      ignore (Int_table.find t (-1) ~default:0 : int));
+  check_int "untouched" 1 (Int_table.length t);
+  check_int "key 0 kept" 5 (Int_table.find t 0 ~default:(-1))
+
+(* A hit and a miss return plain ints: no option is boxed per lookup. *)
+let test_int_table_find_allocates_nothing () =
+  let t = Int_table.create 0 in
+  for k = 0 to 999 do
+    Int_table.replace t (3 * k) k
+  done;
+  let sum = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to alloc_draws - 1 do
+    sum := !sum + Int_table.find t (i land 4095) ~default:0
+  done;
+  let words = words_per_draw w0 in
+  check_bool "lookups were made" true (!sum > 0);
+  Alcotest.(check (float 0.001)) "minor words per find" 0. words
+
 let test_time_units () =
   check_int "us" 1_000 (Time_ns.us 1);
   check_int "ms" 1_000_000 (Time_ns.ms 1);
@@ -703,6 +785,13 @@ let () =
           Alcotest.test_case "ewma" `Quick test_ewma;
         ] );
       ("time", [ Alcotest.test_case "units" `Quick test_time_units ]);
+      ( "int_table",
+        [
+          qc prop_int_table_matches_model;
+          Alcotest.test_case "negative key" `Quick test_int_table_negative_key;
+          Alcotest.test_case "find allocates nothing" `Quick
+            test_int_table_find_allocates_nothing;
+        ] );
       ( "bits",
         [
           Alcotest.test_case "fnv1a known answers" `Quick test_fnv1a_known_answers;

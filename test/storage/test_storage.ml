@@ -737,6 +737,172 @@ let test_one_pass_image =
   QCheck.Test.make ~count:500 ~name:"one-pass image matches snapshot, filter and fold"
     One_pass_image.arb One_pass_image.run
 
+(* 5,000 outcomes over 4,000 transactions, in an order that scatters the
+   ids: the table doubles many times from its 64-key start, a re-noted
+   transaction keeps only its later outcome, and [outcomes] lists each
+   transaction exactly once. *)
+let test_block_store_many_outcomes () =
+  let module B = Storage.Block_store in
+  let s = B.create () in
+  let model = Hashtbl.create 4096 in
+  for i = 0 to 4_999 do
+    let t = i * 7_919 mod 4_000 in
+    let aborted = i mod 5 = 0 in
+    B.note_outcome s (txn t) (lsn (i + 1)) ~aborted;
+    Hashtbl.replace model t (i + 1, aborted)
+  done;
+  let got =
+    List.map (fun (t, l, a) -> (Txn_id.to_int t, Lsn.to_int l, a)) (B.outcomes s)
+  in
+  check_int "one row per transaction" 4_000 (List.length got);
+  let want =
+    List.sort compare (Hashtbl.fold (fun t (l, a) acc -> (t, l, a) :: acc) model [])
+  in
+  Alcotest.(check (list (triple int int bool))) "outcomes" want (List.sort compare got)
+
+(* One segment's share of a volume: [Volume.pg_of_block] is [b mod
+   group_count], so with 32 groups a store holds only the stripe {g, g+32,
+   g+64, ...} of 2,048 blocks.  Random applies, outcomes, GCs and images
+   over those 64 blocks against a naive model of per-block assoc chains
+   and the full-scan GC of [Model]. *)
+module Stripe = struct
+  module B = Storage.Block_store
+
+  let groups = 32
+  let blocks = 2_048 / groups
+  let n_txns = 12
+
+  type op =
+    | Apply of { slot : int; key : int; txn : int }
+    | Outcome of { txn : int; aborted : bool }
+    | Gc of { back : int }
+    | Image of { slot : int; back : int }
+
+  let show = function
+    | Apply { slot; key; txn } -> Printf.sprintf "apply #%d k%d t%d" slot key txn
+    | Outcome { txn; aborted } ->
+      Printf.sprintf "%s t%d" (if aborted then "abort" else "commit") txn
+    | Gc { back } -> Printf.sprintf "gc -%d" back
+    | Image { slot; back } -> Printf.sprintf "image #%d at -%d" slot back
+
+  let arb =
+    let open QCheck.Gen in
+    let slot = int_bound (blocks - 1) in
+    let op =
+      frequency
+        [
+          ( 10,
+            map3
+              (fun slot key txn -> Apply { slot; key; txn })
+              slot (int_bound 5) (int_range 1 n_txns) );
+          ( 3,
+            map2
+              (fun txn aborted -> Outcome { txn; aborted })
+              (int_range 1 n_txns)
+              (map (fun n -> n = 0) (int_bound 3)) );
+          (2, map (fun back -> Gc { back }) (int_bound 20));
+          (3, map2 (fun slot back -> Image { slot; back }) slot (int_range (-1) 30));
+        ]
+    in
+    QCheck.make
+      ~print:(fun (g, ops) ->
+        Printf.sprintf "g=%d: %s" g (String.concat "; " (List.map show ops)))
+      ~shrink:QCheck.Shrink.(pair nil list)
+      (pair (int_bound (groups - 1)) (list_size (int_range 1 400) op))
+
+  let run (g, ops) =
+    let s = B.create () in
+    let block slot = blk (g + (groups * slot)) in
+    let model = Array.make blocks [] in
+    let outcomes = Array.make (n_txns + 1) None in
+    let next = ref 0 in
+    let fail fmt = Printf.ksprintf (fun m -> QCheck.Test.fail_report m) fmt in
+    let sorted entries = List.sort (fun (a, _) (b, _) -> String.compare a b) entries in
+    let flat entries =
+      sorted
+        (List.map
+           (fun (k, vs) -> (k, List.map (fun (v : B.version) -> Model.of_store v) vs))
+           entries)
+    in
+    List.iter
+      (fun op ->
+        let step = show op in
+        match op with
+        | Apply { slot; key; txn = t } ->
+          incr next;
+          let key = Printf.sprintf "k%d" key and value = Printf.sprintf "v%d" !next in
+          B.apply s
+            (Log_record.make ~lsn:(lsn !next) ~prev_volume:(lsn (!next - 1))
+               ~prev_segment:Lsn.none ~prev_block:Lsn.none ~block:(block slot)
+               ~txn:(txn t) ~mtr_id:!next ~mtr_end:true
+               ~op:(Log_record.Put { key; value }));
+          let v = (Some value, t, !next) in
+          let c = model.(slot) in
+          model.(slot) <-
+            (match List.assoc_opt key c with
+            | Some vs -> (key, v :: vs) :: List.remove_assoc key c
+            | None -> (key, [ v ]) :: c)
+        | Outcome { txn = t; aborted } ->
+          incr next;
+          B.note_outcome s (txn t) (lsn !next) ~aborted;
+          outcomes.(t) <- Some (!next, aborted)
+        | Gc { back } ->
+          let floor = max 0 (!next - back) in
+          let is_committed t =
+            match outcomes.(t) with Some (l, false) -> l <= floor | Some _ | None -> false
+          in
+          let want = ref 0 in
+          Array.iteri
+            (fun slot c ->
+              model.(slot) <-
+                List.map
+                  (fun (k, vs) ->
+                    let kept, drop = Model.gc_chain ~floor ~is_committed vs in
+                    want := !want + List.length drop;
+                    (k, kept))
+                  c)
+            model;
+          let got = B.gc s ~keep_at_or_above:(lsn floor) in
+          if got <> !want then fail "%s: dropped %d, model %d" step got !want
+        | Image { slot; back } ->
+          let as_of = max 0 (!next - back) in
+          let entries, bytes = B.image s (block slot) ~as_of:(lsn as_of) in
+          let want =
+            List.filter_map
+              (fun (k, vs) ->
+                match List.filter (fun (_, _, l) -> l <= as_of) vs with
+                | [] -> None
+                | vs -> Some (k, vs))
+              model.(slot)
+          in
+          let want_bytes =
+            List.fold_left
+              (fun acc (k, vs) ->
+                List.fold_left (fun acc v -> acc + Model.version_bytes k v) acc vs)
+              0 want
+          in
+          if flat entries <> sorted want then fail "%s: image differs" step;
+          if bytes <> want_bytes then fail "%s: size %d, model %d" step bytes want_bytes)
+      ops;
+    let held = ref 0 in
+    Array.iteri
+      (fun slot c ->
+        if flat (B.block_snapshot s (block slot)) <> sorted c then
+          fail "block %d: chains differ" (Block_id.to_int (block slot));
+        List.iter (fun (_, vs) -> held := !held + List.length vs) c)
+      model;
+    let touched = List.length (List.filter (fun c -> c <> []) (Array.to_list model)) in
+    if List.length (B.blocks s) <> touched then
+      fail "%d blocks listed, %d written" (List.length (B.blocks s)) touched;
+    if B.version_count s <> !held then
+      fail "version_count %d, model %d" (B.version_count s) !held;
+    true
+end
+
+let test_block_store_stripe =
+  QCheck.Test.make ~count:200 ~name:"a stripe of 2048 blocks matches naive model"
+    Stripe.arb Stripe.run
+
 (* ---- Disk ---- *)
 
 let test_disk_fifo () =
@@ -1219,6 +1385,9 @@ let () =
           Alcotest.test_case "one block, 1000 keys" `Quick test_block_store_many_keys;
           QCheck_alcotest.to_alcotest test_block_store_model;
           QCheck_alcotest.to_alcotest test_one_pass_image;
+          Alcotest.test_case "5000 outcomes listed once" `Quick
+            test_block_store_many_outcomes;
+          QCheck_alcotest.to_alcotest test_block_store_stripe;
         ] );
       ("disk", [ Alcotest.test_case "fifo queueing" `Quick test_disk_fifo ]);
       ( "segment",
