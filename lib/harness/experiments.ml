@@ -183,9 +183,12 @@ module E2 = struct
               if
                 List.length !injected < 2
                 && Storage.Segment.kind seg = Membership.Full
-                && Storage.Block_store.blocks (Storage.Segment.store seg) <> []
               then begin
-                match Storage.Block_store.blocks (Storage.Segment.store seg) with
+                (* The lowest block id: the block table's order is its own. *)
+                match
+                  List.sort Wal.Block_id.compare
+                    (Storage.Block_store.blocks (Storage.Segment.store seg))
+                with
                 | b :: _ ->
                   if Storage.Block_store.corrupt (Storage.Segment.store seg) b
                   then injected := (seg, b) :: !injected
