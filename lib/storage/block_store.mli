@@ -7,17 +7,25 @@
     replica — can reconstruct the block as of any LSN at or above the
     garbage-collection floor (PGMRPL).
 
-    The store also keeps a per-block checksum over the newest versions,
-    giving the scrubber (Figure 2, step 8) something to verify, and a
+    The store also gives each block a checksum over its newest versions,
+    so the scrubber (Figure 2, step 8) has something to verify, and a
     corruption hook for fault-injection tests.
 
-    {b Checksum contract.}  The stored checksum is a sum of one term per
-    key, a digest of that key's newest version.  A legitimate write
+    {b Checksum contract.}  A block's checksum is a sum of one term per
+    key, a digest of that key's newest version.  The checksum is a
+    simulation device: in this model the only way a head can differ from
+    what its writes produced is {!corrupt}, so only a block a fault has
+    edited stores a sum.  Every other block is {e implicit}: its sum is by
+    definition that of its heads, nothing is stored, and no write folds a
+    term.  {!corrupt} makes a block {e tracked}: it stores the legitimate
+    sum first (once; a block already tracked keeps the sum its writes
+    left), then edits a head.  A legitimate write to a tracked block
     ({!apply}, {!rollback_above}) swaps its key's term in O(1); {!gc} never
     changes a newest version, so it does no checksum work.  Because no
-    write recomputes the sum, a {!corrupt}ed value stays visible to
-    {!verify} through any later writes until {!load_snapshot} installs a
-    good image.
+    write recomputes the sum, a corrupted value stays visible to {!verify}
+    through any later writes until {!load_snapshot} installs an image and
+    returns the block to implicit.  The tracked sums live in one table of
+    the store, so a write to an implicit block costs one length test.
 
     {b Shared versions.}  A version is the record's own
     ({!Wal.Log_record.version}, built once by [Log_record.make]): {!apply}
@@ -126,15 +134,16 @@ val version_bytes : string -> version -> int
 
 val load_snapshot : t -> Wal.Block_id.t -> (string * version list) list -> unit
 (** Install a block image wholesale (repair / hydration path).  Existing
-    versions for the block are replaced and the checksum is recomputed
-    from the image. *)
+    versions for the block are replaced, and the block's checksum is
+    implicit again: the image is its contents. *)
 
 val repair : t -> Wal.Block_id.t -> (string * version list) list -> bool
 (** Scrub repair: if the block fails {!verify} and the image's newest
     versions digest to the block's stored checksum — the contents its
     legitimate writes produced — install the image with {!load_snapshot}.
     A peer's image of the same materialized chain passes; a corrupted one
-    does not.  Returns whether the image was installed. *)
+    does not.  An implicit block verifies, so it is never repaired.
+    Returns whether the image was installed. *)
 
 val rollback_above : t -> Wal.Lsn.t -> int
 (** Drop every version with [lsn] strictly above the bound — applied when a
@@ -158,9 +167,10 @@ val bytes_used : t -> int
 
 val corrupt : t -> Wal.Block_id.t -> bool
 (** Fault injection: silently replace one non-empty newest version with an
-    altered copy so the checksum no longer matches.  Returns [false] if the
-    block has no such value. *)
+    altered copy so the checksum no longer matches.  The block becomes
+    tracked (see the checksum contract) before the edit lands.  Returns
+    [false], and changes nothing, if the block has no such value. *)
 
 val verify : t -> Wal.Block_id.t -> bool
-(** Recompute the checksum over the block and compare it with the stored
-    one (the scrubber's probe). *)
+(** The scrubber's probe.  An implicit block verifies with no work; a
+    tracked block's heads are digested and compared with its stored sum. *)
