@@ -105,20 +105,25 @@ let read_value t ch ~at =
       Float.nan
     | Some h ->
       let open Simcore in
-      let v =
-        match st.snap with
-        | Some (h0, s) when h0 == h ->
+      match st.snap with
+      | Some (h0, s) when h0 == h ->
+        let v =
           if Histogram.count_since h s > 0 then
             float_of_int (Histogram.percentile_since h s st.pct)
           else Float.nan
-        | _ ->
-          (* First window (or the histogram was re-registered): whole-run
-             view so the channel is not blind to pre-existing samples. *)
+        in
+        (* The next window starts here: the same buffer, refreshed. *)
+        Histogram.refresh s;
+        v
+      | _ ->
+        (* First window (or the histogram was re-registered): whole-run
+           view so the channel is not blind to pre-existing samples. *)
+        let v =
           if Histogram.count h > 0 then float_of_int (Histogram.percentile h st.pct)
           else Float.nan
-      in
-      st.snap <- Some (h, Histogram.snapshot h);
-      v)
+        in
+        st.snap <- Some (h, Histogram.snapshot h);
+        v)
   | KFn f -> f ()
 
 (* Keep even indices plus the newest sample; returns the new length. *)

@@ -104,9 +104,13 @@ let percentile t p =
 
 let median t = percentile t 50.
 
-type snapshot = { of_ : t; counts : int array; sn : int }
+type snapshot = { of_ : t; counts : int array; mutable sn : int }
 
 let snapshot t = { of_ = t; counts = Array.copy t.buckets; sn = t.n }
+
+let refresh s =
+  Array.blit s.of_.buckets 0 s.counts 0 n_buckets;
+  s.sn <- s.of_.n
 
 let check_owner t s =
   if s.of_ != t then

@@ -46,6 +46,11 @@ val median : t -> int
 type snapshot
 
 val snapshot : t -> snapshot
+
+val refresh : snapshot -> unit
+(** Move the snapshot to now, in place: afterwards it answers as a fresh
+    [snapshot] of its histogram would, and nothing is allocated. *)
+
 val count_since : t -> snapshot -> int
 (** Samples recorded after [snapshot]. *)
 

@@ -545,6 +545,30 @@ let test_histogram_windowed_snapshot () =
        "Histogram.percentile_since: snapshot from another histogram")
     (fun () -> ignore (Histogram.percentile_since other s 50. : int))
 
+(* A snapshot refreshed in place answers every windowed query as a fresh
+   snapshot taken at the same instant does, over several windows. *)
+let prop_histogram_refresh_is_fresh =
+  QCheck.Test.make ~name:"refreshed snapshot equals a fresh one" ~count:200
+    QCheck.(
+      pair
+        (list_of_size (Gen.int_range 1 6)
+           (list_of_size (Gen.int_range 0 60) (int_range 0 5_000_000)))
+        (int_range 0 100))
+    (fun (windows, p) ->
+      let h = Histogram.create () in
+      let s = Histogram.snapshot h in
+      List.for_all
+        (fun xs ->
+          Histogram.refresh s;
+          let fresh = Histogram.snapshot h in
+          List.iter (Histogram.record h) xs;
+          Histogram.count_since h s = Histogram.count_since h fresh
+          && List.for_all
+               (fun p ->
+                 Histogram.percentile_since h s p = Histogram.percentile_since h fresh p)
+               [ 0.; 1.; 50.; 99.; 100.; float_of_int p ])
+        windows)
+
 (* ---- Stats ---- *)
 
 let test_stats_percentile_exact () =
@@ -777,6 +801,7 @@ let () =
           Alcotest.test_case "windowed snapshot" `Quick
             test_histogram_windowed_snapshot;
           qc prop_histogram_percentile_close;
+          qc prop_histogram_refresh_is_fresh;
         ] );
       ( "stats",
         [
