@@ -200,14 +200,15 @@ let rec operand_protocol (e : expression) =
 
 (* [Lsn]-mentioning operand for the arithmetic rule.  Unlike poly-compare,
    [Lsn.to_int x + 1] is precisely the smell being hunted, so no accessor
-   escape — only pretty-printers are exempt. *)
+   escape — only pretty-printers and counts ([Lsn.Tbl.length],
+   [Lsn.Set.cardinal]: how many, not which LSN) are exempt. *)
 let rec operand_mentions_lsn (e : expression) =
   match e.pexp_desc with
   | Pexp_ident { txt; _ } ->
     let parts = flatten txt in
     List.mem "Lsn" parts
     && (match List.rev parts with
-       | last :: _ -> not (List.mem last [ "pp"; "to_string" ])
+       | last :: _ -> not (List.mem last [ "pp"; "to_string"; "length"; "cardinal" ])
        | [] -> false)
   | Pexp_apply (f, _) -> operand_mentions_lsn f
   | Pexp_constraint (inner, ty) ->

@@ -59,11 +59,12 @@ let test_poly_compare () =
 
 let test_lsn_arith () =
   let fs = lint_as ~path:"lib/fake/bad_lsn_arith.ml" "bad_lsn_arith.ml" in
-  check_shapes "+, -, * on LSN-carrying operands"
+  check_shapes "+, -, * on LSN-carrying operands; counts pass"
     [
       ("lsn-arith", 2, 13);
       ("lsn-arith", 3, 14);
       ("lsn-arith", 4, 17);
+      ("lsn-arith", 5, 13);
     ]
     fs
 
