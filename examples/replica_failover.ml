@@ -73,27 +73,14 @@ let () =
     (Quorum.Epoch.to_int (Aurora_core.Volume.volume_epoch (Database.volume new_db)));
 
   (* Audit durability through the failover. *)
-  let writes = Txn_gen.writes_in_issue_order gen in
-  let valid = Hashtbl.create 256 in
-  List.iter
-    (fun (key, value, acked) ->
-      if acked then Hashtbl.replace valid key [ value ]
-      else
-        match Hashtbl.find_opt valid key with
-        | Some vs -> Hashtbl.replace valid key (value :: vs)
-        | None -> ())
-    writes;
-  let lost = ref 0 and checked = ref 0 in
-  Hashtbl.iter
-    (fun key valid_values ->
-      incr checked;
-      Database.get new_db ~key (fun r ->
-          match r with
-          | Ok (Some v) when List.exists (String.equal v) valid_values -> ()
-          | _ -> incr lost))
-    valid;
+  let lost = ref 0 in
+  let checked =
+    Txn_gen.audit gen
+      ~get:(fun ~key cb -> Database.get new_db ~key cb)
+      (fun ~key:_ _ -> incr lost)
+  in
   Sim.run_until sim (Time_ns.add (Sim.now sim) (Time_ns.sec 10));
-  Printf.printf "audited %d keys after failover: %d lost\n" !checked !lost;
+  Printf.printf "audited %d keys after failover: %d lost\n" checked !lost;
   if !lost > 0 then exit 1;
   print_endline "\nreplica_failover OK: promotion lost nothing.";
   (* The new writer keeps serving. *)

@@ -626,6 +626,5 @@ let recover t on_ready =
         | Error _ -> ());
         t.recovering <- None;
         on_ready result)
-      ()
   in
   t.recovering <- Some r

@@ -402,8 +402,10 @@ let on_message t msg ~from:_ =
         step t)
     | _ -> ()
 
-let start ~sim ~net ~my_addr ~volume ?(retry_interval = Time_ns.ms 50)
-    ?(deadline = Time_ns.sec 30) ~on_done () =
+let retry_interval = Time_ns.ms 50
+let deadline = Time_ns.sec 30
+
+let start ~sim ~net ~my_addr ~volume ~on_done =
   ignore (Volume.bump_volume_epoch volume : Epoch.t);
   let t =
     {

@@ -60,13 +60,11 @@ val start :
   net:Storage.Protocol.t Simnet.Net.t ->
   my_addr:Simnet.Addr.t ->
   volume:Volume.t ->
-  ?retry_interval:Simcore.Time_ns.t ->
-  ?deadline:Simcore.Time_ns.t ->
   on_done:((outcome, string) result -> unit) ->
-  unit ->
   t
-(** Bumps the volume epoch on [volume] and begins probing.  [deadline]
-    (default 30 s simulated) bounds the whole procedure. *)
+(** Bumps the volume epoch on [volume] and begins probing, re-sending what
+    the current phase still misses every 50 ms.  A deadline of 30 s
+    simulated bounds the whole procedure. *)
 
 val on_message : t -> Storage.Protocol.t -> from:Simnet.Addr.t -> unit
 (** Feed Scl_reply / Hydrate_reply / Truncate_ack messages addressed to

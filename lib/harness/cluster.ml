@@ -68,7 +68,6 @@ type t = {
   az_of : Az.t Simnet.Addr.Tbl.t;
   addr_alloc : Simnet.Addr.Allocator.t;
   mutable replica_list : Replica.t list;
-  mutable last_health : Obs.Health.sample option;
 }
 
 let sim t = t.sim
@@ -255,7 +254,7 @@ let install_observability t =
   let series = Obs.Ctx.series t.obs in
   let health = Obs.Ctx.health t.obs in
   let on_last f default () =
-    match t.last_health with None -> default | Some s -> f s
+    match Obs.Health.last health with None -> default | Some s -> f s
   in
   Obs.Registry.gauge_fn reg "health_write_available"
     (on_last
@@ -291,7 +290,6 @@ let install_observability t =
   Sim.every t.sim ~interval:t.cfg.obs_sample_period (fun () ->
       let at = Sim.now t.sim in
       let s = health_sample t ~at in
-      t.last_health <- Some s;
       (* Health edges go on the writer's ring, next to the commits and
          membership changes that explain them. *)
       let edges = Obs.Health.observe health ~at s in
@@ -424,7 +422,7 @@ let create cfg =
   Database.start db;
   let t =
     { cfg; sim; rng; net; s3; db; obs; rings; pg_nodes; az_of; addr_alloc;
-      replica_list = []; last_health = None }
+      replica_list = [] }
   in
   install_observability t;
   t

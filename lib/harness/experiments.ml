@@ -7,6 +7,7 @@ module Reader = Aurora_core.Reader
 module Boxcar = Aurora_core.Boxcar
 module Lsn = Wal.Lsn
 module Pg_id = Storage.Pg_id
+module String_map = Map.Make (String)
 
 let scheme_rule = function
   | Cluster.V6 ->
@@ -19,36 +20,17 @@ let scheme_rule = function
     let members = Layout.three_copies () in
     (members, Membership.rule (Membership.create ~scheme:Layout.scheme_2_of_3 members))
 
-(* Shared durability audit.  For every key, the visible value must be its
-   last *acknowledged* write in LSN order, or any in-doubt write issued
-   after it (a commit whose ack was lost in a crash may legitimately have
-   survived).  MVCC orders versions by LSN, so the oracle must too — ack
-   order is not write order under concurrent clients. *)
-let audit_durability ~sim ~get ~gen =
-  let writes = Workload.Txn_gen.writes_in_issue_order gen in
-  let valid = Hashtbl.create 256 in
-  List.iter
-    (fun (key, value, acked) ->
-      if acked then Hashtbl.replace valid key [ value ]
-      else
-        match Hashtbl.find_opt valid key with
-        | Some vs -> Hashtbl.replace valid key (value :: vs)
-        | None -> ())
-    writes;
-  let lost = ref 0 and checked = ref 0 in
-  Hashtbl.iter
-    (fun key valid_values ->
-      incr checked;
-      get ~key (fun result ->
-          let ok =
-            match result with
-            | Ok (Some v) -> List.exists (String.equal v) valid_values
-            | Ok None | Error _ -> false
-          in
-          if not ok then incr lost))
-    valid;
+(* Acknowledged keys the database no longer returns, by the workload's
+   durability oracle ({!Workload.Txn_gen.audit}); runs the sim 10 s so the
+   audit reads complete. *)
+let lost_keys ~sim ~db gen =
+  let lost = ref 0 in
+  ignore
+    (Workload.Txn_gen.audit gen
+       ~get:(fun ~key cb -> Database.get db ~key cb)
+       (fun ~key:_ _ -> incr lost));
   Sim.run_until sim (Time_ns.add (Sim.now sim) (Time_ns.sec 10));
-  (!checked, !lost)
+  !lost
 
 (* ------------------------------------------------------------------ *)
 (* E1: Figure 1 — availability of quorum schemes                       *)
@@ -78,7 +60,8 @@ module E1 = struct
       groups = 3000;
     }
 
-  let run ?(params = harsh_params) ?(seed = 1) () =
+  let run ?(seed = 1) () =
+    let params = harsh_params in
     let schemes =
       [
         ("2/3 across 3 AZs", Cluster.V3);
@@ -158,7 +141,8 @@ module E2 = struct
     scrub_repaired : int;
   }
 
-  let run ?(seed = 7) ?(txns = 400) ?(drop = 0.05) () =
+  let run ?(seed = 7) () =
+    let txns = 400 and drop = 0.05 in
     let cfg = { Cluster.default_config with seed; n_pgs = 1 } in
     let cluster = Cluster.create cfg in
     let sim = Cluster.sim cluster in
@@ -375,12 +359,7 @@ module E4 = struct
       | Some (Error e) -> failwith ("E4: recovery failed: " ^ e)
       | None -> failwith "E4: recovery did not complete"
     in
-    let checked, lost =
-      audit_durability ~sim
-        ~get:(fun ~key cb -> Database.get db ~key cb)
-        ~gen
-    in
-    ignore checked;
+    let lost = lost_keys ~sim ~db gen in
     let aries =
       Baselines.Aries.recovery_time Baselines.Aries.default_config ~log_bytes
         ~records
@@ -396,7 +375,8 @@ module E4 = struct
       aries_recovery = aries.Baselines.Aries.total;
     }
 
-  let run ?(seed = 11) ?(sweep = [ 200; 1000; 5000; 20000 ]) () =
+  let run ?(seed = 11) () =
+    let sweep = [ 200; 1000; 5000; 20000 ] in
     List.mapi (fun i txns -> one_point ~seed:(seed + i) ~txns) sweep
 
   let report t =
@@ -571,11 +551,7 @@ module E5 = struct
     let online_write_available =
       Obs.Health.write_available_fraction (Obs.Ctx.health (Cluster.obs cluster))
     in
-    let _, lost =
-      audit_durability ~sim
-        ~get:(fun ~key cb -> Database.get db ~key cb)
-        ~gen
-    in
+    let lost = lost_keys ~sim ~db gen in
     (* --- revert run: suspect comes back, change is reversed --- *)
     let cluster2 = Cluster.create { cfg with seed = seed + 100 } in
     let sim2 = Cluster.sim cluster2 in
@@ -850,7 +826,8 @@ module E6 = struct
         float_of_int st.Baselines.Paxos_commit.messages /. float_of_int (max 1 !done_);
     }
 
-  let run ?(seed = 31) ?(commits = 2000) () =
+  let run ?(seed = 31) () =
+    let commits = 2000 in
     let aurora, stages = run_aurora ~seed ~commits in
     {
       protos =
@@ -969,7 +946,8 @@ module E7 = struct
       mean_batch = Database.mean_batch_size db;
     }
 
-  let run ?(seed = 41) ?(rates = [ 100.; 2000.; 20000. ]) () =
+  let run ?(seed = 41) () =
+    let rates = [ 100.; 2000.; 20000. ] in
     List.concat_map
       (fun (name, policy) ->
         List.mapi (fun i rate -> one ~seed:(seed + i) ~policy_name:name ~policy ~rate) rates)
@@ -1083,7 +1061,8 @@ module E8 = struct
       p99 = float_of_int (Histogram.percentile m.Reader.latency 99.);
     }
 
-  let run ?(seed = 51) ?(reads = 2000) () =
+  let run ?(seed = 51) () =
+    let reads = 2000 in
     List.concat_map
       (fun (name, strategy) ->
         [
@@ -1164,21 +1143,24 @@ module E9 = struct
         end
         else false);
     Sim.run_until sim (Time_ns.sec 6);
-    (* Replica reads: sampled acked keys must return *some* value that was
-       written to them (the replica serves a consistent, possibly lagging
-       snapshot). *)
-    let written = Hashtbl.create 256 in
-    List.iter
-      (fun (a : Workload.Txn_gen.acked) ->
-        List.iter
-          (fun (k, v) ->
-            let l = match Hashtbl.find_opt written k with Some l -> l | None -> [] in
-            Hashtbl.replace written k (v :: l))
-          a.keys_written)
-      (Workload.Txn_gen.acked_writes gen);
+    (* Replica reads: the first 200 acked keys in key order must return
+       *some* value that was written to them (the replica serves a
+       consistent, possibly lagging snapshot). *)
+    let written =
+      List.fold_left
+        (fun written (a : Workload.Txn_gen.acked) ->
+          List.fold_left
+            (fun written (k, v) ->
+              String_map.update k
+                (fun l -> Some (v :: Option.value l ~default:[]))
+                written)
+            written a.keys_written)
+        String_map.empty
+        (Workload.Txn_gen.acked_writes gen)
+    in
     let ok = ref 0 and wrong = ref 0 in
     let sample = ref 0 in
-    Hashtbl.iter
+    String_map.iter
       (fun key values ->
         if !sample < 200 then begin
           incr sample;
@@ -1226,13 +1208,7 @@ module E9 = struct
     let lost =
       match new_db with
       | None -> max_int
-      | Some db ->
-        let _, lost =
-          audit_durability ~sim
-            ~get:(fun ~key cb -> Database.get db ~key cb)
-            ~gen
-        in
-        lost
+      | Some db -> lost_keys ~sim ~db gen
     in
     {
       lag_p50 = float_of_int (Histogram.percentile lag 50.);
@@ -1334,7 +1310,8 @@ module E10 = struct
     Sim.run_until sim (Time_ns.add (Sim.now sim) (Time_ns.sec 20));
     storage_bytes cluster
 
-  let run ?(seed = 71) ?(txns = 2000) () =
+  let run ?(seed = 71) () =
+    let txns = 2000 in
     let v6_bytes = one ~seed ~layout:Cluster.V6 ~txns in
     let tiered_bytes = one ~seed:(seed + 1) ~layout:Cluster.Tiered ~txns in
     let avail layout =
@@ -1420,7 +1397,8 @@ module Ablations = struct
     p99 : float;
   }
 
-  let hedge_sweep ?(seed = 81) ?(reads = 1000) () =
+  let hedge_sweep ?(seed = 81) () =
+    let reads = 1000 in
     List.map
       (fun hedge ->
         let strategy =

@@ -1,22 +1,14 @@
 (** Experiment drivers E1–E10: one per figure / quantitative claim of the
     paper (see DESIGN.md §4 for the index and EXPERIMENTS.md for recorded
     outcomes).  Each driver returns a typed result — asserted on by the
-    integration tests — plus a printable table in the paper's shape. *)
+    integration tests — plus a printable table in the paper's shape.  A
+    driver takes only a seed; its sizes are fixed, so a table is a function
+    of the seed.  The durability verdicts of E4, E5 and E9 (lost
+    acknowledged commits) come from the workload's one oracle,
+    {!Workload.Txn_gen.audit}, the same one the vopr quiesce audit
+    replays. *)
 
 open Quorum
-
-val audit_durability :
-  sim:Simcore.Sim.t ->
-  get:
-    (key:string ->
-    ((string option, string) result -> unit) ->
-    unit) ->
-  gen:Workload.Txn_gen.t ->
-  int * int
-(** Shared durability oracle, [(keys_checked, keys_lost)]: for every key the
-    visible value must be its last {e acknowledged} write in LSN order, or
-    any in-doubt write issued after it.  Runs the sim up to 10 s to drain
-    the issued reads. *)
 
 (** E1 — Figure 1: quorum availability under independent segment failures
     and correlated AZ outages, for the 2/3 strawman, Aurora's 4/6, and the
@@ -34,10 +26,10 @@ module E1 : sig
 
   type t = scheme_result list
 
-  val harsh_params : Availability.Fleet_model.params
-  (** Degraded-fleet rates used by default so rare events register. *)
+  val run : ?seed:int -> unit -> t
+  (** Runs on degraded-fleet rates (30-day segment MTTF, 30-minute repair,
+      90-day AZ MTTF, 3000 groups) so rare events register. *)
 
-  val run : ?params:Availability.Fleet_model.params -> ?seed:int -> unit -> t
   val report : t -> Report.t
 end
 
@@ -59,7 +51,9 @@ module E2 : sig
         (** Injected blocks whose checksum verifies at the end of the run. *)
   }
 
-  val run : ?seed:int -> ?txns:int -> ?drop:float -> unit -> t
+  val run : ?seed:int -> unit -> t
+  (** 400 transactions over a network that drops 5% of messages. *)
+
   val report : t -> Report.t
 end
 
@@ -93,7 +87,9 @@ module E4 : sig
 
   type t = point list
 
-  val run : ?seed:int -> ?sweep:int list -> unit -> t
+  val run : ?seed:int -> unit -> t
+  (** One point per backlog of 200, 1000, 5000 and 20000 transactions. *)
+
   val report : t -> Report.t
 end
 
@@ -149,7 +145,8 @@ module E6 : sig
             registry), keyed by ["a→b"] stage-pair label. *)
   }
 
-  val run : ?seed:int -> ?commits:int -> unit -> t
+  val run : ?seed:int -> unit -> t
+  (** 2000 commits per protocol. *)
 
   val report : t -> Report.t
   (** Protocol comparison plus a per-stage latency breakdown subtable. *)
@@ -169,7 +166,9 @@ module E7 : sig
 
   type t = point list
 
-  val run : ?seed:int -> ?rates:float list -> unit -> t
+  val run : ?seed:int -> unit -> t
+  (** Offered loads of 100, 2000 and 20000 txn/s. *)
+
   val report : t -> Report.t
 end
 
@@ -188,7 +187,9 @@ module E8 : sig
 
   type t = point list
 
-  val run : ?seed:int -> ?reads:int -> unit -> t
+  val run : ?seed:int -> unit -> t
+  (** 2000 reads per strategy and fleet. *)
+
   val report : t -> Report.t
 end
 
@@ -229,7 +230,9 @@ module E10 : sig
 
   type t = design_result list
 
-  val run : ?seed:int -> ?txns:int -> unit -> t
+  val run : ?seed:int -> unit -> t
+  (** 2000 transactions per design for the storage-bytes comparison. *)
+
   val report : t -> Report.t
 end
 
@@ -241,7 +244,9 @@ module Ablations : sig
     p99 : float;
   }
 
-  val hedge_sweep : ?seed:int -> ?reads:int -> unit -> hedge_point list
+  val hedge_sweep : ?seed:int -> unit -> hedge_point list
+  (** 1000 reads per hedge threshold. *)
+
   val hedge_report : hedge_point list -> Report.t
 
   type gossip_point = {

@@ -12,10 +12,6 @@
 val logical_path : string -> string
 (** Strip leading [./] and [../] segments. *)
 
-val files_under : string list -> string list
-(** All [.ml]/[.mli] files under the given root directories (on-disk paths,
-    sorted, skip-list applied).  A root that does not exist contributes
-    nothing. *)
 
 val lint_source : path:string -> string -> Finding.t list
 (** [lint_source ~path contents] parses [contents] as an implementation and

@@ -21,12 +21,17 @@ let sim_code path =
    renders experiment output directly; lib/vopr renders violation
    lists and repro digests whose byte-identity across reruns is the whole
    point; lib/recorder renders flight-recorder artifacts and explain
-   timelines under the same byte-stability contract. *)
+   timelines under the same byte-stability contract.  The experiment
+   driver and the workload generator decide which keys a verdict reads
+   and in what order, and those reads move the simulation that the
+   experiment tables report. *)
 let output_feeding path =
   under "lib/obs" path
   || under "lib/vopr" path
   || under "lib/recorder" path
+  || under "lib/workload" path
   || path = "lib/harness/report.ml"
+  || path = "lib/harness/experiments.ml"
 
 (* The simulated commit path: every write, ack, coalesce, GC and read
    runs through these libraries, so their hash tables are functor

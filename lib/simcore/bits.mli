@@ -5,10 +5,6 @@ val clz : int -> int
     bit 62 (the sign bit is excluded).  [clz 1 = 62].
     @raise Invalid_argument on non-positive input. *)
 
-val highest_bit : int -> int
-(** [highest_bit v] is the position of the most significant set bit
-    ([highest_bit 1 = 0]). *)
-
 (** {1 Deterministic hashing}
 
     FNV-1a with 64-bit parameters, for anything whose hash can reach

@@ -3,7 +3,6 @@ type t =
   | Uniform of Time_ns.t * Time_ns.t
   | Exponential of float
   | Lognormal of float * float (* mu, sigma in log-space of nanoseconds *)
-  | Pareto of float * float
   | Shifted of Time_ns.t * t
   | Mixture of (float * t) array * float (* entries, total weight *)
   | Scaled of float * t
@@ -21,10 +20,6 @@ let exponential ~mean =
 let lognormal ~median ~sigma =
   if median <= 0 then invalid_arg "Distribution.lognormal: median <= 0";
   Lognormal (log (float_of_int median), sigma)
-
-let pareto ~scale ~shape =
-  if scale <= 0 then invalid_arg "Distribution.pareto: scale <= 0";
-  Pareto (float_of_int scale, shape)
 
 let shifted base d = Shifted (base, d)
 
@@ -55,7 +50,6 @@ let rec sample t rng =
     | Uniform (lo, hi) -> Rng.int_in rng lo hi
     | Exponential mean -> int_of_float (Rng.exponential rng ~mean)
     | Lognormal (mu, sigma) -> int_of_float (Rng.lognormal rng ~mu ~sigma)
-    | Pareto (scale, shape) -> int_of_float (Rng.pareto rng ~scale ~shape)
     | Shifted (base, d) -> Time_ns.add base (sample d rng)
     | Mixture (entries, total) ->
       sample (mixture_pick entries (Rng.float rng total) 0 0.) rng

@@ -20,9 +20,6 @@ val lognormal : median:Time_ns.t -> sigma:float -> t
 (** Lognormal with the given median; [sigma] is the shape (log-space std
     dev).  [sigma] ~ 0.3–0.6 models realistic disk/network service times. *)
 
-val pareto : scale:Time_ns.t -> shape:float -> t
-(** Heavy tail with minimum [scale]. *)
-
 val shifted : Time_ns.t -> t -> t
 (** [shifted base d] adds a deterministic floor to every sample — e.g.
     propagation delay plus variable queueing. *)

@@ -70,11 +70,6 @@ let[@inline] gaussian t ~mu ~sigma =
 
 let[@inline] lognormal t ~mu ~sigma = exp (gaussian t ~mu ~sigma)
 
-let pareto t ~scale ~shape =
-  if scale <= 0. || shape <= 0. then invalid_arg "Rng.pareto";
-  let u = 1.0 -. unit_float t in
-  scale /. (u ** (1.0 /. shape))
-
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do
     let j = int t (i + 1) in

@@ -49,8 +49,6 @@ val gaussian : t -> mu:float -> sigma:float -> float
 val lognormal : t -> mu:float -> sigma:float -> float
 (** exp of a Gaussian: the classic heavy-ish-tailed service-time model. *)
 
-val pareto : t -> scale:float -> shape:float -> float
-(** Pareto sample: heavy tail with minimum [scale] and tail index [shape]. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

@@ -203,5 +203,4 @@ val describe : t -> info
 (** Translate a wire message for [Recorder] hook points.  Pure; performs
     no LSN arithmetic, only integer imaging. *)
 
-val pp_reject_reason : Format.formatter -> reject_reason -> unit
 val pp_read_error : Format.formatter -> read_error -> unit

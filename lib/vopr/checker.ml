@@ -276,8 +276,10 @@ let probe_read_replica t r =
 
 (* ---- lifecycle ---- *)
 
-let create ~cluster ?gen ?(watch_interval = Time_ns.ms 5)
-    ?(probe_interval = Time_ns.ms 25) () =
+let watch_interval = Time_ns.ms 5
+let probe_interval = Time_ns.ms 25
+
+let create ~cluster ?gen () =
   let sim = Cluster.sim cluster in
   let t =
     {
@@ -329,44 +331,16 @@ let quiesce_audit t =
   (match t.gen with
   | None -> ()
   | Some gen ->
-    (* Same oracle as the harness durability audits: per key, the last
-       acknowledged write in issue (= LSN) order is required; in-doubt
-       writes issued after it may legitimately have survived.  Keys are
-       audited in sorted order so the violation list is stable. *)
-    let valid = Hashtbl.create 256 in
-    List.iter
-      (fun (key, value, acked) ->
-        if acked then Hashtbl.replace valid key [ value ]
-        else
-          match Hashtbl.find_opt valid key with
-          | Some vs -> Hashtbl.replace valid key (value :: vs)
-          | None -> ())
-      (Workload.Txn_gen.writes_in_issue_order gen);
-    let keys =
-      List.sort_uniq String.compare
-        (List.filter_map
-           (fun (key, _, acked) -> if acked then Some key else None)
-           (Workload.Txn_gen.writes_in_issue_order gen))
-    in
-    List.iter
-      (fun key ->
-        match Hashtbl.find_opt valid key with
-        | None -> ()
-        | Some valid_values ->
-          Database.get db ~key (fun result ->
-              let ok =
-                match result with
-                | Ok (Some v) -> List.exists (String.equal v) valid_values
-                | Ok None | Error _ -> false
-              in
-              if not ok then
-                note t ~checker:"durability"
-                  ~detail:
-                    (Printf.sprintf "acked write to %S not readable (%s)" key
-                       (match result with
-                       | Ok (Some v) -> Printf.sprintf "found stale %S" v
-                       | Ok None -> "found nothing"
-                       | Error e -> "read error: " ^ e))))
-      keys);
+    ignore
+      (Workload.Txn_gen.audit gen
+         ~get:(fun ~key cb -> Database.get db ~key cb)
+         (fun ~key result ->
+           note t ~checker:"durability"
+             ~detail:
+               (Printf.sprintf "acked write to %S not readable (%s)" key
+                  (match result with
+                  | Ok (Some v) -> Printf.sprintf "found stale %S" v
+                  | Ok None -> "found nothing"
+                  | Error e -> "read error: " ^ e)))));
     probe_read_writer t
   end

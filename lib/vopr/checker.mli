@@ -35,23 +35,24 @@ type t
 val create :
   cluster:Harness.Cluster.t ->
   ?gen:Workload.Txn_gen.t ->
-  ?watch_interval:Simcore.Time_ns.t ->
-  ?probe_interval:Simcore.Time_ns.t ->
   unit ->
   t
-(** Install the watch tick (default 5 ms) and probe session (default
-    25 ms) on the cluster's sim.  [gen], when given, is the workload
-    generator whose acked-write oracle the quiesce audit replays. *)
+(** Install the watch tick (every 5 ms) and probe session (every 25 ms) on
+    the cluster's sim.  [gen], when given, is the workload generator whose
+    durability oracle, {!Workload.Txn_gen.audit}, the quiesce audit
+    replays. *)
 
 val note : t -> checker:string -> detail:string -> unit
 (** Record an externally detected violation (the runner uses this for step
     expectation failures). *)
 
 val quiesce_audit : t -> unit
-(** Schedule the end-of-run audit: re-read every key the workload ever
-    acknowledged a write for (the visible value must be the last acked
-    write or a later in-doubt one), plus a final probe read.  Run the sim
-    for a settle period afterwards so the reads complete. *)
+(** Schedule the end-of-run audit: {!Workload.Txn_gen.audit} re-reads, in
+    key order, every key the workload ever acknowledged a write for (the
+    visible value must be the last acked write or a later in-doubt one),
+    noting each wrong read as a [durability] violation; plus a final probe
+    read.  Run the sim for a settle period afterwards so the reads
+    complete. *)
 
 val stop : t -> unit
 (** Tear down the periodic activities (they unschedule on the next tick). *)

@@ -86,7 +86,6 @@ let lsn_range = function
   | r :: rest -> range_from r.lsn r.lsn rest
 
 let is_commit t = match t.op with Commit -> true | Put _ | Delete _ | Abort | Noop -> false
-let is_abort t = match t.op with Abort -> true | Put _ | Delete _ | Commit | Noop -> false
 
 let pp_op fmt = function
   | Put { key; value } -> Format.fprintf fmt "put %s=%s" key value

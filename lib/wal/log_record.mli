@@ -88,6 +88,5 @@ val lsn_range : t list -> (Lsn.t * Lsn.t) option
     with the range of records it carried. *)
 
 val is_commit : t -> bool
-val is_abort : t -> bool
 val pp : Format.formatter -> t -> unit
 val pp_op : Format.formatter -> op -> unit

@@ -1,7 +1,6 @@
 open Simcore
-open Wal
 module Database = Aurora_core.Database
-module Int_map = Map.Make (Int)
+module String_map = Map.Make (String)
 
 type profile = {
   ops_per_txn : int;
@@ -22,10 +21,18 @@ let default_profile =
     mtr_fraction = 0.1;
   }
 
-type acked = {
-  acked_txn : Txn_id.t;
-  keys_written : (string * string) list;
-  acked_at : Time_ns.t;
+type acked = { keys_written : (string * string) list; acked_at : Time_ns.t }
+
+(* One audit-trail entry per transaction that wrote.  The trail is never
+   keyed by Txn_id: a recovered writer re-derives its transaction floor
+   from storage, so the id of a transaction that vanished entirely in a
+   crash (nothing durable) can be reused by a post-recovery transaction.
+   Each ack marks its own entry, so the dead pre-crash write stays in
+   doubt instead of being retroactively acknowledged. *)
+type entry = {
+  writes : (string * string) list; (* put order = LSN order *)
+  mutable requested : bool; (* commit requested *)
+  mutable acked_at : Time_ns.t option;
 }
 
 type t = {
@@ -38,18 +45,7 @@ type t = {
   mutable issued : int;
   mutable acked : int;
   mutable failed : int;
-  mutable acked_writes : acked list;
-  (* Issue-stamp keyed, NOT Txn_id keyed: a recovered writer re-derives its
-     transaction floor from storage, so the id of a transaction that
-     vanished entirely in a crash (nothing durable) can be reused by a
-     post-recovery transaction.  Keying the audit trail by Txn_id would
-     then retroactively mark the dead pre-crash write as acknowledged and
-     the durability oracle would demand a value that was legitimately
-     lost. *)
-  mutable unacked : (string * string) list Int_map.t;
-  mutable writes_log : (string * string * int) list; (* newest first *)
-  acked_issues : (int, unit) Hashtbl.t;
-  mutable next_issue : int;
+  mutable trail : entry list; (* newest issue first *)
   mutable value_counter : int;
 }
 
@@ -64,11 +60,7 @@ let create ~sim ~rng ~db ~profile () =
     issued = 0;
     acked = 0;
     failed = 0;
-    acked_writes = [];
-    unacked = Int_map.empty;
-    writes_log = [];
-    acked_issues = Hashtbl.create 256;
-    next_issue = 0;
+    trail = [];
     value_counter = 0;
   }
 
@@ -82,40 +74,12 @@ let fresh_value t =
 
 let issue_one t ~on_done =
   t.issued <- t.issued + 1;
-  let issue = t.next_issue in
-  t.next_issue <- t.next_issue + 1;
   match Database.begin_txn t.db with
   | exception Failure msg ->
     t.failed <- t.failed + 1;
     on_done (Error msg)
   | txn ->
     let n = t.profile.ops_per_txn in
-    let writes = ref [] in
-    let reads_pending = ref 0 in
-    let committed = ref false in
-    let try_commit () =
-      if (not !committed) && !reads_pending = 0 then begin
-        committed := true;
-        let keys_written = !writes in
-        if keys_written <> [] then
-          t.unacked <- Int_map.add issue keys_written t.unacked;
-        Database.commit t.db ~txn (fun result ->
-            match result with
-            | Ok () ->
-              t.acked <- t.acked + 1;
-              Hashtbl.replace t.acked_issues issue ();
-              if keys_written <> [] then begin
-                t.unacked <- Int_map.remove issue t.unacked;
-                t.acked_writes <-
-                  { acked_txn = txn; keys_written; acked_at = Sim.now t.sim }
-                  :: t.acked_writes
-              end;
-              on_done (Ok ())
-            | Error e ->
-              t.failed <- t.failed + 1;
-              on_done (Error e))
-      end
-    in
     let n_writes =
       int_of_float (Float.round (t.profile.write_fraction *. float_of_int n))
     in
@@ -123,23 +87,30 @@ let issue_one t ~on_done =
       n_writes > 1 && Rng.bernoulli t.rng t.profile.mtr_fraction
     in
     (* Writes first (buffered, synchronous at the engine), then reads. *)
-    if as_mtr then begin
-      let kvs =
-        List.init n_writes (fun _ ->
-            (key_of t (Zipf.sample t.zipf t.rng), fresh_value t))
-      in
-      Database.put_multi t.db ~txn kvs;
-      List.iter (fun (k, v) -> t.writes_log <- (k, v, issue) :: t.writes_log) kvs;
-      writes := kvs @ !writes
-    end
+    let writes =
+      List.init n_writes (fun _ ->
+          (key_of t (Zipf.sample t.zipf t.rng), fresh_value t))
+    in
+    if as_mtr then Database.put_multi t.db ~txn writes
     else
-      for _ = 1 to n_writes do
-        let key = key_of t (Zipf.sample t.zipf t.rng) in
-        let value = fresh_value t in
-        Database.put t.db ~txn ~key ~value;
-        t.writes_log <- (key, value, issue) :: t.writes_log;
-        writes := (key, value) :: !writes
-      done;
+      List.iter (fun (key, value) -> Database.put t.db ~txn ~key ~value) writes;
+    let entry = { writes; requested = false; acked_at = None } in
+    if writes <> [] then t.trail <- entry :: t.trail;
+    let reads_pending = ref 0 in
+    let try_commit () =
+      if (not entry.requested) && !reads_pending = 0 then begin
+        entry.requested <- true;
+        Database.commit t.db ~txn (fun result ->
+            match result with
+            | Ok () ->
+              t.acked <- t.acked + 1;
+              entry.acked_at <- Some (Sim.now t.sim);
+              on_done (Ok ())
+            | Error e ->
+              t.failed <- t.failed + 1;
+              on_done (Error e))
+      end
+    in
     for _ = 1 to n - n_writes do
       incr reads_pending;
       let key = key_of t (Zipf.sample t.zipf t.rng) in
@@ -187,12 +158,47 @@ let commit_latency t = t.commit_latency
 let issued t = t.issued
 let acked t = t.acked
 let failed t = t.failed
-let acked_writes t = List.rev t.acked_writes
+
+let acked_writes t =
+  List.fold_left
+    (fun acc e ->
+      match e.acked_at with
+      | Some acked_at -> { keys_written = e.writes; acked_at } :: acc
+      | None -> acc)
+    [] t.trail
 
 let unacked_writes t =
-  Int_map.fold (fun _ kvs acc -> kvs @ acc) t.unacked []
+  List.concat_map
+    (fun e -> if e.requested && Option.is_none e.acked_at then e.writes else [])
+    t.trail
 
 let writes_in_issue_order t =
-  List.rev_map
-    (fun (k, v, issue) -> (k, v, Hashtbl.mem t.acked_issues issue))
-    t.writes_log
+  List.fold_left
+    (fun acc e ->
+      let acked = Option.is_some e.acked_at in
+      List.fold_right (fun (k, v) acc -> (k, v, acked) :: acc) e.writes acc)
+    [] t.trail
+
+(* The durability oracle.  MVCC orders versions by LSN, not by ack order,
+   so a key's valid values are its last acknowledged write in issue (=
+   LSN) order plus every in-doubt write issued after it: a commit whose
+   ack was lost in a crash may legitimately have survived. *)
+let audit t ~get on_wrong =
+  let valid =
+    List.fold_left
+      (fun valid (key, value, acked) ->
+        if acked then String_map.add key [ value ] valid
+        else
+          match String_map.find_opt key valid with
+          | Some vs -> String_map.add key (value :: vs) valid
+          | None -> valid)
+      String_map.empty (writes_in_issue_order t)
+  in
+  String_map.iter
+    (fun key values ->
+      get ~key (fun result ->
+          match result with
+          | Ok (Some v) when List.exists (String.equal v) values -> ()
+          | Ok _ | Error _ -> on_wrong ~key result))
+    valid;
+  String_map.cardinal valid

@@ -12,10 +12,17 @@
     Every transaction draws [ops_per_txn] keys (Zipfian), performs
     [write_fraction] of them as puts and the rest as snapshot gets, then
     commits.  Commit acknowledgement latency lands in the generator's
-    histogram; durability bookkeeping (what was acked, with which value)
-    is retained so fault-injection tests can audit zero-loss after crashes. *)
+    histogram.
 
-open Wal
+    {b Audit trail.}  The generator keeps one record per transaction that
+    wrote, in issue order: its key/value writes, whether its commit was
+    requested, and when (if ever) the commit was acknowledged.  A
+    transaction's puts all run synchronously at issue, so its writes sit
+    next to each other in LSN order and the trail's issue order is LSN
+    order.  Each acknowledgement marks its own record; the trail is never
+    keyed by transaction id, which a recovered writer may reuse.  The
+    views below and the one durability oracle, {!audit}, read this
+    trail. *)
 
 type profile = {
   ops_per_txn : int;
@@ -32,11 +39,7 @@ val default_profile : profile
 
 type t
 
-type acked = {
-  acked_txn : Txn_id.t;
-  keys_written : (string * string) list;
-  acked_at : Simcore.Time_ns.t;
-}
+type acked = { keys_written : (string * string) list; acked_at : Simcore.Time_ns.t }
 
 val create :
   sim:Simcore.Sim.t ->
@@ -63,8 +66,9 @@ val issued : t -> int
 val acked : t -> int
 val failed : t -> int
 val acked_writes : t -> acked list
-(** Audit trail: every acknowledged transaction with the key/values it
-    wrote, in ack order. *)
+(** Every acknowledged transaction that wrote, with the key/values it
+    wrote in put order, in {e issue} order (not ack order: sort by
+    [acked_at] for a timeline). *)
 
 val unacked_writes : t -> (string * string) list
 (** Writes whose commit was requested but never acknowledged (in-doubt at
@@ -74,6 +78,18 @@ val unacked_writes : t -> (string * string) list
 val writes_in_issue_order : t -> (string * string * bool) list
 (** Every write in issue order — which equals LSN order, since puts
     allocate LSNs synchronously — tagged with whether its transaction's
-    commit was acknowledged.  This is the durability oracle: the visible
-    value of a key must be its last acknowledged write or a later in-doubt
-    one (MVCC orders versions by LSN, not by commit-ack order). *)
+    commit was acknowledged. *)
+
+val audit :
+  t ->
+  get:(key:string -> ((string option, string) result -> unit) -> unit) ->
+  (key:string -> (string option, string) result -> unit) ->
+  int
+(** The durability oracle: the visible value of a key must be its last
+    acknowledged write in issue (= LSN) order, or any in-doubt write issued
+    after it (MVCC orders versions by LSN, not by ack order).  Reads every
+    key with an acknowledged write through [get], in key order, and calls
+    the last argument with the key and the result of each read that
+    returns anything else (an older value, nothing, or an error).  Returns
+    the number of keys read; the caller runs the simulation until the
+    reads complete. *)

@@ -97,13 +97,16 @@ let audit cluster gen =
     (Time_ns.add (Sim.now (Cluster.sim cluster)) (Time_ns.sec 2));
   let db = Cluster.db cluster in
   check_bool "writer open at audit" true (Database.is_open db);
-  let checked, lost =
-    E.audit_durability ~sim:(Cluster.sim cluster)
+  let lost = ref 0 in
+  let checked =
+    Workload.Txn_gen.audit gen
       ~get:(fun ~key cb -> Database.get db ~key cb)
-      ~gen
+      (fun ~key:_ _ -> incr lost)
   in
+  Sim.run_until (Cluster.sim cluster)
+    (Time_ns.add (Sim.now (Cluster.sim cluster)) (Time_ns.sec 10));
   check_bool "audited some keys" true (checked > 0);
-  check_int "no acked write lost" 0 lost
+  check_int "no acked write lost" 0 !lost
 
 let epoch_of cluster pg =
   let g = Aurora_core.Volume.find_pg (Database.volume (Cluster.db cluster)) pg in

@@ -116,10 +116,24 @@ let test_scope () =
   check_shapes "determinism rule inactive in test/" []
     (lint_as ~path:"test/fake/bad_determinism.ml" "bad_determinism.ml");
   (* Hash iteration is only a finding in output-feeding modules. *)
+  let stable_iteration path =
+    List.filter
+      (fun (f : Lint.Finding.t) -> f.rule = "stable-iteration")
+      (lint_as ~path "bad_stable_iteration.ml")
+  in
   check_shapes "stable-iteration inactive outside lib/obs" []
-    (List.filter
-       (fun (f : Lint.Finding.t) -> f.rule = "stable-iteration")
-       (lint_as ~path:"lib/core/bad_stable_iteration.ml" "bad_stable_iteration.ml"));
+    (stable_iteration "lib/core/bad_stable_iteration.ml");
+  (* The experiment driver and the workload generator choose which keys a
+     verdict reads, and in what order; the rest of lib/harness does not. *)
+  List.iter
+    (fun path ->
+      check_shapes
+        (Printf.sprintf "stable-iteration active in %s" path)
+        [ ("stable-iteration", 2, 15); ("stable-iteration", 3, 16) ]
+        (stable_iteration path))
+    [ "lib/harness/experiments.ml"; "lib/harness/report.ml"; "lib/workload/txn_gen.ml" ];
+  check_shapes "stable-iteration inactive in lib/harness/cluster.ml" []
+    (stable_iteration "lib/harness/cluster.ml");
   (* The generic table is a finding only on the simulated commit path. *)
   List.iter
     (fun dir ->
