@@ -36,9 +36,14 @@ type cached_block = {
 
 type stats = { hits : int; misses : int; evictions : int; eviction_blocked : int }
 
+(* The block table is an array indexed by block id, holding the sentinel
+   [lru] for an absent block: a lookup hashes nothing and boxes no option.
+   Ids above [n_blocks] appear when [Volume.grow] adds blocks, so it grows
+   on demand.  Nothing iterates it, so no order can leak. *)
 type t = {
   capacity : int;
-  table : cached_block Block_id.Tbl.t;
+  mutable table : cached_block array;
+  mutable count : int; (* blocks present *)
   unbuilt : Storage.Block_store.version list Keys.t;
       (* the [keys] of every [Image] block: never written, never read *)
   lru : cached_block; (* sentinel: [lru.next] is the LRU block *)
@@ -64,11 +69,13 @@ let node block keys fill =
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Buffer_cache.create: capacity";
   let unbuilt = Keys.create 1 in
+  let lru = node (Block_id.of_int 0) unbuilt Blind (* never in [table] *) in
   {
     capacity;
-    table = Block_id.Tbl.create capacity;
+    table = Array.make 64 lru;
+    count = 0;
     unbuilt;
-    lru = node (Block_id.of_int 0) unbuilt Blind (* never in [table] *);
+    lru;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -89,7 +96,12 @@ let touch t entry =
   unlink entry;
   push_mru t entry
 
-let contains t block = Block_id.Tbl.mem t.table block
+(* [block]'s entry, or the sentinel. *)
+let find t block =
+  let i = Block_id.to_int block in
+  if i < Array.length t.table then t.table.(i) else t.lru
+
+let contains t block = find t block != t.lru
 
 type lookup =
   | Hit of Storage.Block_store.version list
@@ -107,11 +119,12 @@ let rec chain_in entries key =
   | (k, versions) :: rest -> if String.equal k key then versions else chain_in rest key
 
 let read t block ~key =
-  match Block_id.Tbl.find_opt t.table block with
-  | None ->
+  let entry = find t block in
+  if entry == t.lru then begin
     t.misses <- t.misses + 1;
     Miss
-  | Some entry -> (
+  end
+  else begin
     touch t entry;
     match entry.fill with
     | Blind -> Partial (chain_of entry.keys key)
@@ -120,7 +133,8 @@ let read t block ~key =
       Hit (chain_of entry.keys key)
     | Image entries ->
       t.hits <- t.hits + 1;
-      Hit (chain_in entries key))
+      Hit (chain_in entries key)
+  end
 
 (* Evict LRU blocks whose redo is durable (last_lsn <= vdl) until at
    capacity.  Dirty blocks are skipped; if everything over capacity is
@@ -129,12 +143,13 @@ let read t block ~key =
    rest of the call, so the walk never restarts. *)
 let evict_pressure t ~vdl =
   let rec walk e =
-    if Block_id.Tbl.length t.table > t.capacity then
+    if t.count > t.capacity then
       if e == t.lru then t.eviction_blocked <- t.eviction_blocked + 1
       else if Lsn.(e.last_lsn <= vdl) then begin
         let next = e.next in
         unlink e;
-        Block_id.Tbl.remove t.table e.block;
+        t.table.(Block_id.to_int e.block) <- t.lru;
+        t.count <- t.count - 1;
         t.evictions <- t.evictions + 1;
         walk next
       end
@@ -144,7 +159,14 @@ let evict_pressure t ~vdl =
 
 let add t block keys fill =
   let e = node block keys fill in
-  Block_id.Tbl.add t.table block e;
+  let i = Block_id.to_int block in
+  if i >= Array.length t.table then begin
+    let table = Array.make (Int.max (2 * Array.length t.table) (i + 1)) t.lru in
+    Array.blit t.table 0 table 0 (Array.length t.table);
+    t.table <- table
+  end;
+  t.table.(i) <- e;
+  t.count <- t.count + 1;
   push_mru t e;
   e
 
@@ -171,20 +193,20 @@ let apply_to_entry t entry (r : Log_record.t) =
 
 let apply t r ~vdl =
   let entry =
-    match Block_id.Tbl.find_opt t.table r.Log_record.block with
-    | Some e -> e
-    | None -> add t r.Log_record.block (Keys.create 8) Blind
+    let e = find t r.Log_record.block in
+    if e != t.lru then e else add t r.Log_record.block (Keys.create 8) Blind
   in
   apply_to_entry t entry r;
   evict_pressure t ~vdl
 
 let apply_if_present t r ~vdl =
-  match Block_id.Tbl.find_opt t.table r.Log_record.block with
-  | None -> false
-  | Some entry ->
+  let entry = find t r.Log_record.block in
+  if entry == t.lru then false
+  else begin
     apply_to_entry t entry r;
     evict_pressure t ~vdl;
     true
+  end
 
 let note_partial_hit t = t.hits <- t.hits + 1
 
@@ -194,15 +216,16 @@ let rec newest_of (chain : Storage.Block_store.version list) acc =
   | v :: rest -> newest_of rest (if Lsn.(v.lsn > acc) then v.lsn else acc)
 
 let install t (img : Storage.Protocol.block_image) ~vdl =
+  let entry = find t img.image_block in
   let entry =
-    match Block_id.Tbl.find_opt t.table img.image_block with
-    | None ->
+    if entry == t.lru then begin
       let entry = add t img.image_block t.unbuilt (Image img.image_entries) in
       List.iter
         (fun (_, versions) -> entry.last_lsn <- newest_of versions entry.last_lsn)
         img.image_entries;
       entry
-    | Some entry ->
+    end
+    else begin
       let keys = keys_of entry in
       List.iter
         (fun (key, versions) ->
@@ -222,16 +245,16 @@ let install t (img : Storage.Protocol.block_image) ~vdl =
         img.image_entries;
       entry.fill <- Built;
       entry
+    end
   in
   touch t entry;
   evict_pressure t ~vdl
 
 let last_modified t block =
-  match Block_id.Tbl.find_opt t.table block with
-  | None -> None
-  | Some e -> Some e.last_lsn
+  let e = find t block in
+  if e == t.lru then None else Some e.last_lsn
 
-let size t = Block_id.Tbl.length t.table
+let size t = t.count
 let capacity t = t.capacity
 
 let stats t =
@@ -243,6 +266,7 @@ let stats t =
   }
 
 let drop_all t =
-  Block_id.Tbl.reset t.table;
+  Array.fill t.table 0 (Array.length t.table) t.lru;
+  t.count <- 0;
   t.lru.prev <- t.lru;
   t.lru.next <- t.lru

@@ -11,7 +11,16 @@
     Replicas use the same structure with [apply_if_present]: "they receive
     a physical redo log stream ... and use this to update only data blocks
     present in their local caches; redo records for uncached blocks can be
-    discarded" (§3.2). *)
+    discarded" (§3.2).
+
+    The block table is an array indexed by block id, in which the LRU
+    list's sentinel stands for an absent block: a lookup hashes nothing
+    and allocates nothing.  It grows on demand, since [Volume.grow] adds
+    ids above the configured block count, so it costs one word per id up
+    to the highest cached.  A count answers {!size} and the capacity test.
+    A block filled from a storage image keeps that image's list, which may
+    be the store's memoised image ({!Storage.Block_store.image}) shared
+    with other caches; nothing mutates it. *)
 
 open Wal
 
@@ -69,4 +78,5 @@ val evict_pressure : t -> vdl:Lsn.t -> unit
     call it after their own work. *)
 
 val drop_all : t -> unit
-(** Crash: the cache is ephemeral state. *)
+(** Crash: the cache is ephemeral state.  The table keeps its length, with
+    every slot absent. *)

@@ -274,7 +274,7 @@ let get t ?txn ~key callback =
   Reader.get t.reader ~cache:t.cache ~volume:t.volume
     ~read_point:(fun () -> vdl t)
     ?owner:txn
-    ~commit_scn:(fun txn -> Txn_table.commit_scn t.txns txn)
+    ~txns:t.txns
     ~candidates:(covered_candidates t) ~epochs:(epochs_for t)
     ~on_hit:(fun () -> m.cache_hit_reads <- m.cache_hit_reads + 1)
     ~on_fetch:(fun () -> m.storage_reads <- m.storage_reads + 1)

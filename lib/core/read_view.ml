@@ -4,23 +4,21 @@ type t = { as_of : Lsn.t; owner : Txn_id.t option }
 
 let make ~as_of ?owner () = { as_of; owner }
 
-let visible t ~commit_scn (v : Storage.Block_store.version) =
+let visible t txns (v : Storage.Block_store.version) =
   match t.owner with
   (* A transaction always sees its own writes, even above the anchor:
      "after which it may not see any changes other than its own". *)
   | Some me when Txn_id.equal me v.txn -> true
-  | Some _ | None -> (
+  | Some _ | None ->
     Lsn.(v.lsn <= t.as_of)
     &&
-    match commit_scn v.txn with
-    | Some scn -> Lsn.(scn <= t.as_of)
-    | None -> false)
+    let scn = Txn_table.scn txns v.txn in
+    (not (Lsn.is_none scn)) && Lsn.(scn <= t.as_of)
 
-let rec pick t ~commit_scn = function
-  | [] -> None
-  | v :: rest -> if visible t ~commit_scn v then Some v else pick t ~commit_scn rest
+(* A suffix of the chain, so a lookup allocates nothing. *)
+let rec visible_suffix t txns = function
+  | [] -> []
+  | v :: rest as chain -> if visible t txns v then chain else visible_suffix t txns rest
 
-let value t ~commit_scn versions =
-  match pick t ~commit_scn versions with
-  | None -> None
-  | Some v -> v.value
+let value t txns chain =
+  match visible_suffix t txns chain with v :: _ -> v.value | [] -> None

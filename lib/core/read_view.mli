@@ -21,21 +21,17 @@ type t = {
 
 val make : as_of:Lsn.t -> ?owner:Txn_id.t -> unit -> t
 
-val visible :
-  t -> commit_scn:(Txn_id.t -> Lsn.t option) -> Storage.Block_store.version -> bool
+val visible : t -> Txn_table.t -> Storage.Block_store.version -> bool
+(** The rule above, with commit SCNs read from the table
+    ({!Txn_table.scn}): a check allocates nothing. *)
 
-val pick :
-  t ->
-  commit_scn:(Txn_id.t -> Lsn.t option) ->
-  Storage.Block_store.version list ->
-  Storage.Block_store.version option
-(** Newest visible version from a newest-first chain (the storage tier's
-    out-of-place versions, §3.4).  A visible delete returns the deleting
-    version itself ([value = None]); callers map that to absence. *)
+val visible_suffix :
+  t -> Txn_table.t -> Storage.Block_store.version list -> Storage.Block_store.version list
+(** The newest-first chain (the storage tier's out-of-place versions,
+    §3.4) from its newest visible version on, or [[]] if none is visible.
+    A suffix of the chain itself, so nothing is allocated.  A visible
+    delete heads the result ([value = None]); callers map that to
+    absence. *)
 
-val value :
-  t ->
-  commit_scn:(Txn_id.t -> Lsn.t option) ->
-  Storage.Block_store.version list ->
-  string option
-(** [pick] collapsed to the user-level result. *)
+val value : t -> Txn_table.t -> Storage.Block_store.version list -> string option
+(** The head of {!visible_suffix} collapsed to the user-level result. *)

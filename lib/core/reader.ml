@@ -226,47 +226,52 @@ let read t ~pg ~candidates ~block ~as_of ~epochs ~callback =
       end
   end
 
-let get t ~cache ~volume ~read_point ?owner ~commit_scn ~candidates ~epochs
-    ~on_hit ~on_fetch ~block ~key callback =
-  let as_of = read_point () in
-  let view = Read_view.make ~as_of ?owner () in
-  let cached =
-    match Buffer_cache.read cache block ~key with
-    | Buffer_cache.Hit chain -> Some (Read_view.value view ~commit_scn chain)
-    | Buffer_cache.Partial chain -> (
-      (* Blind-write block: only trust it if a visible version exists. *)
-      match Read_view.pick view ~commit_scn chain with
-      | Some v ->
-        Buffer_cache.note_partial_hit cache;
-        Some v.Storage.Block_store.value
-      | None -> None)
-    | Buffer_cache.Miss -> None
-  in
-  match cached with
-  | Some value ->
+(* [get]'s miss: one segment read, installed in the cache, answered from
+   the merged entry. *)
+let fetch t ~cache ~volume ~read_point ~txns ~candidates ~epochs ~on_fetch ~block ~key
+    ~view callback =
+  on_fetch ();
+  let as_of = view.Read_view.as_of in
+  let g = Volume.pg_of_block volume block in
+  read t ~pg:g.Volume.id ~candidates:(candidates as_of g) ~block ~as_of
+    ~epochs:(epochs g) ~callback:(function
+      | Error e -> callback (Error e)
+      | Ok img ->
+        Buffer_cache.install cache img ~vdl:(read_point ());
+        (* Serve from the merged cache entry so locally written versions
+           newer than the image are not shadowed. *)
+        let chain =
+          match Buffer_cache.read cache block ~key with
+          | Buffer_cache.Hit chain | Buffer_cache.Partial chain -> chain
+          | Buffer_cache.Miss -> (
+            match
+              List.find_opt (fun (k, _) -> String.equal k key) img.image_entries
+            with
+            | Some (_, versions) -> versions
+            | None -> [])
+        in
+        callback (Ok (Read_view.value view txns chain)))
+
+let get t ~cache ~volume ~read_point ?owner ~txns ~candidates ~epochs ~on_hit ~on_fetch
+    ~block ~key callback =
+  let view = Read_view.make ~as_of:(read_point ()) ?owner () in
+  match Buffer_cache.read cache block ~key with
+  | Buffer_cache.Hit chain ->
     on_hit ();
-    callback (Ok value)
-  | None ->
-    on_fetch ();
-    let g = Volume.pg_of_block volume block in
-    read t ~pg:g.Volume.id ~candidates:(candidates as_of g) ~block ~as_of
-      ~epochs:(epochs g) ~callback:(function
-        | Error e -> callback (Error e)
-        | Ok img ->
-          Buffer_cache.install cache img ~vdl:(read_point ());
-          (* Serve from the merged cache entry so locally written versions
-             newer than the image are not shadowed. *)
-          let chain =
-            match Buffer_cache.read cache block ~key with
-            | Buffer_cache.Hit chain | Buffer_cache.Partial chain -> chain
-            | Buffer_cache.Miss -> (
-              match
-                List.find_opt (fun (k, _) -> String.equal k key) img.image_entries
-              with
-              | Some (_, versions) -> versions
-              | None -> [])
-          in
-          callback (Ok (Read_view.value view ~commit_scn chain)))
+    callback (Ok (Read_view.value view txns chain))
+  | Buffer_cache.Partial chain -> (
+    (* Blind-write block: only trust it if a visible version exists. *)
+    match Read_view.visible_suffix view txns chain with
+    | v :: _ ->
+      Buffer_cache.note_partial_hit cache;
+      on_hit ();
+      callback (Ok v.Storage.Block_store.value)
+    | [] ->
+      fetch t ~cache ~volume ~read_point ~txns ~candidates ~epochs ~on_fetch ~block ~key
+        ~view callback)
+  | Buffer_cache.Miss ->
+    fetch t ~cache ~volume ~read_point ~txns ~candidates ~epochs ~on_fetch ~block ~key
+      ~view callback
 
 let on_reply t ~req ~seg ~from ~result =
   match Reqs.find_opt t.pendings req with

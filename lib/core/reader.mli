@@ -85,7 +85,7 @@ val get :
   volume:Volume.t ->
   read_point:(unit -> Lsn.t) ->
   ?owner:Txn_id.t ->
-  commit_scn:(Txn_id.t -> Lsn.t option) ->
+  txns:Txn_table.t ->
   candidates:(Lsn.t -> Volume.pg -> (Member_id.t * Simnet.Addr.t) list) ->
   epochs:(Volume.pg -> Storage.Protocol.epochs) ->
   on_hit:(unit -> unit) ->
@@ -96,7 +96,9 @@ val get :
   unit
 (** Snapshot read of [key] in [block] at a view anchored on [read_point ()]
     (VDL on the writer, the last VDL seen on a replica) and owned by
-    [owner].  Served from [cache] when the block was installed from
+    [owner], with commit SCNs read from [txns] (the writer's table, or the
+    replica's copy), so the visibility check allocates nothing.  Served
+    from [cache] when the block was installed from
     storage, or when it holds only blind writes but one of them is
     visible ([on_hit] fires first).  Otherwise [on_fetch] fires and the
     block is read through {!read} from [candidates as_of group] with

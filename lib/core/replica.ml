@@ -168,7 +168,7 @@ let get t ~key callback =
     m.gets <- m.gets + 1;
     Reader.get t.reader ~cache:t.cache ~volume:t.volume
       ~read_point:(fun () -> t.vdl_seen)
-      ~commit_scn:(committed t)
+      ~txns:t.txns
       ~candidates:(fun _ -> Volume.full_roster)
       ~epochs:(Volume.epochs_for t.volume)
       ~on_hit:(fun () -> m.cache_hit_reads <- m.cache_hit_reads + 1)

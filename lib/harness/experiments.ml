@@ -670,7 +670,7 @@ module E6 = struct
      AZ1, lognormal inter/intra-AZ latencies as in Cluster.default_config. *)
   let az_spread_latency ~intra ~inter az_of a b =
     match (az_of a, az_of b) with
-    | Some x, Some y when x = y -> Some intra
+    | Some x, Some y when Int.equal x y -> Some intra
     | _ -> Some inter
 
   let disk_force = Distribution.lognormal ~median:(Time_ns.us 80) ~sigma:0.4

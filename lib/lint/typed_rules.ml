@@ -49,8 +49,8 @@ let catalogue =
        its own"
     );
     ( "typed-poly-compare",
-      "no polymorphic compare on protocol types (typed, catches local \
-       bindings)" );
+      "no polymorphic compare on protocol types or at a type variable \
+       (typed, catches local bindings)" );
   ]
 
 open Typed_summary
@@ -211,6 +211,11 @@ let defining_source units ty =
     | Some u -> Some u.u_source
     | None -> None)
 
+(* A comparison at a type variable compiles to the C primitive
+   ([caml_lessthan] and kin) whatever type the caller later passes, so it
+   is flagged everywhere, defining module included. *)
+let is_type_var ty = String.length ty > 0 && ty.[0] = '\''
+
 let poly_compare cfg units =
   let findings = ref [] in
   List.iter
@@ -224,18 +229,27 @@ let poly_compare cfg units =
                 | Some src -> String.equal src u.u_source
                 | None -> false
               in
-              if
+              let flag msg =
+                findings :=
+                  Finding.make ~rule:"typed-poly-compare" ~file:u.u_source
+                    ~line:h.p_line ~col:h.p_col msg
+                  :: !findings
+              in
+              if is_type_var h.p_ty then
+                flag
+                  (Printf.sprintf
+                     "polymorphic %s applied at a type variable (%s) — annotate \
+                      the operands' type or use a typed compare/equal"
+                     h.p_op h.p_ty)
+              else if
                 List.exists (String.equal h.p_ty) cfg.poly_types
                 && not in_defining_module
               then
-                findings :=
-                  Finding.make ~rule:"typed-poly-compare" ~file:u.u_source
-                    ~line:h.p_line ~col:h.p_col
-                    (Printf.sprintf
-                       "polymorphic %s applied at type %s — use the \
-                        module's typed compare/equal"
-                       h.p_op h.p_ty)
-                  :: !findings)
+                flag
+                  (Printf.sprintf
+                     "polymorphic %s applied at type %s — use the \
+                      module's typed compare/equal"
+                     h.p_op h.p_ty))
             b.b_poly)
         u.u_bindings)
     units;

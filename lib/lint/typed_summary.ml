@@ -117,17 +117,13 @@ let iterator ctx =
         if List.exists (String.equal name) poly_ops then
           match args with
         | (_, Some arg1) :: _ -> (
-          match Types.get_desc arg1.exp_type with
-          | Types.Tconstr (tp, _, _) ->
+          let hit ty =
             let line, col = line_col e.exp_loc in
-            ctx.poly <-
-              {
-                p_line = line;
-                p_col = col;
-                p_op = name;
-                p_ty = qualify_ty ctx (normalize_path tp);
-              }
-              :: ctx.poly
+            ctx.poly <- { p_line = line; p_col = col; p_op = name; p_ty = ty } :: ctx.poly
+          in
+          match Types.get_desc arg1.exp_type with
+          | Types.Tconstr (tp, _, _) -> hit (qualify_ty ctx (normalize_path tp))
+          | Types.Tvar v -> hit ("'" ^ Option.value v ~default:"_")
           | _ -> ())
         | _ -> ())
       | _ -> ())

@@ -8,6 +8,8 @@
 
 type con_use = { cu_ty : string; cu_con : string }
 type poly_hit = { p_line : int; p_col : int; p_op : string; p_ty : string }
+(** A comparison primitive applied at [p_ty]: a qualified type name, or a
+    type variable written with its quote (["'a"], ["'_"] if unnamed). *)
 
 type binding = {
   b_name : string;  (** Qualified, e.g. ["Simcore.Sim.schedule_at"]. *)

@@ -9,7 +9,7 @@ let to_int t = t
 let next t = t + 1
 let compare = Int.compare
 let equal = Int.equal
-let is_stale e ~current = e < current
+let is_stale (e : t) ~(current : t) = e < current
 let pp fmt t = Format.fprintf fmt "e%d" t
 
 type check = Ok | Stale of { current : t }

@@ -26,7 +26,15 @@ type entry = {
   mutable parked : int; (* nodes with >= 2 versions not on [work] *)
   mutable listed : bool; (* on [t.parked_in] *)
   mutable bytes : int; (* [version_bytes] of every version held: its share of [t.bytes] *)
+  mutable newest : Lsn.t; (* at or above every version's LSN *)
+  mutable memo : (string * version list) list * int;
+      (* The image every [as_of >= newest] reads, or [no_image].  Every
+         change to a chain clears it. *)
 }
+
+(* The empty memo, told apart by physical equality: a block whose chains
+   are all empty memoises its own [([], 0)]. *)
+let no_image : (string * version list) list * int = ([], -1)
 
 (* A segment holds one stripe of the block space ([Volume.pg_of_block] is
    [b mod group_count]), so under [Block_id.Tbl]'s identity hash only
@@ -83,6 +91,8 @@ let entry_of t block =
         parked = 0;
         listed = false;
         bytes = 0;
+        newest = Lsn.none;
+        memo = no_image;
       }
     in
     Blocks.add t.table block e;
@@ -212,6 +222,8 @@ let rec drop_versions t e key n = function
 (* One hash finds the key's node, or the slot a new one goes in.  A write
    to a parked key can make it collectable: wake it. *)
 let add_version t block e key v =
+  e.memo <- no_image;
+  if Lsn.(v.lsn > e.newest) then e.newest <- v.lsn;
   let hk = key_mix key in
   let i = slot e.slots hk in
   (match find key e.slots.(i) with
@@ -317,23 +329,31 @@ let block_snapshot t block =
    versions visible at [as_of] are a suffix, shared as is; only the heads
    hidden above it are sized, and the image's size is the entry's total
    less theirs. *)
+let build e ~as_of =
+  let hidden = ref 0 in
+  let rec visible key = function
+    | v :: rest when Lsn.(v.lsn > as_of) ->
+      hidden := !hidden + version_bytes key v;
+      visible key rest
+    | vs -> vs
+  in
+  let entries =
+    fold_chains
+      (fun key vs acc -> match visible key vs with [] -> acc | vs -> (key, vs) :: acc)
+      e []
+  in
+  (entries, e.bytes - !hidden)
+
+(* At or above [newest] every chain is visible whole: that image is built
+   once and kept until a chain changes.  [find] rather than [find_opt], so
+   a memo hit allocates nothing. *)
 let image t block ~as_of =
-  match Blocks.find_opt t.table block with
-  | None -> ([], 0)
-  | Some e ->
-    let hidden = ref 0 in
-    let rec visible key = function
-      | v :: rest when Lsn.(v.lsn > as_of) ->
-        hidden := !hidden + version_bytes key v;
-        visible key rest
-      | vs -> vs
-    in
-    let entries =
-      fold_chains
-        (fun key vs acc -> match visible key vs with [] -> acc | vs -> (key, vs) :: acc)
-        e []
-    in
-    (entries, e.bytes - !hidden)
+  match Blocks.find t.table block with
+  | exception Not_found -> ([], 0)
+  | e when Lsn.(e.newest <= as_of) ->
+    if e.memo == no_image then e.memo <- build e ~as_of;
+    e.memo
+  | e -> build e ~as_of
 
 let load_snapshot t block snapshot =
   (* Remove existing accounting for the block, then install.  The old entry
@@ -361,6 +381,7 @@ let load_snapshot t block snapshot =
       List.iter
         (fun v ->
           account t e 1 key v;
+          if Lsn.(v.lsn > e.newest) then e.newest <- v.lsn;
           if Lsn.(v.lsn > t.applied) then t.applied <- v.lsn)
         vs)
     snapshot;
@@ -396,6 +417,7 @@ let rollback_above t bound =
       e.work <- [];
       e.parked <- 0;
       e.listed <- false;
+      if Lsn.(e.newest > bound) then e.newest <- bound;
       iter_nodes
         (fun node ->
           match node with
@@ -407,6 +429,7 @@ let rollback_above t bound =
             | keep, drop ->
               dropped := drop_versions t e n.key !dropped drop;
               n.vs <- keep;
+              e.memo <- no_image;
               rechain t block (key_mix n.key) ~before:vs keep);
             if is_multi n.vs then push_work t e node)
         e)
@@ -472,7 +495,10 @@ let gc t ~keep_at_or_above =
     | Node n ->
       live := false;
       let kept = cut n.key e n.vs in
-      if kept != n.vs then n.vs <- kept;
+      if kept != n.vs then begin
+        n.vs <- kept;
+        e.memo <- no_image
+      end;
       if not (is_multi kept) then false
       else if !live then true
       else begin
@@ -494,6 +520,13 @@ let gc t ~keep_at_or_above =
   !dropped
 
 let blocks t = Blocks.fold (fun b _ acc -> b :: acc) t.table []
+
+(* Only a tracked block can mismatch, so the scan is over [sums]. *)
+let mismatched t =
+  Blocks.fold
+    (fun b _ acc -> match mismatch t b with Some _ -> b :: acc | None -> acc)
+    t.sums []
+
 let version_count t = t.nversions
 let bytes_used t = t.bytes
 
@@ -523,6 +556,7 @@ let corrupt t block =
       (* Swap in an altered copy (the version itself is shared with the
          record and with peers); the stored sum keeps the legitimate head. *)
       n.vs <- { v with value = Some (Bytes.to_string b) } :: rest;
+      e.memo <- no_image;
       true
     | Node _ | Empty -> false)
 

@@ -31,7 +31,9 @@
     ({!Wal.Log_record.version}, built once by [Log_record.make]): {!apply}
     conses it onto its key's chain, so the writer's cache and every segment
     that applies the record hold the same object, and {!block_snapshot} and
-    {!image} share chains with the store.  Nothing mutates a version.
+    {!image} share chains with the store.  An image read at or above the
+    block's newest LSN is one memoised list, which the segment ships and
+    every cache installs as is (see {!image}).  Nothing mutates a version.
     {!corrupt} swaps a private copy into this store's chain only, so a fault
     injected on one segment reaches neither its peers nor the record.
 
@@ -126,7 +128,19 @@ val image : t -> Wal.Block_id.t -> as_of:Wal.Lsn.t -> (string * version list) li
     (shared with the store), and the summed {!version_bytes} of those
     versions.  The size is a running total of every version the block
     holds, less the versions hidden above [as_of], so no other version is
-    sized. *)
+    sized.
+
+    {b Memo.}  Each block keeps [newest], a bound at or above every
+    version's LSN ({!apply} and {!load_snapshot} raise it, and
+    {!rollback_above} may lower it to its bound), and [memo], the last
+    image built at an [as_of] at or above [newest], where every chain is
+    visible whole.  Such a read returns the memo, building and keeping it
+    first if there is none, so an unchanged block's image is built once
+    and a repeat allocates nothing.  The result is immutable and shared:
+    the segment ships it, and the writer's and replicas' caches install
+    the same list.  Every change to a chain clears the memo: {!apply},
+    a {!gc} cut, {!rollback_above}, {!corrupt} and {!load_snapshot}.  A
+    read below [newest] builds its image as before and keeps nothing. *)
 
 val version_bytes : string -> version -> int
 (** Stored and wire size of one version of [key]: the key, the value and
@@ -164,6 +178,10 @@ val gc : t -> keep_at_or_above:Wal.Lsn.t -> int
 val blocks : t -> Wal.Block_id.t list
 val version_count : t -> int
 val bytes_used : t -> int
+
+val mismatched : t -> Wal.Block_id.t list
+(** The blocks that fail {!verify}, in no particular order.  Only a tracked
+    block can fail, so this visits the tracked blocks, not {!blocks}. *)
 
 val corrupt : t -> Wal.Block_id.t -> bool
 (** Fault injection: silently replace one non-empty newest version with an

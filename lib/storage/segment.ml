@@ -202,10 +202,7 @@ let hydrate_import t ~records ~blocks ~donor_scl ~coalesced =
   | Membership.Full -> ignore (coalesce t : int)
   | Membership.Tail -> ())
 
-let scrub t =
-  List.filter
-    (fun b -> not (Block_store.verify t.store b))
-    (Block_store.blocks t.store)
+let scrub t = Block_store.mismatched t.store
 
 let bytes_stored t =
   Hot_log.bytes_stored t.hot_log + Block_store.bytes_used t.store

@@ -113,7 +113,8 @@ val retained_from : t -> Wal.Lsn.t
 
 val scrub : t -> Wal.Block_id.t list
 (** Verify block checksums; returns the corrupt blocks found (Figure 2
-    step 8).  Repair is the node's job (re-hydrate those blocks). *)
+    step 8), in no particular order ({!Block_store.mismatched}).  Repair
+    is the node's job (re-hydrate those blocks). *)
 
 val bytes_stored : t -> int
 (** Hot log + block store footprint (the §4.2 cost metric). *)

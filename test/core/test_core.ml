@@ -353,27 +353,25 @@ let test_read_view_visibility () =
   let t2 = Txn_table.begin_txn tbl in
   Txn_table.mark_committed tbl t1 ~scn:(lsn 5);
   (* t2 stays active. *)
-  let commit_scn x = Txn_table.commit_scn tbl x in
   let chain =
     [ version ~l:8 ~t:2 "uncommitted"; version ~l:3 ~t:1 "committed" ]
   in
   let view = Read_view.make ~as_of:(lsn 10) () in
   Alcotest.(check (option string)) "skips active txn" (Some "committed")
-    (Read_view.value view ~commit_scn chain);
+    (Read_view.value view tbl chain);
   (* The writing transaction sees its own write. *)
   let own = Read_view.make ~as_of:(lsn 10) ~owner:t2 () in
   Alcotest.(check (option string)) "own write visible" (Some "uncommitted")
-    (Read_view.value own ~commit_scn chain);
+    (Read_view.value own tbl chain);
   (* A view before the commit SCN must not see it. *)
   let early = Read_view.make ~as_of:(lsn 4) () in
   Alcotest.(check (option string)) "pre-commit view blind" None
-    (Read_view.value early ~commit_scn chain)
+    (Read_view.value early tbl chain)
 
 let test_read_view_delete () =
   let tbl = Txn_table.create () in
   let t1 = Txn_table.begin_txn tbl in
   Txn_table.mark_committed tbl t1 ~scn:(lsn 6);
-  let commit_scn x = Txn_table.commit_scn tbl x in
   let chain =
     [
       { Storage.Block_store.value = None; txn = t1; lsn = lsn 5 };
@@ -382,7 +380,7 @@ let test_read_view_delete () =
   in
   let view = Read_view.make ~as_of:(lsn 10) () in
   Alcotest.(check (option string)) "visible delete = absent" None
-    (Read_view.value view ~commit_scn chain)
+    (Read_view.value view tbl chain)
 
 (* ---- Buffer cache ---- *)
 
@@ -827,6 +825,185 @@ let test_cache_lazy_sequence () =
   check_bool "block 0 evicted" false (Buffer_cache.contains cache (Block_id.of_int 0));
   reads "eviction"
 
+(* Block ids far past the table's first 64 slots, as [Volume.grow] adds
+   above [n_blocks]: the table grows to reach them, and after [drop_all]
+   every block reads as a miss and a refill works.  The eager cache (a
+   [Block_id.Tbl]) agrees on every read, membership, [last_modified],
+   size and stats at every step. *)
+let test_cache_sparse_ids () =
+  let ids = [ 0; 63; 64; 1_000; 70_000 ] in
+  let cache = Buffer_cache.create ~capacity:3
+  and eager = Buffer_cache_model.create ~capacity:3 in
+  let l = ref 0 in
+  let write ~vdl block =
+    incr l;
+    let r = put_record ~l:!l ~block "k" (Printf.sprintf "w%d" !l) in
+    Buffer_cache.apply cache r ~vdl:(lsn vdl);
+    Buffer_cache_model.apply eager r ~vdl:(lsn vdl)
+  in
+  let check step =
+    List.iter
+      (fun block ->
+        let b = Block_id.of_int block in
+        let where = Printf.sprintf "%s: b%d" step block in
+        check_bool (where ^ " contains") (Buffer_cache_model.contains eager b)
+          (Buffer_cache.contains cache b);
+        Alcotest.(check (option int)) (where ^ " last_modified")
+          (Option.map Lsn.to_int (Buffer_cache_model.last_modified eager b))
+          (Option.map Lsn.to_int (Buffer_cache.last_modified cache b));
+        check_bool (where ^ " read") true
+          (Lazy_cache_model.same (Buffer_cache.read cache b ~key:"k")
+             (Buffer_cache_model.read eager b ~key:"k")))
+      ids;
+    check_int (step ^ ": size") (Buffer_cache_model.size eager) (Buffer_cache.size cache);
+    let a = Buffer_cache.stats cache and e = Buffer_cache_model.stats eager in
+    Alcotest.(check (list int)) (step ^ ": stats")
+      [ e.hits; e.misses; e.evictions; e.eviction_blocked ]
+      [ a.hits; a.misses; a.evictions; a.eviction_blocked ]
+  in
+  (* Dirty above VDL 0: all five stay, over capacity. *)
+  List.iter (write ~vdl:0) ids;
+  check "dirty fill";
+  check_int "WAL rule keeps all five" 5 (Buffer_cache.size cache);
+  Buffer_cache.evict_pressure cache ~vdl:(lsn !l);
+  Buffer_cache_model.evict_pressure eager ~vdl:(lsn !l);
+  check "evicted to capacity";
+  Buffer_cache.drop_all cache;
+  Buffer_cache_model.drop_all eager;
+  check "after drop_all";
+  check_int "empty after drop_all" 0 (Buffer_cache.size cache);
+  List.iter (fun block -> write ~vdl:!l block) (List.rev ids);
+  check "refill";
+  let img = image ~block:70_001 ~as_of:(lsn 1) [ ("k", [ version ~l:1 ~t:1 "s1" ]) ] in
+  Buffer_cache.install cache img ~vdl:(lsn !l);
+  Buffer_cache_model.install eager img ~vdl:(lsn !l);
+  check_bool "installed above every id so far" true
+    (Buffer_cache.contains cache (Block_id.of_int 70_001));
+  check "install"
+
+(* The id-indexed table against a [Hashtbl] of statuses, with the
+   allocator modelled as a counter: begins, out-of-order registrations
+   (ids up to 700, past the table's first 256 rows), floors, commits,
+   aborts, forgets, and every lookup after every step.  SCNs are distinct
+   and increasing, as commit records' LSNs are. *)
+module Txn_table_model = struct
+  type op =
+    | Begin
+    | Register of int
+    | Floor of int
+    | Commit of int
+    | Abort of int
+    | Forget of int
+    | Upto of int  (** [committed_upto] at the SCN counter less this *)
+
+  let max_id = 700
+
+  let show = function
+    | Begin -> "begin"
+    | Register i -> Printf.sprintf "register t%d" i
+    | Floor i -> Printf.sprintf "floor t%d" i
+    | Commit i -> Printf.sprintf "commit t%d" i
+    | Abort i -> Printf.sprintf "abort t%d" i
+    | Forget i -> Printf.sprintf "forget t%d" i
+    | Upto back -> Printf.sprintf "upto -%d" back
+
+  let arb =
+    let open QCheck.Gen in
+    let id = int_range 1 max_id in
+    QCheck.make
+      ~print:(fun ops -> String.concat "; " (List.map show ops))
+      ~shrink:QCheck.Shrink.list
+      (list_size (int_range 1 120)
+         (frequency
+            [
+              (4, return Begin);
+              (3, map (fun i -> Register i) id);
+              (1, map (fun i -> Floor i) id);
+              (4, map (fun i -> Commit i) id);
+              (2, map (fun i -> Abort i) id);
+              (1, map (fun i -> Forget i) id);
+              (2, map (fun b -> Upto b) (int_bound 20));
+            ]))
+
+  let show_status = function
+    | None -> "absent"
+    | Some Txn_table.Active -> "active"
+    | Some Txn_table.Aborted -> "aborted"
+    | Some (Txn_table.Committed scn) -> Printf.sprintf "committed@%d" (Lsn.to_int scn)
+
+  let run ops =
+    let t = Txn_table.create () in
+    let model : (int, Txn_table.status) Hashtbl.t = Hashtbl.create 64 in
+    let last = ref 0 and scn = ref 0 in
+    let fail fmt = Printf.ksprintf (fun msg -> QCheck.Test.fail_report msg) fmt in
+    let check step =
+      for i = 1 to max_id + 130 do
+        let id = Txn_id.of_int i in
+        let want = Hashtbl.find_opt model i in
+        let got = Txn_table.status t id in
+        if show_status got <> show_status want then
+          fail "%s: t%d is %s, model %s" step i (show_status got) (show_status want);
+        let want_scn = match want with Some (Txn_table.Committed c) -> Lsn.to_int c | _ -> 0 in
+        if Lsn.to_int (Txn_table.scn t id) <> want_scn then
+          fail "%s: scn of t%d is %d, model %d" step i (Lsn.to_int (Txn_table.scn t id)) want_scn;
+        if
+          Option.map Lsn.to_int (Txn_table.commit_scn t id)
+          <> (if want_scn > 0 then Some want_scn else None)
+        then fail "%s: commit_scn of t%d" step i
+      done
+    in
+    List.iter
+      (fun op ->
+        let step = show op in
+        (match op with
+        | Begin ->
+          incr last;
+          let id = Txn_table.begin_txn t in
+          if Txn_id.to_int id <> !last then
+            fail "%s: allocated t%d, model t%d" step (Txn_id.to_int id) !last;
+          Hashtbl.replace model !last Txn_table.Active
+        | Register i ->
+          Txn_table.register t (Txn_id.of_int i);
+          Hashtbl.replace model i Txn_table.Active
+        | Floor i ->
+          Txn_table.note_floor t (Txn_id.of_int i);
+          last := max !last i
+        | Commit i ->
+          incr scn;
+          Txn_table.mark_committed t (Txn_id.of_int i) ~scn:(lsn !scn);
+          Hashtbl.replace model i (Txn_table.Committed (lsn !scn))
+        | Abort i ->
+          Txn_table.mark_aborted t (Txn_id.of_int i);
+          Hashtbl.replace model i Txn_table.Aborted
+        | Forget i ->
+          Txn_table.forget t (Txn_id.of_int i);
+          Hashtbl.remove model i
+        | Upto back ->
+          let bound = max 0 (!scn - back) in
+          let want =
+            Hashtbl.fold
+              (fun i status acc ->
+                match status with
+                | Txn_table.Committed c when Lsn.to_int c <= bound -> (Lsn.to_int c, i) :: acc
+                | Txn_table.Committed _ | Txn_table.Active | Txn_table.Aborted -> acc)
+              model []
+            |> List.sort compare
+          in
+          let got =
+            List.map
+              (fun (id, c) -> (Lsn.to_int c, Txn_id.to_int id))
+              (Txn_table.committed_upto t (lsn bound))
+          in
+          if got <> want then fail "%s: committed_upto differs (or is unsorted)" step);
+        check step)
+      ops;
+    true
+end
+
+let test_txn_table_model =
+  QCheck.Test.make ~count:300 ~name:"txn table matches a Hashtbl model"
+    Txn_table_model.arb Txn_table_model.run
+
 (* ---- Volume rosters ---- *)
 
 (* [full_roster] is memoised on the membership and address map it came
@@ -1019,6 +1196,7 @@ let () =
           Alcotest.test_case "txn table" `Quick test_txn_table;
           Alcotest.test_case "visibility" `Quick test_read_view_visibility;
           Alcotest.test_case "deletes" `Quick test_read_view_delete;
+          qc test_txn_table_model;
         ] );
       ( "buffer_cache",
         [
@@ -1032,6 +1210,8 @@ let () =
           qc test_lazy_cache_model;
           Alcotest.test_case "lazy image entry: fill, write, install, evict" `Quick
             test_cache_lazy_sequence;
+          Alcotest.test_case "block ids past the table, and drop_all" `Quick
+            test_cache_sparse_ids;
         ] );
       ("volume", [ Alcotest.test_case "full roster memo" `Quick test_full_roster_memo ]);
       ("commit_queue", [ Alcotest.test_case "scn gating" `Quick test_commit_queue ]);

@@ -179,14 +179,13 @@ let test_snapshot_does_not_see_later_commits () =
       settle sim (Time_ns.sec 1);
       (* Visibility at the old anchor. *)
       let view = Aurora_core.Read_view.make ~as_of:anchor () in
-      let commit_scn t = Aurora_core.Txn_table.commit_scn (Database.txn_table db) t in
       let block = Database.block_of_key (Database.config db) "x" in
       (match
          Buffer_cache.read (Database.cache db) block ~key:"x"
        with
       | Buffer_cache.Hit chain | Buffer_cache.Partial chain ->
         check_vopt "old anchor sees old value" (Some "old")
-          (Aurora_core.Read_view.value view ~commit_scn chain)
+          (Aurora_core.Read_view.value view (Database.txn_table db) chain)
       | Buffer_cache.Miss -> Alcotest.fail "block not cached");
       check_vopt "current view sees new value" (Some "new")
         (get_now sim db "x"))

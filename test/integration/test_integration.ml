@@ -236,7 +236,6 @@ let test_mtr_atomicity_at_vdl () =
       if Lsn.to_int anchor > 0 then begin
         incr samples;
         let view = Aurora_core.Read_view.make ~as_of:anchor () in
-        let commit_scn t = Aurora_core.Txn_table.commit_scn (Database.txn_table db) t in
         let value_at key =
           let block = Database.block_of_key (Database.config db) key in
           let g = Aurora_core.Volume.pg_of_block (Database.volume db) block in
@@ -269,7 +268,9 @@ let test_mtr_atomicity_at_vdl () =
                           img.Storage.Protocol.image_entries
                       with
                       | Some (_, chain) ->
-                        Some (Aurora_core.Read_view.value view ~commit_scn chain)
+                        Some
+                          (Aurora_core.Read_view.value view (Database.txn_table db)
+                             chain)
                       | None -> Some None)
                     | Error _ -> None))))
             candidates None

@@ -89,21 +89,23 @@ let test_event_emit () =
     [ (fx "tf_events.ml", 7) ]
     "typed-event-emit"
 
-(* Polymorphic [=] at Wal.Lsn.t in [bad] (line 5); the int comparison in
-   [good] is fine. *)
+(* Polymorphic [=] at Wal.Lsn.t in [bad] (line 5) and [<] at a type
+   variable in [bad_var] (line 7); the int comparisons in [good] and
+   [good_int] are fine. *)
 let test_poly_compare () =
-  check_sites "polymorphic equality at a protocol type"
-    [ (fx "tf_poly.ml", 5) ]
+  check_sites "polymorphic compare at a protocol type or a type variable"
+    [ (fx "tf_poly.ml", 5); (fx "tf_poly.ml", 7) ]
     "typed-poly-compare"
 
 let test_no_extra_findings () =
   Alcotest.(check int)
-    "the four rule tests account for every finding" 7
+    "the four rule tests account for every finding" 8
     (List.length (Lazy.force fixture_findings))
 
 (* A renamed type or total function must degrade loudly — to a
    finding anchored at the manifest pseudo-file — never to a silently
-   disabled rule. *)
+   disabled rule.  The comparison at a type variable in tf_poly.ml needs
+   no configured type, so it is found under this config too. *)
 let test_manifest_rot () =
   let cfg =
     {
@@ -127,6 +129,7 @@ let test_manifest_rot () =
     [
       ("(typed-lint-manifest)", "typed-describe-coverage");
       ("(typed-lint-manifest)", "typed-event-emit");
+      (fx "tf_poly.ml", "typed-poly-compare");
     ]
     (List.map (fun (f : Lint.Finding.t) -> (f.file, f.rule)) fs)
 

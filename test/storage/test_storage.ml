@@ -1435,6 +1435,153 @@ let test_s3_backup () =
   check_int "coverage" 10
     (Lsn.to_int (Storage.S3.durable_upto s3 (Storage.Pg_id.of_int 0) (Member_id.of_int 0)))
 
+(* The memoised image against a fresh fold, over random histories of the
+   model's steps plus repairs.  A twin store takes every step but the
+   faults, so its snapshots are the images a peer would send, and a repair
+   sometimes lands.  Reads fall on both sides of the block's newest LSN:
+   at or above it the memo answers, below it the image is built.  Each
+   image must equal the visible suffixes of [block_snapshot] and their
+   summed sizes, and a read straight after it at the same point must return
+   the same image.  The second property holds [mismatched] to a filter of
+   every block through [verify] after every step. *)
+module Memo_image = struct
+  module B = Storage.Block_store
+
+  type op =
+    | Step of Model.op
+    | Repair of { block : int }
+    | Image of { block : int; at : int }
+        (** [at] 0-4: the block's newest LSN - 2 .. + 2; 5: the last LSN
+            issued; 6: above every LSN *)
+
+  let show = function
+    | Step op -> Model.show op
+    | Repair { block } -> Printf.sprintf "repair b%d" block
+    | Image { block; at } -> Printf.sprintf "image b%d at %d" block at
+
+  let arb =
+    let open QCheck.Gen in
+    let block = int_bound (Model.n_blocks - 1) in
+    QCheck.make
+      ~print:(fun ops -> String.concat "; " (List.map show ops))
+      ~shrink:QCheck.Shrink.list
+      (map List.concat
+         (list_size (int_range 1 80)
+            (frequency
+               [
+                 (4, map (List.map (fun op -> Step op)) Model.gen_steps);
+                 (1, map (fun block -> [ Repair { block } ]) block);
+                 (3, map2 (fun block at -> [ Image { block; at } ]) block (int_bound 6));
+               ])))
+
+  let fail_report fmt = Printf.ksprintf (fun m -> QCheck.Test.fail_report m) fmt
+
+  let as_of s block ~next = function
+    | 5 -> lsn next
+    | 6 -> Lsn.of_int max_int
+    | at ->
+      let newest =
+        List.fold_left
+          (fun acc (_, vs) ->
+            List.fold_left (fun acc (v : B.version) -> Int.max acc (Lsn.to_int v.lsn)) acc vs)
+          0 (B.block_snapshot s (blk block))
+      in
+      lsn (max 0 (newest + at - 2))
+
+  let run ~check ops =
+    let s = B.create () and twin = B.create () in
+    let next = ref 0 in
+    let both f =
+      f s;
+      f twin
+    in
+    List.iter
+      (fun op ->
+        let step = show op in
+        (match op with
+        | Step (Model.Apply { block; key; value; txn = t }) ->
+          incr next;
+          let key = Model.key_of key in
+          let op =
+            match Model.value_of value with
+            | Some value -> Log_record.Put { key; value }
+            | None -> Log_record.Delete { key }
+          in
+          let r =
+            Log_record.make ~lsn:(lsn !next) ~prev_volume:(lsn (!next - 1))
+              ~prev_segment:Lsn.none ~prev_block:Lsn.none ~block:(blk block)
+              ~txn:(txn t) ~mtr_id:!next ~mtr_end:true ~op
+          in
+          both (fun st -> B.apply st r)
+        | Step (Model.Outcome { txn = t; aborted }) ->
+          incr next;
+          both (fun st -> B.note_outcome st (txn t) (lsn !next) ~aborted)
+        | Step (Model.Gc { back }) ->
+          both (fun st ->
+              ignore (B.gc st ~keep_at_or_above:(lsn (max 0 (!next - back))) : int))
+        | Step (Model.Rollback { back }) ->
+          both (fun st -> ignore (B.rollback_above st (lsn (max 0 (!next - back))) : int))
+        | Step (Model.Load { block; src }) ->
+          both (fun st -> B.load_snapshot st (blk block) (B.block_snapshot st (blk src)))
+        | Step (Model.Corrupt { block }) -> ignore (B.corrupt s (blk block) : bool)
+        | Step (Model.Verify { block }) -> ignore (B.verify s (blk block) : bool)
+        | Repair { block } ->
+          ignore (B.repair s (blk block) (B.block_snapshot twin (blk block)) : bool)
+        | Image _ -> ());
+        check s ~next:!next step op)
+      ops;
+    true
+
+  let images s ~next step = function
+    | Image { block; at } ->
+      let as_of = as_of s block ~next at in
+      let entries, bytes = B.image s (blk block) ~as_of in
+      let want_entries, want_bytes = One_pass_image.reference s block ~as_of in
+      let flat = One_pass_image.flat in
+      if flat entries <> flat want_entries then fail_report "%s: entries differ" step;
+      if bytes <> want_bytes then fail_report "%s: size %d, fresh fold %d" step bytes want_bytes;
+      let again = B.image s (blk block) ~as_of in
+      if flat (fst again) <> flat entries || snd again <> bytes then
+        fail_report "%s: a repeat read differs" step
+    | Step _ | Repair _ -> ()
+
+  let mismatched s ~next:_ step _ =
+    let ids l = List.sort Int.compare (List.map Block_id.to_int l) in
+    let want = ids (List.filter (fun b -> not (B.verify s b)) (B.blocks s)) in
+    if ids (B.mismatched s) <> want then fail_report "%s: mismatched differs" step
+end
+
+let test_memo_image =
+  QCheck.Test.make ~count:500 ~name:"memoised image equals a fresh one" Memo_image.arb
+    (Memo_image.run ~check:Memo_image.images)
+
+let test_mismatched =
+  QCheck.Test.make ~count:500 ~name:"mismatched is every block failing verify"
+    Memo_image.arb
+    (Memo_image.run ~check:Memo_image.mismatched)
+
+(* An unchanged block's image is built once: every later read at or above
+   its newest LSN returns the same memo and allocates nothing. *)
+let test_image_memo_allocates_nothing () =
+  let module B = Storage.Block_store in
+  let s = B.create () in
+  for l = 1 to 20 do
+    B.apply s (put ~l ~block:0 (Printf.sprintf "k%d" (l mod 7)) (Printf.sprintf "v%d" l))
+  done;
+  let as_of = lsn 20 in
+  let first = B.image s (blk 0) ~as_of in
+  let reads = 100_000 in
+  let same = ref true in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to reads do
+    if B.image s (blk 0) ~as_of != first then same := false
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int reads in
+  check_bool "every read returns the memo" true !same;
+  Alcotest.(check (float 0.001)) "minor words per repeat image" 0. words;
+  B.apply s (put ~l:21 ~block:0 "k0" "v21");
+  check_bool "a write clears the memo" true (B.image s (blk 0) ~as_of:(lsn 21) != first)
+
 let () =
   Alcotest.run "storage"
     [
@@ -1473,6 +1620,10 @@ let () =
             test_block_store_rollback_tracked;
           Alcotest.test_case "a fault stays in its block" `Quick
             test_block_store_fault_stays_in_its_block;
+          QCheck_alcotest.to_alcotest test_memo_image;
+          QCheck_alcotest.to_alcotest test_mismatched;
+          Alcotest.test_case "image of an unchanged block allocates nothing" `Quick
+            test_image_memo_allocates_nothing;
         ] );
       ("disk", [ Alcotest.test_case "fifo queueing" `Quick test_disk_fifo ]);
       ( "segment",
