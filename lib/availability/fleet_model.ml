@@ -194,24 +194,11 @@ let survivors_after_az members az =
     members
 
 let az_tolerance ~members ~rule =
-  let write = rule.Quorum_set.Rule.write and read = rule.Quorum_set.Rule.read in
-  let check quorum ~plus_one =
-    List.for_all
-      (fun az ->
-        let up = survivors_after_az members az in
-        if plus_one then
-          (* Worst case: the adversary also removes any one survivor. *)
-          List.for_all
-            (fun extra ->
-              let up' =
-                Member_id.set_of_list
-                  (List.filter (fun m -> not (Member_id.equal m extra)) up)
-              in
-              Quorum_set.satisfied quorum up')
-            up
-        else Quorum_set.satisfied quorum (Member_id.set_of_list up))
-      (azs_of members)
+  let up =
+    Member_id.set_of_list (List.map (fun (m : Membership.member) -> m.id) members)
   in
+  let check quorum ~plus_one = Membership.survives_az quorum members ~up ~plus_one in
+  let write = rule.Quorum_set.Rule.write and read = rule.Quorum_set.Rule.read in
   {
     write_survives_az = check write ~plus_one:false;
     read_survives_az = check read ~plus_one:false;

@@ -80,6 +80,7 @@ type az_tolerance = {
 
 val az_tolerance :
   members:Membership.member list -> rule:Quorum_set.Rule.t -> az_tolerance
+(** Each field is {!Membership.survives_az} with every member up. *)
 
 val analytic_given_az :
   params:params ->

@@ -419,6 +419,22 @@ let revert_segment_replacement t pg_id ~suspect =
     after_membership_change t pg_id;
     Ok ()
 
+(* A scheme change is no step of Figure 5's replacement, so it notes no
+   membership event. *)
+let change_scheme t pg_id ~scheme members =
+  match Volume.change_scheme t.volume pg_id ~scheme members with
+  | Error _ as e -> e
+  | Ok () ->
+    after_membership_change t pg_id;
+    Ok ()
+
+let grow_volume t ~new_blocks_from membership addrs =
+  let g = Volume.grow t.volume ~new_blocks_from membership addrs in
+  Consistency.register_pg t.consistency g.Volume.id
+    ~write_quorum:(Volume.rule g).Quorum_set.Rule.write;
+  broadcast_membership t g.Volume.id;
+  g
+
 (* ---- network handler ---- *)
 
 let handle_message t (env : Protocol.t Simnet.Net.envelope) =

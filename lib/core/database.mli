@@ -189,6 +189,25 @@ val commit_segment_replacement :
 val revert_segment_replacement :
   t -> Storage.Pg_id.t -> suspect:Member_id.t -> (unit, string) result
 
+val change_scheme :
+  t ->
+  Storage.Pg_id.t ->
+  scheme:Membership.scheme ->
+  Membership.member list ->
+  (unit, string) result
+(** {!Volume.change_scheme}, then the group's new write quorum goes to
+    the consistency tracker and its new roster to every member. *)
+
+val grow_volume :
+  t ->
+  new_blocks_from:Block_id.t ->
+  Membership.t ->
+  (Member_id.t * Simnet.Addr.t) list ->
+  Volume.pg
+(** {!Volume.grow}, then the new group's write quorum is registered with
+    the consistency tracker and its roster pushed to its members, which
+    must already be up to receive it. *)
+
 val broadcast_membership : t -> Storage.Pg_id.t -> unit
 (** Re-push the current roster/epoch for a group (e.g. after restarting a
     storage node). *)

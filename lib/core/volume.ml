@@ -2,11 +2,10 @@ open Wal
 open Quorum
 module Pg_id = Storage.Pg_id
 
-(* [roster]'s and [full_roster]'s last answers and the two values they
+(* [roster]'s and [full_roster]'s last answers and the membership they
    were derived from. *)
 type roster_memo = {
   of_membership : Membership.t;
-  of_addrs : Simnet.Addr.t Member_id.Map.t;
   all : (Member_id.t * Simnet.Addr.t) list;
   full : (Member_id.t * Simnet.Addr.t) list;
 }
@@ -95,11 +94,11 @@ let epochs_for t pg =
 let rule pg = Membership.rule pg.membership
 
 (* Every boxcar flush asks for the roster and every read miss for its full
-   segments, and both change only with the membership or the address map,
-   each replaced, never mutated, when it changes. *)
+   segments.  Both change only with the membership, a new value at every
+   transition, and [adopt] never changes the address map without it. *)
 let rosters pg =
   match pg.memo with
-  | Some m when m.of_membership == pg.membership && m.of_addrs == pg.addr_of -> m
+  | Some m when m.of_membership == pg.membership -> m
   | Some _ | None ->
     let members = Membership.members pg.membership in
     let pick keep =
@@ -113,7 +112,6 @@ let rosters pg =
     let m =
       {
         of_membership = pg.membership;
-        of_addrs = pg.addr_of;
         all = pick (fun _ -> true);
         full =
           pick (fun m -> match m.kind with Membership.Full -> true | Membership.Tail -> false);
@@ -157,39 +155,35 @@ let grow t ~new_blocks_from membership addrs =
   t.geometry_epoch <- Epoch.next t.geometry_epoch;
   g
 
-let begin_membership_change t pg_id ~suspect ~replacement ~replacement_addr =
-  let g = find_pg t pg_id in
-  match Membership.begin_change g.membership ~suspect ~replacement with
+(* Every transition ends here: on [Ok m], install [m] and keep only its
+   members' addresses. *)
+let adopt g addr_of = function
   | Error _ as e -> e
   | Ok m ->
     g.membership <- m;
-    g.addr_of <- Member_id.Map.add replacement.Membership.id replacement_addr g.addr_of;
+    g.addr_of <-
+      Member_id.Map.filter (fun id _ -> Option.is_some (Membership.find_member m id)) addr_of;
     Ok ()
+
+let begin_membership_change t pg_id ~suspect ~replacement ~replacement_addr =
+  let g = find_pg t pg_id in
+  adopt g
+    (Member_id.Map.add replacement.Membership.id replacement_addr g.addr_of)
+    (Membership.begin_change g.membership ~suspect ~replacement)
 
 let commit_membership_change t pg_id ~suspect =
   let g = find_pg t pg_id in
-  match Membership.commit_change g.membership ~suspect with
-  | Error _ as e -> e
-  | Ok m ->
-    g.membership <- m;
-    g.addr_of <- Member_id.Map.remove suspect g.addr_of;
-    Ok ()
+  adopt g g.addr_of (Membership.commit_change g.membership ~suspect)
 
 let revert_membership_change t pg_id ~suspect =
   let g = find_pg t pg_id in
-  match
-    List.find_opt
-      (fun (p : Membership.pending) -> Member_id.equal p.suspect suspect)
-      (Membership.pendings g.membership)
-  with
-  | None -> Error "no pending change for this suspect"
-  | Some pair -> (
-    match Membership.revert_change g.membership ~suspect with
-    | Error _ as e -> e
-    | Ok m ->
-      g.membership <- m;
-      g.addr_of <- Member_id.Map.remove pair.replacement g.addr_of;
-      Ok ())
+  adopt g g.addr_of (Membership.revert_change g.membership ~suspect)
+
+let change_scheme t pg_id ~scheme members =
+  let g = find_pg t pg_id in
+  if List.exists (fun (m : Membership.member) -> not (Member_id.Map.mem m.id g.addr_of)) members
+  then Error "a member of the new roster has no address"
+  else adopt g g.addr_of (Membership.change_scheme g.membership ~scheme members)
 
 let restore_tails t ~alloc_above ~volume_tail ~pg_tails ~block_tails =
   Lsn.Allocator.reset_above t.alloc alloc_above;

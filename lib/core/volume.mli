@@ -9,7 +9,8 @@
       into every record (§2.2),
     - the volume epoch (crash-recovery fencing, §2.4),
     - the geometry epoch (volume growth, §4.1),
-    - each group's membership state machine and member->address map.
+    - each group's membership state machine and member->address map: the
+      one record of who is in a group, which the harness reads too.
 
     It is deliberately passive: record construction and bookkeeping only.
     Sending, acking, and consistency tracking live in {!Database}. *)
@@ -19,15 +20,19 @@ open Quorum
 
 type roster_memo
 
-type pg = {
+(** A protection group.  [private]: only this module's transitions
+    ({!begin_membership_change}, {!commit_membership_change},
+    {!revert_membership_change}, {!change_scheme}) replace [membership],
+    each with a new value, and [addr_of] changes only with it, holding
+    exactly the addresses of the membership's members. *)
+type pg = private {
   id : Storage.Pg_id.t;
   mutable membership : Membership.t;
   mutable addr_of : Simnet.Addr.t Member_id.Map.t;
   mutable segment_tail : Lsn.t;  (** Last LSN routed to this group. *)
   mutable memo : roster_memo option;
       (** {!roster}'s and {!full_roster}'s memo, valid while [membership]
-          and [addr_of] are the values it was computed from (compared
-          physically), so replacing either refreshes it. *)
+          is the value it was computed from (compared physically). *)
 }
 
 type t
@@ -64,7 +69,7 @@ val roster : pg -> (Member_id.t * Simnet.Addr.t) list
 val full_roster : pg -> (Member_id.t * Simnet.Addr.t) list
 (** The {!roster}'s full segments, in roster order: those that hold data
     blocks, so the only ones a read may go to (§4.2).  Memoised: the same
-    list is returned until [membership] or [addr_of] is replaced. *)
+    list is returned until a transition replaces [membership]. *)
 
 val make_record :
   t ->
@@ -101,6 +106,17 @@ val commit_membership_change :
 
 val revert_membership_change :
   t -> Storage.Pg_id.t -> suspect:Member_id.t -> (unit, string) result
+
+val change_scheme :
+  t ->
+  Storage.Pg_id.t ->
+  scheme:Membership.scheme ->
+  Membership.member list ->
+  (unit, string) result
+(** Re-form the group under [scheme] over [members] ({!Membership.change_scheme}:
+    epoch+1, steady groups only), e.g. 4/6 to 3/4 during a long AZ
+    outage (§4.1).  Every member must already have an address; those of
+    members left out are dropped. *)
 
 val restore_tails :
   t ->

@@ -33,11 +33,6 @@ let default_config =
     recorder_depth = None;
   }
 
-type node_slot = {
-  mutable node : Storage.Storage_node.t;
-  mutable member : Membership.member;
-}
-
 (* One PG's quorum margins, memoized by [health_sample].  They are a pure
    function of the membership value (its proved rule and roster) and of the
    live member set, so they stay valid while both do. *)
@@ -49,11 +44,9 @@ type margins = {
   az_plus_one : bool;
 }
 
-type pg_nodes = {
-  mutable slots : node_slot list; (* current + in-flight replacement nodes *)
-  mutable next_member_id : int;
-  mutable margins : margins option;
-}
+(* Who is in a group is [Volume]'s record; the harness keeps only what
+   [Volume] has no use for. *)
+type pg_nodes = { mutable next_member_id : int; mutable margins : margins option }
 
 type t = {
   cfg : config;
@@ -65,6 +58,7 @@ type t = {
   obs : Obs.Ctx.t;
   rings : Recorder.Rings.t option;
   pg_nodes : pg_nodes Pg_id.Tbl.t;
+  nodes : Storage.Storage_node.t Simnet.Addr.Tbl.t; (* every storage node made *)
   az_of : Az.t Simnet.Addr.Tbl.t;
   addr_alloc : Simnet.Addr.Allocator.t;
   mutable replica_list : Replica.t list;
@@ -95,74 +89,53 @@ let register rings addr role =
   | None -> ()
 
 let make_storage_node_raw ~sim ~rng ~net ~s3 ~storage_config ~addr_alloc
-    ~az_of ~obs ~rings ~az =
+    ~az_of ~nodes ~obs ~rings ~az =
   let addr = Simnet.Addr.Allocator.take addr_alloc in
   Simnet.Addr.Tbl.replace az_of addr az;
   register rings addr Recorder.Event.Storage;
-  Storage.Storage_node.create ~sim ~rng:(Rng.split rng) ~net ~addr ~s3
-    ~config:storage_config ~obs
-    ~obs_labels:[ ("az", Printf.sprintf "az%d" (Az.to_int az + 1)) ]
-    ?rings ()
+  let node =
+    Storage.Storage_node.create ~sim ~rng:(Rng.split rng) ~net ~addr ~s3
+      ~config:storage_config ~obs
+      ~obs_labels:[ ("az", Printf.sprintf "az%d" (Az.to_int az + 1)) ]
+      ?rings ()
+  in
+  Simnet.Addr.Tbl.replace nodes addr node;
+  node
 
 let make_storage_node t ~az =
   make_storage_node_raw ~sim:t.sim ~rng:t.rng ~net:t.net ~s3:t.s3
     ~storage_config:t.cfg.storage_config ~addr_alloc:t.addr_alloc
-    ~az_of:t.az_of ~obs:t.obs ~rings:t.rings ~az
+    ~az_of:t.az_of ~nodes:t.nodes ~obs:t.obs ~rings:t.rings ~az
+
+(* [node] takes [m]'s empty segment of group [pg] and starts. *)
+let seed_segment node ~pg (m : Membership.member) =
+  Storage.Storage_node.add_segment node
+    (Storage.Segment.create ~pg ~seg:m.id ~kind:m.kind);
+  Storage.Storage_node.start node
+
+let node_at t addr = Simnet.Addr.Tbl.find t.nodes addr
+
+(* The vopr checker samples health and lists the storage nodes every 5 ms,
+   so both walk the memoised [Volume.roster] with these loops, which
+   allocate no closure. *)
+let rec live_members t acc = function
+  | [] -> acc
+  | (id, addr) :: rest ->
+    let acc =
+      if Storage.Storage_node.is_alive (node_at t addr) then Member_id.Set.add id acc else acc
+    in
+    live_members t acc rest
+
+let rec nodes_at t acc = function
+  | [] -> acc
+  | (_, addr) :: rest -> node_at t addr :: nodes_at t acc rest
+
+(* The group's volume record, for a group this cluster made. *)
+let group t pg =
+  if Pg_id.Tbl.mem t.pg_nodes pg then Some (Volume.find_pg (Database.volume t.db) pg)
+  else None
 
 (* ---- cluster health probe (feeds Obs.Health each sampler tick) ---- *)
-
-let popcount =
-  let rec go acc v = if v = 0 then acc else go (acc + (v land 1)) (v lsr 1) in
-  fun v -> go 0 v
-
-(* Fewest additional healthy-member losses that break [q]; -1 when [q] is
-   already unsatisfiable on [healthy].  Member counts are <= ~7 even during
-   membership transitions, so exhaustive subset enumeration is cheap —
-   the same argument the paper makes for quorum-set safety checking. *)
-let quorum_margin q healthy =
-  if not (Quorum_set.satisfied q healthy) then -1
-  else begin
-    let arr = Array.of_seq (Member_id.Set.to_seq healthy) in
-    let n = Array.length arr in
-    let best = ref (n + 1) in
-    for mask = 1 to (1 lsl n) - 1 do
-      let c = popcount mask in
-      if c < !best then begin
-        let remaining = ref healthy in
-        for i = 0 to n - 1 do
-          if mask land (1 lsl i) <> 0 then
-            remaining := Member_id.Set.remove arr.(i) !remaining
-        done;
-        if not (Quorum_set.satisfied q !remaining) then best := c
-      end
-    done;
-    if !best > n then n else !best - 1
-  end
-
-(* §2.1's durability target: data survives the loss of one whole AZ plus
-   one more node.  True iff, for every AZ of the group's roster and every
-   single survivor beyond it, the read quorum is still satisfiable on what
-   remains. *)
-let az_plus_one_ok read_q members healthy =
-  let azs =
-    List.sort_uniq Az.compare
-      (List.map (fun (m : Membership.member) -> m.az) members)
-  in
-  List.for_all
-    (fun az ->
-      let survivors =
-        List.fold_left
-          (fun acc (m : Membership.member) ->
-            if Az.equal m.az az || not (Member_id.Set.mem m.id healthy) then acc
-            else Member_id.Set.add m.id acc)
-          Member_id.Set.empty members
-      in
-      (not (Member_id.Set.is_empty survivors))
-      && Member_id.Set.for_all
-           (fun x ->
-             Quorum_set.satisfied read_q (Member_id.Set.remove x survivors))
-           survivors)
-    azs
 
 (* A transition always builds a new membership value, so physical equality
    is the epoch check. *)
@@ -177,11 +150,13 @@ let margins pgn membership ~healthy =
       {
         membership;
         live = healthy;
-        write_margin = quorum_margin rule.Quorum_set.Rule.write healthy;
-        read_margin = quorum_margin rule.Quorum_set.Rule.read healthy;
+        write_margin = Quorum_set.margin rule.Quorum_set.Rule.write healthy;
+        read_margin = Quorum_set.margin rule.Quorum_set.Rule.read healthy;
+        (* §2.1's durability target: the read quorum outlives one whole AZ
+           plus one more node. *)
         az_plus_one =
-          az_plus_one_ok rule.Quorum_set.Rule.read
-            (Membership.members membership) healthy;
+          Membership.survives_az rule.Quorum_set.Rule.read
+            (Membership.members membership) ~up:healthy ~plus_one:true;
       }
     in
     pgn.margins <- Some m;
@@ -195,14 +170,8 @@ let health_sample t ~at =
     |> List.sort (fun (a, _) (b, _) -> Pg_id.compare a b)
     |> List.map (fun (pg, pgn) ->
            let g = Volume.find_pg volume pg in
-           let healthy =
-             List.fold_left
-               (fun acc s ->
-                 if Storage.Storage_node.is_alive s.node then
-                   Member_id.Set.add s.member.Membership.id acc
-                 else acc)
-               Member_id.Set.empty pgn.slots
-           in
+           let roster = Volume.roster g in
+           let healthy = live_members t Member_id.Set.empty roster in
            let covers =
              Aurora_core.Consistency.covers consistency ~pg
                ~lsn:(Aurora_core.Consistency.pgcl consistency pg)
@@ -215,7 +184,7 @@ let health_sample t ~at =
            let m = margins pgn g.Volume.membership ~healthy in
            {
              Obs.Health.pg = Pg_id.to_int pg;
-             total = List.length pgn.slots;
+             total = List.length roster;
              reachable = Member_id.Set.cardinal healthy;
              ack_current;
              write_margin = m.write_margin;
@@ -381,38 +350,28 @@ let create cfg =
         | zb when Az.equal za zb -> intra
         | _ | (exception Not_found) -> inter));
   let pg_nodes = Pg_id.Tbl.create cfg.n_pgs in
+  let nodes = Simnet.Addr.Tbl.create 64 in
   (* Build PGs: nodes + segments + membership. *)
   let scheme = layout_scheme cfg.layout in
   let volume_groups =
     List.init cfg.n_pgs (fun i ->
         let pg_id = Pg_id.of_int i in
         let members = layout_members cfg.layout in
-        let slots =
+        let addrs =
           List.map
             (fun (m : Membership.member) ->
               let node =
                 make_storage_node_raw ~sim ~rng ~net ~s3
-                  ~storage_config:cfg.storage_config ~addr_alloc ~az_of ~obs
-                  ~rings ~az:m.az
+                  ~storage_config:cfg.storage_config ~addr_alloc ~az_of ~nodes
+                  ~obs ~rings ~az:m.az
               in
-              let seg =
-                Storage.Segment.create ~pg:pg_id ~seg:m.id ~kind:m.kind
-              in
-              Storage.Storage_node.add_segment node seg;
-              Storage.Storage_node.start node;
-              { node; member = m })
+              seed_segment node ~pg:pg_id m;
+              (m.id, Storage.Storage_node.addr node))
             members
         in
         Pg_id.Tbl.replace pg_nodes pg_id
-          { slots; next_member_id = List.length members; margins = None };
-        let membership = Membership.create ~scheme members in
-        let addrs =
-          List.map
-            (fun slot ->
-              (slot.member.Membership.id, Storage.Storage_node.addr slot.node))
-            slots
-        in
-        (pg_id, membership, addrs))
+          { next_member_id = List.length members; margins = None };
+        (pg_id, Membership.create ~scheme members, addrs))
   in
   let volume = Volume.create volume_groups in
   let db =
@@ -421,32 +380,28 @@ let create cfg =
   in
   Database.start db;
   let t =
-    { cfg; sim; rng; net; s3; db; obs; rings; pg_nodes; az_of; addr_alloc;
-      replica_list = [] }
+    { cfg; sim; rng; net; s3; db; obs; rings; pg_nodes; nodes; az_of;
+      addr_alloc; replica_list = [] }
   in
   install_observability t;
   t
 
 let storage_nodes t =
+  let volume = Database.volume t.db in
   Pg_id.Tbl.fold
-    (fun _ pgn acc -> List.map (fun s -> s.node) pgn.slots @ acc)
+    (fun pg _ acc -> nodes_at t acc (Volume.roster (Volume.find_pg volume pg)))
     t.pg_nodes []
 
-let slot_of t pg member =
-  match Pg_id.Tbl.find_opt t.pg_nodes pg with
-  | None -> None
-  | Some pgn ->
-    List.find_opt
-      (fun s -> Member_id.equal s.member.Membership.id member)
-      pgn.slots
-
 let node_of_member t pg member =
-  match slot_of t pg member with Some s -> Some s.node | None -> None
+  match group t pg with
+  | None -> None
+  | Some g -> (
+    match Member_id.Map.find_opt member g.addr_of with
+    | Some addr -> Some (node_at t addr)
+    | None -> None)
 
 let members_of_pg t pg =
-  match Pg_id.Tbl.find_opt t.pg_nodes pg with
-  | None -> []
-  | Some pgn -> List.map (fun s -> s.member) pgn.slots
+  match group t pg with None -> [] | Some g -> Membership.members g.membership
 
 let add_replica t =
   let addr = Simnet.Addr.Allocator.take t.addr_alloc in
@@ -487,27 +442,24 @@ let destroy_storage_node t pg member =
   | Some node -> Storage.Storage_node.destroy node
   | None -> ()
 
-let fail_az t az =
+(* [f pg node] for every node of a member in [az], group by group. *)
+let iter_az t az f =
+  let volume = Database.volume t.db in
   Pg_id.Tbl.iter
-    (fun _ pgn ->
+    (fun pg _ ->
+      let g = Volume.find_pg volume pg in
       List.iter
-        (fun s ->
-          if Az.equal s.member.Membership.az az then
-            Storage.Storage_node.crash s.node)
-        pgn.slots)
+        (fun (m : Membership.member) ->
+          if Az.equal m.az az then f pg (node_at t (Member_id.Map.find m.id g.addr_of)))
+        (Membership.members g.membership))
     t.pg_nodes
 
+let fail_az t az = iter_az t az (fun _ node -> Storage.Storage_node.crash node)
+
 let restore_az t az =
-  Pg_id.Tbl.iter
-    (fun pg pgn ->
-      List.iter
-        (fun s ->
-          if Az.equal s.member.Membership.az az then begin
-            Storage.Storage_node.restart s.node;
-            Database.broadcast_membership t.db pg
-          end)
-        pgn.slots)
-    t.pg_nodes
+  iter_az t az (fun pg node ->
+      Storage.Storage_node.restart node;
+      Database.broadcast_membership t.db pg)
 
 let slow_storage_node t pg member factor =
   match node_of_member t pg member with
@@ -552,23 +504,16 @@ let heal_az t az =
 (* ---- membership changes (Figure 5 flow) ---- *)
 
 let start_replacement t pg ~suspect =
-  match (Pg_id.Tbl.find_opt t.pg_nodes pg, slot_of t pg suspect) with
+  match
+    (Pg_id.Tbl.find_opt t.pg_nodes pg,
+     Option.bind (group t pg) (fun g -> Membership.find_member g.membership suspect))
+  with
   | None, _ | _, None -> Error "unknown protection group or member"
-  | Some pgn, Some suspect_slot ->
+  | Some pgn, Some suspect_member ->
     let m_id = Member_id.of_int pgn.next_member_id in
-    let replacement =
-      {
-        Membership.id = m_id;
-        az = suspect_slot.member.Membership.az;
-        kind = suspect_slot.member.Membership.kind;
-      }
-    in
-    let node = make_storage_node t ~az:replacement.Membership.az in
-    let seg =
-      Storage.Segment.create ~pg ~seg:m_id ~kind:replacement.Membership.kind
-    in
-    Storage.Storage_node.add_segment node seg;
-    Storage.Storage_node.start node;
+    let replacement = { suspect_member with Membership.id = m_id } in
+    let node = make_storage_node t ~az:replacement.az in
+    seed_segment node ~pg replacement;
     (match
        Database.begin_segment_replacement t.db pg ~suspect ~replacement
          ~replacement_addr:(Storage.Storage_node.addr node)
@@ -576,27 +521,25 @@ let start_replacement t pg ~suspect =
     | Error e -> Error e
     | Ok () ->
       pgn.next_member_id <- pgn.next_member_id + 1;
-      pgn.slots <- pgn.slots @ [ { node; member = replacement } ];
       (* Bulk hydration from a healthy peer of the same (or full) kind,
          re-requested incrementally until the newcomer has caught up with
          the group's durable point — gossip alone only patches small holes
          and cannot outrun a hot write stream. *)
       let donor () =
+        let g = Volume.find_pg (Database.volume t.db) pg in
         List.find_opt
-          (fun s ->
-            (not (Member_id.equal s.member.Membership.id suspect))
-            && (not (Member_id.equal s.member.Membership.id m_id))
-            && Storage.Storage_node.is_alive s.node
-            && (replacement.Membership.kind = Membership.Tail
-               || s.member.Membership.kind = Membership.Full))
-          pgn.slots
+          (fun (id, addr) ->
+            (not (Member_id.equal id suspect))
+            && (not (Member_id.equal id m_id))
+            && Storage.Storage_node.is_alive (node_at t addr))
+          (match replacement.kind with
+          | Membership.Tail -> Volume.roster g
+          | Membership.Full -> Volume.full_roster g)
       in
       let rec hydrate_until_caught_up () =
         if Storage.Storage_node.is_alive node then begin
           (match donor () with
-          | Some d ->
-            Storage.Storage_node.request_hydration node ~pg
-              ~from:(Storage.Storage_node.addr d.node)
+          | Some (_, from) -> Storage.Storage_node.request_hydration node ~pg ~from
           | None -> ());
           let target = Aurora_core.Consistency.pgcl (Database.consistency t.db) pg in
           let scl =
@@ -613,43 +556,22 @@ let start_replacement t pg ~suspect =
       Ok m_id)
 
 let finish_replacement t pg ~suspect =
-  match Pg_id.Tbl.find_opt t.pg_nodes pg with
+  match group t pg with
   | None -> Error "unknown protection group"
-  | Some pgn -> (
-    match Database.commit_segment_replacement t.db pg ~suspect with
-    | Error e -> Error e
-    | Ok () ->
-      pgn.slots <-
-        List.filter
-          (fun s -> not (Member_id.equal s.member.Membership.id suspect))
-          pgn.slots;
-      Ok ())
+  | Some _ -> Database.commit_segment_replacement t.db pg ~suspect
 
+(* The replacement's node is destroyed: it leaves the group with no
+   complete copy. *)
 let revert_replacement t pg ~suspect =
-  match Pg_id.Tbl.find_opt t.pg_nodes pg with
+  match group t pg with
   | None -> Error "unknown protection group"
-  | Some pgn ->
-    let g = Volume.find_pg (Database.volume t.db) pg in
-    let replacement_of_suspect =
-      List.find_opt
-        (fun (p : Membership.pending) -> Member_id.equal p.suspect suspect)
-        (Membership.pendings g.Volume.membership)
-    in
-    (match Database.revert_segment_replacement t.db pg ~suspect with
-    | Error e -> Error e
+  | Some g -> (
+    let replacement = Membership.replacement_of g.membership ~suspect in
+    let node = Option.bind replacement (node_of_member t pg) in
+    match Database.revert_segment_replacement t.db pg ~suspect with
+    | Error _ as e -> e
     | Ok () ->
-      (match replacement_of_suspect with
-      | Some pair ->
-        pgn.slots <-
-          List.filter
-            (fun s ->
-              if Member_id.equal s.member.Membership.id pair.replacement then begin
-                Storage.Storage_node.destroy s.node;
-                false
-              end
-              else true)
-            pgn.slots
-      | None -> ());
+      Option.iter Storage.Storage_node.destroy node;
       Ok ())
 
 let replacement_caught_up t pg ~replacement =
@@ -664,73 +586,33 @@ let replacement_caught_up t pg ~replacement =
 
 let grow_volume t =
   let members = layout_members t.cfg.layout in
-  let slots =
-    List.map
-      (fun (m : Membership.member) ->
-        let node = make_storage_node t ~az:m.az in
-        (m, node))
-      members
-  in
-  let membership = Membership.create ~scheme:(layout_scheme t.cfg.layout) members in
-  let addrs =
-    List.map (fun (m, node) -> (m.Membership.id, Storage.Storage_node.addr node)) slots
-  in
+  let nodes = List.map (fun (m : Membership.member) -> make_storage_node t ~az:m.az) members in
+  (* The new group is the volume's next index, and its nodes must be up
+     before [grow_volume] sends them the roster. *)
+  let pg = Pg_id.of_int (Volume.pg_count (Database.volume t.db)) in
+  List.iter2 (fun m node -> seed_segment node ~pg m) members nodes;
   let g =
-    Volume.grow (Database.volume t.db)
-      ~new_blocks_from:
-        (Wal.Block_id.of_int t.cfg.db_config.Database.n_blocks)
-      membership addrs
+    Database.grow_volume t.db
+      ~new_blocks_from:(Wal.Block_id.of_int t.cfg.db_config.Database.n_blocks)
+      (Membership.create ~scheme:(layout_scheme t.cfg.layout) members)
+      (List.map2
+         (fun (m : Membership.member) node -> (m.id, Storage.Storage_node.addr node))
+         members nodes)
   in
-  let pg_id = g.Volume.id in
-  List.iter
-    (fun ((m : Membership.member), node) ->
-      Storage.Storage_node.add_segment node
-        (Storage.Segment.create ~pg:pg_id ~seg:m.Membership.id ~kind:m.Membership.kind);
-      Storage.Storage_node.start node)
-    slots;
-  Pg_id.Tbl.replace t.pg_nodes pg_id
-    {
-      slots = List.map (fun (m, node) -> { node; member = m }) slots;
-      next_member_id = List.length members;
-      margins = None;
-    };
-  Aurora_core.Consistency.register_pg (Database.consistency t.db) pg_id
-    ~write_quorum:(Volume.rule g).Quorum.Quorum_set.Rule.write;
-  Database.broadcast_membership t.db pg_id;
-  pg_id
+  Pg_id.Tbl.replace t.pg_nodes g.id { next_member_id = List.length members; margins = None };
+  g.id
 
 let change_scheme_3_of_4 t pg ~drop_az =
-  match Pg_id.Tbl.find_opt t.pg_nodes pg with
+  match group t pg with
   | None -> Error "unknown protection group"
-  | Some pgn -> (
+  | Some g ->
     let survivors =
       List.filter
-        (fun s -> not (Az.equal s.member.Membership.az drop_az))
-        pgn.slots
+        (fun (m : Membership.member) -> not (Az.equal m.az drop_az))
+        (Membership.members g.membership)
     in
     if List.length survivors <> 4 then
       Error "expected exactly four members outside the lost AZ"
-    else begin
-      let g = Volume.find_pg (Database.volume t.db) pg in
-      match
-        Membership.change_scheme g.Volume.membership
-          ~scheme:Layout.scheme_3_of_4
-          (List.map (fun s -> s.member) survivors)
-      with
-      | Error _ as e -> e
-      | Ok m ->
-        g.Volume.membership <- m;
-        g.Volume.addr_of <-
-          List.fold_left
-            (fun acc s ->
-              Member_id.Map.add s.member.Membership.id
-                (Storage.Storage_node.addr s.node) acc)
-            Member_id.Map.empty survivors;
-        pgn.slots <- survivors;
-        Aurora_core.Consistency.set_write_quorum (Database.consistency t.db) pg
-          (Volume.rule g).Quorum.Quorum_set.Rule.write;
-        Database.broadcast_membership t.db pg;
-        Ok ()
-    end)
+    else Database.change_scheme t.db pg ~scheme:Layout.scheme_3_of_4 survivors
 
 let run_for t span = Sim.run_until t.sim (Time_ns.add (Sim.now t.sim) span)

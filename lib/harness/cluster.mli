@@ -3,10 +3,19 @@
     simulated network with AZ-aware latency.
 
     This is the integration layer every experiment and end-to-end test
-    builds on: it wires member ids to network addresses, seeds the
-    deterministic RNG tree, and exposes fault-injection and
-    membership-change orchestration (create replacement node, start
-    hydration, commit or revert the change — the full Figure 5 flow). *)
+    builds on: it provisions storage nodes, seeds the deterministic RNG
+    tree, and exposes fault-injection and membership-change orchestration
+    (create replacement node, start hydration, commit or revert the change
+    — the full Figure 5 flow).
+
+    Who is in a group is the writer's {!Aurora_core.Volume}'s record alone:
+    the cluster keeps only its storage nodes, by address, and reads each
+    group's members and their addresses from the volume.  Every membership
+    step goes through {!Aurora_core.Database}, which moves the volume, the
+    consistency tracker and the members together; the cluster adds only
+    what the volume has no use for (provisioning and destroying nodes,
+    hydration, the next member id).  What a roster survives is
+    {!Quorum.Quorum_set.margin} and {!Quorum.Membership.survives_az}. *)
 
 open Quorum
 
@@ -69,7 +78,9 @@ val recorder : t -> Recorder.Rings.t option
 
 val health_sample : t -> at:Simcore.Time_ns.t -> Obs.Health.sample
 (** Compute one cluster-health sample now (quorum margins by exhaustive
-    subset enumeration over each group's current rule, AZ+1 tolerance,
+    subset enumeration over each group's current rule
+    ({!Quorum.Quorum_set.margin}), AZ+1 tolerance of the read quorum
+    ({!Quorum.Membership.survives_az}),
     ack-current segment counts, volume-level gaps).  The installed sampler
     calls this every [obs_sample_period]; exposed for tests and ad-hoc
     probes.
@@ -79,13 +90,19 @@ val health_sample : t -> at:Simcore.Time_ns.t -> Obs.Health.sample
     memoized on exactly those: they are recomputed only when a membership
     transition has replaced the group's membership value or a member's
     storage node has died or come back since the group's previous sample.
-    Otherwise a sample costs one pass over each group's nodes plus the
-    ack-current and volume reads. *)
+    Otherwise a sample costs one pass over each group's memoised
+    {!Aurora_core.Volume.roster} plus the ack-current and volume reads. *)
 
 val storage_nodes : t -> Storage.Storage_node.t list
+(** The nodes at every group's {!Aurora_core.Volume.roster} addresses
+    (in-flight replacements included), each group's in member-id order. *)
+
 val node_of_member :
   t -> Storage.Pg_id.t -> Member_id.t -> Storage.Storage_node.t option
+
 val members_of_pg : t -> Storage.Pg_id.t -> Membership.member list
+(** {!Quorum.Membership.members} of the group's current membership. *)
+
 val add_replica : t -> Aurora_core.Replica.t
 (** Create, start and attach a read replica (placed in a non-writer AZ). *)
 
@@ -139,24 +156,25 @@ val finish_replacement :
 val revert_replacement :
   t -> Storage.Pg_id.t -> suspect:Member_id.t -> (unit, string) result
 (** Second epoch increment back onto the original member set (the suspect
-    returned); the replacement node is discarded. *)
+    returned); the replacement node is destroyed. *)
 
 val replacement_caught_up : t -> Storage.Pg_id.t -> replacement:Member_id.t -> bool
 (** Has the hydrating segment's SCL reached the suspect-group's durable
     point? (The harness's stand-in for the repair monitor.) *)
 
 val grow_volume : t -> Storage.Pg_id.t
-(** Append a protection group (§4.1 volume-geometry change): provision six
-    fresh storage nodes in the configured layout, create their segments,
-    register the group with the writer's volume and consistency tracker,
-    and push the roster.  New blocks immediately stripe onto it. *)
+(** Append a protection group (§4.1 volume-geometry change): provision
+    fresh storage nodes in the configured layout with their segments, then
+    {!Aurora_core.Database.grow_volume}.  New blocks immediately stripe
+    onto it. *)
 
 val change_scheme_3_of_4 :
   t -> Storage.Pg_id.t -> drop_az:Quorum.Az.t -> (unit, string) result
 (** §4.1's extended-AZ-loss response: re-form a group on its four members
     outside [drop_az] under a 3/4 write / 2/4 read scheme (one membership
-    epoch increment), so writes regain fault tolerance while the AZ is
-    gone.  Only legal from a steady group. *)
+    epoch increment, {!Aurora_core.Database.change_scheme}), so writes
+    regain fault tolerance while the AZ is gone.  Only legal from a steady
+    group. *)
 
 (* ---- convenience ---- *)
 

@@ -673,8 +673,6 @@ module E6 = struct
     | Some x, Some y when Int.equal x y -> Some intra
     | _ -> Some inter
 
-  let disk_force = Distribution.lognormal ~median:(Time_ns.us 80) ~sigma:0.4
-
   let run_aurora ~seed ~commits =
     let cfg =
       {
@@ -682,10 +680,9 @@ module E6 = struct
         seed;
         n_pgs = 1;
         storage_config =
+          (* Quiet background so message counts isolate the commit path. *)
           {
-            Storage.Storage_node.default_config with
-            (* Quiet background so message counts isolate the commit path. *)
-            gossip_interval = Time_ns.hours 10;
+            Storage.Storage_node.gossip_interval = Time_ns.hours 10;
             backup_interval = Time_ns.hours 10;
             gc_interval = Time_ns.hours 10;
             scrub_interval = Time_ns.hours 10;
@@ -770,7 +767,7 @@ module E6 = struct
       {
         Baselines.Two_phase_commit.participants = List.init 6 (fun i -> Simnet.Addr.of_int (i + 1));
         coordinator = Simnet.Addr.of_int 0;
-        log_force = disk_force;
+        log_force = Storage.Storage_node.disk_service;
         prepare_vote_abort_probability = 0.;
       }
     in
@@ -802,7 +799,7 @@ module E6 = struct
       {
         Baselines.Paxos_commit.leader = Simnet.Addr.of_int 0;
         acceptors = List.init 6 (fun i -> Simnet.Addr.of_int (i + 1));
-        log_force = disk_force;
+        log_force = Storage.Storage_node.disk_service;
       }
     in
     let px = Baselines.Paxos_commit.create ~sim ~rng ~net ~config () in

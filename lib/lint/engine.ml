@@ -64,6 +64,7 @@ let check_interface ~path contents =
   | exception exn -> parse_error ~path exn
   | (_ : Ppxlib.Parsetree.signature) -> []
 
+(* One on-disk file: an [.ml] is linted, an [.mli] only parsed. *)
 let lint_file path =
   let contents = read_file path in
   if has_suffix ~suffix:".mli" path then check_interface ~path contents

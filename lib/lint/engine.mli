@@ -19,10 +19,6 @@ val lint_source : path:string -> string -> Finding.t list
     error yields a single [parse-error] finding rather than an exception:
     unparseable sim code must fail the gate loudly.  Findings are sorted. *)
 
-val lint_file : string -> Finding.t list
-(** Read and lint one on-disk [.ml] file ([.mli] files get a parse check
-    only). *)
-
 val lint_tree : roots:string list -> Finding.t list
 (** Lint every source file under [roots] and apply the file-set rules
     (mli-coverage).  Sorted and deduplicated. *)

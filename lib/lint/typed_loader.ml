@@ -32,6 +32,8 @@ let has_suffix ~suffix s =
   let ls = String.length s and lx = String.length suffix in
   ls >= lx && String.sub s (ls - lx) lx = suffix
 
+(* One [.cmt]: [None] for interfaces, packs, unreadable files, and
+   dune-generated wrapper modules (their "source" is a [.ml-gen]). *)
 let read_unit path =
   match Cmt_format.read_cmt path with
   | exception _ -> None

@@ -19,10 +19,6 @@ type unit_info = {
 val normalize_modname : string -> string
 (** [Simcore__Sim] → [Simcore.Sim]. *)
 
-val read_unit : string -> unit_info option
-(** Read one [.cmt].  [None] for interfaces, packs, unreadable files, and
-    dune-generated wrapper modules (their "source" is a [.ml-gen]). *)
-
 val load_dir : string -> unit_info list
 (** Every implementation [.cmt] under one directory, sorted by source
     path.  Does not skip [fixtures] directories — the lint test suite uses

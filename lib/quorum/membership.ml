@@ -124,15 +124,17 @@ let begin_change t ~suspect ~replacement =
         ~pendings:(t.pendings @ [ { suspect; replacement = replacement.id } ])
         ~scheme:t.scheme
 
+let replacement_of t ~suspect =
+  List.find_map
+    (fun p -> if Member_id.equal p.suspect suspect then Some p.replacement else None)
+    t.pendings
+
 let resolve t ~suspect ~keep_replacement =
-  match
-    List.find_opt (fun p -> Member_id.equal p.suspect suspect) t.pendings
-  with
+  match replacement_of t ~suspect with
   | None -> Error "no pending change for this suspect"
-  | Some pair ->
+  | Some replacement ->
     let keep, drop =
-      if keep_replacement then (pair.replacement, pair.suspect)
-      else (pair.suspect, pair.replacement)
+      if keep_replacement then (replacement, suspect) else (suspect, replacement)
     in
     validate ~epoch:(Epoch.next t.epoch)
       ~roster:(Member_id.Map.remove drop t.roster)
@@ -150,6 +152,25 @@ let change_scheme t ~scheme member_list =
   if not (is_steady t) then
     Error "cannot change scheme while a membership change is pending"
   else Ok (form ~epoch:(Epoch.next t.epoch) ~scheme member_list)
+
+let survives_az q members ~up ~plus_one =
+  let azs = List.sort_uniq Az.compare (List.map (fun m -> m.az) members) in
+  List.for_all
+    (fun az ->
+      let survivors =
+        List.fold_left
+          (fun acc m ->
+            if Az.equal m.az az || not (Member_id.Set.mem m.id up) then acc
+            else Member_id.Set.add m.id acc)
+          Member_id.Set.empty members
+      in
+      if plus_one then
+        (not (Member_id.Set.is_empty survivors))
+        && Member_id.Set.for_all
+             (fun x -> Quorum_set.satisfied q (Member_id.Set.remove x survivors))
+             survivors
+      else Quorum_set.satisfied q survivors)
+    azs
 
 let pp fmt t =
   Format.fprintf fmt "epoch %a, members %a%s" Epoch.pp t.epoch Member_id.pp_set

@@ -53,6 +53,9 @@ val member_ids : t -> Member_id.Set.t
 val find_member : t -> Member_id.t -> member option
 val pendings : t -> pending list
 
+val replacement_of : t -> suspect:Member_id.t -> Member_id.t option
+(** The member replacing [suspect] in a pending change, if any. *)
+
 val variants : t -> Member_id.Set.t list
 (** The candidate final member sets (Figure 5's ABCDEF / ABCDEG / ...). *)
 
@@ -82,5 +85,15 @@ val change_scheme : t -> scheme:scheme -> member list -> (t, string) result
 (** Wholesale re-formation under a new scheme/member roster (e.g. moving
     from 4/6 to 3/4 during an extended AZ outage, §4.1); epoch+1.  Only
     legal from a steady state. *)
+
+val survives_az :
+  Quorum_set.t -> member list -> up:Member_id.Set.t -> plus_one:bool -> bool
+(** [survives_az q members ~up ~plus_one] — §2.1's AZ test of a roster:
+    for every AZ some member of [members] lives in, the members of [up]
+    outside that AZ still satisfy [q].  With [plus_one] ("AZ+1"), they
+    must also satisfy [q] after losing any one more of them, and some must
+    be left to lose: an AZ that holds every [up] member fails.  The health
+    probe asks it of the live members' read quorum; the fleet model of
+    every member's read and write quorums. *)
 
 val pp : Format.formatter -> t -> unit

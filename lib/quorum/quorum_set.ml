@@ -48,6 +48,33 @@ let rec satisfied_by t pass =
 let satisfied t responsive =
   satisfied_by t (fun m -> Member_id.Set.mem m responsive)
 
+let popcount =
+  let rec go acc v = if v = 0 then acc else go (acc + (v land 1)) (v lsr 1) in
+  fun v -> go 0 v
+
+(* Removal sets are enumerated as bitmasks over [live]; one no smaller than
+   the best break found so far is skipped without building its survivor
+   set. *)
+let margin t live =
+  if not (satisfied t live) then -1
+  else begin
+    let arr = Array.of_seq (Member_id.Set.to_seq live) in
+    let n = Array.length arr in
+    let best = ref (n + 1) in
+    for mask = 1 to (1 lsl n) - 1 do
+      let c = popcount mask in
+      if c < !best then begin
+        let remaining = ref live in
+        for i = 0 to n - 1 do
+          if mask land (1 lsl i) <> 0 then
+            remaining := Member_id.Set.remove arr.(i) !remaining
+        done;
+        if not (satisfied t !remaining) then best := c
+      end
+    done;
+    if !best > n then n else !best - 1
+  end
+
 (* Enumerate all subsets of a member universe as bitmasks. *)
 let universe_array set = Array.of_list (Member_id.Set.elements set)
 

@@ -52,6 +52,14 @@ val satisfied : t -> Member_id.Set.t -> bool
 (** [satisfied t responsive] is
     [satisfied_by t (fun m -> Member_id.Set.mem m responsive)]. *)
 
+val margin : t -> Member_id.Set.t -> int
+(** [margin t live] — how many members of [live] can be lost with [t]
+    still satisfied: the size of the smallest loss that breaks [t], minus
+    one; [-1] when [live] does not satisfy [t], and the size of [live] when
+    no loss breaks it.  Exhaustive over the subsets of [live], which is
+    cheap at a protection group's size (≤ ~7 members even mid-transition):
+    the argument the paper makes for proving quorum sets safe. *)
+
 val min_cardinality : t -> int
 (** Size of the smallest satisfying set (number of I/Os needed in the best
     case). *)

@@ -47,12 +47,18 @@ module Blocks = Hashtbl.Make (struct
   let hash b = Simcore.Bits.mix_finish (Block_id.to_int b)
 end)
 
+(* A tracked block's legitimate sum: the sum of the terms its heads would
+   have had with no fault.  [faults] pairs each altered copy [corrupt]
+   swapped in with the version it replaced, so a write or a rollback that
+   moves a faulted head swaps the legitimate term, not the altered one. *)
+type tracked = { mutable sum : int; mutable faults : (version * version) list }
+
 type t = {
   table : entry Blocks.t;
-  sums : int Blocks.t;
-      (* The tracked blocks' stored checksums.  A block is here only from a
-         [corrupt] to its next [load_snapshot]; every other block's sum is
-         implicit, the sum of its heads' terms, and costs nothing. *)
+  sums : tracked Blocks.t;
+      (* The tracked blocks.  A block is here only from a [corrupt] to its
+         next [load_snapshot]; every other block's sum is implicit, the sum
+         of its heads' terms, and costs nothing. *)
   mutable applied : Lsn.t;
   mutable nversions : int;
   mutable bytes : int;
@@ -121,24 +127,22 @@ let version_bytes key v =
 let is_multi = function _ :: _ :: _ -> true | [] | [ _ ] -> false
 
 (* One key's term of the block checksum: a digest of its newest version,
-   folded a word at a time.  [head_term] starts from the key already folded
+   folded a word at a time.  [version_term] starts from the key already folded
    ([key_mix]), which also picks the key's slot, so a write folds its key
    once.  A delete folds -1 where a value's length would go, which no
    string has. *)
 let key_mix key = Simcore.Bits.mix_add_string Simcore.Bits.mix_seed key
 
-let head_term hk = function
-  | [] -> 0
-  | v :: _ ->
-    let h =
-      match v.value with
-      | Some s -> Simcore.Bits.mix_add_string hk s
-      | None -> Simcore.Bits.mix_add_int hk (-1)
-    in
-    let h = Simcore.Bits.mix_add_int h (Txn_id.to_int v.txn) in
-    Simcore.Bits.mix_finish (Simcore.Bits.mix_add_int h (Lsn.to_int v.lsn))
+let version_term hk v =
+  let h =
+    match v.value with
+    | Some s -> Simcore.Bits.mix_add_string hk s
+    | None -> Simcore.Bits.mix_add_int hk (-1)
+  in
+  let h = Simcore.Bits.mix_add_int h (Txn_id.to_int v.txn) in
+  Simcore.Bits.mix_finish (Simcore.Bits.mix_add_int h (Lsn.to_int v.lsn))
 
-let head_hash key = function [] -> 0 | vs -> head_term (key_mix key) vs
+let head_hash key = function [] -> 0 | v :: _ -> version_term (key_mix key) v
 
 (* ---- The key table ---- *)
 
@@ -191,18 +195,21 @@ let iter_nodes f e =
    wrap-around keeps the swap exact). *)
 let compute_checksum e = fold_chains (fun key vs acc -> acc + head_hash key vs) e 0
 
+(* The version [v] stands for in a tracked block's legitimate sum. *)
+let legit tr v = match List.assq_opt v tr.faults with Some l -> l | None -> v
+
+let legit_term tr hk = function [] -> 0 | v :: _ -> version_term hk (legit tr v)
+
 (* Every legitimate rewrite of a key's head passes through here.  An
    implicit block has nothing to keep, and no benchmark workload tracks
    any, so the common cost is one length test.  On a tracked block only
-   the key's own term moves, so a corrupted head stays mismatched however
-   many writes follow, until [load_snapshot] returns the block to
-   implicit. *)
+   the key's own legitimate term moves, so the sum stays what a fault-free
+   peer's heads digest to. *)
 let rechain t block hk ~before after =
   if Blocks.length t.sums > 0 then
     match Blocks.find_opt t.sums block with
     | None -> ()
-    | Some sum ->
-      Blocks.replace t.sums block (sum - head_term hk before + head_term hk after)
+    | Some tr -> tr.sum <- tr.sum - legit_term tr hk before + legit_term tr hk after
 
 (* Every version added ([dir] = 1) or dropped ([dir] = -1) moves the count,
    the store's byte total and the entry's share of it together. *)
@@ -389,13 +396,13 @@ let load_snapshot t block snapshot =
      sum is implicit again. *)
   Blocks.remove t.sums block
 
-(* A tracked block's stored sum, when its heads no longer digest to it. *)
+(* A tracked block's legitimate sum.  A tracked block fails [verify] even
+   once its heads digest to that sum again: an altered version can outlive
+   its head under later writes, where reads below them still see it, so
+   only an image clears a fault. *)
 let mismatch t block =
   if Blocks.length t.sums = 0 then None
-  else
-    match (Blocks.find_opt t.sums block, Blocks.find_opt t.table block) with
-    | Some sum, Some e when compute_checksum e <> sum -> Some sum
-    | _ -> None
+  else Option.map (fun tr -> tr.sum) (Blocks.find_opt t.sums block)
 
 let repair t block snapshot =
   match mismatch t block with
@@ -521,11 +528,7 @@ let gc t ~keep_at_or_above =
 
 let blocks t = Blocks.fold (fun b _ acc -> b :: acc) t.table []
 
-(* Only a tracked block can mismatch, so the scan is over [sums]. *)
-let mismatched t =
-  Blocks.fold
-    (fun b _ acc -> match mismatch t b with Some _ -> b :: acc | None -> acc)
-    t.sums []
+let mismatched t = Blocks.fold (fun b _ acc -> b :: acc) t.sums []
 
 let version_count t = t.nversions
 let bytes_used t = t.bytes
@@ -535,7 +538,8 @@ let bytes_used t = t.bytes
    Adding one to the first byte, rather than flipping a bit, means a second
    corruption of the same head cannot undo the first.  The one door for a
    fault's edit: the block's legitimate sum is stored before the first edit
-   lands, and a block already tracked keeps the sum its writes left. *)
+   lands, a block already tracked keeps the sum its writes left, and the
+   altered copy is paired with the legitimate version it stands for. *)
 let corrupt t block =
   match Blocks.find_opt t.table block with
   | None -> false
@@ -552,10 +556,19 @@ let corrupt t block =
     | Node ({ vs = ({ value = Some s; _ } as v) :: rest; _ } as n) ->
       let b = Bytes.of_string s in
       Bytes.set b 0 (Char.chr ((Char.code (Bytes.get b 0) + 1) land 0xff));
-      if not (Blocks.mem t.sums block) then Blocks.replace t.sums block (compute_checksum e);
+      let tr =
+        match Blocks.find_opt t.sums block with
+        | Some tr -> tr
+        | None ->
+          let tr = { sum = compute_checksum e; faults = [] } in
+          Blocks.replace t.sums block tr;
+          tr
+      in
       (* Swap in an altered copy (the version itself is shared with the
          record and with peers); the stored sum keeps the legitimate head. *)
-      n.vs <- { v with value = Some (Bytes.to_string b) } :: rest;
+      let altered = { v with value = Some (Bytes.to_string b) } in
+      tr.faults <- (altered, legit tr v) :: tr.faults;
+      n.vs <- altered :: rest;
       e.memo <- no_image;
       true
     | Node _ | Empty -> false)

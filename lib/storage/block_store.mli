@@ -19,13 +19,18 @@
     definition that of its heads, nothing is stored, and no write folds a
     term.  {!corrupt} makes a block {e tracked}: it stores the legitimate
     sum first (once; a block already tracked keeps the sum its writes
-    left), then edits a head.  A legitimate write to a tracked block
-    ({!apply}, {!rollback_above}) swaps its key's term in O(1); {!gc} never
-    changes a newest version, so it does no checksum work.  Because no
-    write recomputes the sum, a corrupted value stays visible to {!verify}
-    through any later writes until {!load_snapshot} installs an image and
-    returns the block to implicit.  The tracked sums live in one table of
-    the store, so a write to an implicit block costs one length test.
+    left), then edits a head, and remembers which version the altered copy
+    replaced.  A legitimate write to a tracked block ({!apply},
+    {!rollback_above}) swaps its key's legitimate term in O(1), the
+    replaced version's where the head it moves is an altered copy, so the
+    sum stays what a fault-free peer's heads digest to and that peer can
+    {!repair} the block; {!gc} never changes a newest version, so it does
+    no checksum work.  A tracked block fails {!verify} through any later
+    writes, rollbacks and collections (an altered version can outlive its
+    head, where reads below newer heads still see it) until
+    {!load_snapshot} installs an image and returns the block to implicit.
+    The tracked sums live in one table of the store, so a write to an
+    implicit block costs one length test.
 
     {b Shared versions.}  A version is the record's own
     ({!Wal.Log_record.version}, built once by [Log_record.make]): {!apply}
@@ -190,5 +195,5 @@ val corrupt : t -> Wal.Block_id.t -> bool
     [false], and changes nothing, if the block has no such value. *)
 
 val verify : t -> Wal.Block_id.t -> bool
-(** The scrubber's probe.  An implicit block verifies with no work; a
-    tracked block's heads are digested and compared with its stored sum. *)
+(** The scrubber's probe: true exactly for an implicit block, a block no
+    {!corrupt} has edited since its last {!load_snapshot}.  One lookup. *)

@@ -3,27 +3,25 @@ open Wal
 open Quorum
 module Sink = Recorder.Sink
 
+let disk_service = Distribution.lognormal ~median:(Time_ns.us 80) ~sigma:0.4
+let disk_per_byte_ns = 2
+let gossip_batch_limit = 512 (* max records per gossip reply *)
+
 type config = {
-  disk_service : Distribution.t;
-  disk_per_byte_ns : int;
   gossip_interval : Time_ns.t;
   coalesce_interval : Time_ns.t;
   backup_interval : Time_ns.t;
   gc_interval : Time_ns.t;
   scrub_interval : Time_ns.t;
-  gossip_batch_limit : int;
 }
 
 let default_config =
   {
-    disk_service = Distribution.lognormal ~median:(Time_ns.us 80) ~sigma:0.4;
-    disk_per_byte_ns = 2;
     gossip_interval = Time_ns.ms 100;
     coalesce_interval = Time_ns.ms 50;
     backup_interval = Time_ns.sec 1;
     gc_interval = Time_ns.ms 500;
     scrub_interval = Time_ns.sec 10;
-    gossip_batch_limit = 512;
   }
 
 type metrics = {
@@ -115,8 +113,8 @@ let create ~sim ~rng ~net ~addr ~s3 ~config ?obs ?(obs_labels = []) ?rings () =
     segments = Pg_id.Tbl.create 4;
     writer_of = Pg_id.Tbl.create 4;
     disk =
-      Disk.create ~sim ~rng:(Rng.split rng) ~service:config.disk_service
-        ~per_byte_ns:config.disk_per_byte_ns;
+      Disk.create ~sim ~rng:(Rng.split rng) ~service:disk_service
+        ~per_byte_ns:disk_per_byte_ns;
     metrics;
     sink = Sink.create ~sim ~node:(Simnet.Addr.to_int addr) ?rings ();
     alive = false;
@@ -210,7 +208,7 @@ let handle_gossip_pull t ~reply_to ~pg ~scl ~epochs =
     | Error _ -> reject_metric t
     | Ok () ->
       let records =
-        Hot_log.chained_records_above ~limit:t.config.gossip_batch_limit
+        Hot_log.chained_records_above ~limit:gossip_batch_limit
           (Segment.hot_log s) scl
       in
       t.metrics.gossip_pulls_served <- t.metrics.gossip_pulls_served + 1;

@@ -10,20 +10,20 @@
     accepted (§2.2).  All refusal paths are epoch fencing or data-absence
     conditions, never protocol-level coordination. *)
 
+val disk_service : Simcore.Distribution.t
+(** A node's SSD-like service time per disk write, lognormal around
+    ~80us; each byte adds 2ns on top. *)
+
 type config = {
-  disk_service : Simcore.Distribution.t;
-  disk_per_byte_ns : int;
   gossip_interval : Simcore.Time_ns.t;
   coalesce_interval : Simcore.Time_ns.t;
   backup_interval : Simcore.Time_ns.t;
   gc_interval : Simcore.Time_ns.t;
   scrub_interval : Simcore.Time_ns.t;
-  gossip_batch_limit : int;  (** Max records per gossip reply. *)
 }
 
 val default_config : config
-(** SSD-like disk (lognormal around ~80us + per-byte cost), 100ms gossip,
-    50ms coalesce, 1s backup, 500ms GC, 10s scrub. *)
+(** 100ms gossip, 50ms coalesce, 1s backup, 500ms GC, 10s scrub. *)
 
 type metrics = {
   mutable write_batches : int;

@@ -64,11 +64,7 @@ let replacement_of cluster pg suspect =
   let volume = Database.volume (Cluster.db cluster) in
   match Volume.find_pg volume pg with
   | exception Not_found -> None
-  | g ->
-    List.find_map
-      (fun (p : Quorum.Membership.pending) ->
-        if Member_id.equal p.suspect suspect then Some p.replacement else None)
-      (Quorum.Membership.pendings g.membership)
+  | g -> Quorum.Membership.replacement_of g.membership ~suspect
 
 let run ~seed ?(record_always = false) (sc : Scenario.t) =
   let cfg =

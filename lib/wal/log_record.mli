@@ -74,8 +74,6 @@ val make :
 val header_bytes : int
 (** Fixed per-record overhead used by [make]'s size estimate. *)
 
-val equal_op : op -> op -> bool
-
 val equal : t -> t -> bool
 (** Structural equality on every field via each component's own [equal]
     (hand-written — the record mixes abstract protocol types on which
@@ -89,4 +87,3 @@ val lsn_range : t list -> (Lsn.t * Lsn.t) option
 
 val is_commit : t -> bool
 val pp : Format.formatter -> t -> unit
-val pp_op : Format.formatter -> op -> unit

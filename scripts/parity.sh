@@ -14,8 +14,9 @@
 # also at seeds 4-6), the generated nemesis schedule's digest at seeds 1-5
 # and 25 (slowdowns, crashes and AZ partitions drawn from the seed; 5 and
 # 25 once exposed a stream gap), explain pg:0 of writer-crash-recovery, the file
-# `trace-export` writes at seed 1, exp all at seed 1 and the replica
-# experiment (e9) at seed 2.  For each cluster workload of the benchmark it
+# `trace-export` writes at seed 1, exp all at seed 1 (which runs the
+# membership experiment, e5, at seed 4), e5 again at its default seed 21,
+# and the replica experiment (e9) at seed 2.  For each cluster workload of the benchmark it
 # also runs `perfbench.exe --workload W --seed 1 --smoke` and compares only
 # its simulated rows (net.bytes_per_commit, net.msgs_per_commit,
 # simcore.events_per_commit and every sim_*_us), then the same run with
@@ -70,6 +71,7 @@ there=$work/tree/_build/default
   echo "explain pg:0 --scenario writer-crash-recovery"
   echo "trace-export --txns 200 --seed 1 -o trace.json"
   echo "exp all --seed 1"
+  echo "exp e5 --seed 21"
   echo "exp e9 --seed 2"
   for workload in commit_long read_replica pg_fanout; do
     echo "perfbench --workload $workload --seed 1 --smoke"

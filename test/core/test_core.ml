@@ -1006,10 +1006,9 @@ let test_txn_table_model =
 
 (* ---- Volume rosters ---- *)
 
-(* [full_roster] is memoised on the membership and address map it came
-   from: each membership step, and the harness's direct replacement of
-   both fields, must show at once, and an unchanged group returns the very
-   same list. *)
+(* [full_roster] is memoised on the membership it came from: each
+   membership step, a scheme change included, must show at once, and an
+   unchanged group returns the very same list. *)
 let test_full_roster_memo () =
   let module Volume = Aurora_core.Volume in
   let members = Layout.aurora_tiered () in
@@ -1055,11 +1054,25 @@ let test_full_roster_memo () =
   check "suspect removed";
   check_bool "suspect no longer read" false
     (List.exists (fun (m, _) -> Member_id.equal m suspect) (Volume.full_roster g));
-  (* The harness swaps the address map alone when it moves a member. *)
-  g.Volume.addr_of <- Member_id.Map.add replacement (Simnet.Addr.of_int 141) g.Volume.addr_of;
-  check "address moved";
-  check_bool "new address read" true
-    (List.mem (Member_id.to_int replacement, 141) (ids (Volume.full_roster g)))
+  (* Re-form on the three full segments alone: the tail segments leave
+     the roster, and their addresses with them. *)
+  let fulls =
+    List.filter
+      (fun (m : Membership.member) -> m.kind = Membership.Full)
+      (Membership.members g.Volume.membership)
+  in
+  let before = Volume.roster g in
+  ok
+    (Volume.change_scheme volume (pg 0) ~scheme:Layout.scheme_2_of_3 fulls);
+  check "scheme changed";
+  check_bool "roster refreshed" false (Volume.roster g == before);
+  Alcotest.(check (list (pair int int)))
+    "roster is the full segments" (ids (Volume.full_roster g)) (ids (Volume.roster g));
+  check_int "addresses of the members left" 3 (Member_id.Map.cardinal g.Volume.addr_of);
+  check_bool "unaddressed member refused" true
+    (Result.is_error
+       (Volume.change_scheme volume (pg 0) ~scheme:Layout.scheme_2_of_3
+          ({ full_member with id = Member_id.of_int 41 } :: List.tl fulls)))
 
 (* ---- Commit queue ---- *)
 

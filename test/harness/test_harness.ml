@@ -205,48 +205,7 @@ let test_partition_az_under_load () =
     (Workload.Txn_gen.acked gen > 0);
   audit cluster gen
 
-(* ---- health-sample margins against a brute-force oracle ---- *)
-
-let rec subsets = function
-  | [] -> [ Member_id.Set.empty ]
-  | x :: rest ->
-    let ss = subsets rest in
-    ss @ List.map (Member_id.Set.add x) ss
-
-(* Fewest further losses from [live] that break [q], minus one: the
-   smallest unsatisfying survivor set decides it. *)
-let oracle_margin q live =
-  if not (Quorum_set.satisfied q live) then -1
-  else
-    let n = Member_id.Set.cardinal live in
-    List.fold_left
-      (fun acc s ->
-        if Quorum_set.satisfied q s then acc
-        else min acc (n - Member_id.Set.cardinal s - 1))
-      n
-      (subsets (Member_id.Set.elements live))
-
-(* Every survivor set left after losing one AZ of the roster plus at most
-   one more member still meets the read quorum. *)
-let oracle_az_plus_one read (members : Membership.member list) live =
-  let azs = List.sort_uniq Az.compare (List.map (fun (mm : Membership.member) -> mm.az) members) in
-  let lost_to_az_plus_one s =
-    List.exists
-      (fun az ->
-        let beyond_az =
-          List.filter
-            (fun (mm : Membership.member) ->
-              (not (Az.equal mm.az az))
-              && Member_id.Set.mem mm.id live
-              && not (Member_id.Set.mem mm.id s))
-            members
-        in
-        List.length beyond_az <= 1)
-      azs
-  in
-  List.for_all
-    (fun s -> (not (lost_to_az_plus_one s)) || Quorum_set.satisfied read s)
-    (subsets (Member_id.Set.elements live))
+(* ---- health-sample margins against a fresh computation ---- *)
 
 type step = Crash | Restart | Destroy | Begin | Commit | Revert
 
@@ -278,8 +237,9 @@ let apply_step cluster (step, pg, idx) =
       (fun suspect -> ignore (Cluster.revert_replacement cluster pg ~suspect))
       (pending ())
 
-(* The sample's margins for every PG equal the oracle's, computed from the
-   group's current rule and the nodes alive right now. *)
+(* The sample's margins for every PG equal a fresh computation from the
+   group's current rule and the nodes alive right now.  test/quorum checks
+   [Quorum_set.margin] and [Membership.survives_az] against brute force. *)
 let margins_match cluster =
   let sample =
     Cluster.health_sample cluster ~at:(Sim.now (Cluster.sim cluster))
@@ -299,10 +259,11 @@ let margins_match cluster =
       in
       let g = Aurora_core.Volume.find_pg (Database.volume (Cluster.db cluster)) pg in
       let rule = Membership.rule g.Aurora_core.Volume.membership in
-      p.write_margin = oracle_margin rule.Quorum_set.Rule.write live
-      && p.read_margin = oracle_margin rule.Quorum_set.Rule.read live
+      p.write_margin = Quorum_set.margin rule.Quorum_set.Rule.write live
+      && p.read_margin = Quorum_set.margin rule.Quorum_set.Rule.read live
       && Bool.equal p.az_plus_one
-           (oracle_az_plus_one rule.Quorum_set.Rule.read members live))
+           (Membership.survives_az rule.Quorum_set.Rule.read members ~up:live
+              ~plus_one:true))
     sample.Obs.Health.pgs
 
 (* Node faults and Figure 5 replacements in any order on a 2-PG V6
@@ -330,6 +291,93 @@ let prop_health_margins_match_oracle =
              margins_match cluster)
            steps)
 
+(* ---- one roster: the volume's ---- *)
+
+(* After every step, for every group: the cluster's members are the
+   volume's, in member-id order; each member's node sits at the volume's
+   address for it; and [storage_nodes] is exactly the nodes at the
+   volumes' roster addresses. *)
+let check_rosters cluster step =
+  let volume = Database.volume (Cluster.db cluster) in
+  let ids l = List.map (fun (mm : Membership.member) -> Member_id.to_int mm.id) l in
+  let roster_addrs =
+    List.concat_map
+      (fun (g : Aurora_core.Volume.pg) ->
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s: pg%d members" step (Storage.Pg_id.to_int g.id))
+          (ids (Membership.members g.membership))
+          (ids (Cluster.members_of_pg cluster g.id));
+        List.map
+          (fun (id, addr) ->
+            (match Cluster.node_of_member cluster g.id id with
+            | Some node ->
+              check_bool (step ^ ": node at the volume's address") true
+                (Simnet.Addr.equal (Storage.Storage_node.addr node) addr)
+            | None -> Alcotest.failf "%s: no node for a member" step);
+            Simnet.Addr.to_int addr)
+          (Aurora_core.Volume.roster g))
+      (Aurora_core.Volume.pgs volume)
+  in
+  let node_addrs =
+    List.map
+      (fun node -> Simnet.Addr.to_int (Storage.Storage_node.addr node))
+      (Cluster.storage_nodes cluster)
+  in
+  Alcotest.(check (list int))
+    (step ^ ": storage nodes are the roster's")
+    (List.sort compare roster_addrs) (List.sort compare node_addrs)
+
+(* Figure 5's dance (begin, catch up, commit), a reverted replacement, the
+   3/4 scheme change after losing AZ3, and volume growth, each driven
+   through the cluster and checked against the volume after it lands. *)
+let test_volume_owns_the_roster () =
+  let cluster = Cluster.create { Cluster.default_config with seed = 21; n_pgs = 1 } in
+  let run () = Cluster.run_for cluster (Time_ns.ms 300) in
+  let ok what = function Ok x -> x | Error e -> Alcotest.failf "%s: %s" what e in
+  check_rosters cluster "initial";
+  let r1 = ok "start" (Cluster.start_replacement cluster pg0 ~suspect:(m 5)) in
+  check_rosters cluster "replacement begun";
+  check_int "dual roster" 7 (List.length (Cluster.members_of_pg cluster pg0));
+  run ();
+  check_bool "replacement caught up" true
+    (Cluster.replacement_caught_up cluster pg0 ~replacement:r1);
+  ok "finish" (Cluster.finish_replacement cluster pg0 ~suspect:(m 5));
+  check_rosters cluster "replacement committed";
+  check_bool "suspect gone" true (Cluster.node_of_member cluster pg0 (m 5) = None);
+  let r2 = ok "start again" (Cluster.start_replacement cluster pg0 ~suspect:(m 4)) in
+  let r2_node =
+    match Cluster.node_of_member cluster pg0 r2 with
+    | Some node -> node
+    | None -> Alcotest.fail "no node for the second replacement"
+  in
+  run ();
+  ok "revert" (Cluster.revert_replacement cluster pg0 ~suspect:(m 4));
+  check_rosters cluster "replacement reverted";
+  check_bool "reverted replacement's node destroyed" true
+    ((not (Storage.Storage_node.is_alive r2_node))
+    && Storage.Storage_node.segment r2_node pg0 = None);
+  check_bool "reverted replacement gone" true (Cluster.node_of_member cluster pg0 r2 = None);
+  check_bool "revert of a settled suspect refused" true
+    (Result.is_error (Cluster.revert_replacement cluster pg0 ~suspect:(m 4)));
+  ok "3/4" (Cluster.change_scheme_3_of_4 cluster pg0 ~drop_az:(Az.of_int 2));
+  check_rosters cluster "scheme changed";
+  check_int "four members" 4 (List.length (Cluster.members_of_pg cluster pg0));
+  check_int "epoch after five transitions" 6 (epoch_of cluster pg0);
+  let pg1 = Cluster.grow_volume cluster in
+  check_rosters cluster "volume grown";
+  check_int "second group" 1 (Storage.Pg_id.to_int pg1);
+  check_int "ten storage nodes" 10 (List.length (Cluster.storage_nodes cluster));
+  (* Both groups take writes: a commit touching many blocks acks. *)
+  let db = Cluster.db cluster in
+  let txn = Database.begin_txn db in
+  for i = 0 to 15 do
+    Database.put db ~txn ~key:(Printf.sprintf "k%d" i) ~value:"v"
+  done;
+  let acked = ref false in
+  Database.commit db ~txn (fun _ -> acked := true);
+  run ();
+  check_bool "commit acked after all transitions" true !acked
+
 let () =
   Alcotest.run "harness"
     [
@@ -347,6 +395,8 @@ let () =
             test_fail_restore_az_under_load;
           Alcotest.test_case "partition + heal AZ" `Slow
             test_partition_az_under_load;
+          Alcotest.test_case "the volume owns the roster" `Slow
+            test_volume_owns_the_roster;
         ] );
       ( "experiments",
         [

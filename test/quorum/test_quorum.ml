@@ -444,6 +444,132 @@ let prop_transitions_preserve_safety =
         ops;
       true)
 
+let test_replacement_of () =
+  let g = Layout.group_4_of_6 () in
+  check_bool "steady: none" true (Membership.replacement_of g ~suspect:(m 5) = None);
+  let g = Result.get_ok (Membership.begin_change g ~suspect:(m 5) ~replacement:(fresh_member 6 2)) in
+  let g = Result.get_ok (Membership.begin_change g ~suspect:(m 1) ~replacement:(fresh_member 7 0)) in
+  check_bool "first pair" true (Membership.replacement_of g ~suspect:(m 5) = Some (m 6));
+  check_bool "second pair" true (Membership.replacement_of g ~suspect:(m 1) = Some (m 7));
+  check_bool "a replacement is no suspect" true (Membership.replacement_of g ~suspect:(m 6) = None);
+  let g = Result.get_ok (Membership.commit_change g ~suspect:(m 5)) in
+  check_bool "resolved: none" true (Membership.replacement_of g ~suspect:(m 5) = None);
+  check_bool "other pair kept" true (Membership.replacement_of g ~suspect:(m 1) = Some (m 7))
+
+(* ---- What a roster survives, against brute force ---- *)
+
+let rec subsets = function
+  | [] -> [ Member_id.Set.empty ]
+  | x :: rest ->
+    let ss = subsets rest in
+    ss @ List.map (Member_id.Set.add x) ss
+
+(* Fewest further losses from [live] that break [q], minus one: the
+   smallest unsatisfying survivor set decides it. *)
+let oracle_margin q live =
+  if not (Quorum_set.satisfied q live) then -1
+  else
+    let n = Member_id.Set.cardinal live in
+    List.fold_left
+      (fun acc s ->
+        if Quorum_set.satisfied q s then acc
+        else min acc (n - Member_id.Set.cardinal s - 1))
+      n
+      (subsets (Member_id.Set.elements live))
+
+(* Every survivor set left after losing one AZ of the roster plus at most
+   one more member ([plus_one]) or none still meets [q]. *)
+let oracle_survives_az q (members : Membership.member list) live ~plus_one =
+  let azs = List.sort_uniq Az.compare (List.map (fun (mm : Membership.member) -> mm.az) members) in
+  let lost_to_az s =
+    List.exists
+      (fun az ->
+        let beyond_az =
+          List.filter
+            (fun (mm : Membership.member) ->
+              (not (Az.equal mm.az az))
+              && Member_id.Set.mem mm.id live
+              && not (Member_id.Set.mem mm.id s))
+            members
+        in
+        List.length beyond_az <= if plus_one then 1 else 0)
+      azs
+  in
+  List.for_all
+    (fun s -> (not (lost_to_az s)) || Quorum_set.satisfied q s)
+    (subsets (Member_id.Set.elements live))
+
+(* Random rosters of 1-7 members over up to three AZs (one AZ in a
+   quarter of cases), a random live subset, and a quorum of one atom or an
+   AND / OR of two over random member subsets.  Thresholds are at least 1,
+   so no quorum is met by nobody, as none a membership derives is. *)
+let prop_margin_and_survives_az =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 1 7 in
+      let* one_az = map (fun k -> k = 0) (int_bound 3) in
+      let* azs = list_repeat n (if one_az then return 1 else int_bound 2) in
+      let members =
+        List.mapi
+          (fun i az -> { Membership.id = m i; az = Az.of_int az; kind = Membership.Full })
+          azs
+      in
+      let subset =
+        map
+          (fun mask -> mset (List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init n Fun.id)))
+          (int_bound ((1 lsl n) - 1))
+      in
+      let atom =
+        let* over = subset in
+        let size = Member_id.Set.cardinal over in
+        if size = 0 then return (Quorum_set.k_of 1 [ m 0 ])
+        else
+          let+ k = int_range 1 size in
+          Quorum_set.k_of k (Member_id.Set.elements over)
+      in
+      let* q =
+        frequency
+          [
+            (2, atom);
+            (1, map2 (fun a b -> Quorum_set.all [ a; b ]) atom atom);
+            (1, map2 (fun a b -> Quorum_set.any [ a; b ]) atom atom);
+          ]
+      in
+      let+ live = subset in
+      (members, q, live))
+  in
+  let print (members, q, live) =
+    Format.asprintf "%s; %a; live {%a}"
+      (String.concat " "
+         (List.map
+            (fun (mm : Membership.member) ->
+              Printf.sprintf "%d@az%d" (Member_id.to_int mm.id) (Az.to_int mm.az + 1))
+            members))
+      Quorum_set.pp q Member_id.pp_set live
+  in
+  QCheck.Test.make ~name:"margin and survives_az match brute force" ~count:500
+    (QCheck.make ~print gen) (fun (members, q, live) ->
+      let all = Member_id.set_of_list (List.map (fun (mm : Membership.member) -> mm.id) members) in
+      Quorum_set.margin q live = oracle_margin q live
+      && List.for_all
+           (fun (up, plus_one) ->
+             Bool.equal
+               (Membership.survives_az q members ~up ~plus_one)
+               (oracle_survives_az q members up ~plus_one))
+           [ (live, true); (live, false); (all, true); (all, false) ])
+
+(* A one-AZ roster loses everything with its AZ: no survivor is left to
+   lose one more of, so AZ+1 fails even when the quorum is one member. *)
+let test_single_az_roster () =
+  let members =
+    List.init 3 (fun i -> { Membership.id = m i; az = Az.of_int 0; kind = Membership.Full })
+  in
+  let q = Quorum_set.k_of 1 (List.init 3 m) in
+  let up = mset [ 0; 1; 2 ] in
+  check_bool "AZ" false (Membership.survives_az q members ~up ~plus_one:false);
+  check_bool "AZ+1" false (Membership.survives_az q members ~up ~plus_one:true);
+  check_int "margin" 2 (Quorum_set.margin q up)
+
 (* ---- Layouts ---- *)
 
 let test_layouts () =
@@ -479,6 +605,7 @@ let () =
           Alcotest.test_case "transition rule safe" `Quick test_transition_rule_safe;
           qc prop_overlap_brute_force;
           qc prop_satisfied_by_agrees;
+          qc prop_margin_and_survives_az;
         ] );
       ("epoch", [ Alcotest.test_case "staleness" `Quick test_epochs ]);
       ( "membership",
@@ -490,6 +617,8 @@ let () =
           Alcotest.test_case "errors" `Quick test_membership_errors;
           Alcotest.test_case "change scheme" `Quick test_change_scheme;
           qc prop_transitions_preserve_safety;
+          Alcotest.test_case "replacement_of" `Quick test_replacement_of;
+          Alcotest.test_case "a one-AZ roster fails AZ+1" `Quick test_single_az_roster;
         ] );
       ("layout", [ Alcotest.test_case "rosters" `Quick test_layouts ]);
     ]

@@ -263,10 +263,9 @@ let test_block_store_corrupt_twice () =
   check_bool "a newer image installed wholesale verifies" true (B.verify s (blk 0))
 
 (* Rollback rewrites heads of a faulted block like any other write.  With
-   the faulted head kept, a peer rolled back alike still repairs the
-   block; with the faulted head itself dropped, the block stays
-   mismatched until an image is installed.  Key "b" ends in an empty
-   value, so the fault lands on "a". *)
+   the faulted head kept or dropped, the block stays mismatched and a peer
+   rolled back alike repairs it.  Key "b" ends in an empty value, so the
+   fault lands on "a". *)
 let test_block_store_rollback_tracked () =
   let module B = Storage.Block_store in
   let s = B.create () and peer = B.create () in
@@ -287,8 +286,45 @@ let test_block_store_rollback_tracked () =
   check_int "the faulted head rolled back" 1 (B.rollback_above s (lsn 2));
   check_bool "mismatch kept without the faulted head" false (B.verify s (blk 0));
   ignore (B.rollback_above peer (lsn 2) : int);
-  B.load_snapshot s (blk 0) (B.block_snapshot peer (blk 0));
-  check_bool "image installed" true (B.verify s (blk 0))
+  check_bool "peer rolled back alike repairs without the faulted head" true
+    (B.repair s (blk 0) (B.block_snapshot peer (blk 0)));
+  check_bool "repaired again" true (B.verify s (blk 0))
+
+(* A write or a rollback that moves a faulted head itself swaps the term
+   of the version the fault replaced: the stored sum stays the one a
+   fault-free peer's heads digest to, so a peer that took the same write
+   or rollback repairs the block, and one that did not is refused.  Key
+   "b" holds an empty value, so the fault lands on "a". *)
+let test_block_store_repair_over_faulted_head () =
+  let module B = Storage.Block_store in
+  let setup () =
+    let s = B.create () and peer = B.create () and stale = B.create () in
+    let all r = List.iter (fun st -> B.apply st r) [ s; peer; stale ] in
+    all (put ~l:1 ~block:0 "a" "a1");
+    all (put ~l:2 ~block:0 "b" "");
+    all (put ~l:3 ~prev_block:(lsn 1) ~t:2 ~block:0 "a" "a3");
+    check_bool "fault" true (B.corrupt s (blk 0));
+    check_bool "the fault is on a's head" true
+      ((List.hd (B.versions s (blk 0) ~key:"a")).B.value <> Some "a3");
+    (s, peer, stale)
+  in
+  let s, peer, stale = setup () in
+  List.iter (fun st -> B.apply st (put ~l:4 ~prev_block:(lsn 3) ~t:3 ~block:0 "a" "a4")) [ s; peer ];
+  check_bool "written over: mismatch kept" false (B.verify s (blk 0));
+  check_bool "written over: peer without the write refused" false
+    (B.repair s (blk 0) (B.block_snapshot stale (blk 0)));
+  check_bool "written over: peer with the write repairs" true
+    (B.repair s (blk 0) (B.block_snapshot peer (blk 0)));
+  check_bool "written over: repaired" true (B.verify s (blk 0));
+  let s, peer, stale = setup () in
+  check_bool "second fault on the same head" true (B.corrupt s (blk 0));
+  List.iter (fun st -> check_int "faulted head dropped" 1 (B.rollback_above st (lsn 2))) [ s; peer ];
+  check_bool "rolled back: mismatch kept" false (B.verify s (blk 0));
+  check_bool "rolled back: peer without the rollback refused" false
+    (B.repair s (blk 0) (B.block_snapshot stale (blk 0)));
+  check_bool "rolled back: peer rolled back alike repairs" true
+    (B.repair s (blk 0) (B.block_snapshot peer (blk 0)));
+  check_bool "rolled back: repaired" true (B.verify s (blk 0))
 
 (* A fault is its block's own: block 1 of the same store verifies through
    writes made after block 0's fault, and repair leaves it alone. *)
@@ -1624,6 +1660,8 @@ let () =
           QCheck_alcotest.to_alcotest test_mismatched;
           Alcotest.test_case "image of an unchanged block allocates nothing" `Quick
             test_image_memo_allocates_nothing;
+          Alcotest.test_case "repair after a write or rollback over a faulted head" `Quick
+            test_block_store_repair_over_faulted_head;
         ] );
       ("disk", [ Alcotest.test_case "fifo queueing" `Quick test_disk_fifo ]);
       ( "segment",
