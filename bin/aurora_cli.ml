@@ -14,26 +14,33 @@ module Artifact = Recorder.Artifact
 module Correlate = Recorder.Correlate
 module Event = Recorder.Event
 
-let print r = Harness.Report.print r
-
+(* Prints each table as it completes, then exits 1 naming every failed
+   requirement row.  [all] runs the whole table from one seed, each
+   experiment at its own offset. *)
 let run_experiment name seed =
-  match String.lowercase_ascii name with
-  | "e1" -> print (E.E1.report (E.E1.run ~seed ()))
-  | "e2" -> print (E.E2.report (E.E2.run ~seed ()))
-  | "e3" -> print (E.E3.report (E.E3.run ()))
-  | "e4" -> print (E.E4.report (E.E4.run ~seed ()))
-  | "e5" -> print (E.E5.report (E.E5.run ~seed ()))
-  | "e6" -> print (E.E6.report (E.E6.run ~seed ()))
-  | "e7" -> print (E.E7.report (E.E7.run ~seed ()))
-  | "e8" -> print (E.E8.report (E.E8.run ~seed ()))
-  | "e9" -> print (E.E9.report (E.E9.run ~seed ()))
-  | "e10" -> print (E.E10.report (E.E10.run ~seed ()))
-  | "a1" -> print (E.Ablations.hedge_report (E.Ablations.hedge_sweep ~seed ()))
-  | "a2" -> print (E.Ablations.gossip_report (E.Ablations.gossip_sweep ~seed ()))
-  | "all" -> print_string (E.run_all ~seed ())
-  | other ->
-    Printf.eprintf "unknown experiment %S (e1..e10 or all)\n" other;
+  let run (e : E.experiment) ~seed ~sep =
+    let r = e.run ~seed in
+    print_string (Harness.Report.to_string r ^ sep);
+    Harness.Report.failures r
+  in
+  let failed =
+    match String.lowercase_ascii name with
+    | "all" ->
+      List.concat_map
+        (fun (e : E.experiment) -> run e ~seed:(seed + e.seed_offset) ~sep:"\n")
+        E.all
+    | id -> (
+      match List.find_opt (fun (e : E.experiment) -> String.equal e.id id) E.all with
+      | Some e -> run e ~seed ~sep:""
+      | None ->
+        Printf.eprintf "unknown experiment %S (one of %s, or all)\n" id
+          (String.concat ", " (List.map (fun (e : E.experiment) -> e.id) E.all));
+        exit 1)
+  in
+  if failed <> [] then begin
+    List.iter (Printf.eprintf "exp: requirement failed: %s\n") failed;
     exit 1
+  end
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")

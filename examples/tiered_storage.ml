@@ -52,29 +52,32 @@ let run_design layout name =
 
 let () =
   print_endline "same workload, two protection-group designs:\n";
-  let v6 = run_design Cluster.V6 "6 full segments" in
-  let tiered = run_design Cluster.Tiered "3 full + 3 tail (tiered)" in
+  let v6 = run_design Layout.V6 "6 full segments" in
+  let tiered = run_design Layout.Tiered "3 full + 3 tail (tiered)" in
   Printf.printf "\nbytes ratio tiered/full: %.2f (data blocks exist only on fulls)\n"
     (float_of_int tiered /. float_of_int v6);
 
   print_endline "\nfault tolerance (deterministic quorum-set check):";
   List.iter
     (fun (name, layout) ->
-      let members, rule = Harness.Experiments.scheme_rule layout in
-      let t = FM.az_tolerance ~members ~rule in
+      let g = Layout.membership layout in
+      let t =
+        FM.az_tolerance ~members:(Membership.members g) ~rule:(Membership.rule g)
+      in
       Printf.printf
         "  %-28s survives AZ: %b, survives AZ+1 (repairable): %b\n" name
         t.FM.write_survives_az t.FM.read_survives_az_plus_one)
-    [ ("6 full segments", Cluster.V6); ("3 full + 3 tail", Cluster.Tiered) ];
+    [ ("6 full segments", Layout.V6); ("3 full + 3 tail", Layout.Tiered) ];
 
   (* Show the tiered write quorum in both of its shapes. *)
-  let members, rule = Harness.Experiments.scheme_rule Cluster.Tiered in
+  let tiered_group = Layout.membership Layout.Tiered in
+  let rule = Membership.rule tiered_group in
   Format.printf "\ntiered rule: %a@." Quorum_set.Rule.pp rule;
   let fulls =
     List.filter_map
       (fun (m : Membership.member) ->
         if m.Membership.kind = Membership.Full then Some m.Membership.id else None)
-      members
+      (Membership.members tiered_group)
   in
   Format.printf "writing to just the three fulls meets quorum: %b@."
     (Quorum_set.satisfied rule.Quorum_set.Rule.write (Member_id.set_of_list fulls));

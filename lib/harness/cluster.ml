@@ -6,12 +6,10 @@ module Database = Aurora_core.Database
 module Replica = Aurora_core.Replica
 module Volume = Aurora_core.Volume
 
-type layout = V6 | Tiered | V3
-
 type config = {
   seed : int;
   n_pgs : int;
-  layout : layout;
+  layout : Layout.t;
   db_config : Database.config;
   storage_config : Storage.Storage_node.config;
   intra_az_latency : Distribution.t;
@@ -24,7 +22,7 @@ let default_config =
   {
     seed = 42;
     n_pgs = 2;
-    layout = V6;
+    layout = Layout.V6;
     db_config = Database.default_config;
     storage_config = Storage.Storage_node.default_config;
     intra_az_latency = Distribution.lognormal ~median:(Time_ns.us 250) ~sigma:0.35;
@@ -72,16 +70,6 @@ let config t = t.cfg
 let rng t = t.rng
 let obs t = t.obs
 let recorder t = t.rings
-
-let layout_members = function
-  | V6 -> Layout.aurora_v6 ()
-  | Tiered -> Layout.aurora_tiered ()
-  | V3 -> Layout.three_copies ()
-
-let layout_scheme = function
-  | V6 -> Layout.scheme_4_of_6
-  | Tiered -> Layout.scheme_tiered
-  | V3 -> Layout.scheme_2_of_3
 
 let register rings addr role =
   match rings with
@@ -352,11 +340,11 @@ let create cfg =
   let pg_nodes = Pg_id.Tbl.create cfg.n_pgs in
   let nodes = Simnet.Addr.Tbl.create 64 in
   (* Build PGs: nodes + segments + membership. *)
-  let scheme = layout_scheme cfg.layout in
   let volume_groups =
     List.init cfg.n_pgs (fun i ->
         let pg_id = Pg_id.of_int i in
-        let members = layout_members cfg.layout in
+        let membership = Layout.membership cfg.layout in
+        let members = Membership.members membership in
         let addrs =
           List.map
             (fun (m : Membership.member) ->
@@ -371,7 +359,7 @@ let create cfg =
         in
         Pg_id.Tbl.replace pg_nodes pg_id
           { next_member_id = List.length members; margins = None };
-        (pg_id, Membership.create ~scheme members, addrs))
+        (pg_id, membership, addrs))
   in
   let volume = Volume.create volume_groups in
   let db =
@@ -585,7 +573,8 @@ let replacement_caught_up t pg ~replacement =
       Wal.Lsn.(Storage.Segment.scl seg >= target))
 
 let grow_volume t =
-  let members = layout_members t.cfg.layout in
+  let membership = Layout.membership t.cfg.layout in
+  let members = Membership.members membership in
   let nodes = List.map (fun (m : Membership.member) -> make_storage_node t ~az:m.az) members in
   (* The new group is the volume's next index, and its nodes must be up
      before [grow_volume] sends them the roster. *)
@@ -594,7 +583,7 @@ let grow_volume t =
   let g =
     Database.grow_volume t.db
       ~new_blocks_from:(Wal.Block_id.of_int t.cfg.db_config.Database.n_blocks)
-      (Membership.create ~scheme:(layout_scheme t.cfg.layout) members)
+      membership
       (List.map2
          (fun (m : Membership.member) node -> (m.id, Storage.Storage_node.addr node))
          members nodes)

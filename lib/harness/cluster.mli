@@ -19,14 +19,10 @@
 
 open Quorum
 
-type layout = V6 | Tiered | V3
-(** Protection-group design: Aurora's 6-copy (4/6 write, 3/6 read), the
-    §4.2 full/tail mix, or the Figure 1 2/3 strawman. *)
-
 type config = {
   seed : int;
   n_pgs : int;
-  layout : layout;
+  layout : Layout.t;  (** Every group's roster and scheme. *)
   db_config : Aurora_core.Database.config;
   storage_config : Storage.Storage_node.config;
   intra_az_latency : Simcore.Distribution.t;
@@ -96,6 +92,10 @@ val health_sample : t -> at:Simcore.Time_ns.t -> Obs.Health.sample
 val storage_nodes : t -> Storage.Storage_node.t list
 (** The nodes at every group's {!Aurora_core.Volume.roster} addresses
     (in-flight replacements included), each group's in member-id order. *)
+
+val group : t -> Storage.Pg_id.t -> Aurora_core.Volume.pg option
+(** The volume's record of a group, [None] for a group the volume does not
+    have (yet: {!grow_volume} adds groups). *)
 
 val node_of_member :
   t -> Storage.Pg_id.t -> Member_id.t -> Storage.Storage_node.t option

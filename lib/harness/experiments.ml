@@ -9,17 +9,6 @@ module Lsn = Wal.Lsn
 module Pg_id = Storage.Pg_id
 module String_map = Map.Make (String)
 
-let scheme_rule = function
-  | Cluster.V6 ->
-    let members = Layout.aurora_v6 () in
-    (members, Membership.rule (Membership.create ~scheme:Layout.scheme_4_of_6 members))
-  | Cluster.Tiered ->
-    let members = Layout.aurora_tiered () in
-    (members, Membership.rule (Membership.create ~scheme:Layout.scheme_tiered members))
-  | Cluster.V3 ->
-    let members = Layout.three_copies () in
-    (members, Membership.rule (Membership.create ~scheme:Layout.scheme_2_of_3 members))
-
 (* Acknowledged keys the database no longer returns, by the workload's
    durability oracle ({!Workload.Txn_gen.audit}); runs the sim 10 s so the
    audit reads complete. *)
@@ -37,17 +26,6 @@ let lost_keys ~sim ~db gen =
 (* ------------------------------------------------------------------ *)
 
 module E1 = struct
-  type scheme_result = {
-    name : string;
-    mc : Availability.Fleet_model.result;
-    an : Availability.Fleet_model.analytic;
-    tol : Availability.Fleet_model.az_tolerance;
-    az_write_loss : float;  (* P(write loss | AZ outage), analytic *)
-    az_read_loss : float;
-  }
-
-  type t = scheme_result list
-
   (* Degraded-fleet parameters: frequent-enough faults and slow-enough
      repair that rare events register at Monte Carlo scale — the shape,
      not the absolute magnitude, is what Figure 1 argues. *)
@@ -60,31 +38,9 @@ module E1 = struct
       groups = 3000;
     }
 
-  let run ?(seed = 1) () =
-    let params = harsh_params in
-    let schemes =
-      [
-        ("2/3 across 3 AZs", Cluster.V3);
-        ("4/6 across 3 AZs", Cluster.V6);
-        ("tiered 3f+3t", Cluster.Tiered);
-      ]
-    in
-    List.map
-      (fun (name, layout) ->
-        let members, rule = scheme_rule layout in
-        let rng = Rng.create seed in
-        let mc = Availability.Fleet_model.run ~rng ~params ~members ~rule in
-        let an = Availability.Fleet_model.analytic ~params ~members ~rule in
-        let tol = Availability.Fleet_model.az_tolerance ~members ~rule in
-        let az_write_loss, az_read_loss =
-          Availability.Fleet_model.analytic_given_az ~params ~members ~rule
-        in
-        { name; mc; an; tol; az_write_loss; az_read_loss })
-      schemes
-
   let yn b = if b then "yes" else "NO"
 
-  let report t =
+  let run ~seed =
     let r =
       Report.create ~title:"E1 (Figure 1): quorum availability"
         ~columns:
@@ -98,22 +54,36 @@ module E1 = struct
           ]
     in
     List.iter
-      (fun s ->
-        let mc = s.mc in
+      (fun (name, layout) ->
+        let g = Layout.membership layout in
+        let members = Membership.members g and rule = Membership.rule g in
+        let mc =
+          Availability.Fleet_model.run ~rng:(Rng.create seed) ~params:harsh_params
+            ~members ~rule
+        in
+        let tol = Availability.Fleet_model.az_tolerance ~members ~rule in
+        let _, az_read_loss =
+          Availability.Fleet_model.analytic_given_az ~params:harsh_params
+            ~members ~rule
+        in
         Report.row r
           [
-            s.name;
-            Printf.sprintf "%s/%s" (yn s.tol.read_survives_az)
-              (yn s.tol.write_survives_az);
-            yn s.tol.read_survives_az_plus_one;
-            Printf.sprintf "%.2e" s.az_read_loss;
+            name;
+            Printf.sprintf "%s/%s" (yn tol.read_survives_az)
+              (yn tol.write_survives_az);
+            yn tol.read_survives_az_plus_one;
+            Printf.sprintf "%.2e" az_read_loss;
             Report.pct mc.write_unavail;
             (if mc.az_onsets = 0 then "n/a"
              else
                Report.pct
                  (float_of_int mc.az_read_survived /. float_of_int mc.az_onsets));
           ])
-      t;
+      [
+        ("2/3 across 3 AZs", Layout.V3);
+        ("4/6 across 3 AZs", Layout.V6);
+        ("tiered 3f+3t", Layout.Tiered);
+      ];
     Report.note r
       "expected shape (the paper's 'why six copies'): 2/3 cannot repair \
        after AZ+1 (read quorum gone -> data loss risk); 4/6 and tiered keep \
@@ -130,7 +100,6 @@ module E2 = struct
   type t = {
     records_written : int;
     acks_processed : int;
-    drop_probability : float;
     gossip_filled : int;
     final_scl_lag : int;
     coalesced_versions : int;
@@ -141,8 +110,10 @@ module E2 = struct
     scrub_repaired : int;
   }
 
-  let run ?(seed = 7) () =
-    let txns = 400 and drop = 0.05 in
+  let drop = 0.05
+
+  let run ~seed =
+    let txns = 400 in
     let cfg = { Cluster.default_config with seed; n_pgs = 1 } in
     let cluster = Cluster.create cfg in
     let sim = Cluster.sim cluster in
@@ -208,7 +179,6 @@ module E2 = struct
     {
       records_written = (Database.metrics db).Database.records_written;
       acks_processed = sum (fun m -> m.Storage.Storage_node.write_batches);
-      drop_probability = drop;
       gossip_filled = sum (fun m -> m.Storage.Storage_node.gossip_records_filled);
       final_scl_lag = max_scl - min_scl;
       coalesced_versions = coalesced;
@@ -232,8 +202,7 @@ module E2 = struct
     Report.row r [ "records written (writer)"; string_of_int t.records_written ];
     Report.row r
       [
-        Printf.sprintf "write batches stored (drop=%.0f%%)"
-          (100. *. t.drop_probability);
+        Printf.sprintf "write batches stored (drop=%.0f%%)" (100. *. drop);
         string_of_int t.acks_processed;
       ];
     Report.row r [ "records filled by gossip"; string_of_int t.gossip_filled ];
@@ -263,14 +232,8 @@ end
 (* ------------------------------------------------------------------ *)
 
 module E3 = struct
-  type t = {
-    pg1_pgcl : int;
-    pg2_pgcl : int;
-    vcl : int;
-    expected : int * int * int;
-  }
-
-  let run () =
+  (* The figure's fixed scenario: nothing is drawn, so the seed is unused. *)
+  let run ~seed:_ =
     (* Figure 3: two groups; odd LSNs 101..107 go to PG1, even 102..108 to
        PG2.  105 has not met quorum in PG1; 106 and 108 have not in PG2.
        Expected: PGCL(PG1)=103, PGCL(PG2)=104, VCL=104. *)
@@ -292,22 +255,17 @@ module E3 = struct
     ack pg1 4 107; ack pg1 5 105;
     ack pg2 0 104; ack pg2 1 104; ack pg2 2 104; ack pg2 3 104;
     ack pg2 4 108; ack pg2 5 106;
-    {
-      pg1_pgcl = Lsn.to_int (Consistency.pgcl c pg1);
-      pg2_pgcl = Lsn.to_int (Consistency.pgcl c pg2);
-      vcl = Lsn.to_int (Consistency.vcl c);
-      expected = (103, 104, 104);
-    }
-
-  let report t =
     let r =
       Report.create ~title:"E3 (Figure 3): storage consistency points"
         ~columns:[ "point"; "computed"; "paper" ]
     in
-    let e1, e2, e3 = t.expected in
-    Report.row r [ "PGCL(PG1)"; string_of_int t.pg1_pgcl; string_of_int e1 ];
-    Report.row r [ "PGCL(PG2)"; string_of_int t.pg2_pgcl; string_of_int e2 ];
-    Report.row r [ "VCL"; string_of_int t.vcl; string_of_int e3 ];
+    let row point computed paper =
+      Report.row r
+        [ point; string_of_int (Lsn.to_int computed); string_of_int paper ]
+    in
+    row "PGCL(PG1)" (Consistency.pgcl c pg1) 103;
+    row "PGCL(PG2)" (Consistency.pgcl c pg2) 104;
+    row "VCL" (Consistency.vcl c) 104;
     r
 end
 
@@ -316,19 +274,7 @@ end
 (* ------------------------------------------------------------------ *)
 
 module E4 = struct
-  type point = {
-    txns_since_checkpoint : int;
-    log_bytes : int;
-    aurora_recovery : Time_ns.t;
-    aurora_vcl : int;
-    acked_commits : int;
-    lost_acked_commits : int;
-    aries_recovery : Time_ns.t;
-  }
-
-  type t = point list
-
-  let one_point ~seed ~txns =
+  let one_point r ~seed ~txns =
     let cfg = { Cluster.default_config with seed; n_pgs = 2 } in
     let cluster = Cluster.create cfg in
     let sim = Cluster.sim cluster in
@@ -365,21 +311,17 @@ module E4 = struct
         ~records
         ~loser_records:(List.length o.Aurora_core.Recovery.interrupted * 4)
     in
-    {
-      txns_since_checkpoint = txns;
-      log_bytes;
-      aurora_recovery = o.Aurora_core.Recovery.duration;
-      aurora_vcl = Lsn.to_int o.Aurora_core.Recovery.vcl;
-      acked_commits = Workload.Txn_gen.acked gen;
-      lost_acked_commits = lost;
-      aries_recovery = aries.Baselines.Aries.total;
-    }
+    Report.require r ~ok:(lost = 0)
+      [
+        string_of_int txns;
+        string_of_int log_bytes;
+        Report.time o.Aurora_core.Recovery.duration;
+        Report.time aries.Baselines.Aries.total;
+        string_of_int (Workload.Txn_gen.acked gen);
+        string_of_int lost;
+      ]
 
-  let run ?(seed = 11) () =
-    let sweep = [ 200; 1000; 5000; 20000 ] in
-    List.mapi (fun i txns -> one_point ~seed:(seed + i) ~txns) sweep
-
-  let report t =
+  let run ~seed =
     let r =
       Report.create
         ~title:"E4 (Figure 4 / \xc2\xa72.4): crash recovery vs redo backlog"
@@ -393,18 +335,9 @@ module E4 = struct
             "lost";
           ]
     in
-    List.iter
-      (fun p ->
-        Report.row r
-          [
-            string_of_int p.txns_since_checkpoint;
-            string_of_int p.log_bytes;
-            Report.time p.aurora_recovery;
-            Report.time p.aries_recovery;
-            string_of_int p.acked_commits;
-            string_of_int p.lost_acked_commits;
-          ])
-      t;
+    List.iteri
+      (fun i txns -> one_point r ~seed:(seed + i) ~txns)
+      [ 200; 1000; 5000; 20000 ];
     Report.note r
       "expected shape: Aurora roughly flat in backlog (quorum poll + \
        truncation), ARIES linear; zero acked commits lost";
@@ -416,24 +349,6 @@ end
 (* ------------------------------------------------------------------ *)
 
 module E5 = struct
-  type t = {
-    epochs_seen : int list;
-    commits_during_change : int;
-    max_commit_gap : Time_ns.t;
-    baseline_stall : Time_ns.t;
-    hydration_time : Time_ns.t;
-    replacement_caught_up : bool;
-    revert_worked : bool;
-    lost_acked_commits : int;
-    availability_window : Time_ns.t;
-    availability : (Time_ns.t * bool * bool) list;
-        (* (offset from change start, aurora write-available,
-           blocking-baseline write-available) per window *)
-    aurora_window_fraction : float;
-    baseline_window_fraction : float;
-    online_write_available : float; (* Obs.Health accumulator, whole run *)
-  }
-
   let membership_epoch cluster pg =
     Membership.epoch
       (Aurora_core.Volume.find_pg
@@ -442,7 +357,7 @@ module E5 = struct
         .Aurora_core.Volume.membership
     |> Epoch.to_int
 
-  let run ?(seed = 21) () =
+  let run ~seed =
     let pg = Pg_id.of_int 0 in
     let suspect = Member_id.of_int 5 (* "F" *) in
     (* --- main run: replace F with G under load --- *)
@@ -486,6 +401,8 @@ module E5 = struct
     in
     poll ();
     Sim.run_until sim (Time_ns.sec 5);
+    (* A stop-the-world change would stall commits for the whole
+       hydration. *)
     let hydration_time =
       match !caught_up_at with
       | Some at -> Time_ns.diff at change_start
@@ -519,7 +436,8 @@ module E5 = struct
     (* Availability timeline (Figure 1 / §4 shape): fixed windows across
        the change; Aurora is available in a window iff some commit acked
        in it, while a stop-the-world baseline would additionally be dark
-       for the whole hydration. *)
+       for the whole hydration.  Per window: (offset from change start,
+       Aurora write-available, baseline write-available). *)
     let window = Time_ns.ms 250 in
     let all_acks =
       List.map
@@ -546,8 +464,6 @@ module E5 = struct
       float_of_int (List.length (List.filter f availability))
       /. float_of_int n_windows
     in
-    let aurora_window_fraction = fraction (fun (_, a, _) -> a) in
-    let baseline_window_fraction = fraction (fun (_, _, b) -> b) in
     let online_write_available =
       Obs.Health.write_available_fraction (Obs.Ctx.health (Cluster.obs cluster))
     in
@@ -577,23 +493,6 @@ module E5 = struct
           Sim.run_until sim2 (Time_ns.add (Sim.now sim2) (Time_ns.sec 2));
           !ok)
     in
-    {
-      epochs_seen = [ e0; e1; e2 ];
-      commits_during_change = Workload.Txn_gen.acked gen - acked_before;
-      max_commit_gap = max_gap;
-      baseline_stall = hydration_time;
-      hydration_time;
-      replacement_caught_up = !caught_up_at <> None;
-      revert_worked;
-      lost_acked_commits = lost;
-      availability_window = window;
-      availability;
-      aurora_window_fraction;
-      baseline_window_fraction;
-      online_write_available;
-    }
-
-  let report t =
     let r =
       Report.create ~title:"E5 (Figure 5): membership change under write load"
         ~columns:[ "metric"; "value" ]
@@ -601,32 +500,33 @@ module E5 = struct
     Report.row r
       [
         "membership epochs (steady -> dual -> final)";
-        String.concat " -> " (List.map string_of_int t.epochs_seen);
+        String.concat " -> " (List.map string_of_int [ e0; e1; e2 ]);
       ];
     Report.row r
-      [ "commits acked during change"; string_of_int t.commits_during_change ];
-    Report.row r [ "max commit-ack gap during change"; Report.time t.max_commit_gap ];
-    Report.row r
       [
-        "stop-the-world baseline stall (= hydration)";
-        Report.time t.baseline_stall;
+        "commits acked during change";
+        string_of_int (Workload.Txn_gen.acked gen - acked_before);
       ];
-    Report.row r [ "replacement hydrated"; string_of_bool t.replacement_caught_up ];
-    Report.row r [ "revert path works"; string_of_bool t.revert_worked ];
-    Report.row r [ "acked commits lost"; string_of_int t.lost_acked_commits ];
+    Report.row r [ "max commit-ack gap during change"; Report.time max_gap ];
+    Report.row r
+      [ "stop-the-world baseline stall (= hydration)"; Report.time hydration_time ];
+    Report.row r [ "replacement hydrated"; string_of_bool (!caught_up_at <> None) ];
+    Report.row r [ "revert path works"; string_of_bool revert_worked ];
+    Report.require r ~ok:(lost = 0) [ "acked commits lost"; string_of_int lost ];
     Report.row r
       [
-        "write-available windows (aurora)"; Report.pct t.aurora_window_fraction;
+        "write-available windows (aurora)";
+        Report.pct (fraction (fun (_, a, _) -> a));
       ];
     Report.row r
       [
         "write-available windows (blocking baseline)";
-        Report.pct t.baseline_window_fraction;
+        Report.pct (fraction (fun (_, _, b) -> b));
       ];
     Report.row r
       [
         "write-available time (online health monitor)";
-        Report.pct t.online_write_available;
+        Report.pct online_write_available;
       ];
     Report.note r
       "expected shape: commit gap << stop-the-world stall; epochs increment \
@@ -635,14 +535,14 @@ module E5 = struct
       Report.create
         ~title:
           (Printf.sprintf "availability over the change (%s windows)"
-             (Report.time t.availability_window))
+             (Report.time window))
         ~columns:[ "t after change start"; "aurora"; "blocking baseline" ]
     in
     List.iter
       (fun (off, aurora, baseline) ->
         let mark b = if b then "up" else "DOWN" in
         Report.row sub [ Report.time off; mark aurora; mark baseline ])
-      t.availability;
+      availability;
     Report.add_subtable r sub;
     r
 end
@@ -652,19 +552,18 @@ end
 (* ------------------------------------------------------------------ *)
 
 module E6 = struct
-  type proto_result = {
-    proto : string;
-    commits : int;
-    p50 : float;
-    p99 : float;
-    p999 : float;
-    messages_per_commit : float;
-  }
-
-  type t = {
-    protos : proto_result list;
-    stages : (string * Histogram.t) list;
-  }
+  (* One protocol's row: commit latency percentiles and messages per
+     commit. *)
+  let row ~proto ~commits ~latency ~messages =
+    let pctl p = Report.ns (float_of_int (Histogram.percentile latency p)) in
+    [
+      proto;
+      string_of_int commits;
+      pctl 50.;
+      pctl 99.;
+      pctl 99.9;
+      Report.f2 (float_of_int messages /. float_of_int (max 1 commits));
+    ]
 
   (* Shared link model: six storage-side nodes spread 2-per-AZ, client in
      AZ1, lognormal inter/intra-AZ latencies as in Cluster.default_config. *)
@@ -673,6 +572,9 @@ module E6 = struct
     | Some x, Some y when Int.equal x y -> Some intra
     | _ -> Some inter
 
+  (* Aurora's row, plus its per-stage commit-path latencies
+     ([commit_stage_ns] histograms from the cluster's observability
+     registry) keyed by ["a→b"] stage-pair label. *)
   let run_aurora ~seed ~commits =
     let cfg =
       {
@@ -730,15 +632,8 @@ module E6 = struct
            (Obs.Ctx.registry (Cluster.obs cluster))
            "commit_stage_ns")
     in
-    ( {
-        proto = "aurora 4/6 quorum ack";
-        commits = !done_;
-        p50 = float_of_int (Histogram.percentile hist 50.);
-        p99 = float_of_int (Histogram.percentile hist 99.);
-        p999 = float_of_int (Histogram.percentile hist 99.9);
-        messages_per_commit =
-          float_of_int st.Simnet.Net.sent /. float_of_int (max 1 !done_);
-      },
+    ( row ~proto:"aurora 4/6 quorum ack" ~commits:!done_ ~latency:hist
+        ~messages:st.Simnet.Net.sent,
       stages )
 
   let make_net ~seed ~n_nodes =
@@ -782,16 +677,8 @@ module E6 = struct
     one 0;
     Sim.run_until sim (Time_ns.sec 600);
     let st = Baselines.Two_phase_commit.stats tpc in
-    {
-      proto = "2PC (6 participants)";
-      commits = !done_;
-      p50 = float_of_int (Histogram.percentile st.latency 50.);
-      p99 = float_of_int (Histogram.percentile st.latency 99.);
-      p999 = float_of_int (Histogram.percentile st.latency 99.9);
-      messages_per_commit =
-        float_of_int st.Baselines.Two_phase_commit.messages
-        /. float_of_int (max 1 !done_);
-    }
+    row ~proto:"2PC (6 participants)" ~commits:!done_ ~latency:st.latency
+      ~messages:st.Baselines.Two_phase_commit.messages
 
   let run_paxos ~seed ~commits =
     let sim, rng, net = make_net ~seed ~n_nodes:6 in
@@ -813,51 +700,24 @@ module E6 = struct
     one 0;
     Sim.run_until sim (Time_ns.sec 600);
     let st = Baselines.Paxos_commit.stats px in
-    {
-      proto = "Paxos commit (6 acceptors)";
-      commits = !done_;
-      p50 = float_of_int (Histogram.percentile st.latency 50.);
-      p99 = float_of_int (Histogram.percentile st.latency 99.);
-      p999 = float_of_int (Histogram.percentile st.latency 99.9);
-      messages_per_commit =
-        float_of_int st.Baselines.Paxos_commit.messages /. float_of_int (max 1 !done_);
-    }
+    row ~proto:"Paxos commit (6 acceptors)" ~commits:!done_ ~latency:st.latency
+      ~messages:st.Baselines.Paxos_commit.messages
 
-  let run ?(seed = 31) () =
+  let run ~seed =
     let commits = 2000 in
     let aurora, stages = run_aurora ~seed ~commits in
-    {
-      protos =
-        [
-          aurora;
-          run_paxos ~seed:(seed + 1) ~commits;
-          run_2pc ~seed:(seed + 2) ~commits;
-        ];
-      stages;
-    }
-
-  let report t =
     let r =
       Report.create
         ~title:"E6 (\xc2\xa71/\xc2\xa72.3): commit latency and message cost"
         ~columns:[ "protocol"; "commits"; "p50"; "p99"; "p99.9"; "msgs/commit" ]
     in
-    List.iter
-      (fun p ->
-        Report.row r
-          [
-            p.proto;
-            string_of_int p.commits;
-            Report.ns p.p50;
-            Report.ns p.p99;
-            Report.ns p.p999;
-            Report.f2 p.messages_per_commit;
-          ])
-      t.protos;
+    Report.row r aurora;
+    Report.row r (run_paxos ~seed:(seed + 1) ~commits);
+    Report.row r (run_2pc ~seed:(seed + 2) ~commits);
     Report.note r
       "expected shape: aurora <= paxos < 2pc in latency (2PC pays two \
        sequential round trips + forces); tails ordered the same way";
-    (if t.stages <> [] then begin
+    (if stages <> [] then begin
        let sub =
          Report.create ~title:"aurora commit-path stage breakdown"
            ~columns:[ "stage"; "count"; "mean"; "p50"; "p99"; "max" ]
@@ -873,7 +733,7 @@ module E6 = struct
                Report.ns (float_of_int (Histogram.percentile h 99.));
                Report.ns (float_of_int (Histogram.max_value h));
              ])
-         t.stages;
+         stages;
        Report.note sub
          "adjacent stage-pair latencies of the write path (\xc2\xa72.2): the \
           wait between quorum ack and VCL coverage dominates commit cost";
@@ -887,17 +747,6 @@ end
 (* ------------------------------------------------------------------ *)
 
 module E7 = struct
-  type point = {
-    policy : string;
-    rate_per_sec : float;
-    p50 : float;
-    p99 : float;
-    jitter : float;
-    mean_batch : float;
-  }
-
-  type t = point list
-
   let policies =
     [
       ("no batching", Boxcar.Immediate);
@@ -934,39 +783,27 @@ module E7 = struct
     let h = Workload.Txn_gen.commit_latency gen in
     let p50 = float_of_int (Histogram.percentile h 50.) in
     let p99 = float_of_int (Histogram.percentile h 99.) in
-    {
-      policy = policy_name;
-      rate_per_sec = rate;
-      p50;
-      p99;
-      jitter = p99 -. p50;
-      mean_batch = Database.mean_batch_size db;
-    }
+    [
+      policy_name;
+      Printf.sprintf "%.0f" rate;
+      Report.ns p50;
+      Report.ns p99;
+      Report.ns (p99 -. p50);
+      Report.f2 (Database.mean_batch_size db);
+    ]
 
-  let run ?(seed = 41) () =
-    let rates = [ 100.; 2000.; 20000. ] in
-    List.concat_map
-      (fun (name, policy) ->
-        List.mapi (fun i rate -> one ~seed:(seed + i) ~policy_name:name ~policy ~rate) rates)
-      policies
-
-  let report t =
+  let run ~seed =
     let r =
       Report.create ~title:"E7 (\xc2\xa72.2): write batching policies"
         ~columns:[ "policy"; "rate/s"; "p50"; "p99"; "jitter(p99-p50)"; "recs/batch" ]
     in
     List.iter
-      (fun p ->
-        Report.row r
-          [
-            p.policy;
-            Printf.sprintf "%.0f" p.rate_per_sec;
-            Report.ns p.p50;
-            Report.ns p.p99;
-            Report.ns p.jitter;
-            Report.f2 p.mean_batch;
-          ])
-      t;
+      (fun (name, policy) ->
+        List.iteri
+          (fun i rate ->
+            Report.row r (one ~seed:(seed + i) ~policy_name:name ~policy ~rate))
+          [ 100.; 2000.; 20000. ])
+      policies;
     Report.note r
       "expected shape: timeout boxcar pays the full timer at low load and \
        mixed fill-vs-timeout jitter at higher load; aurora's \
@@ -980,19 +817,6 @@ end
 (* ------------------------------------------------------------------ *)
 
 module E8 = struct
-  type point = {
-    strategy : string;
-    slow_segment : bool;
-        (* true = heavy-tailed fleet: every node occasionally stalls
-           (transient slowness no latency tracker can predict) *)
-    reads : int;
-    ios_per_read : float;
-    p50 : float;
-    p99 : float;
-  }
-
-  type t = point list
-
   let heavy_tail base =
     Distribution.mixture [ (0.97, base); (0.03, Distribution.scaled 10. base) ]
 
@@ -1006,7 +830,10 @@ module E8 = struct
       ("quorum read 3/6", Reader.Quorum_read { read_threshold = 3 });
     ]
 
-  let one ~seed ~name ~strategy ~slow ~reads =
+  (* The writer's read metrics after [reads] sequential reads.  [slow]
+     makes the fleet heavy-tailed: every node occasionally stalls
+     (transient slowness no latency tracker can predict). *)
+  let one ~seed ~strategy ~slow ~reads =
     let cfg =
       {
         Cluster.default_config with
@@ -1038,53 +865,42 @@ module E8 = struct
     Sim.run_until sim (Time_ns.sec 2);
     let rng = Rng.create (seed + 9) in
     let key_arr = Array.of_list keys in
-    let done_ = ref 0 in
     let rec one_read i =
       if i < reads then
-        Database.get db ~key:(Rng.pick rng key_arr) (fun _ ->
-            incr done_;
-            one_read (i + 1))
+        Database.get db ~key:(Rng.pick rng key_arr) (fun _ -> one_read (i + 1))
     in
     one_read 0;
     Sim.run_until sim (Time_ns.add (Sim.now sim) (Time_ns.sec 300));
-    let m = Reader.metrics (Database.reader db) in
-    {
-      strategy = name;
-      slow_segment = slow;
-      reads = m.Reader.reads;
-      ios_per_read =
-        float_of_int m.Reader.ios_issued /. float_of_int (max 1 m.Reader.reads);
-      p50 = float_of_int (Histogram.percentile m.Reader.latency 50.);
-      p99 = float_of_int (Histogram.percentile m.Reader.latency 99.);
-    }
+    Reader.metrics (Database.reader db)
 
-  let run ?(seed = 51) () =
+  let ios_per_read (m : Reader.metrics) =
+    Report.f2 (float_of_int m.ios_issued /. float_of_int (max 1 m.reads))
+
+  let latency (m : Reader.metrics) p =
+    Report.ns (float_of_int (Histogram.percentile m.latency p))
+
+  let run ~seed =
     let reads = 2000 in
-    List.concat_map
-      (fun (name, strategy) ->
-        [
-          one ~seed ~name ~strategy ~slow:false ~reads;
-          one ~seed:(seed + 1) ~name ~strategy ~slow:true ~reads;
-        ])
-      strategies
-
-  let report t =
     let r =
       Report.create ~title:"E8 (\xc2\xa73.1): read strategies"
         ~columns:[ "strategy"; "heavy tail?"; "reads"; "IOs/read"; "p50"; "p99" ]
     in
     List.iter
-      (fun p ->
-        Report.row r
-          [
-            p.strategy;
-            string_of_bool p.slow_segment;
-            string_of_int p.reads;
-            Report.f2 p.ios_per_read;
-            Report.ns p.p50;
-            Report.ns p.p99;
-          ])
-      t;
+      (fun (name, strategy) ->
+        List.iter
+          (fun (seed, slow) ->
+            let m = one ~seed ~strategy ~slow ~reads in
+            Report.row r
+              [
+                name;
+                string_of_bool slow;
+                string_of_int m.reads;
+                ios_per_read m;
+                latency m 50.;
+                latency m 99.;
+              ])
+          [ (seed, false); (seed + 1, true) ])
+      strategies;
     Report.note r
       "expected shape: direct reads cost ~1/3 the IOs of quorum reads; \
        under transient node stalls, hedging caps p99 far below unhedged \
@@ -1098,23 +914,7 @@ end
 (* ------------------------------------------------------------------ *)
 
 module E9 = struct
-  type t = {
-    lag_p50 : float;
-    lag_p99 : float;
-    records_applied : int;
-    records_skipped : int;
-    replica_reads_ok : int;
-    replica_reads_wrong : int;
-    promoted : bool;
-    acked_commits : int;
-    lost_after_promotion : int;
-    lag_timeline : (Time_ns.t * float) list;
-        (* (sim time, per-window p99 stream lag ns) from the cluster's
-           series sampler; windows with no stream chunks are omitted *)
-    lag_timeline_max : float;
-  }
-
-  let run ?(seed = 61) () =
+  let run ~seed =
     let cfg = { Cluster.default_config with seed; n_pgs = 2 } in
     let cluster = Cluster.create cfg in
     let sim = Cluster.sim cluster in
@@ -1171,7 +971,8 @@ module E9 = struct
     let m = Replica.metrics replica in
     let lag = m.Replica.stream_lag in
     (* Lag-over-time from the cluster's sampler: the per-window p99 of the
-       replica's stream-lag histogram, captured before the writer dies. *)
+       replica's stream-lag histogram, captured before the writer dies.
+       Windows with no stream chunks are omitted. *)
     let series = Obs.Ctx.series (Cluster.obs cluster) in
     let lag_label =
       Printf.sprintf "replica_stream_lag_ns{node=%d}.p99"
@@ -1186,9 +987,6 @@ module E9 = struct
           (fun i ->
             if Float.is_nan pts.(i) then None else Some (ts.(i), pts.(i)))
           (List.init (Array.length ts) Fun.id)
-    in
-    let lag_timeline_max =
-      List.fold_left (fun acc (_, v) -> Float.max acc v) 0. lag_timeline
     in
     (* Writer dies; replica takes over. *)
     Database.crash db;
@@ -1207,39 +1005,32 @@ module E9 = struct
       | None -> max_int
       | Some db -> lost_keys ~sim ~db gen
     in
-    {
-      lag_p50 = float_of_int (Histogram.percentile lag 50.);
-      lag_p99 = float_of_int (Histogram.percentile lag 99.);
-      records_applied = m.Replica.records_applied;
-      records_skipped = m.Replica.records_skipped;
-      replica_reads_ok = !ok;
-      replica_reads_wrong = !wrong;
-      promoted = new_db <> None;
-      acked_commits = Workload.Txn_gen.acked gen;
-      lost_after_promotion = lost;
-      lag_timeline;
-      lag_timeline_max;
-    }
-
-  let report t =
     let r =
       Report.create ~title:"E9 (\xc2\xa73.2-3.4): read replicas and promotion"
         ~columns:[ "metric"; "value" ]
     in
-    Report.row r [ "stream lag p50"; Report.ns t.lag_p50 ];
-    Report.row r [ "stream lag p99"; Report.ns t.lag_p99 ];
-    Report.row r [ "records applied to cached blocks"; string_of_int t.records_applied ];
-    Report.row r [ "records skipped (uncached)"; string_of_int t.records_skipped ];
+    let pctl p = Report.ns (float_of_int (Histogram.percentile lag p)) in
+    Report.row r [ "stream lag p50"; pctl 50. ];
+    Report.row r [ "stream lag p99"; pctl 99. ];
     Report.row r
+      [ "records applied to cached blocks"; string_of_int m.Replica.records_applied ];
+    Report.row r
+      [ "records skipped (uncached)"; string_of_int m.Replica.records_skipped ];
+    Report.require r ~ok:(!wrong = 0)
       [
         "replica reads consistent";
-        Printf.sprintf "%d ok / %d wrong" t.replica_reads_ok t.replica_reads_wrong;
+        Printf.sprintf "%d ok / %d wrong" !ok !wrong;
       ];
-    Report.row r [ "promotion succeeded"; string_of_bool t.promoted ];
-    Report.row r [ "acked commits before crash"; string_of_int t.acked_commits ];
+    Report.row r [ "promotion succeeded"; string_of_bool (new_db <> None) ];
     Report.row r
-      [ "acked commits lost after promotion"; string_of_int t.lost_after_promotion ];
-    Report.row r [ "max windowed lag p99"; Report.ns t.lag_timeline_max ];
+      [ "acked commits before crash"; string_of_int (Workload.Txn_gen.acked gen) ];
+    Report.require r ~ok:(lost = 0)
+      [ "acked commits lost after promotion"; string_of_int lost ];
+    Report.row r
+      [
+        "max windowed lag p99";
+        Report.ns (List.fold_left (fun acc (_, v) -> Float.max acc v) 0. lag_timeline);
+      ];
     Report.note r
       "expected shape: millisecond-scale lag; zero acked commits lost on \
        promotion (shared durable storage)";
@@ -1248,13 +1039,13 @@ module E9 = struct
       Report.create ~title:"replica stream lag over time (per-window p99)"
         ~columns:[ "t"; "lag p99" ]
     in
-    let n = List.length t.lag_timeline in
+    let n = List.length lag_timeline in
     let step = max 1 (n / 12) in
     List.iteri
       (fun i (at, v) ->
         if i mod step = 0 || i = n - 1 then
           Report.row sub [ Report.time at; Report.ns v ])
-      t.lag_timeline;
+      lag_timeline;
     Report.add_subtable r sub;
     r
 end
@@ -1264,17 +1055,6 @@ end
 (* ------------------------------------------------------------------ *)
 
 module E10 = struct
-  type design_result = {
-    design : string;
-    storage_bytes : int;
-    bytes_ratio_vs_v6 : float;
-    write_unavail : float;
-    read_unavail : float;
-    az1_write_survival : float;
-  }
-
-  type t = design_result list
-
   let storage_bytes cluster =
     List.fold_left
       (fun acc node ->
@@ -1307,12 +1087,13 @@ module E10 = struct
     Sim.run_until sim (Time_ns.add (Sim.now sim) (Time_ns.sec 20));
     storage_bytes cluster
 
-  let run ?(seed = 71) () =
+  let run ~seed =
     let txns = 2000 in
-    let v6_bytes = one ~seed ~layout:Cluster.V6 ~txns in
-    let tiered_bytes = one ~seed:(seed + 1) ~layout:Cluster.Tiered ~txns in
+    let v6_bytes = one ~seed ~layout:Layout.V6 ~txns in
+    let tiered_bytes = one ~seed:(seed + 1) ~layout:Layout.Tiered ~txns in
+    (* Write-unavail, read-unavail and AZ write-survival cells. *)
     let avail layout =
-      let members, rule = scheme_rule layout in
+      let g = Layout.membership layout in
       let mc =
         Availability.Fleet_model.run ~rng:(Rng.create (seed + 2))
           ~params:
@@ -1320,37 +1101,16 @@ module E10 = struct
               Availability.Fleet_model.default_params with
               Availability.Fleet_model.groups = 2000;
             }
-          ~members ~rule
+          ~members:(Membership.members g) ~rule:(Membership.rule g)
       in
-      ( mc.Availability.Fleet_model.write_unavail,
-        mc.Availability.Fleet_model.read_unavail,
-        if mc.Availability.Fleet_model.az_onsets = 0 then 1.
-        else
-          float_of_int mc.Availability.Fleet_model.az_write_survived
-          /. float_of_int mc.Availability.Fleet_model.az_onsets )
+      [
+        Report.pct mc.write_unavail;
+        Report.pct mc.read_unavail;
+        Report.pct
+          (if mc.az_onsets = 0 then 1.
+           else float_of_int mc.az_write_survived /. float_of_int mc.az_onsets);
+      ]
     in
-    let v6_w, v6_r, v6_az = avail Cluster.V6 in
-    let t_w, t_r, t_az = avail Cluster.Tiered in
-    [
-      {
-        design = "6 full segments (4/6, 3/6)";
-        storage_bytes = v6_bytes;
-        bytes_ratio_vs_v6 = 1.;
-        write_unavail = v6_w;
-        read_unavail = v6_r;
-        az1_write_survival = v6_az;
-      };
-      {
-        design = "3 full + 3 tail (\xc2\xa74.2)";
-        storage_bytes = tiered_bytes;
-        bytes_ratio_vs_v6 = float_of_int tiered_bytes /. float_of_int (max 1 v6_bytes);
-        write_unavail = t_w;
-        read_unavail = t_r;
-        az1_write_survival = t_az;
-      };
-    ]
-
-  let report t =
     let r =
       Report.create ~title:"E10 (\xc2\xa74.2): tiered quorum sets vs six full copies"
         ~columns:
@@ -1363,18 +1123,16 @@ module E10 = struct
             "AZ write-survival";
           ]
     in
-    List.iter
-      (fun d ->
-        Report.row r
-          [
-            d.design;
-            string_of_int d.storage_bytes;
-            Report.f2 d.bytes_ratio_vs_v6;
-            Report.pct d.write_unavail;
-            Report.pct d.read_unavail;
-            Report.pct d.az1_write_survival;
-          ])
-      t;
+    Report.row r
+      ([ "6 full segments (4/6, 3/6)"; string_of_int v6_bytes; Report.f2 1. ]
+      @ avail Layout.V6);
+    Report.row r
+      ([
+         "3 full + 3 tail (\xc2\xa74.2)";
+         string_of_int tiered_bytes;
+         Report.f2 (float_of_int tiered_bytes /. float_of_int (max 1 v6_bytes));
+       ]
+      @ avail Layout.Tiered);
     Report.note r
       "expected shape: tiered stores roughly half the bytes (data blocks \
        only on fulls) while keeping AZ+1 availability";
@@ -1385,158 +1143,130 @@ end
 (* Ablations: design-choice sweeps called out in DESIGN.md              *)
 (* ------------------------------------------------------------------ *)
 
-module Ablations = struct
-  (* A1: hedge threshold — too low wastes IOs, too high stops capping the
-     tail (§3.1's "if a request is taking longer than expected"). *)
-  type hedge_point = {
-    hedge : Time_ns.t option;
-    ios_per_read : float;
-    p99 : float;
-  }
-
-  let hedge_sweep ?(seed = 81) () =
-    let reads = 1000 in
-    List.map
-      (fun hedge ->
-        let strategy =
-          Reader.Direct_tracked { hedge_after = hedge; explore_probability = 0.05 }
-        in
-        let p =
-          E8.one ~seed ~name:"sweep" ~strategy ~slow:true ~reads
-        in
-        { hedge; ios_per_read = p.E8.ios_per_read; p99 = p.E8.p99 })
-      [ None; Some (Time_ns.ms 8); Some (Time_ns.ms 2); Some (Time_ns.us 700) ]
-
-  let hedge_report points =
+(* A1: hedge threshold — too low wastes IOs, too high stops capping the
+   tail (§3.1's "if a request is taking longer than expected"). *)
+module A1 = struct
+  let run ~seed =
     let r =
       Report.create ~title:"A1 (ablation): hedge threshold under heavy tails"
         ~columns:[ "hedge after"; "IOs/read"; "p99" ]
     in
     List.iter
-      (fun p ->
+      (fun hedge ->
+        let strategy =
+          Reader.Direct_tracked { hedge_after = hedge; explore_probability = 0.05 }
+        in
+        let m = E8.one ~seed ~strategy ~slow:true ~reads:1000 in
         Report.row r
           [
-            (match p.hedge with None -> "never" | Some h -> Report.time h);
-            Report.f2 p.ios_per_read;
-            Report.ns p.p99;
+            (match hedge with None -> "never" | Some h -> Report.time h);
+            E8.ios_per_read m;
+            E8.latency m 99.;
           ])
-      points;
+      [ None; Some (Time_ns.ms 8); Some (Time_ns.ms 2); Some (Time_ns.us 700) ];
     Report.note r
       "expected shape: lower thresholds trade extra IOs for a tighter p99;        'never' has the worst tail at the lowest cost";
     r
+end
 
-  (* A2: gossip cadence vs hole-repair time — background repair bandwidth
-     is what lets the write path tolerate loss silently (Figure 2). *)
-  type gossip_point = {
-    interval : Time_ns.t;
-    repair_time : Time_ns.t option; (* None = gossip alone never healed it *)
-    hydration_healed : bool;
-        (* when gossip lost the race against hot-log GC, did explicit
-           hydration (the repair path) close the hole? *)
-  }
-
-  let gossip_sweep ?(seed = 91) () =
-    List.map
-      (fun interval ->
-        let cfg =
+(* A2: gossip cadence vs hole-repair time — background repair bandwidth
+   is what lets the write path tolerate loss silently (Figure 2). *)
+module A2 = struct
+  (* One interval's row: the gossip-only heal time, and whether explicit
+     hydration (the repair path) closed the hole when gossip lost the race
+     against hot-log GC. *)
+  let one ~seed interval =
+    let cfg =
+      {
+        Cluster.default_config with
+        seed;
+        n_pgs = 1;
+        storage_config =
           {
-            Cluster.default_config with
-            seed;
-            n_pgs = 1;
-            storage_config =
-              {
-                Storage.Storage_node.default_config with
-                Storage.Storage_node.gossip_interval = interval;
-              };
-          }
-        in
-        let cluster = Cluster.create cfg in
-        let sim = Cluster.sim cluster in
-        let db = Cluster.db cluster in
-        (* Write 300 txns while one segment is down: it misses everything. *)
-        let victim = Member_id.of_int 5 in
-        Cluster.crash_storage_node cluster (Pg_id.of_int 0) victim;
-        let txn = ref (Database.begin_txn db) in
-        for i = 1 to 300 do
-          Database.put db ~txn:!txn ~key:(Printf.sprintf "g%d" i) ~value:"v";
-          if i mod 10 = 0 then begin
-            Database.commit db ~txn:!txn (fun _ -> ());
-            txn := Database.begin_txn db
-          end
-        done;
+            Storage.Storage_node.default_config with
+            Storage.Storage_node.gossip_interval = interval;
+          };
+      }
+    in
+    let cluster = Cluster.create cfg in
+    let sim = Cluster.sim cluster in
+    let db = Cluster.db cluster in
+    (* Write 300 txns while one segment is down: it misses everything. *)
+    let victim = Member_id.of_int 5 in
+    Cluster.crash_storage_node cluster (Pg_id.of_int 0) victim;
+    let txn = ref (Database.begin_txn db) in
+    for i = 1 to 300 do
+      Database.put db ~txn:!txn ~key:(Printf.sprintf "g%d" i) ~value:"v";
+      if i mod 10 = 0 then begin
         Database.commit db ~txn:!txn (fun _ -> ());
-        Sim.run_until sim (Time_ns.sec 1);
-        (* Victim restarts with a large hole; measure time until its SCL
-           catches the group's durable point (gossip-only repair). *)
-        Cluster.restart_storage_node cluster (Pg_id.of_int 0) victim;
-        let restarted_at = Sim.now sim in
-        let target = Consistency.pgcl (Database.consistency db) (Pg_id.of_int 0) in
-        let healed_at = ref None in
-        let seg () =
-          match Cluster.node_of_member cluster (Pg_id.of_int 0) victim with
-          | Some node -> Storage.Storage_node.segment node (Pg_id.of_int 0)
-          | None -> None
-        in
-        Sim.every sim ~interval:(Time_ns.ms 10) (fun () ->
-            match (!healed_at, seg ()) with
-            | None, Some s when Wal.Lsn.(Storage.Segment.scl s >= target) ->
-              healed_at := Some (Sim.now sim);
-              false
-            | None, _ -> Time_ns.compare (Sim.now sim) (Time_ns.sec 10) < 0
-            | Some _, _ -> false);
-        Sim.run_until sim (Time_ns.sec 11);
-        (* If gossip lost the race against hot-log GC (peers no longer
-           retain the records), fall back to explicit hydration — the
-           repair path a real fleet uses. *)
-        let hydration_healed =
-          match !healed_at with
-          | Some _ -> true
-          | None -> (
-            match Cluster.node_of_member cluster (Pg_id.of_int 0) victim with
-            | None -> false
-            | Some node ->
-              let donor =
-                List.find_opt
-                  (fun (mid, _) -> not (Member_id.equal mid victim))
-                  (Aurora_core.Volume.roster
-                     (Aurora_core.Volume.find_pg (Database.volume db)
-                        (Pg_id.of_int 0)))
-              in
-              (match donor with
-              | Some (_, addr) ->
-                Storage.Storage_node.request_hydration node
-                  ~pg:(Pg_id.of_int 0) ~from:addr
-              | None -> ());
-              Sim.run_until sim (Time_ns.add (Sim.now sim) (Time_ns.sec 2));
-              (match seg () with
-              | Some s -> Wal.Lsn.(Storage.Segment.scl s >= target)
-              | None -> false))
-        in
-        {
-          interval;
-          repair_time =
-            Option.map (fun at -> Time_ns.diff at restarted_at) !healed_at;
-          hydration_healed;
-        })
-      [ Time_ns.ms 20; Time_ns.ms 100; Time_ns.ms 500; Time_ns.sec 2 ]
+        txn := Database.begin_txn db
+      end
+    done;
+    Database.commit db ~txn:!txn (fun _ -> ());
+    Sim.run_until sim (Time_ns.sec 1);
+    (* Victim restarts with a large hole; measure time until its SCL
+       catches the group's durable point (gossip-only repair). *)
+    Cluster.restart_storage_node cluster (Pg_id.of_int 0) victim;
+    let restarted_at = Sim.now sim in
+    let target = Consistency.pgcl (Database.consistency db) (Pg_id.of_int 0) in
+    let healed_at = ref None in
+    let seg () =
+      match Cluster.node_of_member cluster (Pg_id.of_int 0) victim with
+      | Some node -> Storage.Storage_node.segment node (Pg_id.of_int 0)
+      | None -> None
+    in
+    Sim.every sim ~interval:(Time_ns.ms 10) (fun () ->
+        match (!healed_at, seg ()) with
+        | None, Some s when Wal.Lsn.(Storage.Segment.scl s >= target) ->
+          healed_at := Some (Sim.now sim);
+          false
+        | None, _ -> Time_ns.compare (Sim.now sim) (Time_ns.sec 10) < 0
+        | Some _, _ -> false);
+    Sim.run_until sim (Time_ns.sec 11);
+    (* If gossip lost the race against hot-log GC (peers no longer
+       retain the records), fall back to explicit hydration — the
+       repair path a real fleet uses. *)
+    let hydration_healed =
+      match !healed_at with
+      | Some _ -> true
+      | None -> (
+        match Cluster.node_of_member cluster (Pg_id.of_int 0) victim with
+        | None -> false
+        | Some node ->
+          let donor =
+            List.find_opt
+              (fun (mid, _) -> not (Member_id.equal mid victim))
+              (Aurora_core.Volume.roster
+                 (Aurora_core.Volume.find_pg (Database.volume db)
+                    (Pg_id.of_int 0)))
+          in
+          (match donor with
+          | Some (_, addr) ->
+            Storage.Storage_node.request_hydration node
+              ~pg:(Pg_id.of_int 0) ~from:addr
+          | None -> ());
+          Sim.run_until sim (Time_ns.add (Sim.now sim) (Time_ns.sec 2));
+          (match seg () with
+          | Some s -> Wal.Lsn.(Storage.Segment.scl s >= target)
+          | None -> false))
+    in
+    [
+      Report.time interval;
+      (match !healed_at with
+      | Some at -> Report.time (Time_ns.diff at restarted_at)
+      | None -> "lost race vs hot-log GC");
+      string_of_bool hydration_healed;
+    ]
 
-  let gossip_report points =
+  let run ~seed =
     let r =
       Report.create ~title:"A2 (ablation): gossip cadence vs hole repair"
         ~columns:
           [ "gossip interval"; "gossip-only heal"; "hydration fallback heals" ]
     in
     List.iter
-      (fun p ->
-        Report.row r
-          [
-            Report.time p.interval;
-            (match p.repair_time with
-            | Some t -> Report.time t
-            | None -> "lost race vs hot-log GC");
-            string_of_bool p.hydration_healed;
-          ])
-      points;
+      (fun interval -> Report.row r (one ~seed interval))
+      [ Time_ns.ms 20; Time_ns.ms 100; Time_ns.ms 500; Time_ns.sec 2 ];
     Report.note r
       "expected shape: fast gossip heals in about one period; slow gossip \
        loses the race against hot-log GC (peers no longer retain the \
@@ -1545,19 +1275,20 @@ module Ablations = struct
     r
 end
 
-let run_all ?(seed = 1) () =
-  let buf = Buffer.create 4096 in
-  let add r = Buffer.add_string buf (Report.to_string r ^ "\n") in
-  add (E1.report (E1.run ~seed ()));
-  add (E2.report (E2.run ~seed:(seed + 1) ()));
-  add (E3.report (E3.run ()));
-  add (E4.report (E4.run ~seed:(seed + 2) ()));
-  add (E5.report (E5.run ~seed:(seed + 3) ()));
-  add (E6.report (E6.run ~seed:(seed + 4) ()));
-  add (E7.report (E7.run ~seed:(seed + 5) ()));
-  add (E8.report (E8.run ~seed:(seed + 6) ()));
-  add (E9.report (E9.run ~seed:(seed + 7) ()));
-  add (E10.report (E10.run ~seed:(seed + 8) ()));
-  add (Ablations.hedge_report (Ablations.hedge_sweep ~seed:(seed + 9) ()));
-  add (Ablations.gossip_report (Ablations.gossip_sweep ~seed:(seed + 10) ()));
-  Buffer.contents buf
+type experiment = { id : string; seed_offset : int; run : seed:int -> Report.t }
+
+let all =
+  [
+    { id = "e1"; seed_offset = 0; run = E1.run };
+    { id = "e2"; seed_offset = 1; run = (fun ~seed -> E2.report (E2.run ~seed)) };
+    { id = "e3"; seed_offset = 0; run = E3.run };
+    { id = "e4"; seed_offset = 2; run = E4.run };
+    { id = "e5"; seed_offset = 3; run = E5.run };
+    { id = "e6"; seed_offset = 4; run = E6.run };
+    { id = "e7"; seed_offset = 5; run = E7.run };
+    { id = "e8"; seed_offset = 6; run = E8.run };
+    { id = "e9"; seed_offset = 7; run = E9.run };
+    { id = "e10"; seed_offset = 8; run = E10.run };
+    { id = "a1"; seed_offset = 9; run = A1.run };
+    { id = "a2"; seed_offset = 10; run = A2.run };
+  ]

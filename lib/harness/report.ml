@@ -4,12 +4,21 @@ type t = {
   mutable rows : string list list;
   mutable notes : string list;
   mutable subtables : t list;
+  mutable failed : string list;  (* failed requirements, newest first *)
 }
 
 let create ~title ~columns =
-  { title; columns; rows = []; notes = []; subtables = [] }
+  { title; columns; rows = []; notes = []; subtables = []; failed = [] }
 
 let row t cells = t.rows <- cells :: t.rows
+
+let require t ~ok cells =
+  row t cells;
+  if not ok then t.failed <- (t.title ^ ": " ^ String.concat " | " cells) :: t.failed
+
+let rec failures t =
+  List.rev t.failed @ List.concat_map failures (List.rev t.subtables)
+
 let note t s = t.notes <- s :: t.notes
 let add_subtable t sub = t.subtables <- sub :: t.subtables
 
@@ -51,7 +60,6 @@ let rec to_string t =
     (List.rev t.subtables);
   Buffer.contents buf
 
-let print t = print_string (to_string t)
 let f2 x = Printf.sprintf "%.2f" x
 let pct x = Printf.sprintf "%.4f%%" (100. *. x)
 

@@ -4,6 +4,17 @@ type t
 
 val create : title:string -> columns:string list -> t
 val row : t -> string list -> unit
+
+val require : t -> ok:bool -> string list -> unit
+(** A row that states a requirement of the experiment (e.g. no lost
+    acknowledged commit).  It renders as {!row} does; when [ok] is false
+    it is also a failed requirement, which {!failures} names. *)
+
+val failures : t -> string list
+(** The failed requirements of the table and then of its subtables, in
+    row order, each as ["<title>: <cell> | <cell> ..."].  Empty when every
+    requirement holds. *)
+
 val note : t -> string -> unit
 (** Free-form line appended under the table. *)
 
@@ -12,7 +23,6 @@ val add_subtable : t -> t -> unit
     latency breakdown under a protocol-comparison table). *)
 
 val to_string : t -> string
-val print : t -> unit
 
 val f2 : float -> string
 (** Two-decimal float. *)

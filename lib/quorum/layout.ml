@@ -39,9 +39,12 @@ let scheme_2_of_3 = Plain { write_threshold = 2; read_threshold = 2 }
 let scheme_3_of_4 = Plain { write_threshold = 3; read_threshold = 2 }
 let scheme_tiered = Tiered { mixed_write = 4; mixed_read = 3 }
 
-let group_4_of_6 () = create ~scheme:scheme_4_of_6 (aurora_v6 ())
-let group_2_of_3 () = create ~scheme:scheme_2_of_3 (three_copies ())
-let group_tiered () = create ~scheme:scheme_tiered (aurora_tiered ())
+type t = V6 | Tiered | V3
+
+let membership = function
+  | V6 -> create ~scheme:scheme_4_of_6 (aurora_v6 ())
+  | Tiered -> create ~scheme:scheme_tiered (aurora_tiered ())
+  | V3 -> create ~scheme:scheme_2_of_3 (three_copies ())
 
 let members_in_az roster az =
   List.fold_left

@@ -61,10 +61,8 @@ let az_of_spec n =
   else Error (Printf.sprintf "az=%d out of range 1..3" n)
 
 let replacement_of cluster pg suspect =
-  let volume = Database.volume (Cluster.db cluster) in
-  match Volume.find_pg volume pg with
-  | exception Not_found -> None
-  | g -> Quorum.Membership.replacement_of g.membership ~suspect
+  Option.bind (Cluster.group cluster pg) (fun (g : Volume.pg) ->
+      Quorum.Membership.replacement_of g.membership ~suspect)
 
 let run ~seed ?(record_always = false) (sc : Scenario.t) =
   let cfg =
@@ -205,10 +203,9 @@ let run ~seed ?(record_always = false) (sc : Scenario.t) =
         Error
           (Printf.sprintf "no commit progress (still %d committed)" now)
     | Scenario.Epoch_at_least (pg, want) -> (
-      let volume = Database.volume db in
-      match Volume.find_pg volume (Pg_id.of_int pg) with
-      | exception Not_found -> Error (Printf.sprintf "pg%d: unknown group" pg)
-      | g ->
+      match Cluster.group cluster (Pg_id.of_int pg) with
+      | None -> Error (Printf.sprintf "pg%d: unknown group" pg)
+      | Some g ->
         let got = Quorum.Epoch.to_int (Quorum.Membership.epoch g.membership) in
         if got >= want then Ok ()
         else Error (Printf.sprintf "pg%d epoch=%d, wanted >= %d" pg got want))

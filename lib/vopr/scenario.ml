@@ -38,7 +38,7 @@ type step = {
 type t = {
   name : string;
   n_pgs : int;
-  layout : Harness.Cluster.layout;
+  layout : Quorum.Layout.t;
   replicas : int;
   rate : float;
   duration_ms : int;
@@ -53,7 +53,7 @@ let at_ms ms = At (Simcore.Time_ns.ms ms)
 let at_lsn lsn = At_lsn lsn
 let step ?(expect = []) trigger action = { trigger; action; expect }
 
-let make ~name ?(n_pgs = 1) ?(layout = Harness.Cluster.V6) ?(replicas = 0)
+let make ~name ?(n_pgs = 1) ?(layout = Quorum.Layout.V6) ?(replicas = 0)
     ?(rate = 1500.) ?(duration_ms = 1500) ?(quiesce_ms = 1500)
     ?(recorder_depth = Recorder.Rings.default_depth) steps =
   {
@@ -77,9 +77,9 @@ let float_str f = Printf.sprintf "%g" f
 let bool_str b = if b then "true" else "false"
 
 let layout_str = function
-  | Harness.Cluster.V6 -> "v6"
-  | Harness.Cluster.Tiered -> "tiered"
-  | Harness.Cluster.V3 -> "v3"
+  | Quorum.Layout.V6 -> "v6"
+  | Quorum.Layout.Tiered -> "tiered"
+  | Quorum.Layout.V3 -> "v3"
 
 let trigger_str = function
   | At t -> Printf.sprintf "at=%dms" (t / 1_000_000)
@@ -283,7 +283,7 @@ let of_string src =
   in
   let name = ref None in
   let n_pgs = ref 1 in
-  let layout = ref Harness.Cluster.V6 in
+  let layout = ref Quorum.Layout.V6 in
   let replicas = ref 0 in
   let rate = ref 1500. in
   let duration_ms = ref 1500 in
@@ -306,9 +306,9 @@ let of_string src =
       header lineno (fun () ->
           layout :=
             match v with
-            | "v6" -> Harness.Cluster.V6
-            | "tiered" -> Harness.Cluster.Tiered
-            | "v3" -> Harness.Cluster.V3
+            | "v6" -> Quorum.Layout.V6
+            | "tiered" -> Quorum.Layout.Tiered
+            | "v3" -> Quorum.Layout.V3
             | _ -> failf lineno "layout: expected v6, tiered or v3, got %S" v)
     | [ "replicas"; v ] ->
       header lineno (fun () -> replicas := int_of lineno "replicas" v)

@@ -64,7 +64,7 @@ type step = {
 type t = {
   name : string;
   n_pgs : int;
-  layout : Harness.Cluster.layout;
+  layout : Quorum.Layout.t;
   replicas : int;
   rate : float;  (** Open-loop transaction arrival rate, per second. *)
   duration_ms : int;  (** Workload duration; also the step horizon floor. *)
@@ -84,7 +84,7 @@ val step : ?expect:expectation list -> trigger -> action -> step
 val make :
   name:string ->
   ?n_pgs:int ->
-  ?layout:Harness.Cluster.layout ->
+  ?layout:Quorum.Layout.t ->
   ?replicas:int ->
   ?rate:float ->
   ?duration_ms:int ->

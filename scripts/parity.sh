@@ -15,7 +15,7 @@
 # and 25 (slowdowns, crashes and AZ partitions drawn from the seed; 5 and
 # 25 once exposed a stream gap), explain pg:0 of writer-crash-recovery, the file
 # `trace-export` writes at seed 1, exp all at seed 1 (which runs the
-# membership experiment, e5, at seed 4), e5 again at its default seed 21,
+# membership experiment, e5, at seed 4), e5 again at seed 21,
 # and the replica experiment (e9) at seed 2.  For each cluster workload of the benchmark it
 # also runs `perfbench.exe --workload W --seed 1 --smoke` and compares only
 # its simulated rows (net.bytes_per_commit, net.msgs_per_commit,

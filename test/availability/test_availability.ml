@@ -5,14 +5,13 @@ module FM = Availability.Fleet_model
 
 let check_bool = Alcotest.(check bool)
 
-let rule_of scheme members = Membership.rule (Membership.create ~scheme members)
+let roster_and_rule layout =
+  let g = Layout.membership layout in
+  (Membership.members g, Membership.rule g)
 
-let v6 = Layout.aurora_v6 ()
-let v6_rule = rule_of Layout.scheme_4_of_6 v6
-let v3 = Layout.three_copies ()
-let v3_rule = rule_of Layout.scheme_2_of_3 v3
-let tiered = Layout.aurora_tiered ()
-let tiered_rule = rule_of Layout.scheme_tiered tiered
+let v6, v6_rule = roster_and_rule Layout.V6
+let v3, v3_rule = roster_and_rule Layout.V3
+let tiered, tiered_rule = roster_and_rule Layout.Tiered
 
 let test_az_tolerance_v6 () =
   let t = FM.az_tolerance ~members:v6 ~rule:v6_rule in

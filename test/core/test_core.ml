@@ -28,7 +28,8 @@ let fresh_consistency ?on_volume n_pgs =
   c
 
 let test_consistency_figure3 () =
-  (* Covered in depth by Harness.Experiments.E3; keep the core case here. *)
+  (* Also `aurora_cli exp e3`, pinned by test/golden/exp_e3.txt; keep the
+     core case here. *)
   let c = fresh_consistency 2 in
   for l = 101 to 108 do
     C.note_submitted c ~pg:(pg (l mod 2)) ~lsn:(lsn l) ~mtr_end:true
@@ -1011,13 +1012,14 @@ let test_txn_table_model =
    unchanged group returns the very same list. *)
 let test_full_roster_memo () =
   let module Volume = Aurora_core.Volume in
-  let members = Layout.aurora_tiered () in
+  let membership = Layout.membership Layout.Tiered in
+  let members = Membership.members membership in
   let addr (m : Membership.member) = Simnet.Addr.of_int (100 + Member_id.to_int m.id) in
   let volume =
     Volume.create
       [
         ( pg 0,
-          Membership.create ~scheme:Layout.scheme_tiered members,
+          membership,
           List.map (fun (m : Membership.member) -> (m.id, addr m)) members );
       ]
   in

@@ -24,6 +24,29 @@ let test_report_rendering () =
   check_bool "has note" true (contains s "note");
   check_bool "aligned" true (contains s "longer  z")
 
+(* A required row renders as a plain row; only a failed one is named, with
+   its table's title, and a subtable's after its parent's. *)
+let test_report_requirements () =
+  let module R = Harness.Report in
+  let table ~ok =
+    let r = R.create ~title:"t" ~columns:[ "metric"; "value" ] in
+    R.row r [ "plain"; "1" ];
+    R.require r ~ok [ "lost"; "2" ];
+    let sub = R.create ~title:"sub" ~columns:[ "a" ] in
+    R.require sub ~ok:false [ "bad" ];
+    R.add_subtable r sub;
+    R.require r ~ok:true [ "held"; "0" ];
+    r
+  in
+  let failed = table ~ok:false and held = table ~ok:true in
+  Alcotest.(check string) "same bytes" (R.to_string held) (R.to_string failed);
+  Alcotest.(check (list string))
+    "failed rows named" [ "t: lost | 2"; "sub: bad" ] (R.failures failed);
+  Alcotest.(check (list string)) "only the subtable's" [ "sub: bad" ] (R.failures held);
+  let plain = R.create ~title:"p" ~columns:[ "a" ] in
+  R.row plain [ "x" ];
+  Alcotest.(check (list string)) "no requirement, no failure" [] (R.failures plain)
+
 let test_cluster_assembly () =
   let cluster = Cluster.create { Cluster.default_config with seed = 3; n_pgs = 3 } in
   check_int "18 storage nodes" 18 (List.length (Cluster.storage_nodes cluster));
@@ -43,13 +66,6 @@ let test_cluster_assembly () =
   in
   check_int "deterministic replay" (run cluster) (run c2)
 
-let test_e3_exact () =
-  let r = E.E3.run () in
-  let e1, e2, e3 = r.E.E3.expected in
-  check_int "pg1" e1 r.E.E3.pg1_pgcl;
-  check_int "pg2" e2 r.E.E3.pg2_pgcl;
-  check_int "vcl" e3 r.E.E3.vcl
-
 (* Every injected corruption is found by the scrubber and repaired from a
    peer.  Both injections can hit the same block on two segments, so a
    repair drawn from the other corrupt copy is rejected and the block is
@@ -57,22 +73,13 @@ let test_e3_exact () =
 let test_e2_scrub () =
   List.iter
     (fun seed ->
-      let r = E.E2.run ~seed () in
+      let r = E.E2.run ~seed in
       let label what = Printf.sprintf "seed %d %s" seed what in
       check_int (label "injected") 2 r.E.E2.corruptions_injected;
       check_int (label "repaired") 2 r.E.E2.scrub_repaired;
       check_bool (label "every corruption found") true
         (r.E.E2.scrub_found >= r.E.E2.corruptions_injected))
     [ 1; 2; 3 ]
-
-let test_scheme_rules_safe () =
-  List.iter
-    (fun layout ->
-      let _, rule = E.scheme_rule layout in
-      check_bool "overlap" true
-        (Quorum_set.overlaps ~read:rule.Quorum_set.Rule.read
-           ~write:rule.Quorum_set.Rule.write))
-    [ Cluster.V6; Cluster.V3; Cluster.Tiered ]
 
 (* ---- fault API under load (the surface lib/vopr drives) ---- *)
 
@@ -381,7 +388,11 @@ let test_volume_owns_the_roster () =
 let () =
   Alcotest.run "harness"
     [
-      ("report", [ Alcotest.test_case "rendering" `Quick test_report_rendering ]);
+      ( "report",
+        [
+          Alcotest.test_case "rendering" `Quick test_report_rendering;
+          Alcotest.test_case "failed requirements" `Quick test_report_requirements;
+        ] );
       ( "cluster",
         [ Alcotest.test_case "assembly + determinism" `Slow test_cluster_assembly ]
       );
@@ -400,9 +411,7 @@ let () =
         ] );
       ( "experiments",
         [
-          Alcotest.test_case "E3 figure exact" `Quick test_e3_exact;
           Alcotest.test_case "E2 scrub repairs" `Quick test_e2_scrub;
-          Alcotest.test_case "scheme rules safe" `Quick test_scheme_rules_safe;
         ] );
       ( "health",
         [

@@ -437,8 +437,8 @@ let test_volume_growth () =
   check_int "one group" 1 (Aurora_core.Volume.pg_count volume);
   (* Growth is driven through the Volume API; the harness's PG0 nodes keep
      serving. *)
-  let members = Layout.aurora_v6 () in
-  let membership = Membership.create ~scheme:Layout.scheme_4_of_6 members in
+  let membership = Layout.membership Layout.V6 in
+  let members = Membership.members membership in
   (* Register fresh storage for the new group. *)
   (* Remember where a few existing blocks route before growth. *)
   let probe_blocks = List.init 8 (fun i -> Wal.Block_id.of_int (i * 17)) in

@@ -125,7 +125,7 @@ let test_aurora_46_rule () =
     (Quorum_set.self_overlapping (Quorum_set.k_of 3 six))
 
 let test_tiered_rule_safe () =
-  let g = Layout.group_tiered () in
+  let g = Layout.membership Layout.Tiered in
   let rule = Membership.rule g in
   check_bool "tiered overlaps" true
     (Quorum_set.overlaps ~read:rule.Quorum_set.Rule.read
@@ -217,14 +217,14 @@ let test_epochs () =
 let fresh_member id az = { Membership.id = m id; az = Az.of_int az; kind = Membership.Full }
 
 let test_membership_steady () =
-  let g = Layout.group_4_of_6 () in
+  let g = Layout.membership Layout.V6 in
   check_bool "steady" true (Membership.is_steady g);
   check_int "epoch 1" 1 (Epoch.to_int (Membership.epoch g));
   check_int "one variant" 1 (List.length (Membership.variants g));
   check_int "six members" 6 (List.length (Membership.members g))
 
 let test_membership_replace_commit () =
-  let g = Layout.group_4_of_6 () in
+  let g = Layout.membership Layout.V6 in
   let g2 =
     match Membership.begin_change g ~suspect:(m 5) ~replacement:(fresh_member 6 2) with
     | Ok g -> g
@@ -245,7 +245,7 @@ let test_membership_replace_commit () =
   check_bool "replacement in" true (Membership.find_member g3 (m 6) <> None)
 
 let test_membership_revert () =
-  let g = Layout.group_4_of_6 () in
+  let g = Layout.membership Layout.V6 in
   let g2 =
     Result.get_ok
       (Membership.begin_change g ~suspect:(m 5) ~replacement:(fresh_member 6 2))
@@ -257,7 +257,7 @@ let test_membership_revert () =
 
 let test_membership_double_failure () =
   (* Figure 5's second scenario: E fails while F->G is in flight. *)
-  let g = Layout.group_4_of_6 () in
+  let g = Layout.membership Layout.V6 in
   let g2 =
     Result.get_ok
       (Membership.begin_change g ~suspect:(m 5) ~replacement:(fresh_member 6 2))
@@ -280,7 +280,7 @@ let test_membership_double_failure () =
   check_int "epoch 5" 5 (Epoch.to_int (Membership.epoch g5))
 
 let test_membership_errors () =
-  let g = Layout.group_4_of_6 () in
+  let g = Layout.membership Layout.V6 in
   (match Membership.begin_change g ~suspect:(m 9) ~replacement:(fresh_member 6 0) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown suspect accepted");
@@ -295,7 +295,7 @@ let test_membership_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "double replacement of same suspect accepted");
   (* A tail slot must be repaired by a tail segment. *)
-  let tg = Layout.group_tiered () in
+  let tg = Layout.membership Layout.Tiered in
   let tail_suspect =
     List.find (fun (mm : Membership.member) -> mm.kind = Membership.Tail) (Membership.members tg)
   in
@@ -307,7 +307,7 @@ let test_membership_errors () =
   | Ok _ -> Alcotest.fail "kind mismatch accepted")
 
 let test_change_scheme () =
-  let g = Layout.group_4_of_6 () in
+  let g = Layout.membership Layout.V6 in
   (* Extended AZ loss: move to 3/4 over two AZs (§4.1). *)
   let g2 =
     Result.get_ok
@@ -380,7 +380,7 @@ let prop_transitions_preserve_safety =
      Each successful transition has also passed both §2.1 proofs (an unsafe
      state comes back as [Error]), so the oracle catches a transition that
      carries the pre-change rule forward. *)
-  let start = [| Layout.group_4_of_6; Layout.group_tiered; Layout.group_2_of_3 |] in
+  let start = [| Layout.V6; Layout.Tiered; Layout.V3 |] in
   let targets ~first_id =
     [|
       (Layout.scheme_4_of_6, Layout.aurora_v6 ~first_id ());
@@ -392,7 +392,7 @@ let prop_transitions_preserve_safety =
   QCheck.Test.make ~name:"random membership transitions stay safe" ~count:100
     QCheck.(pair (int_range 0 2) (list_of_size (Gen.int_range 1 12) (int_range 0 9)))
     (fun (layout, ops) ->
-      let g = ref (start.(layout) ()) in
+      let g = ref (Layout.membership start.(layout)) in
       let next_id = ref 6 in
       let last_epoch = ref (Epoch.to_int (Membership.epoch !g)) in
       assert (rule_matches_scheme !g);
@@ -445,7 +445,7 @@ let prop_transitions_preserve_safety =
       true)
 
 let test_replacement_of () =
-  let g = Layout.group_4_of_6 () in
+  let g = Layout.membership Layout.V6 in
   check_bool "steady: none" true (Membership.replacement_of g ~suspect:(m 5) = None);
   let g = Result.get_ok (Membership.begin_change g ~suspect:(m 5) ~replacement:(fresh_member 6 2)) in
   let g = Result.get_ok (Membership.begin_change g ~suspect:(m 1) ~replacement:(fresh_member 7 0)) in
@@ -589,6 +589,21 @@ let test_layouts () =
   check_int "members in AZ1" 2
     (Member_id.Set.cardinal (Layout.members_in_az tiered (Az.of_int 0)))
 
+(* Every layout's group is a safe §2.1 rule over the roster it names:
+   read and write quorums overlap, and writes overlap each other. *)
+let test_layout_rules_safe () =
+  List.iter
+    (fun (layout, name, size) ->
+      let g = Layout.membership layout in
+      let rule = Membership.rule g in
+      check_int (name ^ " roster") size (List.length (Membership.members g));
+      check_bool (name ^ " read/write overlap") true
+        (Quorum_set.overlaps ~read:rule.Quorum_set.Rule.read
+           ~write:rule.Quorum_set.Rule.write);
+      check_bool (name ^ " write self-overlap") true
+        (Quorum_set.self_overlapping rule.Quorum_set.Rule.write))
+    [ (Layout.V6, "v6", 6); (Layout.Tiered, "tiered", 6); (Layout.V3, "v3", 3) ]
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "quorum"
@@ -620,5 +635,9 @@ let () =
           Alcotest.test_case "replacement_of" `Quick test_replacement_of;
           Alcotest.test_case "a one-AZ roster fails AZ+1" `Quick test_single_az_roster;
         ] );
-      ("layout", [ Alcotest.test_case "rosters" `Quick test_layouts ]);
+      ( "layout",
+        [
+          Alcotest.test_case "rosters" `Quick test_layouts;
+          Alcotest.test_case "scheme rules safe" `Quick test_layout_rules_safe;
+        ] );
     ]

@@ -47,7 +47,7 @@ let test_parser_freedom () =
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok sc ->
     check_string "name" "demo" sc.Scenario.name;
-    check_bool "layout" true (sc.Scenario.layout = Cluster.Tiered);
+    check_bool "layout" true (sc.Scenario.layout = Quorum.Layout.Tiered);
     check_bool "rate" true (sc.Scenario.rate = 900.);
     check_int "defaults kept" 1500 sc.Scenario.duration_ms;
     (match sc.Scenario.steps with
@@ -132,7 +132,7 @@ let scenario_gen =
   in
   let* name = map (Printf.sprintf "s%d") (int_range 0 999) in
   let* n_pgs = int_range 1 4 in
-  let* layout = oneofl [ Cluster.V6; Cluster.Tiered; Cluster.V3 ] in
+  let* layout = oneofl [ Quorum.Layout.V6; Quorum.Layout.Tiered; Quorum.Layout.V3 ] in
   let* replicas = int_range 0 3 in
   let* rate = small_float in
   let* duration_ms = int_range 1 10_000 in
@@ -247,6 +247,32 @@ let test_runner_catches_failed_expectation () =
   check_bool "as an expectation violation" true
     (List.exists (fun v -> v.Checker.checker = "expectation") o.Runner.violations)
 
+(* A step naming a group the volume does not have (yet: [grow] adds
+   groups mid-run) ends as an action error or an expectation violation,
+   never as an escaped exception. *)
+let test_runner_unknown_group () =
+  let src =
+    String.concat "\n"
+      [
+        "scenario unknown-group";
+        "duration_ms 200";
+        "quiesce_ms 400";
+        "step at=100ms finish_when_caught_up pg=2 m=5";
+        "step at=150ms noop expect epoch pg=3 min=1";
+      ]
+  in
+  match Scenario.of_string src with
+  | Error e -> Alcotest.failf "parse failed: %s" e
+  | Ok sc ->
+    let o = Runner.run ~seed:1 sc in
+    check_bool "step 0 is an action error" true
+      (List.exists (fun (i, _) -> i = 0) o.Runner.action_errors);
+    check_bool "step 1 is an expectation violation" true
+      (List.exists
+         (fun v ->
+           v.Checker.checker = "expectation" && contains v.Checker.detail "pg3")
+         o.Runner.violations)
+
 (* ---- checker vs. a deliberately broken invariant ---- *)
 
 let test_checker_catches_pgmrpl_breach () =
@@ -333,6 +359,8 @@ let () =
             test_runner_clean_and_deterministic;
           Alcotest.test_case "failed expectation" `Slow
             test_runner_catches_failed_expectation;
+          Alcotest.test_case "unknown group in a step" `Quick
+            test_runner_unknown_group;
         ] );
       ( "checker",
         [
