@@ -1,96 +1,66 @@
 (* aurora_lint — static-analysis gate for determinism, protocol-type
-   discipline, and interface hygiene.  See DESIGN.md §6 for the rule
-   catalogue and the baseline workflow.
-
-   Two tiers share one baseline:
-   - parse tier (default): ppxlib over every .ml/.mli source file;
-   - typed tier (--typed): compiler .cmt trees, call-graph rules
-     (hot-path allocation, sim-state purity, protocol/event coverage,
-     type-precise poly-compare).
+   discipline, and interface hygiene, over the compiler's .cmt typed
+   trees.  See DESIGN.md §6 for the rule catalogue and the baseline
+   workflow.
 
    Exit status: 0 when every finding is baselined (or none), 1 otherwise,
-   2 on usage errors. *)
+   2 on usage errors or when no typed tree was found at all. *)
 
 let usage =
-  "usage: aurora_lint [options] [dir ...]\n\
-   Parse tier: lints every .ml/.mli under the given directories (default: \
-   lib bin bench test).\n\
-   Typed tier (--typed): analyzes every .cmt under the given directories \
-   (default: _build/default/lib, or lib inside the build context).\n"
+  Printf.sprintf
+    "usage: aurora_lint [options] [dir ...]\n\
+     Lints the typed trees (.cmt) compiled from the given source \
+     directories (default: %s), read from _build/default/<dir>, or <dir> \
+     inside the build context.\n"
+    (String.concat " " Lint.Typed_engine.default_roots)
 
 let () =
   let json = ref false in
   let update = ref false in
   let list_rules = ref false in
-  let typed = ref false in
   let baseline_path = ref "lint/baseline.txt" in
   let roots = ref [] in
   let spec =
     [
       ("--json", Arg.Set json, " emit findings as a JSON array on stdout");
-      ( "--typed",
-        Arg.Set typed,
-        " run the typed (.cmt call-graph) tier instead of the parse tier" );
       ( "--baseline",
         Arg.Set_string baseline_path,
         "FILE suppression baseline (default lint/baseline.txt)" );
       ( "--update-baseline",
         Arg.Set update,
-        " rewrite the baseline to cover all current findings (both tiers), \
-         then exit 0" );
+        " rewrite the baseline to cover all current findings, then exit 0" );
       ("--rules", Arg.Set list_rules, " list the rule catalogue and exit");
     ]
   in
   Arg.parse (Arg.align spec) (fun dir -> roots := dir :: !roots) usage;
   if !list_rules then begin
     List.iter
-      (fun (r : Lint.Rules.rule) ->
-        Printf.printf "%-24s %s\n" r.id r.description)
-      Lint.Rules.all;
-    List.iter
-      (fun (id, description) -> Printf.printf "%-24s %s\n" id description)
+      (fun (id, description) -> Printf.printf "%-20s %s\n" id description)
       Lint.Typed_rules.catalogue;
     exit 0
   end;
-  let explicit_roots = List.rev !roots in
-  let parse_roots =
-    match explicit_roots with
-    | [] -> [ "lib"; "bin"; "bench"; "test" ]
+  let roots =
+    match List.rev !roots with
+    | [] -> Lint.Typed_engine.default_roots
     | roots -> roots
   in
-  let typed_roots =
-    match explicit_roots with
-    | [] -> Lint.Typed_engine.default_cmt_roots ()
-    | roots -> roots
-  in
-  let typed_findings () =
-    let units = Lint.Typed_loader.load_tree ~roots:typed_roots in
-    (* An empty unit list means the build tree has no .cmt files — the
-       typed gate would vacuously pass, which must be loud, not silent. *)
-    if units = [] then begin
-      Printf.eprintf
-        "aurora_lint: error: no .cmt files under [%s] — build first (dune \
-         build @all)\n"
-        (String.concat "; " typed_roots);
-      exit 2
-    end;
-    Lint.Typed_engine.lint_units units
-  in
+  let units, findings = Lint.Typed_engine.lint ~roots () in
+  (* No units at all means the build tree has no .cmt files — the gate
+     would vacuously pass, which must be loud, not silent. *)
+  (match units with
+  | [] ->
+    Printf.eprintf
+      "aurora_lint: error: no .cmt files for [%s] — build first (dune build \
+       @check)\n"
+      (String.concat "; " roots);
+    exit 2
+  | _ :: _ -> ());
   if !update then begin
-    (* The shared baseline covers both tiers, so regeneration runs both —
-       regardless of which tier this invocation was asked to gate. *)
-    let findings =
-      Lint.Engine.lint_tree ~roots:parse_roots @ typed_findings ()
-    in
     Lint.Baseline.save !baseline_path findings;
     Printf.eprintf "aurora_lint: baselined %d finding(s) into %s\n"
       (List.length findings) !baseline_path;
     exit 0
   end;
-  let findings =
-    if !typed then typed_findings ()
-    else Lint.Engine.lint_tree ~roots:parse_roots
-  in
   let baseline = Lint.Baseline.load !baseline_path in
   let fresh, suppressed =
     List.partition (fun f -> not (Lint.Baseline.mem baseline f)) findings
@@ -103,6 +73,6 @@ let () =
   | [] -> exit 0
   | _ ->
     Printf.eprintf
-      "aurora_lint: fix the findings above, extend a rule allowlist with \
+      "aurora_lint: fix the findings above, extend a rule scope with \
        justification, or freeze them with --update-baseline\n";
     exit 1

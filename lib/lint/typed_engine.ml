@@ -1,18 +1,12 @@
-(* Orchestration for the typed tier: load .cmt trees, summarize, run the
-   interprocedural rules, and return sorted findings in the same
-   {!Finding.t} shape as the parse tier so the baseline and drivers are
-   shared. *)
+(* Orchestration: load .cmt trees, summarize, run the rules, and return
+   sorted findings. *)
+
+let default_roots = [ "lib"; "bin"; "bench"; "test"; "perfbench" ]
 
 let lint_units ?(config = Typed_rules.default) units =
   let summaries = List.map Typed_summary.summarize units in
   List.sort_uniq Finding.compare (Typed_rules.run config summaries)
 
-let lint ?config ~cmt_roots () =
-  lint_units ?config (Typed_loader.load_tree ~roots:cmt_roots)
-
-(* Where the cmt trees live relative to the current directory: from the
-   repo root that is [_build/default/lib]; inside the build context (where
-   the @lint-typed dune action runs) it is just [lib]. *)
-let default_cmt_roots () =
-  if Sys.file_exists "_build/default/lib" then [ "_build/default/lib" ]
-  else [ "lib" ]
+let lint ?config ~roots () =
+  let units, unlinted = Typed_loader.load ~roots in
+  (units, List.sort_uniq Finding.compare (unlinted @ lint_units ?config units))

@@ -1,14 +1,17 @@
 (* Load the compiler's .cmt typed trees out of _build.  Dune emits
-   bin-annot files for every module it compiles; this module walks a
-   directory tree (normally [_build/default/lib] or, when the driver runs
-   inside the build sandbox, just [lib]), unmarshals each implementation,
-   and hands back the typedtree plus repo-root-relative source path. *)
+   bin-annot files for every module it compiles; this module walks each
+   root's build directory, unmarshals each implementation, and hands back
+   the typedtree plus repo-root-relative source path.  Whatever it cannot
+   read, and every source it finds no tree for, comes back as a finding. *)
 
 type unit_info = {
   modname : string;  (* dotted, e.g. "Simcore.Sim" *)
   source : string;  (* logical source path, e.g. "lib/simcore/sim.ml" *)
+  has_interface : bool;  (* a .cmti was compiled next to the .cmt *)
   structure : Typedtree.structure;
 }
+
+let unlinted = "unlinted"
 
 (* Dune mangles wrapped-library module names as [Lib__Module]; the dotted
    form is what source code writes and what rule manifests use. *)
@@ -28,51 +31,100 @@ let normalize_modname m =
   in
   go 0
 
+let logical_path p =
+  let rec strip parts =
+    match parts with
+    | ("." | "..") :: rest -> strip rest
+    | parts -> parts
+  in
+  String.concat "/" (strip (String.split_on_char '/' p))
+
 let has_suffix ~suffix s =
   let ls = String.length s and lx = String.length suffix in
   ls >= lx && String.sub s (ls - lx) lx = suffix
 
-(* One [.cmt]: [None] for interfaces, packs, unreadable files, and
-   dune-generated wrapper modules (their "source" is a [.ml-gen]). *)
+let finding ~file message =
+  Finding.make ~rule:unlinted ~file:(logical_path file) ~line:1 ~col:0 message
+
+(* One [.cmt]: [Ok None] for packs and dune-generated wrapper modules
+   (their "source" is a [.ml-gen] holding only aliases). *)
 let read_unit path =
   match Cmt_format.read_cmt path with
-  | exception _ -> None
+  | exception exn ->
+    Error
+      (finding ~file:path
+         (Printf.sprintf "cannot read typed tree: %s" (Printexc.to_string exn)))
   | cmt -> (
     match (cmt.Cmt_format.cmt_annots, cmt.Cmt_format.cmt_sourcefile) with
     | Cmt_format.Implementation structure, Some src
       when has_suffix ~suffix:".ml" src ->
-      (* Library wrapper modules dune generates ([simcore.ml-gen]) fail the
-         [.ml] suffix test and are skipped — they contain only aliases. *)
-      Some
-        {
-          modname = normalize_modname cmt.Cmt_format.cmt_modname;
-          source = Engine.logical_path src;
-          structure;
-        }
-    | _ -> None)
+      Ok
+        (Some
+           {
+             modname = normalize_modname cmt.Cmt_format.cmt_modname;
+             source = logical_path src;
+             has_interface = Sys.file_exists (Filename.chop_suffix path ".cmt" ^ ".cmti");
+             structure;
+           })
+    | _ -> Ok None)
 
-let cmts_under ~skip_fixtures roots =
+(* Files with [suffix] under [roots], sorted.  Source walks skip dune's
+   hidden object directories; .cmt walks must enter them. *)
+let files_under ~suffix ~skip roots =
   let acc = ref [] in
   let rec walk dir =
     match Sys.readdir dir with
     | exception Sys_error _ -> ()
     | entries ->
-      Array.sort String.compare entries;
       Array.iter
         (fun entry ->
           let path = Filename.concat dir entry in
           if Sys.is_directory path then begin
-            if not (skip_fixtures && entry = "fixtures") then walk path
+            if not (skip entry) then walk path
           end
-          else if has_suffix ~suffix:".cmt" path then acc := path :: !acc)
+          else if has_suffix ~suffix path then acc := path :: !acc)
         entries
   in
   List.iter (fun root -> if Sys.file_exists root then walk root) roots;
   List.sort String.compare !acc
 
 let load_files paths =
-  let units = List.filter_map read_unit paths in
-  List.sort (fun a b -> String.compare a.source b.source) units
+  let units, errors =
+    List.partition_map
+      (fun path ->
+        match read_unit path with
+        | Ok u -> Left u
+        | Error f -> Right f)
+      paths
+  in
+  ( List.sort
+      (fun a b -> String.compare a.source b.source)
+      (List.filter_map Fun.id units),
+    errors )
 
-let load_dir dir = load_files (cmts_under ~skip_fixtures:false [ dir ])
-let load_tree ~roots = load_files (cmts_under ~skip_fixtures:true roots)
+let load_dir dir = load_files (files_under ~suffix:".cmt" ~skip:(fun _ -> false) [ dir ])
+
+let build_dir root =
+  let in_build = Filename.concat "_build/default" root in
+  if Sys.file_exists in_build then in_build else root
+
+let load ~roots =
+  let skip entry = entry = "fixtures" || entry = "_build" || entry = ".git" in
+  let units, errors =
+    load_files (files_under ~suffix:".cmt" ~skip (List.map build_dir roots))
+  in
+  let compiled = List.map (fun u -> u.source) units in
+  let orphans =
+    List.filter_map
+      (fun path ->
+        if List.mem (logical_path path) compiled then None
+        else
+          Some
+            (finding ~file:path
+               "no typed tree was compiled from this source, so no rule \
+                checks it; add it to a stanza's modules"))
+      (files_under ~suffix:".ml"
+         ~skip:(fun entry -> skip entry || entry.[0] = '.')
+         roots)
+  in
+  (units, errors @ orphans)

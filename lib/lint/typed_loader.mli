@@ -1,11 +1,16 @@
 (** Loading typed trees ([.cmt] bin-annot files) from the dune build tree.
 
-    The typed lint tier analyzes what the compiler actually saw — resolved
+    The lint gate analyzes what the compiler actually saw — resolved
     paths, inferred types, constructor representations — rather than
     syntax.  Dune writes a [.cmt] next to every compiled module (under
-    [<dir>/.<lib>.objs/byte/]); pointing {!load_tree} at
-    [_build/default/lib] (or [lib] when already inside the build context)
-    yields one {!unit_info} per implementation. *)
+    [<dir>/.<lib>.objs/byte/]).  Source roots are named as in the source
+    tree ([lib], [test]); {!load} finds their [.cmt] files under
+    [_build/default/<root>] from the repo root, or under [<root>] itself
+    when already running inside the build context.
+
+    A source the gate cannot lint is a finding ([unlinted]), never a
+    silent skip: an unreadable or version-mismatched [.cmt], and an [.ml]
+    under a root that no [.cmt] was compiled from. *)
 
 type unit_info = {
   modname : string;
@@ -13,17 +18,29 @@ type unit_info = {
           mangling undone). *)
   source : string;
       (** Repo-root-relative source path, e.g. ["lib/simcore/sim.ml"]. *)
+  has_interface : bool;
+      (** A [.cmti] sits next to the [.cmt]: the unit has an [.mli]. *)
   structure : Typedtree.structure;
 }
 
 val normalize_modname : string -> string
 (** [Simcore__Sim] → [Simcore.Sim]. *)
 
-val load_dir : string -> unit_info list
-(** Every implementation [.cmt] under one directory, sorted by source
-    path.  Does not skip [fixtures] directories — the lint test suite uses
-    this to load its deliberately-broken fixture library. *)
+val logical_path : string -> string
+(** Strip leading [./] and [../] segments, so findings read the same from
+    the repo root, a dune sandbox, or a test directory. *)
 
-val load_tree : roots:string list -> unit_info list
-(** Like {!load_dir} over several roots, but skips directories named
-    [fixtures] so fixture code never counts against the real tree. *)
+val unlinted : string
+(** The rule id of the loader's own findings. *)
+
+val load_dir : string -> unit_info list * Finding.t list
+(** Every implementation [.cmt] under one directory, sorted by source
+    path, and an [unlinted] finding per unreadable [.cmt].  Does not skip
+    [fixtures] directories — the lint test suite uses this to load its
+    deliberately-broken fixture library. *)
+
+val load : roots:string list -> unit_info list * Finding.t list
+(** {!load_dir} over the build directory of each source root, skipping
+    directories named [fixtures] so fixture code never counts against the
+    real tree, plus an [unlinted] finding for each [.ml] under a root with
+    no unit compiled from it. *)

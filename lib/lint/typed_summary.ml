@@ -1,12 +1,29 @@
 (* Per-module summaries extracted from typed trees.
 
-   One walk per top-level binding collects everything the rules need:
-   constructors matched in patterns and built in expressions, typed
-   comparison applications, and top-level mutable-state evidence.  The
-   rules in {!Typed_rules} are then pure functions over these summaries. *)
+   A walk per top-level binding collects constructors matched in patterns
+   and built in expressions, and top-level mutable-state evidence; one
+   walk over the whole unit collects the values it names, its integer
+   arithmetic and its comparison applications.  The rules in
+   {!Typed_rules} are then pure functions over these summaries. *)
 
 type con_use = { cu_ty : string; cu_con : string }
-type poly_hit = { p_line : int; p_col : int; p_op : string; p_ty : string }
+type value_ref = { r_path : string; r_line : int; r_col : int }
+
+type arith_hit = {
+  a_line : int;
+  a_col : int;
+  a_op : string;
+  a_operands : string list;
+}
+
+type poly_hit = {
+  p_line : int;
+  p_col : int;
+  p_op : string;
+  p_ty : string;
+  p_mentions : string list;
+  p_tag_test : bool;
+}
 
 type binding = {
   b_name : string;  (* qualified, e.g. "Simcore.Sim.schedule_at" *)
@@ -15,7 +32,6 @@ type binding = {
   b_is_function : bool;
   b_pat_cons : con_use list;
   b_exp_cons : con_use list;
-  b_poly : poly_hit list;
   b_mutable_evidence : (int * int * string) option;
   b_sim_global : bool;  (* carries [@@sim_global] *)
 }
@@ -26,8 +42,12 @@ type tydecl = { ty_name : string; ty_cons : tycon list }
 type unit_summary = {
   u_modname : string;
   u_source : string;
+  u_interface : bool;
   u_bindings : binding list;
   u_types : tydecl list;
+  u_refs : value_ref list;
+  u_arith : arith_hit list;
+  u_poly : poly_hit list;
 }
 
 let line_col (loc : Location.t) =
@@ -39,19 +59,173 @@ let has_attr name (attrs : Typedtree.attributes) =
     (fun (a : Parsetree.attribute) -> String.equal a.attr_name.txt name)
     attrs
 
-let normalize_path p = Typed_loader.normalize_modname (Path.name p)
+let has_suffix ~suffix s =
+  let ls = String.length s and lx = String.length suffix in
+  ls >= lx && String.sub s (ls - lx) lx = suffix
 
-(* Comparison primitives whose polymorphic use on protocol types the typed
-   poly-compare rule rejects. *)
+(* ------------------------------------------------------------------ *)
+(* Path resolution.                                                    *)
+
+(* The unit's module aliases, [module H = Hashtbl] and [let module H = ...
+   in], at any depth.  Idents are unique within a unit, so one list serves
+   every scope. *)
+let rec alias_target (me : Typedtree.module_expr) =
+  match me.mod_desc with
+  | Typedtree.Tmod_ident (p, _) -> Some p
+  | Typedtree.Tmod_constraint (me, _, _, _) -> alias_target me
+  | _ -> None
+
+let module_aliases (str : Typedtree.structure) =
+  let aliases = ref [] in
+  let note id me =
+    match alias_target me with
+    | Some p -> aliases := (id, p) :: !aliases
+    | None -> ()
+  in
+  let open Tast_iterator in
+  let module_binding it (mb : Typedtree.module_binding) =
+    Option.iter (fun id -> note id mb.mb_expr) mb.mb_id;
+    default_iterator.module_binding it mb
+  in
+  let expr it (e : Typedtree.expression) =
+    (match e.exp_desc with
+    | Typedtree.Texp_letmodule (Some id, _, _, me, _) -> note id me
+    | _ -> ());
+    default_iterator.expr it e
+  in
+  let it = { default_iterator with module_binding; expr } in
+  it.structure it str;
+  !aliases
+
+type resolver = { unit_name : string; aliases : (Ident.t * Path.t) list }
+
+(* An alias's target is itself resolved, so chains of aliases end at the
+   module they name; the depth bound only guards against the impossible. *)
+let rec expand r depth (p : Path.t) : Path.t =
+  match p with
+  | Pident id when depth < 8 -> (
+    match List.find_opt (fun (i, _) -> Ident.same i id) r.aliases with
+    | Some (_, target) -> expand r (depth + 1) target
+    | None -> p)
+  | Pdot (q, s) -> Pdot (expand r depth q, s)
+  | Papply (f, a) -> Papply (expand r depth f, expand r depth a)
+  | p -> p
+
+let name_of r (p : Path.t) =
+  let name = Typed_loader.normalize_modname (Path.name p) in
+  if Ident.global (Path.head p) then name else r.unit_name ^ "." ^ name
+
+let resolve r p = name_of r (expand r 0 p)
+
+(* A value path worth recording: qualified, not a local variable. *)
+let qualified r p =
+  match expand r 0 p with Pident _ -> None | p -> Some (name_of r p)
+
+(* ------------------------------------------------------------------ *)
+(* Unit-wide facts: named values, arithmetic, comparisons.             *)
+
+(* Comparison primitives whose polymorphic use the poly-compare rule
+   rejects at protocol types and type variables. *)
 let poly_ops =
   [
     "Stdlib.compare"; "Stdlib.="; "Stdlib.<>"; "Stdlib.<"; "Stdlib.>";
     "Stdlib.<="; "Stdlib.>="; "Stdlib.min"; "Stdlib.max";
   ]
 
-let has_suffix ~suffix s =
-  let ls = String.length s and lx = String.length suffix in
-  ls >= lx && String.sub s (ls - lx) lx = suffix
+let arith_ops =
+  [ "Stdlib.+"; "Stdlib.-"; "Stdlib.*"; "Stdlib./"; "Stdlib.mod" ]
+
+(* The value an operand is, or is computed by: [Wal.Lsn.to_int] for
+   [Lsn.to_int l]. *)
+let rec head_path r (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Typedtree.Texp_ident (p, _, _) -> qualified r p
+  | Typedtree.Texp_apply (f, _) -> head_path r f
+  | _ -> None
+
+(* Every type constructor [ty] mentions, head first; the visited set
+   guards against cyclic types. *)
+let type_mentions r ty =
+  let seen = Hashtbl.create 8 and acc = ref [] in
+  let rec go ty =
+    let id = Types.get_id ty in
+    if not (Hashtbl.mem seen id) then begin
+      Hashtbl.add seen id ();
+      match Types.get_desc ty with
+      | Types.Tconstr (p, args, _) ->
+        acc := resolve r p :: !acc;
+        List.iter go args
+      | Types.Ttuple tys -> List.iter go tys
+      | Types.Tarrow (_, a, b, _) ->
+        go a;
+        go b
+      | Types.Tpoly (t, _) -> go t
+      | _ -> ()
+    end
+  in
+  go ty;
+  List.rev !acc
+
+let is_constant = function
+  | Some { Typedtree.exp_desc = Typedtree.Texp_construct (_, _, []); _ } -> true
+  | _ -> false
+
+let unit_facts r (str : Typedtree.structure) =
+  let refs = ref [] and arith = ref [] and poly = ref [] in
+  let apply (e : Typedtree.expression) op args =
+    let line, col = line_col e.exp_loc in
+    if List.exists (String.equal op) arith_ops then begin
+      match
+        List.filter_map (fun (_, arg) -> Option.bind arg (head_path r)) args
+      with
+      | [] -> ()
+      | operands ->
+        arith :=
+          { a_line = line; a_col = col; a_op = op; a_operands = operands }
+          :: !arith
+    end
+    else if List.exists (String.equal op) poly_ops then
+      match args with
+      | (_, Some (arg1 : Typedtree.expression)) :: _ ->
+        let p_ty =
+          match Types.get_desc arg1.exp_type with
+          | Types.Tconstr (tp, _, _) -> Some (resolve r tp)
+          | Types.Tvar v -> Some ("'" ^ Option.value v ~default:"_")
+          | _ -> None
+        in
+        poly :=
+          {
+            p_line = line;
+            p_col = col;
+            p_op = op;
+            p_ty = Option.value p_ty ~default:"";
+            p_mentions = type_mentions r arg1.exp_type;
+            p_tag_test = List.exists (fun (_, arg) -> is_constant arg) args;
+          }
+          :: !poly
+      | _ -> ()
+  in
+  let open Tast_iterator in
+  let expr it (e : Typedtree.expression) =
+    (match e.exp_desc with
+    | Typedtree.Texp_ident (p, lid, _) -> (
+      match qualified r p with
+      | Some path ->
+        let line, col = line_col lid.loc in
+        refs := { r_path = path; r_line = line; r_col = col } :: !refs
+      | None -> ())
+    | Typedtree.Texp_apply
+        ({ exp_desc = Typedtree.Texp_ident (p, _, _); _ }, args) ->
+      apply e (resolve r p) args
+    | _ -> ());
+    default_iterator.expr it e
+  in
+  let it = { default_iterator with expr } in
+  it.structure it str;
+  (List.rev !refs, List.rev !arith, List.rev !poly)
+
+(* ------------------------------------------------------------------ *)
+(* Per-binding facts: constructors and mutable-state evidence.         *)
 
 (* Creator applications that make a top-level binding mutable state for the
    sim-state purity rule. *)
@@ -64,14 +238,10 @@ let mutable_creator name =
          "Stdlib.Atomic.make"; "Stdlib.Bytes.make"; "Stdlib.Bytes.create";
        ]
 
-(* ------------------------------------------------------------------ *)
-(* Per-binding collector state.                                        *)
-
 type ctx = {
-  unit_name : string;
+  r : resolver;
   mutable pat_cons : con_use list;
   mutable exp_cons : con_use list;
-  mutable poly : poly_hit list;
   mutable mut_ev : (int * int * string) option;
 }
 
@@ -82,15 +252,10 @@ let note_mut ctx desc (loc : Location.t) =
     let line, col = line_col loc in
     ctx.mut_ev <- Some (line, col, desc)
 
-(* Qualify an unqualified type name ("t" inside its defining unit) with the
-   unit's module path. *)
-let qualify_ty ctx name =
-  if String.contains name '.' then name else ctx.unit_name ^ "." ^ name
-
 let con_of_desc ctx (cd : Types.constructor_description) =
   match Types.get_desc cd.cstr_res with
   | Types.Tconstr (p, _, _) ->
-    Some { cu_ty = qualify_ty ctx (normalize_path p); cu_con = cd.cstr_name }
+    Some { cu_ty = resolve ctx.r p; cu_con = cd.cstr_name }
   | _ -> None
 
 let iterator ctx =
@@ -109,24 +274,10 @@ let iterator ctx =
           fields
       then note_mut ctx "mutable record" e.exp_loc
     | Typedtree.Texp_array _ -> note_mut ctx "array literal" e.exp_loc
-    | Typedtree.Texp_apply (fn, args) -> (
-      match fn.exp_desc with
-      | Typedtree.Texp_ident (p, _, _) -> (
-        let name = normalize_path p in
-        if mutable_creator name then note_mut ctx name e.exp_loc;
-        if List.exists (String.equal name) poly_ops then
-          match args with
-        | (_, Some arg1) :: _ -> (
-          let hit ty =
-            let line, col = line_col e.exp_loc in
-            ctx.poly <- { p_line = line; p_col = col; p_op = name; p_ty = ty } :: ctx.poly
-          in
-          match Types.get_desc arg1.exp_type with
-          | Types.Tconstr (tp, _, _) -> hit (qualify_ty ctx (normalize_path tp))
-          | Types.Tvar v -> hit ("'" ^ Option.value v ~default:"_")
-          | _ -> ())
-        | _ -> ())
-      | _ -> ())
+    | Typedtree.Texp_apply
+        ({ exp_desc = Typedtree.Texp_ident (p, _, _); _ }, _) ->
+      let name = resolve ctx.r p in
+      if mutable_creator name then note_mut ctx name e.exp_loc
     | _ -> ());
     default_iterator.expr it e
   in
@@ -150,10 +301,8 @@ let dedup_cons l =
       | c -> c)
     l
 
-let summarize_binding ~unit_name ~name (vb : Typedtree.value_binding) =
-  let ctx =
-    { unit_name; pat_cons = []; exp_cons = []; poly = []; mut_ev = None }
-  in
+let summarize_binding r ~name (vb : Typedtree.value_binding) =
+  let ctx = { r; pat_cons = []; exp_cons = []; mut_ev = None } in
   let it = iterator ctx in
   it.expr it vb.vb_expr;
   let line, col = line_col vb.vb_loc in
@@ -167,7 +316,6 @@ let summarize_binding ~unit_name ~name (vb : Typedtree.value_binding) =
       | _ -> false);
     b_pat_cons = dedup_cons ctx.pat_cons;
     b_exp_cons = dedup_cons ctx.exp_cons;
-    b_poly = List.rev ctx.poly;
     b_mutable_evidence = ctx.mut_ev;
     b_sim_global = has_attr "sim_global" vb.vb_attributes;
   }
@@ -196,8 +344,7 @@ let rec module_structure (me : Typedtree.module_expr) =
   | Typedtree.Tmod_constraint (me, _, _, _) -> module_structure me
   | _ -> None
 
-let rec collect_items ~unit_name ~prefix (str : Typedtree.structure) ~bindings
-    ~types =
+let rec collect_items r ~prefix (str : Typedtree.structure) ~bindings ~types =
   List.iter
     (fun (item : Typedtree.structure_item) ->
       match item.str_desc with
@@ -211,7 +358,7 @@ let rec collect_items ~unit_name ~prefix (str : Typedtree.structure) ~bindings
                 let line, _ = line_col vb.vb_loc in
                 Printf.sprintf "%s.(init@%d)" prefix line
             in
-            bindings := summarize_binding ~unit_name ~name vb :: !bindings)
+            bindings := summarize_binding r ~name vb :: !bindings)
           vbs
       | Typedtree.Tstr_type (_, decls) ->
         List.iter
@@ -240,19 +387,24 @@ let rec collect_items ~unit_name ~prefix (str : Typedtree.structure) ~bindings
         | Some id -> (
           match module_structure mb.mb_expr with
           | Some sub ->
-            collect_items ~unit_name ~prefix:(prefix ^ "." ^ Ident.name id)
-              sub ~bindings ~types
+            collect_items r ~prefix:(prefix ^ "." ^ Ident.name id) sub
+              ~bindings ~types
           | None -> ()))
       | _ -> ())
     str.str_items
 
 let summarize (u : Typed_loader.unit_info) =
+  let r = { unit_name = u.modname; aliases = module_aliases u.structure } in
   let bindings = ref [] and types = ref [] in
-  collect_items ~unit_name:u.modname ~prefix:u.modname u.structure ~bindings
-    ~types;
+  collect_items r ~prefix:u.modname u.structure ~bindings ~types;
+  let refs, arith, poly = unit_facts r u.structure in
   {
     u_modname = u.modname;
     u_source = u.source;
+    u_interface = u.has_interface;
     u_bindings = List.rev !bindings;
     u_types = List.rev !types;
+    u_refs = refs;
+    u_arith = arith;
+    u_poly = poly;
   }

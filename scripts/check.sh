@@ -63,19 +63,15 @@ fi
 
 dune build @all
 
-# Static-analysis gate: aurora_lint walks every .ml/.mli under lib/ bin/
-# bench/ test/ perfbench/ and fails on any finding not frozen in lint/baseline.txt
-# (determinism, stable iteration, protocol-type discipline, interface
-# coverage, raw LSN arithmetic — see DESIGN.md §6).  Runs before the
-# runtime determinism gate because it rejects the *root causes* the byte
+# Static-analysis gate: aurora_lint reads the compiler's typed trees (.cmt)
+# of every unit under lib/ bin/ bench/ test/ perfbench/ and fails on any
+# finding not frozen in lint/baseline.txt: determinism, stable iteration,
+# protocol-type discipline, raw LSN arithmetic, generic tables on the commit
+# path, interface coverage, sim-state purity, protocol/event coverage, and
+# any source without a readable typed tree (see DESIGN.md §6).  Runs before
+# the runtime determinism gate because it rejects the *root causes* the byte
 # diff below can only catch probabilistically.
 dune build @lint
-
-# Typed tier: four rules over the compiler's .cmt trees — sim-state purity
-# (top-level mutables in lib/ carry [@@sim_global]), protocol/event
-# constructor coverage, and type-precise polymorphic-compare detection
-# (DESIGN.md §6).  Allocation is measured by perfbench, not linted.
-dune build @lint-typed
 
 # Includes the golden gate (test/golden): smoke/obs JSON, every curated
 # vopr digest at seeds 1-3 and explain, byte-compared with the committed

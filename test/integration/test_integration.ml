@@ -467,7 +467,7 @@ let test_volume_growth () =
       (fun b -> (Aurora_core.Volume.pg_of_block volume b).Aurora_core.Volume.id)
       probe_blocks
   in
-  check_bool "routing stable under growth" true (owners_before = owners_after);
+  check_bool "routing stable under growth" true (List.equal Pg_id.equal owners_before owners_after);
   check_bool "new range reaches the new group" true
     (Pg_id.equal
        (Aurora_core.Volume.pg_of_block volume (Wal.Block_id.of_int 100_001))

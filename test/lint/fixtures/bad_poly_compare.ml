@@ -1,6 +1,6 @@
 (* Fixture: polymorphic comparison operators on protocol-typed operands. *)
-let is_start l = l = Lsn.none
-let stale e = e <> Epoch.initial
-let third_wins b = compare (Txn_id.of_int 3) b > 0
-let newest a = max a (Lsn.of_int 9)
-let oldest a b = min (a : Lsn.t) b
+let is_start l = l = Wal.Lsn.none
+let stale e = e <> Quorum.Epoch.initial
+let third_wins b = compare (Wal.Txn_id.of_int 3) b > 0
+let newest a = max a (Wal.Lsn.of_int 9)
+let oldest a b = min (a : Wal.Lsn.t) b

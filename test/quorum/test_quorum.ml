@@ -449,12 +449,12 @@ let test_replacement_of () =
   check_bool "steady: none" true (Membership.replacement_of g ~suspect:(m 5) = None);
   let g = Result.get_ok (Membership.begin_change g ~suspect:(m 5) ~replacement:(fresh_member 6 2)) in
   let g = Result.get_ok (Membership.begin_change g ~suspect:(m 1) ~replacement:(fresh_member 7 0)) in
-  check_bool "first pair" true (Membership.replacement_of g ~suspect:(m 5) = Some (m 6));
-  check_bool "second pair" true (Membership.replacement_of g ~suspect:(m 1) = Some (m 7));
+  check_bool "first pair" true (Option.equal Member_id.equal (Membership.replacement_of g ~suspect:(m 5)) (Some (m 6)));
+  check_bool "second pair" true (Option.equal Member_id.equal (Membership.replacement_of g ~suspect:(m 1)) (Some (m 7)));
   check_bool "a replacement is no suspect" true (Membership.replacement_of g ~suspect:(m 6) = None);
   let g = Result.get_ok (Membership.commit_change g ~suspect:(m 5)) in
   check_bool "resolved: none" true (Membership.replacement_of g ~suspect:(m 5) = None);
-  check_bool "other pair kept" true (Membership.replacement_of g ~suspect:(m 1) = Some (m 7))
+  check_bool "other pair kept" true (Option.equal Member_id.equal (Membership.replacement_of g ~suspect:(m 1)) (Some (m 7)))
 
 (* ---- What a roster survives, against brute force ---- *)
 
