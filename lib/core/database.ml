@@ -334,7 +334,6 @@ let abort t ~txn =
 let attach_replica t a =
   Replication_stream.attach t.stream a ~from:(Volume.tail t.volume)
 
-let detach_replica t a = Replication_stream.detach t.stream a
 let replicas t = Replication_stream.replicas t.stream
 let replication_stream t = t.stream
 let stream_backlog t = Replication_stream.backlog t.stream

@@ -143,10 +143,6 @@ val attach_replica : t -> Simnet.Addr.t -> unit
     blocks from storage, and its first message, once VDL covers that LSN,
     hands it the commits made before it. *)
 
-val detach_replica : t -> Simnet.Addr.t -> unit
-(** Stop streaming to a replica; the last one to detach drops the stream's
-    backlog. *)
-
 val replicas : t -> Simnet.Addr.t list
 
 val stream_backlog : t -> int

@@ -28,7 +28,7 @@ let size = S.cardinal
 let save path findings =
   (* Order by finding position (file, line, col, rule) rather than by the
      key string, so the written file reads in source order and the same
-     finding set always produces the same bytes across both lint tiers. *)
+     finding set always produces the same bytes. *)
   let sorted = List.sort_uniq Finding.compare findings in
   let keys =
     List.fold_left

@@ -21,4 +21,4 @@ val size : t -> int
 val save : string -> Finding.t list -> unit
 (** Write the keys of the given findings with a header comment, ordered by
     source position (file, line, col, rule) so regeneration is
-    byte-stable for a given finding set across both lint tiers. *)
+    byte-stable for a given finding set. *)

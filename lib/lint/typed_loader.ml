@@ -63,7 +63,8 @@ let read_unit path =
            {
              modname = normalize_modname cmt.Cmt_format.cmt_modname;
              source = logical_path src;
-             has_interface = Sys.file_exists (Filename.chop_suffix path ".cmt" ^ ".cmti");
+             has_interface =
+               Sys.file_exists (Filename.chop_suffix path ".cmt" ^ ".cmti");
              structure;
            })
     | _ -> Ok None)
@@ -89,18 +90,10 @@ let files_under ~suffix ~skip roots =
   List.sort String.compare !acc
 
 let load_files paths =
-  let units, errors =
-    List.partition_map
-      (fun path ->
-        match read_unit path with
-        | Ok u -> Left u
-        | Error f -> Right f)
-      paths
-  in
-  ( List.sort
-      (fun a b -> String.compare a.source b.source)
-      (List.filter_map Fun.id units),
-    errors )
+  let read = List.map read_unit paths in
+  let units = List.filter_map (function Ok u -> u | Error _ -> None) read
+  and errors = List.filter_map (function Error f -> Some f | Ok _ -> None) read in
+  (List.sort (fun a b -> String.compare a.source b.source) units, errors)
 
 let load_dir dir = load_files (files_under ~suffix:".cmt" ~skip:(fun _ -> false) [ dir ])
 
@@ -114,17 +107,23 @@ let load ~roots =
     load_files (files_under ~suffix:".cmt" ~skip (List.map build_dir roots))
   in
   let compiled = List.map (fun u -> u.source) units in
+  (* An interface is covered by the unit compiled from its implementation. *)
+  let implementation path =
+    if has_suffix ~suffix:".mli" path then Filename.chop_suffix path "i"
+    else path
+  in
+  let source_skip entry = skip entry || entry.[0] = '.' in
   let orphans =
     List.filter_map
       (fun path ->
-        if List.mem (logical_path path) compiled then None
+        if List.mem (logical_path (implementation path)) compiled then None
         else
           Some
             (finding ~file:path
                "no typed tree was compiled from this source, so no rule \
                 checks it; add it to a stanza's modules"))
-      (files_under ~suffix:".ml"
-         ~skip:(fun entry -> skip entry || entry.[0] = '.')
-         roots)
+      (List.sort String.compare
+         (files_under ~suffix:".ml" ~skip:source_skip roots
+         @ files_under ~suffix:".mli" ~skip:source_skip roots))
   in
   (units, errors @ orphans)

@@ -10,7 +10,7 @@
 
     A source the gate cannot lint is a finding ([unlinted]), never a
     silent skip: an unreadable or version-mismatched [.cmt], and an [.ml]
-    under a root that no [.cmt] was compiled from. *)
+    (or [.mli]) under a root that no [.cmt] was compiled from. *)
 
 type unit_info = {
   modname : string;
@@ -43,4 +43,4 @@ val load : roots:string list -> unit_info list * Finding.t list
 (** {!load_dir} over the build directory of each source root, skipping
     directories named [fixtures] so fixture code never counts against the
     real tree, plus an [unlinted] finding for each [.ml] under a root with
-    no unit compiled from it. *)
+    no unit compiled from it, and each [.mli] whose [.ml] has none. *)

@@ -180,48 +180,39 @@ let generic_table_value path =
   | [ "Stdlib"; "Hashtbl"; fn ] -> Some fn
   | _ -> None
 
-let named_values cfg u =
-  let det = cfg.determinism u.u_source
-  and stable = cfg.stable_iteration u.u_source
-  and generic = cfg.generic_hashtbl u.u_source in
-  if not (det || stable || generic) then []
+(* The named values of [u] that [check] maps to a message, as findings of
+   [rule], when [u] is in the rule's scope. *)
+let over_refs rule scope check u =
+  if not (scope u.u_source) then []
   else
-    List.concat_map
-      (fun r ->
-        let at rule msg = finding rule u r.r_line r.r_col msg in
-        let table_fn = generic_table_value r.r_path in
-        List.filter_map Fun.id
-          [
-            (if det then
-               Option.map
-                 (fun why ->
-                   at "determinism"
-                     (Printf.sprintf "%s: %s"
-                        (String.concat "." (components r.r_path))
-                        why))
-                 (banned_value r.r_path)
-             else None);
-            (match table_fn with
-            | Some fn when generic ->
-              Some
-                (at "generic-hashtbl"
-                   (Printf.sprintf
-                      "Hashtbl.%s on the commit path hashes with a C call and \
-                       compares polymorphically; use a Hashtbl.Make instance \
-                       or Simcore.Int_table"
-                      fn))
-            | _ -> None);
-            (match table_fn with
-            | Some (("iter" | "fold") as fn) when stable ->
-              Some
-                (at "stable-iteration"
-                   (Printf.sprintf
-                      "Hashtbl.%s in an output-feeding module iterates in \
-                       hash order; use Obs.Stable.sorted_bindings"
-                      fn))
-            | _ -> None);
-          ])
+    List.filter_map
+      (fun r -> Option.map (finding rule u r.r_line r.r_col) (check r.r_path))
       u.u_refs
+
+let determinism cfg =
+  over_refs "determinism" cfg.determinism (fun path ->
+      Option.map
+        (Printf.sprintf "%s: %s" (String.concat "." (components path)))
+        (banned_value path))
+
+let generic_hashtbl cfg =
+  over_refs "generic-hashtbl" cfg.generic_hashtbl (fun path ->
+      Option.map
+        (Printf.sprintf
+           "Hashtbl.%s on the commit path hashes with a C call and compares \
+            polymorphically; use a Hashtbl.Make instance or Simcore.Int_table")
+        (generic_table_value path))
+
+let stable_iteration cfg =
+  over_refs "stable-iteration" cfg.stable_iteration (fun path ->
+      match generic_table_value path with
+      | Some (("iter" | "fold") as fn) ->
+        Some
+          (Printf.sprintf
+             "Hashtbl.%s in an output-feeding module iterates in hash order; \
+              use Obs.Stable.sorted_bindings"
+             fn)
+      | _ -> None)
 
 (* ------------------------------------------------------- lsn-arith -- *)
 
@@ -247,7 +238,7 @@ let lsn_arith cfg u =
                   "raw integer %s on an LSN-carrying value; use \
                    Lsn.next/Lsn.add or move the arithmetic behind \
                    lib/wal/lsn.ml"
-                  (components a.a_op |> String.concat ".")))
+                  (String.concat "." (components a.a_op))))
         else None)
       u.u_arith
 
@@ -265,11 +256,13 @@ let is_type_var ty = String.length ty > 0 && ty.[0] = '\''
 let foreign_protocol_type cfg u h =
   if h.p_tag_test then None
   else
-  List.find_opt
-    (fun ty ->
-      List.exists (fun m -> has_prefix ~prefix:(m ^ ".") ty) cfg.protocol_modules
-      && not (has_prefix ~prefix:(u.u_modname ^ ".") ty))
-    h.p_mentions
+    List.find_opt
+      (fun ty ->
+        List.exists
+          (fun m -> has_prefix ~prefix:(m ^ ".") ty)
+          cfg.protocol_modules
+        && not (has_prefix ~prefix:(u.u_modname ^ ".") ty))
+      h.p_mentions
 
 let poly_compare cfg u =
   let protocol = cfg.poly_compare u.u_source
@@ -418,8 +411,9 @@ let event_emit cfg units =
 let run cfg units =
   List.concat_map
     (fun u ->
-      named_values cfg u @ lsn_arith cfg u @ poly_compare cfg u
-      @ mli_coverage cfg u @ sim_global cfg u)
+      determinism cfg u @ stable_iteration cfg u @ generic_hashtbl cfg u
+      @ lsn_arith cfg u @ poly_compare cfg u @ mli_coverage cfg u
+      @ sim_global cfg u)
     units
   @ describe_coverage cfg units
   @ event_emit cfg units

@@ -99,27 +99,27 @@ let module_aliases (str : Typedtree.structure) =
 
 type resolver = { unit_name : string; aliases : (Ident.t * Path.t) list }
 
-(* An alias's target is itself resolved, so chains of aliases end at the
-   module they name; the depth bound only guards against the impossible. *)
-let rec expand r depth (p : Path.t) : Path.t =
+(* An alias's target is itself expanded, so a chain of aliases ends at the
+   module it names. *)
+let rec expand r (p : Path.t) : Path.t =
   match p with
-  | Pident id when depth < 8 -> (
+  | Pident id -> (
     match List.find_opt (fun (i, _) -> Ident.same i id) r.aliases with
-    | Some (_, target) -> expand r (depth + 1) target
+    | Some (_, target) -> expand r target
     | None -> p)
-  | Pdot (q, s) -> Pdot (expand r depth q, s)
-  | Papply (f, a) -> Papply (expand r depth f, expand r depth a)
+  | Pdot (q, s) -> Pdot (expand r q, s)
+  | Papply (f, a) -> Papply (expand r f, expand r a)
   | p -> p
 
 let name_of r (p : Path.t) =
   let name = Typed_loader.normalize_modname (Path.name p) in
   if Ident.global (Path.head p) then name else r.unit_name ^ "." ^ name
 
-let resolve r p = name_of r (expand r 0 p)
+let resolve r p = name_of r (expand r p)
 
 (* A value path worth recording: qualified, not a local variable. *)
 let qualified r p =
-  match expand r 0 p with Pident _ -> None | p -> Some (name_of r p)
+  match expand r p with Pident _ -> None | p -> Some (name_of r p)
 
 (* ------------------------------------------------------------------ *)
 (* Unit-wide facts: named values, arithmetic, comparisons.             *)
@@ -143,28 +143,16 @@ let rec head_path r (e : Typedtree.expression) =
   | Typedtree.Texp_apply (f, _) -> head_path r f
   | _ -> None
 
-(* Every type constructor [ty] mentions, head first; the visited set
-   guards against cyclic types. *)
-let type_mentions r ty =
-  let seen = Hashtbl.create 8 and acc = ref [] in
-  let rec go ty =
-    let id = Types.get_id ty in
-    if not (Hashtbl.mem seen id) then begin
-      Hashtbl.add seen id ();
-      match Types.get_desc ty with
-      | Types.Tconstr (p, args, _) ->
-        acc := resolve r p :: !acc;
-        List.iter go args
-      | Types.Ttuple tys -> List.iter go tys
-      | Types.Tarrow (_, a, b, _) ->
-        go a;
-        go b
-      | Types.Tpoly (t, _) -> go t
-      | _ -> ()
-    end
-  in
-  go ty;
-  List.rev !acc
+(* Every type constructor [ty] mentions, head first.  Object and variant
+   rows, the only place a type can cycle without -rectypes, are not
+   entered. *)
+let rec type_mentions r ty =
+  match Types.get_desc ty with
+  | Types.Tconstr (p, args, _) ->
+    resolve r p :: List.concat_map (type_mentions r) args
+  | Types.Ttuple tys -> List.concat_map (type_mentions r) tys
+  | Types.Tarrow (_, a, b, _) -> type_mentions r a @ type_mentions r b
+  | _ -> []
 
 let is_constant = function
   | Some { Typedtree.exp_desc = Typedtree.Texp_construct (_, _, []); _ } -> true

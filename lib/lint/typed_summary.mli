@@ -11,8 +11,9 @@
     aliases ([module H = Hashtbl]) seen through, dune's [Lib__Module]
     mangling undone, and a path into a module defined in the unit itself
     qualified with the unit's name: [H.iter] reads
-    ["Stdlib.Hashtbl.iter"], and a local [module Tbl = Hashtbl.Make (...)]
-    makes [Tbl.find] read ["Wal.Hot_log.Tbl.find"]. *)
+    ["Stdlib.Hashtbl.iter"], and in [Wal.Hot_log] a local
+    [module By_lsn = Hashtbl.Make (...)] makes [By_lsn.find] read
+    ["Wal.Hot_log.By_lsn.find"]. *)
 
 type con_use = { cu_ty : string; cu_con : string }
 

@@ -423,8 +423,10 @@ let test_unreadable_cmt () =
 let test_missing_cmt () =
   with_temp_dir (fun dir ->
       write (Filename.concat dir "orphan.ml") "let x = Random.int 6\n";
+      write (Filename.concat dir "orphan.mli") "val x : int\n";
       Alcotest.(check (list (pair string string)))
-        "an .ml with no cmt is a finding" [ ("unlinted", "orphan.ml") ]
+        "an .ml with no cmt is a finding, and so is its .mli"
+        [ ("unlinted", "orphan.ml"); ("unlinted", "orphan.mli") ]
         (loader_findings dir))
 
 (* -- baseline ------------------------------------------------------------- *)
