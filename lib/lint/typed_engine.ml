@@ -3,10 +3,8 @@
 
 let default_roots = [ "lib"; "bin"; "bench"; "test"; "perfbench" ]
 
-let lint_units ?(config = Typed_rules.default) units =
-  let summaries = List.map Typed_summary.summarize units in
-  List.sort_uniq Finding.compare (Typed_rules.run config summaries)
-
-let lint ?config ~roots () =
+let lint ~roots () =
   let units, unlinted = Typed_loader.load ~roots in
-  (units, List.sort_uniq Finding.compare (unlinted @ lint_units ?config units))
+  let summaries = List.map Typed_summary.summarize units in
+  let findings = Typed_rules.run Typed_rules.default summaries in
+  (units, List.sort_uniq Finding.compare (unlinted @ findings))

@@ -6,16 +6,9 @@
 val default_roots : string list
 (** The source roots the gate covers: [lib bin bench test perfbench]. *)
 
-val lint_units :
-  ?config:Typed_rules.config -> Typed_loader.unit_info list -> Finding.t list
-(** Summarize and check an explicit unit list (tests feed fixture units
-    here).  Sorted and deduplicated. *)
-
 val lint :
-  ?config:Typed_rules.config ->
-  roots:string list ->
-  unit ->
-  Typed_loader.unit_info list * Finding.t list
+  roots:string list -> unit -> Typed_loader.unit_info list * Finding.t list
 (** Load every [.cmt] of the given source roots (skipping [fixtures]
-    directories) and check them: the units loaded, and the loader's
-    [unlinted] findings with the rules' findings, sorted. *)
+    directories) and check them under {!Typed_rules.default}: the units
+    loaded, and the loader's [unlinted] findings with the rules' findings,
+    sorted and deduplicated. *)

@@ -2,16 +2,8 @@
    DESIGN.md §6 for the catalogue. *)
 
 type config = {
-  determinism : string -> bool;
-  stable_iteration : string -> bool;
-  poly_compare : string -> bool;
-  poly_tyvar : string -> bool;
-  mli_coverage : string -> bool;
-  lsn_arith : string -> bool;
-  generic_hashtbl : string -> bool;
   sim_scope : string -> bool;  (* logical source path is sim-scoped *)
   sim_global_home : string -> bool;  (* where [@@sim_global] is accepted *)
-  emit_scope : string -> bool;  (* units whose constructions count *)
   describe_checks : (string * string) list;  (* (type, total function) *)
   emit_checks : (string * string) list;  (* (type, defining-dir prefix) *)
   protocol_modules : string list;  (* no polymorphic compare on their types *)
@@ -57,24 +49,25 @@ let commit_path path =
     (fun dir -> under dir path)
     [ "lib/core"; "lib/storage"; "lib/wal"; "lib/simnet"; "lib/simcore" ]
 
+(* The perf layer's wall-clock gateway is the single audited module that
+   may read real time (for profiling probes, never for simulated
+   behaviour). *)
+let determinism_scope p = sim_code p && p <> "lib/perf/clock.ml"
+
+(* Stable is the one audited place allowed to fold a hash table: it exists
+   to sort the bindings before anyone can observe their order. *)
+let stable_iteration_scope p = output_feeding p && p <> "lib/obs/stable.ml"
+
+let lsn_arith_scope p = p <> "lib/wal/lsn.ml"
+
+(* Interface coverage, comparison at a type variable, and emission of an
+   event are properties of the system, not of its tests or benchmarks. *)
+let lib_only = under "lib"
+
 let default =
   {
-    (* The perf layer's wall-clock gateway is the single audited module
-       that may read real time (for profiling probes, never for simulated
-       behaviour). *)
-    determinism = (fun p -> sim_code p && p <> "lib/perf/clock.ml");
-    (* Stable is the one audited place allowed to fold a hash table: it
-       exists to sort the bindings before anyone can observe their order. *)
-    stable_iteration = (fun p -> output_feeding p && p <> "lib/obs/stable.ml");
-    (* Every root; the defining units are exempt by construction. *)
-    poly_compare = (fun _ -> true);
-    poly_tyvar = under "lib";
-    mli_coverage = under "lib";
-    lsn_arith = (fun p -> p <> "lib/wal/lsn.ml");
-    generic_hashtbl = commit_path;
-    sim_scope = under "lib";
+    sim_scope = lib_only;
     sim_global_home = String.equal "lib/perf/probe.ml";
-    emit_scope = under "lib";
     describe_checks = [ ("Storage.Protocol.t", "Storage.Protocol.describe") ];
     emit_checks =
       [
@@ -189,22 +182,22 @@ let over_refs rule scope check u =
       (fun r -> Option.map (finding rule u r.r_line r.r_col) (check r.r_path))
       u.u_refs
 
-let determinism cfg =
-  over_refs "determinism" cfg.determinism (fun path ->
+let determinism =
+  over_refs "determinism" determinism_scope (fun path ->
       Option.map
         (Printf.sprintf "%s: %s" (String.concat "." (components path)))
         (banned_value path))
 
-let generic_hashtbl cfg =
-  over_refs "generic-hashtbl" cfg.generic_hashtbl (fun path ->
+let generic_hashtbl =
+  over_refs "generic-hashtbl" commit_path (fun path ->
       Option.map
         (Printf.sprintf
            "Hashtbl.%s on the commit path hashes with a C call and compares \
             polymorphically; use a Hashtbl.Make instance or Simcore.Int_table")
         (generic_table_value path))
 
-let stable_iteration cfg =
-  over_refs "stable-iteration" cfg.stable_iteration (fun path ->
+let stable_iteration =
+  over_refs "stable-iteration" stable_iteration_scope (fun path ->
       match generic_table_value path with
       | Some (("iter" | "fold") as fn) ->
         Some
@@ -216,18 +209,11 @@ let stable_iteration cfg =
 
 (* ------------------------------------------------------- lsn-arith -- *)
 
-(* An operand computed by a [Wal.Lsn] function carries an LSN, unless the
-   function counts ([Lsn.Tbl.length], [Lsn.Set.cardinal]: how many, not
-   which LSN) or prints. *)
-let lsn_carrying path =
-  has_prefix ~prefix:"Wal.Lsn." path
-  &&
-  match List.rev (String.split_on_char '.' path) with
-  | last :: _ -> not (List.mem last [ "pp"; "to_string"; "length"; "cardinal" ])
-  | [] -> false
+(* An int operand computed by a [Wal.Lsn] function carries an LSN. *)
+let lsn_carrying path = has_prefix ~prefix:"Wal.Lsn." path
 
-let lsn_arith cfg u =
-  if not (cfg.lsn_arith u.u_source) then []
+let lsn_arith u =
+  if not (lsn_arith_scope u.u_source) then []
   else
     List.filter_map
       (fun a ->
@@ -264,9 +250,9 @@ let foreign_protocol_type cfg u h =
         && not (has_prefix ~prefix:(u.u_modname ^ ".") ty))
       h.p_mentions
 
+(* Protocol types are policed in every root, type variables in lib/. *)
 let poly_compare cfg u =
-  let protocol = cfg.poly_compare u.u_source
-  and tyvar = cfg.poly_tyvar u.u_source in
+  let tyvar = lib_only u.u_source in
   List.filter_map
     (fun h ->
       let op = String.concat "." (components h.p_op) in
@@ -279,7 +265,7 @@ let poly_compare cfg u =
                    the operands' type or use a typed compare/equal"
                   op h.p_ty))
         else None
-      else if protocol then
+      else
         Option.map
           (fun ty ->
             finding "poly-compare" u h.p_line h.p_col
@@ -287,14 +273,13 @@ let poly_compare cfg u =
                  "polymorphic %s applied at a value of type %s — use the \
                   module's typed compare/equal"
                  op ty))
-          (foreign_protocol_type cfg u h)
-      else None)
+          (foreign_protocol_type cfg u h))
     u.u_poly
 
 (* ----------------------------------------------------- mli-coverage -- *)
 
-let mli_coverage cfg u =
-  if cfg.mli_coverage u.u_source && not u.u_interface then
+let mli_coverage u =
+  if lib_only u.u_source && not u.u_interface then
     [
       finding "mli-coverage" u 1 0
         (Printf.sprintf "missing interface %si" u.u_source);
@@ -371,7 +356,7 @@ let describe_coverage cfg units =
 
 (* ---------------- event emission coverage ---------------- *)
 
-(* Only units in [emit_scope] count as emitters: a constructor a test
+(* Only lib/ units count as emitters: a constructor a test
    builds to exercise a printer is not emitted by the system. *)
 let event_emit cfg units =
   List.concat_map
@@ -383,7 +368,7 @@ let event_emit cfg units =
         List.iter
           (fun u ->
             if
-              cfg.emit_scope u.u_source
+              lib_only u.u_source
               && not (has_prefix ~prefix:defining_prefix u.u_source)
             then
               List.iter
@@ -411,9 +396,8 @@ let event_emit cfg units =
 let run cfg units =
   List.concat_map
     (fun u ->
-      determinism cfg u @ stable_iteration cfg u @ generic_hashtbl cfg u
-      @ lsn_arith cfg u @ poly_compare cfg u @ mli_coverage cfg u
-      @ sim_global cfg u)
+      determinism u @ stable_iteration u @ generic_hashtbl u @ lsn_arith u
+      @ poly_compare cfg u @ mli_coverage u @ sim_global cfg u)
     units
   @ describe_coverage cfg units
   @ event_emit cfg units

@@ -1,9 +1,10 @@
 (** The rule set: pure functions over {!Typed_summary} summaries.
 
     Each rule is active in the units whose logical source path its scope
-    predicate in {!config} accepts; allowlisted files are simply outside
-    the scope.  Rules match on the paths and types the compiler resolved,
-    never on spellings (see {!Typed_summary}).
+    accepts; allowlisted files are simply outside the scope.  The scopes
+    are fixed (see DESIGN.md §6); {!config} holds only the manifests and
+    the sim scope.  Rules match on the paths and types the compiler
+    resolved, never on spellings (see {!Typed_summary}).
 
     - [determinism] — no [Unix.*], [Monotonic_clock.*], [Sys.time],
       [Random.*] or [Hashtbl.hash] in sim code.
@@ -11,11 +12,10 @@
       modules.
     - [poly-compare] — no [Stdlib.compare]/[=]/[<]/... applied at a type
       that mentions a protocol type ({!config.protocol_modules}) outside
-      its defining unit, nor, where {!config.poly_tyvar} holds, at a type
-      variable.
-    - [mli-coverage] — every unit in scope has an [.mli].
+      its defining unit, nor, in [lib/], at a type variable.
+    - [mli-coverage] — every [lib/] unit has an [.mli].
     - [lsn-arith] — no integer arithmetic on an operand computed by a
-      [Wal.Lsn] function other than a count or printer.
+      [Wal.Lsn] function.
     - [generic-hashtbl] — no [Hashtbl.<fn>] value on the commit path.
     - [sim-global] — top-level mutable state in sim-scoped modules must
       carry [@@sim_global], and the annotation is accepted only where
@@ -23,24 +23,15 @@
     - [describe-coverage] — every constructor of each type in
       {!config.describe_checks} must be matched by the paired function.
     - [event-emit] — every constructor of each type in
-      {!config.emit_checks} must be built by some unit in
-      {!config.emit_scope} outside the type's defining directory.
+      {!config.emit_checks} must be built by some [lib/] unit outside the
+      type's defining directory.
 
     A manifest entry (type or function) that no longer resolves is itself
     a finding, so the manifests cannot rot silently. *)
 
 type config = {
-  determinism : string -> bool;
-  stable_iteration : string -> bool;
-  poly_compare : string -> bool;  (** The protocol-type half. *)
-  poly_tyvar : string -> bool;  (** The type-variable half. *)
-  mli_coverage : string -> bool;
-  lsn_arith : string -> bool;
-  generic_hashtbl : string -> bool;
   sim_scope : string -> bool;
   sim_global_home : string -> bool;
-  emit_scope : string -> bool;
-      (** Units whose constructions count as emitting an event. *)
   describe_checks : (string * string) list;
   emit_checks : (string * string) list;
   protocol_modules : string list;
@@ -49,7 +40,7 @@ type config = {
 }
 
 val default : config
-(** The production scopes and manifests for this repo (see DESIGN.md §6). *)
+(** The production manifests for this repo (see DESIGN.md §6). *)
 
 val catalogue : (string * string) list
 (** (rule id, one-line description) for [aurora_lint --rules]. *)

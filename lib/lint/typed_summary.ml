@@ -187,7 +187,13 @@ let unit_facts r (str : Typedtree.structure) =
             p_col = col;
             p_op = op;
             p_ty = Option.value p_ty ~default:"";
-            p_mentions = type_mentions r arg1.exp_type;
+            p_mentions =
+              List.concat_map
+                (fun (_, arg) ->
+                  match arg with
+                  | Some (e : Typedtree.expression) -> type_mentions r e.exp_type
+                  | None -> [])
+                args;
             p_tag_test = List.exists (fun (_, arg) -> is_constant arg) args;
           }
           :: !poly

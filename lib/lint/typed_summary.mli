@@ -39,8 +39,8 @@ type poly_hit = {
       (** The first operand's type: a qualified type name, or a type
           variable written with its quote (["'a"], ["'_"] if unnamed). *)
   p_mentions : string list;
-      (** Every type constructor the first operand's type mentions, its
-          head included ([option] and [Wal.Lsn.t] for [Lsn.t option]). *)
+      (** Every type constructor the operands' types mention, heads
+          included ([option] and [Wal.Lsn.t] for [Lsn.t option]). *)
   p_tag_test : bool;
       (** An operand is a constant constructor ([[]], [None]), so the
           comparison only tests a tag. *)

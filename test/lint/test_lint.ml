@@ -44,39 +44,39 @@ let check_shapes msg expected findings =
 
 (* -- the cross-unit rules over the tf_* fixtures -------------------------- *)
 
-let is_tf src =
-  List.exists (String.equal src)
-    (List.map fx
-       [
-         "tf_emitter.ml"; "tf_events.ml"; "tf_global.ml"; "tf_global_stray.ml";
-         "tf_poly.ml"; "tf_proto.ml";
-       ])
+(* The tf_* fixtures, moved into lib/ where every cross-unit rule and both
+   halves of poly-compare apply.  They have no interfaces; interface
+   coverage has its own test. *)
+let tf_names =
+  [
+    "tf_emitter.ml"; "tf_events.ml"; "tf_global.ml"; "tf_global_stray.ml";
+    "tf_poly.ml"; "tf_proto.ml";
+  ]
+
+let tf name = "lib/lint_fixtures/" ^ name
+
+let lint_tf config =
+  List.map (fun name -> { (summary name) with u_source = tf name }) tf_names
+  |> Typed_rules.run config
+  |> List.filter (fun (f : Finding.t) -> f.rule <> "mli-coverage")
+  |> List.sort_uniq Finding.compare
 
 let off _ = false
 
 let fixture_config : Typed_rules.config =
   {
-    determinism = off;
-    stable_iteration = off;
-    poly_compare = is_tf;
-    poly_tyvar = is_tf;
-    mli_coverage = off;
-    lsn_arith = off;
-    generic_hashtbl = off;
     sim_scope =
       (fun src ->
-        String.equal src (fx "tf_global.ml")
-        || String.equal src (fx "tf_global_stray.ml"));
-    sim_global_home = String.equal (fx "tf_global.ml");
-    emit_scope = (fun _ -> true);
+        String.equal src (tf "tf_global.ml")
+        || String.equal src (tf "tf_global_stray.ml"));
+    sim_global_home = String.equal (tf "tf_global.ml");
     describe_checks =
       [ ("Lint_fixtures.Tf_proto.t", "Lint_fixtures.Tf_proto.describe") ];
-    emit_checks = [ ("Lint_fixtures.Tf_events.t", fx "tf_events.ml") ];
+    emit_checks = [ ("Lint_fixtures.Tf_events.t", tf "tf_events.ml") ];
     protocol_modules = [ "Wal.Lsn" ];
   }
 
-let fixture_findings =
-  lazy (Typed_engine.lint_units ~config:fixture_config (fixture_units ()))
+let fixture_findings = lazy (lint_tf fixture_config)
 
 (* (file, line) sites for one rule — columns are the compiler's business. *)
 let sites rule =
@@ -151,7 +151,8 @@ let test_stable_iteration () =
     fs
 
 (* Two fixtures.  bad_poly_compare.ml: =, <>, compare, max and a
-   constrained min, each at a protocol type.  tf_poly.ml: polymorphic [=]
+   constrained min, each at a protocol type, and an [=] whose first
+   operand's type is an abbreviation of one (line 9).  tf_poly.ml: polymorphic [=]
    at Wal.Lsn.t in [bad] (line 5) and [<] at a type variable in [bad_var]
    (line 7); the int comparisons in [good] and [good_int] are fine. *)
 let test_poly_compare () =
@@ -165,10 +166,11 @@ let test_poly_compare () =
       ("poly-compare", 4, 19);
       ("poly-compare", 5, 15);
       ("poly-compare", 6, 17);
+      ("poly-compare", 9, 25);
     ]
     fs;
   check_sites "polymorphic compare at a protocol type or a type variable"
-    [ (fx "tf_poly.ml", 5); (fx "tf_poly.ml", 7) ]
+    [ (tf "tf_poly.ml", 5); (tf "tf_poly.ml", 7) ]
     "poly-compare"
 
 let test_lsn_arith () =
@@ -227,9 +229,9 @@ let test_mli_coverage () =
 let test_sim_global () =
   check_sites "unannotated globals and stray annotations flagged"
     [
-      (fx "tf_global.ml", 5);
-      (fx "tf_global.ml", 6);
-      (fx "tf_global_stray.ml", 4);
+      (tf "tf_global.ml", 5);
+      (tf "tf_global.ml", 6);
+      (tf "tf_global_stray.ml", 4);
     ]
     "sim-global"
 
@@ -237,14 +239,14 @@ let test_sim_global () =
    findings anchor to the constructor declarations. *)
 let test_describe_coverage () =
   check_sites "wildcard-hidden constructors flagged at their declarations"
-    [ (fx "tf_proto.ml", 7); (fx "tf_proto.ml", 8) ]
+    [ (tf "tf_proto.ml", 7); (tf "tf_proto.ml", 8) ]
     "describe-coverage"
 
 (* [Seen] is built by Tf_emitter (outside the defining module); [Ignored]
    (line 7) is only built inside it, which must not count. *)
 let test_event_emit () =
   check_sites "constructor never built outside the defining module"
-    [ (fx "tf_events.ml", 7) ]
+    [ (tf "tf_events.ml", 7) ]
     "event-emit"
 
 let test_no_extra_findings () =
@@ -259,22 +261,21 @@ let test_no_extra_findings () =
 let test_manifest_rot () =
   let cfg =
     {
-      fixture_config with
-      describe_checks =
+      Typed_rules.describe_checks =
         [ ("Lint_fixtures.Tf_proto.gone", "Lint_fixtures.Tf_proto.describe") ];
-      emit_checks = [ ("Lint_fixtures.Tf_events.gone", fx "tf_events.ml") ];
+      emit_checks = [ ("Lint_fixtures.Tf_events.gone", tf "tf_events.ml") ];
       sim_scope = off;
       sim_global_home = off;
       protocol_modules = [];
     }
   in
-  let fs = Typed_engine.lint_units ~config:cfg (fixture_units ()) in
+  let fs = lint_tf cfg in
   Alcotest.(check (list (pair string string)))
     "one manifest-rot finding per stale entry, anchored to the pseudo-file"
     [
       ("(lint-manifest)", "describe-coverage");
       ("(lint-manifest)", "event-emit");
-      (fx "tf_poly.ml", "poly-compare");
+      (tf "tf_poly.ml", "poly-compare");
     ]
     (List.map (fun (f : Finding.t) -> (f.file, f.rule)) fs)
 
